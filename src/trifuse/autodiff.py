@@ -238,31 +238,22 @@ def div(a: Tensor, b) -> Tensor:
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
-    """Matrix product: 2D@2D, batched 3D@3D (equal batch dims), 2D@1D or 1D@2D."""
-    if a.data.ndim >= 2 and b.data.ndim >= 2 and a.data.ndim != b.data.ndim:
-        raise ValueError(f"matmul rank mismatch: {a.shape} @ {b.shape}")
-    if a.data.ndim >= 3 and a.data.shape[:-2] != b.data.shape[:-2]:
+    """Matrix product: (..., k) @ (k, n) or (k,), 1D @ 2D, or batched
+    (..., m, k) @ (..., k, n) with equal batch dims."""
+    if b.data.ndim > 2 and a.data.shape[:-2] != b.data.shape[:-2]:
         raise ValueError(f"matmul batch mismatch: {a.shape} @ {b.shape}")
-    if (a.data.ndim == 1 or b.data.ndim == 1) and max(a.data.ndim, b.data.ndim) > 2:
-        raise ValueError(f"matmul with a vector needs a 2D partner: {a.shape} @ {b.shape}")
     out_data = a.data @ b.data
 
     def backward(g):
         if a.requires_grad:
-            if b.data.ndim == 1:
-                ga = np.multiply.outer(g, b.data)
-            elif a.data.ndim == 1:
-                ga = (g[None, :] @ b.data.swapaxes(-1, -2)).reshape(a.shape)
-            else:
-                ga = g @ b.data.swapaxes(-1, -2)
+            ga = np.multiply.outer(g, b.data) if b.data.ndim == 1 else g @ b.data.swapaxes(-1, -2)
             _accumulate(a, ga)
         if b.requires_grad:
-            if a.data.ndim == 1:
-                gb = np.multiply.outer(a.data, g)
-            elif b.data.ndim == 1:
+            if b.data.ndim > 2:
                 gb = a.data.swapaxes(-1, -2) @ g
-            else:
-                gb = a.data.swapaxes(-1, -2) @ g
+            else:  # fold a's leading dims into its rows
+                a2 = a.data.reshape(-1, a.data.shape[-1])
+                gb = a2.T @ g.reshape(a2.shape[0], *b.data.shape[1:])
             _accumulate(b, gb)
 
     return _node(out_data, (a, b), backward)
@@ -353,33 +344,18 @@ def absolute(a: Tensor) -> Tensor:
     return _node(np.abs(a.data), (a,), backward)
 
 
-def concat(tensors: list, axis: int = 0) -> Tensor:
-    tensors = list(tensors)
-    out_data = np.concatenate([t.data for t in tensors], axis=axis)
-    sizes = [t.data.shape[axis] for t in tensors]
-    offsets = np.cumsum([0] + sizes)
-
-    def backward(g):
-        for t, lo, hi in zip(tensors, offsets[:-1], offsets[1:]):
-            if t.requires_grad:
-                idx = [slice(None)] * g.ndim
-                idx[axis] = slice(lo, hi)
-                _accumulate(t, g[tuple(idx)])
-
-    return _node(out_data, tuple(tensors), backward)
-
-
-def narrow(a: Tensor, axis: int, start: int, length: int) -> Tensor:
-    idx = [slice(None)] * a.data.ndim
-    idx[axis] = slice(start, start + length)
-    idx = tuple(idx)
+def take(a: Tensor, indices, axis: int = 0) -> Tensor:
+    """Gather `indices` along `axis`; a repeated index accumulates its gradients."""
+    indices = np.asarray(indices, dtype=np.intp)
+    axis = axis % a.data.ndim
+    where = (slice(None),) * axis + (indices,)
 
     def backward(g):
         full = np.zeros_like(a.data)
-        full[idx] = g
+        np.add.at(full, where, g)
         _accumulate(a, full)
 
-    return _node(a.data[idx].copy(), (a,), backward)
+    return _node(a.data[where], (a,), backward)
 
 
 # -- composed ops --------------------------------------------------------

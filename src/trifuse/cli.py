@@ -3,7 +3,8 @@
 One JSON config file drives generation ("synth" section) and training
 ("train" section); command-line flags override individual keys. Exit codes:
 0 success, 2 config parse error, 3 IO error, 4 training aborted on
-non-finite loss, 5 checkpoint/dataset dimension mismatch, 6 unknown query id.
+non-finite loss, 5 checkpoint, config or dataset dimension mismatch (including
+audio longer than max_audio_len), 6 unknown query id.
 """
 
 from __future__ import annotations
@@ -68,6 +69,19 @@ def _build(cls, section: dict, overrides: dict, section_name: str):
         raise ConfigError(f"bad {section_name} config: {err}") from err
 
 
+def _audio_too_long(dataset, max_audio_len: int) -> bool:
+    """True, with a message, if an item's audio (or the zero-fill standing in
+    for missing audio) is longer than the resampler accepts."""
+    longest = max(
+        (len(it.audio_tokens) if it.audio_tokens is not None else dataset.manifest.audio_pad
+         for it in dataset.items.values()),
+        default=0,
+    )
+    if longest > max_audio_len:
+        print(f"audio length {longest} exceeds max_audio_len {max_audio_len}", file=sys.stderr)
+    return longest > max_audio_len
+
+
 def cmd_gen(args) -> int:
     cfg = _build(SynthConfig, _load_config_section(args.config, "synth"), {"seed": args.seed}, "synth")
     out = Path(args.out)
@@ -106,6 +120,8 @@ def cmd_train(args) -> int:
     }
     config = _build(TrainConfig, _load_config_section(args.config, "train"), overrides, "train")
     dataset = read_dataset(args.data)
+    if _audio_too_long(dataset, config.max_audio_len):
+        return EXIT_DIM
     val_split = "val" if dataset.manifest.splits.get("val", {}).get("queries") else None
 
     result = train(config, dataset, val_split=val_split)
@@ -162,6 +178,8 @@ def cmd_eval(args) -> int:
             file=sys.stderr,
         )
         return EXIT_DIM
+    if _audio_too_long(dataset, params.arch["max_audio_len"]):
+        return EXIT_DIM
     mode = FusionMode(args.mode) if args.mode else FusionMode.SAVE
     items = dataset.split_items(args.split)
     queries = dataset.split_queries(args.split)
@@ -200,6 +218,8 @@ def cmd_score(args) -> int:
     if args.query not in dataset.queries:
         print(f"unknown query id: {args.query}", file=sys.stderr)
         return EXIT_QUERY
+    if _audio_too_long(dataset, params.arch["max_audio_len"]):
+        return EXIT_DIM
     query = dataset.queries[args.query]
     split = next(
         (s for s in sorted(dataset.manifest.splits) if args.query in dataset.manifest.splits[s]["queries"]),

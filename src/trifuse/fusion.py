@@ -58,9 +58,10 @@ class HolisticAggregator(nn.Module):
         self.query = ad.parameter(rng.normal(0.0, scale, size=dim).astype(dtype))
 
     def __call__(self, tokens: Tensor) -> Tensor:
-        scores = ad.matmul(ad.tanh(ad.matmul(tokens, self.weight)), self.query)  # (m,)
+        """(..., m, d) tokens -> (..., d)."""
+        scores = ad.matmul(ad.tanh(ad.matmul(tokens, self.weight)), self.query)  # (..., m)
         weights = ad.softmax(scores, axis=-1)
-        return (tokens * ad.reshape(weights, (tokens.shape[0], 1))).sum(axis=0)
+        return (tokens * ad.reshape(weights, weights.shape + (1,))).sum(axis=-2)
 
 
 class FusionParams(nn.Module):
@@ -142,87 +143,110 @@ class VideoIndex:
     speech_pool: np.ndarray | None = None  # (n, d), late_fusion mode
 
 
-def _tokens_tensor(arr: np.ndarray, dtype) -> Tensor:
-    return Tensor(np.asarray(arr, dtype=dtype))
+@dataclass
+class FusedBatch:
+    """`forward_video` output for B items; every array leads with the item axis."""
+
+    tokens: Tensor  # (B, m, d) fused tokens
+    pooled: Tensor  # (B, d) their means
+    visual: Tensor | None = None  # (B, m, d) input visual tokens
+    audio: Tensor | None = None  # (B, m, d) resampled audio, in the modes that use audio
+    speech_pool: np.ndarray | None = None  # (B, d) raw speech-token means, late_fusion only
 
 
-def forward_video(item: ItemRecord, params: FusionParams, mode: FusionMode) -> tuple[Tensor, Tensor]:
-    """Fused tokens (m, d) and their mean for one resolved item.
+AUDIO_MODES = frozenset({FusionMode.AVIGATE, FusionMode.AVIGATE_PLUS, FusionMode.SAVE,
+                         FusionMode.HOLISTIC, FusionMode.LEARNABLE_WEIGHTS, FusionMode.LATE_FUSION})
+SPEECH_MODES = frozenset({FusionMode.NO_AUDIO, FusionMode.SAVE, FusionMode.HOLISTIC,
+                          FusionMode.LEARNABLE_WEIGHTS, FusionMode.LATE_FUSION})
 
-    The item must come through `resolve_missing` first in the modes that
-    touch audio or speech.
+# Items per forward pass when building an index.
+INDEX_CHUNK = 128
+
+
+def _stack(items: list[ItemRecord], field: str, dtype) -> tuple[Tensor, np.ndarray]:
+    """One token field of every item, zero-padded to (B, L_max, d), and the
+    (B, L_max) mask of each item's own tokens."""
+    arrays = [getattr(item, field) for item in items]
+    missing = [item.item_id for item, arr in zip(items, arrays) if arr is None]
+    if missing:
+        raise ValueError(f"item {missing[0]} must go through resolve_missing before fusion")
+    lengths = np.array([len(arr) for arr in arrays])
+    mask = np.arange(lengths.max()) < lengths[:, None]
+    out = np.zeros(mask.shape + (arrays[0].shape[-1],), dtype=dtype)
+    out[mask] = np.concatenate(arrays)
+    return Tensor(out), mask
+
+
+def forward_video(items: list[ItemRecord], params: FusionParams, mode: FusionMode) -> FusedBatch:
+    """Fused tokens of a batch of resolved items, as one graph.
+
+    The items must come through `resolve_missing` first in the modes that
+    touch audio or speech; a batch may mix token lengths. late_fusion fuses as
+    avigate does and adds the raw speech-token means it is scored with.
     """
     mode = FusionMode(mode)
-    if mode == FusionMode.LATE_FUSION:
-        raise ValueError("late_fusion is assembled at scoring time, not in forward_video")
-    needs_audio = mode in (FusionMode.AVIGATE, FusionMode.AVIGATE_PLUS, FusionMode.SAVE,
-                           FusionMode.HOLISTIC, FusionMode.LEARNABLE_WEIGHTS)
-    needs_speech = mode in (FusionMode.NO_AUDIO, FusionMode.SAVE, FusionMode.HOLISTIC,
-                            FusionMode.LEARNABLE_WEIGHTS)
-    if (needs_audio and item.audio_tokens is None) or (needs_speech and item.speech_tokens is None):
-        raise ValueError(f"item {item.item_id} must go through resolve_missing before {mode.value} fusion")
+    v, _ = _stack(items, "visual_tokens", params.dtype)
+    audio = a_hat = s_hat = speech_pool = None
+    if mode in AUDIO_MODES:
+        audio = params.resampler(*_stack(items, "audio_tokens", params.dtype))
+        a_hat = params.audio_fusion(v, audio)
+    if mode in SPEECH_MODES:
+        speech, speech_mask = _stack(items, "speech_tokens", params.dtype)
+        if mode == FusionMode.LATE_FUSION:
+            speech_pool = speech.data.sum(axis=1) / speech_mask.sum(axis=1, keepdims=True)
+        else:
+            s_hat = params.speech_fusion(v, speech, speech_mask)
 
-    v = _tokens_tensor(item.visual_tokens, params.dtype)
     if mode == FusionMode.VISION_ONLY:
         fused = v
-    elif mode in (FusionMode.AVIGATE, FusionMode.AVIGATE_PLUS):
-        a_hat = params.audio_fusion(v, params.resampler(_tokens_tensor(item.audio_tokens, params.dtype)))
+    elif mode in (FusionMode.AVIGATE, FusionMode.AVIGATE_PLUS, FusionMode.LATE_FUSION):
         fused = v + a_hat * (AV_AUDIO_WEIGHT / AV_VISUAL_WEIGHT)
     elif mode == FusionMode.NO_AUDIO:
-        s_hat = params.speech_fusion(v, _tokens_tensor(item.speech_tokens, params.dtype))
         fused = v + s_hat
     elif mode in (FusionMode.SAVE, FusionMode.HOLISTIC):
-        a_hat = params.audio_fusion(v, params.resampler(_tokens_tensor(item.audio_tokens, params.dtype)))
-        s_hat = params.speech_fusion(v, _tokens_tensor(item.speech_tokens, params.dtype))
         fused = v + (a_hat + s_hat) * 0.5
-    elif mode == FusionMode.LEARNABLE_WEIGHTS:
-        a_hat = params.audio_fusion(v, params.resampler(_tokens_tensor(item.audio_tokens, params.dtype)))
-        s_hat = params.speech_fusion(v, _tokens_tensor(item.speech_tokens, params.dtype))
+    else:  # learnable_weights
         gamma = 1.0 - params.alpha - params.beta
         fused = params.alpha * v + params.beta * a_hat + gamma * s_hat
-    else:  # pragma: no cover - exhaustive enum
-        raise ValueError(f"unhandled mode {mode}")
-
-    return fused, fused.mean(axis=0)
+    return FusedBatch(fused, fused.mean(axis=-2), v, audio, speech_pool)
 
 
-def pre_fusion_pooled(item: ItemRecord, params: FusionParams) -> tuple[Tensor, Tensor]:
-    """L2-normalized means of the visual tokens and the pre-fusion resampled
-    audio tokens; the student-affinity inputs."""
-    v_mean = _tokens_tensor(item.visual_tokens, params.dtype).mean(axis=0)
-    a_tokens = params.resampler(_tokens_tensor(item.audio_tokens, params.dtype))
-    return ad.l2_normalize(v_mean), ad.l2_normalize(a_tokens.mean(axis=0))
+def pre_fusion_pooled(fused: FusedBatch) -> tuple[Tensor, Tensor]:
+    """L2-normalized (B, d) means of the visual tokens and of the resampled
+    audio tokens before fusion; the student-affinity inputs."""
+    if fused.audio is None:
+        raise ValueError("pre-fusion pooling needs a fusion mode with an audio branch")
+    return ad.l2_normalize(fused.visual.mean(axis=-2)), ad.l2_normalize(fused.audio.mean(axis=-2))
 
 
-def _raw_speech_pool(item: ItemRecord) -> np.ndarray:
-    return np.asarray(item.speech_tokens, dtype=np.float32).mean(axis=0)
+def _joined(parts: list[np.ndarray], empty_shape: tuple) -> np.ndarray:
+    return np.concatenate(parts).astype(np.float32, copy=False) if parts else np.zeros(empty_shape, np.float32)
 
 
 def precompute_index(
     items: list[ItemRecord], params: FusionParams, mode: FusionMode, manifest: Manifest
 ) -> VideoIndex:
-    """One forward pass per item; a pure function of (items, params, mode)."""
+    """Forward passes over fixed chunks of INDEX_CHUNK items under no_grad; a
+    pure function of (items, params, mode)."""
     mode = FusionMode(mode)
-    ids, tokens, pooled, holistic, speech_pool = [], [], [], [], []
+    tokens, pooled, holistic, speech_pool = [], [], [], []
     with ad.no_grad():
-        for item in items:
-            item = resolve_missing(item, manifest)
-            fwd_mode = FusionMode.AVIGATE if mode == FusionMode.LATE_FUSION else mode
-            fused, vbar = forward_video(item, params, fwd_mode)
-            ids.append(item.item_id)
-            tokens.append(fused.data.astype(np.float32))
-            pooled.append(vbar.data.astype(np.float32))
+        for start in range(0, len(items), INDEX_CHUNK):
+            chunk = [resolve_missing(item, manifest) for item in items[start : start + INDEX_CHUNK]]
+            fused = forward_video(chunk, params, mode)
+            tokens.append(fused.tokens.data)
+            pooled.append(fused.pooled.data)
             if mode == FusionMode.HOLISTIC:
-                holistic.append(params.holistic(fused).data.astype(np.float32))
-            if mode == FusionMode.LATE_FUSION:
-                speech_pool.append(_raw_speech_pool(item))
+                holistic.append(params.holistic(fused.tokens).data)
+            if fused.speech_pool is not None:
+                speech_pool.append(fused.speech_pool)
     return VideoIndex(
         mode=mode,
-        item_ids=ids,
-        tokens=np.stack(tokens) if tokens else np.zeros((0, manifest.frames, manifest.dim), dtype=np.float32),
-        pooled=np.stack(pooled) if pooled else np.zeros((0, manifest.dim), dtype=np.float32),
-        holistic=np.stack(holistic) if holistic else None,
-        speech_pool=np.stack(speech_pool) if speech_pool else None,
+        item_ids=[item.item_id for item in items],
+        tokens=_joined(tokens, (0, manifest.frames, manifest.dim)),
+        pooled=_joined(pooled, (0, manifest.dim)),
+        holistic=_joined(holistic, (0, manifest.dim)) if holistic else None,
+        speech_pool=_joined(speech_pool, (0, manifest.dim)) if speech_pool else None,
     )
 
 

@@ -40,11 +40,9 @@ def affinity_from_teacher(teacher_video: np.ndarray, teacher_audio: np.ndarray) 
     return tv @ ta.T
 
 
-def student_affinity(pooled_pairs: list[tuple[Tensor, Tensor]]) -> Tensor:
-    """B x B matrix of v_mean_i . a_mean_j from pre-fusion pooled embeddings."""
-    v_rows = ad.concat([ad.reshape(v, (1, v.shape[0])) for v, _ in pooled_pairs], axis=0)
-    a_rows = ad.concat([ad.reshape(a, (1, a.shape[0])) for _, a in pooled_pairs], axis=0)
-    return ad.matmul(v_rows, ad.transpose(a_rows))
+def student_affinity(v_mean: Tensor, a_mean: Tensor) -> Tensor:
+    """B x B matrix of v_mean_i . a_mean_j from (B, d) pre-fusion pooled embeddings."""
+    return ad.matmul(v_mean, ad.transpose(a_mean))
 
 
 def _as_constant(x) -> Tensor:
@@ -78,12 +76,18 @@ def pearson_row_distance(p, q, eps: float = PEARSON_EPS):
     return 1.0 - ((pc * qc).mean() / (sig_p * sig_q))
 
 
-def _row(mat: Tensor, i: int) -> Tensor:
-    return ad.reshape(ad.narrow(mat, 0, i, 1), (mat.shape[1],))
-
-
-def _col(mat: Tensor, j: int) -> Tensor:
-    return ad.reshape(ad.narrow(mat, 1, j, 1), (mat.shape[0],))
+def _pearson_distances(p: Tensor, q: Tensor, axis: int) -> Tensor:
+    """`pearson_row_distance` of every slice along `axis`, as one expression."""
+    pc = p - p.mean(axis=axis, keepdims=True)
+    qc = q - q.mean(axis=axis, keepdims=True)
+    var_p = (pc * pc).mean(axis=axis)
+    var_q = (qc * qc).mean(axis=axis)
+    live = (np.sqrt(var_p.data) > PEARSON_EPS) & (np.sqrt(var_q.data) > PEARSON_EPS)
+    # Degenerate slices divide by 1 instead of ~0, then are masked to 0 with
+    # no gradient.
+    dead = ~live
+    corr = (pc * qc).mean(axis=axis) / (ad.sqrt(var_p + dead) * ad.sqrt(var_q + dead))
+    return (1.0 - corr) * live
 
 
 def _check_square_pair(m0: Tensor, m1: Tensor) -> int:
@@ -101,12 +105,8 @@ def soft_albef_loss(m0, m1) -> Tensor:
     m0 = _as_constant(m0)
     m1 = _as_tensor(m1)
     b = _check_square_pair(m0, m1)
-    total = Tensor(np.asarray(0.0, dtype=m1.dtype))
-    for i in range(b):
-        total = total + pearson_row_distance(ad.softmax(_row(m0, i)), ad.softmax(_row(m1, i)))
-    for j in range(b):
-        total = total + pearson_row_distance(ad.softmax(_col(m0, j)), ad.softmax(_col(m1, j)))
-    return total * (1.0 / b)
+    r0, r1, c0, c1 = _softmax_rows_cols(m0, m1)
+    return (_pearson_distances(r0, r1, axis=1).sum() + _pearson_distances(c0, c1, axis=0).sum()) * (1.0 / b)
 
 
 def _symmetric_ce(logits: Tensor) -> Tensor:
@@ -147,8 +147,7 @@ def filtered_albef_loss(m1, m0, keep_ratio: float, temperature: float = 1.0) -> 
     if not kept:
         logger.warning("filtered alignment dropped every row (keep_ratio=%s, B=%d)", keep_ratio, b)
         return Tensor(np.asarray(0.0, dtype=m1.dtype))
-    rows = ad.concat([ad.narrow(m1, 0, i, 1) for i in kept], axis=0)
-    sub = ad.concat([ad.narrow(rows, 1, j, 1) for j in kept], axis=1)
+    sub = ad.take(ad.take(m1, kept, axis=0), kept, axis=1)
     return _symmetric_ce(sub * (1.0 / temperature))
 
 

@@ -6,8 +6,14 @@ stack (scalar tanh gate, zero-initialized so the stack contributes exactly
 nothing at init), and a resampler that maps any input sequence to a fixed
 number of learned query tokens.
 
-`BLOCK_EVAL_COUNTER` counts every cross-attention block evaluation; the
-efficiency probes assert it stays frozen while queries are being scored.
+Blocks take token tensors of shape (..., n, d): one item as (n, d) or a batch
+as (B, n, d). A batch whose items have different key/value lengths is
+zero-padded to the longest, and a boolean key mask of shape (..., L) marks
+each item's own tokens; padded keys get exactly zero attention weight.
+
+`BLOCK_EVAL_COUNTER` counts cross-attention block evaluations, one per item
+per block: a block call on a batch of B items adds B. The efficiency probes
+assert it stays frozen while queries are being scored.
 """
 
 from __future__ import annotations
@@ -19,7 +25,8 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Tensor
 
-# Incremented on every cross-attention block forward; see eval.latency_probe.
+# Items through cross-attention blocks, one count per item per block; see
+# evaluation.latency_probe.
 BLOCK_EVAL_COUNTER = {"count": 0}
 
 
@@ -78,6 +85,8 @@ class LayerNorm(Module):
     """Per-token normalization over the last axis, then elementwise affine."""
 
     def __init__(self, dim: int, eps: float = 1e-5, dtype=np.float32):
+        if eps <= 0:  # guards constant inputs
+            raise ValueError("layer norm eps must be > 0")
         self.gain = ad.parameter(np.ones(dim, dtype=dtype))
         self.bias = ad.parameter(np.zeros(dim, dtype=dtype))
         self.eps = eps
@@ -90,18 +99,9 @@ class LayerNorm(Module):
         return normed * self.gain + self.bias
 
 
-def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tensor:
-    """Functional layer norm; eps > 0 guards constant inputs."""
-    if eps <= 0:
-        raise ValueError("layer_norm eps must be > 0")
-    mu = x.mean(axis=-1, keepdims=True)
-    centered = x - mu
-    var = (centered * centered).mean(axis=-1, keepdims=True)
-    return (centered / ad.sqrt(var + eps)) * gain + bias
-
-
 class MultiHeadCrossAttention(Module):
-    """Scaled dot-product attention, queries from one sequence, keys/values from another."""
+    """Scaled dot-product attention, queries from one sequence, keys/values from
+    another. `kv_mask` (..., L), when given, marks the valid key/value tokens."""
 
     def __init__(self, dim: int, heads: int, rng: np.random.Generator, dtype=np.float32):
         if dim % heads != 0:
@@ -117,27 +117,28 @@ class MultiHeadCrossAttention(Module):
         self.wv = Linear(dim, dim, rng, dtype, init="identity")
         self.wo = Linear(dim, dim, rng, dtype, init="identity")
 
-    def _split(self, x: Tensor, n: int) -> Tensor:
-        # (n, dim) -> (heads, n, head_dim)
-        return ad.swapaxes(ad.reshape(x, (n, self.heads, self.head_dim)), 0, 1)
+    def _split(self, x: Tensor) -> Tensor:
+        # (..., n, dim) -> (..., heads, n, head_dim)
+        return ad.swapaxes(ad.reshape(x, x.shape[:-1] + (self.heads, self.head_dim)), -2, -3)
 
-    def __call__(self, q_tokens: Tensor, kv_tokens: Tensor, return_weights: bool = False):
-        m, d = q_tokens.shape
-        length, d_kv = kv_tokens.shape
+    def __call__(self, q_tokens: Tensor, kv_tokens: Tensor, kv_mask=None, return_weights: bool = False):
+        d, d_kv = q_tokens.shape[-1], kv_tokens.shape[-1]
         if d != self.dim or d_kv != self.dim:
             raise ValueError(f"attention dim mismatch: got {d} and {d_kv}, expected {self.dim}")
-        if length < 1:
+        if kv_tokens.shape[-2] < 1:
             raise ValueError("attention needs at least one key/value token")
 
-        q = self._split(self.wq(q_tokens), m)
-        k = self._split(self.wk(kv_tokens), length)
-        v = self._split(self.wv(kv_tokens), length)
+        q = self._split(self.wq(q_tokens))
+        k = self._split(self.wk(kv_tokens))
+        v = self._split(self.wv(kv_tokens))
 
         scores = ad.matmul(q, ad.transpose(k)) * (1.0 / math.sqrt(self.head_dim))
-        weights = ad.softmax(scores, axis=-1)  # (heads, m, L)
-        pooled = ad.matmul(weights, v)  # (heads, m, head_dim)
-        merged = ad.reshape(ad.swapaxes(pooled, 0, 1), (m, self.dim))
-        out = self.wo(merged)
+        if kv_mask is not None:  # -inf on padded keys: exp gives them weight 0
+            scores = scores + Tensor(np.where(kv_mask, 0.0, -np.inf).astype(scores.dtype)[..., None, None, :])
+        weights = ad.softmax(scores, axis=-1)  # (..., heads, m, L)
+        pooled = ad.matmul(weights, v)  # (..., heads, m, head_dim)
+        merged = ad.swapaxes(pooled, -2, -3)
+        out = self.wo(ad.reshape(merged, merged.shape[:-2] + (self.dim,)))
         if return_weights:
             return out, weights.data.copy()
         return out
@@ -167,14 +168,14 @@ class CrossAttentionBlock(Module):
         self.ln_ff = LayerNorm(dim, dtype=dtype)
         self.ff = FeedForward(dim, rng, dtype=dtype)
 
-    def __call__(self, q_tokens: Tensor, kv_tokens: Tensor) -> Tensor:
+    def __call__(self, q_tokens: Tensor, kv_tokens: Tensor, kv_mask=None) -> Tensor:
         dim = self.attn.dim
         if q_tokens.shape[-1] != dim or kv_tokens.shape[-1] != dim:
             raise ValueError(
                 f"block dim mismatch: got {q_tokens.shape[-1]} and {kv_tokens.shape[-1]}, expected {dim}"
             )
-        BLOCK_EVAL_COUNTER["count"] += 1
-        x = q_tokens + self.attn(self.ln_q(q_tokens), self.ln_kv(kv_tokens))
+        x = q_tokens + self.attn(self.ln_q(q_tokens), self.ln_kv(kv_tokens), kv_mask)
+        BLOCK_EVAL_COUNTER["count"] += math.prod(x.shape[:-2])
         return x + self.ff(self.ln_ff(x))
 
 
@@ -184,10 +185,10 @@ class CrossAttentionStack(Module):
     def __init__(self, dim: int, heads: int, depth: int, rng: np.random.Generator, dtype=np.float32):
         self.blocks = [CrossAttentionBlock(dim, heads, rng, dtype) for _ in range(depth)]
 
-    def __call__(self, q_tokens: Tensor, kv_tokens: Tensor) -> Tensor:
+    def __call__(self, q_tokens: Tensor, kv_tokens: Tensor, kv_mask=None) -> Tensor:
         x = q_tokens
         for block in self.blocks:
-            x = block(x, kv_tokens)
+            x = block(x, kv_tokens, kv_mask)
         return x
 
 
@@ -202,18 +203,19 @@ class GatedFusion(Module):
         self.stack = CrossAttentionStack(dim, heads, depth, rng, dtype)
         self.gate = ad.parameter(np.zeros((), dtype=dtype))
 
-    def __call__(self, visual_tokens: Tensor, modality_tokens: Tensor) -> Tensor:
-        return ad.tanh(self.gate) * self.stack(visual_tokens, modality_tokens)
+    def __call__(self, visual_tokens: Tensor, modality_tokens: Tensor, modality_mask=None) -> Tensor:
+        return ad.tanh(self.gate) * self.stack(visual_tokens, modality_tokens, modality_mask)
 
     def gate_value(self) -> float:
         return math.tanh(float(self.gate.data))
 
 
 class Resampler(Module):
-    """Maps an L x d token sequence to exactly n_queries x d via learned queries.
+    """Maps (..., L, d) tokens to exactly (..., n_queries, d) via learned queries.
 
     Learned positional embeddings are added to the *inputs* before attention;
-    inputs longer than `max_len` are rejected.
+    inputs longer than `max_len` are rejected. `mask` (..., L) marks each
+    item's own tokens in a zero-padded batch.
     """
 
     def __init__(
@@ -233,11 +235,13 @@ class Resampler(Module):
         self.n_queries = n_queries
         self.max_len = max_len
 
-    def __call__(self, tokens: Tensor) -> Tensor:
-        length = tokens.shape[0]
+    def __call__(self, tokens: Tensor, mask=None) -> Tensor:
+        length = tokens.shape[-2]
         if length < 1:
             raise ValueError("resampler input must have at least one token")
         if length > self.max_len:
             raise ValueError(f"resampler input length {length} exceeds max_len {self.max_len}")
-        kv = tokens + ad.narrow(self.pos, 0, 0, length)
-        return self.stack(self.queries, kv)
+        kv = tokens + ad.take(self.pos, np.arange(length))
+        # one copy of the learned queries per item
+        queries = self.queries + Tensor(np.zeros(tokens.shape[:-2] + (1, 1), dtype=self.queries.dtype))
+        return self.stack(queries, kv, mask)

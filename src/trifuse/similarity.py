@@ -16,7 +16,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .fusion import FusionMode, VideoIndex
+from .fusion import FusedBatch, FusionMode, VideoIndex
 
 logger = logging.getLogger(__name__)
 
@@ -61,13 +61,6 @@ def combined_similarity(
     tokens: np.ndarray, pooled: np.ndarray, query: np.ndarray, sharpness: float = DEFAULT_SHARPNESS
 ) -> float:
     return 0.5 * (global_similarity(pooled, query) + local_similarity(tokens, query, sharpness))
-
-
-def holistic_aggregate(tokens, params) -> Tensor:
-    """Single-vector video representation via the trainable attention pool."""
-    if not isinstance(tokens, Tensor):
-        tokens = Tensor(np.asarray(tokens, dtype=params.dtype))
-    return params.holistic(tokens)
 
 
 @dataclass
@@ -131,35 +124,29 @@ class QueryScorer:
 
 
 def batch_scores(
-    fused_per_item: list[tuple[Tensor, Tensor]],
+    fused: FusedBatch,
     query_embeddings: np.ndarray,
     mode: FusionMode,
     sharpness: float = DEFAULT_SHARPNESS,
-    speech_pools: np.ndarray | None = None,
     params=None,
 ) -> Tensor:
-    """Differentiable (queries x videos) combined-similarity matrix.
+    """Differentiable (queries x videos) score matrix of a fused batch.
 
-    `fused_per_item` pairs each video's fused tokens with their mean, in the
-    same order as the query rows' ground truth.
+    Query row i's ground truth is video i. Holistic mode needs `params` for
+    its attention pool; late_fusion reads the batch's raw speech pools.
     """
     mode = FusionMode(mode)
-    q_norm = Tensor(_unit_rows(np.asarray(query_embeddings)))  # constant (B_t, d)
-    columns = []
-    for b, (tokens, pooled) in enumerate(fused_per_item):
-        if mode == FusionMode.HOLISTIC:
-            vec = ad.l2_normalize(params.holistic(tokens))
-            col = ad.matmul(q_norm, vec)
-        elif mode == FusionMode.LATE_FUSION:
-            va = ad.matmul(q_norm, ad.l2_normalize(pooled))
-            sp = Tensor(q_norm.data @ _unit_rows(np.asarray(speech_pools[b], dtype=np.float64)))
-            col = va * 0.5 + sp * 0.5
-        else:
-            cosines = ad.matmul(q_norm, ad.transpose(ad.l2_normalize(tokens, axis=-1)))  # (B_t, m)
-            shift = cosines.data.max(axis=-1, keepdims=True) * sharpness
-            lse = ad.log((ad.exp(cosines * sharpness - Tensor(shift))).mean(axis=-1, keepdims=True))
-            local = (lse + Tensor(shift)) * (1.0 / sharpness)
-            global_ = ad.matmul(q_norm, ad.l2_normalize(pooled))
-            col = (ad.reshape(local, (local.shape[0],)) + global_) * 0.5
-        columns.append(ad.reshape(col, (col.shape[0], 1)))
-    return ad.concat(columns, axis=1)
+    q_norm = Tensor(_unit_rows(np.asarray(query_embeddings)))  # constant (T, d)
+    if mode == FusionMode.HOLISTIC:
+        return ad.matmul(q_norm, ad.transpose(ad.l2_normalize(params.holistic(fused.tokens))))
+    global_ = ad.matmul(q_norm, ad.transpose(ad.l2_normalize(fused.pooled)))  # (T, B)
+    if mode == FusionMode.LATE_FUSION:
+        speech = Tensor(q_norm.data @ _unit_rows(fused.speech_pool.astype(np.float64)).T)
+        return global_ * 0.5 + speech * 0.5
+    b, m, d = fused.tokens.shape
+    tokens = ad.reshape(ad.l2_normalize(fused.tokens, axis=-1), (b * m, d))
+    cosines = ad.reshape(ad.matmul(q_norm, ad.transpose(tokens)), (-1, b, m))  # (T, B, m)
+    shift = cosines.data.max(axis=-1, keepdims=True) * sharpness
+    lse = ad.log(ad.exp(cosines * sharpness - Tensor(shift)).mean(axis=-1))
+    local = (lse + Tensor(shift[..., 0])) * (1.0 / sharpness)
+    return (local + global_) * 0.5

@@ -1,7 +1,8 @@
 """Deterministic training loop: Adam, cosine decay, checkpoint selection.
 
-One optimization step = batch -> per-item fusion forward (+ pre-fusion pooling
-for the student affinity) -> differentiable score matrix -> contrastive +
+One optimization step builds one autodiff graph over the whole batch: a
+single fusion forward (whose resampled audio also feeds the pre-fusion pooling
+of the student affinity) -> differentiable score matrix -> contrastive +
 alignment -> backward -> clipped Adam update at the cosine-scheduled rate.
 Identical (seed, config, dataset) triples reproduce bit-identical logs,
 parameters and checkpoints; log records therefore carry no wall-clock fields.
@@ -11,14 +12,15 @@ from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
+from . import autodiff as ad
 from .autodiff import Tensor
 from .data import Dataset, ItemRecord, batch_iter, resolve_missing
 from .evaluation import summary_metrics
-from .fusion import FusionMode, FusionParams, forward_video, precompute_index, pre_fusion_pooled
+from .fusion import FusedBatch, FusionMode, FusionParams, forward_video, precompute_index, pre_fusion_pooled
 from .losses import (
     AlignKind,
     affinity_from_teacher,
@@ -35,20 +37,6 @@ from .similarity import batch_scores, score_matrix
 
 logger = logging.getLogger(__name__)
 
-# Modes with no audio branch have nothing to align; the alignment term is
-# forced to zero there.
-ALIGN_CAPABLE_MODES = frozenset(
-    {
-        FusionMode.SAVE,
-        FusionMode.AVIGATE,
-        FusionMode.AVIGATE_PLUS,
-        FusionMode.LATE_FUSION,
-        FusionMode.LEARNABLE_WEIGHTS,
-        FusionMode.HOLISTIC,
-    }
-)
-
-
 class NanGradientError(RuntimeError):
     def __init__(self, name: str):
         super().__init__(f"non-finite gradient in parameter {name}")
@@ -60,7 +48,6 @@ class TrainConfig:
     epochs: int = 5
     batch_size: int = 128
     lr: float = 1e-4
-    backbone_lr: float | None = None  # encoders are out of scope; parity slot only
     sharpness: float = 20.0
     tau_init: float = 0.07
     align_kind: AlignKind = AlignKind.SOFT_ALBEF
@@ -168,20 +155,24 @@ def _first_query_of(dataset: Dataset, split: str) -> dict[str, str]:
 
 
 def _alignment_term(
-    config: TrainConfig, items: list[ItemRecord], params: FusionParams
+    config: TrainConfig, items: list[ItemRecord], fused: FusedBatch
 ) -> tuple[Tensor | None, float]:
-    """Alignment loss over the sub-batch with teacher embeddings, or None."""
-    if config.align_kind == AlignKind.NONE or config.mode not in ALIGN_CAPABLE_MODES:
+    """Alignment loss over the sub-batch with teacher embeddings, or None.
+
+    Modes with no audio branch have nothing to align; the term is zero there.
+    """
+    if config.align_kind == AlignKind.NONE or fused.audio is None:
         return None, 0.0
-    with_teacher = [it for it in items if it.has_teacher()]
-    if len(with_teacher) < 2:
-        logger.debug("alignment skipped: only %d items carry teacher embeddings", len(with_teacher))
+    rows = [i for i, it in enumerate(items) if it.has_teacher()]
+    if len(rows) < 2:
+        logger.debug("alignment skipped: only %d items carry teacher embeddings", len(rows))
         return None, 0.0
     m0 = affinity_from_teacher(
-        np.stack([it.teacher_video for it in with_teacher]),
-        np.stack([it.teacher_audio for it in with_teacher]),
+        np.stack([items[i].teacher_video for i in rows]),
+        np.stack([items[i].teacher_audio for i in rows]),
     )
-    m1 = student_affinity([pre_fusion_pooled(it, params) for it in with_teacher])
+    v_mean, a_mean = pre_fusion_pooled(fused)
+    m1 = student_affinity(ad.take(v_mean, rows), ad.take(a_mean, rows))
     kind = config.align_kind
     if kind == AlignKind.SOFT_ALBEF:
         term = soft_albef_loss(m0, m1)
@@ -236,22 +227,10 @@ def train(
             items = [resolve_missing(dataset.items[i], man) for i in batch_ids]
             queries = np.stack([dataset.queries[query_of[i]].embedding for i in batch_ids])
 
-            fused = [forward_video(it, params, config.mode) for it in items]
-            speech_pools = (
-                np.stack([np.asarray(it.speech_tokens).mean(axis=0) for it in items])
-                if config.mode == FusionMode.LATE_FUSION
-                else None
-            )
-            scores = batch_scores(
-                fused,
-                queries,
-                config.mode,
-                sharpness=config.sharpness,
-                speech_pools=speech_pools,
-                params=params,
-            )
+            fused = forward_video(items, params, config.mode)
+            scores = batch_scores(fused, queries, config.mode, sharpness=config.sharpness, params=params)
             contrastive = contrastive_loss(scores, scale=params.temperature_scale(), margin=config.margin)
-            align_term, align_value = _alignment_term(config, items, params)
+            align_term, align_value = _alignment_term(config, items, fused)
             loss = total_loss(contrastive, align_term, config.align_kind)
 
             if not np.isfinite(float(loss.data)):

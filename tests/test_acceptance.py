@@ -17,7 +17,7 @@ from trifuse.data import ItemRecord, read_dataset, resolve_missing, write_datase
 from trifuse.evaluation import latency_probe, rank_of, recall_at_k, summary_metrics
 from trifuse.fusion import FusionMode, FusionParams, forward_video, precompute_index
 from trifuse.losses import contrastive_loss, huber_align_loss, mse_align_loss, soft_albef_loss
-from trifuse.similarity import QueryScorer, ScoreMatrix, holistic_aggregate, score_matrix
+from trifuse.similarity import QueryScorer, ScoreMatrix, score_matrix
 from trifuse.synth import SynthConfig, generate
 from trifuse.trainer import TrainConfig, train
 
@@ -81,7 +81,7 @@ class TestCriterion1GradientIntegrity:
             htok = Tensor(rng.normal(size=(3, 4)))
             hv = rng.normal(size=4)
             track("holistic_aggregate",
-                  finite_difference_check(lambda: (holistic_aggregate(htok, hol) * hv).sum(),
+                  finite_difference_check(lambda: (hol.holistic(htok) * hv).sum(),
                                           [hol.holistic.weight, hol.holistic.query]))
 
             scores = parameter(rng.normal(size=(4, 4)))
@@ -95,6 +95,15 @@ class TestCriterion1GradientIntegrity:
             track("mse_align_loss", finite_difference_check(lambda: mse_align_loss(m0, m1), [m1]))
             track("huber_align_loss",
                   finite_difference_check(lambda: huber_align_loss(m0, m1, delta=0.01), [m1]))
+
+            # a zero-padded batch of two items with 3 and 1 key/value tokens
+            bq = Tensor(rng.normal(size=(2, 2, 4)))
+            padded = rng.normal(size=(2, 3, 4))
+            padded[1, 1:] = 0.0
+            mask = np.array([[True, True, True], [True, False, False]])
+            br = rng.normal(size=(2, 2, 4))
+            track("masked_batch_cross_attention",
+                  finite_difference_check(lambda: (block(bq, Tensor(padded), mask) * br).sum(), block.parameters()))
 
         elapsed = time.time() - start
         detail = f"max rel err {max(worst.values()):.2e} over {len(worst)} ops, {elapsed:.0f}s"
@@ -201,10 +210,18 @@ class TestCriterion8EfficiencyContract:
         ratio = probe_big["median_ms"] / probe_small["median_ms"]
         linear_ok = ratio < 3.0 * 2.0 and probe_small["fusion_evals"] == 0.0 and probe_big["fusion_evals"] == 0.0
 
+        # The two modes run identical scoring code. Their probes alternate
+        # repetition by repetition (leading in turn), so that host drift over
+        # the run reaches both medians alike.
         avigate_index = precompute_index(ds1.split_items("test"), params, FusionMode.AVIGATE, ds1.manifest)
         reps = 60
-        t_save = latency_probe(small, queries, repetitions=reps)["median_ms"]
-        t_avigate = latency_probe(avigate_index, queries, repetitions=reps)["median_ms"]
+        rep_ms = {"save": [], "avigate": []}
+        for rep in range(reps):
+            pair = [("save", small), ("avigate", avigate_index)]
+            for name, index in pair if rep % 2 == 0 else pair[::-1]:
+                rep_ms[name].append(latency_probe(index, queries, repetitions=1)["median_ms"])
+        t_save = float(np.median(rep_ms["save"]))
+        t_avigate = float(np.median(rep_ms["avigate"]))
         cost_gap = abs(t_save - t_avigate) / max(t_save, t_avigate)
         modes_ok = cost_gap <= 0.10
 
@@ -274,14 +291,14 @@ class TestCriterion10MissingModalityRobustness:
         unchanged = len(fully_missing) > 0
         rng = np.random.default_rng(0)
         for item in fully_missing:
-            before, _ = forward_video(resolve_missing(item, dataset.manifest), params, FusionMode.VISION_ONLY)
+            before = forward_video([resolve_missing(item, dataset.manifest)], params, FusionMode.VISION_ONLY).tokens
             stuffed = ItemRecord(
                 item_id=item.item_id,
                 visual_tokens=item.visual_tokens,
                 audio_tokens=rng.normal(size=(4, 8)).astype(np.float32),
                 speech_tokens=rng.normal(size=(4, 8)).astype(np.float32),
             )
-            after, _ = forward_video(stuffed, params, FusionMode.VISION_ONLY)
+            after = forward_video([stuffed], params, FusionMode.VISION_ONLY).tokens
             if not np.array_equal(before.data, after.data):
                 unchanged = False
         report(

@@ -143,8 +143,7 @@ class TestOpGradients:
 
         def f():
             y = ad.reshape(x, (3, 4))
-            z = ad.concat([y, y * 2.0], axis=1)
-            z = ad.narrow(z, 1, 2, 4)
+            z = ad.take(y * 2.0, [2, 0, 2, 3], axis=1)
             return ad.log(ad.exp(z).sum(axis=0)).sum() + ad.absolute(x).sum()
 
         assert finite_difference_check(f, [x], eps=1e-5) < 1e-4
@@ -157,6 +156,32 @@ class TestOpGradients:
         v = np.array([3.0, 4.0])
         out = ad.l2_normalize(Tensor(v))
         np.testing.assert_allclose(out.data, v / 5.0, rtol=1e-15)
+
+    def test_take_accumulates_repeated_indices(self):
+        x = parameter(np.arange(6.0).reshape(2, 3))
+        out = ad.take(x, [2, 0, 2], axis=-1)
+        np.testing.assert_array_equal(out.data, [[2.0, 0.0, 2.0], [5.0, 3.0, 5.0]])
+        out.sum().backward()
+        np.testing.assert_array_equal(x.grad, [[1.0, 0.0, 2.0], [1.0, 0.0, 2.0]])
+
+    def test_matmul_folds_leading_dims(self):
+        """(..., k) @ (k, n) and (..., k) @ (k,) match the per-row products."""
+        rng = np.random.default_rng(12)
+        a = parameter(rng.normal(size=(2, 3, 4)))
+        b = parameter(rng.normal(size=(4, 5)))
+        c = parameter(rng.normal(size=4))
+        np.testing.assert_allclose(ad.matmul(a, b).data[1], a.data[1] @ b.data, rtol=1e-14)
+        r = rng.normal(size=(2, 3, 5))
+        s = rng.normal(size=(2, 3))
+
+        def f():
+            return (ad.matmul(a, b) * r).sum() + (ad.matmul(a, c) * s).sum()
+
+        assert finite_difference_check(f, [a, b, c], eps=1e-5) < 1e-4
+
+    def test_matmul_batch_mismatch_raises(self):
+        with pytest.raises(ValueError, match="batch mismatch"):
+            ad.matmul(Tensor(np.ones((3, 4))), Tensor(np.ones((2, 4, 5))))
 
     def test_batched_matmul_gradient(self):
         rng = np.random.default_rng(11)

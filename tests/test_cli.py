@@ -89,6 +89,36 @@ class TestTrain:
         assert code == 3
 
 
+def long_audio_data(tmp_path):
+    """A dataset whose audio (70 tokens) exceeds the default max_audio_len of 64."""
+    cfg = tmp_path / "long.json"
+    cfg.write_text(json.dumps({"synth": {"n_items": 16, "dim": 8, "frames": 3, "audio_len": 70, "speech_pad": 4}}))
+    out = tmp_path / "long"
+    assert main(["gen", "--config", str(cfg), "--out", str(out)]) == 0
+    return out
+
+
+class TestOverlongAudio:
+    def test_train_exit_5(self, workspace, tmp_path, capsys):
+        code = main(["train", "--config", str(workspace["config"]), "--data", str(long_audio_data(tmp_path)),
+                     "--out", str(tmp_path / "o")])
+        assert code == 5
+        assert "max_audio_len 64" in capsys.readouterr().err
+
+    def test_eval_exit_5(self, workspace, tmp_path, capsys):
+        code = main(["eval", "--checkpoint", str(workspace["run"] / "best.ckpt"),
+                     "--data", str(long_audio_data(tmp_path))])
+        assert code == 5
+        assert "max_audio_len 64" in capsys.readouterr().err
+
+    def test_score_exit_5(self, workspace, tmp_path):
+        data = long_audio_data(tmp_path)
+        qid = json.loads((data / "manifest.json").read_text())["queries"][0]["id"]
+        code = main(["score", "--checkpoint", str(workspace["run"] / "best.ckpt"), "--data", str(data),
+                     "--query", qid])
+        assert code == 5
+
+
 class TestEval:
     def test_json_metrics(self, workspace, capsys):
         code = main(["eval", "--checkpoint", str(workspace["run"] / "best.ckpt"), "--data", str(workspace["data"])])

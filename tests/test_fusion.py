@@ -4,11 +4,13 @@ import numpy as np
 import pytest
 
 from trifuse import autodiff as ad
+from trifuse import fusion
 from trifuse.autodiff import Tensor, finite_difference_check
 from trifuse.data import ItemRecord, Manifest, resolve_missing
 from trifuse.fusion import (
     AV_AUDIO_WEIGHT,
     AV_VISUAL_WEIGHT,
+    AUDIO_MODES,
     FusionMode,
     FusionParams,
     forward_video,
@@ -41,16 +43,16 @@ def make_params(seed=0, dtype=np.float32) -> FusionParams:
 class TestForwardVideo:
     def test_vision_only_passthrough(self):
         item = make_item(1)
-        fused, vbar = forward_video(item, make_params(), FusionMode.VISION_ONLY)
-        np.testing.assert_array_equal(fused.data, item.visual_tokens)
-        np.testing.assert_allclose(vbar.data, item.visual_tokens.mean(axis=0), rtol=1e-6)
+        out = forward_video([item], make_params(), FusionMode.VISION_ONLY)
+        np.testing.assert_array_equal(out.tokens.data[0], item.visual_tokens)
+        np.testing.assert_allclose(out.pooled.data[0], item.visual_tokens.mean(axis=0), rtol=1e-6)
 
     @pytest.mark.parametrize("mode", [FusionMode.SAVE, FusionMode.AVIGATE_PLUS, FusionMode.LEARNABLE_WEIGHTS])
     def test_zero_gate_identity_is_bitwise(self, mode):
         """Fresh gates are zero, so every gated mode must emit the raw visual tokens."""
         item = make_item(2)
-        fused, _ = forward_video(item, make_params(), mode)
-        np.testing.assert_array_equal(fused.data, item.visual_tokens)
+        out = forward_video([item], make_params(), mode)
+        np.testing.assert_array_equal(out.tokens.data[0], item.visual_tokens)
 
     def test_avigate_weighted_sum_coefficients(self):
         """With the audio branch stubbed to echo v, Eq-style weights give back v.
@@ -61,35 +63,42 @@ class TestForwardVideo:
         item = make_item(3)
         params = make_params()
         params.audio_fusion = lambda v, a: v  # identity stub
-        fused, _ = forward_video(item, params, FusionMode.AVIGATE)
-        np.testing.assert_allclose(AV_VISUAL_WEIGHT * fused.data, item.visual_tokens, rtol=1e-6)
+        out = forward_video([item], params, FusionMode.AVIGATE)
+        np.testing.assert_allclose(AV_VISUAL_WEIGHT * out.tokens.data[0], item.visual_tokens, rtol=1e-6)
         assert AV_VISUAL_WEIGHT + AV_AUDIO_WEIGHT == 1.0
 
     def test_no_audio_uses_speech_branch_only(self):
         item = make_item(4)
         params = make_params()
         params.speech_fusion.gate.data = np.asarray(0.7, dtype=np.float32)
-        fused, _ = forward_video(item, params, FusionMode.NO_AUDIO)
+        out = forward_video([item], params, FusionMode.NO_AUDIO)
         s_hat = params.speech_fusion(
             Tensor(item.visual_tokens), Tensor(item.speech_tokens)
         )
-        np.testing.assert_allclose(fused.data, item.visual_tokens + s_hat.data, rtol=1e-5)
+        np.testing.assert_allclose(out.tokens.data[0], item.visual_tokens + s_hat.data, rtol=1e-5)
+        assert out.audio is None
 
-    def test_late_fusion_rejected_here(self):
-        with pytest.raises(ValueError, match="late_fusion"):
-            forward_video(make_item(5), make_params(), FusionMode.LATE_FUSION)
+    def test_late_fusion_fuses_as_avigate_plus_speech_pool(self):
+        items = [make_item(5), make_item(8)]
+        params = make_params()
+        params.audio_fusion.gate.data = np.asarray(0.6, dtype=np.float32)
+        late = forward_video(items, params, FusionMode.LATE_FUSION)
+        avigate = forward_video(items, params, FusionMode.AVIGATE)
+        np.testing.assert_array_equal(late.tokens.data, avigate.tokens.data)
+        want = np.stack([it.speech_tokens.mean(axis=0) for it in items])
+        np.testing.assert_allclose(late.speech_pool, want, rtol=1e-6, atol=1e-7)
 
     def test_unresolved_item_rejected(self):
         item = make_item(6, with_audio=False)
         with pytest.raises(ValueError, match="resolve_missing"):
-            forward_video(item, make_params(), FusionMode.SAVE)
+            forward_video([make_item(5), item], make_params(), FusionMode.SAVE)
 
     def test_deterministic(self):
-        item = make_item(7)
+        items = [make_item(7), make_item(9)]
         params = make_params(seed=3)
-        a, _ = forward_video(item, params, FusionMode.SAVE)
-        b, _ = forward_video(item, params, FusionMode.SAVE)
-        np.testing.assert_array_equal(a.data, b.data)
+        a = forward_video(items, params, FusionMode.SAVE)
+        b = forward_video(items, params, FusionMode.SAVE)
+        np.testing.assert_array_equal(a.tokens.data, b.tokens.data)
 
     def test_gradients_reach_every_branch(self):
         """Perturbed gates: loss gradients flow to both gates, resampler, both stacks."""
@@ -106,8 +115,7 @@ class TestForwardVideo:
         r = rng.normal(size=(2, 4))
 
         def f():
-            fused, _ = forward_video(item, params, FusionMode.SAVE)
-            return (fused * r).sum()
+            return (forward_video([item], params, FusionMode.SAVE).tokens * r).sum()
 
         probes = [
             params.audio_fusion.gate,
@@ -124,29 +132,89 @@ class TestForwardVideo:
             assert p.grad is not None and np.any(p.grad != 0.0)
 
 
+class TestBatchInvariance:
+    """A batch fuses each item exactly as the item fused alone (float64)."""
+
+    def batch(self):
+        """Mixed audio and speech lengths, plus zero-filled missing modalities."""
+        rng = np.random.default_rng(30)
+        shapes = [(4, 6), (1, 2), (7, None), (None, 3), (None, None), (2, 9)]
+        items = [
+            ItemRecord(
+                item_id=f"b{k}",
+                visual_tokens=rng.normal(size=(M, D)),
+                audio_tokens=None if la is None else rng.normal(size=(la, D)),
+                speech_tokens=None if ls is None else rng.normal(size=(ls, D)),
+            )
+            for k, (la, ls) in enumerate(shapes)
+        ]
+        return [resolve_missing(item, MAN) for item in items]
+
+    def params(self):
+        params = make_params(seed=8, dtype=np.float64)
+        params.audio_fusion.gate.data = np.asarray(0.4)
+        params.speech_fusion.gate.data = np.asarray(-0.3)
+        params.alpha.data = np.asarray(0.7)
+        params.beta.data = np.asarray(0.2)
+        return params
+
+    @staticmethod
+    def arrays(out, params):
+        got = {"tokens": out.tokens.data, "pooled": out.pooled.data, "holistic": params.holistic(out.tokens).data}
+        if out.audio is not None:
+            got["v_mean"], got["a_mean"] = (t.data for t in pre_fusion_pooled(out))
+        if out.speech_pool is not None:
+            got["speech_pool"] = out.speech_pool
+        return got
+
+    @pytest.mark.parametrize("mode", list(FusionMode))
+    def test_each_item_matches_its_solo_run(self, mode):
+        items, params = self.batch(), self.params()
+        batched = self.arrays(forward_video(items, params, mode), params)
+        assert ("a_mean" in batched) == (mode in AUDIO_MODES)
+        for b, item in enumerate(items):
+            alone = self.arrays(forward_video([item], params, mode), params)
+            assert alone.keys() == batched.keys()
+            for key, value in alone.items():
+                np.testing.assert_allclose(batched[key][b], value[0], rtol=0, atol=1e-12, err_msg=key)
+
+    @pytest.mark.parametrize("mode", list(FusionMode))
+    def test_permuting_the_batch_permutes_outputs(self, mode):
+        items, params = self.batch(), self.params()
+        perm = np.random.default_rng(31).permutation(len(items))
+        base = self.arrays(forward_video(items, params, mode), params)
+        permuted = self.arrays(forward_video([items[k] for k in perm], params, mode), params)
+        for key, value in base.items():
+            np.testing.assert_allclose(permuted[key], value[perm], rtol=0, atol=1e-12, err_msg=key)
+
+
 class TestPreFusionPooled:
     def test_equal_visual_tokens_pool_to_unit_direction(self):
         u = np.array([3.0, 0.0, 4.0, 0.0, 0.0, 0.0, 0.0, 0.0], dtype=np.float32)
         item = ItemRecord("p", np.tile(u, (M, 1)), np.zeros((2, D), np.float32), None)
-        v_mean, _ = pre_fusion_pooled(item, make_params())
-        np.testing.assert_allclose(v_mean.data, u / 5.0, rtol=1e-6)
+        v_mean, _ = pre_fusion_pooled(forward_video([item], make_params(), FusionMode.AVIGATE))
+        np.testing.assert_allclose(v_mean.data[0], u / 5.0, rtol=1e-6)
 
     def test_single_frame_pools_to_itself(self):
         rng = np.random.default_rng(9)
         v = rng.normal(size=(1, D)).astype(np.float32)
         params = FusionParams(dim=D, frames=1, heads=2)
         item = ItemRecord("p1", v, np.zeros((2, D), np.float32), None)
-        v_mean, _ = pre_fusion_pooled(item, params)
-        np.testing.assert_allclose(v_mean.data, v[0] / np.linalg.norm(v[0]), rtol=1e-5)
+        v_mean, _ = pre_fusion_pooled(forward_video([item], params, FusionMode.AVIGATE))
+        np.testing.assert_allclose(v_mean.data[0], v[0] / np.linalg.norm(v[0]), rtol=1e-5)
 
     def test_missing_audio_items_share_one_pooled_audio(self):
         params = make_params()
         a = resolve_missing(make_item(10, with_audio=False), MAN)
         b = resolve_missing(make_item(11, with_audio=False), MAN)
-        _, a_mean = pre_fusion_pooled(a, params)
-        _, b_mean = pre_fusion_pooled(b, params)
+        _, a_mean = pre_fusion_pooled(forward_video([a], params, FusionMode.SAVE))
+        _, b_mean = pre_fusion_pooled(forward_video([b], params, FusionMode.SAVE))
         np.testing.assert_array_equal(a_mean.data, b_mean.data)
         assert np.linalg.norm(a_mean.data) > 0.5  # resampler output, not zeros
+
+    def test_modes_without_audio_rejected(self):
+        with pytest.raises(ValueError, match="audio"):
+            pre_fusion_pooled(forward_video([make_item(12)], make_params(), FusionMode.NO_AUDIO))
 
     def test_gradient_flows_to_resampler(self):
         params = FusionParams(dim=4, frames=2, heads=2, seed=2, dtype=np.float64)
@@ -155,7 +223,7 @@ class TestPreFusionPooled:
         r = rng.normal(size=4)
 
         def f():
-            _, a_mean = pre_fusion_pooled(item, params)
+            _, a_mean = pre_fusion_pooled(forward_video([item], params, FusionMode.AVIGATE))
             return (a_mean * r).sum()
 
         assert finite_difference_check(f, params.resampler.parameters(), eps=1e-5) < 1e-4
@@ -178,6 +246,21 @@ class TestIndex:
         assert index.pooled.shape == (5, D)
         assert index.holistic is None
 
+    def test_chunking_does_not_change_the_index(self, monkeypatch):
+        params = make_params(6)
+        params.audio_fusion.gate.data = np.asarray(0.3, dtype=np.float32)
+        items = self.items(7)
+        whole = precompute_index(items, params, FusionMode.LATE_FUSION, MAN)
+        monkeypatch.setattr(fusion, "INDEX_CHUNK", 3)
+        chunked = precompute_index(items, params, FusionMode.LATE_FUSION, MAN)
+        assert chunked.item_ids == whole.item_ids
+        for name in ("tokens", "pooled", "speech_pool"):
+            np.testing.assert_allclose(getattr(chunked, name), getattr(whole, name), rtol=1e-5, atol=1e-6)
+
+    def test_empty_item_list(self):
+        index = precompute_index([], make_params(), FusionMode.SAVE, MAN)
+        assert index.tokens.shape == (0, M, D) and index.pooled.shape == (0, D)
+
     def test_holistic_mode_fills_vectors(self):
         index = precompute_index(self.items(3), make_params(), FusionMode.HOLISTIC, MAN)
         assert index.holistic.shape == (3, D)
@@ -195,8 +278,8 @@ class TestIndex:
         rng = np.random.default_rng(0)
         query = rng.normal(size=D).astype(np.float32)
         for i, item in enumerate(items):
-            fused, vbar = forward_video(resolve_missing(item, MAN), params, FusionMode.SAVE)
-            direct = combined_similarity(fused.data, vbar.data, query)
+            out = forward_video([resolve_missing(item, MAN)], params, FusionMode.SAVE)
+            direct = combined_similarity(out.tokens.data[0], out.pooled.data[0], query)
             via_index = combined_similarity(index.tokens[i], index.pooled[i], query)
             assert abs(direct - via_index) < 1e-6
 

@@ -6,7 +6,7 @@ import pytest
 from trifuse import autodiff as ad
 from trifuse.autodiff import Tensor, finite_difference_check, parameter
 from trifuse.data import ItemRecord
-from trifuse.fusion import FusionParams, pre_fusion_pooled
+from trifuse.fusion import FusionMode, FusionParams, forward_video, pre_fusion_pooled
 from trifuse.losses import (
     AlignKind,
     affinity_from_teacher,
@@ -54,8 +54,7 @@ class TestStudentAffinity:
     def test_matched_pairs_symmetric_unit_diagonal(self):
         rng = np.random.default_rng(1)
         v = unit_rows(rng.normal(size=(2, 4)))
-        pairs = [(Tensor(v[i]), Tensor(v[i].copy())) for i in range(2)]
-        m1 = student_affinity(pairs).data
+        m1 = student_affinity(Tensor(v), Tensor(v.copy())).data
         np.testing.assert_allclose(np.diag(m1), [1.0, 1.0], atol=1e-12)
         np.testing.assert_allclose(m1, m1.T, atol=1e-12)
 
@@ -63,7 +62,7 @@ class TestStudentAffinity:
         rng = np.random.default_rng(2)
         v = unit_rows(rng.normal(size=(3, 4)))
         a = unit_rows(rng.normal(size=(3, 4)))
-        m1 = student_affinity([(Tensor(v[i]), Tensor(a[i])) for i in range(3)]).data
+        m1 = student_affinity(Tensor(v), Tensor(a)).data
         for i in range(3):
             for j in range(3):
                 assert abs(m1[i, j] - float(v[i] @ a[j])) < 1e-6
@@ -77,8 +76,8 @@ class TestStudentAffinity:
         r = rng.normal(size=(2, 2))
 
         def f():
-            pairs = [pre_fusion_pooled(it, params) for it in items]
-            return (student_affinity(pairs) * r).sum()
+            v_mean, a_mean = pre_fusion_pooled(forward_video(items, params, FusionMode.AVIGATE))
+            return (student_affinity(v_mean, a_mean) * r).sum()
 
         wrt = params.resampler.parameters()
         assert finite_difference_check(f, wrt, eps=1e-5) < 1e-4
@@ -180,6 +179,49 @@ class TestSoftAlbef:
     def test_shape_mismatch_rejected(self):
         with pytest.raises(ValueError):
             soft_albef_loss(np.ones((2, 2)), np.ones((3, 3)))
+
+    @staticmethod
+    def reference(m0, m1):
+        """(1/b) * sum of pearson_row_distance over softmaxed rows and columns."""
+        b = m1.shape[0]
+        total = 0.0
+        for axis in (0, 1):
+            for i in range(b):
+                p = ad.softmax(Tensor(np.take(m0, i, axis=axis)))
+                q = ad.softmax(ad.reshape(ad.take(m1, [i], axis=axis), (b,)))
+                total = pearson_row_distance(p, q) + total
+        return total * (1.0 / b)
+
+    @pytest.mark.parametrize("constant", ["none", "teacher_row", "student_row", "student_col"])
+    def test_matches_summed_pearson_row_distance(self, constant):
+        """The vectorized loss and its gradient equal the per-row reference; a
+        constant row contributes 0 and no gradient."""
+        rng = np.random.default_rng(21)
+        m0 = rng.normal(size=(5, 5))
+        m1_data = rng.normal(size=(5, 5))
+        if constant == "teacher_row":
+            m0[2] = 0.3
+        elif constant == "student_row":
+            m1_data[1] = -0.8
+        elif constant == "student_col":
+            m1_data[:, 3] = 1.5
+        m1 = parameter(m1_data)
+        want = self.reference(m0, m1)
+        want.backward()
+        want_grad = m1.grad
+        m1.grad = None
+        got = soft_albef_loss(m0, m1)
+        got.backward()
+        assert float(got.data) == pytest.approx(float(want.data), rel=1e-12, abs=1e-14)
+        np.testing.assert_allclose(m1.grad, want_grad, rtol=1e-9, atol=1e-13)
+
+    def test_all_constant_rows_contribute_zero_and_no_gradient(self):
+        m0 = np.zeros((4, 4))
+        m1 = parameter(np.full((4, 4), 0.5))
+        loss = soft_albef_loss(m0, m1)
+        loss.backward()
+        assert float(loss.data) == 0.0
+        np.testing.assert_array_equal(m1.grad, np.zeros((4, 4)))
 
 
 class TestHardAlbef:

@@ -14,30 +14,29 @@ def make_rng(seed=0):
 
 class TestLayerNorm:
     def test_constant_input_maps_to_zero(self):
-        x = Tensor([5.0, 5.0, 5.0])
-        out = nn.layer_norm(x, Tensor(np.ones(3)), Tensor(np.zeros(3)))
+        out = nn.LayerNorm(3, dtype=np.float64)(Tensor([5.0, 5.0, 5.0]))
         np.testing.assert_allclose(out.data, np.zeros(3), atol=1e-12)
 
     def test_already_normalized_is_fixed_point(self):
-        x = Tensor([1.0, -1.0])
-        out = nn.layer_norm(x, Tensor(np.ones(2)), Tensor(np.zeros(2)), eps=1e-12)
+        out = nn.LayerNorm(2, eps=1e-12, dtype=np.float64)(Tensor([1.0, -1.0]))
         np.testing.assert_allclose(out.data, [1.0, -1.0], atol=1e-6)
 
     def test_nonpositive_eps_rejected(self):
-        with pytest.raises(ValueError):
-            nn.layer_norm(Tensor([1.0, 2.0]), Tensor(np.ones(2)), Tensor(np.zeros(2)), eps=0.0)
+        with pytest.raises(ValueError, match="eps"):
+            nn.LayerNorm(2, eps=0.0)
 
     def test_gradient_matches_finite_differences(self):
         rng = make_rng(5)
+        ln = nn.LayerNorm(4, dtype=np.float64)
+        ln.gain.data = rng.normal(size=4)
+        ln.bias.data = rng.normal(size=4)
         x = parameter(rng.normal(size=4))
-        gain = parameter(rng.normal(size=4))
-        bias = parameter(rng.normal(size=4))
         r = rng.normal(size=4)
 
         def f():
-            return (nn.layer_norm(x, gain, bias) * r).sum()
+            return (ln(x) * r).sum()
 
-        assert finite_difference_check(f, [x, gain, bias], eps=1e-5) < 1e-4
+        assert finite_difference_check(f, [x, ln.gain, ln.bias], eps=1e-5) < 1e-4
 
 
 class TestCrossAttention:
@@ -81,9 +80,33 @@ class TestCrossAttention:
 
                 def f(i=i, j=j):
                     out = block(q, kv)
-                    return ad.narrow(ad.narrow(out, 0, i, 1), 1, j, 1).sum()
+                    return ad.take(ad.take(out, [i], axis=0), [j], axis=1).sum()
 
                 assert finite_difference_check(f, params, eps=1e-5) < 1e-4
+
+    def test_masked_mixed_length_batch_matches_items(self):
+        """A zero-padded batch with a key mask gives each item's own output."""
+        rng = make_rng(17)
+        block = nn.CrossAttentionBlock(8, 2, rng, dtype=np.float64)
+        q = rng.normal(size=(3, 2, 8))
+        lengths = [5, 1, 3]
+        kv = np.zeros((3, 5, 8))
+        for b, n in enumerate(lengths):
+            kv[b, :n] = rng.normal(size=(n, 8))
+        mask = np.arange(5) < np.array(lengths)[:, None]
+        batched = block(Tensor(q), Tensor(kv), mask)
+        for b, n in enumerate(lengths):
+            alone = block(Tensor(q[b]), Tensor(kv[b, :n]))
+            np.testing.assert_allclose(batched.data[b], alone.data, rtol=0, atol=1e-12)
+
+    def test_padded_keys_get_zero_weight(self):
+        rng = make_rng(18)
+        attn = nn.MultiHeadCrossAttention(8, 4, rng, dtype=np.float64)
+        kv = Tensor(rng.normal(size=(2, 4, 8)))
+        mask = np.array([[True, True, False, False], [True, True, True, True]])
+        _, weights = attn(Tensor(rng.normal(size=(2, 3, 8))), kv, mask, return_weights=True)
+        assert weights.shape == (2, 4, 3, 4)
+        assert np.all(weights[0, :, :, 2:] == 0.0) and np.all(weights[1] > 0.0)
 
     def test_gradient_reaches_inputs(self):
         rng = make_rng(6)
@@ -145,6 +168,12 @@ class TestGatedFusion:
 
 
 class TestResampler:
+    def test_batch_output_shape(self):
+        rng = make_rng(19)
+        rs = nn.Resampler(8, 4, 12, rng)
+        tokens = Tensor(rng.normal(size=(3, 40, 8)).astype(np.float32))
+        assert rs(tokens).shape == (3, 12, 8)
+
     def test_output_length_is_query_count(self):
         rng = make_rng(11)
         rs = nn.Resampler(8, 4, 12, rng)
@@ -193,3 +222,12 @@ class TestBlockEvalCounter:
         before = nn.BLOCK_EVAL_COUNTER["count"]
         stack(q, kv)
         assert nn.BLOCK_EVAL_COUNTER["count"] == before + 3
+
+    def test_counter_adds_one_per_item_per_block(self):
+        rng = make_rng(20)
+        stack = nn.CrossAttentionStack(4, 2, 3, rng)
+        q = Tensor(np.zeros((5, 2, 4), dtype=np.float32))
+        kv = Tensor(np.zeros((5, 3, 4), dtype=np.float32))
+        before = nn.BLOCK_EVAL_COUNTER["count"]
+        stack(q, kv)
+        assert nn.BLOCK_EVAL_COUNTER["count"] == before + 15

@@ -5,13 +5,12 @@ import pytest
 
 from trifuse.autodiff import Tensor, finite_difference_check, parameter
 from trifuse.data import QueryRecord
-from trifuse.fusion import FusionMode, FusionParams, VideoIndex
+from trifuse.fusion import FusedBatch, FusionMode, FusionParams, VideoIndex
 from trifuse.similarity import (
     QueryScorer,
     batch_scores,
     combined_similarity,
     global_similarity,
-    holistic_aggregate,
     local_similarity,
     score_matrix,
 )
@@ -116,13 +115,13 @@ class TestHolisticAggregate:
     def test_single_token_passthrough(self):
         params = FusionParams(dim=4, frames=1, heads=2, seed=0)
         tokens = np.array([[1.0, 2.0, 3.0, 4.0]], dtype=np.float32)
-        out = holistic_aggregate(tokens, params)
+        out = params.holistic(Tensor(tokens))
         np.testing.assert_allclose(out.data, tokens[0], rtol=1e-6)
 
     def test_identical_tokens_passthrough(self):
         params = FusionParams(dim=4, frames=3, heads=2, seed=1)
         tokens = np.tile(np.array([0.5, -1.0, 2.0, 0.0], dtype=np.float32), (3, 1))
-        out = holistic_aggregate(tokens, params)
+        out = params.holistic(Tensor(tokens))
         np.testing.assert_allclose(out.data, tokens[0], rtol=1e-5)
 
     def test_gradient_check_on_attention_weights(self):
@@ -132,7 +131,7 @@ class TestHolisticAggregate:
         r = rng.normal(size=4)
 
         def f():
-            return (holistic_aggregate(tokens, params) * r).sum()
+            return (params.holistic(tokens) * r).sum()
 
         wrt = [params.holistic.weight, params.holistic.query]
         assert finite_difference_check(f, wrt, eps=1e-5) < 1e-4
@@ -200,10 +199,10 @@ class TestBatchScores:
         """The differentiable score matrix equals the index-scoring route."""
         rng = np.random.default_rng(7)
         n, m, d = 4, 3, 5
-        tokens = [rng.normal(size=(m, d)) for _ in range(n)]
-        pairs = [(Tensor(t), Tensor(t.mean(axis=0))) for t in tokens]
+        tokens = rng.normal(size=(n, m, d))
+        fused = FusedBatch(Tensor(tokens), Tensor(tokens.mean(axis=1)))
         queries = rng.normal(size=(n, d))
-        got = batch_scores(pairs, queries, FusionMode.SAVE).data
+        got = batch_scores(fused, queries, FusionMode.SAVE).data
         for i in range(n):
             for j in range(n):
                 expect = combined_similarity(tokens[j], tokens[j].mean(axis=0), queries[i])
@@ -211,12 +210,31 @@ class TestBatchScores:
 
     def test_gradient_through_scores(self):
         rng = np.random.default_rng(8)
-        tokens = [parameter(rng.normal(size=(2, 4))) for _ in range(3)]
+        tokens = parameter(rng.normal(size=(3, 2, 4)))
         queries = rng.normal(size=(3, 4))
         r = rng.normal(size=(3, 3))
 
         def f():
-            pairs = [(t, t.mean(axis=0)) for t in tokens]
-            return (batch_scores(pairs, queries, FusionMode.SAVE) * r).sum()
+            return (batch_scores(FusedBatch(tokens, tokens.mean(axis=1)), queries, FusionMode.SAVE) * r).sum()
 
-        assert finite_difference_check(f, tokens, eps=1e-5) < 1e-4
+        assert finite_difference_check(f, [tokens], eps=1e-5) < 1e-4
+
+    @pytest.mark.parametrize("mode", [FusionMode.HOLISTIC, FusionMode.LATE_FUSION])
+    def test_single_vector_modes_match_numpy_route(self, mode):
+        rng = np.random.default_rng(9)
+        n, m, d = 4, 3, 4
+        params = FusionParams(dim=d, frames=m, heads=2, seed=3, dtype=np.float64)
+        tokens = rng.normal(size=(n, m, d))
+        fused = FusedBatch(Tensor(tokens), Tensor(tokens.mean(axis=1)), speech_pool=rng.normal(size=(n, d)))
+        queries = rng.normal(size=(5, d))
+        index = VideoIndex(
+            mode=mode,
+            item_ids=[f"v{j}" for j in range(n)],
+            tokens=tokens,
+            pooled=fused.pooled.data,
+            holistic=params.holistic(fused.tokens).data,
+            speech_pool=fused.speech_pool,
+        )
+        want = QueryScorer(index, mode).score_many(queries)
+        got = batch_scores(fused, queries, mode, params=params).data
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)

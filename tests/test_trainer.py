@@ -168,6 +168,13 @@ class TestTrainLoop:
         assert all(rec["alignment"] == 0.0 for rec in soft.log)
         assert [r["contrastive"] for r in soft.log] == [r["contrastive"] for r in none.log]
 
+    def test_late_fusion_epoch_logs_finite_losses(self):
+        result = train(small_config(mode=FusionMode.LATE_FUSION, epochs=1), small_dataset(seed=5))
+        assert not result.aborted
+        steps = [rec for rec in result.log if "total" in rec]
+        assert steps and all(np.isfinite([r["contrastive"], r["alignment"], r["total"]]).all() for r in steps)
+        assert any(r["alignment"] != 0.0 for r in steps)
+
     def test_vision_only_mode_has_zero_alignment(self):
         dataset = small_dataset(seed=3)
         result = train(small_config(mode=FusionMode.VISION_ONLY), dataset)
@@ -178,7 +185,7 @@ class TestTrainLoop:
         only, so speech-fusion parameters receive gradient solely from the
         contrastive term."""
         from trifuse.data import resolve_missing
-        from trifuse.fusion import FusionParams, pre_fusion_pooled
+        from trifuse.fusion import FusionParams, forward_video, pre_fusion_pooled
         from trifuse.losses import affinity_from_teacher, soft_albef_loss, student_affinity
 
         dataset = small_dataset(seed=4)
@@ -189,7 +196,7 @@ class TestTrainLoop:
             np.stack([it.teacher_video for it in items]),
             np.stack([it.teacher_audio for it in items]),
         )
-        m1 = student_affinity([pre_fusion_pooled(it, params) for it in items])
+        m1 = student_affinity(*pre_fusion_pooled(forward_video(items, params, FusionMode.SAVE)))
         params.zero_grad()
         soft_albef_loss(m0, m1).backward()
         speech_grads = [p.grad for p in params.speech_fusion.parameters()]
