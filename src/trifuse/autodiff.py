@@ -58,9 +58,6 @@ class Tensor:
     def dtype(self):
         return self.data.dtype
 
-    def item(self) -> float:
-        return float(self.data)
-
     def detach(self) -> "Tensor":
         return Tensor(self.data)
 
@@ -128,20 +125,11 @@ class Tensor:
     def __rtruediv__(self, other):
         return div(_wrap(other, self.dtype), self)
 
-    def __matmul__(self, other):
-        return matmul(self, other)
-
-    def __pow__(self, p):
-        return pow_const(self, p)
-
     def sum(self, axis=None, keepdims=False):
         return reduce_sum(self, axis=axis, keepdims=keepdims)
 
     def mean(self, axis=None, keepdims=False):
         return reduce_mean(self, axis=axis, keepdims=keepdims)
-
-    def reshape(self, *shape):
-        return reshape(self, shape if len(shape) > 1 else shape[0])
 
     def __repr__(self):
         flag = ", requires_grad=True" if self.requires_grad else ""
@@ -330,13 +318,6 @@ def sqrt(a: Tensor) -> Tensor:
     return _node(out_data, (a,), backward)
 
 
-def pow_const(a: Tensor, p: float) -> Tensor:
-    def backward(g):
-        _accumulate(a, g * p * a.data ** (p - 1))
-
-    return _node(a.data**p, (a,), backward)
-
-
 def absolute(a: Tensor) -> Tensor:
     def backward(g):
         _accumulate(a, g * np.sign(a.data))
@@ -394,10 +375,6 @@ NORM_EPS_SQ = 1e-24
 def l2_normalize(x: Tensor, axis: int = -1) -> Tensor:
     norm = sqrt(add(reduce_sum(mul(x, x), axis=axis, keepdims=True), NORM_EPS_SQ))
     return div(x, norm)
-
-
-def dot(a: Tensor, b: Tensor) -> Tensor:
-    return reduce_sum(mul(a, b))
 
 
 # -- gradient checking ----------------------------------------------------

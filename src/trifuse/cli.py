@@ -2,9 +2,10 @@
 
 One JSON config file drives generation ("synth" section) and training
 ("train" section); command-line flags override individual keys. Exit codes:
-0 success, 2 config parse error, 3 IO error, 4 training aborted on
-non-finite loss, 5 checkpoint, config or dataset dimension mismatch (including
-audio longer than max_audio_len), 6 unknown query id.
+0 success, 2 config parse error, 3 IO error (a missing file, a malformed
+container, or checkpoint tensors that disagree with their sidecar), 4 training
+aborted on non-finite loss, 5 checkpoint, config or dataset dimension mismatch
+(including audio longer than max_audio_len), 6 unknown query id.
 """
 
 from __future__ import annotations

@@ -83,10 +83,17 @@ def read_container(path) -> dict[str, tuple[int, np.ndarray]]:
         offset += 2
         if offset + name_len + 9 > len(blob):
             raise ContainerError("corrupt record header")
-        name = blob[offset : offset + name_len].decode("utf-8")
+        try:
+            name = blob[offset : offset + name_len].decode("utf-8")
+        except UnicodeDecodeError as err:
+            raise ContainerError(f"record name at byte {offset} is not UTF-8") from err
+        if name in records:
+            raise ContainerError(f"duplicate record {name}")
         offset += name_len
         kind, rows, cols = struct.unpack_from("<BII", blob, offset)
         offset += 9
+        if kind not in (KIND_TOKENS, KIND_VECTOR):
+            raise ContainerError(f"record {name} has unknown kind {kind}")
         nbytes = rows * cols * 4
         if offset + nbytes > len(blob):
             raise ContainerError(f"corrupt record {name}")
@@ -94,6 +101,8 @@ def read_container(path) -> dict[str, tuple[int, np.ndarray]]:
         offset += nbytes
         shape = (cols,) if kind == KIND_VECTOR and rows == 1 else (rows, cols)
         records[name] = (kind, arr.reshape(shape).astype(np.float32))
+    if offset != len(blob):
+        raise ContainerError(f"{len(blob) - offset} trailing bytes after the last record")
     return records
 
 

@@ -12,7 +12,7 @@ import time
 import numpy as np
 
 from . import nn
-from .fusion import FusionMode, VideoIndex
+from .fusion import VideoIndex
 from .similarity import DEFAULT_SHARPNESS, QueryScorer, ScoreMatrix
 
 RECALL_KS = (1, 5, 10)
@@ -88,13 +88,7 @@ def mean_r1(runs: list[dict[str, float]]) -> float:
     return float(np.mean([run["r1"] for run in runs]))
 
 
-def latency_probe(
-    index: VideoIndex,
-    queries: list,
-    repetitions: int,
-    mode: FusionMode | None = None,
-    sharpness: float = DEFAULT_SHARPNESS,
-) -> dict[str, float]:
+def latency_probe(index: VideoIndex, queries: list, repetitions: int, sharpness: float = DEFAULT_SHARPNESS) -> dict:
     """Wall time for scoring one query against the whole index.
 
     The probe asserts that no fusion block runs while queries are scored;
@@ -102,7 +96,7 @@ def latency_probe(
     """
     if repetitions <= 0:
         raise ValueError("repetitions must be >= 1")
-    scorer = QueryScorer(index, index.mode if mode is None else mode, sharpness)
+    scorer = QueryScorer(index, index.mode, sharpness)
     embeddings = [np.asarray(q.embedding, dtype=np.float64) for q in queries]
 
     blocks_before = nn.BLOCK_EVAL_COUNTER["count"]

@@ -10,6 +10,7 @@ visual tokens.
 
 from __future__ import annotations
 
+import inspect
 import json
 import math
 from dataclasses import dataclass
@@ -21,7 +22,8 @@ import numpy as np
 from . import autodiff as ad
 from . import nn
 from .autodiff import Tensor
-from .data import KIND_TOKENS, KIND_VECTOR, ItemRecord, Manifest, read_container, resolve_missing, write_container
+from .data import (KIND_TOKENS, KIND_VECTOR, ContainerError, ItemRecord, Manifest, read_container,
+                   resolve_missing, write_container)
 
 
 class FusionMode(str, Enum):
@@ -121,12 +123,17 @@ def load_params(path) -> FusionParams:
     path = Path(path)
     meta = json.loads(Path(str(path) + ".json").read_text())
     dtype = np.dtype(meta.pop("dtype"))
+    unknown = sorted(set(meta) - set(inspect.signature(FusionParams).parameters))
+    if unknown:
+        raise ContainerError(f"checkpoint sidecar has unknown parameter {unknown[0]!r}")
     params = FusionParams(**meta, dtype=dtype)
     records = read_container(path)
     for name, p in params.named_parameters():
         key = f"param/{name}"
         if key not in records:
-            raise ValueError(f"checkpoint missing parameter {name}")
+            raise ContainerError(f"checkpoint missing parameter {name}")
+        if records[key][1].size != p.data.size:
+            raise ContainerError(f"checkpoint parameter {name} has {records[key][1].size} values, not {p.data.size}")
         p.data = records[key][1].reshape(p.data.shape).astype(dtype)
     return params
 
@@ -152,6 +159,7 @@ class FusedBatch:
     visual: Tensor | None = None  # (B, m, d) input visual tokens
     audio: Tensor | None = None  # (B, m, d) resampled audio, in the modes that use audio
     speech_pool: np.ndarray | None = None  # (B, d) raw speech-token means, late_fusion only
+    holistic: Tensor | None = None  # (B, d) attention-pooled tokens, holistic only
 
 
 AUDIO_MODES = frozenset({FusionMode.AVIGATE, FusionMode.AVIGATE_PLUS, FusionMode.SAVE,
@@ -182,7 +190,8 @@ def forward_video(items: list[ItemRecord], params: FusionParams, mode: FusionMod
 
     The items must come through `resolve_missing` first in the modes that
     touch audio or speech; a batch may mix token lengths. late_fusion fuses as
-    avigate does and adds the raw speech-token means it is scored with.
+    avigate does and adds the raw speech-token means it is scored with;
+    holistic adds the attention-pooled vector it is scored with.
     """
     mode = FusionMode(mode)
     v, _ = _stack(items, "visual_tokens", params.dtype)
@@ -208,7 +217,8 @@ def forward_video(items: list[ItemRecord], params: FusionParams, mode: FusionMod
     else:  # learnable_weights
         gamma = 1.0 - params.alpha - params.beta
         fused = params.alpha * v + params.beta * a_hat + gamma * s_hat
-    return FusedBatch(fused, fused.mean(axis=-2), v, audio, speech_pool)
+    holistic = params.holistic(fused) if mode == FusionMode.HOLISTIC else None
+    return FusedBatch(fused, fused.mean(axis=-2), v, audio, speech_pool, holistic)
 
 
 def pre_fusion_pooled(fused: FusedBatch) -> tuple[Tensor, Tensor]:
@@ -236,8 +246,8 @@ def precompute_index(
             fused = forward_video(chunk, params, mode)
             tokens.append(fused.tokens.data)
             pooled.append(fused.pooled.data)
-            if mode == FusionMode.HOLISTIC:
-                holistic.append(params.holistic(fused.tokens).data)
+            if fused.holistic is not None:
+                holistic.append(fused.holistic.data)
             if fused.speech_pool is not None:
                 speech_pool.append(fused.speech_pool)
     return VideoIndex(
@@ -245,23 +255,24 @@ def precompute_index(
         item_ids=[item.item_id for item in items],
         tokens=_joined(tokens, (0, manifest.frames, manifest.dim)),
         pooled=_joined(pooled, (0, manifest.dim)),
-        holistic=_joined(holistic, (0, manifest.dim)) if holistic else None,
-        speech_pool=_joined(speech_pool, (0, manifest.dim)) if speech_pool else None,
+        holistic=_joined(holistic, (0, manifest.dim)) if mode == FusionMode.HOLISTIC else None,
+        speech_pool=_joined(speech_pool, (0, manifest.dim)) if mode == FusionMode.LATE_FUSION else None,
     )
 
 
+# Index records, one per array; an (n, m, d) tokens array is stored as (n*m, d).
+_INDEX_ARRAYS = ("tokens", "pooled", "holistic", "speech_pool")
+
+
 def save_index(index: VideoIndex, path) -> None:
+    """One container record per array, and a `.json` sidecar with the mode,
+    the item ids and m."""
     path = Path(path)
-    records = {}
-    for i, item_id in enumerate(index.item_ids):
-        records[f"index/{item_id}/tokens"] = (KIND_TOKENS, index.tokens[i])
-        records[f"index/{item_id}/pooled"] = (KIND_VECTOR, index.pooled[i])
-        if index.holistic is not None:
-            records[f"index/{item_id}/holistic"] = (KIND_VECTOR, index.holistic[i])
-        if index.speech_pool is not None:
-            records[f"index/{item_id}/speech_pool"] = (KIND_VECTOR, index.speech_pool[i])
-    write_container(path, records)
-    meta = {"mode": index.mode.value, "item_ids": index.item_ids}
+    n, m, d = index.tokens.shape
+    arrays = {name: getattr(index, name) for name in _INDEX_ARRAYS}
+    arrays["tokens"] = index.tokens.reshape(n * m, d)
+    write_container(path, {f"index/{name}": (KIND_TOKENS, arr) for name, arr in arrays.items() if arr is not None})
+    meta = {"mode": index.mode.value, "item_ids": index.item_ids, "m": m}
     Path(str(path) + ".json").write_text(json.dumps(meta, indent=2, sort_keys=True) + "\n")
 
 
@@ -269,20 +280,13 @@ def load_index(path) -> VideoIndex:
     path = Path(path)
     meta = json.loads(Path(str(path) + ".json").read_text())
     records = read_container(path)
-    ids = meta["item_ids"]
-    tokens = np.stack([records[f"index/{i}/tokens"][1] for i in ids])
-    pooled = np.stack([records[f"index/{i}/pooled"][1] for i in ids])
-    holistic = None
-    speech_pool = None
-    if ids and f"index/{ids[0]}/holistic" in records:
-        holistic = np.stack([records[f"index/{i}/holistic"][1] for i in ids])
-    if ids and f"index/{ids[0]}/speech_pool" in records:
-        speech_pool = np.stack([records[f"index/{i}/speech_pool"][1] for i in ids])
-    return VideoIndex(
-        mode=FusionMode(meta["mode"]),
-        item_ids=ids,
-        tokens=tokens,
-        pooled=pooled,
-        holistic=holistic,
-        speech_pool=speech_pool,
-    )
+    ids, m = meta["item_ids"], meta["m"]
+    arrays = {name: records[f"index/{name}"][1] for name in _INDEX_ARRAYS if f"index/{name}" in records}
+    if "tokens" not in arrays or "pooled" not in arrays:
+        raise ContainerError(f"index {path} lacks its tokens or pooled record")
+    for name, arr in arrays.items():
+        rows = len(ids) * m if name == "tokens" else len(ids)
+        if len(arr) != rows:
+            raise ContainerError(f"index record {name} has {len(arr)} rows, expected {rows} for {len(ids)} items")
+    arrays["tokens"] = arrays["tokens"].reshape(len(ids), m, arrays["tokens"].shape[-1])
+    return VideoIndex(mode=FusionMode(meta["mode"]), item_ids=ids, **arrays)

@@ -1,10 +1,13 @@
 """Video-query scoring: global, local (log-sum-exp), combined, holistic, late.
 
-Two routes share one set of formulas. The numpy route scores a precomputed
-`VideoIndex` with no network evaluation (the online path). The autodiff route
-(`batch_scores`) builds the differentiable score matrix the training losses
-consume. Zero-norm vectors score 0 by convention so zero-filled missing
-modalities cannot poison evaluation.
+One formula (`_scores`, built from autodiff ops) scores every fusion mode on
+both routes. `QueryScorer` feeds it a precomputed `VideoIndex` as constant
+tensors, with no network evaluation and no tape (the online path);
+`batch_scores` feeds it a fused batch and returns the differentiable score
+matrix the training losses consume. The scalar `global_/local_/
+combined_similarity` are an independent reference written in numpy. Zero-norm
+vectors score 0 by convention so zero-filled missing modalities cannot poison
+evaluation.
 """
 
 from __future__ import annotations
@@ -30,6 +33,10 @@ _EPS_SQ = ad.NORM_EPS_SQ
 def _unit_rows(x: np.ndarray) -> np.ndarray:
     norm = np.sqrt(np.sum(x * x, axis=-1, keepdims=True) + _EPS_SQ)
     return x / norm
+
+
+def _unit64(x: np.ndarray | None) -> np.ndarray | None:
+    return None if x is None else _unit_rows(x.astype(np.float64))
 
 
 def global_similarity(pooled: np.ndarray, query: np.ndarray) -> float:
@@ -70,18 +77,39 @@ class ScoreMatrix:
     item_ids: list[str]
 
 
-def score_matrix(
-    index: VideoIndex,
-    queries: list,
-    mode: FusionMode | None = None,
-    sharpness: float = DEFAULT_SHARPNESS,
-) -> ScoreMatrix:
-    """Score every query against the whole index; O(n_videos * m * d) per query."""
-    mode = index.mode if mode is None else FusionMode(mode)
-    scorer = QueryScorer(index, mode, sharpness)
+def score_matrix(index: VideoIndex, queries: list, sharpness: float = DEFAULT_SHARPNESS) -> ScoreMatrix:
+    """Score every query against the whole index in the index's mode."""
+    scorer = QueryScorer(index, index.mode, sharpness)
     q_mat = np.stack([np.asarray(q.embedding, dtype=np.float64) for q in queries])
     values = scorer.score_many(q_mat)
     return ScoreMatrix(values=values, query_ids=[q.query_id for q in queries], item_ids=list(index.item_ids))
+
+
+def _cosines(q: Tensor, rows: Tensor) -> Tensor:
+    return ad.matmul(q, ad.transpose(rows))
+
+
+def _scores(
+    q: Tensor, mode: FusionMode, sharpness: float, tokens: Tensor, pooled: Tensor,
+    holistic: Tensor | None = None, speech_pool: Tensor | None = None,
+) -> Tensor:
+    """(T, B) scores of unit-norm (T, d) queries against unit-norm gallery
+    arrays: tokens (B, m, d); pooled, holistic and speech_pool (B, d).
+
+    The one formula of every fusion mode, for serving and for training.
+    """
+    if mode == FusionMode.HOLISTIC:
+        return _cosines(q, holistic)
+    if mode == FusionMode.LATE_FUSION:
+        return (_cosines(q, pooled) + _cosines(q, speech_pool)) * 0.5
+    b, m, d = tokens.shape
+    cosines = ad.reshape(_cosines(q, ad.reshape(tokens, (b * m, d))), (q.shape[0], b, m))
+    # The shift is a constant added pre-negated (no negated copy), and the
+    # global term is computed last so it is not alive at the (T, B, m) peak.
+    neg_shift = cosines.data.max(axis=-1, keepdims=True) * -sharpness
+    lse = ad.log(ad.exp(cosines * sharpness + Tensor(neg_shift)).mean(axis=-1))
+    local = (lse + Tensor(-neg_shift[..., 0])) * (1.0 / sharpness)
+    return (local + _cosines(q, pooled)) * 0.5
 
 
 class QueryScorer:
@@ -92,12 +120,10 @@ class QueryScorer:
             raise ValueError(f"sharpness must be > 0, got {sharpness}")
         self.mode = FusionMode(mode)
         self.sharpness = sharpness
-        self.tokens = _unit_rows(index.tokens.astype(np.float64))  # (n, m, d)
-        self.pooled = _unit_rows(index.pooled.astype(np.float64))  # (n, d)
-        self.holistic = _unit_rows(index.holistic.astype(np.float64)) if index.holistic is not None else None
-        self.speech_pool = (
-            _unit_rows(index.speech_pool.astype(np.float64)) if index.speech_pool is not None else None
-        )
+        self.tokens = _unit64(index.tokens)  # (n, m, d)
+        self.pooled = _unit64(index.pooled)  # (n, d)
+        self.holistic = _unit64(index.holistic)
+        self.speech_pool = _unit64(index.speech_pool)
         if self.mode == FusionMode.HOLISTIC and self.holistic is None:
             raise ValueError("holistic scoring needs an index built in holistic mode")
         if self.mode == FusionMode.LATE_FUSION and self.speech_pool is None:
@@ -107,46 +133,30 @@ class QueryScorer:
         return self.score_many(np.asarray(query, dtype=np.float64)[None, :])[0]
 
     def score_many(self, q_mat: np.ndarray) -> np.ndarray:
-        q = _unit_rows(q_mat.astype(np.float64))  # (t, d)
-        if self.mode == FusionMode.HOLISTIC:
-            return q @ self.holistic.T
-        if self.mode == FusionMode.LATE_FUSION:
-            return 0.5 * (q @ self.pooled.T) + 0.5 * (q @ self.speech_pool.T)
-        lam = self.sharpness
-        cosines = np.einsum("td,nmd->tnm", q, self.tokens)
-        shift = cosines.max(axis=-1, keepdims=True) * lam
-        local = (shift[..., 0] + np.log(np.mean(np.exp(lam * cosines - shift), axis=-1))) / lam
-        global_ = q @ self.pooled.T
-        return 0.5 * (global_ + local)
+        """(T, n) scores; constant Tensors record no tape and copy no array."""
+        q = Tensor(_unit_rows(q_mat.astype(np.float64)))
+        arrays = (self.tokens, self.pooled, self.holistic, self.speech_pool)
+        return _scores(q, self.mode, self.sharpness, *(None if a is None else Tensor(a) for a in arrays)).data
 
 
 # -- differentiable batch scoring (training path) ---------------------------
 
 
 def batch_scores(
-    fused: FusedBatch,
-    query_embeddings: np.ndarray,
-    mode: FusionMode,
-    sharpness: float = DEFAULT_SHARPNESS,
-    params=None,
+    fused: FusedBatch, query_embeddings: np.ndarray, mode: FusionMode, sharpness: float = DEFAULT_SHARPNESS
 ) -> Tensor:
     """Differentiable (queries x videos) score matrix of a fused batch.
 
-    Query row i's ground truth is video i. Holistic mode needs `params` for
-    its attention pool; late_fusion reads the batch's raw speech pools.
+    Query row i's ground truth is video i. The batch's tokens, pooled and
+    holistic vectors are normalized inside the graph; its speech pools
+    (late_fusion) are constants.
     """
-    mode = FusionMode(mode)
-    q_norm = Tensor(_unit_rows(np.asarray(query_embeddings)))  # constant (T, d)
-    if mode == FusionMode.HOLISTIC:
-        return ad.matmul(q_norm, ad.transpose(ad.l2_normalize(params.holistic(fused.tokens))))
-    global_ = ad.matmul(q_norm, ad.transpose(ad.l2_normalize(fused.pooled)))  # (T, B)
-    if mode == FusionMode.LATE_FUSION:
-        speech = Tensor(q_norm.data @ _unit_rows(fused.speech_pool.astype(np.float64)).T)
-        return global_ * 0.5 + speech * 0.5
-    b, m, d = fused.tokens.shape
-    tokens = ad.reshape(ad.l2_normalize(fused.tokens, axis=-1), (b * m, d))
-    cosines = ad.reshape(ad.matmul(q_norm, ad.transpose(tokens)), (-1, b, m))  # (T, B, m)
-    shift = cosines.data.max(axis=-1, keepdims=True) * sharpness
-    lse = ad.log(ad.exp(cosines * sharpness - Tensor(shift)).mean(axis=-1))
-    local = (lse + Tensor(shift[..., 0])) * (1.0 / sharpness)
-    return (local + global_) * 0.5
+    return _scores(
+        Tensor(_unit_rows(np.asarray(query_embeddings))),
+        FusionMode(mode),
+        sharpness,
+        ad.l2_normalize(fused.tokens),
+        ad.l2_normalize(fused.pooled),
+        None if fused.holistic is None else ad.l2_normalize(fused.holistic),
+        None if fused.speech_pool is None else Tensor(_unit64(fused.speech_pool)),
+    )

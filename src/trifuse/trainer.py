@@ -228,7 +228,7 @@ def train(
             queries = np.stack([dataset.queries[query_of[i]].embedding for i in batch_ids])
 
             fused = forward_video(items, params, config.mode)
-            scores = batch_scores(fused, queries, config.mode, sharpness=config.sharpness, params=params)
+            scores = batch_scores(fused, queries, config.mode, sharpness=config.sharpness)
             contrastive = contrastive_loss(scores, scale=params.temperature_scale(), margin=config.margin)
             align_term, align_value = _alignment_term(config, items, fused)
             loss = total_loss(contrastive, align_term, config.align_kind)

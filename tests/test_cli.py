@@ -119,6 +119,15 @@ class TestOverlongAudio:
         assert code == 5
 
 
+def mismatched_checkpoint(workspace, tmp_path):
+    """The trained checkpoint with a sidecar claiming more fusion blocks than it holds."""
+    ckpt = tmp_path / "c.ckpt"
+    ckpt.write_bytes((workspace["run"] / "best.ckpt").read_bytes())
+    meta = json.loads((workspace["run"] / "best.ckpt.json").read_text())
+    (tmp_path / "c.ckpt.json").write_text(json.dumps({**meta, "heads": 2, "fusion_depth": 3}))
+    return ckpt
+
+
 class TestEval:
     def test_json_metrics(self, workspace, capsys):
         code = main(["eval", "--checkpoint", str(workspace["run"] / "best.ckpt"), "--data", str(workspace["data"])])
@@ -161,6 +170,12 @@ class TestEval:
         assert main(["gen", "--config", str(cfg), "--out", str(other)]) == 0
         code = main(["eval", "--checkpoint", str(workspace["run"] / "best.ckpt"), "--data", str(other)])
         assert code == 5
+
+    def test_checkpoint_sidecar_mismatch_exit_3(self, workspace, tmp_path, capsys):
+        code = main(["eval", "--checkpoint", str(mismatched_checkpoint(workspace, tmp_path)),
+                     "--data", str(workspace["data"])])
+        assert code == 3
+        assert "missing parameter audio_fusion.stack.blocks.1" in capsys.readouterr().err
 
 
 class TestScore:
@@ -221,3 +236,18 @@ class TestInspect:
         empty = tmp_path / "empty"
         empty.mkdir()
         assert main(["inspect", str(empty)]) == 3
+
+    def test_checkpoint_sidecar_mismatch_exit_3(self, workspace, tmp_path, capsys):
+        assert main(["inspect", str(mismatched_checkpoint(workspace, tmp_path))]) == 3
+        assert "missing parameter" in capsys.readouterr().err
+
+    def test_non_utf8_record_name_exit_3(self, workspace, tmp_path, capsys):
+        data = tmp_path / "data"
+        data.mkdir()
+        for name in ("manifest.json", "tensors.sve"):
+            (data / name).write_bytes((workspace["data"] / name).read_bytes())
+        blob = (data / "tensors.sve").read_bytes()
+        (data / "tensors.sve").write_bytes(blob.replace(b"item/", b"\xfftem/", 1))
+        assert main(["inspect", str(data)]) == 3
+        err = capsys.readouterr().err
+        assert "not UTF-8" in err and "Traceback" not in err

@@ -1,5 +1,7 @@
 """Container format, dataset round-trips, missing-modality fill, batching."""
 
+import struct
+
 import numpy as np
 import pytest
 
@@ -90,6 +92,45 @@ class TestContainer:
         write_container(p, {"gate": (data.KIND_VECTOR, np.float32(0.25))})
         _, arr = read_container(p)["gate"]
         np.testing.assert_array_equal(arr, np.array([0.25], dtype=np.float32))
+
+    @staticmethod
+    def record(name: bytes, kind: int) -> bytes:
+        """One hand-built (1, 2) record."""
+        return struct.pack("<H", len(name)) + name + struct.pack("<BII", kind, 1, 2) + np.ones(2, "<f4").tobytes()
+
+    @pytest.mark.parametrize(
+        "records, tail, match",
+        [
+            ([(b"\xffname", 0)], b"", "not UTF-8"),
+            ([(b"a", 0), (b"a", 1)], b"", "duplicate record a"),
+            ([(b"a", 0), (b"b", 7)], b"", "record b has unknown kind 7"),
+            ([(b"a", 0)], b"\x00\x00", "2 trailing bytes"),
+        ],
+        ids=["non_utf8_name", "duplicate_name", "unknown_kind", "trailing_bytes"],
+    )
+    def test_malformed_record_rejected(self, tmp_path, records, tail, match):
+        body = b"".join(self.record(name, kind) for name, kind in records)
+        p = tmp_path / "m.sve"
+        p.write_bytes(data.MAGIC + struct.pack("<II", data.VERSION, len(records)) + body + tail)
+        with pytest.raises(ContainerError, match=match):
+            read_container(p)
+
+    def test_single_byte_flips_load_or_raise_container_error(self, tmp_path):
+        p = tmp_path / "f.sve"
+        write_container(p, {
+            "a/tokens": (data.KIND_TOKENS, np.arange(6, dtype=np.float32).reshape(2, 3)),
+            "b/vec": (data.KIND_VECTOR, np.ones(4, dtype=np.float32)),
+        })
+        blob = p.read_bytes()
+        rng = np.random.default_rng(0)
+        for _ in range(300):
+            flipped = bytearray(blob)
+            flipped[rng.integers(len(blob))] ^= int(rng.integers(1, 256))
+            p.write_bytes(bytes(flipped))
+            try:
+                read_container(p)
+            except ContainerError:
+                pass
 
 
 class TestDatasetIO:

@@ -1,12 +1,14 @@
 """Fusion modes, zero-gate identities, pooled pre-fusion outputs, index building."""
 
+import json
+
 import numpy as np
 import pytest
 
 from trifuse import autodiff as ad
 from trifuse import fusion
 from trifuse.autodiff import Tensor, finite_difference_check
-from trifuse.data import ItemRecord, Manifest, resolve_missing
+from trifuse.data import ContainerError, ItemRecord, Manifest, QueryRecord, read_container, resolve_missing
 from trifuse.fusion import (
     AV_AUDIO_WEIGHT,
     AV_VISUAL_WEIGHT,
@@ -14,12 +16,14 @@ from trifuse.fusion import (
     FusionMode,
     FusionParams,
     forward_video,
+    load_index,
     load_params,
     precompute_index,
     pre_fusion_pooled,
+    save_index,
     save_params,
 )
-from trifuse.similarity import combined_similarity
+from trifuse.similarity import batch_scores, combined_similarity, score_matrix
 
 
 D, M = 8, 3
@@ -283,6 +287,47 @@ class TestIndex:
             via_index = combined_similarity(index.tokens[i], index.pooled[i], query)
             assert abs(direct - via_index) < 1e-6
 
+    @pytest.mark.parametrize("n", [0, 1, 60])
+    @pytest.mark.parametrize("mode", [FusionMode.SAVE, FusionMode.HOLISTIC, FusionMode.LATE_FUSION])
+    def test_save_load_round_trip_bit_exact(self, tmp_path, mode, n):
+        params = make_params(8)
+        params.audio_fusion.gate.data = np.asarray(0.3, dtype=np.float32)
+        index = precompute_index(self.items(n), params, mode, MAN)
+        save_index(index, tmp_path / "g.idx")
+        back = load_index(tmp_path / "g.idx")
+        assert back.mode == index.mode and back.item_ids == index.item_ids
+        for name in ("tokens", "pooled", "holistic", "speech_pool"):
+            want, got = getattr(index, name), getattr(back, name)
+            assert (got is None) == (want is None)
+            if want is not None:
+                assert got.shape == want.shape and got.tobytes() == want.tobytes()
+        assert len(read_container(tmp_path / "g.idx")) == (2 if mode == FusionMode.SAVE else 3)
+
+    def test_load_rejects_row_count_that_disagrees_with_ids(self, tmp_path):
+        save_index(precompute_index(self.items(3), make_params(), FusionMode.SAVE, MAN), tmp_path / "g.idx")
+        sidecar = tmp_path / "g.idx.json"
+        meta = json.loads(sidecar.read_text())
+        sidecar.write_text(json.dumps({**meta, "item_ids": meta["item_ids"][:2]}))
+        with pytest.raises(ContainerError, match="index record tokens has 9 rows, expected 6"):
+            load_index(tmp_path / "g.idx")
+
+    @pytest.mark.parametrize("mode", list(FusionMode))
+    def test_score_matrix_matches_batch_scores(self, mode):
+        """Serving a precomputed index and training-time scoring of the same
+        fused batch give the same scores in every mode."""
+        params = make_params(9, dtype=np.float64)
+        params.audio_fusion.gate.data = np.asarray(0.3)
+        params.speech_fusion.gate.data = np.asarray(-0.2)
+        items = self.items(6)
+        rng = np.random.default_rng(3)
+        queries = [QueryRecord(f"q{i}", rng.normal(size=D).astype(np.float32), "item100") for i in range(4)]
+        with ad.no_grad():
+            index = precompute_index(items, params, mode, MAN)
+            fused = forward_video([resolve_missing(item, MAN) for item in items], params, mode)
+            want = batch_scores(fused, np.stack([q.embedding for q in queries]), mode).data
+        got = score_matrix(index, queries).values
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-6)
+
 
 class TestParamsIO:
     def test_round_trip_bit_exact(self, tmp_path):
@@ -299,3 +344,19 @@ class TestParamsIO:
         save_params(params, tmp_path / "a.ckpt")
         save_params(params, tmp_path / "b.ckpt")
         assert (tmp_path / "a.ckpt").read_bytes() == (tmp_path / "b.ckpt").read_bytes()
+
+    @pytest.mark.parametrize(
+        "change, match",
+        [
+            ({"fusion_depth": 3}, "missing parameter audio_fusion.stack.blocks.2"),
+            ({"frames": M + 1}, f"parameter resampler.queries has {M * D} values, not {(M + 1) * D}"),
+            ({"bogus": 1}, "unknown parameter 'bogus'"),
+        ],
+        ids=["missing_record", "size_mismatch", "unknown_key"],
+    )
+    def test_sidecar_that_disagrees_with_tensors_raises(self, tmp_path, change, match):
+        save_params(make_params(), tmp_path / "c.ckpt")
+        sidecar = tmp_path / "c.ckpt.json"
+        sidecar.write_text(json.dumps({**json.loads(sidecar.read_text()), **change}))
+        with pytest.raises(ContainerError, match=match):
+            load_params(tmp_path / "c.ckpt")

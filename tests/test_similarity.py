@@ -221,20 +221,19 @@ class TestBatchScores:
 
     @pytest.mark.parametrize("mode", [FusionMode.HOLISTIC, FusionMode.LATE_FUSION])
     def test_single_vector_modes_match_numpy_route(self, mode):
+        """Holistic and late-fusion batch scores equal the scalar cosine reference."""
         rng = np.random.default_rng(9)
         n, m, d = 4, 3, 4
         params = FusionParams(dim=d, frames=m, heads=2, seed=3, dtype=np.float64)
-        tokens = rng.normal(size=(n, m, d))
-        fused = FusedBatch(Tensor(tokens), Tensor(tokens.mean(axis=1)), speech_pool=rng.normal(size=(n, d)))
+        tokens = Tensor(rng.normal(size=(n, m, d)))
+        fused = FusedBatch(tokens, tokens.mean(axis=1), speech_pool=rng.normal(size=(n, d)),
+                           holistic=params.holistic(tokens))
         queries = rng.normal(size=(5, d))
-        index = VideoIndex(
-            mode=mode,
-            item_ids=[f"v{j}" for j in range(n)],
-            tokens=tokens,
-            pooled=fused.pooled.data,
-            holistic=params.holistic(fused.tokens).data,
-            speech_pool=fused.speech_pool,
-        )
-        want = QueryScorer(index, mode).score_many(queries)
-        got = batch_scores(fused, queries, mode, params=params).data
-        np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+        got = batch_scores(fused, queries, mode).data
+        for i, q in enumerate(queries):
+            for j in range(n):
+                if mode == FusionMode.HOLISTIC:
+                    want = global_similarity(fused.holistic.data[j], q)
+                else:
+                    want = 0.5 * (global_similarity(fused.pooled.data[j], q) + global_similarity(fused.speech_pool[j], q))
+                assert abs(got[i, j] - want) < 1e-12
