@@ -3,9 +3,10 @@
 One JSON config file drives generation ("synth" section) and training
 ("train" section); command-line flags override individual keys. Exit codes:
 0 success, 2 config parse error, 3 IO error (a missing file, a malformed
-container, or checkpoint tensors that disagree with their sidecar), 4 training
-aborted on non-finite loss, 5 checkpoint, config or dataset dimension mismatch
-(including audio longer than max_audio_len), 6 unknown query id.
+container, manifest or checkpoint sidecar, or checkpoint tensors that disagree
+with their sidecar), 4 training aborted on non-finite loss, 5 checkpoint,
+config or dataset dimension mismatch (including audio longer than
+max_audio_len), 6 unknown query id.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from .evaluation import grouped_eval, summary_metrics
 from .fusion import FusionMode, load_params, precompute_index, save_params
 from .similarity import ScoreMatrix, score_matrix
 from .synth import SynthConfig, write_synthetic
-from .trainer import TrainConfig, select_checkpoint, train
+from .trainer import TrainConfig, train
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -32,6 +33,9 @@ EXIT_IO = 3
 EXIT_NAN = 4
 EXIT_DIM = 5
 EXIT_QUERY = 6
+
+# avigate_plus is an alias of avigate, which iterating FusionMode leaves out.
+MODE_CHOICES = [m.value for m in FusionMode] + ["avigate_plus"]
 
 logger = logging.getLogger(__name__)
 
@@ -83,6 +87,20 @@ def _audio_too_long(dataset, max_audio_len: int) -> bool:
     return longest > max_audio_len
 
 
+def _checkpoint_mismatch(params, dataset) -> bool:
+    """True, with a message, if the checkpoint cannot run on the dataset: its
+    d or m differ, or the dataset's audio is too long for its resampler."""
+    arch, man = params.arch, dataset.manifest
+    if arch["dim"] != man.dim or arch["frames"] != man.frames:
+        print(
+            f"checkpoint dims (d={arch['dim']}, m={arch['frames']}) do not match "
+            f"dataset (d={man.dim}, m={man.frames})",
+            file=sys.stderr,
+        )
+        return True
+    return _audio_too_long(dataset, arch["max_audio_len"])
+
+
 def cmd_gen(args) -> int:
     cfg = _build(SynthConfig, _load_config_section(args.config, "synth"), {"seed": args.seed}, "synth")
     out = Path(args.out)
@@ -123,9 +141,7 @@ def cmd_train(args) -> int:
     dataset = read_dataset(args.data)
     if _audio_too_long(dataset, config.max_audio_len):
         return EXIT_DIM
-    val_split = "val" if dataset.manifest.splits.get("val", {}).get("queries") else None
-
-    result = train(config, dataset, val_split=val_split)
+    result = train(config, dataset, val_split="val")
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     log_path = out / "train_log.jsonl"
@@ -135,14 +151,14 @@ def cmd_train(args) -> int:
         save_params(result.params, out / "last_good.ckpt")
         return EXIT_NAN
 
-    epoch, _ = select_checkpoint(result.checkpoints, result.params, dataset, val_split, config)
     save_params(result.params, out / "best.ckpt")
+    steps = [rec for rec in result.log if "total" in rec]
     print(
         json.dumps(
             {
-                "steps": len([r for r in result.log if "total" in r]),
-                "final_total": result.log[-1]["total"],
-                "best_epoch": epoch,
+                "steps": len(steps),
+                "final_total": steps[-1]["total"],
+                "best_epoch": result.best_epoch,
                 "checkpoint": str(out / "best.ckpt"),
                 "log": str(log_path),
             },
@@ -172,14 +188,7 @@ def _transpose_for_v2t(matrix: ScoreMatrix, dataset) -> tuple[ScoreMatrix, dict[
 def cmd_eval(args) -> int:
     params = load_params(args.checkpoint)
     dataset = read_dataset(args.data)
-    if params.arch["dim"] != dataset.manifest.dim or params.arch["frames"] != dataset.manifest.frames:
-        print(
-            f"checkpoint dims (d={params.arch['dim']}, m={params.arch['frames']}) do not match "
-            f"dataset (d={dataset.manifest.dim}, m={dataset.manifest.frames})",
-            file=sys.stderr,
-        )
-        return EXIT_DIM
-    if _audio_too_long(dataset, params.arch["max_audio_len"]):
+    if _checkpoint_mismatch(params, dataset):
         return EXIT_DIM
     mode = FusionMode(args.mode) if args.mode else FusionMode.SAVE
     items = dataset.split_items(args.split)
@@ -219,7 +228,7 @@ def cmd_score(args) -> int:
     if args.query not in dataset.queries:
         print(f"unknown query id: {args.query}", file=sys.stderr)
         return EXIT_QUERY
-    if _audio_too_long(dataset, params.arch["max_audio_len"]):
+    if _checkpoint_mismatch(params, dataset):
         return EXIT_DIM
     query = dataset.queries[args.query]
     split = next(
@@ -306,7 +315,7 @@ def build_parser() -> argparse.ArgumentParser:
     tr.add_argument("--config", help="JSON config with a 'train' section")
     tr.add_argument("--data", required=True)
     tr.add_argument("--out", required=True)
-    tr.add_argument("--mode", choices=[m.value for m in FusionMode], default=None)
+    tr.add_argument("--mode", choices=MODE_CHOICES, default=None)
     tr.add_argument("--align-kind", dest="align_kind", default=None)
     tr.add_argument("--seed", type=int, default=None)
     tr.add_argument("--epochs", type=int, default=None)
@@ -318,7 +327,7 @@ def build_parser() -> argparse.ArgumentParser:
     ev.add_argument("--checkpoint", required=True)
     ev.add_argument("--data", required=True)
     ev.add_argument("--split", default="test")
-    ev.add_argument("--mode", choices=[m.value for m in FusionMode], default=None)
+    ev.add_argument("--mode", choices=MODE_CHOICES, default=None)
     ev.add_argument("--groups", action="store_true")
     ev.add_argument("--direction", choices=["t2v", "v2t"], default="t2v")
     ev.add_argument("--format", choices=["json", "csv"], default="json")
@@ -330,7 +339,7 @@ def build_parser() -> argparse.ArgumentParser:
     sc.add_argument("--data", required=True)
     sc.add_argument("--query", required=True)
     sc.add_argument("--k", type=int, default=10)
-    sc.add_argument("--mode", choices=[m.value for m in FusionMode], default=None)
+    sc.add_argument("--mode", choices=MODE_CHOICES, default=None)
     sc.add_argument("--sharpness", type=float, default=20.0)
     sc.set_defaults(func=cmd_score)
 

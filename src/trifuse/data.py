@@ -120,8 +120,6 @@ class ItemRecord:
     teacher_video: np.ndarray | None = None  # (d_t,), unit norm after load
     teacher_audio: np.ndarray | None = None
     group: str | None = None
-    audio_present: bool = True
-    speech_present: bool = True
 
     def has_teacher(self) -> bool:
         return self.teacher_video is not None and self.teacher_audio is not None
@@ -258,39 +256,44 @@ def read_dataset(path) -> Dataset:
             raise ContainerError(f"manifest lists {name} but the container lacks it")
         return records[name][1]
 
-    man = Manifest(
-        dim=int(doc["dim"]),
-        teacher_dim=int(doc["teacher_dim"]),
-        frames=int(doc["m"]),
-        speech_pad=int(doc["n_s"]),
-        audio_pad=int(doc["l_a0"]),
-        splits={k: {"items": list(v["items"]), "queries": list(v["queries"])} for k, v in doc["splits"].items()},
-    )
-
-    items: dict[str, ItemRecord] = {}
-    for meta in doc["items"]:
-        item_id = meta["id"]
-        items[item_id] = ItemRecord(
-            item_id=item_id,
-            visual_tokens=take(f"item/{item_id}/visual"),
-            audio_tokens=take(f"item/{item_id}/audio") if meta["has_audio"] else None,
-            speech_tokens=take(f"item/{item_id}/speech") if meta["has_speech"] else None,
-            teacher_video=_unit(take(f"item/{item_id}/teacher_video")) if meta["has_teacher"] else None,
-            teacher_audio=_unit(take(f"item/{item_id}/teacher_audio")) if meta["has_teacher"] else None,
-            group=meta["group"],
-            audio_present=meta["has_audio"],
-            speech_present=meta["has_speech"],
+    # The fields are read without per-field checks, which would cost per item;
+    # a missing or wrongly typed one surfaces as one of the errors below.
+    try:
+        man = Manifest(
+            dim=int(doc["dim"]),
+            teacher_dim=int(doc["teacher_dim"]),
+            frames=int(doc["m"]),
+            speech_pad=int(doc["n_s"]),
+            audio_pad=int(doc["l_a0"]),
+            splits={k: {"items": list(v["items"]), "queries": list(v["queries"])} for k, v in doc["splits"].items()},
         )
 
-    queries: dict[str, QueryRecord] = {}
-    for meta in doc["queries"]:
-        query_id = meta["id"]
-        queries[query_id] = QueryRecord(
-            query_id=query_id,
-            embedding=take(f"query/{query_id}/embedding"),
-            ground_truth_item=meta["gt"],
-            group=meta["group"],
-        )
+        items: dict[str, ItemRecord] = {}
+        for meta in doc["items"]:
+            item_id = meta["id"]
+            items[item_id] = ItemRecord(
+                item_id=item_id,
+                visual_tokens=take(f"item/{item_id}/visual"),
+                audio_tokens=take(f"item/{item_id}/audio") if meta["has_audio"] else None,
+                speech_tokens=take(f"item/{item_id}/speech") if meta["has_speech"] else None,
+                teacher_video=_unit(take(f"item/{item_id}/teacher_video")) if meta["has_teacher"] else None,
+                teacher_audio=_unit(take(f"item/{item_id}/teacher_audio")) if meta["has_teacher"] else None,
+                group=meta["group"],
+            )
+
+        queries: dict[str, QueryRecord] = {}
+        for meta in doc["queries"]:
+            query_id = meta["id"]
+            queries[query_id] = QueryRecord(
+                query_id=query_id,
+                embedding=take(f"query/{query_id}/embedding"),
+                ground_truth_item=meta["gt"],
+                group=meta["group"],
+            )
+    except ContainerError:
+        raise
+    except (KeyError, TypeError, ValueError, AttributeError) as err:
+        raise ContainerError(f"malformed {manifest_file} ({type(err).__name__}: {err})") from err
 
     dataset = Dataset(manifest=man, items=items, queries=queries)
     _validate(dataset)
@@ -310,23 +313,15 @@ def _unit(v: np.ndarray) -> np.ndarray:
 
 
 def resolve_missing(item: ItemRecord, manifest: Manifest) -> ItemRecord:
-    """Fill absent modalities with zero tokens; presence flags are retained.
+    """Fill absent modalities with zero tokens.
 
     Idempotent: an already-complete record comes back unchanged.
     """
     out = item
     if out.audio_tokens is None:
-        out = replace(
-            out,
-            audio_tokens=np.zeros((manifest.audio_pad, manifest.dim), dtype=np.float32),
-            audio_present=False,
-        )
+        out = replace(out, audio_tokens=np.zeros((manifest.audio_pad, manifest.dim), dtype=np.float32))
     if out.speech_tokens is None:
-        out = replace(
-            out,
-            speech_tokens=np.zeros((manifest.speech_pad, manifest.dim), dtype=np.float32),
-            speech_present=False,
-        )
+        out = replace(out, speech_tokens=np.zeros((manifest.speech_pad, manifest.dim), dtype=np.float32))
     return out
 
 

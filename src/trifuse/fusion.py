@@ -29,12 +29,16 @@ from .data import (KIND_TOKENS, KIND_VECTOR, ContainerError, ItemRecord, Manifes
 class FusionMode(str, Enum):
     SAVE = "save"
     AVIGATE = "avigate"
-    AVIGATE_PLUS = "avigate_plus"
+    AVIGATE_PLUS = "avigate"  # alias: avigate_plus fuses exactly as avigate
     VISION_ONLY = "vision_only"
     NO_AUDIO = "no_audio"
     LATE_FUSION = "late_fusion"
     LEARNABLE_WEIGHTS = "learnable_weights"
     HOLISTIC = "holistic"
+
+    @classmethod
+    def _missing_(cls, value):
+        return cls.AVIGATE if value == "avigate_plus" else None
 
 
 # Audio-visual weighted-sum coefficients. The fused tokens are stored
@@ -122,11 +126,14 @@ def save_params(params: FusionParams, path) -> None:
 def load_params(path) -> FusionParams:
     path = Path(path)
     meta = json.loads(Path(str(path) + ".json").read_text())
-    dtype = np.dtype(meta.pop("dtype"))
     unknown = sorted(set(meta) - set(inspect.signature(FusionParams).parameters))
     if unknown:
         raise ContainerError(f"checkpoint sidecar has unknown parameter {unknown[0]!r}")
-    params = FusionParams(**meta, dtype=dtype)
+    try:
+        dtype = np.dtype(meta.pop("dtype"))
+        params = FusionParams(**meta, dtype=dtype)
+    except (KeyError, TypeError, ValueError) as err:
+        raise ContainerError(f"checkpoint sidecar does not describe a model ({type(err).__name__}: {err})") from err
     records = read_container(path)
     for name, p in params.named_parameters():
         key = f"param/{name}"
@@ -162,8 +169,8 @@ class FusedBatch:
     holistic: Tensor | None = None  # (B, d) attention-pooled tokens, holistic only
 
 
-AUDIO_MODES = frozenset({FusionMode.AVIGATE, FusionMode.AVIGATE_PLUS, FusionMode.SAVE,
-                         FusionMode.HOLISTIC, FusionMode.LEARNABLE_WEIGHTS, FusionMode.LATE_FUSION})
+AUDIO_MODES = frozenset({FusionMode.AVIGATE, FusionMode.SAVE, FusionMode.HOLISTIC,
+                         FusionMode.LEARNABLE_WEIGHTS, FusionMode.LATE_FUSION})
 SPEECH_MODES = frozenset({FusionMode.NO_AUDIO, FusionMode.SAVE, FusionMode.HOLISTIC,
                           FusionMode.LEARNABLE_WEIGHTS, FusionMode.LATE_FUSION})
 
@@ -208,7 +215,7 @@ def forward_video(items: list[ItemRecord], params: FusionParams, mode: FusionMod
 
     if mode == FusionMode.VISION_ONLY:
         fused = v
-    elif mode in (FusionMode.AVIGATE, FusionMode.AVIGATE_PLUS, FusionMode.LATE_FUSION):
+    elif mode in (FusionMode.AVIGATE, FusionMode.LATE_FUSION):
         fused = v + a_hat * (AV_AUDIO_WEIGHT / AV_VISUAL_WEIGHT)
     elif mode == FusionMode.NO_AUDIO:
         fused = v + s_hat

@@ -1,4 +1,4 @@
-"""Deterministic training loop: Adam, cosine decay, checkpoint selection.
+"""Deterministic training loop: Adam, cosine decay, validation-based selection.
 
 One optimization step builds one autodiff graph over the whole batch: a
 single fusion forward (whose resampled audio also feeds the pre-fusion pooling
@@ -55,7 +55,6 @@ class TrainConfig:
     margin: float = 0.0
     mode: FusionMode = FusionMode.SAVE
     seed: int = 0
-    eval_every: int = 0
     grad_clip: float | None = 1.0
     heads: int = 4
     fusion_depth: int = 2
@@ -129,9 +128,9 @@ def clip_global_norm(named_params, max_norm: float) -> float:
 
 @dataclass
 class TrainResult:
-    params: FusionParams
-    checkpoints: list[tuple[int, dict[str, np.ndarray]]]  # (epoch, name -> tensor)
+    params: FusionParams  # the best epoch's, or the last-good ones after an abort
     log: list[dict]
+    best_epoch: int | None = None
     aborted: bool = False
     abort_reason: str | None = None
 
@@ -193,6 +192,9 @@ def train(
     train_split: str = "train",
     val_split: str | None = None,
 ) -> TrainResult:
+    """Train on `train_split`; with a `val_split` that has queries, validate
+    R@1 after every epoch and return the best epoch's parameters (ties go to
+    the earliest), otherwise the last epoch's."""
     man = dataset.manifest
     params = FusionParams(
         dim=man.dim,
@@ -216,61 +218,62 @@ def train(
     if total_steps == 0:
         raise ValueError("batch size leaves no full training batch")
 
+    validate = bool(val_split and man.splits.get(val_split, {}).get("queries"))
+    if val_split and not validate:
+        logger.warning("validation split %r has no queries: keeping the last epoch", val_split)
     adam = Adam(list(params.named_parameters()))
     log: list[dict] = []
-    checkpoints: list[tuple[int, dict[str, np.ndarray]]] = []
-    last_good = _snapshot(params)
+    last_good = best = _snapshot(params)
+    best_epoch, best_r1 = config.epochs - 1, -1.0
     step = 0
 
-    for epoch in range(config.epochs):
-        for batch_ids in batch_iter(item_ids, config.batch_size, config.seed * 100003 + epoch, train=True):
-            items = [resolve_missing(dataset.items[i], man) for i in batch_ids]
-            queries = np.stack([dataset.queries[query_of[i]].embedding for i in batch_ids])
+    try:
+        for epoch in range(config.epochs):
+            for batch_ids in batch_iter(item_ids, config.batch_size, config.seed * 100003 + epoch, train=True):
+                items = [resolve_missing(dataset.items[i], man) for i in batch_ids]
+                queries = np.stack([dataset.queries[query_of[i]].embedding for i in batch_ids])
 
-            fused = forward_video(items, params, config.mode)
-            scores = batch_scores(fused, queries, config.mode, sharpness=config.sharpness)
-            contrastive = contrastive_loss(scores, scale=params.temperature_scale(), margin=config.margin)
-            align_term, align_value = _alignment_term(config, items, fused)
-            loss = total_loss(contrastive, align_term, config.align_kind)
+                fused = forward_video(items, params, config.mode)
+                scores = batch_scores(fused, queries, config.mode, sharpness=config.sharpness)
+                contrastive = contrastive_loss(scores, scale=params.temperature_scale(), margin=config.margin)
+                align_term, align_value = _alignment_term(config, items, fused)
+                loss = total_loss(contrastive, align_term, config.align_kind)
+                if not np.isfinite(float(loss.data)):
+                    raise FloatingPointError(f"non-finite loss at step {step}")
 
-            if not np.isfinite(float(loss.data)):
-                _restore(params, last_good)
-                reason = f"non-finite loss at step {step}"
-                logger.error("%s; restored last-good parameters", reason)
-                return TrainResult(params, checkpoints, log, aborted=True, abort_reason=reason)
-
-            params.zero_grad()
-            loss.backward()
-            if config.grad_clip:
-                clip_global_norm(adam.named_params, config.grad_clip)
-            lr = cosine_lr(step, total_steps, config.lr)
-            try:
+                params.zero_grad()
+                loss.backward()
+                if config.grad_clip:
+                    clip_global_norm(adam.named_params, config.grad_clip)
+                lr = cosine_lr(step, total_steps, config.lr)
                 adam.step(lr)
-            except NanGradientError as err:
-                _restore(params, last_good)
-                reason = str(err)
-                logger.error("%s; restored last-good parameters", reason)
-                return TrainResult(params, checkpoints, log, aborted=True, abort_reason=reason)
 
-            log.append(
-                {
-                    "step": step,
-                    "epoch": epoch,
-                    "lr": lr,
-                    "contrastive": float(contrastive.data),
-                    "alignment": align_value,
-                    "total": float(loss.data),
-                }
-            )
-            step += 1
+                log.append(
+                    {
+                        "step": step,
+                        "epoch": epoch,
+                        "lr": lr,
+                        "contrastive": float(contrastive.data),
+                        "alignment": align_value,
+                        "total": float(loss.data),
+                    }
+                )
+                step += 1
 
-            if config.eval_every and val_split and step % config.eval_every == 0:
-                log.append({"step": step, "val_r1": _val_r1(params, dataset, val_split, config)})
+            last_good = _snapshot(params)
+            if validate:
+                r1 = _val_r1(params, dataset, val_split, config)
+                log.append({"epoch": epoch, "val_r1": r1})
+                if r1 > best_r1:  # ties keep the earlier epoch
+                    best_epoch, best_r1, best = epoch, r1, last_good
+    except (FloatingPointError, NanGradientError) as err:
+        _restore(params, last_good)
+        logger.error("%s; restored last-good parameters", err)
+        return TrainResult(params, log, aborted=True, abort_reason=str(err))
 
-        checkpoints.append((epoch, _snapshot(params)))
-        last_good = checkpoints[-1][1]
-
-    return TrainResult(params, checkpoints, log)
+    if validate:
+        _restore(params, best)
+    return TrainResult(params, log, best_epoch)
 
 
 def _val_r1(params: FusionParams, dataset: Dataset, split: str, config: TrainConfig) -> float:
@@ -280,31 +283,3 @@ def _val_r1(params: FusionParams, dataset: Dataset, split: str, config: TrainCon
     matrix = score_matrix(index, queries, sharpness=config.sharpness)
     gt = {q.query_id: q.ground_truth_item for q in queries}
     return summary_metrics(matrix, gt)["r1"]
-
-
-def select_checkpoint(
-    checkpoints: list[tuple[int, dict[str, np.ndarray]]],
-    params: FusionParams,
-    dataset: Dataset,
-    val_split: str | None,
-    config: TrainConfig,
-) -> tuple[int, dict[str, np.ndarray]]:
-    """Best validation R@1; ties resolved to the earliest epoch.
-
-    Without a validation split the last checkpoint wins (with a warning);
-    peak-test selection is deliberately not the default.
-    """
-    if not checkpoints:
-        raise ValueError("no checkpoints to select from")
-    if not val_split or not dataset.manifest.splits.get(val_split, {}).get("queries"):
-        logger.warning("no validation split: returning the last checkpoint")
-        return checkpoints[-1]
-    best = None
-    best_r1 = -1.0
-    for epoch, state in checkpoints:
-        _restore(params, state)
-        r1 = _val_r1(params, dataset, val_split, config)
-        if r1 > best_r1:
-            best_r1, best = r1, (epoch, state)
-    _restore(params, best[1])
-    return best

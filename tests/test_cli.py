@@ -163,13 +163,26 @@ class TestEval:
         metrics = json.loads(capsys.readouterr().out)
         assert "sumr" in metrics
 
+    def test_avigate_plus_mode_scores_as_avigate(self, workspace, capsys):
+        outputs = []
+        for mode in ("avigate", "avigate_plus"):
+            code = main(["eval", "--checkpoint", str(workspace["run"] / "best.ckpt"), "--data", str(workspace["data"]),
+                         "--mode", mode])
+            assert code == 0
+            outputs.append(capsys.readouterr().out)
+        assert outputs[0] == outputs[1]
+
     def test_dim_mismatch_exit_5(self, workspace, tmp_path, capsys):
         cfg = tmp_path / "c.json"
         cfg.write_text(json.dumps({"synth": {"n_items": 16, "dim": 4, "frames": 2, "audio_len": 2, "speech_pad": 2}}))
         other = tmp_path / "other"
         assert main(["gen", "--config", str(cfg), "--out", str(other)]) == 0
-        code = main(["eval", "--checkpoint", str(workspace["run"] / "best.ckpt"), "--data", str(other)])
-        assert code == 5
+        qid = json.loads((other / "manifest.json").read_text())["queries"][0]["id"]
+        for command in (["eval"], ["score", "--query", qid]):
+            code = main([*command, "--checkpoint", str(workspace["run"] / "best.ckpt"), "--data", str(other)])
+            assert code == 5, command
+            err = capsys.readouterr().err
+            assert "do not match dataset (d=4, m=2)" in err and "Traceback" not in err
 
     def test_checkpoint_sidecar_mismatch_exit_3(self, workspace, tmp_path, capsys):
         code = main(["eval", "--checkpoint", str(mismatched_checkpoint(workspace, tmp_path)),
@@ -240,6 +253,16 @@ class TestInspect:
     def test_checkpoint_sidecar_mismatch_exit_3(self, workspace, tmp_path, capsys):
         assert main(["inspect", str(mismatched_checkpoint(workspace, tmp_path))]) == 3
         assert "missing parameter" in capsys.readouterr().err
+
+    def test_sidecar_without_dtype_exit_3(self, workspace, tmp_path, capsys):
+        ckpt = tmp_path / "c.ckpt"
+        ckpt.write_bytes((workspace["run"] / "best.ckpt").read_bytes())
+        meta = json.loads((workspace["run"] / "best.ckpt.json").read_text())
+        del meta["dtype"]
+        (tmp_path / "c.ckpt.json").write_text(json.dumps(meta))
+        assert main(["inspect", str(ckpt)]) == 3
+        err = capsys.readouterr().err
+        assert "KeyError: 'dtype'" in err and "Traceback" not in err
 
     def test_non_utf8_record_name_exit_3(self, workspace, tmp_path, capsys):
         data = tmp_path / "data"

@@ -40,6 +40,10 @@ def make_item(seed=0, with_audio=True, with_speech=True) -> ItemRecord:
     )
 
 
+# Every mode name the engine accepts: the alias avigate_plus runs as avigate.
+MODE_NAMES = [mode.value for mode in FusionMode] + ["avigate_plus"]
+
+
 def make_params(seed=0, dtype=np.float32) -> FusionParams:
     return FusionParams(dim=D, frames=M, heads=2, seed=seed, dtype=dtype)
 
@@ -51,7 +55,11 @@ class TestForwardVideo:
         np.testing.assert_array_equal(out.tokens.data[0], item.visual_tokens)
         np.testing.assert_allclose(out.pooled.data[0], item.visual_tokens.mean(axis=0), rtol=1e-6)
 
-    @pytest.mark.parametrize("mode", [FusionMode.SAVE, FusionMode.AVIGATE_PLUS, FusionMode.LEARNABLE_WEIGHTS])
+    @pytest.mark.parametrize(
+        "mode",
+        [FusionMode.SAVE, FusionMode.AVIGATE_PLUS, FusionMode.LEARNABLE_WEIGHTS],
+        ids=["save", "avigate_plus", "learnable_weights"],
+    )
     def test_zero_gate_identity_is_bitwise(self, mode):
         """Fresh gates are zero, so every gated mode must emit the raw visual tokens."""
         item = make_item(2)
@@ -91,6 +99,9 @@ class TestForwardVideo:
         np.testing.assert_array_equal(late.tokens.data, avigate.tokens.data)
         want = np.stack([it.speech_tokens.mean(axis=0) for it in items])
         np.testing.assert_allclose(late.speech_pool, want, rtol=1e-6, atol=1e-7)
+
+    def test_avigate_plus_is_an_alias_of_avigate(self):
+        assert FusionMode("avigate_plus") is FusionMode.AVIGATE
 
     def test_unresolved_item_rejected(self):
         item = make_item(6, with_audio=False)
@@ -171,18 +182,18 @@ class TestBatchInvariance:
             got["speech_pool"] = out.speech_pool
         return got
 
-    @pytest.mark.parametrize("mode", list(FusionMode))
+    @pytest.mark.parametrize("mode", MODE_NAMES)
     def test_each_item_matches_its_solo_run(self, mode):
         items, params = self.batch(), self.params()
         batched = self.arrays(forward_video(items, params, mode), params)
-        assert ("a_mean" in batched) == (mode in AUDIO_MODES)
+        assert ("a_mean" in batched) == (FusionMode(mode) in AUDIO_MODES)
         for b, item in enumerate(items):
             alone = self.arrays(forward_video([item], params, mode), params)
             assert alone.keys() == batched.keys()
             for key, value in alone.items():
                 np.testing.assert_allclose(batched[key][b], value[0], rtol=0, atol=1e-12, err_msg=key)
 
-    @pytest.mark.parametrize("mode", list(FusionMode))
+    @pytest.mark.parametrize("mode", MODE_NAMES)
     def test_permuting_the_batch_permutes_outputs(self, mode):
         items, params = self.batch(), self.params()
         perm = np.random.default_rng(31).permutation(len(items))
@@ -311,7 +322,7 @@ class TestIndex:
         with pytest.raises(ContainerError, match="index record tokens has 9 rows, expected 6"):
             load_index(tmp_path / "g.idx")
 
-    @pytest.mark.parametrize("mode", list(FusionMode))
+    @pytest.mark.parametrize("mode", MODE_NAMES)
     def test_score_matrix_matches_batch_scores(self, mode):
         """Serving a precomputed index and training-time scoring of the same
         fused batch give the same scores in every mode."""
@@ -351,12 +362,18 @@ class TestParamsIO:
             ({"fusion_depth": 3}, "missing parameter audio_fusion.stack.blocks.2"),
             ({"frames": M + 1}, f"parameter resampler.queries has {M * D} values, not {(M + 1) * D}"),
             ({"bogus": 1}, "unknown parameter 'bogus'"),
+            ({"dim": None}, "missing 1 required positional argument: 'dim'"),
+            ({"dtype": None}, "KeyError: 'dtype'"),
+            ({"heads": 3}, "model dim 8 not divisible by head count 3"),
+            ({"dim": "8"}, "TypeError"),
         ],
-        ids=["missing_record", "size_mismatch", "unknown_key"],
+        ids=["missing_record", "size_mismatch", "unknown_key", "missing_dim", "missing_dtype", "heads_vs_dim",
+             "dim_as_string"],
     )
     def test_sidecar_that_disagrees_with_tensors_raises(self, tmp_path, change, match):
         save_params(make_params(), tmp_path / "c.ckpt")
         sidecar = tmp_path / "c.ckpt.json"
-        sidecar.write_text(json.dumps({**json.loads(sidecar.read_text()), **change}))
+        meta = {**json.loads(sidecar.read_text()), **change}
+        sidecar.write_text(json.dumps({key: value for key, value in meta.items() if value is not None}))
         with pytest.raises(ContainerError, match=match):
             load_params(tmp_path / "c.ckpt")

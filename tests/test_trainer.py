@@ -1,4 +1,4 @@
-"""Optimizer math, LR schedule, loop determinism, checkpoint selection."""
+"""Optimizer math, LR schedule, loop determinism, validation-based selection."""
 
 import numpy as np
 import pytest
@@ -13,7 +13,6 @@ from trifuse.trainer import (
     TrainConfig,
     clip_global_norm,
     cosine_lr,
-    select_checkpoint,
     train,
 )
 
@@ -221,45 +220,44 @@ class TestTrainLoop:
         assert all(a >= b for a, b in zip(lrs, lrs[1:]))
 
     def test_one_checkpoint_per_epoch(self):
-        result = train(small_config(epochs=3), small_dataset(seed=7))
-        assert [epoch for epoch, _ in result.checkpoints] == [0, 1, 2]
+        """One validation record per epoch, right after that epoch's last step."""
+        result = train(small_config(epochs=3), small_dataset(seed=7), val_split="val")
+        val = [(k, rec) for k, rec in enumerate(result.log) if "val_r1" in rec]
+        assert [rec["epoch"] for _, rec in val] == [0, 1, 2]
+        assert all(set(rec) == {"epoch", "val_r1"} for _, rec in val)
+        assert all(result.log[k - 1]["epoch"] == rec["epoch"] for k, rec in val)
+        assert val[-1][0] == len(result.log) - 1
 
 
 class TestSelectCheckpoint:
     def test_single_checkpoint_returned(self):
-        dataset = small_dataset(seed=8)
-        config = small_config(epochs=1)
-        result = train(config, dataset)
-        epoch, state = select_checkpoint(result.checkpoints, result.params, dataset, "val", config)
-        assert epoch == 0
+        result = train(small_config(epochs=1), small_dataset(seed=8), val_split="val")
+        assert result.best_epoch == 0
 
-    def test_best_val_r1_wins(self):
-        dataset = small_dataset(seed=9)
-        config = small_config(epochs=3)
-        result = train(config, dataset, val_split="val")
-        chosen_epoch, _ = select_checkpoint(result.checkpoints, result.params, dataset, "val", config)
-        # recompute the val curve independently and compare argmax w/ tie->earliest
-        from trifuse.trainer import _restore, _val_r1
+    def test_best_val_r1_wins(self, monkeypatch):
+        """A scripted validation curve 0.25, 0.5, 0.5: epoch 1 wins the tie with
+        epoch 2, and train returns the parameters it validated."""
+        from trifuse import trainer
 
-        curve = []
-        for epoch, state in result.checkpoints:
-            _restore(result.params, state)
-            curve.append(_val_r1(result.params, dataset, "val", config))
-        best = max(range(len(curve)), key=lambda i: (curve[i], -i))
-        assert chosen_epoch == best
+        seen = []
+
+        def scripted_r1(params, dataset, split, config):
+            seen.append({name: p.data.copy() for name, p in params.named_parameters()})
+            return [0.25, 0.5, 0.5][len(seen) - 1]
+
+        monkeypatch.setattr(trainer, "_val_r1", scripted_r1)
+        result = train(small_config(epochs=3), small_dataset(seed=9), val_split="val")
+        assert [rec["val_r1"] for rec in result.log if "val_r1" in rec] == [0.25, 0.5, 0.5]
+        assert result.best_epoch == 1
+        assert any(np.any(seen[1][name] != seen[2][name]) for name in seen[1])
+        for name, p in result.params.named_parameters():
+            np.testing.assert_array_equal(p.data, seen[1][name])
 
     def test_empty_val_returns_last_with_warning(self, caplog):
         dataset = small_dataset(seed=10)
         dataset.manifest.splits["val"] = {"items": [], "queries": []}
-        config = small_config(epochs=2)
-        result = train(config, dataset)
         with caplog.at_level("WARNING"):
-            epoch, _ = select_checkpoint(result.checkpoints, result.params, dataset, "val", config)
-        assert epoch == 1
+            result = train(small_config(epochs=2), dataset, val_split="val")
+        assert result.best_epoch == 1
+        assert not any("val_r1" in rec for rec in result.log)
         assert any("validation" in rec.message for rec in caplog.records)
-
-    def test_no_checkpoints_rejected(self):
-        dataset = small_dataset(seed=11)
-        config = small_config()
-        with pytest.raises(ValueError):
-            select_checkpoint([], None, dataset, "val", config)
