@@ -3,8 +3,9 @@
 One JSON config file drives generation ("synth" section) and training
 ("train" section); command-line flags override individual keys. Exit codes:
 0 success, 2 config parse error, 3 IO error (a missing file, a malformed
-container, manifest or checkpoint sidecar, or checkpoint tensors that disagree
-with their sidecar), 4 training aborted on non-finite loss, 5 checkpoint,
+container, manifest or checkpoint sidecar, checkpoint tensors that disagree
+with their sidecar, a non-finite embedding, or an eval split with no
+queries), 4 training aborted on non-finite loss, 5 checkpoint,
 config or dataset dimension mismatch (including audio longer than
 max_audio_len), 6 unknown query id.
 """
@@ -193,6 +194,9 @@ def cmd_eval(args) -> int:
     mode = FusionMode(args.mode) if args.mode else FusionMode.SAVE
     items = dataset.split_items(args.split)
     queries = dataset.split_queries(args.split)
+    if not queries:
+        print(f"split {args.split!r} has no queries", file=sys.stderr)
+        return EXIT_IO
     index = precompute_index(items, params, mode, dataset.manifest)
     matrix = score_matrix(index, queries, sharpness=args.sharpness)
 
@@ -240,7 +244,7 @@ def cmd_score(args) -> int:
     index = precompute_index(items, params, mode, dataset.manifest)
     matrix = score_matrix(index, [query], sharpness=args.sharpness)
     scores = matrix.values[0]
-    order = sorted(range(len(scores)), key=lambda j: (-scores[j], matrix.item_ids[j]))
+    order = np.lexsort((np.array(matrix.item_ids), -scores))
     for j in order[: args.k]:
         marker = " *" if matrix.item_ids[j] == query.ground_truth_item else ""
         print(f"{matrix.item_ids[j]}\t{scores[j]:.6f}{marker}")

@@ -174,8 +174,6 @@ def _validate(dataset: Dataset) -> None:
                 raise ValidationError(f"item {item.item_id}: {name} must have dim {man.teacher_dim}, got {vec.shape}")
         if item.group is not None and item.group not in GROUPS:
             raise ValidationError(f"item {item.item_id}: unknown group {item.group!r}")
-        if not np.all(np.isfinite(v)):
-            raise ValidationError(f"item {item.item_id}: non-finite visual tokens")
     for query in dataset.queries.values():
         if query.embedding.shape != (man.dim,):
             raise ValidationError(f"query {query.query_id}: embedding dim {query.embedding.shape}, expected {man.dim}")
@@ -183,6 +181,9 @@ def _validate(dataset: Dataset) -> None:
             raise ValidationError(f"query {query.query_id}: unknown ground-truth item {query.ground_truth_item}")
         if query.group is not None and query.group not in GROUPS:
             raise ValidationError(f"query {query.query_id}: unknown group {query.group!r}")
+    for name in ("visual_tokens", "audio_tokens", "speech_tokens", "teacher_video", "teacher_audio"):
+        _require_finite(dataset.items, name, "item")
+    _require_finite(dataset.queries, "embedding", "query")
     for split, members in man.splits.items():
         for i in members["items"]:
             if i not in dataset.items:
@@ -190,6 +191,16 @@ def _validate(dataset: Dataset) -> None:
         for q in members["queries"]:
             if q not in dataset.queries:
                 raise ValidationError(f"split {split}: unknown query {q}")
+
+
+def _require_finite(records: dict, field: str, kind: str) -> None:
+    """One finiteness pass over a field stacked across records (the shapes are
+    checked first); the per-record search runs only to name the offender."""
+    arrays = [arr for rec in records.values() if (arr := getattr(rec, field)) is not None]
+    if arrays and not np.isfinite(np.concatenate(arrays)).all():
+        bad = next(key for key, rec in records.items()
+                   if getattr(rec, field) is not None and not np.isfinite(getattr(rec, field)).all())
+        raise ValidationError(f"{kind} {bad}: non-finite {field.replace('_', ' ')}")
 
 
 def write_dataset(dataset: Dataset, path) -> None:

@@ -1,7 +1,8 @@
 """Retrieval metrics (R@k, SumR, mR1), group breakdowns, and latency probing.
 
 Rank handling is pessimistic: the ground truth is placed after every
-equal-scored competitor, so degenerate all-tied scores cannot inflate recall.
+equal-scored competitor, and a non-finite ground-truth score ranks last, so
+degenerate scores cannot inflate recall.
 """
 
 from __future__ import annotations
@@ -19,11 +20,14 @@ RECALL_KS = (1, 5, 10)
 
 
 def rank_of(scores: np.ndarray, gt_index: int) -> int:
-    """Pessimistic 1-based rank: 1 + #better + #equal competitors."""
+    """Pessimistic 1-based rank: 1 + #better + #equal competitors; the gallery
+    size when the ground-truth score is not finite."""
     scores = np.asarray(scores)
     if not 0 <= gt_index < scores.shape[0]:
         raise IndexError(f"ground-truth index {gt_index} outside gallery of {scores.shape[0]}")
     gt_score = scores[gt_index]
+    if not np.isfinite(gt_score):
+        return scores.shape[0]
     better = int(np.sum(scores > gt_score))
     tied = int(np.sum(scores == gt_score)) - 1  # the ground truth itself
     return 1 + better + tied
@@ -40,8 +44,11 @@ def _gt_columns(matrix: ScoreMatrix, ground_truth: dict[str, str]) -> list[int]:
 
 
 def ranks_of_matrix(matrix: ScoreMatrix, ground_truth: dict[str, str]) -> np.ndarray:
-    cols = _gt_columns(matrix, ground_truth)
-    return np.array([rank_of(matrix.values[i], cols[i]) for i in range(len(cols))])
+    """`rank_of` of every row at its ground-truth column, in one pass."""
+    values = matrix.values
+    gt = values[np.arange(len(values)), _gt_columns(matrix, ground_truth)][:, None]
+    ranks = np.count_nonzero(values >= gt, axis=1)
+    return np.where(np.isfinite(gt[:, 0]), ranks, values.shape[1])
 
 
 def recall_at_k(matrix: ScoreMatrix, ground_truth: dict[str, str], k: int) -> float:
@@ -53,7 +60,10 @@ def summary_metrics(matrix: ScoreMatrix, ground_truth: dict[str, str]) -> dict[s
     """R@1/5/10 as fractions plus SumR on the paper-style 0-300 percent scale."""
     if len(matrix.query_ids) == 0:
         raise ValueError("no queries")
-    ranks = ranks_of_matrix(matrix, ground_truth)
+    return _recalls(ranks_of_matrix(matrix, ground_truth))
+
+
+def _recalls(ranks: np.ndarray) -> dict[str, float]:
     out = {f"r{k}": float(np.mean(ranks <= k)) for k in RECALL_KS}
     out["sumr"] = 100.0 * (out["r1"] + out["r5"] + out["r10"])
     return out
@@ -66,19 +76,12 @@ def grouped_eval(
 
     Groups with zero queries are simply absent from the result.
     """
+    ranks = ranks_of_matrix(matrix, ground_truth)
     by_group: dict[str, list[int]] = {}
     for i, qid in enumerate(matrix.query_ids):
         tag = groups.get(qid) or "unknown"
         by_group.setdefault(tag, []).append(i)
-    out = {}
-    for tag, rows in sorted(by_group.items()):
-        sub = ScoreMatrix(
-            values=matrix.values[rows],
-            query_ids=[matrix.query_ids[i] for i in rows],
-            item_ids=matrix.item_ids,
-        )
-        out[tag] = summary_metrics(sub, ground_truth)
-    return out
+    return {tag: _recalls(ranks[rows]) for tag, rows in sorted(by_group.items())}
 
 
 def mean_r1(runs: list[dict[str, float]]) -> float:

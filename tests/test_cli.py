@@ -5,7 +5,10 @@ import json
 import numpy as np
 import pytest
 
+from trifuse import cli
 from trifuse.cli import main
+from trifuse.data import KIND_VECTOR, read_container, write_container
+from trifuse.similarity import ScoreMatrix
 
 
 @pytest.fixture(scope="module")
@@ -119,6 +122,14 @@ class TestOverlongAudio:
         assert code == 5
 
 
+def copied_data(workspace, tmp_path):
+    data = tmp_path / "data"
+    data.mkdir()
+    for name in ("manifest.json", "tensors.sve"):
+        (data / name).write_bytes((workspace["data"] / name).read_bytes())
+    return data
+
+
 def mismatched_checkpoint(workspace, tmp_path):
     """The trained checkpoint with a sidecar claiming more fusion blocks than it holds."""
     ckpt = tmp_path / "c.ckpt"
@@ -191,6 +202,28 @@ class TestEval:
         assert "missing parameter audio_fusion.stack.blocks.1" in capsys.readouterr().err
 
 
+    def test_nan_query_embedding_exit_3(self, workspace, tmp_path, capsys):
+        data = copied_data(workspace, tmp_path)
+        records = read_container(data / "tensors.sve")
+        qid = json.loads((data / "manifest.json").read_text())["splits"]["test"]["queries"][0]
+        records[f"query/{qid}/embedding"] = (KIND_VECTOR, np.full(8, np.nan, dtype=np.float32))
+        write_container(data / "tensors.sve", records)
+        code = main(["eval", "--checkpoint", str(workspace["run"] / "best.ckpt"), "--data", str(data)])
+        assert code == 3
+        err = capsys.readouterr().err
+        assert f"query {qid}: non-finite embedding" in err and "Traceback" not in err
+
+    def test_split_without_queries_exit_3(self, workspace, tmp_path, capsys):
+        data = copied_data(workspace, tmp_path)
+        doc = json.loads((data / "manifest.json").read_text())
+        doc["splits"]["test"]["queries"] = []
+        (data / "manifest.json").write_text(json.dumps(doc))
+        code = main(["eval", "--checkpoint", str(workspace["run"] / "best.ckpt"), "--data", str(data)])
+        assert code == 3
+        err = capsys.readouterr().err
+        assert "split 'test' has no queries" in err and "Traceback" not in err
+
+
 class TestScore:
     def test_gt_listed_and_ordering_deterministic(self, workspace, capsys):
         data = workspace["data"]
@@ -214,6 +247,23 @@ class TestScore:
                      "--query", qid, "--k", "999"])
         assert code == 0
         assert len(capsys.readouterr().out.strip().splitlines()) == gallery
+
+    def test_ties_ordered_by_item_id(self, workspace, capsys, monkeypatch):
+        """Equal scores list in item-id order, as a sort on (-score, id) gives."""
+        data = workspace["data"]
+        qid = json.loads((data / "manifest.json").read_text())["splits"]["test"]["queries"][0]
+        ids = ["v3", "v1", "v4", "v0", "v2", "v5"]
+        scores = np.array([0.5, 0.5, 0.9, 0.5, -0.0, 0.0])
+
+        def tied(index, queries, sharpness):
+            return ScoreMatrix(scores[None, :], [queries[0].query_id], ids)
+
+        monkeypatch.setattr(cli, "score_matrix", tied)
+        code = main(["score", "--checkpoint", str(workspace["run"] / "best.ckpt"), "--data", str(data),
+                     "--query", qid, "--k", "6"])
+        assert code == 0
+        order = sorted(range(len(ids)), key=lambda j: (-scores[j], ids[j]))
+        assert capsys.readouterr().out == "".join(f"{ids[j]}\t{scores[j]:.6f}\n" for j in order)
 
     def test_unknown_query_exit_6(self, workspace):
         code = main(["score", "--checkpoint", str(workspace["run"] / "best.ckpt"), "--data", str(workspace["data"]),
@@ -265,10 +315,7 @@ class TestInspect:
         assert "KeyError: 'dtype'" in err and "Traceback" not in err
 
     def test_non_utf8_record_name_exit_3(self, workspace, tmp_path, capsys):
-        data = tmp_path / "data"
-        data.mkdir()
-        for name in ("manifest.json", "tensors.sve"):
-            (data / name).write_bytes((workspace["data"] / name).read_bytes())
+        data = copied_data(workspace, tmp_path)
         blob = (data / "tensors.sve").read_bytes()
         (data / "tensors.sve").write_bytes(blob.replace(b"item/", b"\xfftem/", 1))
         assert main(["inspect", str(data)]) == 3

@@ -191,6 +191,29 @@ class TestDatasetIO:
             read_dataset(tmp_path / "ds")
 
     @pytest.mark.parametrize(
+        "record, value, match",
+        [
+            ("item/it001/visual", np.nan, "item it001: non-finite visual tokens"),
+            ("item/it002/audio", np.inf, "item it002: non-finite audio tokens"),
+            ("item/it003/speech", np.nan, "item it003: non-finite speech tokens"),
+            ("item/it001/teacher_video", -np.inf, "item it001: non-finite teacher video"),
+            ("item/it002/teacher_audio", np.nan, "item it002: non-finite teacher audio"),
+            ("query/q003/embedding", np.nan, "query q003: non-finite embedding"),
+        ],
+        ids=["visual", "audio", "speech", "teacher_video", "teacher_audio", "query"],
+    )
+    def test_non_finite_value_names_record(self, tmp_path, record, value, match):
+        write_dataset(tiny_dataset(), tmp_path / "ds")
+        records = read_container(tmp_path / "ds" / "tensors.sve")
+        kind, arr = records[record]
+        arr = arr.copy()
+        arr.flat[1] = value
+        records[record] = (kind, arr)
+        write_container(tmp_path / "ds" / "tensors.sve", records)
+        with pytest.raises(ValidationError, match=match):
+            read_dataset(tmp_path / "ds")
+
+    @pytest.mark.parametrize(
         "edit, match",
         [
             (lambda doc: doc["items"][1].pop("has_audio"), "KeyError: 'has_audio'"),

@@ -9,6 +9,7 @@ from trifuse.evaluation import (
     latency_probe,
     mean_r1,
     rank_of,
+    ranks_of_matrix,
     recall_at_k,
     summary_metrics,
 )
@@ -47,6 +48,10 @@ class TestRankOf:
         with pytest.raises(IndexError):
             rank_of(np.zeros(3), 5)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_ground_truth_ranks_last(self, bad):
+        assert rank_of(np.array([bad, 0.5, 0.9]), 0) == 3
+
 
 def random_matrix(rng, t=50, n=50):
     values = rng.normal(size=(t, n))
@@ -60,6 +65,25 @@ def random_matrix(rng, t=50, n=50):
     iids = [f"v{j}" for j in range(n)]
     gt = {qids[i]: iids[rng.integers(0, n)] for i in range(t)}
     return ScoreMatrix(values, qids, iids), gt
+
+
+class TestRanksOfMatrix:
+    def test_matches_rank_of_loop_with_ties(self):
+        rng = np.random.default_rng(6)
+        for _ in range(50):
+            sm, gt = random_matrix(rng, t=30, n=int(rng.integers(1, 40)))
+            sm.values[rng.integers(0, 30)] = np.nan
+            sm.values[rng.integers(0, 30), rng.integers(0, sm.values.shape[1])] = np.inf
+            sm.values = np.round(sm.values, 1)  # many ties
+            col = {iid: j for j, iid in enumerate(sm.item_ids)}
+            loop = [rank_of(sm.values[i], col[gt[q]]) for i, q in enumerate(sm.query_ids)]
+            np.testing.assert_array_equal(ranks_of_matrix(sm, gt), loop)
+
+    def test_non_finite_ground_truth_ranks_last(self):
+        values = np.array([[np.nan, 0.5, 0.9], [0.1, np.nan, 0.0], [0.9, 0.5, 0.1]])
+        sm = ScoreMatrix(values, ["a", "b", "c"], ["v0", "v1", "v2"])
+        ranks = ranks_of_matrix(sm, {"a": "v0", "b": "v0", "c": "v0"})
+        np.testing.assert_array_equal(ranks, [3, 1, 1])
 
 
 class TestRecall:
@@ -120,6 +144,13 @@ class TestSummary:
         """R@1=0.513, R@5=0.780, R@10=0.869 -> SumR 216.2 on the 0-300 scale."""
         assert 100.0 * (0.513 + 0.780 + 0.869) == pytest.approx(216.2, abs=1e-9)
 
+    def test_nan_scores_give_zero_recall(self):
+        """All-NaN scores (a NaN query embedding) must not read as perfect retrieval."""
+        ids = [f"x{i}" for i in range(12)]
+        sm = ScoreMatrix(np.full((12, 12), np.nan), ids, ids)
+        out = summary_metrics(sm, {i: i for i in ids})
+        assert out["sumr"] == 0.0
+
     def test_empty_queries_rejected(self):
         sm = ScoreMatrix(np.zeros((0, 3)), [], ["a", "b", "c"])
         with pytest.raises(ValueError, match="no queries"):
@@ -146,6 +177,16 @@ class TestGrouped:
         out = grouped_eval(sm, gt, {"qa": "visual", "qb": "speech"})
         assert out["visual"]["r1"] == 1.0
         assert out["speech"]["r1"] == 0.0
+
+    def test_groups_equal_summary_of_their_rows(self):
+        rng = np.random.default_rng(7)
+        sm, gt = random_matrix(rng, t=40, n=25)
+        groups = {q: ("visual", "sound", "speech")[i % 3] for i, q in enumerate(sm.query_ids)}
+        out = grouped_eval(sm, gt, groups)
+        for tag in ("visual", "sound", "speech"):
+            rows = [i for i, q in enumerate(sm.query_ids) if groups[q] == tag]
+            sub = ScoreMatrix(sm.values[rows], [sm.query_ids[i] for i in rows], sm.item_ids)
+            assert out[tag] == summary_metrics(sub, gt)
 
     def test_untagged_queries_fall_into_unknown(self):
         rng = np.random.default_rng(5)

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from trifuse import similarity
 from trifuse.autodiff import Tensor, finite_difference_check, parameter
 from trifuse.data import QueryRecord
 from trifuse.fusion import FusedBatch, FusionMode, FusionParams, VideoIndex
@@ -145,6 +146,7 @@ def small_index(n=5, m=3, d=4, seed=0, mode=FusionMode.SAVE) -> VideoIndex:
         tokens=rng.normal(size=(n, m, d)).astype(np.float32),
         pooled=rng.normal(size=(n, d)).astype(np.float32),
         speech_pool=rng.normal(size=(n, d)).astype(np.float32) if mode == FusionMode.LATE_FUSION else None,
+        holistic=rng.normal(size=(n, d)).astype(np.float32) if mode == FusionMode.HOLISTIC else None,
     )
 
 
@@ -236,4 +238,79 @@ class TestBatchScores:
                     want = global_similarity(fused.holistic.data[j], q)
                 else:
                     want = 0.5 * (global_similarity(fused.pooled.data[j], q) + global_similarity(fused.speech_pool[j], q))
+                assert abs(got[i, j] - want) < 1e-12
+
+
+class TestChunkedScoring:
+    @pytest.mark.parametrize("rows", [1, 7])
+    @pytest.mark.parametrize("mode", list(FusionMode), ids=lambda m: m.value)
+    def test_chunks_match_one_chunk(self, monkeypatch, mode, rows):
+        """Chunks of 1 and 7 query rows give the scores and rankings of one chunk."""
+        n, m = 9, 3
+        index = small_index(n=n, m=m, mode=mode)
+        queries = np.random.default_rng(1).normal(size=(20, 4))
+        monkeypatch.setattr(similarity, "SCORE_CHUNK_BYTES", 1 << 40)
+        whole = QueryScorer(index, mode).score_many(queries)
+
+        seen = []
+        inner = similarity._scores
+
+        def spy(q, *args):
+            seen.append(q.shape[0])
+            return inner(q, *args)
+
+        monkeypatch.setattr(similarity, "_scores", spy)
+        cosines_per_row = n * (1 if mode in (FusionMode.HOLISTIC, FusionMode.LATE_FUSION) else m)
+        monkeypatch.setattr(similarity, "SCORE_CHUNK_BYTES", rows * 8 * cosines_per_row)
+        chunked = QueryScorer(index, mode).score_many(queries)
+        assert seen == [rows] * (20 // rows) + ([20 % rows] if 20 % rows else [])
+        assert chunked.shape == (20, n)
+        assert np.max(np.abs(chunked - whole)) <= 1e-12
+        np.testing.assert_array_equal(np.argsort(-chunked, axis=1, kind="stable"),
+                                      np.argsort(-whole, axis=1, kind="stable"))
+
+    @pytest.mark.parametrize("mode", list(FusionMode), ids=lambda m: m.value)
+    def test_empty_gallery(self, mode):
+        scores = QueryScorer(small_index(n=0, mode=mode), mode).score_many(np.ones((3, 4)))
+        assert scores.shape == (3, 0)
+
+    def test_single_query_is_its_row(self):
+        index = small_index(n=9)
+        queries = np.random.default_rng(2).normal(size=(5, 4))
+        scorer = QueryScorer(index, FusionMode.SAVE)
+        np.testing.assert_allclose(scorer.score_one(queries[3]), scorer.score_many(queries)[3], rtol=0, atol=1e-12)
+        assert scorer.score_many(queries[:1]).shape == (1, 9)
+
+    def test_no_queries_give_empty_matrix(self):
+        index = small_index(n=9)
+        sm = score_matrix(index, [])
+        assert sm.values.shape == (0, 9) and sm.query_ids == []
+
+
+class TestScorerArrays:
+    def test_token_modes_hold_tokens_token_major(self):
+        index = small_index(n=5, m=3, d=4)
+        scorer = QueryScorer(index, FusionMode.SAVE)
+        assert scorer.tokens.shape == (3, 5, 4) and scorer.tokens.flags.c_contiguous
+        assert scorer.holistic is None and scorer.speech_pool is None
+
+    @pytest.mark.parametrize("mode", [FusionMode.HOLISTIC, FusionMode.LATE_FUSION], ids=lambda m: m.value)
+    def test_single_vector_modes_hold_only_their_arrays(self, mode):
+        """Holistic and late_fusion keep no float64 tokens, and score as the
+        scalar cosine reference does."""
+        index = small_index(n=6, mode=mode)
+        scorer = QueryScorer(index, mode)
+        assert scorer.tokens is None
+        if mode == FusionMode.HOLISTIC:
+            assert scorer.pooled is None and scorer.speech_pool is None
+        else:
+            assert scorer.holistic is None
+        queries = np.random.default_rng(3).normal(size=(4, 4))
+        got = scorer.score_many(queries)
+        for i, q in enumerate(queries):
+            for j in range(6):
+                if mode == FusionMode.HOLISTIC:
+                    want = global_similarity(index.holistic[j], q)
+                else:
+                    want = 0.5 * (global_similarity(index.pooled[j], q) + global_similarity(index.speech_pool[j], q))
                 assert abs(got[i, j] - want) < 1e-12
