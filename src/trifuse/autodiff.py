@@ -40,10 +40,7 @@ class Tensor:
     __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward", "_consumed")
 
     def __init__(self, data, requires_grad: bool = False, dtype=None):
-        arr = np.asarray(data, dtype=dtype)
-        if not np.issubdtype(arr.dtype, np.floating):
-            arr = arr.astype(np.float64)
-        self.data = arr
+        self.data = np.asarray(data, dtype=dtype)
         self.grad = None
         self.requires_grad = requires_grad
         self._parents = ()
@@ -138,13 +135,19 @@ class Tensor:
 
 def parameter(data, dtype=None) -> Tensor:
     """A trainable leaf tensor."""
-    return Tensor(np.array(data, dtype=dtype, copy=True), requires_grad=True)
+    return Tensor(_floating(np.array(data, dtype=dtype, copy=True)), requires_grad=True)
 
 
 def _wrap(x, dtype) -> Tensor:
     if isinstance(x, Tensor):
         return x
-    return Tensor(np.asarray(x, dtype=dtype))
+    return Tensor(_floating(np.asarray(x, dtype=dtype)))
+
+
+def _floating(arr: np.ndarray) -> np.ndarray:
+    """Data entering the graph from outside: integers and bools become float64.
+    Op results are floats already, so `Tensor` itself does not check."""
+    return arr if np.issubdtype(arr.dtype, np.floating) else arr.astype(np.float64)
 
 
 def _accumulate(t: Tensor, g: np.ndarray) -> None:

@@ -4,10 +4,10 @@ One JSON config file drives generation ("synth" section) and training
 ("train" section); command-line flags override individual keys. Exit codes:
 0 success, 2 config parse error, 3 IO error (a missing file, a malformed
 container, manifest or checkpoint sidecar, checkpoint tensors that disagree
-with their sidecar, a non-finite embedding, or an eval split with no
-queries), 4 training aborted on non-finite loss, 5 checkpoint,
-config or dataset dimension mismatch (including audio longer than
-max_audio_len), 6 unknown query id.
+with their sidecar, a non-finite embedding, or an eval split that the
+manifest does not list or that has no queries), 4 training aborted on
+non-finite loss, 5 checkpoint, config or dataset dimension mismatch
+(including audio longer than max_audio_len), 6 unknown query id.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .data import ContainerError, ValidationError, read_dataset
+from .data import ContainerError, ValidationError, atomic_write, read_dataset
 from .evaluation import grouped_eval, summary_metrics
 from .fusion import FusionMode, load_params, precompute_index, save_params
 from .similarity import ScoreMatrix, score_matrix
@@ -146,7 +146,7 @@ def cmd_train(args) -> int:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     log_path = out / "train_log.jsonl"
-    log_path.write_text("".join(json.dumps(rec, sort_keys=True) + "\n" for rec in result.log))
+    atomic_write(log_path, "".join(json.dumps(rec, sort_keys=True) + "\n" for rec in result.log).encode())
     if result.aborted:
         print(f"training aborted: {result.abort_reason}", file=sys.stderr)
         save_params(result.params, out / "last_good.ckpt")
@@ -191,6 +191,9 @@ def cmd_eval(args) -> int:
     dataset = read_dataset(args.data)
     if _checkpoint_mismatch(params, dataset):
         return EXIT_DIM
+    if args.split not in dataset.manifest.splits:
+        print(f"unknown split {args.split!r}", file=sys.stderr)
+        return EXIT_IO
     mode = FusionMode(args.mode) if args.mode else FusionMode.SAVE
     items = dataset.split_items(args.split)
     queries = dataset.split_queries(args.split)

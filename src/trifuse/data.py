@@ -8,13 +8,26 @@ split assignments) and `tensors.sve`, a flat binary container:
                 | u32 rows | u32 cols | rows*cols little-endian float32
 
 All integers are little-endian. Writes are deterministic: identical datasets
-produce identical bytes. The same container carries datasets, checkpoints,
-indexes and the synthetic-latent sidecar.
+produce identical bytes, and every artifact is written to a temporary file
+that replaces the old one only once complete. The same container carries
+datasets, checkpoints, indexes and the synthetic-latent sidecar.
+
+A dataset's container holds one record per field, whatever its item count,
+with rows in the manifest's (sorted) item or query order: `items/visual`
+(n*m, d), `items/audio` and `items/speech` (the item token sets one after
+another), `items/teacher_video` and `items/teacher_audio` (one row per item
+with teacher embeddings) and `queries/embedding` (n_q, d). Each manifest item
+entry gives its `audio_len` and `speech_len` (0: the modality is absent) and
+`has_teacher`. `read_dataset` gives items read-only views into those records.
+A dataset in the older one-record-per-item layout is rejected for lacking
+`items/visual`; regenerate it with `trifuse gen`.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
+import os
 import struct
 from dataclasses import dataclass, field, replace
 from pathlib import Path
@@ -27,6 +40,10 @@ KIND_TOKENS = 0
 KIND_VECTOR = 1
 
 GROUPS = ("visual", "sound", "speech", "sound_speech")
+
+# A dataset container's records, one per field.
+DATASET_RECORDS = ("items/visual", "items/audio", "items/speech", "items/teacher_video", "items/teacher_audio",
+                   "queries/embedding")
 
 MANIFEST_NAME = "manifest.json"
 TENSORS_NAME = "tensors.sve"
@@ -42,6 +59,18 @@ class ValidationError(ValueError):
 
 
 # -- low-level container ---------------------------------------------------
+
+
+def atomic_write(path, payload: bytes) -> None:
+    """Write `payload` to a temporary file beside `path`, then rename it over
+    `path`: a write that fails part-way leaves any old file as it was."""
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        tmp.write_bytes(payload)
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)
 
 
 def write_container(path, records: dict[str, tuple[int, np.ndarray]]) -> None:
@@ -62,10 +91,11 @@ def write_container(path, records: dict[str, tuple[int, np.ndarray]]) -> None:
         chunks.append(name_bytes)
         chunks.append(struct.pack("<BII", kind, rows, cols))
         chunks.append(arr.tobytes(order="C"))
-    Path(path).write_bytes(b"".join(chunks))
+    atomic_write(path, b"".join(chunks))
 
 
 def read_container(path) -> dict[str, tuple[int, np.ndarray]]:
+    """Named float32 arrays: read-only views into the one buffer read from `path`."""
     blob = Path(path).read_bytes()
     if blob[:4] != MAGIC:
         raise ContainerError("unrecognized container")
@@ -100,7 +130,7 @@ def read_container(path) -> dict[str, tuple[int, np.ndarray]]:
         arr = np.frombuffer(blob, dtype="<f4", count=rows * cols, offset=offset)
         offset += nbytes
         shape = (cols,) if kind == KIND_VECTOR and rows == 1 else (rows, cols)
-        records[name] = (kind, arr.reshape(shape).astype(np.float32))
+        records[name] = (kind, arr.reshape(shape))
     if offset != len(blob):
         raise ContainerError(f"{len(blob) - offset} trailing bytes after the last record")
     return records
@@ -209,63 +239,56 @@ def write_dataset(dataset: Dataset, path) -> None:
     path = Path(path)
     path.mkdir(parents=True, exist_ok=True)
     man = dataset.manifest
+    items = [dataset.items[i] for i in sorted(dataset.items)]
+    queries = [dataset.queries[q] for q in sorted(dataset.queries)]
+    teachers = [item for item in items if item.has_teacher()]
 
-    items_meta = []
-    records: dict[str, tuple[int, np.ndarray]] = {}
-    for item_id in sorted(dataset.items):
-        item = dataset.items[item_id]
-        items_meta.append(
-            {
-                "id": item_id,
-                "group": item.group,
-                "has_audio": item.audio_tokens is not None,
-                "has_speech": item.speech_tokens is not None,
-                "has_teacher": item.has_teacher(),
-            }
-        )
-        records[f"item/{item_id}/visual"] = (KIND_TOKENS, item.visual_tokens)
-        if item.audio_tokens is not None:
-            records[f"item/{item_id}/audio"] = (KIND_TOKENS, item.audio_tokens)
-        if item.speech_tokens is not None:
-            records[f"item/{item_id}/speech"] = (KIND_TOKENS, item.speech_tokens)
-        if item.teacher_video is not None:
-            records[f"item/{item_id}/teacher_video"] = (KIND_VECTOR, item.teacher_video)
-        if item.teacher_audio is not None:
-            records[f"item/{item_id}/teacher_audio"] = (KIND_VECTOR, item.teacher_audio)
+    def stacked(arrays: list[np.ndarray], cols: int, join=np.concatenate) -> tuple[int, np.ndarray]:
+        return KIND_TOKENS, join(arrays) if arrays else np.zeros((0, cols), dtype=np.float32)
 
-    queries_meta = []
-    for query_id in sorted(dataset.queries):
-        query = dataset.queries[query_id]
-        queries_meta.append({"id": query_id, "gt": query.ground_truth_item, "group": query.group})
-        records[f"query/{query_id}/embedding"] = (KIND_VECTOR, query.embedding)
-
+    records = {
+        "items/visual": stacked([item.visual_tokens for item in items], man.dim),
+        "items/audio": stacked([item.audio_tokens for item in items if item.audio_tokens is not None], man.dim),
+        "items/speech": stacked([item.speech_tokens for item in items if item.speech_tokens is not None], man.dim),
+        "items/teacher_video": stacked([item.teacher_video for item in teachers], man.teacher_dim, np.stack),
+        "items/teacher_audio": stacked([item.teacher_audio for item in teachers], man.teacher_dim, np.stack),
+        "queries/embedding": stacked([query.embedding for query in queries], man.dim, np.stack),
+    }
     manifest_doc = {
         "dim": man.dim,
         "teacher_dim": man.teacher_dim,
         "m": man.frames,
         "n_s": man.speech_pad,
         "l_a0": man.audio_pad,
-        "items": items_meta,
-        "queries": queries_meta,
+        "items": [
+            {
+                "id": item.item_id,
+                "group": item.group,
+                "audio_len": 0 if item.audio_tokens is None else len(item.audio_tokens),
+                "speech_len": 0 if item.speech_tokens is None else len(item.speech_tokens),
+                "has_teacher": item.has_teacher(),
+            }
+            for item in items
+        ],
+        "queries": [{"id": q.query_id, "gt": q.ground_truth_item, "group": q.group} for q in queries],
         "splits": man.splits,
     }
-    (path / MANIFEST_NAME).write_text(json.dumps(manifest_doc, indent=2, sort_keys=True) + "\n")
+    atomic_write(path / MANIFEST_NAME, (json.dumps(manifest_doc, indent=2, sort_keys=True) + "\n").encode())
     write_container(path / TENSORS_NAME, records)
 
 
 def read_dataset(path) -> Dataset:
-    """Load and validate; teacher vectors are L2-normalized here."""
+    """Load and validate; teacher vectors are L2-normalized here. Items hold
+    read-only views into the container's per-field records."""
     path = Path(path)
     manifest_file = path / MANIFEST_NAME
     if not manifest_file.exists():
         raise ContainerError(f"no {MANIFEST_NAME} under {path}")
     doc = json.loads(manifest_file.read_text())
     records = read_container(path / TENSORS_NAME)
-
-    def take(name: str) -> np.ndarray:
+    for name in DATASET_RECORDS:
         if name not in records:
-            raise ContainerError(f"manifest lists {name} but the container lacks it")
-        return records[name][1]
+            raise ContainerError(f"container lacks record {name}")
 
     # The fields are read without per-field checks, which would cost per item;
     # a missing or wrongly typed one surfaces as one of the errors below.
@@ -278,29 +301,36 @@ def read_dataset(path) -> Dataset:
             audio_pad=int(doc["l_a0"]),
             splits={k: {"items": list(v["items"]), "queries": list(v["queries"])} for k, v in doc["splits"].items()},
         )
-
-        items: dict[str, ItemRecord] = {}
-        for meta in doc["items"]:
-            item_id = meta["id"]
-            items[item_id] = ItemRecord(
+        ids = [meta["id"] for meta in doc["items"]]
+        n = len(ids)
+        visual = _rows(records, "items/visual", n * man.frames, man.dim).reshape(n, man.frames, man.dim)
+        audio = _segments(records, "items/audio", ids, [meta["audio_len"] for meta in doc["items"]], man.dim)
+        speech = _segments(records, "items/speech", ids, [meta["speech_len"] for meta in doc["items"]], man.dim)
+        has_teacher = [bool(meta["has_teacher"]) for meta in doc["items"]]
+        teacher_video = iter(_unit_rows(_rows(records, "items/teacher_video", sum(has_teacher), man.teacher_dim)))
+        teacher_audio = iter(_unit_rows(_rows(records, "items/teacher_audio", sum(has_teacher), man.teacher_dim)))
+        items = {
+            item_id: ItemRecord(
                 item_id=item_id,
-                visual_tokens=take(f"item/{item_id}/visual"),
-                audio_tokens=take(f"item/{item_id}/audio") if meta["has_audio"] else None,
-                speech_tokens=take(f"item/{item_id}/speech") if meta["has_speech"] else None,
-                teacher_video=_unit(take(f"item/{item_id}/teacher_video")) if meta["has_teacher"] else None,
-                teacher_audio=_unit(take(f"item/{item_id}/teacher_audio")) if meta["has_teacher"] else None,
+                visual_tokens=visual[k],
+                audio_tokens=audio[k],
+                speech_tokens=speech[k],
+                teacher_video=next(teacher_video) if has_teacher[k] else None,
+                teacher_audio=next(teacher_audio) if has_teacher[k] else None,
                 group=meta["group"],
             )
-
-        queries: dict[str, QueryRecord] = {}
-        for meta in doc["queries"]:
-            query_id = meta["id"]
-            queries[query_id] = QueryRecord(
-                query_id=query_id,
-                embedding=take(f"query/{query_id}/embedding"),
-                ground_truth_item=meta["gt"],
-                group=meta["group"],
+            for k, (item_id, meta) in enumerate(zip(ids, doc["items"]))
+        }
+        # Copied: queries often outlive the items (an index is built from the
+        # items, then the queries are scored), and views would keep the whole
+        # container buffer alive for them.
+        embeddings = _rows(records, "queries/embedding", len(doc["queries"]), man.dim).copy()
+        queries = {
+            meta["id"]: QueryRecord(
+                query_id=meta["id"], embedding=embedding, ground_truth_item=meta["gt"], group=meta["group"]
             )
+            for meta, embedding in zip(doc["queries"], embeddings)
+        }
     except ContainerError:
         raise
     except (KeyError, TypeError, ValueError, AttributeError) as err:
@@ -311,13 +341,36 @@ def read_dataset(path) -> Dataset:
     return dataset
 
 
-def _unit(v: np.ndarray) -> np.ndarray:
-    norm = float(np.linalg.norm(v))
-    if norm == 0.0 or abs(norm - 1.0) < 1e-6:
-        # already unit within float32 rounding: keep bits stable so
-        # read(write(D)) round-trips exactly
+def _rows(records: dict, name: str, rows: int, cols: int) -> np.ndarray:
+    """A dataset record, whose shape the manifest fixes."""
+    arr = records[name][1]
+    if arr.shape != (rows, cols):
+        raise ContainerError(f"record {name} has shape {arr.shape}, the manifest implies ({rows}, {cols})")
+    return arr
+
+
+def _segments(records: dict, name: str, ids: list[str], lengths: list, cols: int) -> list[np.ndarray | None]:
+    """Each item's view of a record that holds the items' token sets one after
+    another; None where the item's length is 0."""
+    for item_id, length in zip(ids, lengths):
+        if type(length) is not int or length < 0:
+            raise ContainerError(f"record {name}: item {item_id} has length {length!r}, not an integer >= 0")
+    ends = list(itertools.accumulate(lengths))
+    arr = _rows(records, name, ends[-1] if ends else 0, cols)
+    return [arr[end - length : end] if length else None for end, length in zip(ends, lengths)]
+
+
+def _unit_rows(v: np.ndarray) -> np.ndarray:
+    """Rows scaled to unit L2 norm. A zero row, or one within 1e-6 of unit
+    norm, keeps its bits, so read(write(D)) round-trips exactly. The norms are
+    one dot product per row, as `np.linalg.norm` computes them for a vector."""
+    norms = np.sqrt((v[:, None, :] @ v[:, :, None]).reshape(len(v)))
+    scale = ~((norms == 0.0) | (np.abs(norms.astype(np.float64) - 1.0) < 1e-6))
+    if not scale.any():
         return v
-    return v / norm
+    out = v.copy()
+    out[scale] /= norms[scale, None]
+    return out
 
 
 # -- missing-modality resolution --------------------------------------------

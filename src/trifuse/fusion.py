@@ -22,7 +22,7 @@ import numpy as np
 from . import autodiff as ad
 from . import nn
 from .autodiff import Tensor
-from .data import (KIND_TOKENS, KIND_VECTOR, ContainerError, ItemRecord, Manifest, read_container,
+from .data import (KIND_TOKENS, KIND_VECTOR, ContainerError, ItemRecord, Manifest, atomic_write, read_container,
                    resolve_missing, write_container)
 
 
@@ -120,7 +120,7 @@ def save_params(params: FusionParams, path) -> None:
     write_container(path, records)
     meta = dict(params.arch)
     meta["dtype"] = params.dtype.name
-    Path(str(path) + ".json").write_text(json.dumps(meta, indent=2, sort_keys=True) + "\n")
+    atomic_write(Path(str(path) + ".json"), (json.dumps(meta, indent=2, sort_keys=True) + "\n").encode())
 
 
 def load_params(path) -> FusionParams:
@@ -280,7 +280,7 @@ def save_index(index: VideoIndex, path) -> None:
     arrays["tokens"] = index.tokens.reshape(n * m, d)
     write_container(path, {f"index/{name}": (KIND_TOKENS, arr) for name, arr in arrays.items() if arr is not None})
     meta = {"mode": index.mode.value, "item_ids": index.item_ids, "m": m}
-    Path(str(path) + ".json").write_text(json.dumps(meta, indent=2, sort_keys=True) + "\n")
+    atomic_write(Path(str(path) + ".json"), (json.dumps(meta, indent=2, sort_keys=True) + "\n").encode())
 
 
 def load_index(path) -> VideoIndex:

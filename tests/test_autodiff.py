@@ -53,6 +53,11 @@ class TestBackward:
         x.sum().backward()
         np.testing.assert_array_equal(x.grad, [2.0, 2.0])
 
+    def test_integer_inputs_enter_as_float64(self):
+        assert parameter([1, 2, 3]).dtype == np.float64
+        assert ad.mul(np.arange(3), 2).dtype == np.float64
+        assert (parameter([1.0]) + np.array([True])).dtype == np.float64
+
     def test_no_grad_builds_no_tape(self):
         x = parameter([1.0, 2.0])
         with ad.no_grad():

@@ -7,7 +7,7 @@ import pytest
 
 from trifuse import cli
 from trifuse.cli import main
-from trifuse.data import KIND_VECTOR, read_container, write_container
+from trifuse.data import read_container, write_container
 from trifuse.similarity import ScoreMatrix
 
 
@@ -205,13 +205,38 @@ class TestEval:
     def test_nan_query_embedding_exit_3(self, workspace, tmp_path, capsys):
         data = copied_data(workspace, tmp_path)
         records = read_container(data / "tensors.sve")
-        qid = json.loads((data / "manifest.json").read_text())["splits"]["test"]["queries"][0]
-        records[f"query/{qid}/embedding"] = (KIND_VECTOR, np.full(8, np.nan, dtype=np.float32))
+        doc = json.loads((data / "manifest.json").read_text())
+        qid = doc["splits"]["test"]["queries"][0]
+        kind, embeddings = records["queries/embedding"]
+        embeddings = embeddings.copy()
+        embeddings[[q["id"] for q in doc["queries"]].index(qid)] = np.nan
+        records["queries/embedding"] = (kind, embeddings)
         write_container(data / "tensors.sve", records)
         code = main(["eval", "--checkpoint", str(workspace["run"] / "best.ckpt"), "--data", str(data)])
         assert code == 3
         err = capsys.readouterr().err
         assert f"query {qid}: non-finite embedding" in err and "Traceback" not in err
+
+    def test_unknown_split_exit_3(self, workspace, capsys, monkeypatch):
+        def no_forward_pass(*args, **kwargs):
+            raise AssertionError("index built for an unknown split")
+
+        monkeypatch.setattr(cli, "precompute_index", no_forward_pass)
+        code = main(["eval", "--checkpoint", str(workspace["run"] / "best.ckpt"), "--data", str(workspace["data"]),
+                     "--split", "nope"])
+        assert code == 3
+        err = capsys.readouterr().err
+        assert "unknown split 'nope'" in err and "Traceback" not in err
+
+    def test_per_item_layout_exit_3(self, workspace, tmp_path, capsys):
+        """A container in the older one-record-per-item layout is refused."""
+        data = copied_data(workspace, tmp_path)
+        ids = [item["id"] for item in json.loads((data / "manifest.json").read_text())["items"]]
+        write_container(data / "tensors.sve", {f"item/{i}/visual": (0, np.zeros((3, 8), np.float32)) for i in ids})
+        code = main(["eval", "--checkpoint", str(workspace["run"] / "best.ckpt"), "--data", str(data)])
+        assert code == 3
+        err = capsys.readouterr().err
+        assert "container lacks record items/visual" in err and "Traceback" not in err
 
     def test_split_without_queries_exit_3(self, workspace, tmp_path, capsys):
         data = copied_data(workspace, tmp_path)
@@ -317,7 +342,7 @@ class TestInspect:
     def test_non_utf8_record_name_exit_3(self, workspace, tmp_path, capsys):
         data = copied_data(workspace, tmp_path)
         blob = (data / "tensors.sve").read_bytes()
-        (data / "tensors.sve").write_bytes(blob.replace(b"item/", b"\xfftem/", 1))
+        (data / "tensors.sve").write_bytes(blob.replace(b"items/", b"\xfftems/", 1))
         assert main(["inspect", str(data)]) == 3
         err = capsys.readouterr().err
         assert "not UTF-8" in err and "Traceback" not in err

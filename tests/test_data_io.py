@@ -1,6 +1,7 @@
 """Container format, dataset round-trips, missing-modality fill, batching."""
 
 import json
+import os
 import struct
 
 import numpy as np
@@ -8,6 +9,7 @@ import pytest
 
 from trifuse import data
 from trifuse.data import (
+    GROUPS,
     ContainerError,
     Dataset,
     ItemRecord,
@@ -21,6 +23,7 @@ from trifuse.data import (
     write_container,
     write_dataset,
 )
+from trifuse.fusion import FusionMode, FusionParams, VideoIndex, save_index, save_params
 
 
 def tiny_dataset(n_items=4, d=6, d_t=5, m=3, seed=0) -> Dataset:
@@ -185,29 +188,31 @@ class TestDatasetIO:
         write_dataset(ds, tmp_path / "ds")
         # drop one tensor the manifest still lists
         records = read_container(tmp_path / "ds" / "tensors.sve")
-        del records["item/it000/visual"]
+        del records["items/visual"]
         write_container(tmp_path / "ds" / "tensors.sve", records)
-        with pytest.raises(ContainerError, match="item/it000/visual"):
+        with pytest.raises(ContainerError, match="items/visual"):
             read_dataset(tmp_path / "ds")
 
     @pytest.mark.parametrize(
-        "record, value, match",
+        "record, row, value, match",
         [
-            ("item/it001/visual", np.nan, "item it001: non-finite visual tokens"),
-            ("item/it002/audio", np.inf, "item it002: non-finite audio tokens"),
-            ("item/it003/speech", np.nan, "item it003: non-finite speech tokens"),
-            ("item/it001/teacher_video", -np.inf, "item it001: non-finite teacher video"),
-            ("item/it002/teacher_audio", np.nan, "item it002: non-finite teacher audio"),
-            ("query/q003/embedding", np.nan, "query q003: non-finite embedding"),
+            # rows: it001's visual tokens start at 1*m = 3; audio is stacked for
+            # it000 and it002 (4 rows each), speech for it000 and it003 (5 each)
+            ("items/visual", 3, np.nan, "item it001: non-finite visual tokens"),
+            ("items/audio", 4, np.inf, "item it002: non-finite audio tokens"),
+            ("items/speech", 5, np.nan, "item it003: non-finite speech tokens"),
+            ("items/teacher_video", 1, -np.inf, "item it001: non-finite teacher video"),
+            ("items/teacher_audio", 2, np.nan, "item it002: non-finite teacher audio"),
+            ("queries/embedding", 3, np.nan, "query q003: non-finite embedding"),
         ],
         ids=["visual", "audio", "speech", "teacher_video", "teacher_audio", "query"],
     )
-    def test_non_finite_value_names_record(self, tmp_path, record, value, match):
+    def test_non_finite_value_names_record(self, tmp_path, record, row, value, match):
         write_dataset(tiny_dataset(), tmp_path / "ds")
         records = read_container(tmp_path / "ds" / "tensors.sve")
         kind, arr = records[record]
         arr = arr.copy()
-        arr.flat[1] = value
+        arr[row, 1] = value
         records[record] = (kind, arr)
         write_container(tmp_path / "ds" / "tensors.sve", records)
         with pytest.raises(ValidationError, match=match):
@@ -216,7 +221,7 @@ class TestDatasetIO:
     @pytest.mark.parametrize(
         "edit, match",
         [
-            (lambda doc: doc["items"][1].pop("has_audio"), "KeyError: 'has_audio'"),
+            (lambda doc: doc["items"][1].pop("audio_len"), "KeyError: 'audio_len'"),
             (lambda doc: doc.update(m="three"), "ValueError: invalid literal"),
         ],
         ids=["missing_key", "wrong_type"],
@@ -235,6 +240,183 @@ class TestDatasetIO:
         write_dataset(ds, tmp_path / "ds")
         back = read_dataset(tmp_path / "ds")
         assert back.items == {} and back.queries == {}
+
+
+def mixed_dataset(d=4, d_t=3, m=2) -> Dataset:
+    """Mixed audio and speech lengths (0: absent), items without teachers and
+    one teacher row far from unit norm."""
+    rng = np.random.default_rng(5)
+
+    def unit(v):
+        return (v / np.linalg.norm(v)).astype(np.float32)
+
+    items = {}
+    for k, (audio_len, speech_len) in enumerate([(3, 0), (0, 2), (1, 5), (0, 0), (6, 1)]):
+        iid = f"v{k}"
+        teacher = k != 1 and k != 3
+        items[iid] = ItemRecord(
+            item_id=iid,
+            visual_tokens=rng.normal(size=(m, d)).astype(np.float32),
+            audio_tokens=rng.normal(size=(audio_len, d)).astype(np.float32) if audio_len else None,
+            speech_tokens=rng.normal(size=(speech_len, d)).astype(np.float32) if speech_len else None,
+            teacher_video=unit(rng.normal(size=d_t)) if teacher else None,
+            teacher_audio=unit(rng.normal(size=d_t)) if teacher else None,
+            group=GROUPS[k % len(GROUPS)],
+        )
+    items["v2"].teacher_video = np.array([3.0, 0.0, 4.0], dtype=np.float32)
+    queries = {
+        f"q{k}": QueryRecord(f"q{k}", rng.normal(size=d).astype(np.float32), f"v{k % 5}", GROUPS[k % len(GROUPS)])
+        for k in range(7)
+    }
+    manifest = Manifest(dim=d, teacher_dim=d_t, frames=m, speech_pad=2, audio_pad=3,
+                        splits={"test": {"items": sorted(items), "queries": sorted(queries)}})
+    return Dataset(manifest=manifest, items=items, queries=queries)
+
+
+ITEM_FIELDS = ("visual_tokens", "audio_tokens", "speech_tokens", "teacher_video", "teacher_audio")
+
+
+class TestPerFieldLayout:
+    @pytest.mark.parametrize(
+        "ds",
+        [mixed_dataset(), Dataset(Manifest(dim=4, teacher_dim=2, frames=1, speech_pad=2, audio_pad=1), {}, {})],
+        ids=["mixed", "empty"],
+    )
+    def test_round_trip_bit_exact(self, tmp_path, ds):
+        write_dataset(ds, tmp_path / "ds")
+        back = read_dataset(tmp_path / "ds")
+        assert back.manifest == ds.manifest
+        assert set(back.items) == set(ds.items) and set(back.queries) == set(ds.queries)
+        for iid, item in ds.items.items():
+            got = back.items[iid]
+            assert got.group == item.group
+            for name in ITEM_FIELDS:
+                want = getattr(item, name)
+                if name == "teacher_video" and iid == "v2":
+                    want = want / np.linalg.norm(want)  # the one non-unit teacher row
+                have = getattr(got, name)
+                assert (have is None) == (want is None), (iid, name)
+                if want is not None:
+                    assert have.dtype == np.float32 and have.shape == want.shape, (iid, name)
+                    assert have.tobytes() == want.tobytes(), (iid, name)
+        for qid, query in ds.queries.items():
+            got = back.queries[qid]
+            assert got.embedding.tobytes() == query.embedding.tobytes()
+            assert (got.ground_truth_item, got.group) == (query.ground_truth_item, query.group)
+
+    def test_one_record_per_field(self, tmp_path):
+        write_dataset(mixed_dataset(), tmp_path / "ds")
+        records = read_container(tmp_path / "ds" / "tensors.sve")
+        assert {name: arr.shape for name, (_, arr) in records.items()} == {
+            "items/visual": (10, 4),
+            "items/audio": (10, 4),
+            "items/speech": (8, 4),
+            "items/teacher_video": (3, 3),
+            "items/teacher_audio": (3, 3),
+            "queries/embedding": (7, 4),
+        }
+        items = json.loads((tmp_path / "ds" / "manifest.json").read_text())["items"]
+        assert [(i["audio_len"], i["speech_len"], i["has_teacher"]) for i in items] == [
+            (3, 0, True), (0, 2, False), (1, 5, True), (0, 0, False), (6, 1, True)
+        ]
+
+    def test_items_are_read_only_views_of_one_buffer(self, tmp_path):
+        write_dataset(mixed_dataset(), tmp_path / "ds")
+        back = read_dataset(tmp_path / "ds")
+        v0, v1 = back.items["v0"].visual_tokens, back.items["v1"].visual_tokens
+        assert np.shares_memory(v0.base, v1)  # the items/visual record
+
+        def owner(arr):
+            while isinstance(arr, np.ndarray):
+                arr = arr.base
+            return arr
+
+        views = [v1, back.items["v2"].audio_tokens, back.items["v4"].speech_tokens, back.items["v0"].teacher_audio]
+        assert isinstance(owner(v0), bytes)
+        for arr in views:
+            assert owner(arr) is owner(v0) and not arr.flags.writeable
+        # query embeddings are copied out and do not hold the container
+        assert owner(back.queries["q6"].embedding) is not owner(v0)
+
+    @pytest.mark.parametrize(
+        "edit, match",
+        [
+            (lambda doc: doc["items"][0].update(audio_len=-1), "record items/audio: item v0 has length -1"),
+            (lambda doc: doc["items"][2].update(speech_len="5"), "record items/speech: item v2 has length '5'"),
+            (lambda doc: doc["items"][2].update(speech_len=5.0), "record items/speech: item v2 has length 5.0"),
+            (lambda doc: doc["items"][1].update(audio_len=10**6), r"record items/audio has shape \(10, 4\)"),
+            (lambda doc: doc["items"][1].update(has_teacher=True), r"record items/teacher_video has shape \(3, 3\)"),
+            (lambda doc: doc.update(teacher_dim=4), r"items/teacher_video has shape \(3, 3\), the manifest implies \(3, 4\)"),
+            (lambda doc: doc["queries"].pop(), r"record queries/embedding has shape \(7, 4\)"),
+            (lambda doc: doc.update(m=3), r"record items/visual has shape \(10, 4\)"),
+        ],
+        ids=["negative_length", "string_length", "float_length", "length_too_large", "teacher_count",
+             "teacher_dim", "query_count", "frames"],
+    )
+    def test_manifest_disagreement_names_record(self, tmp_path, edit, match):
+        write_dataset(mixed_dataset(), tmp_path / "ds")
+        manifest = tmp_path / "ds" / "manifest.json"
+        doc = json.loads(manifest.read_text())
+        edit(doc)
+        manifest.write_text(json.dumps(doc))
+        with pytest.raises(ContainerError, match=match):
+            read_dataset(tmp_path / "ds")
+
+    def test_per_item_layout_rejected(self, tmp_path):
+        ds = tiny_dataset()
+        write_dataset(ds, tmp_path / "ds")
+        write_container(tmp_path / "ds" / "tensors.sve",
+                        {f"item/{iid}/visual": (data.KIND_TOKENS, it.visual_tokens) for iid, it in ds.items.items()})
+        with pytest.raises(ContainerError, match="container lacks record items/visual"):
+            read_dataset(tmp_path / "ds")
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_single_byte_flips_load_or_raise(self, tmp_path):
+        write_dataset(tiny_dataset(n_items=3, d=3, d_t=2, m=2), tmp_path / "ds")
+        p = tmp_path / "ds" / "tensors.sve"
+        blob = p.read_bytes()
+        rng = np.random.default_rng(0)
+        for _ in range(300):
+            flipped = bytearray(blob)
+            flipped[rng.integers(len(blob))] ^= int(rng.integers(1, 256))
+            p.write_bytes(bytes(flipped))
+            try:
+                read_dataset(tmp_path / "ds")
+            except (ContainerError, ValidationError):
+                pass
+
+
+def _index(n=2, m=2, d=3) -> VideoIndex:
+    tokens = np.arange(n * m * d, dtype=np.float32).reshape(n, m, d)
+    return VideoIndex(FusionMode.SAVE, [f"v{i}" for i in range(n)], tokens, tokens.mean(axis=1))
+
+
+class TestAtomicWrite:
+    @pytest.mark.parametrize(
+        "target, write",
+        [
+            ("t.sve", lambda d, k: write_container(d / "t.sve", {"a": (data.KIND_TOKENS, np.full((2, 2), k))})),
+            ("manifest.json", lambda d, k: write_dataset(tiny_dataset(seed=k), d)),
+            ("c.ckpt.json", lambda d, k: save_params(FusionParams(dim=4, frames=2, heads=2, fusion_depth=k), d / "c.ckpt")),
+            ("g.idx.json", lambda d, k: save_index(_index(n=k), d / "g.idx")),
+        ],
+        ids=["container", "manifest", "checkpoint_sidecar", "index_sidecar"],
+    )
+    def test_failed_write_leaves_old_file(self, tmp_path, monkeypatch, target, write):
+        write(tmp_path, 1)
+        before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+        replace = os.replace
+
+        def fail_on_target(src, dst):
+            if os.path.basename(dst) == target:
+                raise OSError("disk full")
+            replace(src, dst)
+
+        monkeypatch.setattr(os, "replace", fail_on_target)
+        with pytest.raises(OSError, match="disk full"):
+            write(tmp_path, 2)
+        assert (tmp_path / target).read_bytes() == before[target]
+        assert sorted(p.name for p in tmp_path.iterdir()) == sorted(before)
 
 
 class TestResolveMissing:
