@@ -7,6 +7,15 @@ and accumulates gradients additively, so a tensor used twice receives the sum
 of both branch gradients.
 
 Only the ops needed by the fusion stacks and training losses are provided.
+The nonlinearities are single tape nodes with closed-form backward passes:
+`softmax`, `logsumexp` (`log_softmax` is x minus it), `gelu` and
+`standardize` (layer norm without gain and bias). Composed of primitive ops,
+each would record 5-11 nodes with a full-size temporary apiece. `softmax` and
+`logsumexp` reduce over a C-order copy with the reduced axis moved to the
+front: numpy reduces a short last axis (an attention row's 12 or 32 keys) in
+one slow inner loop per output, but a leading axis in a few passes over whole
+contiguous rows. Working on a copy, they never write into their input.
+
 Training runs in float32; gradient checking builds the same graphs in float64
 (`finite_difference_check` refuses nothing else, 1e-4 tolerances are not
 reachable in single precision).
@@ -296,13 +305,6 @@ def exp(a: Tensor) -> Tensor:
     return _node(out_data, (a,), backward)
 
 
-def log(a: Tensor) -> Tensor:
-    def backward(g):
-        _accumulate(a, g / a.data)
-
-    return _node(np.log(a.data), (a,), backward)
-
-
 def tanh(a: Tensor) -> Tensor:
     out_data = np.tanh(a.data)
 
@@ -342,32 +344,102 @@ def take(a: Tensor, indices, axis: int = 0) -> Tensor:
     return _node(a.data[where], (a,), backward)
 
 
-# -- composed ops --------------------------------------------------------
+# -- single-node nonlinearities ---------------------------------------------
 
 _GELU_C = math.sqrt(2.0 / math.pi)
 
 
 def gelu(a: Tensor) -> Tensor:
     """Smooth GELU (tanh form), differentiable everywhere."""
-    inner = mul(add(a, mul(mul(mul(a, a), a), 0.044715)), _GELU_C)
-    return mul(mul(a, add(tanh(inner), 1.0)), 0.5)
+    x = a.data
+    # In place, in the composite's order: t = tanh((x + x^3 * 0.044715) * c)
+    t = x * x
+    t *= x
+    t *= 0.044715
+    t += x
+    t *= _GELU_C
+    np.tanh(t, out=t)
+    out_data = t + 1.0
+    out_data *= x
+    out_data *= 0.5
+
+    def backward(g):  # d/dx of 0.5 x (1 + t), with t = tanh(c (x + 0.044715 x^3))
+        slope = (x * x * (3.0 * 0.044715) + 1.0) * _GELU_C * (1.0 - t * t) * x + t + 1.0
+        _accumulate(a, g * slope * 0.5)
+
+    return _node(out_data, (a,), backward)
+
+
+def _leading(x: np.ndarray, axis: int) -> np.ndarray:
+    """A C-order copy of `x` with `axis` moved to the front (see the module
+    docstring). Not `np.ascontiguousarray`: for a leading `axis` that returns
+    `x` itself, and the caller writes into the result."""
+    if x.shape[axis] == 0:
+        raise ValueError("empty softmax axis")
+    return np.moveaxis(x, axis, 0).copy()
 
 
 def softmax(x: Tensor, axis: int = -1) -> Tensor:
-    """Softmax with detached max-shift; arbitrarily large inputs do not overflow."""
-    if x.data.shape[axis] == 0:
-        raise ValueError("empty softmax axis")
-    shift = np.max(x.data, axis=axis, keepdims=True)
-    e = exp(add(x, Tensor(-shift)))
-    return div(e, reduce_sum(e, axis=axis, keepdims=True))
+    """Softmax with a max shift; arbitrarily large inputs do not overflow, and
+    a -inf entry (a masked key) gets weight exactly 0."""
+    y = _leading(x.data, axis)
+    y -= y.max(axis=0)
+    np.exp(y, out=y)
+    y /= y.sum(axis=0)
+
+    def backward(g):
+        g = np.moveaxis(g, axis, 0)
+        gx = g - (g * y).sum(axis=0)
+        gx *= y
+        _accumulate(x, np.moveaxis(gx, 0, axis))
+
+    return _node(np.moveaxis(y, 0, axis), (x,), backward)
+
+
+def logsumexp(x: Tensor, axis: int = -1, keepdims: bool = False) -> Tensor:
+    """log(sum(exp(x))) along `axis`, shifted by the (constant) maximum."""
+    e = _leading(x.data, axis)
+    shift = e.max(axis=0)
+    e -= shift
+    np.exp(e, out=e)
+    total = e.sum(axis=0)
+    out_data = np.log(total)
+    out_data += shift
+    if keepdims:
+        out_data = np.expand_dims(out_data, axis)
+
+    def backward(g):
+        if keepdims:
+            g = np.squeeze(g, axis)
+        _accumulate(x, np.moveaxis(e * (g / total), 0, axis))
+
+    return _node(out_data, (x,), backward)
 
 
 def log_softmax(x: Tensor, axis: int = -1) -> Tensor:
-    if x.data.shape[axis] == 0:
-        raise ValueError("empty softmax axis")
-    shift = np.max(x.data, axis=axis, keepdims=True)
-    xs = add(x, Tensor(-shift))
-    return add(xs, neg(log(reduce_sum(exp(xs), axis=axis, keepdims=True))))
+    return x - logsumexp(x, axis=axis, keepdims=True)
+
+
+def standardize(x: Tensor, eps: float) -> Tensor:
+    """(x - mean) / sqrt(var + eps) over the last axis: layer norm without
+    its gain and bias. The means are matrix-vector products, which run
+    several times faster than numpy's reduction over a short last axis."""
+    mean = np.full(x.shape[-1], 1.0 / x.shape[-1], dtype=x.dtype)
+    centered = x.data - (x.data @ mean)[..., None]
+    inv_std = ((centered * centered) @ mean)[..., None]
+    inv_std += eps
+    np.sqrt(inv_std, out=inv_std)
+    np.divide(1.0, inv_std, out=inv_std)
+    out_data = centered
+    out_data *= inv_std
+
+    def backward(g):
+        gx = g - (g @ mean)[..., None]
+        gx -= out_data * ((g * out_data) @ mean)[..., None]
+        gx *= inv_std
+        _accumulate(x, gx)
+
+    return _node(out_data, (x,), backward)
 
 
 # Squared-eps guard: unit-scale vectors are untouched (1 + 1e-24 rounds to 1),

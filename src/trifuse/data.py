@@ -19,12 +19,14 @@ another), `items/teacher_video` and `items/teacher_audio` (one row per item
 with teacher embeddings) and `queries/embedding` (n_q, d). Each manifest item
 entry gives its `audio_len` and `speech_len` (0: the modality is absent) and
 `has_teacher`. `read_dataset` gives items read-only views into those records.
+Both `write_dataset` and `read_dataset` check each record finite in one pass.
 A dataset in the older one-record-per-item layout is rejected for lacking
 `items/visual`; regenerate it with `trifuse gen`.
 """
 
 from __future__ import annotations
 
+import bisect
 import itertools
 import json
 import os
@@ -41,9 +43,16 @@ KIND_VECTOR = 1
 
 GROUPS = ("visual", "sound", "speech", "sound_speech")
 
-# A dataset container's records, one per field.
-DATASET_RECORDS = ("items/visual", "items/audio", "items/speech", "items/teacher_video", "items/teacher_audio",
-                   "queries/embedding")
+# A dataset container's records, one per field: what their rows belong to, and
+# the field's name in messages.
+DATASET_RECORDS = {
+    "items/visual": ("item", "visual tokens"),
+    "items/audio": ("item", "audio tokens"),
+    "items/speech": ("item", "speech tokens"),
+    "items/teacher_video": ("item", "teacher video"),
+    "items/teacher_audio": ("item", "teacher audio"),
+    "queries/embedding": ("query", "embedding"),
+}
 
 MANIFEST_NAME = "manifest.json"
 TENSORS_NAME = "tensors.sve"
@@ -61,23 +70,27 @@ class ValidationError(ValueError):
 # -- low-level container ---------------------------------------------------
 
 
-def atomic_write(path, payload: bytes) -> None:
-    """Write `payload` to a temporary file beside `path`, then rename it over
-    `path`: a write that fails part-way leaves any old file as it was."""
+def atomic_write(path, *buffers) -> None:
+    """Write `buffers` (bytes-like objects, in order) to a temporary file
+    beside `path`, then rename it over `path`: a write that fails part-way
+    leaves any old file as it was."""
     path = Path(path)
     tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
     try:
-        tmp.write_bytes(payload)
+        with open(tmp, "wb") as f:
+            for buf in buffers:
+                f.write(buf)
         os.replace(tmp, path)
     finally:
         tmp.unlink(missing_ok=True)
 
 
 def write_container(path, records: dict[str, tuple[int, np.ndarray]]) -> None:
-    """Write named float32 arrays. `records` maps name -> (kind, 2D or 1D array)."""
+    """Write named float32 arrays. `records` maps name -> (kind, 2D or 1D array).
+    The arrays are written from their own memory, not copied into one payload."""
     chunks = [MAGIC, struct.pack("<II", VERSION, len(records))]
     for name, (kind, arr) in records.items():
-        arr = np.asarray(arr, dtype="<f4")
+        arr = np.ascontiguousarray(arr, dtype="<f4")
         if arr.ndim == 0:
             arr = arr.reshape(1)
         if arr.ndim == 1:
@@ -87,11 +100,9 @@ def write_container(path, records: dict[str, tuple[int, np.ndarray]]) -> None:
         else:
             raise ContainerError(f"record {name}: only 1D/2D arrays supported")
         name_bytes = name.encode("utf-8")
-        chunks.append(struct.pack("<H", len(name_bytes)))
-        chunks.append(name_bytes)
-        chunks.append(struct.pack("<BII", kind, rows, cols))
-        chunks.append(arr.tobytes(order="C"))
-    atomic_write(path, b"".join(chunks))
+        chunks.append(struct.pack("<H", len(name_bytes)) + name_bytes + struct.pack("<BII", kind, rows, cols))
+        chunks.append(memoryview(arr))
+    atomic_write(path, *chunks)
 
 
 def read_container(path) -> dict[str, tuple[int, np.ndarray]]:
@@ -211,9 +222,6 @@ def _validate(dataset: Dataset) -> None:
             raise ValidationError(f"query {query.query_id}: unknown ground-truth item {query.ground_truth_item}")
         if query.group is not None and query.group not in GROUPS:
             raise ValidationError(f"query {query.query_id}: unknown group {query.group!r}")
-    for name in ("visual_tokens", "audio_tokens", "speech_tokens", "teacher_video", "teacher_audio"):
-        _require_finite(dataset.items, name, "item")
-    _require_finite(dataset.queries, "embedding", "query")
     for split, members in man.splits.items():
         for i in members["items"]:
             if i not in dataset.items:
@@ -223,14 +231,16 @@ def _validate(dataset: Dataset) -> None:
                 raise ValidationError(f"split {split}: unknown query {q}")
 
 
-def _require_finite(records: dict, field: str, kind: str) -> None:
-    """One finiteness pass over a field stacked across records (the shapes are
-    checked first); the per-record search runs only to name the offender."""
-    arrays = [arr for rec in records.values() if (arr := getattr(rec, field)) is not None]
-    if arrays and not np.isfinite(np.concatenate(arrays)).all():
-        bad = next(key for key, rec in records.items()
-                   if getattr(rec, field) is not None and not np.isfinite(getattr(rec, field)).all())
-        raise ValidationError(f"{kind} {bad}: non-finite {field.replace('_', ' ')}")
+def _require_finite(name: str, arr: np.ndarray, ids: list[str], ends: list[int]) -> None:
+    """One finiteness pass over a stacked dataset record whose rows belong to
+    `ids`, one after another, id k's ending before row `ends[k]`; only a
+    failure looks for the first bad row's owner."""
+    finite = np.isfinite(arr)
+    if finite.all():
+        return
+    row = int(np.argmin(finite.all(axis=1)))
+    kind, field = DATASET_RECORDS[name]
+    raise ValidationError(f"{kind} {ids[bisect.bisect_right(ends, row)]}: non-finite {field}")
 
 
 def write_dataset(dataset: Dataset, path) -> None:
@@ -273,6 +283,8 @@ def write_dataset(dataset: Dataset, path) -> None:
         "queries": [{"id": q.query_id, "gt": q.ground_truth_item, "group": q.group} for q in queries],
         "splits": man.splits,
     }
+    for name, (ids, lengths) in _row_counts(manifest_doc).items():
+        _require_finite(name, records[name][1], ids, list(itertools.accumulate(lengths)))
     atomic_write(path / MANIFEST_NAME, (json.dumps(manifest_doc, indent=2, sort_keys=True) + "\n").encode())
     write_container(path / TENSORS_NAME, records)
 
@@ -301,14 +313,15 @@ def read_dataset(path) -> Dataset:
             audio_pad=int(doc["l_a0"]),
             splits={k: {"items": list(v["items"]), "queries": list(v["queries"])} for k, v in doc["splits"].items()},
         )
-        ids = [meta["id"] for meta in doc["items"]]
-        n = len(ids)
-        visual = _rows(records, "items/visual", n * man.frames, man.dim).reshape(n, man.frames, man.dim)
-        audio = _segments(records, "items/audio", ids, [meta["audio_len"] for meta in doc["items"]], man.dim)
-        speech = _segments(records, "items/speech", ids, [meta["speech_len"] for meta in doc["items"]], man.dim)
-        has_teacher = [bool(meta["has_teacher"]) for meta in doc["items"]]
-        teacher_video = iter(_unit_rows(_rows(records, "items/teacher_video", sum(has_teacher), man.teacher_dim)))
-        teacher_audio = iter(_unit_rows(_rows(records, "items/teacher_audio", sum(has_teacher), man.teacher_dim)))
+        counts = _row_counts(doc)
+        checked = {name: _record(records, name, ids, lengths, man.teacher_dim if "teacher" in name else man.dim)
+                   for name, (ids, lengths) in counts.items()}
+        ids, has_teacher = counts["items/visual"][0], counts["items/teacher_video"][1]
+        visual = checked["items/visual"][0].reshape(len(ids), man.frames, man.dim)
+        audio = _segments(*checked["items/audio"])
+        speech = _segments(*checked["items/speech"])
+        teacher_video = iter(_unit_rows(checked["items/teacher_video"][0]))
+        teacher_audio = iter(_unit_rows(checked["items/teacher_audio"][0]))
         items = {
             item_id: ItemRecord(
                 item_id=item_id,
@@ -324,14 +337,13 @@ def read_dataset(path) -> Dataset:
         # Copied: queries often outlive the items (an index is built from the
         # items, then the queries are scored), and views would keep the whole
         # container buffer alive for them.
-        embeddings = _rows(records, "queries/embedding", len(doc["queries"]), man.dim).copy()
+        qids = counts["queries/embedding"][0]
+        embeddings = checked["queries/embedding"][0].copy()
         queries = {
-            meta["id"]: QueryRecord(
-                query_id=meta["id"], embedding=embedding, ground_truth_item=meta["gt"], group=meta["group"]
-            )
-            for meta, embedding in zip(doc["queries"], embeddings)
+            qid: QueryRecord(query_id=qid, embedding=embedding, ground_truth_item=meta["gt"], group=meta["group"])
+            for qid, meta, embedding in zip(qids, doc["queries"], embeddings)
         }
-    except ContainerError:
+    except (ContainerError, ValidationError):
         raise
     except (KeyError, TypeError, ValueError, AttributeError) as err:
         raise ContainerError(f"malformed {manifest_file} ({type(err).__name__}: {err})") from err
@@ -341,23 +353,41 @@ def read_dataset(path) -> Dataset:
     return dataset
 
 
-def _rows(records: dict, name: str, rows: int, cols: int) -> np.ndarray:
-    """A dataset record, whose shape the manifest fixes."""
-    arr = records[name][1]
+def _row_counts(doc: dict) -> dict[str, tuple[list[str], list]]:
+    """Per dataset record, as a manifest document lists them: the ids its rows
+    belong to, one id after another, and how many rows each id has."""
+    items, queries = doc["items"], doc["queries"]
+    ids = [meta["id"] for meta in items]
+    teachers = [int(bool(meta["has_teacher"])) for meta in items]
+    return {
+        "items/visual": (ids, [int(doc["m"])] * len(ids)),
+        "items/audio": (ids, [meta["audio_len"] for meta in items]),
+        "items/speech": (ids, [meta["speech_len"] for meta in items]),
+        "items/teacher_video": (ids, teachers),
+        "items/teacher_audio": (ids, teachers),
+        "queries/embedding": ([meta["id"] for meta in queries], [1] * len(queries)),
+    }
+
+
+def _record(records: dict, name: str, ids: list[str], lengths: list, cols: int) -> tuple[np.ndarray, list[int]]:
+    """A dataset record whose rows belong to `ids`, `lengths[k]` rows to id k,
+    one id after another; its shape checked against those lengths and its
+    values checked finite. Returns it with each id's end row."""
+    kind = DATASET_RECORDS[name][0]
+    for owner, length in zip(ids, lengths):
+        if type(length) is not int or length < 0:
+            raise ContainerError(f"record {name}: {kind} {owner} has length {length!r}, not an integer >= 0")
+    ends = list(itertools.accumulate(lengths))
+    arr, rows = records[name][1], ends[-1] if ends else 0
     if arr.shape != (rows, cols):
         raise ContainerError(f"record {name} has shape {arr.shape}, the manifest implies ({rows}, {cols})")
-    return arr
+    _require_finite(name, arr, ids, ends)
+    return arr, ends
 
 
-def _segments(records: dict, name: str, ids: list[str], lengths: list, cols: int) -> list[np.ndarray | None]:
-    """Each item's view of a record that holds the items' token sets one after
-    another; None where the item's length is 0."""
-    for item_id, length in zip(ids, lengths):
-        if type(length) is not int or length < 0:
-            raise ContainerError(f"record {name}: item {item_id} has length {length!r}, not an integer >= 0")
-    ends = list(itertools.accumulate(lengths))
-    arr = _rows(records, name, ends[-1] if ends else 0, cols)
-    return [arr[end - length : end] if length else None for end, length in zip(ends, lengths)]
+def _segments(arr: np.ndarray, ends: list[int]) -> list[np.ndarray | None]:
+    """Each id's view of a record's rows; None where it has none."""
+    return [arr[start:end] if end > start else None for start, end in zip([0, *ends], ends)]
 
 
 def _unit_rows(v: np.ndarray) -> np.ndarray:

@@ -1,4 +1,4 @@
-"""Retrieval metrics (R@k, SumR, mR1), group breakdowns, and latency probing.
+"""Retrieval metrics (R@k, SumR), group breakdowns, and latency probing.
 
 Rank handling is pessimistic: the ground truth is placed after every
 equal-scored competitor, and a non-finite ground-truth score ranks last, so
@@ -51,11 +51,6 @@ def ranks_of_matrix(matrix: ScoreMatrix, ground_truth: dict[str, str]) -> np.nda
     return np.where(np.isfinite(gt[:, 0]), ranks, values.shape[1])
 
 
-def recall_at_k(matrix: ScoreMatrix, ground_truth: dict[str, str], k: int) -> float:
-    ranks = ranks_of_matrix(matrix, ground_truth)
-    return float(np.mean(ranks <= k))
-
-
 def summary_metrics(matrix: ScoreMatrix, ground_truth: dict[str, str]) -> dict[str, float]:
     """R@1/5/10 as fractions plus SumR on the paper-style 0-300 percent scale."""
     if len(matrix.query_ids) == 0:
@@ -82,13 +77,6 @@ def grouped_eval(
         tag = groups.get(qid) or "unknown"
         by_group.setdefault(tag, []).append(i)
     return {tag: _recalls(ranks[rows]) for tag, rows in sorted(by_group.items())}
-
-
-def mean_r1(runs: list[dict[str, float]]) -> float:
-    """mR1: arithmetic mean of R@1 over several evaluation runs."""
-    if not runs:
-        raise ValueError("no runs")
-    return float(np.mean([run["r1"] for run in runs]))
 
 
 def latency_probe(index: VideoIndex, queries: list, repetitions: int, sharpness: float = DEFAULT_SHARPNESS) -> dict:

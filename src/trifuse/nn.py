@@ -92,11 +92,7 @@ class LayerNorm(Module):
         self.eps = eps
 
     def __call__(self, x: Tensor) -> Tensor:
-        mu = x.mean(axis=-1, keepdims=True)
-        centered = x - mu
-        var = (centered * centered).mean(axis=-1, keepdims=True)
-        normed = centered / ad.sqrt(var + self.eps)
-        return normed * self.gain + self.bias
+        return ad.standardize(x, self.eps) * self.gain + self.bias
 
 
 class MultiHeadCrossAttention(Module):

@@ -9,15 +9,17 @@ combined_similarity` are an independent reference written in numpy. Zero-norm
 vectors score 0 by convention so zero-filled missing modalities cannot poison
 evaluation.
 
-Tokens are laid out token-major, (m, B, d), so the (T, m, B) cosines reduce
-over their middle axis with the gallery axis innermost. `QueryScorer` scores
-query rows in chunks whose cosine tensor stays under SCORE_CHUNK_BYTES, so its
-memory is bounded by the gallery, not by the number of queries.
+Tokens are laid out token-major, (m, B, d), so the gallery axis of the
+(T, m, B) cosines stays innermost when `logsumexp` reduces over m.
+`QueryScorer` scores query rows in chunks whose cosine tensor stays under
+SCORE_CHUNK_BYTES, so its memory is bounded by the gallery, not by the number
+of queries.
 """
 
 from __future__ import annotations
 
 import logging
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -113,12 +115,10 @@ def _scores(
     if mode == FusionMode.LATE_FUSION:
         return (_cosines(q, pooled) + _cosines(q, speech_pool)) * 0.5
     m, b, d = tokens.shape
-    cosines = ad.reshape(_cosines(q, ad.reshape(tokens, (m * b, d))), (q.shape[0], m, b))
-    # The shift is a constant added pre-negated (no negated copy), and the
-    # global term is computed last so it is not alive at the (T, m, B) peak.
-    neg_shift = cosines.data.max(axis=1, keepdims=True) * -sharpness
-    lse = ad.log(ad.exp(cosines * sharpness + Tensor(neg_shift)).mean(axis=1))
-    local = (lse + Tensor(-neg_shift[:, 0])) * (1.0 / sharpness)
+    # The sharpness scales the (T, d) queries, not the (T, m, B) cosines, and
+    # the global term is computed last so it is not alive at the (T, m, B) peak.
+    scaled = ad.reshape(_cosines(q * sharpness, ad.reshape(tokens, (m * b, d))), (q.shape[0], m, b))
+    local = (ad.logsumexp(scaled, axis=1) - math.log(m)) * (1.0 / sharpness)
     return (local + _cosines(q, pooled)) * 0.5
 
 

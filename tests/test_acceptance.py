@@ -14,7 +14,7 @@ from trifuse import autodiff as ad
 from trifuse import nn
 from trifuse.autodiff import Tensor, finite_difference_check, parameter
 from trifuse.data import ItemRecord, read_dataset, resolve_missing, write_dataset
-from trifuse.evaluation import latency_probe, rank_of, recall_at_k, summary_metrics
+from trifuse.evaluation import latency_probe, rank_of, ranks_of_matrix, summary_metrics
 from trifuse.fusion import FusionMode, FusionParams, forward_video, precompute_index
 from trifuse.losses import contrastive_loss, huber_align_loss, mse_align_loss, soft_albef_loss
 from trifuse.similarity import QueryScorer, ScoreMatrix, score_matrix
@@ -180,7 +180,7 @@ class TestCriterion4MetricOracle:
             col = {iid: j for j, iid in enumerate(iids)}
             oracle_ranks = np.array([self.sort_oracle(values[i], col[gt[qids[i]]]) for i in range(50)])
             for k in (1, 5, 10):
-                if recall_at_k(matrix, gt, k) != float(np.mean(oracle_ranks <= k)):
+                if float(np.mean(ranks_of_matrix(matrix, gt) <= k)) != float(np.mean(oracle_ranks <= k)):
                     exact = False
             got = summary_metrics(matrix, gt)
             want_sumr = 100.0 * sum(float(np.mean(oracle_ranks <= k)) for k in (1, 5, 10))

@@ -149,7 +149,7 @@ class TestOpGradients:
         def f():
             y = ad.reshape(x, (3, 4))
             z = ad.take(y * 2.0, [2, 0, 2, 3], axis=1)
-            return ad.log(ad.exp(z).sum(axis=0)).sum() + ad.absolute(x).sum()
+            return ad.logsumexp(z, axis=0).sum() + ad.absolute(x).sum()
 
         assert finite_difference_check(f, [x], eps=1e-5) < 1e-4
 
@@ -210,3 +210,111 @@ class TestFiniteForward:
             assert np.all(np.isfinite(s.data))
             ls = ad.log_softmax(x, axis=-1)
             assert np.all(np.isfinite(ls.data))
+
+
+def _composite_softmax(x, axis):
+    e = np.exp(x - x.max(axis=axis, keepdims=True))
+    return e / e.sum(axis=axis, keepdims=True)
+
+
+def _composite_logsumexp(x, axis, keepdims):
+    shift = x.max(axis=axis, keepdims=True)
+    out = np.log(np.exp(x - shift).sum(axis=axis, keepdims=True)) + shift
+    return out if keepdims else np.squeeze(out, axis)
+
+
+def _composite_gelu(x):
+    return x * (np.tanh((x + x * x * x * 0.044715) * np.sqrt(2.0 / np.pi)) + 1.0) * 0.5
+
+
+def _composite_standardize(x, eps):
+    centered = x - x.mean(axis=-1, keepdims=True)
+    return centered / np.sqrt((centered * centered).mean(axis=-1, keepdims=True) + eps)
+
+
+# id -> (op, the numpy composite it replaced, axis whose entries are keys or None)
+SINGLE_NODE_OPS = {
+    "softmax_axis0": (lambda x: ad.softmax(x, axis=0), lambda x: _composite_softmax(x, 0), 0),
+    "softmax_axis1": (lambda x: ad.softmax(x, axis=1), lambda x: _composite_softmax(x, 1), 1),
+    "softmax_axis-1": (lambda x: ad.softmax(x, axis=-1), lambda x: _composite_softmax(x, -1), -1),
+    "logsumexp": (lambda x: ad.logsumexp(x, axis=1), lambda x: _composite_logsumexp(x, 1, False), 1),
+    "logsumexp_keepdims": (
+        lambda x: ad.logsumexp(x, axis=-1, keepdims=True), lambda x: _composite_logsumexp(x, -1, True), -1
+    ),
+    # x - logsumexp: a masked key's output is -inf, so no finite loss has a gradient there to check
+    "log_softmax": (
+        lambda x: ad.log_softmax(x, axis=1), lambda x: x - _composite_logsumexp(x, 1, True), None
+    ),
+    "gelu": (ad.gelu, _composite_gelu, None),
+    "standardize": (lambda x: ad.standardize(x, 1e-5), lambda x: _composite_standardize(x, 1e-5), None),
+}
+
+
+def _weighted_loss(op, x):
+    out = op(x)
+    return (out * np.random.default_rng(0).normal(size=out.shape).astype(out.dtype)).sum()
+
+
+@pytest.mark.parametrize("name", list(SINGLE_NODE_OPS))
+class TestSingleNodeOps:
+    """Each single-node nonlinearity keeps the contract of the composite it replaced."""
+
+    SHAPE = (3, 4, 5)
+
+    def test_input_bits_unchanged(self, name):
+        op = SINGLE_NODE_OPS[name][0]
+        x = parameter(np.random.default_rng(1).normal(size=self.SHAPE) * 2.0)
+        before = x.data.tobytes()
+        _weighted_loss(op, x).backward()
+        assert x.data.tobytes() == before
+        assert x.grad is not None
+
+    def test_float32_stays_float32(self, name):
+        op = SINGLE_NODE_OPS[name][0]
+        x = parameter(np.random.default_rng(2).normal(size=self.SHAPE).astype(np.float32))
+        out = op(x)
+        assert out.dtype == np.float32
+        _weighted_loss(op, x).backward()
+        assert x.grad.dtype == np.float32
+
+    def test_matches_composite(self, name):
+        op, composite, _ = SINGLE_NODE_OPS[name]
+        x = np.random.default_rng(3).normal(size=self.SHAPE) * 3.0
+        got = op(Tensor(x)).data
+        want = composite(x)
+        assert got.shape == want.shape
+        assert np.max(np.abs(got - want)) <= 1e-12
+
+    def test_gradient_matches_finite_differences(self, name):
+        op = SINGLE_NODE_OPS[name][0]
+        x = parameter(np.random.default_rng(4).normal(size=(2, 3, 4)))
+        assert finite_difference_check(lambda: _weighted_loss(op, x), [x], eps=1e-5) < 1e-4
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_large_inputs_do_not_overflow(self, name, dtype):
+        op = SINGLE_NODE_OPS[name][0]
+        rng = np.random.default_rng(5)
+        x = parameter((rng.choice([-1e4, 1e4], size=self.SHAPE) + rng.normal(size=self.SHAPE)).astype(dtype))
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            out = op(x)
+            _weighted_loss(op, x).backward()
+        assert np.all(np.isfinite(out.data))
+        assert np.all(np.isfinite(x.grad))
+
+
+@pytest.mark.parametrize("name", [name for name, (*_, key_axis) in SINGLE_NODE_OPS.items() if key_axis is not None])
+def test_masked_key_gets_zero_weight_and_gradient(name):
+    """A key that is -inf in every row: softmax gives it weight 0, and so does
+    logsumexp's gradient, which is that softmax."""
+    op, _, key_axis = SINGLE_NODE_OPS[name]
+    data = np.random.default_rng(6).normal(size=TestSingleNodeOps.SHAPE)
+    masked = (slice(None),) * (key_axis % data.ndim) + (2,)
+    data[masked] = -np.inf
+    x = parameter(data)
+    out = op(x)
+    assert np.all(np.isfinite(out.data))
+    if name.startswith("softmax"):
+        assert np.all(out.data[masked] == 0.0)
+    _weighted_loss(op, x).backward()
+    assert np.all(x.grad[masked] == 0.0)
+    assert np.all(np.isfinite(x.grad))

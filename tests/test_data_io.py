@@ -73,6 +73,30 @@ class TestContainer:
             assert okind == kind
             assert oarr.tobytes() == arr.astype("<f4").tobytes()
 
+    def test_bytes_equal_one_joined_payload(self, tmp_path):
+        """Streamed from the arrays' own memory, a container is byte-identical
+        to the joined payload of header chunks and `tobytes()` copies."""
+        rng = np.random.default_rng(9)
+        records = {
+            "a/tokens": (data.KIND_TOKENS, rng.normal(size=(5, 3)).astype(np.float32)),
+            "b/transposed": (data.KIND_TOKENS, rng.normal(size=(3, 4)).astype(np.float32).T),
+            "c/float64": (data.KIND_TOKENS, rng.normal(size=(2, 2))),
+            "d/big_endian": (data.KIND_TOKENS, rng.normal(size=(2, 3)).astype(">f4")),
+            "e/vec": (data.KIND_VECTOR, rng.normal(size=6).astype(np.float32)),
+            "f/scalar": (data.KIND_VECTOR, np.float32(0.25)),
+            "g/empty": (data.KIND_TOKENS, np.zeros((0, 4), dtype=np.float32)),
+            "h/n\u00e4me": (data.KIND_TOKENS, rng.normal(size=(1, 2)).astype(np.float32)),
+        }
+        chunks = [data.MAGIC, struct.pack("<II", data.VERSION, len(records))]
+        for name, (kind, arr) in records.items():
+            arr = np.asarray(arr, dtype="<f4")
+            rows, cols = (1, arr.size) if arr.ndim < 2 else arr.shape
+            name_bytes = name.encode("utf-8")
+            chunks += [struct.pack("<H", len(name_bytes)), name_bytes, struct.pack("<BII", kind, rows, cols),
+                       arr.tobytes(order="C")]
+        write_container(tmp_path / "t.sve", records)
+        assert (tmp_path / "t.sve").read_bytes() == b"".join(chunks)
+
     def test_empty_container(self, tmp_path):
         write_container(tmp_path / "e.sve", {})
         assert read_container(tmp_path / "e.sve") == {}
@@ -217,6 +241,26 @@ class TestDatasetIO:
         write_container(tmp_path / "ds" / "tensors.sve", records)
         with pytest.raises(ValidationError, match=match):
             read_dataset(tmp_path / "ds")
+
+    @pytest.mark.parametrize(
+        "item, field, match",
+        [
+            ("it001", "visual_tokens", "item it001: non-finite visual tokens"),
+            ("it002", "audio_tokens", "item it002: non-finite audio tokens"),
+            ("it003", "speech_tokens", "item it003: non-finite speech tokens"),
+            ("it001", "teacher_video", "item it001: non-finite teacher video"),
+            ("it002", "teacher_audio", "item it002: non-finite teacher audio"),
+            ("q003", "embedding", "query q003: non-finite embedding"),
+        ],
+        ids=["visual", "audio", "speech", "teacher_video", "teacher_audio", "query"],
+    )
+    def test_write_rejects_non_finite_value(self, tmp_path, item, field, match):
+        ds = tiny_dataset()
+        record = ds.queries[item] if field == "embedding" else ds.items[item]
+        getattr(record, field).flat[-1] = np.nan
+        with pytest.raises(ValidationError, match=match):
+            write_dataset(ds, tmp_path / "ds")
+        assert not any((tmp_path / "ds").glob("*"))
 
     @pytest.mark.parametrize(
         "edit, match",

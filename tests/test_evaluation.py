@@ -7,10 +7,8 @@ from trifuse.data import QueryRecord
 from trifuse.evaluation import (
     grouped_eval,
     latency_probe,
-    mean_r1,
     rank_of,
     ranks_of_matrix,
-    recall_at_k,
     summary_metrics,
 )
 from trifuse.fusion import FusionMode, VideoIndex
@@ -86,6 +84,10 @@ class TestRanksOfMatrix:
         np.testing.assert_array_equal(ranks, [3, 1, 1])
 
 
+def recall_at(matrix: ScoreMatrix, gt: dict[str, str], k: int) -> float:
+    return float(np.mean(ranks_of_matrix(matrix, gt) <= k))
+
+
 class TestRecall:
     def test_identity_dominant_matrix_perfect_r1(self):
         values = np.eye(5) + 0.01
@@ -93,15 +95,15 @@ class TestRecall:
         iids = [f"v{i}" for i in range(5)]
         gt = {f"q{i}": f"v{i}" for i in range(5)}
         sm = ScoreMatrix(values, qids, iids)
-        assert recall_at_k(sm, gt, 1) == 1.0
+        assert recall_at(sm, gt, 1) == 1.0
 
     def test_rank_three_counts_toward_r5_r10_only(self):
         values = np.array([[0.5, 0.9, 0.8, 0.1, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0]])
         sm = ScoreMatrix(values, ["q0"], [f"v{j}" for j in range(10)])
         gt = {"q0": "v0"}
-        assert recall_at_k(sm, gt, 1) == 0.0
-        assert recall_at_k(sm, gt, 5) == 1.0
-        assert recall_at_k(sm, gt, 10) == 1.0
+        assert recall_at(sm, gt, 1) == 0.0
+        assert recall_at(sm, gt, 5) == 1.0
+        assert recall_at(sm, gt, 10) == 1.0
 
     def test_matches_sort_oracle_on_100_random_matrices(self):
         rng = np.random.default_rng(1)
@@ -115,12 +117,12 @@ class TestRecall:
                         for i, q in enumerate(sm.query_ids)
                     ]
                 )
-                assert recall_at_k(sm, gt, k) == expect
+                assert recall_at(sm, gt, k) == expect
 
     def test_monotone_in_k_and_saturates(self):
         rng = np.random.default_rng(2)
         sm, gt = random_matrix(rng, t=20, n=8)
-        recalls = [recall_at_k(sm, gt, k) for k in range(1, 9)]
+        recalls = [recall_at(sm, gt, k) for k in range(1, 9)]
         assert all(a <= b for a, b in zip(recalls, recalls[1:]))
         assert recalls[-1] == 1.0
 
@@ -129,7 +131,7 @@ class TestRecall:
         sm, gt = random_matrix(rng, t=10, n=10)
         warped = ScoreMatrix(np.exp(2.0 * sm.values) + 1.0, sm.query_ids, sm.item_ids)
         for k in (1, 5, 10):
-            assert recall_at_k(sm, gt, k) == recall_at_k(warped, gt, k)
+            assert recall_at(sm, gt, k) == recall_at(warped, gt, k)
 
 
 class TestSummary:
@@ -194,10 +196,6 @@ class TestGrouped:
         out = grouped_eval(sm, gt, {})
         assert set(out) == {"unknown"}
 
-    def test_mean_r1(self):
-        assert mean_r1([{"r1": 0.2}, {"r1": 0.4}]) == pytest.approx(0.3)
-        with pytest.raises(ValueError):
-            mean_r1([])
 
 
 def zero_network_index(n=50, m=4, d=8, seed=0):
