@@ -1,11 +1,14 @@
 """Operator surface: generate, train, evaluate, score, inspect.
 
 One JSON config file drives generation ("synth" section) and training
-("train" section); command-line flags override individual keys. Exit codes:
+("train" section); command-line flags override individual keys. A
+checkpoint records the fusion mode and sharpness it was trained with; `eval`
+and `score` score with both, and `--mode` overrides the mode. Exit codes:
 0 success, 2 config parse error, 3 IO error (a missing file, a malformed
-container, manifest or checkpoint sidecar, checkpoint tensors that disagree
-with their sidecar, a non-finite embedding, or an eval split that the
-manifest does not list or that has no queries), 4 training aborted on
+container, manifest or checkpoint sidecar, a manifest with a duplicate id or
+a wrongly typed field, checkpoint tensors that disagree with their sidecar, a
+non-finite embedding, or an eval split that the manifest does not list or
+that has no queries), 4 training aborted on
 non-finite loss, 5 checkpoint, config or dataset dimension mismatch
 (including audio longer than max_audio_len), 6 unknown query id.
 """
@@ -102,6 +105,11 @@ def _checkpoint_mismatch(params, dataset) -> bool:
     return _audio_too_long(dataset, arch["max_audio_len"])
 
 
+def _mode(args, params) -> FusionMode:
+    """The --mode override, else the mode the checkpoint was trained in."""
+    return FusionMode(args.mode or params.arch["mode"])
+
+
 def cmd_gen(args) -> int:
     cfg = _build(SynthConfig, _load_config_section(args.config, "synth"), {"seed": args.seed}, "synth")
     out = Path(args.out)
@@ -170,12 +178,9 @@ def cmd_train(args) -> int:
     return EXIT_OK
 
 
-def _transpose_for_v2t(matrix: ScoreMatrix, dataset) -> tuple[ScoreMatrix, dict[str, str]]:
-    """Video-to-text direction: rank this invocation's queries per video."""
-    first_query = {}
-    for qid in matrix.query_ids:
-        gt = dataset.queries[qid].ground_truth_item
-        first_query.setdefault(gt, qid)
+def _transpose_for_v2t(matrix: ScoreMatrix, first_query: dict[str, str]) -> tuple[ScoreMatrix, dict[str, str]]:
+    """Video-to-text direction: rank this invocation's queries per video,
+    each video's ground truth being its first query (`Dataset.first_queries`)."""
     keep = [j for j, item_id in enumerate(matrix.item_ids) if item_id in first_query]
     transposed = ScoreMatrix(
         values=matrix.values.T[keep],
@@ -194,17 +199,16 @@ def cmd_eval(args) -> int:
     if args.split not in dataset.manifest.splits:
         print(f"unknown split {args.split!r}", file=sys.stderr)
         return EXIT_IO
-    mode = FusionMode(args.mode) if args.mode else FusionMode.SAVE
     items = dataset.split_items(args.split)
     queries = dataset.split_queries(args.split)
     if not queries:
         print(f"split {args.split!r} has no queries", file=sys.stderr)
         return EXIT_IO
-    index = precompute_index(items, params, mode, dataset.manifest)
-    matrix = score_matrix(index, queries, sharpness=args.sharpness)
+    index = precompute_index(items, params, _mode(args, params), dataset.manifest)
+    matrix = score_matrix(index, queries, sharpness=params.arch["sharpness"])
 
     if args.direction == "v2t":
-        matrix, gt = _transpose_for_v2t(matrix, dataset)
+        matrix, gt = _transpose_for_v2t(matrix, dataset.first_queries(args.split))
     else:
         gt = {q.query_id: q.ground_truth_item for q in queries}
 
@@ -243,9 +247,8 @@ def cmd_score(args) -> int:
         None,
     )
     items = dataset.split_items(split) if split else list(dataset.items.values())
-    mode = FusionMode(args.mode) if args.mode else FusionMode.SAVE
-    index = precompute_index(items, params, mode, dataset.manifest)
-    matrix = score_matrix(index, [query], sharpness=args.sharpness)
+    index = precompute_index(items, params, _mode(args, params), dataset.manifest)
+    matrix = score_matrix(index, [query], sharpness=params.arch["sharpness"])
     scores = matrix.values[0]
     order = np.lexsort((np.array(matrix.item_ids), -scores))
     for j in order[: args.k]:
@@ -334,11 +337,10 @@ def build_parser() -> argparse.ArgumentParser:
     ev.add_argument("--checkpoint", required=True)
     ev.add_argument("--data", required=True)
     ev.add_argument("--split", default="test")
-    ev.add_argument("--mode", choices=MODE_CHOICES, default=None)
+    ev.add_argument("--mode", choices=MODE_CHOICES, default=None, help="default: the checkpoint's mode")
     ev.add_argument("--groups", action="store_true")
     ev.add_argument("--direction", choices=["t2v", "v2t"], default="t2v")
     ev.add_argument("--format", choices=["json", "csv"], default="json")
-    ev.add_argument("--sharpness", type=float, default=20.0)
     ev.set_defaults(func=cmd_eval)
 
     sc = sub.add_parser("score", help="rank the gallery for one query")
@@ -346,8 +348,7 @@ def build_parser() -> argparse.ArgumentParser:
     sc.add_argument("--data", required=True)
     sc.add_argument("--query", required=True)
     sc.add_argument("--k", type=int, default=10)
-    sc.add_argument("--mode", choices=MODE_CHOICES, default=None)
-    sc.add_argument("--sharpness", type=float, default=20.0)
+    sc.add_argument("--mode", choices=MODE_CHOICES, default=None, help="default: the checkpoint's mode")
     sc.set_defaults(func=cmd_score)
 
     ins = sub.add_parser("inspect", help="summarize a dataset dir or checkpoint")

@@ -19,14 +19,17 @@ another), `items/teacher_video` and `items/teacher_audio` (one row per item
 with teacher embeddings) and `queries/embedding` (n_q, d). Each manifest item
 entry gives its `audio_len` and `speech_len` (0: the modality is absent) and
 `has_teacher`. `read_dataset` gives items read-only views into those records.
-Both `write_dataset` and `read_dataset` check each record finite in one pass.
-A dataset in the older one-record-per-item layout is rejected for lacking
-`items/visual`; regenerate it with `trifuse gen`.
+One function, `_check`, decides whether a manifest and its records form a
+valid dataset: `write_dataset` applies it before anything touches disk, and
+`read_dataset` applies it before building any item. It runs one finiteness
+pass over each record. A dataset in the older one-record-per-item layout is
+rejected for lacking `items/visual`; regenerate it with `trifuse gen`.
 """
 
 from __future__ import annotations
 
 import bisect
+import collections
 import itertools
 import json
 import os
@@ -196,16 +199,102 @@ class Dataset:
     def split_queries(self, split: str) -> list[QueryRecord]:
         return [self.queries[q] for q in self.manifest.splits[split]["queries"]]
 
+    def first_queries(self, split: str) -> dict[str, str]:
+        """Each item's lexicographically first query id in `split`: the query
+        the item pairs with in training, and the one video-to-text evaluation
+        ranks for it. Items without a query in `split` are absent."""
+        first: dict[str, str] = {}
+        for qid in sorted(self.manifest.splits[split]["queries"]):
+            first.setdefault(self.queries[qid].ground_truth_item, qid)
+        return first
 
-def _validate(dataset: Dataset) -> None:
+
+def _check(doc: dict, records: dict) -> dict[str, list[int]]:
+    """The one rule for a valid dataset, as a manifest document and its six
+    container records state it; `write_dataset` and `read_dataset` both apply
+    it. It checks m >= 1 and d >= 2; that item and query ids are unique
+    strings; each item's row counts and each group and ground-truth item;
+    each record's shape and finiteness, naming the owner of the first bad row;
+    and split members. Returns each record's end row per id. A field of the
+    wrong JSON type surfaces as KeyError, TypeError or ValueError."""
+    dim, teacher_dim, frames = int(doc["dim"]), int(doc["teacher_dim"]), int(doc["m"])
+    if frames < 1 or dim < 2:
+        raise ValidationError(f"manifest requires m >= 1 and d >= 2, got m={frames} d={dim}")
+    items, queries = doc["items"], doc["queries"]
+    item_ids, query_ids = [meta["id"] for meta in items], [meta["id"] for meta in queries]
+    known_items, known_queries = _id_set(item_ids, "item"), _id_set(query_ids, "query")
+    for meta in items:
+        if type(meta["has_teacher"]) is not bool:
+            raise ContainerError(f"item {meta['id']}: has_teacher is {meta['has_teacher']!r}, not a boolean")
+        for key, name in (("audio_len", "items/audio"), ("speech_len", "items/speech")):
+            if type(meta[key]) is not int or meta[key] < 0:
+                raise ContainerError(f"record {name}: item {meta['id']} has length {meta[key]!r}, not an integer >= 0")
+        if meta["group"] is not None and meta["group"] not in GROUPS:
+            raise ValidationError(f"item {meta['id']}: unknown group {meta['group']!r}")
+    for meta in queries:
+        if meta["gt"] not in known_items:
+            raise ValidationError(f"query {meta['id']}: unknown ground-truth item {meta['gt']}")
+        if meta["group"] is not None and meta["group"] not in GROUPS:
+            raise ValidationError(f"query {meta['id']}: unknown group {meta['group']!r}")
+
+    teachers = [int(meta["has_teacher"]) for meta in items]
+    row_counts = {
+        "items/visual": [frames] * len(items),
+        "items/audio": [meta["audio_len"] for meta in items],
+        "items/speech": [meta["speech_len"] for meta in items],
+        "items/teacher_video": teachers,
+        "items/teacher_audio": teachers,
+        "queries/embedding": [1] * len(queries),
+    }
+    ends = {}
+    for name, lengths in row_counts.items():
+        kind, label = DATASET_RECORDS[name]
+        ends[name] = list(itertools.accumulate(lengths))
+        arr = records[name][1]
+        rows, cols = ends[name][-1] if ends[name] else 0, teacher_dim if "teacher" in name else dim
+        if arr.shape != (rows, cols):
+            raise ContainerError(f"record {name} has shape {arr.shape}, the manifest implies ({rows}, {cols})")
+        finite = np.isfinite(arr)
+        if not finite.all():
+            row = int(np.argmin(finite.all(axis=1)))
+            owners = item_ids if kind == "item" else query_ids
+            raise ValidationError(f"{kind} {owners[bisect.bisect_right(ends[name], row)]}: non-finite {label}")
+
+    for split, members in doc["splits"].items():
+        for i in members["items"]:
+            if i not in known_items:
+                raise ValidationError(f"split {split}: unknown item {i}")
+        for q in members["queries"]:
+            if q not in known_queries:
+                raise ValidationError(f"split {split}: unknown query {q}")
+    return ends
+
+
+def _id_set(ids: list[str], kind: str) -> set[str]:
+    """`ids` as a set, each checked to be a string that is listed once."""
+    for owner in ids:
+        if type(owner) is not str:
+            raise ContainerError(f"{kind} id {owner!r} is not a string")
+    unique = set(ids)
+    if len(unique) < len(ids):
+        counts = collections.Counter(ids)
+        raise ValidationError(f"duplicate {kind} id {next(i for i in ids if counts[i] > 1)}")
+    return unique
+
+
+def write_dataset(dataset: Dataset, path) -> None:
+    """Emit manifest + tensor container; byte-deterministic for equal input.
+    Nothing is written unless the dataset passes `_check`."""
     man = dataset.manifest
-    if man.frames < 1 or man.dim < 2:
-        raise ValidationError(f"manifest requires m >= 1 and d >= 2, got m={man.frames} d={man.dim}")
-    for item in dataset.items.values():
-        v = item.visual_tokens
-        if v.shape != (man.frames, man.dim):
+    items = [dataset.items[i] for i in sorted(dataset.items)]
+    queries = [dataset.queries[q] for q in sorted(dataset.queries)]
+    # The in-memory arrays are checked item by item before they are stacked,
+    # so that a wrongly shaped one is named.
+    for item in items:
+        if item.visual_tokens.shape != (man.frames, man.dim):
             raise ValidationError(
-                f"item {item.item_id}: visual tokens shape {v.shape}, expected ({man.frames}, {man.dim})"
+                f"item {item.item_id}: visual tokens shape {item.visual_tokens.shape}, "
+                f"expected ({man.frames}, {man.dim})"
             )
         for name, tok in (("audio", item.audio_tokens), ("speech", item.speech_tokens)):
             if tok is not None and (tok.ndim != 2 or tok.shape[1] != man.dim):
@@ -213,44 +302,9 @@ def _validate(dataset: Dataset) -> None:
         for name, vec in (("teacher_video", item.teacher_video), ("teacher_audio", item.teacher_audio)):
             if vec is not None and vec.shape != (man.teacher_dim,):
                 raise ValidationError(f"item {item.item_id}: {name} must have dim {man.teacher_dim}, got {vec.shape}")
-        if item.group is not None and item.group not in GROUPS:
-            raise ValidationError(f"item {item.item_id}: unknown group {item.group!r}")
-    for query in dataset.queries.values():
+    for query in queries:
         if query.embedding.shape != (man.dim,):
             raise ValidationError(f"query {query.query_id}: embedding dim {query.embedding.shape}, expected {man.dim}")
-        if query.ground_truth_item not in dataset.items:
-            raise ValidationError(f"query {query.query_id}: unknown ground-truth item {query.ground_truth_item}")
-        if query.group is not None and query.group not in GROUPS:
-            raise ValidationError(f"query {query.query_id}: unknown group {query.group!r}")
-    for split, members in man.splits.items():
-        for i in members["items"]:
-            if i not in dataset.items:
-                raise ValidationError(f"split {split}: unknown item {i}")
-        for q in members["queries"]:
-            if q not in dataset.queries:
-                raise ValidationError(f"split {split}: unknown query {q}")
-
-
-def _require_finite(name: str, arr: np.ndarray, ids: list[str], ends: list[int]) -> None:
-    """One finiteness pass over a stacked dataset record whose rows belong to
-    `ids`, one after another, id k's ending before row `ends[k]`; only a
-    failure looks for the first bad row's owner."""
-    finite = np.isfinite(arr)
-    if finite.all():
-        return
-    row = int(np.argmin(finite.all(axis=1)))
-    kind, field = DATASET_RECORDS[name]
-    raise ValidationError(f"{kind} {ids[bisect.bisect_right(ends, row)]}: non-finite {field}")
-
-
-def write_dataset(dataset: Dataset, path) -> None:
-    """Emit manifest + tensor container; byte-deterministic for equal input."""
-    _validate(dataset)
-    path = Path(path)
-    path.mkdir(parents=True, exist_ok=True)
-    man = dataset.manifest
-    items = [dataset.items[i] for i in sorted(dataset.items)]
-    queries = [dataset.queries[q] for q in sorted(dataset.queries)]
     teachers = [item for item in items if item.has_teacher()]
 
     def stacked(arrays: list[np.ndarray], cols: int, join=np.concatenate) -> tuple[int, np.ndarray]:
@@ -283,14 +337,15 @@ def write_dataset(dataset: Dataset, path) -> None:
         "queries": [{"id": q.query_id, "gt": q.ground_truth_item, "group": q.group} for q in queries],
         "splits": man.splits,
     }
-    for name, (ids, lengths) in _row_counts(manifest_doc).items():
-        _require_finite(name, records[name][1], ids, list(itertools.accumulate(lengths)))
+    _check(manifest_doc, records)
+    path = Path(path)
+    path.mkdir(parents=True, exist_ok=True)
     atomic_write(path / MANIFEST_NAME, (json.dumps(manifest_doc, indent=2, sort_keys=True) + "\n").encode())
     write_container(path / TENSORS_NAME, records)
 
 
 def read_dataset(path) -> Dataset:
-    """Load and validate; teacher vectors are L2-normalized here. Items hold
+    """Load and check; teacher vectors are L2-normalized here. Items hold
     read-only views into the container's per-field records."""
     path = Path(path)
     manifest_file = path / MANIFEST_NAME
@@ -302,9 +357,11 @@ def read_dataset(path) -> Dataset:
         if name not in records:
             raise ContainerError(f"container lacks record {name}")
 
-    # The fields are read without per-field checks, which would cost per item;
-    # a missing or wrongly typed one surfaces as one of the errors below.
+    # Ids, ground-truth items and groups are not type-checked one by one; a
+    # missing or wrongly typed field surfaces as one of the errors below.
+    # Every field the items are built from has been read by `_check`.
     try:
+        ends = _check(doc, records)
         man = Manifest(
             dim=int(doc["dim"]),
             teacher_dim=int(doc["teacher_dim"]),
@@ -313,76 +370,38 @@ def read_dataset(path) -> Dataset:
             audio_pad=int(doc["l_a0"]),
             splits={k: {"items": list(v["items"]), "queries": list(v["queries"])} for k, v in doc["splits"].items()},
         )
-        counts = _row_counts(doc)
-        checked = {name: _record(records, name, ids, lengths, man.teacher_dim if "teacher" in name else man.dim)
-                   for name, (ids, lengths) in counts.items()}
-        ids, has_teacher = counts["items/visual"][0], counts["items/teacher_video"][1]
-        visual = checked["items/visual"][0].reshape(len(ids), man.frames, man.dim)
-        audio = _segments(*checked["items/audio"])
-        speech = _segments(*checked["items/speech"])
-        teacher_video = iter(_unit_rows(checked["items/teacher_video"][0]))
-        teacher_audio = iter(_unit_rows(checked["items/teacher_audio"][0]))
-        items = {
-            item_id: ItemRecord(
-                item_id=item_id,
-                visual_tokens=visual[k],
-                audio_tokens=audio[k],
-                speech_tokens=speech[k],
-                teacher_video=next(teacher_video) if has_teacher[k] else None,
-                teacher_audio=next(teacher_audio) if has_teacher[k] else None,
-                group=meta["group"],
-            )
-            for k, (item_id, meta) in enumerate(zip(ids, doc["items"]))
-        }
-        # Copied: queries often outlive the items (an index is built from the
-        # items, then the queries are scored), and views would keep the whole
-        # container buffer alive for them.
-        qids = counts["queries/embedding"][0]
-        embeddings = checked["queries/embedding"][0].copy()
-        queries = {
-            qid: QueryRecord(query_id=qid, embedding=embedding, ground_truth_item=meta["gt"], group=meta["group"])
-            for qid, meta, embedding in zip(qids, doc["queries"], embeddings)
-        }
     except (ContainerError, ValidationError):
         raise
     except (KeyError, TypeError, ValueError, AttributeError) as err:
         raise ContainerError(f"malformed {manifest_file} ({type(err).__name__}: {err})") from err
 
-    dataset = Dataset(manifest=man, items=items, queries=queries)
-    _validate(dataset)
-    return dataset
-
-
-def _row_counts(doc: dict) -> dict[str, tuple[list[str], list]]:
-    """Per dataset record, as a manifest document lists them: the ids its rows
-    belong to, one id after another, and how many rows each id has."""
-    items, queries = doc["items"], doc["queries"]
-    ids = [meta["id"] for meta in items]
-    teachers = [int(bool(meta["has_teacher"])) for meta in items]
-    return {
-        "items/visual": (ids, [int(doc["m"])] * len(ids)),
-        "items/audio": (ids, [meta["audio_len"] for meta in items]),
-        "items/speech": (ids, [meta["speech_len"] for meta in items]),
-        "items/teacher_video": (ids, teachers),
-        "items/teacher_audio": (ids, teachers),
-        "queries/embedding": ([meta["id"] for meta in queries], [1] * len(queries)),
+    visual = records["items/visual"][1].reshape(len(doc["items"]), man.frames, man.dim)
+    audio = _segments(records["items/audio"][1], ends["items/audio"])
+    speech = _segments(records["items/speech"][1], ends["items/speech"])
+    teacher_video = iter(_unit_rows(records["items/teacher_video"][1]))
+    teacher_audio = iter(_unit_rows(records["items/teacher_audio"][1]))
+    items = {
+        meta["id"]: ItemRecord(
+            item_id=meta["id"],
+            visual_tokens=visual[k],
+            audio_tokens=audio[k],
+            speech_tokens=speech[k],
+            teacher_video=next(teacher_video) if meta["has_teacher"] else None,
+            teacher_audio=next(teacher_audio) if meta["has_teacher"] else None,
+            group=meta["group"],
+        )
+        for k, meta in enumerate(doc["items"])
     }
-
-
-def _record(records: dict, name: str, ids: list[str], lengths: list, cols: int) -> tuple[np.ndarray, list[int]]:
-    """A dataset record whose rows belong to `ids`, `lengths[k]` rows to id k,
-    one id after another; its shape checked against those lengths and its
-    values checked finite. Returns it with each id's end row."""
-    kind = DATASET_RECORDS[name][0]
-    for owner, length in zip(ids, lengths):
-        if type(length) is not int or length < 0:
-            raise ContainerError(f"record {name}: {kind} {owner} has length {length!r}, not an integer >= 0")
-    ends = list(itertools.accumulate(lengths))
-    arr, rows = records[name][1], ends[-1] if ends else 0
-    if arr.shape != (rows, cols):
-        raise ContainerError(f"record {name} has shape {arr.shape}, the manifest implies ({rows}, {cols})")
-    _require_finite(name, arr, ids, ends)
-    return arr, ends
+    # Copied: queries often outlive the items (an index is built from the
+    # items, then the queries are scored), and views would keep the whole
+    # container buffer alive for them.
+    embeddings = records["queries/embedding"][1].copy()
+    queries = {
+        meta["id"]: QueryRecord(query_id=meta["id"], embedding=embedding, ground_truth_item=meta["gt"],
+                                group=meta["group"])
+        for meta, embedding in zip(doc["queries"], embeddings)
+    }
+    return Dataset(manifest=man, items=items, queries=queries)
 
 
 def _segments(arr: np.ndarray, ends: list[int]) -> list[np.ndarray | None]:

@@ -50,6 +50,9 @@ AV_AUDIO_WEIGHT = 0.05
 
 LOGIT_SCALE_INIT = math.log(1.0 / 0.07)
 
+# Log-sum-exp sharpness of the local similarity term.
+DEFAULT_SHARPNESS = 20.0
+
 
 class HolisticAggregator(nn.Module):
     """Attention-pooled single-vector video representation.
@@ -71,7 +74,9 @@ class HolisticAggregator(nn.Module):
 
 
 class FusionParams(nn.Module):
-    """Every trainable tensor of the fusion network, in a fixed order."""
+    """Every trainable tensor of the fusion network, in a fixed order. `arch`
+    also records the mode and sharpness the parameters were trained to score
+    with, so a checkpoint is scored the way it was trained."""
 
     def __init__(
         self,
@@ -81,9 +86,13 @@ class FusionParams(nn.Module):
         fusion_depth: int = 2,
         resampler_depth: int = 1,
         max_audio_len: int = 64,
+        mode: FusionMode = FusionMode.SAVE,
+        sharpness: float = DEFAULT_SHARPNESS,
         seed: int = 0,
         dtype=np.float32,
     ):
+        if not float(sharpness) > 0:
+            raise ValueError(f"sharpness must be > 0, got {sharpness}")
         rng = np.random.default_rng(seed)
         self.resampler = nn.Resampler(
             dim, heads, frames, rng, depth=resampler_depth, max_len=max_audio_len, dtype=dtype
@@ -101,6 +110,8 @@ class FusionParams(nn.Module):
             "fusion_depth": fusion_depth,
             "resampler_depth": resampler_depth,
             "max_audio_len": max_audio_len,
+            "mode": FusionMode(mode).value,
+            "sharpness": float(sharpness),
         }
         self.dtype = np.dtype(dtype)
 

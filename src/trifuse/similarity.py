@@ -26,11 +26,9 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .fusion import FusedBatch, FusionMode, VideoIndex
+from .fusion import DEFAULT_SHARPNESS, FusedBatch, FusionMode, VideoIndex
 
 logger = logging.getLogger(__name__)
-
-DEFAULT_SHARPNESS = 20.0
 
 # Bytes of one scoring chunk's (rows, m, n) float64 cosine tensor. On 2 vCPUs
 # (2 MiB L2 each, 105 MiB L3), 2,000 x 2,000 x 12 scoring took 509, 417, 450,

@@ -18,20 +18,25 @@ Knobs:
     derives only from the latents its group names, so e.g. speech-group
     queries are unresolvable from visual tokens alone.
 
-A latent sidecar (same container format) retains the generator latents for
-oracle tests.
+A latent sidecar, `latents.sve` (same container format), retains the
+generator latents for oracle tests as four records: `latent/z_vis`,
+`latent/z_aud` and `latent/z_sp`, (n, d) in the manifest's item order, and
+`latent/query`, (n_q, d) in its query order. `load_latents` slices them by id.
 """
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
 from .data import (
-    KIND_VECTOR,
+    KIND_TOKENS,
     LATENTS_NAME,
+    MANIFEST_NAME,
+    ContainerError,
     Dataset,
     ItemRecord,
     Manifest,
@@ -227,32 +232,39 @@ def generate(config: SynthConfig) -> tuple[Dataset, LatentStore]:
     return dataset, store
 
 
+LATENT_FIELDS = ("z_vis", "z_aud", "z_sp")
+
+
 def write_synthetic(config: SynthConfig, out_dir) -> tuple[Dataset, LatentStore]:
     """Generate, write the dataset dir, and drop the latent sidecar next to it."""
     dataset, store = generate(config)
     write_dataset(dataset, out_dir)
-    records = {}
-    for k, item_id in enumerate(store.item_ids):
-        records[f"latent/{item_id}/z_vis"] = (KIND_VECTOR, store.z_vis[k])
-        records[f"latent/{item_id}/z_aud"] = (KIND_VECTOR, store.z_aud[k])
-        records[f"latent/{item_id}/z_sp"] = (KIND_VECTOR, store.z_sp[k])
-    for query_id, source in store.query_latent.items():
-        records[f"latent/{query_id}/query"] = (KIND_VECTOR, source)
+    order = np.argsort(store.item_ids)  # the manifest lists items by sorted id
+    records = {f"latent/{name}": (KIND_TOKENS, getattr(store, name)[order]) for name in LATENT_FIELDS}
+    records["latent/query"] = (KIND_TOKENS, np.stack([store.query_latent[q] for q in sorted(store.query_latent)]))
     write_container(Path(out_dir) / LATENTS_NAME, records)
     return dataset, store
 
 
 def load_latents(data_dir, item_ids: list[str], query_ids: list[str]) -> LatentStore:
+    """The latents of `item_ids` and `query_ids`, in that order, from the
+    sidecar beside a synthetic dataset's manifest."""
     path = Path(data_dir) / LATENTS_NAME
     if not path.exists():
         raise FileNotFoundError(f"latent sidecar absent: {path}")
     records = read_container(path)
+    for name in (*LATENT_FIELDS, "query"):
+        if f"latent/{name}" not in records:
+            raise ContainerError(f"{path} lacks record latent/{name}")
+    doc = json.loads((Path(data_dir) / MANIFEST_NAME).read_text())
+    item_row = {meta["id"]: k for k, meta in enumerate(doc["items"])}
+    query_row = {meta["id"]: k for k, meta in enumerate(doc["queries"])}
+    items = [item_row[i] for i in item_ids]
+    queries = records["latent/query"][1]
     return LatentStore(
         item_ids=list(item_ids),
-        z_vis=np.stack([records[f"latent/{i}/z_vis"][1] for i in item_ids]),
-        z_aud=np.stack([records[f"latent/{i}/z_aud"][1] for i in item_ids]),
-        z_sp=np.stack([records[f"latent/{i}/z_sp"][1] for i in item_ids]),
-        query_latent={q: records[f"latent/{q}/query"][1] for q in query_ids},
+        **{name: records[f"latent/{name}"][1][items] for name in LATENT_FIELDS},
+        query_latent={q: queries[query_row[q]] for q in query_ids},
     )
 
 

@@ -20,7 +20,7 @@ from . import autodiff as ad
 from .autodiff import Tensor
 from .data import Dataset, ItemRecord, batch_iter, resolve_missing
 from .evaluation import summary_metrics
-from .fusion import FusedBatch, FusionMode, FusionParams, forward_video, precompute_index, pre_fusion_pooled
+from .fusion import DEFAULT_SHARPNESS, FusedBatch, FusionMode, FusionParams, forward_video, precompute_index, pre_fusion_pooled
 from .losses import (
     AlignKind,
     affinity_from_teacher,
@@ -48,7 +48,7 @@ class TrainConfig:
     epochs: int = 5
     batch_size: int = 128
     lr: float = 1e-4
-    sharpness: float = 20.0
+    sharpness: float = DEFAULT_SHARPNESS
     tau_init: float = 0.07
     align_kind: AlignKind = AlignKind.SOFT_ALBEF
     keep_ratio: float = 1.0  # filtered alignment only
@@ -144,15 +144,6 @@ def _restore(params: FusionParams, state: dict[str, np.ndarray]) -> None:
         p.data = state[name].copy()
 
 
-def _first_query_of(dataset: Dataset, split: str) -> dict[str, str]:
-    """Each training item pairs with its lexicographically first split query."""
-    mapping: dict[str, str] = {}
-    for qid in sorted(dataset.manifest.splits[split]["queries"]):
-        gt = dataset.queries[qid].ground_truth_item
-        mapping.setdefault(gt, qid)
-    return mapping
-
-
 def _alignment_term(
     config: TrainConfig, items: list[ItemRecord], fused: FusedBatch
 ) -> tuple[Tensor | None, float]:
@@ -203,12 +194,14 @@ def train(
         fusion_depth=config.fusion_depth,
         resampler_depth=config.resampler_depth,
         max_audio_len=config.max_audio_len,
+        mode=config.mode,
+        sharpness=config.sharpness,
         seed=config.seed,
     )
     params.logit_scale.data = np.asarray(math.log(1.0 / config.tau_init), dtype=params.dtype)
 
     item_ids = list(man.splits[train_split]["items"])
-    query_of = _first_query_of(dataset, train_split)
+    query_of = dataset.first_queries(train_split)
     missing = [i for i in item_ids if i not in query_of]
     if missing:
         raise ValueError(f"train items without any query: {missing[:5]}")

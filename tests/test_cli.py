@@ -290,6 +290,19 @@ class TestScore:
         order = sorted(range(len(ids)), key=lambda j: (-scores[j], ids[j]))
         assert capsys.readouterr().out == "".join(f"{ids[j]}\t{scores[j]:.6f}\n" for j in order)
 
+    def test_scores_in_the_trained_mode(self, workspace, tmp_path, capsys):
+        run = tmp_path / "run"
+        assert main(["train", "--config", str(workspace["config"]), "--data", str(workspace["data"]),
+                     "--out", str(run), "--mode", "avigate"]) == 0
+        qid = json.loads((workspace["data"] / "manifest.json").read_text())["splits"]["test"]["queries"][0]
+        outputs = []
+        for mode in ([], ["--mode", "avigate"], ["--mode", "save"]):
+            capsys.readouterr()
+            assert main(["score", "--checkpoint", str(run / "best.ckpt"), "--data", str(workspace["data"]),
+                         "--query", qid, *mode]) == 0
+            outputs.append(capsys.readouterr().out)
+        assert outputs[0] == outputs[1] != outputs[2]
+
     def test_unknown_query_exit_6(self, workspace):
         code = main(["score", "--checkpoint", str(workspace["run"] / "best.ckpt"), "--data", str(workspace["data"]),
                      "--query", "qXXXXX"])
@@ -338,6 +351,21 @@ class TestInspect:
         assert main(["inspect", str(ckpt)]) == 3
         err = capsys.readouterr().err
         assert "KeyError: 'dtype'" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("edit, match", [
+        (lambda doc: doc["queries"][0].update(gt=[doc["queries"][0]["gt"]]), "unhashable type: 'list'"),
+        (lambda doc: doc["splits"]["test"]["items"].append(doc["splits"]["test"]["items"][:1]),
+         "unhashable type: 'list'"),
+        (lambda doc: doc["queries"][0].update(id=7), "query id 7 is not a string"),
+    ], ids=["gt", "split_member", "query_id"])
+    def test_wrongly_typed_manifest_field_exit_3(self, workspace, tmp_path, capsys, edit, match):
+        data = copied_data(workspace, tmp_path)
+        doc = json.loads((data / "manifest.json").read_text())
+        edit(doc)
+        (data / "manifest.json").write_text(json.dumps(doc))
+        assert main(["inspect", str(data)]) == 3
+        err = capsys.readouterr().err
+        assert match in err and "Traceback" not in err
 
     def test_non_utf8_record_name_exit_3(self, workspace, tmp_path, capsys):
         data = copied_data(workspace, tmp_path)

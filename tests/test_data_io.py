@@ -193,6 +193,18 @@ class TestDatasetIO:
         ds.items["it001"].visual_tokens = np.zeros((2, 6), dtype=np.float32)  # wrong row count
         with pytest.raises(ValidationError, match="it001"):
             write_dataset(ds, tmp_path / "ds")
+        # each in-memory field whose shape is checked before stacking
+        for owner, field, value, match in [
+            ("it000", "audio_tokens", np.zeros((4, 5)), r"item it000: audio tokens must be Lx6, got \(4, 5\)"),
+            ("it003", "speech_tokens", np.zeros(6), r"item it003: speech tokens must be Lx6, got \(6,\)"),
+            ("it002", "teacher_audio", np.zeros(4), r"item it002: teacher_audio must have dim 5, got \(4,\)"),
+            ("q001", "embedding", np.zeros(7), r"query q001: embedding dim \(7,\), expected 6"),
+        ]:
+            ds = tiny_dataset()
+            setattr(ds.queries[owner] if owner.startswith("q") else ds.items[owner], field, value.astype(np.float32))
+            with pytest.raises(ValidationError, match=match):
+                write_dataset(ds, tmp_path / "ds")
+        assert not (tmp_path / "ds").exists()
 
     def test_unknown_gt_rejected(self, tmp_path):
         ds = tiny_dataset()
@@ -263,20 +275,33 @@ class TestDatasetIO:
         assert not any((tmp_path / "ds").glob("*"))
 
     @pytest.mark.parametrize(
-        "edit, match",
+        "edit, error, match",
         [
-            (lambda doc: doc["items"][1].pop("audio_len"), "KeyError: 'audio_len'"),
-            (lambda doc: doc.update(m="three"), "ValueError: invalid literal"),
+            (lambda doc: doc["items"][1].pop("audio_len"), ContainerError, "KeyError: 'audio_len'"),
+            (lambda doc: doc.update(m="three"), ContainerError, "ValueError: invalid literal"),
+            (lambda doc: doc["queries"][0].update(gt=["it000"]), ContainerError, "unhashable type: 'list'"),
+            (lambda doc: doc["splits"]["test"]["items"].append(["it000"]), ContainerError, "unhashable type: 'list'"),
+            (lambda doc: doc["items"][2].update(id="it001"), ValidationError, "duplicate item id it001"),
+            (lambda doc: doc["queries"][3].update(id="q000"), ValidationError, "duplicate query id q000"),
+            (lambda doc: doc["queries"][1].update(id=7), ContainerError, "query id 7 is not a string"),
+            (lambda doc: doc["items"][1].update(has_teacher=1), ContainerError,
+             "item it001: has_teacher is 1, not a boolean"),
+            (lambda doc: doc["queries"][2].update(group="music"), ValidationError,
+             "query q002: unknown group 'music'"),
+            (lambda doc: doc["splits"]["train"]["queries"].append("q999"), ValidationError,
+             "split train: unknown query q999"),
+            (lambda doc: doc.update(m=0), ValidationError, "manifest requires m >= 1 and d >= 2, got m=0 d=6"),
         ],
-        ids=["missing_key", "wrong_type"],
+        ids=["missing_key", "wrong_type", "gt_list", "split_member_list", "duplicate_item", "duplicate_query",
+             "query_id_int", "has_teacher_int", "unknown_group", "unknown_split_member", "zero_frames"],
     )
-    def test_malformed_manifest_raises(self, tmp_path, edit, match):
+    def test_malformed_manifest_raises(self, tmp_path, edit, error, match):
         write_dataset(tiny_dataset(), tmp_path / "ds")
         manifest = tmp_path / "ds" / "manifest.json"
         doc = json.loads(manifest.read_text())
         edit(doc)
         manifest.write_text(json.dumps(doc))
-        with pytest.raises(ContainerError, match=match):
+        with pytest.raises(error, match=match):
             read_dataset(tmp_path / "ds")
 
     def test_empty_dataset(self, tmp_path):

@@ -350,6 +350,17 @@ class TestParamsIO:
             assert na == nb
             np.testing.assert_array_equal(a.data, b.data)
 
+    def test_mode_and_sharpness_in_sidecar(self, tmp_path):
+        params = FusionParams(dim=D, frames=M, heads=2, mode="avigate_plus", sharpness=7.5)
+        save_params(params, tmp_path / "p.ckpt")
+        assert load_params(tmp_path / "p.ckpt").arch == {**params.arch, "mode": "avigate", "sharpness": 7.5}
+        # a sidecar written before these keys existed scores as save at 20
+        sidecar = tmp_path / "p.ckpt.json"
+        meta = json.loads(sidecar.read_text())
+        sidecar.write_text(json.dumps({k: v for k, v in meta.items() if k not in ("mode", "sharpness")}))
+        arch = load_params(tmp_path / "p.ckpt").arch
+        assert (arch["mode"], arch["sharpness"]) == ("save", 20.0)
+
     def test_two_saves_identical_bytes(self, tmp_path):
         params = make_params(7)
         save_params(params, tmp_path / "a.ckpt")
@@ -366,9 +377,11 @@ class TestParamsIO:
             ({"dtype": None}, "KeyError: 'dtype'"),
             ({"heads": 3}, "model dim 8 not divisible by head count 3"),
             ({"dim": "8"}, "TypeError"),
+            ({"mode": "bogus"}, "'bogus' is not a valid FusionMode"),
+            ({"sharpness": 0}, "sharpness must be > 0, got 0"),
         ],
         ids=["missing_record", "size_mismatch", "unknown_key", "missing_dim", "missing_dtype", "heads_vs_dim",
-             "dim_as_string"],
+             "dim_as_string", "unknown_mode", "zero_sharpness"],
     )
     def test_sidecar_that_disagrees_with_tensors_raises(self, tmp_path, change, match):
         save_params(make_params(), tmp_path / "c.ckpt")

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from trifuse.data import batch_iter, read_dataset
+from trifuse.data import KIND_VECTOR, ContainerError, batch_iter, read_container, read_dataset, write_container
 from trifuse.fusion import FusionMode, FusionParams, precompute_index
 from trifuse.losses import affinity_from_teacher
 from trifuse.similarity import score_matrix
@@ -102,6 +102,27 @@ class TestSidecar:
         assert sorted(back.items) == sorted(ds.items)
         loaded = load_latents(tmp_path / "ds", store.item_ids, sorted(ds.queries))
         np.testing.assert_allclose(loaded.z_vis, store.z_vis, atol=1e-7)
+        # any ids, in any order, come back as the rows of those ids
+        rows = [7, 0, 59, 3]
+        item_ids, query_ids = [store.item_ids[k] for k in rows], ["q00042", "q00001"]
+        loaded = load_latents(tmp_path / "ds", item_ids, query_ids)
+        assert loaded.item_ids == item_ids
+        for name in ("z_vis", "z_aud", "z_sp"):
+            np.testing.assert_array_equal(getattr(loaded, name), getattr(store, name)[rows])
+        assert list(loaded.query_latent) == query_ids
+        for qid in query_ids:
+            np.testing.assert_array_equal(loaded.query_latent[qid], store.query_latent[qid])
+
+    def test_one_record_per_latent_field(self, tmp_path):
+        write_synthetic(config(), tmp_path / "ds")
+        records = read_container(tmp_path / "ds" / "latents.sve")
+        assert {name: arr.shape for name, (_, arr) in records.items()} == {
+            "latent/z_vis": (60, 8), "latent/z_aud": (60, 8), "latent/z_sp": (60, 8), "latent/query": (60, 8)
+        }
+        # a sidecar in the older one-record-per-item layout is refused
+        write_container(tmp_path / "ds" / "latents.sve", {"latent/v00000/z_vis": (KIND_VECTOR, np.ones(8))})
+        with pytest.raises(ContainerError, match="lacks record latent/z_vis"):
+            load_latents(tmp_path / "ds", ["v00000"], [])
 
     def test_missing_sidecar_raises(self, tmp_path):
         write_synthetic(config(), tmp_path / "ds")

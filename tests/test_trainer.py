@@ -208,7 +208,8 @@ class TestTrainLoop:
         # poison one query so the scores go non-finite immediately
         qid = dataset.manifest.splits["train"]["queries"][0]
         dataset.queries[qid].embedding = np.full(dataset.manifest.dim, np.inf, dtype=np.float32)
-        result = train(small_config(epochs=1), dataset)
+        with pytest.warns(RuntimeWarning):  # inf / inf while normalizing the poisoned query
+            result = train(small_config(epochs=1), dataset)
         assert result.aborted
         assert "non-finite" in result.abort_reason
         fresh = train(small_config(epochs=1), small_dataset(seed=5))
