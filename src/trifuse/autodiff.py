@@ -6,15 +6,20 @@ Calling `backward()` on a scalar walks the tape in reverse topological order
 and accumulates gradients additively, so a tensor used twice receives the sum
 of both branch gradients.
 
-Only the ops needed by the fusion stacks and training losses are provided.
-The nonlinearities are single tape nodes with closed-form backward passes:
-`softmax`, `logsumexp` (`log_softmax` is x minus it), `gelu` and
-`standardize` (layer norm without gain and bias). Composed of primitive ops,
-each would record 5-11 nodes with a full-size temporary apiece. `softmax` and
+Only the ops needed by the fusion stacks, the scorer and the training losses
+are provided. The nonlinearities are single tape nodes with closed-form
+backward passes: `softmax`, `logsumexp` (`log_softmax` is x minus it),
+`gelu`, `standardize` (layer norm without gain and bias) and
+`token_logmeanexp` (the scorer's local term: cosines, log-mean-exp over the
+token axis and the 1/sharpness scale). Composed of primitive ops, each would
+record 5-11 nodes with a full-size temporary apiece. `softmax` and
 `logsumexp` reduce over a C-order copy with the reduced axis moved to the
 front: numpy reduces a short last axis (an attention row's 12 or 32 keys) in
 one slow inner loop per output, but a leading axis in a few passes over whole
 contiguous rows. Working on a copy, they never write into their input.
+`token_logmeanexp` needs no copy: its matmul writes the token axis in the
+middle of a fresh (T, m, B) buffer, and its inputs are unit-norm, so it skips
+the max shift too.
 
 Training runs in float32; gradient checking builds the same graphs in float64
 (`finite_difference_check` refuses nothing else, 1e-4 tolerances are not
@@ -414,6 +419,36 @@ def logsumexp(x: Tensor, axis: int = -1, keepdims: bool = False) -> Tensor:
         _accumulate(x, np.moveaxis(e * (g / total), 0, axis))
 
     return _node(out_data, (x,), backward)
+
+
+def token_logmeanexp(q: Tensor, tokens: Tensor, sharpness: float) -> Tensor:
+    """(T, B) local scores (1/s) log(mean_i exp(s q_t . tokens[i, b])) of
+    unit-norm (T, d) queries against unit-norm token-major (m, B, d) tokens.
+
+    Every product is a cosine in [-1, 1], so exp(s cos) needs no max shift
+    while m e^s and e^-s fit the dtype (s <= fusion.MAX_SHARPNESS in float32).
+    One fresh (T, m, B) buffer holds the scaled cosines and then, in place,
+    their exponentials; the gradient is two matmuls with weights e / total.
+    """
+    m, b, d = tokens.shape
+    flat = tokens.data.reshape(m * b, d)
+    e = ((q.data * sharpness) @ flat.T).reshape(q.shape[0], m, b)
+    np.exp(e, out=e)
+    total = e.sum(axis=1)
+    out_data = np.log(total)
+    out_data -= math.log(m)
+    out_data *= 1.0 / sharpness
+
+    def backward(g):
+        w = e / total[:, None, :]
+        w *= g[:, None, :]
+        w = w.reshape(q.shape[0], m * b)
+        if q.requires_grad:
+            _accumulate(q, w @ flat)
+        if tokens.requires_grad:
+            _accumulate(tokens, (w.T @ q.data).reshape(m, b, d))
+
+    return _node(out_data, (q, tokens), backward)
 
 
 def log_softmax(x: Tensor, axis: int = -1) -> Tensor:

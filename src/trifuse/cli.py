@@ -4,12 +4,13 @@ One JSON config file drives generation ("synth" section) and training
 ("train" section); command-line flags override individual keys. A
 checkpoint records the fusion mode and sharpness it was trained with; `eval`
 and `score` score with both, and `--mode` overrides the mode. Exit codes:
-0 success, 2 config parse error, 3 IO error (a missing file, a malformed
+0 success, 2 config parse error (including an out-of-range value, such as a
+train sharpness outside (0, 80]), 3 IO error (a missing file, a malformed
 container, manifest or checkpoint sidecar, a manifest with a duplicate id or
-a wrongly typed field, checkpoint tensors that disagree with their sidecar, a
-non-finite embedding, or an eval split that the manifest does not list or
-that has no queries), 4 training aborted on
-non-finite loss, 5 checkpoint, config or dataset dimension mismatch
+a wrongly typed field, a checkpoint sidecar sharpness outside (0, 80],
+checkpoint tensors that disagree with their sidecar, a non-finite embedding,
+or an eval split that the manifest does not list or that has no queries), 4
+training aborted on non-finite loss, 5 checkpoint, config or dataset dimension mismatch
 (including audio longer than max_audio_len), 6 unknown query id.
 """
 

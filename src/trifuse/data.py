@@ -426,14 +426,15 @@ def _unit_rows(v: np.ndarray) -> np.ndarray:
 
 
 def resolve_missing(item: ItemRecord, manifest: Manifest) -> ItemRecord:
-    """Fill absent modalities with zero tokens.
+    """Fill absent modalities with zero tokens. An array with zero rows is
+    absent too, as it is once written (its length is 0) and read back.
 
     Idempotent: an already-complete record comes back unchanged.
     """
     out = item
-    if out.audio_tokens is None:
+    if out.audio_tokens is None or len(out.audio_tokens) == 0:
         out = replace(out, audio_tokens=np.zeros((manifest.audio_pad, manifest.dim), dtype=np.float32))
-    if out.speech_tokens is None:
+    if out.speech_tokens is None or len(out.speech_tokens) == 0:
         out = replace(out, speech_tokens=np.zeros((manifest.speech_pad, manifest.dim), dtype=np.float32))
     return out
 

@@ -50,8 +50,21 @@ AV_AUDIO_WEIGHT = 0.05
 
 LOGIT_SCALE_INIT = math.log(1.0 / 0.07)
 
-# Log-sum-exp sharpness of the local similarity term.
+# Log-sum-exp sharpness of the local similarity term. The scorer's local term
+# (`autodiff.token_logmeanexp`) takes exp(sharpness * cosine) with no max
+# shift. float32 exp overflows above 88.7; at MAX_SHARPNESS the sum m e^s
+# stays finite up to m = 6,000 tokens and e^-s stays a normal float32.
 DEFAULT_SHARPNESS = 20.0
+MAX_SHARPNESS = 80.0
+
+
+def check_sharpness(sharpness: float) -> float:
+    """`sharpness` as a float, or ValueError outside (0, MAX_SHARPNESS]."""
+    if not float(sharpness) > 0:
+        raise ValueError(f"sharpness must be > 0, got {sharpness}")
+    if not float(sharpness) <= MAX_SHARPNESS:
+        raise ValueError(f"sharpness must be <= MAX_SHARPNESS ({MAX_SHARPNESS}), got {sharpness}")
+    return float(sharpness)
 
 
 class HolisticAggregator(nn.Module):
@@ -91,8 +104,7 @@ class FusionParams(nn.Module):
         seed: int = 0,
         dtype=np.float32,
     ):
-        if not float(sharpness) > 0:
-            raise ValueError(f"sharpness must be > 0, got {sharpness}")
+        sharpness = check_sharpness(sharpness)
         rng = np.random.default_rng(seed)
         self.resampler = nn.Resampler(
             dim, heads, frames, rng, depth=resampler_depth, max_len=max_audio_len, dtype=dtype
@@ -111,7 +123,7 @@ class FusionParams(nn.Module):
             "resampler_depth": resampler_depth,
             "max_audio_len": max_audio_len,
             "mode": FusionMode(mode).value,
-            "sharpness": float(sharpness),
+            "sharpness": sharpness,
         }
         self.dtype = np.dtype(dtype)
 

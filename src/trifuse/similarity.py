@@ -9,30 +9,34 @@ combined_similarity` are an independent reference written in numpy. Zero-norm
 vectors score 0 by convention so zero-filled missing modalities cannot poison
 evaluation.
 
-Tokens are laid out token-major, (m, B, d), so the gallery axis of the
-(T, m, B) cosines stays innermost when `logsumexp` reduces over m.
-`QueryScorer` scores query rows in chunks whose cosine tensor stays under
-SCORE_CHUNK_BYTES, so its memory is bounded by the gallery, not by the number
-of queries.
+The local term is one tape node, `autodiff.token_logmeanexp`: one matmul
+into a fresh (T, m, B) buffer, exp in place, a sum over m and a log. Tokens
+are laid out token-major, (m, B, d), so the gallery axis of that buffer stays
+innermost when it is summed over m. Every cosine is in [-1, 1], so the node
+needs no max shift as long as the sharpness is at most
+`fusion.MAX_SHARPNESS`, which `QueryScorer` and `FusionParams` enforce.
+`QueryScorer` scores query rows in chunks whose (rows, m, n) buffer stays
+under SCORE_CHUNK_BYTES, so its memory is bounded by the gallery, not by the
+number of queries.
 """
 
 from __future__ import annotations
 
 import logging
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .fusion import DEFAULT_SHARPNESS, FusedBatch, FusionMode, VideoIndex
+from .fusion import DEFAULT_SHARPNESS, FusedBatch, FusionMode, VideoIndex, check_sharpness
 
 logger = logging.getLogger(__name__)
 
-# Bytes of one scoring chunk's (rows, m, n) float64 cosine tensor. On 2 vCPUs
-# (2 MiB L2 each, 105 MiB L3), 2,000 x 2,000 x 12 scoring took 509, 417, 450,
-# 531, 562 and 824 ms at 1, 2, 4, 8, 16 and 64 MiB; 2 and 4 were within noise.
+# Bytes of one scoring chunk's (rows, m, n) float64 buffer. On 2 vCPUs (2 MiB
+# L2 each, 105 MiB L3), 2,000 x 2,000 x 12 scoring took 452, 301, 235, 208, 204
+# and 220 ms at 0.5, 1, 2, 4, 8 and 16 MiB (medians of 11, shared host); 4 and
+# 8 were within noise (161 and 164 ms in a second sweep).
 SCORE_CHUNK_BYTES = 4 << 20
 
 # Mirrors autodiff.NORM_EPS_SQ: unit-scale vectors untouched, zero vectors
@@ -100,11 +104,12 @@ def _cosines(q: Tensor, rows: Tensor) -> Tensor:
 
 
 def _scores(
-    q: Tensor, mode: FusionMode, sharpness: float, tokens: Tensor, pooled: Tensor,
+    q: Tensor, mode: FusionMode, sharpness: float, tokens: Tensor | None, pooled: Tensor | None,
     holistic: Tensor | None = None, speech_pool: Tensor | None = None,
 ) -> Tensor:
     """(T, B) scores of unit-norm (T, d) queries against unit-norm gallery
-    arrays: tokens (m, B, d), token-major; pooled, holistic and speech_pool (B, d).
+    arrays: tokens (m, B, d), token-major; pooled, holistic and speech_pool
+    (B, d). Only the arrays the mode reads need to be given.
 
     The one formula of every fusion mode, for serving and for training.
     """
@@ -112,11 +117,8 @@ def _scores(
         return _cosines(q, holistic)
     if mode == FusionMode.LATE_FUSION:
         return (_cosines(q, pooled) + _cosines(q, speech_pool)) * 0.5
-    m, b, d = tokens.shape
-    # The sharpness scales the (T, d) queries, not the (T, m, B) cosines, and
-    # the global term is computed last so it is not alive at the (T, m, B) peak.
-    scaled = ad.reshape(_cosines(q * sharpness, ad.reshape(tokens, (m * b, d))), (q.shape[0], m, b))
-    local = (ad.logsumexp(scaled, axis=1) - math.log(m)) * (1.0 / sharpness)
+    # the global term comes last, so it is not alive at the (T, m, B) peak
+    local = ad.token_logmeanexp(q, tokens, sharpness)
     return (local + _cosines(q, pooled)) * 0.5
 
 
@@ -125,10 +127,8 @@ class QueryScorer:
     per-query scoring touches no network."""
 
     def __init__(self, index: VideoIndex, mode: FusionMode, sharpness: float = DEFAULT_SHARPNESS):
-        if sharpness <= 0:
-            raise ValueError(f"sharpness must be > 0, got {sharpness}")
         self.mode = FusionMode(mode)
-        self.sharpness = sharpness
+        self.sharpness = check_sharpness(sharpness)
         self.size = len(index.item_ids)
         single = self.mode in (FusionMode.HOLISTIC, FusionMode.LATE_FUSION)
         # (m, n, d): token-major, contiguous
@@ -165,16 +165,19 @@ def batch_scores(
 ) -> Tensor:
     """Differentiable (queries x videos) score matrix of a fused batch.
 
-    Query row i's ground truth is video i. The batch's tokens, pooled and
-    holistic vectors are normalized inside the graph; its speech pools
-    (late_fusion) are constants.
+    Query row i's ground truth is video i. Only the arrays the mode's formula
+    reads are normalized: the tokens and pooled vectors, the holistic vectors
+    (holistic), or the pooled vectors and speech pools (late_fusion). Speech
+    pools enter as constants, the others inside the graph.
     """
+    mode = FusionMode(mode)
+    holistic, late = mode == FusionMode.HOLISTIC, mode == FusionMode.LATE_FUSION
     return _scores(
         Tensor(_unit_rows(np.asarray(query_embeddings))),
-        FusionMode(mode),
+        mode,
         sharpness,
-        ad.swapaxes(ad.l2_normalize(fused.tokens), 0, 1),
-        ad.l2_normalize(fused.pooled),
-        None if fused.holistic is None else ad.l2_normalize(fused.holistic),
-        None if fused.speech_pool is None else Tensor(_unit64(fused.speech_pool)),
+        None if holistic or late else ad.swapaxes(ad.l2_normalize(fused.tokens), 0, 1),
+        None if holistic else ad.l2_normalize(fused.pooled),
+        ad.l2_normalize(fused.holistic) if holistic else None,
+        Tensor(_unit64(fused.speech_pool)) if late else None,
     )

@@ -20,7 +20,8 @@ from . import autodiff as ad
 from .autodiff import Tensor
 from .data import Dataset, ItemRecord, batch_iter, resolve_missing
 from .evaluation import summary_metrics
-from .fusion import DEFAULT_SHARPNESS, FusedBatch, FusionMode, FusionParams, forward_video, precompute_index, pre_fusion_pooled
+from .fusion import (DEFAULT_SHARPNESS, FusedBatch, FusionMode, FusionParams, check_sharpness, forward_video,
+                     precompute_index, pre_fusion_pooled)
 from .losses import (
     AlignKind,
     affinity_from_teacher,
@@ -70,6 +71,7 @@ class TrainConfig:
             raise ValueError("batch size must be >= 2 for contrastive training")
         if self.lr <= 0 or self.tau_init <= 0:
             raise ValueError("learning rate and tau must be positive")
+        check_sharpness(self.sharpness)
 
 
 class Adam:

@@ -15,9 +15,9 @@ from trifuse import nn
 from trifuse.autodiff import Tensor, finite_difference_check, parameter
 from trifuse.data import ItemRecord, read_dataset, resolve_missing, write_dataset
 from trifuse.evaluation import latency_probe, rank_of, ranks_of_matrix, summary_metrics
-from trifuse.fusion import FusionMode, FusionParams, forward_video, precompute_index
+from trifuse.fusion import FusedBatch, FusionMode, FusionParams, forward_video, precompute_index
 from trifuse.losses import contrastive_loss, huber_align_loss, mse_align_loss, soft_albef_loss
-from trifuse.similarity import QueryScorer, ScoreMatrix, score_matrix
+from trifuse.similarity import QueryScorer, ScoreMatrix, batch_scores, score_matrix
 from trifuse.synth import SynthConfig, generate
 from trifuse.trainer import TrainConfig, train
 
@@ -104,6 +104,15 @@ class TestCriterion1GradientIntegrity:
             br = rng.normal(size=(2, 2, 4))
             track("masked_batch_cross_attention",
                   finite_difference_check(lambda: (block(bq, Tensor(padded), mask) * br).sum(), block.parameters()))
+
+            # save-mode batch scores: the one-node local term plus the global cosine
+            stok = parameter(rng.normal(size=(3, 2, 4)))
+            squery = rng.normal(size=(2, 4))
+            sr = rng.normal(size=(2, 3))
+            track("batch_scores",
+                  finite_difference_check(
+                      lambda: (batch_scores(FusedBatch(stok, stok.mean(axis=1)), squery, FusionMode.SAVE) * sr).sum(),
+                      [stok]))
 
         elapsed = time.time() - start
         detail = f"max rel err {max(worst.values()):.2e} over {len(worst)} ops, {elapsed:.0f}s"

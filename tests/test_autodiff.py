@@ -5,6 +5,7 @@ import pytest
 
 from trifuse import autodiff as ad
 from trifuse.autodiff import Tensor, finite_difference_check, parameter
+from trifuse.fusion import MAX_SHARPNESS
 
 
 class TestBackward:
@@ -318,3 +319,60 @@ def test_masked_key_gets_zero_weight_and_gradient(name):
     _weighted_loss(op, x).backward()
     assert np.all(x.grad[masked] == 0.0)
     assert np.all(np.isfinite(x.grad))
+
+
+def _unit(x):
+    return x / np.linalg.norm(x, axis=-1, keepdims=True)
+
+
+def _composite_token_logmeanexp(q, tokens, s):
+    """The matmul + logsumexp graph `token_logmeanexp` replaced in the scorer."""
+    m, b, d = tokens.shape
+    scaled = ad.reshape(ad.matmul(q * s, ad.transpose(ad.reshape(tokens, (m * b, d)))), (q.shape[0], m, b))
+    return (ad.logsumexp(scaled, axis=1) - np.log(m)) * (1.0 / s)
+
+
+class TestTokenLogMeanExp:
+    """The scorer's local term as one node: unit-norm (T, d) queries against
+    token-major unit-norm (m, B, d) tokens, no max shift."""
+
+    def _inputs(self, seed, t=3, m=4, b=5, d=6):
+        rng = np.random.default_rng(seed)
+        return _unit(rng.normal(size=(t, d))), _unit(rng.normal(size=(m, b, d)))
+
+    @pytest.mark.parametrize("sharpness", [1.0, 20.0])
+    def test_gradient_matches_finite_differences(self, sharpness):
+        q, tokens = (parameter(x) for x in self._inputs(7, t=2, m=3, b=2, d=4))
+        r = np.random.default_rng(8).normal(size=(2, 2))
+        f = lambda: (ad.token_logmeanexp(q, tokens, sharpness) * r).sum()
+        assert finite_difference_check(f, [q, tokens], eps=1e-5) < 1e-4
+
+    @pytest.mark.parametrize("zero_items", [(), (1, 3)], ids=["dense", "zero_filled"])
+    def test_matches_composite(self, zero_items):
+        q, tokens = self._inputs(9)
+        tokens[:, list(zero_items)] = 0.0
+        for s in (0.5, 20.0, 80.0):
+            got = ad.token_logmeanexp(Tensor(q), Tensor(tokens), s).data
+            want = _composite_token_logmeanexp(Tensor(q), Tensor(tokens), s).data
+            assert got.shape == want.shape == (3, 5)
+            assert np.max(np.abs(got - want)) <= 1e-12
+
+    def test_input_bits_unchanged(self):
+        q, tokens = (parameter(x) for x in self._inputs(10))
+        before = q.data.tobytes(), tokens.data.tobytes()
+        (ad.token_logmeanexp(q, tokens, 20.0) * np.random.default_rng(0).normal(size=(3, 5))).sum().backward()
+        assert (q.data.tobytes(), tokens.data.tobytes()) == before
+        assert q.grad is not None and tokens.grad is not None
+
+    @pytest.mark.parametrize("sign", [1.0, -1.0], ids=["aligned", "opposed"])
+    def test_float32_finite_at_max_sharpness(self, sign):
+        """exp(+-MAX_SHARPNESS) summed over m tokens fits float32, without a shift."""
+        q = _unit(np.random.default_rng(11).normal(size=(2, 6))).astype(np.float32)
+        tokens = parameter(np.broadcast_to(sign * q[0], (12, 3, 6)).astype(np.float32))
+        qt = parameter(q)
+        with np.errstate(over="raise", under="raise", invalid="raise", divide="raise"):
+            out = ad.token_logmeanexp(qt, tokens, MAX_SHARPNESS)
+            (out * np.float32(1e3)).sum().backward()
+        assert out.dtype == np.float32 and tokens.grad.dtype == np.float32
+        assert np.all(np.isfinite(out.data)) and np.all(np.isfinite(tokens.grad)) and np.all(np.isfinite(qt.grad))
+        assert abs(out.data[0, 0] - sign) < 1e-5

@@ -87,6 +87,15 @@ class TestTrain:
         records = [json.loads(line) for line in (out / "train_log.jsonl").read_text().splitlines()]
         assert all(rec["alignment"] == 0.0 for rec in records if "alignment" in rec)
 
+    @pytest.mark.parametrize("sharpness", [0, 100])
+    def test_sharpness_out_of_range_is_config_error(self, workspace, tmp_path, capsys, sharpness):
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps({"train": {"sharpness": sharpness}}))
+        code = main(["train", "--config", str(cfg), "--data", str(workspace["data"]), "--out", str(tmp_path / "o")])
+        assert code == 2
+        assert "sharpness must be" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
     def test_missing_data_dir_is_io_error(self, workspace, tmp_path):
         code = main(["train", "--config", str(workspace["config"]), "--data", str(tmp_path / "nope"), "--out", str(tmp_path / "o")])
         assert code == 3
@@ -351,6 +360,21 @@ class TestInspect:
         assert main(["inspect", str(ckpt)]) == 3
         err = capsys.readouterr().err
         assert "KeyError: 'dtype'" in err and "Traceback" not in err
+
+    def test_sharpness_above_max_exit_3(self, workspace, tmp_path, capsys):
+        """A sidecar sharpness above fusion.MAX_SHARPNESS (80) exits 3; 80 itself scores."""
+        ckpt = tmp_path / "c.ckpt"
+        ckpt.write_bytes((workspace["run"] / "best.ckpt").read_bytes())
+        meta = json.loads((workspace["run"] / "best.ckpt.json").read_text())
+        commands = (["inspect", str(ckpt)], ["eval", "--checkpoint", str(ckpt), "--data", str(workspace["data"])])
+        for sharpness, want in ((100, 3), (80.0, 0)):
+            (tmp_path / "c.ckpt.json").write_text(json.dumps({**meta, "sharpness": sharpness}))
+            for command in commands:
+                assert main(command) == want, (sharpness, command)
+                err = capsys.readouterr().err
+                assert "Traceback" not in err
+                if want:
+                    assert "sharpness must be <= MAX_SHARPNESS (80.0), got 100" in err
 
     @pytest.mark.parametrize("edit, match", [
         (lambda doc: doc["queries"][0].update(gt=[doc["queries"][0]["gt"]]), "unhashable type: 'list'"),

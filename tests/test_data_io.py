@@ -1,5 +1,6 @@
 """Container format, dataset round-trips, missing-modality fill, batching."""
 
+import dataclasses
 import json
 import os
 import struct
@@ -23,7 +24,8 @@ from trifuse.data import (
     write_container,
     write_dataset,
 )
-from trifuse.fusion import FusionMode, FusionParams, VideoIndex, save_index, save_params
+from trifuse.fusion import FusionMode, FusionParams, VideoIndex, forward_video, save_index, save_params
+from trifuse.synth import SynthConfig, generate
 
 
 def tiny_dataset(n_items=4, d=6, d_t=5, m=3, seed=0) -> Dataset:
@@ -515,6 +517,25 @@ class TestResolveMissing:
         once = resolve_missing(ds.items["it001"], ds.manifest)
         twice = resolve_missing(once, ds.manifest)
         assert twice is once
+
+    @pytest.mark.parametrize("field", ["audio_tokens", "speech_tokens"])
+    def test_zero_row_modality_fuses_as_missing(self, tmp_path, field):
+        """A present but empty modality is zero-filled as a missing one is, so
+        the in-memory dataset and its written and read-back copy fuse to the
+        same finite tokens (read back, the item's modality is absent)."""
+        ds, _ = generate(SynthConfig(n_items=8, dim=8, frames=3, audio_len=4, speech_pad=4, seed=0))
+        first = sorted(ds.items)[0]
+        ds.items[first] = dataclasses.replace(ds.items[first], **{field: np.zeros((0, 8), dtype=np.float32)})
+        write_dataset(ds, tmp_path / "d")
+        back = read_dataset(tmp_path / "d")
+        assert getattr(back.items[first], field) is None
+        params = FusionParams(dim=8, frames=3, heads=2, seed=0)
+        params.audio_fusion.gate.data = np.asarray(0.5, dtype=params.dtype)
+        params.speech_fusion.gate.data = np.asarray(0.5, dtype=params.dtype)
+        fused = [forward_video([resolve_missing(d.items[i], d.manifest) for i in sorted(d.items)], params,
+                               FusionMode.SAVE).tokens.data for d in (ds, back)]
+        assert np.all(np.isfinite(fused[0]))
+        np.testing.assert_array_equal(fused[0], fused[1])
 
 
 class TestBatchIter:

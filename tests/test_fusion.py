@@ -361,6 +361,14 @@ class TestParamsIO:
         arch = load_params(tmp_path / "p.ckpt").arch
         assert (arch["mode"], arch["sharpness"]) == ("save", 20.0)
 
+    def test_sharpness_bound(self, tmp_path):
+        """The local term takes exp(sharpness * cosine) unshifted, so a
+        sharpness above fusion.MAX_SHARPNESS is refused; the bound itself loads."""
+        with pytest.raises(ValueError, match="MAX_SHARPNESS"):
+            FusionParams(dim=D, frames=M, heads=2, sharpness=fusion.MAX_SHARPNESS + 0.5)
+        save_params(FusionParams(dim=D, frames=M, heads=2, sharpness=fusion.MAX_SHARPNESS), tmp_path / "p.ckpt")
+        assert load_params(tmp_path / "p.ckpt").arch["sharpness"] == 80.0
+
     def test_two_saves_identical_bytes(self, tmp_path):
         params = make_params(7)
         save_params(params, tmp_path / "a.ckpt")
@@ -379,9 +387,10 @@ class TestParamsIO:
             ({"dim": "8"}, "TypeError"),
             ({"mode": "bogus"}, "'bogus' is not a valid FusionMode"),
             ({"sharpness": 0}, "sharpness must be > 0, got 0"),
+            ({"sharpness": 100}, r"sharpness must be <= MAX_SHARPNESS \(80.0\), got 100"),
         ],
         ids=["missing_record", "size_mismatch", "unknown_key", "missing_dim", "missing_dtype", "heads_vs_dim",
-             "dim_as_string", "unknown_mode", "zero_sharpness"],
+             "dim_as_string", "unknown_mode", "zero_sharpness", "over_max_sharpness"],
     )
     def test_sidecar_that_disagrees_with_tensors_raises(self, tmp_path, change, match):
         save_params(make_params(), tmp_path / "c.ckpt")

@@ -6,7 +6,7 @@ import pytest
 from trifuse import similarity
 from trifuse.autodiff import Tensor, finite_difference_check, parameter
 from trifuse.data import QueryRecord
-from trifuse.fusion import FusedBatch, FusionMode, FusionParams, VideoIndex
+from trifuse.fusion import MAX_SHARPNESS, FusedBatch, FusionMode, FusionParams, VideoIndex
 from trifuse.similarity import (
     QueryScorer,
     batch_scores,
@@ -195,6 +195,14 @@ class TestScoreMatrix:
         with pytest.raises(ValueError, match="sharpness"):
             QueryScorer(index, FusionMode.SAVE, sharpness=-1.0)
 
+    def test_sharpness_above_max_rejected(self):
+        """Up to MAX_SHARPNESS, exp needs no max shift; beyond it the scorer refuses."""
+        index = small_index(3)
+        with pytest.raises(ValueError, match="MAX_SHARPNESS"):
+            QueryScorer(index, FusionMode.SAVE, sharpness=MAX_SHARPNESS + 0.5)
+        sm = score_matrix(index, queries_for(index, 2), sharpness=MAX_SHARPNESS)
+        assert np.all(np.isfinite(sm.values))
+
 
 class TestBatchScores:
     def test_matches_numpy_route(self):
@@ -239,6 +247,23 @@ class TestBatchScores:
                 else:
                     want = 0.5 * (global_similarity(fused.pooled.data[j], q) + global_similarity(fused.speech_pool[j], q))
                 assert abs(got[i, j] - want) < 1e-12
+
+    @pytest.mark.parametrize("mode", [FusionMode.HOLISTIC, FusionMode.LATE_FUSION])
+    def test_single_vector_modes_read_only_their_arrays(self, mode):
+        """Holistic and late_fusion scores need neither the tokens nor, for
+        holistic, the pooled vectors, and do not change without them."""
+        rng = np.random.default_rng(10)
+        n, m, d = 4, 3, 4
+        params = FusionParams(dim=d, frames=m, heads=2, seed=3, dtype=np.float64)
+        tokens = Tensor(rng.normal(size=(n, m, d)))
+        full = FusedBatch(tokens, tokens.mean(axis=1), speech_pool=rng.normal(size=(n, d)),
+                          holistic=params.holistic(tokens))
+        if mode == FusionMode.HOLISTIC:
+            bare = FusedBatch(None, None, holistic=full.holistic)
+        else:
+            bare = FusedBatch(None, full.pooled, speech_pool=full.speech_pool)
+        queries = rng.normal(size=(5, d))
+        np.testing.assert_array_equal(batch_scores(bare, queries, mode).data, batch_scores(full, queries, mode).data)
 
 
 class TestChunkedScoring:
