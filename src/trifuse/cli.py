@@ -39,8 +39,7 @@ EXIT_NAN = 4
 EXIT_DIM = 5
 EXIT_QUERY = 6
 
-# avigate_plus is an alias of avigate, which iterating FusionMode leaves out.
-MODE_CHOICES = [m.value for m in FusionMode] + ["avigate_plus"]
+MODE_CHOICES = [m.value for m in FusionMode]
 
 logger = logging.getLogger(__name__)
 

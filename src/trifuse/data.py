@@ -442,18 +442,11 @@ def resolve_missing(item: ItemRecord, manifest: Manifest) -> ItemRecord:
 # -- batching ----------------------------------------------------------------
 
 
-def batch_iter(ids: list[str], batch_size: int, seed: int, train: bool):
-    """Yield batches of ids. Training: seeded permutation, last partial batch
-    dropped. Evaluation: original order, everything kept."""
+def batch_iter(ids: list[str], batch_size: int, seed: int):
+    """Yield training batches of ids: a seeded permutation, the last partial
+    batch dropped."""
     if batch_size > len(ids):
         raise ValueError(f"batch size {batch_size} exceeds split size {len(ids)}")
-    if train:
-        order = list(np.random.default_rng(seed).permutation(len(ids)))
-        limit = (len(ids) // batch_size) * batch_size
-        order = order[:limit]
-    else:
-        order = list(range(len(ids)))
-    for start in range(0, len(order), batch_size):
-        chunk = order[start : start + batch_size]
-        if chunk:
-            yield [ids[i] for i in chunk]
+    order = np.random.default_rng(seed).permutation(len(ids))
+    for start in range(0, len(ids) - batch_size + 1, batch_size):
+        yield [ids[i] for i in order[start : start + batch_size]]

@@ -29,16 +29,19 @@ from .data import (KIND_TOKENS, KIND_VECTOR, ContainerError, ItemRecord, Manifes
 class FusionMode(str, Enum):
     SAVE = "save"
     AVIGATE = "avigate"
-    AVIGATE_PLUS = "avigate"  # alias: avigate_plus fuses exactly as avigate
     VISION_ONLY = "vision_only"
     NO_AUDIO = "no_audio"
     LATE_FUSION = "late_fusion"
     LEARNABLE_WEIGHTS = "learnable_weights"
     HOLISTIC = "holistic"
 
-    @classmethod
-    def _missing_(cls, value):
-        return cls.AVIGATE if value == "avigate_plus" else None
+
+# The arrays each mode's videos are scored with: the one place that decides
+# what `forward_video` returns and what an index holds, carries and stores.
+SCORED_ARRAYS = {mode: ("tokens", "pooled") for mode in FusionMode} | {
+    FusionMode.HOLISTIC: ("holistic",),
+    FusionMode.LATE_FUSION: ("pooled", "speech_pool"),
+}
 
 
 # Audio-visual weighted-sum coefficients. The fused tokens are stored
@@ -170,26 +173,32 @@ def load_params(path) -> FusionParams:
 
 @dataclass
 class VideoIndex:
-    """Offline per-video artifact scored online without any network evaluation."""
+    """Offline per-video artifact scored online without any network evaluation.
+    It holds the arrays SCORED_ARRAYS names for its mode; the others are None."""
 
     mode: FusionMode
     item_ids: list[str]
-    tokens: np.ndarray  # (n, m, d) fused tokens
-    pooled: np.ndarray  # (n, d) token means
-    holistic: np.ndarray | None = None  # (n, d), holistic mode
-    speech_pool: np.ndarray | None = None  # (n, d), late_fusion mode
+    tokens: np.ndarray | None = None  # (n, m, d) fused tokens
+    pooled: np.ndarray | None = None  # (n, d) token means
+    holistic: np.ndarray | None = None  # (n, d) attention-pooled tokens
+    speech_pool: np.ndarray | None = None  # (n, d) raw speech-token means
+
+    @property
+    def dim(self) -> int:
+        return getattr(self, SCORED_ARRAYS[self.mode][0]).shape[-1]
 
 
 @dataclass
 class FusedBatch:
-    """`forward_video` output for B items; every array leads with the item axis."""
+    """`forward_video` output for B items; every array leads with the item axis.
+    The scored arrays are those SCORED_ARRAYS names for the mode; the others are None."""
 
-    tokens: Tensor  # (B, m, d) fused tokens
-    pooled: Tensor  # (B, d) their means
+    tokens: Tensor | None = None  # (B, m, d) fused tokens
+    pooled: Tensor | None = None  # (B, d) their means
+    holistic: Tensor | None = None  # (B, d) attention-pooled tokens
+    speech_pool: Tensor | None = None  # (B, d) raw speech-token means, a constant
     visual: Tensor | None = None  # (B, m, d) input visual tokens
     audio: Tensor | None = None  # (B, m, d) resampled audio, in the modes that use audio
-    speech_pool: np.ndarray | None = None  # (B, d) raw speech-token means, late_fusion only
-    holistic: Tensor | None = None  # (B, d) attention-pooled tokens, holistic only
 
 
 AUDIO_MODES = frozenset({FusionMode.AVIGATE, FusionMode.SAVE, FusionMode.HOLISTIC,
@@ -220,8 +229,8 @@ def forward_video(items: list[ItemRecord], params: FusionParams, mode: FusionMod
 
     The items must come through `resolve_missing` first in the modes that
     touch audio or speech; a batch may mix token lengths. late_fusion fuses as
-    avigate does and adds the raw speech-token means it is scored with;
-    holistic adds the attention-pooled vector it is scored with.
+    avigate does and is scored with the token means and the raw speech-token
+    means; holistic is scored with the attention-pooled tokens alone.
     """
     mode = FusionMode(mode)
     v, _ = _stack(items, "visual_tokens", params.dtype)
@@ -232,7 +241,7 @@ def forward_video(items: list[ItemRecord], params: FusionParams, mode: FusionMod
     if mode in SPEECH_MODES:
         speech, speech_mask = _stack(items, "speech_tokens", params.dtype)
         if mode == FusionMode.LATE_FUSION:
-            speech_pool = speech.data.sum(axis=1) / speech_mask.sum(axis=1, keepdims=True)
+            speech_pool = Tensor(speech.data.sum(axis=1) / speech_mask.sum(axis=1, keepdims=True))
         else:
             s_hat = params.speech_fusion(v, speech, speech_mask)
 
@@ -248,7 +257,8 @@ def forward_video(items: list[ItemRecord], params: FusionParams, mode: FusionMod
         gamma = 1.0 - params.alpha - params.beta
         fused = params.alpha * v + params.beta * a_hat + gamma * s_hat
     holistic = params.holistic(fused) if mode == FusionMode.HOLISTIC else None
-    return FusedBatch(fused, fused.mean(axis=-2), v, audio, speech_pool, holistic)
+    scored = {"tokens": fused, "pooled": fused.mean(axis=-2), "holistic": holistic, "speech_pool": speech_pool}
+    return FusedBatch(visual=v, audio=audio, **{name: scored[name] for name in SCORED_ARRAYS[mode]})
 
 
 def pre_fusion_pooled(fused: FusedBatch) -> tuple[Tensor, Tensor]:
@@ -259,50 +269,36 @@ def pre_fusion_pooled(fused: FusedBatch) -> tuple[Tensor, Tensor]:
     return ad.l2_normalize(fused.visual.mean(axis=-2)), ad.l2_normalize(fused.audio.mean(axis=-2))
 
 
-def _joined(parts: list[np.ndarray], empty_shape: tuple) -> np.ndarray:
-    return np.concatenate(parts).astype(np.float32, copy=False) if parts else np.zeros(empty_shape, np.float32)
-
-
 def precompute_index(
     items: list[ItemRecord], params: FusionParams, mode: FusionMode, manifest: Manifest
 ) -> VideoIndex:
     """Forward passes over fixed chunks of INDEX_CHUNK items under no_grad; a
-    pure function of (items, params, mode)."""
+    pure function of (items, params, mode). The index holds the mode's
+    SCORED_ARRAYS as float32."""
     mode = FusionMode(mode)
-    tokens, pooled, holistic, speech_pool = [], [], [], []
+    n = len(items)
+    arrays = {name: np.empty((n, manifest.frames, manifest.dim) if name == "tokens" else (n, manifest.dim), np.float32)
+              for name in SCORED_ARRAYS[mode]}
     with ad.no_grad():
-        for start in range(0, len(items), INDEX_CHUNK):
+        for start in range(0, n, INDEX_CHUNK):
             chunk = [resolve_missing(item, manifest) for item in items[start : start + INDEX_CHUNK]]
             fused = forward_video(chunk, params, mode)
-            tokens.append(fused.tokens.data)
-            pooled.append(fused.pooled.data)
-            if fused.holistic is not None:
-                holistic.append(fused.holistic.data)
-            if fused.speech_pool is not None:
-                speech_pool.append(fused.speech_pool)
-    return VideoIndex(
-        mode=mode,
-        item_ids=[item.item_id for item in items],
-        tokens=_joined(tokens, (0, manifest.frames, manifest.dim)),
-        pooled=_joined(pooled, (0, manifest.dim)),
-        holistic=_joined(holistic, (0, manifest.dim)) if mode == FusionMode.HOLISTIC else None,
-        speech_pool=_joined(speech_pool, (0, manifest.dim)) if mode == FusionMode.LATE_FUSION else None,
-    )
-
-
-# Index records, one per array; an (n, m, d) tokens array is stored as (n*m, d).
-_INDEX_ARRAYS = ("tokens", "pooled", "holistic", "speech_pool")
+            for name, out in arrays.items():
+                out[start : start + len(chunk)] = getattr(fused, name).data
+    return VideoIndex(mode=mode, item_ids=[item.item_id for item in items], **arrays)
 
 
 def save_index(index: VideoIndex, path) -> None:
-    """One container record per array, and a `.json` sidecar with the mode,
-    the item ids and m."""
+    """One container record per scored array, `index/<name>`, with tokens
+    stored as (n*m, d); a `.json` sidecar with the mode, the item ids and,
+    when there are tokens, m."""
     path = Path(path)
-    n, m, d = index.tokens.shape
-    arrays = {name: getattr(index, name) for name in _INDEX_ARRAYS}
-    arrays["tokens"] = index.tokens.reshape(n * m, d)
-    write_container(path, {f"index/{name}": (KIND_TOKENS, arr) for name, arr in arrays.items() if arr is not None})
-    meta = {"mode": index.mode.value, "item_ids": index.item_ids, "m": m}
+    arrays = {name: getattr(index, name) for name in SCORED_ARRAYS[index.mode]}
+    meta = {"mode": index.mode.value, "item_ids": index.item_ids}
+    if "tokens" in arrays:
+        n, m, d = index.tokens.shape
+        arrays["tokens"], meta["m"] = index.tokens.reshape(n * m, d), m
+    write_container(path, {f"index/{name}": (KIND_TOKENS, arr) for name, arr in arrays.items()})
     atomic_write(Path(str(path) + ".json"), (json.dumps(meta, indent=2, sort_keys=True) + "\n").encode())
 
 
@@ -310,13 +306,18 @@ def load_index(path) -> VideoIndex:
     path = Path(path)
     meta = json.loads(Path(str(path) + ".json").read_text())
     records = read_container(path)
-    ids, m = meta["item_ids"], meta["m"]
-    arrays = {name: records[f"index/{name}"][1] for name in _INDEX_ARRAYS if f"index/{name}" in records}
-    if "tokens" not in arrays or "pooled" not in arrays:
-        raise ContainerError(f"index {path} lacks its tokens or pooled record")
-    for name, arr in arrays.items():
+    try:
+        mode, ids = FusionMode(meta["mode"]), meta["item_ids"]
+        m = meta["m"] if "tokens" in SCORED_ARRAYS[mode] else None
+    except (KeyError, ValueError) as err:
+        raise ContainerError(f"index sidecar does not describe an index ({type(err).__name__}: {err})") from err
+    arrays = {}
+    for name in SCORED_ARRAYS[mode]:
+        if f"index/{name}" not in records:
+            raise ContainerError(f"{mode.value} index {path} lacks its {name} record")
+        arr = records[f"index/{name}"][1]
         rows = len(ids) * m if name == "tokens" else len(ids)
         if len(arr) != rows:
             raise ContainerError(f"index record {name} has {len(arr)} rows, expected {rows} for {len(ids)} items")
-    arrays["tokens"] = arrays["tokens"].reshape(len(ids), m, arrays["tokens"].shape[-1])
-    return VideoIndex(mode=FusionMode(meta["mode"]), item_ids=ids, **arrays)
+        arrays[name] = arr.reshape(len(ids), m, arr.shape[-1]) if name == "tokens" else arr
+    return VideoIndex(mode=mode, item_ids=ids, **arrays)

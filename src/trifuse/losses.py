@@ -201,8 +201,7 @@ def contrastive_loss(scores, scale=1.0, margin: float = 0.0) -> Tensor:
     return _symmetric_ce(scores * scale)
 
 
-def total_loss(contrastive: Tensor, alignment: Tensor | None, align_kind: AlignKind) -> Tensor:
-    """Equal-weight combination; `none` drops the alignment term entirely."""
-    if AlignKind(align_kind) == AlignKind.NONE or alignment is None:
-        return contrastive
-    return contrastive + alignment
+def total_loss(contrastive: Tensor, alignment: Tensor | None) -> Tensor:
+    """Equal-weight combination; a None alignment term (kind `none`, no audio
+    branch, or too few teacher rows) leaves the contrastive loss alone."""
+    return contrastive if alignment is None else contrastive + alignment

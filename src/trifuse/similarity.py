@@ -1,10 +1,15 @@
 """Video-query scoring: global, local (log-sum-exp), combined, holistic, late.
 
 One formula (`_scores`, built from autodiff ops) scores every fusion mode on
-both routes. `QueryScorer` feeds it a precomputed `VideoIndex` as constant
-tensors, with no network evaluation and no tape (the online path);
-`batch_scores` feeds it a fused batch and returns the differentiable score
-matrix the training losses consume. The scalar `global_/local_/
+both routes: the mean of the local term over the fused tokens, when there are
+tokens, and of one cosine per (n, d) vector. It never asks for the mode.
+`fusion.SCORED_ARRAYS` decides which arrays a mode's index or fused batch
+holds: `tokens` and `pooled` (local term plus global cosine), `holistic` alone
+(holistic), or `pooled` and `speech_pool` (late_fusion, two cosines).
+`QueryScorer` feeds it a precomputed `VideoIndex` as constant tensors, with no
+network evaluation and no tape (the online path); `batch_scores` feeds it a
+fused batch and returns the differentiable score matrix the training losses
+consume. The scalar `global_/local_/
 combined_similarity` are an independent reference written in numpy. Zero-norm
 vectors score 0 by convention so zero-filled missing modalities cannot poison
 evaluation.
@@ -94,7 +99,7 @@ class ScoreMatrix:
 def score_matrix(index: VideoIndex, queries: list, sharpness: float = DEFAULT_SHARPNESS) -> ScoreMatrix:
     """Score every query against the whole index in the index's mode."""
     scorer = QueryScorer(index, index.mode, sharpness)
-    q_mat = np.array([q.embedding for q in queries], dtype=np.float64).reshape(len(queries), index.pooled.shape[-1])
+    q_mat = np.array([q.embedding for q in queries], dtype=np.float64).reshape(len(queries), index.dim)
     values = scorer.score_many(q_mat)
     return ScoreMatrix(values=values, query_ids=[q.query_id for q in queries], item_ids=list(index.item_ids))
 
@@ -103,43 +108,32 @@ def _cosines(q: Tensor, rows: Tensor) -> Tensor:
     return ad.matmul(q, ad.transpose(rows))
 
 
-def _scores(
-    q: Tensor, mode: FusionMode, sharpness: float, tokens: Tensor | None, pooled: Tensor | None,
-    holistic: Tensor | None = None, speech_pool: Tensor | None = None,
-) -> Tensor:
-    """(T, B) scores of unit-norm (T, d) queries against unit-norm gallery
-    arrays: tokens (m, B, d), token-major; pooled, holistic and speech_pool
-    (B, d). Only the arrays the mode reads need to be given.
+def _scores(q: Tensor, sharpness: float, tokens: Tensor | None, vectors: list[Tensor]) -> Tensor:
+    """(T, B) scores of unit-norm (T, d) queries against a unit-norm gallery:
+    the mean of the local term over token-major (m, B, d) tokens, when given,
+    and of one cosine per (B, d) vector.
 
     The one formula of every fusion mode, for serving and for training.
     """
-    if mode == FusionMode.HOLISTIC:
-        return _cosines(q, holistic)
-    if mode == FusionMode.LATE_FUSION:
-        return (_cosines(q, pooled) + _cosines(q, speech_pool)) * 0.5
-    # the global term comes last, so it is not alive at the (T, m, B) peak
-    local = ad.token_logmeanexp(q, tokens, sharpness)
-    return (local + _cosines(q, pooled)) * 0.5
+    # the local term comes first, so no global term is alive at the (T, m, B) peak
+    terms = [] if tokens is None else [ad.token_logmeanexp(q, tokens, sharpness)]
+    terms += [_cosines(q, v) for v in vectors]
+    return sum(terms[1:], terms[0]) * (1.0 / len(terms))
 
 
 class QueryScorer:
-    """Prenormalized float64 copies of the gallery arrays the mode reads;
+    """Prenormalized float64 copies of the gallery arrays the index holds;
     per-query scoring touches no network."""
 
     def __init__(self, index: VideoIndex, mode: FusionMode, sharpness: float = DEFAULT_SHARPNESS):
-        self.mode = FusionMode(mode)
+        if FusionMode(mode) != index.mode:
+            raise ValueError(f"cannot score a {index.mode.value} index in mode {FusionMode(mode).value}")
         self.sharpness = check_sharpness(sharpness)
         self.size = len(index.item_ids)
-        single = self.mode in (FusionMode.HOLISTIC, FusionMode.LATE_FUSION)
         # (m, n, d): token-major, contiguous
-        self.tokens = None if single else _unit_rows(np.ascontiguousarray(index.tokens.swapaxes(0, 1), np.float64))
-        self.pooled = None if self.mode == FusionMode.HOLISTIC else _unit64(index.pooled)  # (n, d)
-        self.holistic = _unit64(index.holistic) if self.mode == FusionMode.HOLISTIC else None
-        self.speech_pool = _unit64(index.speech_pool) if self.mode == FusionMode.LATE_FUSION else None
-        if self.mode == FusionMode.HOLISTIC and self.holistic is None:
-            raise ValueError("holistic scoring needs an index built in holistic mode")
-        if self.mode == FusionMode.LATE_FUSION and self.speech_pool is None:
-            raise ValueError("late_fusion scoring needs an index built in late_fusion mode")
+        self.tokens = None if index.tokens is None else _unit_rows(
+            np.ascontiguousarray(index.tokens.swapaxes(0, 1), np.float64))
+        self.pooled, self.holistic, self.speech_pool = map(_unit64, (index.pooled, index.holistic, index.speech_pool))
 
     def score_one(self, query: np.ndarray) -> np.ndarray:
         return self.score_many(np.asarray(query, dtype=np.float64)[None, :])[0]
@@ -148,36 +142,25 @@ class QueryScorer:
         """(T, n) scores, written chunk by chunk; constant Tensors record no
         tape and copy no array."""
         q = _unit_rows(q_mat.astype(np.float64))
-        arrays = [None if a is None else Tensor(a) for a in (self.tokens, self.pooled, self.holistic, self.speech_pool)]
+        tokens = None if self.tokens is None else Tensor(self.tokens)
+        vectors = [Tensor(a) for a in (self.pooled, self.holistic, self.speech_pool) if a is not None]
         row_bytes = 8 * self.size * (1 if self.tokens is None else self.tokens.shape[0])
         rows = max(1, SCORE_CHUNK_BYTES // max(1, row_bytes))
         out = np.empty((len(q), self.size))
         for start in range(0, len(q), rows):
-            out[start : start + rows] = _scores(Tensor(q[start : start + rows]), self.mode, self.sharpness, *arrays).data
+            out[start : start + rows] = _scores(Tensor(q[start : start + rows]), self.sharpness, tokens, vectors).data
         return out
 
 
 # -- differentiable batch scoring (training path) ---------------------------
 
 
-def batch_scores(
-    fused: FusedBatch, query_embeddings: np.ndarray, mode: FusionMode, sharpness: float = DEFAULT_SHARPNESS
-) -> Tensor:
-    """Differentiable (queries x videos) score matrix of a fused batch.
-
-    Query row i's ground truth is video i. Only the arrays the mode's formula
-    reads are normalized: the tokens and pooled vectors, the holistic vectors
-    (holistic), or the pooled vectors and speech pools (late_fusion). Speech
-    pools enter as constants, the others inside the graph.
-    """
-    mode = FusionMode(mode)
-    holistic, late = mode == FusionMode.HOLISTIC, mode == FusionMode.LATE_FUSION
+def batch_scores(fused: FusedBatch, query_embeddings: np.ndarray, sharpness: float = DEFAULT_SHARPNESS) -> Tensor:
+    """Differentiable (queries x videos) score matrix of a fused batch, from
+    the arrays the batch holds. Query row i's ground truth is video i."""
     return _scores(
         Tensor(_unit_rows(np.asarray(query_embeddings))),
-        mode,
         sharpness,
-        None if holistic or late else ad.swapaxes(ad.l2_normalize(fused.tokens), 0, 1),
-        None if holistic else ad.l2_normalize(fused.pooled),
-        ad.l2_normalize(fused.holistic) if holistic else None,
-        Tensor(_unit64(fused.speech_pool)) if late else None,
+        None if fused.tokens is None else ad.swapaxes(ad.l2_normalize(fused.tokens), 0, 1),
+        [ad.l2_normalize(v) for v in (fused.pooled, fused.holistic, fused.speech_pool) if v is not None],
     )

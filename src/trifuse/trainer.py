@@ -224,15 +224,15 @@ def train(
 
     try:
         for epoch in range(config.epochs):
-            for batch_ids in batch_iter(item_ids, config.batch_size, config.seed * 100003 + epoch, train=True):
+            for batch_ids in batch_iter(item_ids, config.batch_size, config.seed * 100003 + epoch):
                 items = [resolve_missing(dataset.items[i], man) for i in batch_ids]
                 queries = np.stack([dataset.queries[query_of[i]].embedding for i in batch_ids])
 
                 fused = forward_video(items, params, config.mode)
-                scores = batch_scores(fused, queries, config.mode, sharpness=config.sharpness)
+                scores = batch_scores(fused, queries, sharpness=config.sharpness)
                 contrastive = contrastive_loss(scores, scale=params.temperature_scale(), margin=config.margin)
                 align_term, align_value = _alignment_term(config, items, fused)
-                loss = total_loss(contrastive, align_term, config.align_kind)
+                loss = total_loss(contrastive, align_term)
                 if not np.isfinite(float(loss.data)):
                     raise FloatingPointError(f"non-finite loss at step {step}")
 

@@ -111,7 +111,7 @@ class TestCriterion1GradientIntegrity:
             sr = rng.normal(size=(2, 3))
             track("batch_scores",
                   finite_difference_check(
-                      lambda: (batch_scores(FusedBatch(stok, stok.mean(axis=1)), squery, FusionMode.SAVE) * sr).sum(),
+                      lambda: (batch_scores(FusedBatch(stok, stok.mean(axis=1)), squery) * sr).sum(),
                       [stok]))
 
         elapsed = time.time() - start
@@ -120,7 +120,7 @@ class TestCriterion1GradientIntegrity:
 
 
 class TestCriterion2ZeroGateIdentity:
-    """At default init, save/avigate_plus/learnable_weights score bit-identically
+    """At default init, save/avigate/learnable_weights score bit-identically
     to vision_only on 100 random items."""
 
     def test_zero_gate_identity(self):
@@ -134,7 +134,7 @@ class TestCriterion2ZeroGateIdentity:
         base = precompute_index(items, params, FusionMode.VISION_ONLY, dataset.manifest)
         base_scores = score_matrix(base, queries).values
         identical = True
-        for mode in (FusionMode.SAVE, FusionMode.AVIGATE_PLUS, FusionMode.LEARNABLE_WEIGHTS):
+        for mode in (FusionMode.SAVE, FusionMode.AVIGATE, FusionMode.LEARNABLE_WEIGHTS):
             index = precompute_index(items, params, mode, dataset.manifest)
             if not np.array_equal(index.tokens, base.tokens):
                 identical = False

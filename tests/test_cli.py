@@ -183,14 +183,13 @@ class TestEval:
         metrics = json.loads(capsys.readouterr().out)
         assert "sumr" in metrics
 
-    def test_avigate_plus_mode_scores_as_avigate(self, workspace, capsys):
-        outputs = []
-        for mode in ("avigate", "avigate_plus"):
-            code = main(["eval", "--checkpoint", str(workspace["run"] / "best.ckpt"), "--data", str(workspace["data"]),
-                         "--mode", mode])
-            assert code == 0
-            outputs.append(capsys.readouterr().out)
-        assert outputs[0] == outputs[1]
+    def test_avigate_plus_is_an_unknown_mode(self, workspace, capsys):
+        """avigate_plus, once an alias of avigate, fails like any unknown mode."""
+        with pytest.raises(SystemExit) as exit_info:
+            main(["eval", "--checkpoint", str(workspace["run"] / "best.ckpt"), "--data", str(workspace["data"]),
+                  "--mode", "avigate_plus"])
+        assert exit_info.value.code == 2
+        assert "invalid choice: 'avigate_plus'" in capsys.readouterr().err
 
     def test_dim_mismatch_exit_5(self, workspace, tmp_path, capsys):
         cfg = tmp_path / "c.json"

@@ -542,29 +542,19 @@ class TestBatchIter:
     IDS = [f"id{i}" for i in range(10)]
 
     def test_train_drops_last_partial(self):
-        batches = list(batch_iter(self.IDS, 4, seed=0, train=True))
+        batches = list(batch_iter(self.IDS, 4, seed=0))
         assert [len(b) for b in batches] == [4, 4]
 
-    def test_eval_keeps_all(self):
-        batches = list(batch_iter(self.IDS, 4, seed=0, train=False))
-        assert [len(b) for b in batches] == [4, 4, 2]
-        assert [i for b in batches for i in b] == self.IDS
-
     def test_same_seed_same_sequence(self):
-        a = list(batch_iter(self.IDS, 3, seed=7, train=True))
-        b = list(batch_iter(self.IDS, 3, seed=7, train=True))
+        a = list(batch_iter(self.IDS, 3, seed=7))
+        b = list(batch_iter(self.IDS, 3, seed=7))
         assert a == b
 
     def test_different_seed_differs(self):
-        a = [i for b in batch_iter(self.IDS, 5, seed=1, train=True) for i in b]
-        b = [i for b in batch_iter(self.IDS, 5, seed=2, train=True) for i in b]
+        a = [i for b in batch_iter(self.IDS, 5, seed=1) for i in b]
+        b = [i for b in batch_iter(self.IDS, 5, seed=2) for i in b]
         assert a != b
-
-    def test_eval_epoch_is_id_multiset(self):
-        for seed in range(5):
-            flat = [i for b in batch_iter(self.IDS, 3, seed=seed, train=False) for i in b]
-            assert sorted(flat) == sorted(self.IDS)
 
     def test_oversized_batch_rejected(self):
         with pytest.raises(ValueError, match="batch size"):
-            list(batch_iter(self.IDS, 11, seed=0, train=True))
+            list(batch_iter(self.IDS, 11, seed=0))

@@ -13,6 +13,7 @@ from trifuse.fusion import (
     AV_AUDIO_WEIGHT,
     AV_VISUAL_WEIGHT,
     AUDIO_MODES,
+    SCORED_ARRAYS,
     FusionMode,
     FusionParams,
     forward_video,
@@ -23,7 +24,7 @@ from trifuse.fusion import (
     save_index,
     save_params,
 )
-from trifuse.similarity import batch_scores, combined_similarity, score_matrix
+from trifuse.similarity import QueryScorer, batch_scores, combined_similarity, global_similarity, score_matrix
 
 
 D, M = 8, 3
@@ -40,10 +41,6 @@ def make_item(seed=0, with_audio=True, with_speech=True) -> ItemRecord:
     )
 
 
-# Every mode name the engine accepts: the alias avigate_plus runs as avigate.
-MODE_NAMES = [mode.value for mode in FusionMode] + ["avigate_plus"]
-
-
 def make_params(seed=0, dtype=np.float32) -> FusionParams:
     return FusionParams(dim=D, frames=M, heads=2, seed=seed, dtype=dtype)
 
@@ -57,8 +54,8 @@ class TestForwardVideo:
 
     @pytest.mark.parametrize(
         "mode",
-        [FusionMode.SAVE, FusionMode.AVIGATE_PLUS, FusionMode.LEARNABLE_WEIGHTS],
-        ids=["save", "avigate_plus", "learnable_weights"],
+        [FusionMode.SAVE, FusionMode.AVIGATE, FusionMode.LEARNABLE_WEIGHTS],
+        ids=["save", "avigate", "learnable_weights"],
     )
     def test_zero_gate_identity_is_bitwise(self, mode):
         """Fresh gates are zero, so every gated mode must emit the raw visual tokens."""
@@ -96,12 +93,9 @@ class TestForwardVideo:
         params.audio_fusion.gate.data = np.asarray(0.6, dtype=np.float32)
         late = forward_video(items, params, FusionMode.LATE_FUSION)
         avigate = forward_video(items, params, FusionMode.AVIGATE)
-        np.testing.assert_array_equal(late.tokens.data, avigate.tokens.data)
+        np.testing.assert_array_equal(late.pooled.data, avigate.pooled.data)
         want = np.stack([it.speech_tokens.mean(axis=0) for it in items])
-        np.testing.assert_allclose(late.speech_pool, want, rtol=1e-6, atol=1e-7)
-
-    def test_avigate_plus_is_an_alias_of_avigate(self):
-        assert FusionMode("avigate_plus") is FusionMode.AVIGATE
+        np.testing.assert_allclose(late.speech_pool.data, want, rtol=1e-6, atol=1e-7)
 
     def test_unresolved_item_rejected(self):
         item = make_item(6, with_audio=False)
@@ -174,31 +168,29 @@ class TestBatchInvariance:
         return params
 
     @staticmethod
-    def arrays(out, params):
-        got = {"tokens": out.tokens.data, "pooled": out.pooled.data, "holistic": params.holistic(out.tokens).data}
+    def arrays(out, mode):
+        got = {name: getattr(out, name).data for name in SCORED_ARRAYS[mode]}
         if out.audio is not None:
             got["v_mean"], got["a_mean"] = (t.data for t in pre_fusion_pooled(out))
-        if out.speech_pool is not None:
-            got["speech_pool"] = out.speech_pool
         return got
 
-    @pytest.mark.parametrize("mode", MODE_NAMES)
+    @pytest.mark.parametrize("mode", list(FusionMode), ids=lambda m: m.value)
     def test_each_item_matches_its_solo_run(self, mode):
         items, params = self.batch(), self.params()
-        batched = self.arrays(forward_video(items, params, mode), params)
-        assert ("a_mean" in batched) == (FusionMode(mode) in AUDIO_MODES)
+        batched = self.arrays(forward_video(items, params, mode), mode)
+        assert ("a_mean" in batched) == (mode in AUDIO_MODES)
         for b, item in enumerate(items):
-            alone = self.arrays(forward_video([item], params, mode), params)
+            alone = self.arrays(forward_video([item], params, mode), mode)
             assert alone.keys() == batched.keys()
             for key, value in alone.items():
                 np.testing.assert_allclose(batched[key][b], value[0], rtol=0, atol=1e-12, err_msg=key)
 
-    @pytest.mark.parametrize("mode", MODE_NAMES)
+    @pytest.mark.parametrize("mode", list(FusionMode), ids=lambda m: m.value)
     def test_permuting_the_batch_permutes_outputs(self, mode):
         items, params = self.batch(), self.params()
         perm = np.random.default_rng(31).permutation(len(items))
-        base = self.arrays(forward_video(items, params, mode), params)
-        permuted = self.arrays(forward_video([items[k] for k in perm], params, mode), params)
+        base = self.arrays(forward_video(items, params, mode), mode)
+        permuted = self.arrays(forward_video([items[k] for k in perm], params, mode), mode)
         for key, value in base.items():
             np.testing.assert_allclose(permuted[key], value[perm], rtol=0, atol=1e-12, err_msg=key)
 
@@ -269,20 +261,12 @@ class TestIndex:
         monkeypatch.setattr(fusion, "INDEX_CHUNK", 3)
         chunked = precompute_index(items, params, FusionMode.LATE_FUSION, MAN)
         assert chunked.item_ids == whole.item_ids
-        for name in ("tokens", "pooled", "speech_pool"):
+        for name in SCORED_ARRAYS[FusionMode.LATE_FUSION]:
             np.testing.assert_allclose(getattr(chunked, name), getattr(whole, name), rtol=1e-5, atol=1e-6)
 
     def test_empty_item_list(self):
         index = precompute_index([], make_params(), FusionMode.SAVE, MAN)
         assert index.tokens.shape == (0, M, D) and index.pooled.shape == (0, D)
-
-    def test_holistic_mode_fills_vectors(self):
-        index = precompute_index(self.items(3), make_params(), FusionMode.HOLISTIC, MAN)
-        assert index.holistic.shape == (3, D)
-
-    def test_late_fusion_mode_fills_speech_pool(self):
-        index = precompute_index(self.items(3), make_params(), FusionMode.LATE_FUSION, MAN)
-        assert index.speech_pool.shape == (3, D)
 
     def test_index_scores_match_fresh_forward(self):
         params = make_params(5)
@@ -312,7 +296,7 @@ class TestIndex:
             assert (got is None) == (want is None)
             if want is not None:
                 assert got.shape == want.shape and got.tobytes() == want.tobytes()
-        assert len(read_container(tmp_path / "g.idx")) == (2 if mode == FusionMode.SAVE else 3)
+        assert len(read_container(tmp_path / "g.idx")) == len(SCORED_ARRAYS[mode])
 
     def test_load_rejects_row_count_that_disagrees_with_ids(self, tmp_path):
         save_index(precompute_index(self.items(3), make_params(), FusionMode.SAVE, MAN), tmp_path / "g.idx")
@@ -322,10 +306,39 @@ class TestIndex:
         with pytest.raises(ContainerError, match="index record tokens has 9 rows, expected 6"):
             load_index(tmp_path / "g.idx")
 
-    @pytest.mark.parametrize("mode", MODE_NAMES)
-    def test_score_matrix_matches_batch_scores(self, mode):
-        """Serving a precomputed index and training-time scoring of the same
-        fused batch give the same scores in every mode."""
+    @pytest.mark.parametrize(
+        "mode, change, match",
+        [
+            (FusionMode.SAVE, {"m": None}, "KeyError: 'm'"),
+            (FusionMode.SAVE, {"item_ids": None}, "KeyError: 'item_ids'"),
+            (FusionMode.SAVE, {"mode": "bogus"}, "'bogus' is not a valid FusionMode"),
+            (FusionMode.SAVE, {"mode": "holistic"}, "holistic index .* lacks its holistic record"),
+        ],
+        ids=["missing_m", "missing_item_ids", "unknown_mode", "holistic_without_holistic_record"],
+    )
+    def test_sidecar_that_disagrees_with_records_raises(self, tmp_path, mode, change, match):
+        save_index(precompute_index(self.items(3), make_params(), mode, MAN), tmp_path / "g.idx")
+        sidecar = tmp_path / "g.idx.json"
+        meta = {**json.loads(sidecar.read_text()), **change}
+        sidecar.write_text(json.dumps({key: value for key, value in meta.items() if value is not None}))
+        with pytest.raises(ContainerError, match=match):
+            load_index(tmp_path / "g.idx")
+
+    @staticmethod
+    def scalar_reference(index, j, query):
+        """The numpy reference score of item j in the index's mode."""
+        if index.mode == FusionMode.HOLISTIC:
+            return global_similarity(index.holistic[j], query)
+        if index.mode == FusionMode.LATE_FUSION:
+            return 0.5 * (global_similarity(index.pooled[j], query) + global_similarity(index.speech_pool[j], query))
+        return combined_similarity(index.tokens[j], index.pooled[j], query)
+
+    @pytest.mark.parametrize("mode", list(FusionMode), ids=lambda m: m.value)
+    def test_score_matrix_matches_batch_scores(self, tmp_path, mode):
+        """Each mode's index holds exactly the arrays SCORED_ARRAYS names and
+        survives save/load bit for bit. Serving it gives the scores of
+        training-time scoring of the same fused batch and of the scalar
+        reference, and a scorer in any other mode is refused."""
         params = make_params(9, dtype=np.float64)
         params.audio_fusion.gate.data = np.asarray(0.3)
         params.speech_fusion.gate.data = np.asarray(-0.2)
@@ -335,9 +348,29 @@ class TestIndex:
         with ad.no_grad():
             index = precompute_index(items, params, mode, MAN)
             fused = forward_video([resolve_missing(item, MAN) for item in items], params, mode)
-            want = batch_scores(fused, np.stack([q.embedding for q in queries]), mode).data
-        got = score_matrix(index, queries).values
+            want = batch_scores(fused, np.stack([q.embedding for q in queries])).data
+
+        names = ("tokens", "pooled", "holistic", "speech_pool")
+        assert {name for name in names if getattr(index, name) is not None} == set(SCORED_ARRAYS[mode])
+        save_index(index, tmp_path / "g.idx")
+        back = load_index(tmp_path / "g.idx")
+        assert back.mode == mode and back.item_ids == index.item_ids
+        for name in names:
+            held, loaded = getattr(index, name), getattr(back, name)
+            assert (loaded is None) == (held is None)
+            assert held is None or (loaded.shape == held.shape and loaded.tobytes() == held.tobytes())
+
+        got = score_matrix(back, queries).values
         np.testing.assert_allclose(got, want, rtol=0, atol=1e-6)
+        for i, q in enumerate(queries):
+            for j in range(len(items)):
+                assert abs(got[i, j] - self.scalar_reference(index, j, q.embedding)) < 1e-9
+        scorer = QueryScorer(back, mode)
+        assert all((getattr(scorer, name) is None) == (getattr(index, name) is None) for name in names)
+        assert scorer.tokens is None or (scorer.tokens.shape == (M, 6, D) and scorer.tokens.flags.c_contiguous)
+        other = next(m for m in FusionMode if m != mode)
+        with pytest.raises(ValueError, match=f"cannot score a {mode.value} index in mode {other.value}"):
+            QueryScorer(index, other)
 
 
 class TestParamsIO:
@@ -351,7 +384,7 @@ class TestParamsIO:
             np.testing.assert_array_equal(a.data, b.data)
 
     def test_mode_and_sharpness_in_sidecar(self, tmp_path):
-        params = FusionParams(dim=D, frames=M, heads=2, mode="avigate_plus", sharpness=7.5)
+        params = FusionParams(dim=D, frames=M, heads=2, mode="avigate", sharpness=7.5)
         save_params(params, tmp_path / "p.ckpt")
         assert load_params(tmp_path / "p.ckpt").arch == {**params.arch, "mode": "avigate", "sharpness": 7.5}
         # a sidecar written before these keys existed scores as save at 20

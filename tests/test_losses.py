@@ -8,7 +8,6 @@ from trifuse.autodiff import Tensor, finite_difference_check, parameter
 from trifuse.data import ItemRecord
 from trifuse.fusion import FusionMode, FusionParams, forward_video, pre_fusion_pooled
 from trifuse.losses import (
-    AlignKind,
     affinity_from_teacher,
     contrastive_loss,
     filtered_albef_loss,
@@ -364,19 +363,19 @@ class TestContrastive:
 class TestTotalLoss:
     def test_none_kind_is_contrastive_alone(self):
         c = Tensor(np.asarray(0.7))
-        assert float(total_loss(c, Tensor(np.asarray(0.3)), AlignKind.NONE).data) == 0.7
+        assert total_loss(c, None) is c
 
     def test_equal_combination(self):
         c = Tensor(np.asarray(0.7))
         a = Tensor(np.asarray(0.3))
-        assert float(total_loss(c, a, AlignKind.SOFT_ALBEF).data) == pytest.approx(1.0, abs=1e-12)
+        assert float(total_loss(c, a).data) == pytest.approx(1.0, abs=1e-12)
 
     def test_swapping_kind_changes_only_alignment(self):
         rng = np.random.default_rng(20)
         m0 = rng.normal(size=(3, 3))
         m1 = rng.normal(size=(3, 3))
         c = Tensor(np.asarray(0.5))
-        soft = float(total_loss(c, soft_albef_loss(m0, m1), AlignKind.SOFT_ALBEF).data)
-        hard = float(total_loss(c, hard_albef_loss(m1), AlignKind.HARD_ALBEF).data)
+        soft = float(total_loss(c, soft_albef_loss(m0, m1)).data)
+        hard = float(total_loss(c, hard_albef_loss(m1)).data)
         assert soft - float(soft_albef_loss(m0, m1).data) == pytest.approx(0.5, abs=1e-12)
         assert hard - float(hard_albef_loss(m1).data) == pytest.approx(0.5, abs=1e-12)

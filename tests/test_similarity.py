@@ -6,7 +6,7 @@ import pytest
 from trifuse import similarity
 from trifuse.autodiff import Tensor, finite_difference_check, parameter
 from trifuse.data import QueryRecord
-from trifuse.fusion import MAX_SHARPNESS, FusedBatch, FusionMode, FusionParams, VideoIndex
+from trifuse.fusion import MAX_SHARPNESS, SCORED_ARRAYS, FusedBatch, FusionMode, FusionParams, VideoIndex
 from trifuse.similarity import (
     QueryScorer,
     batch_scores,
@@ -139,20 +139,16 @@ class TestHolisticAggregate:
 
 
 def small_index(n=5, m=3, d=4, seed=0, mode=FusionMode.SAVE) -> VideoIndex:
+    """Random arrays in place of the ones the mode's index holds."""
     rng = np.random.default_rng(seed)
-    return VideoIndex(
-        mode=mode,
-        item_ids=[f"it{i}" for i in range(n)],
-        tokens=rng.normal(size=(n, m, d)).astype(np.float32),
-        pooled=rng.normal(size=(n, d)).astype(np.float32),
-        speech_pool=rng.normal(size=(n, d)).astype(np.float32) if mode == FusionMode.LATE_FUSION else None,
-        holistic=rng.normal(size=(n, d)).astype(np.float32) if mode == FusionMode.HOLISTIC else None,
-    )
+    arrays = {name: rng.normal(size=(n, m, d) if name == "tokens" else (n, d)).astype(np.float32)
+              for name in SCORED_ARRAYS[mode]}
+    return VideoIndex(mode=mode, item_ids=[f"it{i}" for i in range(n)], **arrays)
 
 
 def queries_for(index, t=3, seed=1):
     rng = np.random.default_rng(seed)
-    d = index.pooled.shape[1]
+    d = index.dim
     return [QueryRecord(f"q{i}", rng.normal(size=d).astype(np.float32), index.item_ids[0]) for i in range(t)]
 
 
@@ -179,17 +175,6 @@ class TestScoreMatrix:
                 direct = combined_similarity(index.tokens[j], index.pooled[j], q.embedding)
                 assert abs(sm.values[i, j] - direct) < 1e-6
 
-    def test_late_fusion_entries(self):
-        index = small_index(4, mode=FusionMode.LATE_FUSION)
-        qs = queries_for(index, 2)
-        sm = score_matrix(index, qs)
-        for i, q in enumerate(qs):
-            for j in range(4):
-                expect = 0.5 * global_similarity(index.pooled[j], q.embedding) + 0.5 * global_similarity(
-                    index.speech_pool[j], q.embedding
-                )
-                assert abs(sm.values[i, j] - expect) < 1e-6
-
     def test_invariant_sharpness_rejected(self):
         index = small_index(3)
         with pytest.raises(ValueError, match="sharpness"):
@@ -212,7 +197,7 @@ class TestBatchScores:
         tokens = rng.normal(size=(n, m, d))
         fused = FusedBatch(Tensor(tokens), Tensor(tokens.mean(axis=1)))
         queries = rng.normal(size=(n, d))
-        got = batch_scores(fused, queries, FusionMode.SAVE).data
+        got = batch_scores(fused, queries).data
         for i in range(n):
             for j in range(n):
                 expect = combined_similarity(tokens[j], tokens[j].mean(axis=0), queries[i])
@@ -225,45 +210,9 @@ class TestBatchScores:
         r = rng.normal(size=(3, 3))
 
         def f():
-            return (batch_scores(FusedBatch(tokens, tokens.mean(axis=1)), queries, FusionMode.SAVE) * r).sum()
+            return (batch_scores(FusedBatch(tokens, tokens.mean(axis=1)), queries) * r).sum()
 
         assert finite_difference_check(f, [tokens], eps=1e-5) < 1e-4
-
-    @pytest.mark.parametrize("mode", [FusionMode.HOLISTIC, FusionMode.LATE_FUSION])
-    def test_single_vector_modes_match_numpy_route(self, mode):
-        """Holistic and late-fusion batch scores equal the scalar cosine reference."""
-        rng = np.random.default_rng(9)
-        n, m, d = 4, 3, 4
-        params = FusionParams(dim=d, frames=m, heads=2, seed=3, dtype=np.float64)
-        tokens = Tensor(rng.normal(size=(n, m, d)))
-        fused = FusedBatch(tokens, tokens.mean(axis=1), speech_pool=rng.normal(size=(n, d)),
-                           holistic=params.holistic(tokens))
-        queries = rng.normal(size=(5, d))
-        got = batch_scores(fused, queries, mode).data
-        for i, q in enumerate(queries):
-            for j in range(n):
-                if mode == FusionMode.HOLISTIC:
-                    want = global_similarity(fused.holistic.data[j], q)
-                else:
-                    want = 0.5 * (global_similarity(fused.pooled.data[j], q) + global_similarity(fused.speech_pool[j], q))
-                assert abs(got[i, j] - want) < 1e-12
-
-    @pytest.mark.parametrize("mode", [FusionMode.HOLISTIC, FusionMode.LATE_FUSION])
-    def test_single_vector_modes_read_only_their_arrays(self, mode):
-        """Holistic and late_fusion scores need neither the tokens nor, for
-        holistic, the pooled vectors, and do not change without them."""
-        rng = np.random.default_rng(10)
-        n, m, d = 4, 3, 4
-        params = FusionParams(dim=d, frames=m, heads=2, seed=3, dtype=np.float64)
-        tokens = Tensor(rng.normal(size=(n, m, d)))
-        full = FusedBatch(tokens, tokens.mean(axis=1), speech_pool=rng.normal(size=(n, d)),
-                          holistic=params.holistic(tokens))
-        if mode == FusionMode.HOLISTIC:
-            bare = FusedBatch(None, None, holistic=full.holistic)
-        else:
-            bare = FusedBatch(None, full.pooled, speech_pool=full.speech_pool)
-        queries = rng.normal(size=(5, d))
-        np.testing.assert_array_equal(batch_scores(bare, queries, mode).data, batch_scores(full, queries, mode).data)
 
 
 class TestChunkedScoring:
@@ -285,7 +234,7 @@ class TestChunkedScoring:
             return inner(q, *args)
 
         monkeypatch.setattr(similarity, "_scores", spy)
-        cosines_per_row = n * (1 if mode in (FusionMode.HOLISTIC, FusionMode.LATE_FUSION) else m)
+        cosines_per_row = n * (m if "tokens" in SCORED_ARRAYS[mode] else 1)
         monkeypatch.setattr(similarity, "SCORE_CHUNK_BYTES", rows * 8 * cosines_per_row)
         chunked = QueryScorer(index, mode).score_many(queries)
         assert seen == [rows] * (20 // rows) + ([20 % rows] if 20 % rows else [])
@@ -310,32 +259,3 @@ class TestChunkedScoring:
         index = small_index(n=9)
         sm = score_matrix(index, [])
         assert sm.values.shape == (0, 9) and sm.query_ids == []
-
-
-class TestScorerArrays:
-    def test_token_modes_hold_tokens_token_major(self):
-        index = small_index(n=5, m=3, d=4)
-        scorer = QueryScorer(index, FusionMode.SAVE)
-        assert scorer.tokens.shape == (3, 5, 4) and scorer.tokens.flags.c_contiguous
-        assert scorer.holistic is None and scorer.speech_pool is None
-
-    @pytest.mark.parametrize("mode", [FusionMode.HOLISTIC, FusionMode.LATE_FUSION], ids=lambda m: m.value)
-    def test_single_vector_modes_hold_only_their_arrays(self, mode):
-        """Holistic and late_fusion keep no float64 tokens, and score as the
-        scalar cosine reference does."""
-        index = small_index(n=6, mode=mode)
-        scorer = QueryScorer(index, mode)
-        assert scorer.tokens is None
-        if mode == FusionMode.HOLISTIC:
-            assert scorer.pooled is None and scorer.speech_pool is None
-        else:
-            assert scorer.holistic is None
-        queries = np.random.default_rng(3).normal(size=(4, 4))
-        got = scorer.score_many(queries)
-        for i, q in enumerate(queries):
-            for j in range(6):
-                if mode == FusionMode.HOLISTIC:
-                    want = global_similarity(index.holistic[j], q)
-                else:
-                    want = 0.5 * (global_similarity(index.pooled[j], q) + global_similarity(index.speech_pool[j], q))
-                assert abs(got[i, j] - want) < 1e-12
