@@ -6,20 +6,31 @@ Calling `backward()` on a scalar walks the tape in reverse topological order
 and accumulates gradients additively, so a tensor used twice receives the sum
 of both branch gradients.
 
+Gradients are stored without a copy: a tensor's first gradient is the array
+its child's backward pass produced (cast only when the dtype differs), so one
+array may be the `.grad` of several tensors and also be read by a backward
+pass still to run. The rule that keeps this safe: nothing writes into a
+`.grad` array in place (no backward closure, no clipping, no optimizer);
+whoever changes a gradient assigns a new array, as `_accumulate` itself does
+from the second gradient on.
+
 Only the ops needed by the fusion stacks, the scorer and the training losses
-are provided. The nonlinearities are single tape nodes with closed-form
-backward passes: `softmax`, `logsumexp` (`log_softmax` is x minus it),
-`gelu`, `standardize` (layer norm without gain and bias) and
+are provided. The transformer sublayers and the nonlinearities are single
+tape nodes with closed-form backward passes that keep only what the backward
+needs: `linear` (x @ w + b), `layer_norm` (keeps the normalized input and
+1/sigma), `attention` (multi-head scaled dot-product attention of projected
+queries, keys and values, heads split and merged inside; keeps the softmax
+weights), `softmax`, `logsumexp` (`log_softmax` is x minus it), `gelu` and
 `token_logmeanexp` (the scorer's local term: cosines, log-mean-exp over the
 token axis and the 1/sharpness scale). Composed of primitive ops, each would
-record 5-11 nodes with a full-size temporary apiece. `softmax` and
-`logsumexp` reduce over a C-order copy with the reduced axis moved to the
-front: numpy reduces a short last axis (an attention row's 12 or 32 keys) in
-one slow inner loop per output, but a leading axis in a few passes over whole
-contiguous rows. Working on a copy, they never write into their input.
-`token_logmeanexp` needs no copy: its matmul writes the token axis in the
-middle of a fresh (T, m, B) buffer, and its inputs are unit-norm, so it skips
-the max shift too.
+record 2-13 nodes with a full-size temporary apiece. `softmax`, `logsumexp`
+and `attention` reduce over a C-order copy with the reduced axis moved to
+the front: numpy reduces a short last axis (an attention row's 12 or 32
+keys) in one slow inner loop per output, but a leading axis in a few passes
+over whole contiguous rows. Working on a copy, they never write into their
+input. `token_logmeanexp` needs no copy: its matmul writes the token axis in
+the middle of a fresh (T, m, B) buffer, and its inputs are unit-norm, so it
+skips the max shift too.
 
 Training runs in float32; gradient checking builds the same graphs in float64
 (`finite_difference_check` refuses nothing else, 1e-4 tolerances are not
@@ -165,8 +176,9 @@ def _floating(arr: np.ndarray) -> np.ndarray:
 
 
 def _accumulate(t: Tensor, g: np.ndarray) -> None:
+    """Add `g` to `t.grad`; a first gradient is stored as is (module docstring)."""
     if t.grad is None:
-        t.grad = g.astype(t.data.dtype, copy=True)
+        t.grad = g.astype(t.data.dtype, copy=False)
     else:
         t.grad = t.grad + g
 
@@ -384,19 +396,29 @@ def _leading(x: np.ndarray, axis: int) -> np.ndarray:
     return np.moveaxis(x, axis, 0).copy()
 
 
-def softmax(x: Tensor, axis: int = -1) -> Tensor:
-    """Softmax with a max shift; arbitrarily large inputs do not overflow, and
-    a -inf entry (a masked key) gets weight exactly 0."""
-    y = _leading(x.data, axis)
+def _softmax_leading(y: np.ndarray) -> np.ndarray:
+    """Softmax over axis 0, in place, with a max shift."""
     y -= y.max(axis=0)
     np.exp(y, out=y)
     y /= y.sum(axis=0)
+    return y
+
+
+def _softmax_leading_grad(g: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """The gradient of the scores, given `g`, the gradient of their softmax
+    `y` over axis 0."""
+    gx = g - (g * y).sum(axis=0)
+    gx *= y
+    return gx
+
+
+def softmax(x: Tensor, axis: int = -1) -> Tensor:
+    """Softmax with a max shift; arbitrarily large inputs do not overflow, and
+    a -inf entry (a masked key) gets weight exactly 0."""
+    y = _softmax_leading(_leading(x.data, axis))
 
     def backward(g):
-        g = np.moveaxis(g, axis, 0)
-        gx = g - (g * y).sum(axis=0)
-        gx *= y
-        _accumulate(x, np.moveaxis(gx, 0, axis))
+        _accumulate(x, np.moveaxis(_softmax_leading_grad(np.moveaxis(g, axis, 0), y), 0, axis))
 
     return _node(np.moveaxis(y, 0, axis), (x,), backward)
 
@@ -455,26 +477,106 @@ def log_softmax(x: Tensor, axis: int = -1) -> Tensor:
     return x - logsumexp(x, axis=axis, keepdims=True)
 
 
-def standardize(x: Tensor, eps: float) -> Tensor:
-    """(x - mean) / sqrt(var + eps) over the last axis: layer norm without
-    its gain and bias. The means are matrix-vector products, which run
-    several times faster than numpy's reduction over a short last axis."""
+# -- single-node transformer sublayers --------------------------------------
+
+
+def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
+    """x @ w + b for (..., k) inputs, a (k, n) weight and an (n,) bias."""
+    out_data = x.data @ w.data
+    out_data += b.data
+
+    def backward(g):
+        if x.requires_grad:
+            _accumulate(x, g @ w.data.T)
+        if w.requires_grad:  # fold x's leading dims into its rows
+            x2 = x.data.reshape(-1, x.shape[-1])
+            _accumulate(w, x2.T @ g.reshape(x2.shape[0], -1))
+        if b.requires_grad:
+            _accumulate(b, _sum_to_shape(g, b.shape))
+
+    return _node(out_data, (x, w, b), backward)
+
+
+def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float) -> Tensor:
+    """(x - mean) / sqrt(var + eps) * gain + bias over the last axis. The
+    means are matrix-vector products, which run several times faster than
+    numpy's reduction over a short last axis; the backward keeps only the
+    normalized input and 1/sqrt(var + eps)."""
     mean = np.full(x.shape[-1], 1.0 / x.shape[-1], dtype=x.dtype)
-    centered = x.data - (x.data @ mean)[..., None]
-    inv_std = ((centered * centered) @ mean)[..., None]
+    xhat = x.data - (x.data @ mean)[..., None]
+    inv_std = ((xhat * xhat) @ mean)[..., None]
     inv_std += eps
     np.sqrt(inv_std, out=inv_std)
     np.divide(1.0, inv_std, out=inv_std)
-    out_data = centered
-    out_data *= inv_std
+    xhat *= inv_std
+    out_data = xhat * gain.data
+    out_data += bias.data
 
     def backward(g):
-        gx = g - (g @ mean)[..., None]
-        gx -= out_data * ((g * out_data) @ mean)[..., None]
-        gx *= inv_std
-        _accumulate(x, gx)
+        if gain.requires_grad:
+            _accumulate(gain, _sum_to_shape(g * xhat, gain.shape))
+        if bias.requires_grad:
+            _accumulate(bias, _sum_to_shape(g, bias.shape))
+        if x.requires_grad:
+            g = g * gain.data
+            gx = g - (g @ mean)[..., None]
+            gx -= xhat * ((g * xhat) @ mean)[..., None]
+            gx *= inv_std
+            _accumulate(x, gx)
 
-    return _node(out_data, (x,), backward)
+    return _node(out_data, (x, gain, bias), backward)
+
+
+def _heads(x: np.ndarray, heads: int) -> np.ndarray:
+    """(..., n, d) -> a (..., heads, n, d / heads) view."""
+    return x.reshape(x.shape[:-1] + (heads, x.shape[-1] // heads)).swapaxes(-2, -3)
+
+
+def _merge_heads(x: np.ndarray) -> np.ndarray:
+    """(..., heads, n, c) -> (..., n, heads * c), a C-order copy."""
+    x = x.swapaxes(-2, -3)
+    return x.reshape(x.shape[:-2] + (-1,))
+
+
+def attention_weights(q: np.ndarray, k: np.ndarray, heads: int, mask=None) -> np.ndarray:
+    """Softmax weights of projected (..., m, d) queries over projected
+    (..., L, d) keys, both split into `heads` heads, as a fresh
+    (L, ..., heads, m) array: the key axis leads, so the softmax reduces over
+    it (module docstring). `mask` (..., L), when given, marks the valid keys;
+    the others get weight exactly 0."""
+    w = _leading(_heads(q, heads) @ _heads(k, heads).swapaxes(-1, -2), -1)
+    w *= 1.0 / math.sqrt(q.shape[-1] // heads)
+    if mask is not None:
+        np.copyto(w, -np.inf, where=np.logical_not(np.moveaxis(mask, -1, 0))[..., None, None])
+    return _softmax_leading(w)
+
+
+def attention(q: Tensor, k: Tensor, v: Tensor, heads: int, mask=None) -> Tensor:
+    """Multi-head scaled dot-product attention: projected (..., m, d) queries
+    over projected (..., L, d) keys and values with the same leading dims,
+    heads split and merged inside. Returns the (..., m, d) attention output
+    before the output projection. `mask` (..., L) marks the valid keys; the
+    others get exactly zero weight and zero gradient. The backward keeps the
+    softmax weights and views of the inputs."""
+    if q.shape[:-2] != k.shape[:-2] or k.shape != v.shape:
+        raise ValueError(f"attention shape mismatch: q {q.shape}, k {k.shape}, v {v.shape}")
+    w = attention_weights(q.data, k.data, heads, mask)  # (L, ..., heads, m)
+    weights = np.moveaxis(w, 0, -1)  # (..., heads, m, L)
+    vh = _heads(v.data, heads)
+
+    def backward(g):
+        g = _heads(g, heads)  # (..., heads, m, c)
+        if v.requires_grad:
+            _accumulate(v, _merge_heads(weights.swapaxes(-1, -2) @ g))
+        gs = _softmax_leading_grad(np.moveaxis(g @ vh.swapaxes(-1, -2), -1, 0), w)
+        gs *= 1.0 / math.sqrt(q.shape[-1] // heads)
+        gs = np.moveaxis(gs, 0, -1)  # (..., heads, m, L)
+        if q.requires_grad:
+            _accumulate(q, _merge_heads(gs @ _heads(k.data, heads)))
+        if k.requires_grad:
+            _accumulate(k, _merge_heads((_heads(q.data, heads).swapaxes(-1, -2) @ gs).swapaxes(-1, -2)))
+
+    return _node(_merge_heads(weights @ vh), (q, k, v), backward)
 
 
 # Squared-eps guard: unit-scale vectors are untouched (1 + 1e-24 rounds to 1),

@@ -4,7 +4,11 @@ All blocks are pre-norm transformer sub-modules built from `autodiff` ops:
 layer norm, multi-head cross attention, feed-forward, a gated cross-attention
 stack (scalar tanh gate, zero-initialized so the stack contributes exactly
 nothing at init), and a resampler that maps any input sequence to a fixed
-number of learned query tokens.
+number of learned query tokens. Each linear map, layer norm and attention
+core is one tape node (`autodiff.linear`, `layer_norm`, `attention`), so a
+masked `CrossAttentionBlock` call records 13 nodes: two layer norms, four
+projections, attention, a residual add, a layer norm, two linear maps
+around one GELU, and a residual add.
 
 Blocks take token tensors of shape (..., n, d): one item as (n, d) or a batch
 as (B, n, d). A batch whose items have different key/value lengths is
@@ -78,7 +82,7 @@ class Linear(Module):
         self.bias = ad.parameter(np.zeros(d_out, dtype=dtype))
 
     def __call__(self, x: Tensor) -> Tensor:
-        return ad.matmul(x, self.weight) + self.bias
+        return ad.linear(x, self.weight, self.bias)
 
 
 class LayerNorm(Module):
@@ -92,19 +96,19 @@ class LayerNorm(Module):
         self.eps = eps
 
     def __call__(self, x: Tensor) -> Tensor:
-        return ad.standardize(x, self.eps) * self.gain + self.bias
+        return ad.layer_norm(x, self.gain, self.bias, self.eps)
 
 
 class MultiHeadCrossAttention(Module):
     """Scaled dot-product attention, queries from one sequence, keys/values from
-    another. `kv_mask` (..., L), when given, marks the valid key/value tokens."""
+    another: four projections around one `autodiff.attention` node. `kv_mask`
+    (..., L), when given, marks the valid key/value tokens."""
 
     def __init__(self, dim: int, heads: int, rng: np.random.Generator, dtype=np.float32):
         if dim % heads != 0:
             raise ValueError(f"model dim {dim} not divisible by head count {heads}")
         self.dim = dim
         self.heads = heads
-        self.head_dim = dim // heads
         self.wq = Linear(dim, dim, rng, dtype)
         self.wk = Linear(dim, dim, rng, dtype)
         # Identity value/output start: with near-uniform fresh attention the
@@ -113,31 +117,14 @@ class MultiHeadCrossAttention(Module):
         self.wv = Linear(dim, dim, rng, dtype, init="identity")
         self.wo = Linear(dim, dim, rng, dtype, init="identity")
 
-    def _split(self, x: Tensor) -> Tensor:
-        # (..., n, dim) -> (..., heads, n, head_dim)
-        return ad.swapaxes(ad.reshape(x, x.shape[:-1] + (self.heads, self.head_dim)), -2, -3)
-
-    def __call__(self, q_tokens: Tensor, kv_tokens: Tensor, kv_mask=None, return_weights: bool = False):
+    def __call__(self, q_tokens: Tensor, kv_tokens: Tensor, kv_mask=None) -> Tensor:
         d, d_kv = q_tokens.shape[-1], kv_tokens.shape[-1]
         if d != self.dim or d_kv != self.dim:
             raise ValueError(f"attention dim mismatch: got {d} and {d_kv}, expected {self.dim}")
         if kv_tokens.shape[-2] < 1:
             raise ValueError("attention needs at least one key/value token")
-
-        q = self._split(self.wq(q_tokens))
-        k = self._split(self.wk(kv_tokens))
-        v = self._split(self.wv(kv_tokens))
-
-        scores = ad.matmul(q, ad.transpose(k)) * (1.0 / math.sqrt(self.head_dim))
-        if kv_mask is not None:  # -inf on padded keys: exp gives them weight 0
-            scores = scores + Tensor(np.where(kv_mask, 0.0, -np.inf).astype(scores.dtype)[..., None, None, :])
-        weights = ad.softmax(scores, axis=-1)  # (..., heads, m, L)
-        pooled = ad.matmul(weights, v)  # (..., heads, m, head_dim)
-        merged = ad.swapaxes(pooled, -2, -3)
-        out = self.wo(ad.reshape(merged, merged.shape[:-2] + (self.dim,)))
-        if return_weights:
-            return out, weights.data.copy()
-        return out
+        pooled = ad.attention(self.wq(q_tokens), self.wk(kv_tokens), self.wv(kv_tokens), self.heads, kv_mask)
+        return self.wo(pooled)
 
 
 class FeedForward(Module):

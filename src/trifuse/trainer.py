@@ -6,6 +6,11 @@ of the student affinity) -> differentiable score matrix -> contrastive +
 alignment -> backward -> clipped Adam update at the cosine-scheduled rate.
 Identical (seed, config, dataset) triples reproduce bit-identical logs,
 parameters and checkpoints; log records therefore carry no wall-clock fields.
+Besides the losses and the learning rate, each step's record holds the
+gradient norm before clipping (`grad_norm`, also without clipping), the
+values of the parameters the loss was computed with (`audio_gate` and
+`speech_gate` as tanh of the gates, `temperature` = 1 / exp(logit_scale),
+`alpha`, `beta`) and `teacher_items`, the batch items with teacher embeddings.
 """
 
 from __future__ import annotations
@@ -114,13 +119,15 @@ def cosine_lr(step: int, total_steps: int, base_lr: float) -> float:
     return base_lr * 0.5 * (1.0 + math.cos(math.pi * step / total_steps))
 
 
-def clip_global_norm(named_params, max_norm: float) -> float:
+def clip_global_norm(named_params, max_norm: float | None) -> float:
+    """The global L2 norm of the gradients before clipping; when it exceeds a
+    positive `max_norm`, every gradient is scaled down to that norm."""
     total = 0.0
     for _, p in named_params:
         if p.grad is not None:
             total += float(np.sum(p.grad.astype(np.float64) ** 2))
     norm = math.sqrt(total)
-    if norm > max_norm > 0:
+    if max_norm is not None and norm > max_norm > 0:
         scale = max_norm / norm
         for _, p in named_params:
             if p.grad is not None:
@@ -144,6 +151,19 @@ def _snapshot(params: FusionParams) -> dict[str, np.ndarray]:
 def _restore(params: FusionParams, state: dict[str, np.ndarray]) -> None:
     for name, p in params.named_parameters():
         p.data = state[name].copy()
+
+
+def _readings(params: FusionParams, items: list[ItemRecord]) -> dict:
+    """The parameters a step's loss was computed with, and how many of its
+    items carry teacher embeddings."""
+    return {
+        "audio_gate": params.audio_fusion.gate_value(),
+        "speech_gate": params.speech_fusion.gate_value(),
+        "temperature": 1.0 / math.exp(float(params.logit_scale.data)),
+        "alpha": float(params.alpha.data),
+        "beta": float(params.beta.data),
+        "teacher_items": sum(item.has_teacher() for item in items),
+    }
 
 
 def _alignment_term(
@@ -238,21 +258,20 @@ def train(
 
                 params.zero_grad()
                 loss.backward()
-                if config.grad_clip:
-                    clip_global_norm(adam.named_params, config.grad_clip)
+                grad_norm = clip_global_norm(adam.named_params, config.grad_clip)
                 lr = cosine_lr(step, total_steps, config.lr)
+                record = {
+                    "step": step,
+                    "epoch": epoch,
+                    "lr": lr,
+                    "contrastive": float(contrastive.data),
+                    "alignment": align_value,
+                    "total": float(loss.data),
+                    "grad_norm": grad_norm,
+                    **_readings(params, items),
+                }
                 adam.step(lr)
-
-                log.append(
-                    {
-                        "step": step,
-                        "epoch": epoch,
-                        "lr": lr,
-                        "contrastive": float(contrastive.data),
-                        "alignment": align_value,
-                        "total": float(loss.data),
-                    }
-                )
+                log.append(record)
                 step += 1
 
             last_good = _snapshot(params)

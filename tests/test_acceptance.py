@@ -8,16 +8,14 @@ this module.
 import time
 
 import numpy as np
-import pytest
 
-from trifuse import autodiff as ad
 from trifuse import nn
 from trifuse.autodiff import Tensor, finite_difference_check, parameter
 from trifuse.data import ItemRecord, read_dataset, resolve_missing, write_dataset
-from trifuse.evaluation import latency_probe, rank_of, ranks_of_matrix, summary_metrics
+from trifuse.evaluation import latency_probe, ranks_of_matrix, summary_metrics
 from trifuse.fusion import FusedBatch, FusionMode, FusionParams, forward_video, precompute_index
 from trifuse.losses import contrastive_loss, huber_align_loss, mse_align_loss, soft_albef_loss
-from trifuse.similarity import QueryScorer, ScoreMatrix, batch_scores, score_matrix
+from trifuse.similarity import ScoreMatrix, batch_scores, score_matrix
 from trifuse.synth import SynthConfig, generate
 from trifuse.trainer import TrainConfig, train
 

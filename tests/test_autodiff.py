@@ -36,6 +36,24 @@ class TestBackward:
         f().backward()
         np.testing.assert_allclose(x.grad, 2.0 * x.data + 3.0, rtol=1e-12)
 
+    @pytest.mark.parametrize("add_first", [True, False], ids=["add_first", "add_last"])
+    def test_shared_first_gradient_is_never_written_through(self, add_first):
+        """`add` hands one gradient array to both parents, and both store it
+        without a copy; x's second branch must give x the sum and leave y's
+        gradient, the same array, unchanged."""
+        x = parameter([0.5, -1.5, 2.0])
+        y = parameter([1.0, 3.0, -2.0])
+        c = np.array([0.25, -4.0, 1.5])
+        shared, other = ((x + y) * c).sum(), (x * x).sum()
+        (shared + other if add_first else other + shared).backward()
+        np.testing.assert_array_equal(y.grad, c)
+        np.testing.assert_array_equal(x.grad, c + 2.0 * x.data)
+
+    def test_tensor_added_to_itself_gets_both_branches(self):
+        x = parameter([1.0, -2.0])
+        ((x + x) * np.array([3.0, 5.0])).sum().backward()
+        np.testing.assert_array_equal(x.grad, [6.0, 10.0])
+
     def test_backward_on_non_scalar_raises(self):
         x = parameter([1.0, 2.0])
         with pytest.raises(ValueError, match="scalar"):
@@ -247,13 +265,21 @@ SINGLE_NODE_OPS = {
         lambda x: ad.log_softmax(x, axis=1), lambda x: x - _composite_logsumexp(x, 1, True), None
     ),
     "gelu": (ad.gelu, _composite_gelu, None),
-    "standardize": (lambda x: ad.standardize(x, 1e-5), lambda x: _composite_standardize(x, 1e-5), None),
+    # layer_norm at unit gain and zero bias: the standardization it folds in
+    "standardize": (
+        lambda x: ad.layer_norm(x, Tensor(np.ones(x.shape[-1], x.dtype)), Tensor(np.zeros(x.shape[-1], x.dtype)), 1e-5),
+        lambda x: _composite_standardize(x, 1e-5),
+        None,
+    ),
 }
 
 
-def _weighted_loss(op, x):
-    out = op(x)
+def _weighted_sum(out):
     return (out * np.random.default_rng(0).normal(size=out.shape).astype(out.dtype)).sum()
+
+
+def _weighted_loss(op, x):
+    return _weighted_sum(op(x))
 
 
 @pytest.mark.parametrize("name", list(SINGLE_NODE_OPS))
@@ -376,3 +402,107 @@ class TestTokenLogMeanExp:
         assert out.dtype == np.float32 and tokens.grad.dtype == np.float32
         assert np.all(np.isfinite(out.data)) and np.all(np.isfinite(tokens.grad)) and np.all(np.isfinite(qt.grad))
         assert abs(out.data[0, 0] - sign) < 1e-5
+
+
+def _composite_attention(q, k, v, heads, mask):
+    """The primitive-op graph `attention` replaced in nn.MultiHeadCrossAttention."""
+    d = q.shape[-1]
+
+    def split(x):
+        return ad.swapaxes(ad.reshape(x, x.shape[:-1] + (heads, d // heads)), -2, -3)
+
+    scores = ad.matmul(split(q), ad.transpose(split(k))) * (1.0 / np.sqrt(d // heads))
+    if mask is not None:
+        scores = scores + Tensor(np.where(mask, 0.0, -np.inf)[..., None, None, :])
+    pooled = ad.swapaxes(ad.matmul(ad.softmax(scores, axis=-1), split(v)), -2, -3)
+    return ad.reshape(pooled, pooled.shape[:-2] + (d,))
+
+
+def _composite_layer_norm(x, eps):
+    """`_composite_standardize` in primitive ops, so that it has a gradient."""
+    centered = x - x.mean(axis=-1, keepdims=True)
+    return centered / ad.sqrt((centered * centered).mean(axis=-1, keepdims=True) + eps)
+
+
+def _attention_case(name):
+    """(q, k, v, heads, mask) in float64. Padded key and value rows hold
+    random values, not zeros, so only the mask keeps them out."""
+    rng = np.random.default_rng(30)
+    if name == "masked_mixed_lengths":
+        mask = np.arange(5) < np.array([5, 1, 3])[:, None]
+        return rng.normal(size=(3, 2, 8)), rng.normal(size=(3, 5, 8)), rng.normal(size=(3, 5, 8)), 2, mask
+    if name == "single_kv_token":
+        return rng.normal(size=(3, 8)), rng.normal(size=(1, 8)), rng.normal(size=(1, 8)), 4, None
+    mask = np.array([[True, True, False, False], [True, True, True, True]])  # padded_keys
+    return rng.normal(size=(2, 3, 8)), rng.normal(size=(2, 4, 8)), rng.normal(size=(2, 4, 8)), 4, mask
+
+
+ATTENTION_CASES = ["masked_mixed_lengths", "single_kv_token", "padded_keys"]
+
+
+def _sublayer_inputs(name):
+    """op name -> (the op, the composite it replaced, float64 inputs)."""
+    rng = np.random.default_rng(31)
+    if name == "linear":
+        return ad.linear, lambda x, w, b: ad.matmul(x, w) + b, [rng.normal(size=s) for s in ((2, 3, 4), (4, 5), (5,))]
+    if name == "layer_norm":
+        inputs = [rng.normal(size=(2, 3, 6)) * 3.0, rng.normal(size=6), rng.normal(size=6)]
+        return (
+            lambda x, gain, bias: ad.layer_norm(x, gain, bias, 1e-5),
+            lambda x, gain, bias: _composite_layer_norm(x, 1e-5) * gain + bias,
+            inputs,
+        )
+    q, k, v, heads, mask = _attention_case(name)
+    return (
+        lambda q, k, v: ad.attention(q, k, v, heads, mask),
+        lambda q, k, v: _composite_attention(q, k, v, heads, mask),
+        [q, k, v],
+    )
+
+
+@pytest.mark.parametrize("name", ["linear", "layer_norm"] + ATTENTION_CASES)
+class TestSublayerOps:
+    """linear, layer_norm and attention: one tape node each, with the values
+    and gradients of the composite graph it replaced."""
+
+    def test_matches_composite(self, name):
+        op, composite, inputs = _sublayer_inputs(name)
+        got = op(*map(Tensor, inputs)).data
+        want = composite(*map(Tensor, inputs)).data
+        assert got.shape == want.shape
+        assert np.max(np.abs(got - want)) <= 1e-12
+
+    def test_gradient_matches_finite_differences(self, name):
+        op, _, inputs = _sublayer_inputs(name)
+        params = [parameter(x) for x in inputs]
+        assert finite_difference_check(lambda: _weighted_sum(op(*params)), params, eps=1e-5) < 1e-4
+
+    def test_gradient_matches_composite(self, name):
+        op, composite, inputs = _sublayer_inputs(name)
+        grads = []
+        for fn in (op, composite):
+            params = [parameter(x) for x in inputs]
+            _weighted_sum(fn(*params)).backward()
+            grads.append([p.grad for p in params])
+        for got, want in zip(*grads):
+            assert np.max(np.abs(got - want)) <= 1e-12
+
+    def test_input_bits_unchanged(self, name):
+        op, _, inputs = _sublayer_inputs(name)
+        params = [parameter(x) for x in inputs]
+        before = [p.data.tobytes() for p in params]
+        _weighted_sum(op(*params)).backward()
+        assert [p.data.tobytes() for p in params] == before
+        assert all(p.grad is not None for p in params)
+
+
+@pytest.mark.parametrize("name", ["masked_mixed_lengths", "padded_keys"])
+def test_attention_padded_keys_get_zero_weight_and_gradient(name):
+    q, k, v, heads, mask = _attention_case(name)
+    weights = ad.attention_weights(q, k, heads, mask)  # (L, ..., heads, m)
+    padded = np.logical_not(np.moveaxis(mask, -1, 0))
+    assert np.all(weights[padded] == 0.0) and np.all(weights[~padded] > 0.0)
+    q, k, v = (parameter(x) for x in (q, k, v))
+    _weighted_sum(ad.attention(q, k, v, heads, mask)).backward()
+    assert np.all(k.grad[~mask] == 0.0) and np.all(v.grad[~mask] == 0.0)
+    assert np.all(v.grad[mask] != 0.0)

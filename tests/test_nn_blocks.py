@@ -12,6 +12,26 @@ def make_rng(seed=0):
     return np.random.default_rng(seed)
 
 
+def _weights(attn, q, kv, mask=None):
+    """(..., heads, m, L) softmax weights of `attn` on these inputs, from the
+    helper its attention node uses."""
+    w = ad.attention_weights(attn.wq(q).data, attn.wk(kv).data, attn.heads, mask)
+    return np.moveaxis(w, 0, -1)
+
+
+def _tape_nodes(out):
+    """Op nodes (tensors with a backward closure) reachable from `out`."""
+    seen, stack, nodes = {id(out)}, [out], 0
+    while stack:
+        t = stack.pop()
+        nodes += t._backward is not None
+        for parent in t._parents:
+            if id(parent) not in seen:
+                seen.add(id(parent))
+                stack.append(parent)
+    return nodes
+
+
 class TestLayerNorm:
     def test_constant_input_maps_to_zero(self):
         out = nn.LayerNorm(3, dtype=np.float64)(Tensor([5.0, 5.0, 5.0]))
@@ -45,7 +65,7 @@ class TestCrossAttention:
         attn = nn.MultiHeadCrossAttention(8, 4, rng, dtype=np.float64)
         q = Tensor(rng.normal(size=(3, 8)))
         kv = Tensor(rng.normal(size=(1, 8)))
-        _, weights = attn(q, kv, return_weights=True)
+        weights = _weights(attn, q, kv)
         np.testing.assert_array_equal(weights, np.ones((4, 3, 1)))
 
     def test_kv_permutation_invariance(self):
@@ -104,9 +124,20 @@ class TestCrossAttention:
         attn = nn.MultiHeadCrossAttention(8, 4, rng, dtype=np.float64)
         kv = Tensor(rng.normal(size=(2, 4, 8)))
         mask = np.array([[True, True, False, False], [True, True, True, True]])
-        _, weights = attn(Tensor(rng.normal(size=(2, 3, 8))), kv, mask, return_weights=True)
+        weights = _weights(attn, Tensor(rng.normal(size=(2, 3, 8))), kv, mask)
         assert weights.shape == (2, 4, 3, 4)
         assert np.all(weights[0, :, :, 2:] == 0.0) and np.all(weights[1] > 0.0)
+
+    def test_masked_block_records_thirteen_tape_nodes(self):
+        """Two layer norms, four projections, the attention core, a residual
+        add, a layer norm, two linear maps around a GELU and a residual add:
+        each linear map, layer norm and attention core is one node."""
+        rng = make_rng(21)
+        block = nn.CrossAttentionBlock(8, 2, rng)
+        q = Tensor(rng.normal(size=(3, 2, 8)).astype(np.float32))
+        kv = Tensor(rng.normal(size=(3, 5, 8)).astype(np.float32))
+        mask = np.arange(5) < np.array([5, 1, 3])[:, None]
+        assert _tape_nodes(block(q, kv, mask)) == 13
 
     def test_gradient_reaches_inputs(self):
         rng = make_rng(6)

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from trifuse.data import KIND_VECTOR, ContainerError, batch_iter, read_container, read_dataset, write_container
+from trifuse.data import KIND_VECTOR, ContainerError, read_container, read_dataset, write_container
 from trifuse.fusion import FusionMode, FusionParams, precompute_index
 from trifuse.losses import affinity_from_teacher
 from trifuse.similarity import score_matrix

@@ -1,8 +1,12 @@
 """Optimizer math, LR schedule, loop determinism, validation-based selection."""
 
+import math
+
 import numpy as np
 import pytest
 
+from trifuse import autodiff as ad
+from trifuse import trainer
 from trifuse.autodiff import parameter
 from trifuse.fusion import FusionMode
 from trifuse.losses import AlignKind
@@ -114,6 +118,12 @@ class TestClip:
         p.grad = np.array([0.1, 0.2])
         clip_global_norm([("p", p)], max_norm=1.0)
         np.testing.assert_array_equal(p.grad, [0.1, 0.2])
+
+    def test_no_max_norm_only_measures(self):
+        p = parameter(np.zeros(3))
+        p.grad = np.array([3.0, 4.0, 0.0])
+        assert clip_global_norm([("p", p)], max_norm=None) == pytest.approx(5.0)
+        np.testing.assert_array_equal(p.grad, [3.0, 4.0, 0.0])
 
 
 class TestConfig:
@@ -230,6 +240,74 @@ class TestTrainLoop:
         assert val[-1][0] == len(result.log) - 1
 
 
+STEP_READINGS = ("grad_norm", "audio_gate", "speech_gate", "temperature", "alpha", "beta", "teacher_items")
+
+
+class TestStepDiagnostics:
+    @pytest.mark.parametrize("grad_clip", [1.0, None], ids=["clipped", "unclipped"])
+    def test_step_records_hold_finite_readings(self, grad_clip):
+        result = train(small_config(epochs=1, grad_clip=grad_clip), small_dataset(seed=11))
+        steps = [rec for rec in result.log if "total" in rec]
+        assert steps
+        for rec in steps:
+            assert all(math.isfinite(rec[key]) for key in STEP_READINGS)
+            assert 0 <= rec["teacher_items"] <= 8 and isinstance(rec["teacher_items"], int)
+        first = steps[0]  # the parameters at their initial values
+        assert (first["audio_gate"], first["speech_gate"], first["alpha"], first["beta"]) == (0.0, 0.0, 1.0, 0.0)
+        assert first["temperature"] == pytest.approx(0.07, rel=1e-6)
+        assert any(rec["teacher_items"] > 0 for rec in steps)
+
+    def test_grad_norm_is_the_norm_before_clipping(self, monkeypatch):
+        """Step 0's grad_norm is the norm of the gradients clipping received,
+        recomputed here, and the same with clipping off."""
+        clip = trainer.clip_global_norm
+        norms = []
+
+        def recording(named_params, max_norm):
+            grads = [p.grad.astype(np.float64).ravel() for _, p in named_params if p.grad is not None]
+            norms.append(float(np.linalg.norm(np.concatenate(grads))))
+            return clip(named_params, max_norm)
+
+        monkeypatch.setattr(trainer, "clip_global_norm", recording)
+        clipped = train(small_config(epochs=1, grad_clip=1e-3), small_dataset(seed=12))
+        assert norms[0] > 1e-3  # so this step was clipped
+        assert clipped.log[0]["grad_norm"] == pytest.approx(norms[0], rel=1e-12)
+        unclipped = train(small_config(epochs=1, grad_clip=None), small_dataset(seed=12))
+        assert unclipped.log[0]["grad_norm"] == clipped.log[0]["grad_norm"]
+
+
+class TestZeroCopyGradients:
+    def test_no_step_writes_into_a_gradient(self, monkeypatch):
+        """Gradients are stored without a copy, so one array may be the .grad
+        of several tensors. With every stored gradient made read-only, a
+        save/soft_albef step (forward, backward, clipping, Adam) must run:
+        any in-place write into a gradient raises."""
+        accumulate, clip = ad._accumulate, trainer.clip_global_norm
+
+        def lock(t):
+            if isinstance(t.grad, np.ndarray):
+                t.grad.flags.writeable = False
+
+        def accumulate_read_only(t, g):
+            accumulate(t, g)
+            lock(t)
+
+        def clip_read_only(named_params, max_norm):
+            norm = clip(named_params, max_norm)
+            for _, p in named_params:
+                lock(p)
+            return norm
+
+        monkeypatch.setattr(ad, "_accumulate", accumulate_read_only)
+        monkeypatch.setattr(trainer, "clip_global_norm", clip_read_only)
+        config = small_config(epochs=1, batch_size=16, grad_clip=1e-3, mode=FusionMode.SAVE,
+                              align_kind=AlignKind.SOFT_ALBEF)
+        result = train(config, small_dataset(seed=13))
+        assert not result.aborted
+        assert len(result.log) == 1 and result.log[0]["alignment"] != 0.0
+        assert result.log[0]["grad_norm"] > 1e-3  # clipping rescaled this step
+
+
 class TestSelectCheckpoint:
     def test_single_checkpoint_returned(self):
         result = train(small_config(epochs=1), small_dataset(seed=8), val_split="val")
@@ -238,8 +316,6 @@ class TestSelectCheckpoint:
     def test_best_val_r1_wins(self, monkeypatch):
         """A scripted validation curve 0.25, 0.5, 0.5: epoch 1 wins the tie with
         epoch 2, and train returns the parameters it validated."""
-        from trifuse import trainer
-
         seen = []
 
         def scripted_r1(params, dataset, split, config):
