@@ -89,9 +89,12 @@ class Tensor:
     def backward(self) -> None:
         """Backpropagate from a scalar loss.
 
-        Gradients accumulate into `.grad` of every reachable tensor with
-        `requires_grad`. A second backward from the same loss node raises;
-        backward from a *different* loss over shared leaves accumulates.
+        Gradients accumulate into `.grad` of every reachable leaf with
+        `requires_grad`. An op node drops its gradient as soon as its closure
+        has run, so intermediate gradients do not outlive their use. A second
+        backward from the same loss node raises; backward from a *different*
+        loss accumulates into the shared leaves, and starts a shared op node
+        from zero.
         """
         if self.data.size != 1:
             raise ValueError("backward requires a scalar loss, got shape %s" % (self.shape,))
@@ -119,6 +122,7 @@ class Tensor:
         for node in reversed(topo):
             if node._backward is not None and node.grad is not None:
                 node._backward(node.grad)
+                node.grad = None
 
     # -- operator sugar -------------------------------------------------
 
@@ -338,13 +342,6 @@ def sqrt(a: Tensor) -> Tensor:
         _accumulate(a, g * 0.5 / out_data)
 
     return _node(out_data, (a,), backward)
-
-
-def absolute(a: Tensor) -> Tensor:
-    def backward(g):
-        _accumulate(a, g * np.sign(a.data))
-
-    return _node(np.abs(a.data), (a,), backward)
 
 
 def take(a: Tensor, indices, axis: int = 0) -> Tensor:

@@ -28,6 +28,7 @@ import numpy as np
 from .data import ContainerError, ValidationError, atomic_write, read_dataset
 from .evaluation import grouped_eval, summary_metrics
 from .fusion import FusionMode, load_params, precompute_index, save_params
+from .losses import AlignKind
 from .similarity import ScoreMatrix, score_matrix
 from .synth import SynthConfig, write_synthetic
 from .trainer import TrainConfig, train
@@ -40,6 +41,7 @@ EXIT_DIM = 5
 EXIT_QUERY = 6
 
 MODE_CHOICES = [m.value for m in FusionMode]
+ALIGN_CHOICES = [k.value for k in AlignKind]
 
 logger = logging.getLogger(__name__)
 
@@ -326,7 +328,7 @@ def build_parser() -> argparse.ArgumentParser:
     tr.add_argument("--data", required=True)
     tr.add_argument("--out", required=True)
     tr.add_argument("--mode", choices=MODE_CHOICES, default=None)
-    tr.add_argument("--align-kind", dest="align_kind", default=None)
+    tr.add_argument("--align-kind", dest="align_kind", choices=ALIGN_CHOICES, default=None)
     tr.add_argument("--seed", type=int, default=None)
     tr.add_argument("--epochs", type=int, default=None)
     tr.add_argument("--batch-size", dest="batch_size", type=int, default=None)

@@ -1,15 +1,15 @@
-"""Training objectives: contrastive retrieval loss and the alignment family.
+"""Training objectives: contrastive retrieval loss and the alignment terms.
 
-Alignment distills a constant teacher affinity matrix into the student's
-pre-fusion video-audio affinities. The default is the Pearson-distance form
-over softmaxed rows and columns; hard (identity-target), filtered-hard, MSE
-and Huber variants cover the ablation grid. The teacher matrix never receives
-gradient: it enters every loss as a constant.
+Alignment pulls the student's pre-fusion video-audio affinities towards
+matched pairs. `soft_albef` (the default) distills a constant teacher
+affinity matrix: the Pearson distance between softmaxed rows and columns of
+teacher and student. `hard_albef` is ALBEF's identity-target cross-entropy,
+the baseline it replaces; `none` trains on the contrastive loss alone. The
+teacher matrix never receives gradient: it enters as a constant.
 """
 
 from __future__ import annotations
 
-import logging
 from enum import Enum
 
 import numpy as np
@@ -17,17 +17,12 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Tensor
 
-logger = logging.getLogger(__name__)
-
 PEARSON_EPS = 1e-8
 
 
 class AlignKind(str, Enum):
     SOFT_ALBEF = "soft_albef"
     HARD_ALBEF = "hard_albef"
-    FILTERED = "filtered"
-    MSE = "mse"
-    HUBER = "huber"
     NONE = "none"
 
 
@@ -105,8 +100,9 @@ def soft_albef_loss(m0, m1) -> Tensor:
     m0 = _as_constant(m0)
     m1 = _as_tensor(m1)
     b = _check_square_pair(m0, m1)
-    r0, r1, c0, c1 = _softmax_rows_cols(m0, m1)
-    return (_pearson_distances(r0, r1, axis=1).sum() + _pearson_distances(c0, c1, axis=0).sum()) * (1.0 / b)
+    rows = _pearson_distances(ad.softmax(m0, axis=1), ad.softmax(m1, axis=1), axis=1)
+    cols = _pearson_distances(ad.softmax(m0, axis=0), ad.softmax(m1, axis=0), axis=0)
+    return (rows.sum() + cols.sum()) * (1.0 / b)
 
 
 def _symmetric_ce(logits: Tensor) -> Tensor:
@@ -126,78 +122,15 @@ def hard_albef_loss(m1, temperature: float = 1.0) -> Tensor:
     return _symmetric_ce(m1 * (1.0 / temperature))
 
 
-def filtered_albef_loss(m1, m0, keep_ratio: float, temperature: float = 1.0) -> Tensor:
-    """Hard alignment over the rows whose teacher diagonal survives filtering.
-
-    The bottom (1 - keep_ratio) fraction by M0[i,i] is dropped (ties: lowest
-    item index dropped first); rows and columns of the kept submatrix both
-    shrink. All rows filtered -> contributes 0 with a diagnostic.
-    """
-    if not 0.0 < keep_ratio <= 1.0:
-        raise ValueError(f"keep_ratio must be in (0, 1], got {keep_ratio}")
-    m1 = _as_tensor(m1)
-    m0 = _as_constant(m0)
-    b = _check_square_pair(m0, m1)
-    n_drop = int(round((1.0 - keep_ratio) * b))
-    if n_drop == 0:
-        return hard_albef_loss(m1, temperature)
-    diag = np.diag(m0.data)
-    order = sorted(range(b), key=lambda i: (diag[i], i))
-    kept = sorted(order[n_drop:])
-    if not kept:
-        logger.warning("filtered alignment dropped every row (keep_ratio=%s, B=%d)", keep_ratio, b)
-        return Tensor(np.asarray(0.0, dtype=m1.dtype))
-    sub = ad.take(ad.take(m1, kept, axis=0), kept, axis=1)
-    return _symmetric_ce(sub * (1.0 / temperature))
-
-
-def _softmax_rows_cols(m0: Tensor, m1: Tensor) -> tuple[Tensor, Tensor, Tensor, Tensor]:
-    return (
-        ad.softmax(m0, axis=1),
-        ad.softmax(m1, axis=1),
-        ad.softmax(m0, axis=0),
-        ad.softmax(m1, axis=0),
-    )
-
-
-def mse_align_loss(m0, m1) -> Tensor:
-    """Elementwise mean squared difference of softmaxed rows plus columns."""
-    m0, m1 = _as_constant(m0), _as_tensor(m1)
-    _check_square_pair(m0, m1)
-    r0, r1, c0, c1 = _softmax_rows_cols(m0, m1)
-    dr = r0 - r1
-    dc = c0 - c1
-    return (dr * dr).mean() + (dc * dc).mean()
-
-
-def _huber(diff: Tensor, delta: float) -> Tensor:
-    a = ad.absolute(diff)
-    quad_mask = Tensor((a.data <= delta).astype(diff.dtype))
-    quad = diff * diff * 0.5
-    lin = (a - 0.5 * delta) * delta
-    return quad * quad_mask + lin * (1.0 - quad_mask)
-
-
-def huber_align_loss(m0, m1, delta: float = 1.0) -> Tensor:
-    """Elementwise mean Huber on the same softmax normalization as the MSE form."""
-    m0, m1 = _as_constant(m0), _as_tensor(m1)
-    _check_square_pair(m0, m1)
-    r0, r1, c0, c1 = _softmax_rows_cols(m0, m1)
-    return _huber(r0 - r1, delta).mean() + _huber(c0 - c1, delta).mean()
-
-
-def contrastive_loss(scores, scale=1.0, margin: float = 0.0) -> Tensor:
+def contrastive_loss(scores, scale=1.0) -> Tensor:
     """Symmetric InfoNCE over a square score matrix with diagonal positives.
 
     `scale` is the positive logit multiplier (exp of the learnable logit
-    scale, i.e. 1/temperature); `margin` is subtracted from the positives
-    before scaling.
+    scale, i.e. 1/temperature).
     """
     scores = _as_tensor(scores)
     if scores.data.ndim != 2 or scores.shape[0] != scores.shape[1]:
         raise ValueError(f"contrastive loss needs a square batch matrix, got {scores.shape}")
-    if margin != 0.0:
-        scores = scores - Tensor(margin * np.eye(scores.shape[0], dtype=scores.dtype))
     return _symmetric_ce(scores * scale)
 
 

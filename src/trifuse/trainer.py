@@ -31,10 +31,7 @@ from .losses import (
     AlignKind,
     affinity_from_teacher,
     contrastive_loss,
-    filtered_albef_loss,
     hard_albef_loss,
-    huber_align_loss,
-    mse_align_loss,
     soft_albef_loss,
     student_affinity,
     total_loss,
@@ -57,8 +54,6 @@ class TrainConfig:
     sharpness: float = DEFAULT_SHARPNESS
     tau_init: float = 0.07
     align_kind: AlignKind = AlignKind.SOFT_ALBEF
-    keep_ratio: float = 1.0  # filtered alignment only
-    margin: float = 0.0
     mode: FusionMode = FusionMode.SAVE
     seed: int = 0
     grad_clip: float | None = 1.0
@@ -185,17 +180,7 @@ def _alignment_term(
     )
     v_mean, a_mean = pre_fusion_pooled(fused)
     m1 = student_affinity(ad.take(v_mean, rows), ad.take(a_mean, rows))
-    kind = config.align_kind
-    if kind == AlignKind.SOFT_ALBEF:
-        term = soft_albef_loss(m0, m1)
-    elif kind == AlignKind.HARD_ALBEF:
-        term = hard_albef_loss(m1)
-    elif kind == AlignKind.FILTERED:
-        term = filtered_albef_loss(m1, m0, config.keep_ratio)
-    elif kind == AlignKind.MSE:
-        term = mse_align_loss(m0, m1)
-    else:
-        term = huber_align_loss(m0, m1)
+    term = soft_albef_loss(m0, m1) if config.align_kind == AlignKind.SOFT_ALBEF else hard_albef_loss(m1)
     return term, float(term.data)
 
 
@@ -250,7 +235,7 @@ def train(
 
                 fused = forward_video(items, params, config.mode)
                 scores = batch_scores(fused, queries, sharpness=config.sharpness)
-                contrastive = contrastive_loss(scores, scale=params.temperature_scale(), margin=config.margin)
+                contrastive = contrastive_loss(scores, scale=params.temperature_scale())
                 align_term, align_value = _alignment_term(config, items, fused)
                 loss = total_loss(contrastive, align_term)
                 if not np.isfinite(float(loss.data)):

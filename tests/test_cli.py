@@ -96,6 +96,22 @@ class TestTrain:
         assert "sharpness must be" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize("flags, section", [
+        (["--align-kind", "mse"], {}),
+        ([], {"margin": 0.2}),
+        ([], {"keep_ratio": 0.5}),
+    ], ids=["align_kind_mse", "margin_key", "keep_ratio_key"])
+    def test_removed_alignment_options_exit_2(self, workspace, tmp_path, flags, section):
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps({"train": section}))
+        argv = ["train", "--config", str(cfg), "--data", str(workspace["data"]), "--out", str(tmp_path / "o"), *flags]
+        try:
+            code = main(argv)
+        except SystemExit as exit_info:  # argparse rejects an unknown choice
+            code = exit_info.code
+        assert code == 2
+        assert not (tmp_path / "o").exists()
+
     def test_missing_data_dir_is_io_error(self, workspace, tmp_path):
         code = main(["train", "--config", str(workspace["config"]), "--data", str(tmp_path / "nope"), "--out", str(tmp_path / "o")])
         assert code == 3

@@ -10,10 +10,7 @@ from trifuse.fusion import FusionMode, FusionParams, forward_video, pre_fusion_p
 from trifuse.losses import (
     affinity_from_teacher,
     contrastive_loss,
-    filtered_albef_loss,
     hard_albef_loss,
-    huber_align_loss,
-    mse_align_loss,
     pearson_row_distance,
     soft_albef_loss,
     student_affinity,
@@ -243,79 +240,6 @@ class TestHardAlbef:
         assert cold < hot
 
 
-class TestFilteredAlbef:
-    def test_keep_all_equals_hard(self):
-        rng = np.random.default_rng(12)
-        m1 = rng.normal(size=(4, 4))
-        m0 = rng.normal(size=(4, 4))
-        full = float(filtered_albef_loss(m1, m0, keep_ratio=1.0).data)
-        assert full == pytest.approx(float(hard_albef_loss(m1).data), abs=1e-12)
-
-    def test_drops_lowest_teacher_diagonals(self):
-        """B=4, keep 0.5: the two smallest M0[i,i] rows/cols go away."""
-        rng = np.random.default_rng(13)
-        m1 = rng.normal(size=(4, 4))
-        m0 = np.diag([0.9, 0.1, 0.8, 0.05]).astype(float)  # drop items 1 and 3
-        got = float(filtered_albef_loss(m1, m0, keep_ratio=0.5).data)
-        kept = [0, 2]
-        sub = m1[np.ix_(kept, kept)]
-        assert got == pytest.approx(float(hard_albef_loss(sub).data), abs=1e-12)
-
-    def test_tie_break_drops_lowest_indices(self):
-        rng = np.random.default_rng(14)
-        m1 = rng.normal(size=(4, 4))
-        m0 = np.eye(4) * 0.5  # all diagonals equal
-        got = float(filtered_albef_loss(m1, m0, keep_ratio=0.5).data)
-        sub = m1[np.ix_([2, 3], [2, 3])]
-        assert got == pytest.approx(float(hard_albef_loss(sub).data), abs=1e-12)
-
-    def test_bad_ratio_rejected(self):
-        with pytest.raises(ValueError, match="keep_ratio"):
-            filtered_albef_loss(np.eye(2), np.eye(2), keep_ratio=0.0)
-
-    def test_gradient_only_through_kept_rows(self):
-        m1 = parameter(np.random.default_rng(15).normal(size=(4, 4)))
-        m0 = np.diag([0.9, 0.1, 0.8, 0.05])
-        filtered_albef_loss(m1, m0, keep_ratio=0.5).backward()
-        assert np.all(m1.grad[1, :] == 0.0) and np.all(m1.grad[:, 1] == 0.0)
-        assert np.any(m1.grad[0, :] != 0.0)
-
-
-class TestMseHuber:
-    def test_equal_matrices_zero(self):
-        m = np.random.default_rng(16).normal(size=(3, 3))
-        assert float(mse_align_loss(m, m.copy()).data) == 0.0
-        assert float(huber_align_loss(m, m.copy()).data) == 0.0
-
-    def test_mse_matches_hand_computation(self):
-        m0 = np.array([[1.0, 0.0], [0.0, 1.0]])
-        m1 = np.array([[0.0, 1.0], [1.0, 0.0]])
-
-        def softmax(x, axis):
-            e = np.exp(x - x.max(axis=axis, keepdims=True))
-            return e / e.sum(axis=axis, keepdims=True)
-
-        expect = np.mean((softmax(m0, 1) - softmax(m1, 1)) ** 2) + np.mean(
-            (softmax(m0, 0) - softmax(m1, 0)) ** 2
-        )
-        assert float(mse_align_loss(m0, m1).data) == pytest.approx(expect, abs=1e-12)
-
-    def test_huber_large_delta_is_half_mse(self):
-        rng = np.random.default_rng(17)
-        m0 = rng.normal(size=(3, 3))
-        m1 = rng.normal(size=(3, 3))
-        huber = float(huber_align_loss(m0, m1, delta=100.0).data)
-        mse = float(mse_align_loss(m0, m1).data)
-        assert huber == pytest.approx(0.5 * mse, abs=1e-9)
-
-    def test_gradients(self):
-        rng = np.random.default_rng(18)
-        m0 = rng.normal(size=(3, 3))
-        m1 = parameter(rng.normal(size=(3, 3)))
-        assert finite_difference_check(lambda: mse_align_loss(m0, m1), [m1], eps=1e-5) < 1e-4
-        assert finite_difference_check(lambda: huber_align_loss(m0, m1, delta=0.01), [m1], eps=1e-5) < 1e-4
-
-
 class TestContrastive:
     def test_saturated_diagonal_approaches_zero(self):
         scores = np.eye(3)
@@ -324,12 +248,6 @@ class TestContrastive:
     def test_uniform_scores_b2_is_ln2(self):
         scores = np.full((2, 2), 0.4)
         assert float(contrastive_loss(scores, scale=1.0).data) == pytest.approx(np.log(2.0), abs=1e-12)
-
-    def test_margin_shifts_positives(self):
-        scores = np.eye(2) * 0.5
-        plain = float(contrastive_loss(scores, scale=1.0).data)
-        margined = float(contrastive_loss(scores, scale=1.0, margin=0.2).data)
-        assert margined > plain  # harder positives raise the loss
 
     def test_non_square_rejected(self):
         with pytest.raises(ValueError, match="square"):
@@ -341,7 +259,7 @@ class TestContrastive:
         scale = parameter(np.asarray(2.0))
 
         def f():
-            return contrastive_loss(scores, scale=scale, margin=0.1)
+            return contrastive_loss(scores, scale=scale)
 
         assert finite_difference_check(f, [scores, scale], eps=1e-5) < 1e-4
 
