@@ -114,12 +114,12 @@ def _symmetric_ce(logits: Tensor) -> Tensor:
     return (row_ce + col_ce) * 0.5
 
 
-def hard_albef_loss(m1, temperature: float = 1.0) -> Tensor:
+def hard_albef_loss(m1) -> Tensor:
     """Identity-target symmetric cross-entropy: item i's audio is its positive."""
     m1 = _as_tensor(m1)
     if m1.data.ndim != 2 or m1.shape[0] != m1.shape[1]:
         raise ValueError(f"hard alignment needs a square matrix, got {m1.shape}")
-    return _symmetric_ce(m1 * (1.0 / temperature))
+    return _symmetric_ce(m1)
 
 
 def contrastive_loss(scores, scale=1.0) -> Tensor:

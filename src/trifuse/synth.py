@@ -16,7 +16,22 @@ Knobs:
   * missing-audio / missing-speech fractions (exact counts);
   * group mix over {visual, sound, speech, sound_speech}: a query embedding
     derives only from the latents its group names, so e.g. speech-group
-    queries are unresolvable from visual tokens alone.
+    queries are unresolvable from visual tokens alone;
+  * audio drift kappa: z_aud = unit(z_aud + kappa * u), u unit rows from the
+    child generator default_rng([seed, 1]), so vision alone no longer
+    answers sound queries;
+  * query visual mix lambda: a non-visual query's latent is
+    unit(source + lambda * z_vis), a caption naming what is seen as well as
+    what is heard or said.
+  Both are skipped at 0, their default.
+
+Items are drawn CHUNK_ITEMS at a time as array operations, and every item's
+and query's arrays are views into one float32 array per field: (n, m, d)
+visual, (items with audio, audio_len, d) audio, (items with speech,
+speech_pad, d) speech, (n, d_t) for each teacher, (n, d) queries and
+latents. The draws follow the per-item order, so the bytes do not depend on
+the chunk size and equal those of an item-by-item loop (tests/test_synth.py
+keeps that loop as the oracle).
 
 A latent sidecar, `latents.sve` (same container format), retains the
 generator latents for oracle tests as four records: `latent/z_vis`,
@@ -33,6 +48,7 @@ from pathlib import Path
 import numpy as np
 
 from .data import (
+    GROUPS,
     KIND_TOKENS,
     LATENTS_NAME,
     MANIFEST_NAME,
@@ -49,6 +65,7 @@ from .evaluation import rank_of
 
 DEFAULT_GROUP_MIX = {"visual": 0.4, "sound": 0.25, "speech": 0.25, "sound_speech": 0.1}
 DEFAULT_SPLITS = {"train": 0.7, "val": 0.1, "test": 0.2}
+CHUNK_ITEMS = 256  # items drawn per chunk: bounds the float64 temporaries, never changes the output
 
 
 @dataclass
@@ -67,12 +84,27 @@ class SynthConfig:
     noise_scale: float = 0.15
     query_noise: float = 0.1
     teacher_noise: float = 0.05
+    audio_drift: float = 0.0  # kappa: z_aud = unit(z_aud + kappa * u), u unit rows of a child generator
+    query_visual_mix: float = 0.0  # lambda: a non-visual query's latent is unit(source + lambda * z_vis)
     splits: dict[str, float] = field(default_factory=lambda: dict(DEFAULT_SPLITS))
     seed: int = 0
 
     def __post_init__(self):
         if self.n_items < 2:
             raise ValueError("need at least 2 items")
+        if self.dim < 2:
+            raise ValueError("dim must be at least 2")
+        for name in ("teacher_dim", "frames", "audio_len", "speech_pad", "background_pool"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be at least 1")
+        for name in ("noise_scale", "query_noise", "teacher_noise", "audio_drift", "query_visual_mix"):
+            if not getattr(self, name) >= 0:
+                raise ValueError(f"{name} must be non-negative")
+        if not set(self.group_mix) <= set(GROUPS):
+            raise ValueError(f"group mix keys must be among {GROUPS}")
+        for name in ("group_mix", "splits"):
+            if not all(0.0 <= frac <= 1.0 for frac in getattr(self, name).values()):
+                raise ValueError(f"{name} fractions must lie in [0, 1]")
         if abs(sum(self.group_mix.values()) - 1.0) > 1e-9:
             raise ValueError("group mix proportions must sum to 1")
         for name, frac in (("correspondence_noise", self.correspondence_noise),
@@ -118,6 +150,13 @@ def _orthonormal(rng: np.random.Generator, rows: int, cols: int) -> np.ndarray:
     return q.T  # orthonormal rows
 
 
+def _chosen(rng: np.random.Generator, n: int, fraction: float) -> np.ndarray:
+    """A mask of exactly round(fraction * n) items, chosen by one permutation."""
+    mask = np.zeros(n, dtype=bool)
+    mask[rng.permutation(n)[: int(round(fraction * n))]] = True
+    return mask
+
+
 def _largest_remainder_counts(total: int, fractions: dict[str, float]) -> dict[str, int]:
     keys = list(fractions)
     raw = {k: total * fractions[k] for k in keys}
@@ -129,9 +168,16 @@ def _largest_remainder_counts(total: int, fractions: dict[str, float]) -> dict[s
 
 
 def generate(config: SynthConfig) -> tuple[Dataset, LatentStore]:
-    """Pure function of the config; the same seed reproduces identical bytes."""
+    """Pure function of the config; the same seed reproduces identical bytes.
+
+    Per item, the stream is: normals for z_vis, `integers` for a mismatched
+    item's soundtrack, then normals for z_sp, visual, audio, speech, the two
+    teachers and the query noise. One `standard_normal` call fills a chunk's
+    (b, width) buffer, split only around each mismatched item's `integers`.
+    """
     rng = np.random.default_rng(config.seed)
     n, d, d_t = config.n_items, config.dim, config.teacher_dim
+    m, l_a, n_s = config.frames, config.audio_len, config.speech_pad
 
     query_map = _orthonormal(rng, d, d)  # shared pre-aligned space (vision/speech/query)
     audio_map = _orthonormal(rng, d, d)  # separate, unaligned audio-encoder space
@@ -140,65 +186,81 @@ def generate(config: SynthConfig) -> tuple[Dataset, LatentStore]:
     group_counts = _largest_remainder_counts(n, config.group_mix)
     group_pool = [g for g in sorted(group_counts) for _ in range(group_counts[g])]
     groups = [group_pool[i] for i in rng.permutation(n)]
+    source_of = np.array([GROUPS.index(g) for g in groups])
 
-    n_mismatch = int(round(config.correspondence_noise * n))
-    mismatched = set(rng.permutation(n)[:n_mismatch].tolist())
-    soundtrack_pool = _unit_rows(rng.normal(size=(max(1, config.background_pool), d)))
-    n_no_audio = int(round(config.missing_audio * n))
-    no_audio = set(rng.permutation(n)[:n_no_audio].tolist())
-    n_no_speech = int(round(config.missing_speech * n))
-    no_speech = set(rng.permutation(n)[:n_no_speech].tolist())
+    mismatched = _chosen(rng, n, config.correspondence_noise)
+    soundtrack_pool = _unit_rows(rng.normal(size=(config.background_pool, d)))
+    has_audio = ~_chosen(rng, n, config.missing_audio)
+    has_speech = ~_chosen(rng, n, config.missing_speech)
+    drift_rng = np.random.default_rng([config.seed, 1])
 
-    items: dict[str, ItemRecord] = {}
-    queries: dict[str, QueryRecord] = {}
-    ids, z_vis_all, z_aud_all, z_sp_all = [], [], [], []
-    query_latents: dict[str, np.ndarray] = {}
+    visual = np.empty((n, m, d), np.float32)
+    # audio and speech hold rows only for the items that have them; audio_row[i] is item i's row
+    audio, audio_row = np.empty((has_audio.sum(), l_a, d), np.float32), np.cumsum(has_audio) - 1
+    speech, speech_row = np.empty((has_speech.sum(), n_s, d), np.float32), np.cumsum(has_speech) - 1
+    teacher_video = np.empty((n, d_t), np.float32)
+    teacher_audio = np.empty((n, d_t), np.float32)
+    query = np.empty((n, d), np.float32)
+    z_vis_all, z_aud_all, z_sp_all, source_all = (np.empty((n, d), np.float32) for _ in range(4))
 
-    for i in range(n):
-        item_id = f"v{i:05d}"
-        group = groups[i]
-        z_vis = _unit_rows(rng.normal(size=d))
-        z_aud = soundtrack_pool[rng.integers(len(soundtrack_pool))].copy() if i in mismatched else z_vis.copy()
-        z_sp = _unit_rows(rng.normal(size=d))
+    widths = (d, d, m * d, l_a * d, n_s * d, d_t, d_t, d)
+    width = sum(widths)
+    draws = np.empty((min(n, CHUNK_ITEMS), width))
+    for lo in range(0, n, CHUNK_ITEMS):
+        hi = min(lo + CHUNK_ITEMS, n)
+        b = hi - lo
+        flat, pos = draws[:b].reshape(-1), 0
+        soundtrack = np.zeros(b, dtype=np.int64)
+        for j in np.flatnonzero(mismatched[lo:hi]):
+            cut = j * width + d  # after item j's z_vis normals
+            rng.standard_normal(out=flat[pos:cut])
+            soundtrack[j], pos = rng.integers(len(soundtrack_pool)), cut
+        rng.standard_normal(out=flat[pos:])
+        e_vis, e_sp, e_visual, e_audio, e_speech, e_tv, e_ta, e_query = np.split(
+            draws[:b], np.cumsum(widths)[:-1], axis=1
+        )
 
-        visual = z_vis @ query_map.T + config.noise_scale * rng.normal(size=(config.frames, d))
-        audio = z_aud @ audio_map.T + config.noise_scale * rng.normal(size=(config.audio_len, d))
-        speech = z_sp @ query_map.T + config.noise_scale * rng.normal(size=(config.speech_pad, d))
+        z_vis = _unit_rows(e_vis)
+        z_aud = np.where(mismatched[lo:hi, None], soundtrack_pool[soundtrack], z_vis)
+        if config.audio_drift:
+            z_aud = _unit_rows(z_aud + config.audio_drift * _unit_rows(drift_rng.standard_normal((b, d))))
+        z_sp = _unit_rows(e_sp)
 
-        teacher_video = _unit_rows(z_vis @ teacher_map + config.teacher_noise * rng.normal(size=d_t))
-        teacher_audio = _unit_rows(z_aud @ teacher_map + config.teacher_noise * rng.normal(size=d_t))
+        noise = config.noise_scale
+        visual[lo:hi] = (z_vis @ query_map.T)[:, None] + noise * e_visual.reshape(b, m, d)
+        a, s = has_audio[lo:hi], has_speech[lo:hi]
+        audio[audio_row[lo:hi][a]] = (z_aud[a] @ audio_map.T)[:, None] + noise * e_audio.reshape(b, l_a, d)[a]
+        speech[speech_row[lo:hi][s]] = (z_sp[s] @ query_map.T)[:, None] + noise * e_speech.reshape(b, n_s, d)[s]
+        teacher_video[lo:hi] = _unit_rows(z_vis @ teacher_map + config.teacher_noise * e_tv)
+        teacher_audio[lo:hi] = _unit_rows(z_aud @ teacher_map + config.teacher_noise * e_ta)
 
-        if group == "visual":
-            source = z_vis
-        elif group == "sound":
-            source = z_aud
-        elif group == "speech":
-            source = z_sp
-        else:
-            source = _unit_rows(z_aud + z_sp)
-        query_emb = source @ query_map.T + config.query_noise * rng.normal(size=d)
+        # one candidate source per group, in GROUPS order; each query takes its group's
+        sources = np.stack([z_vis, z_aud, z_sp, _unit_rows(z_aud + z_sp)])
+        source = sources[source_of[lo:hi], np.arange(b)]
+        if config.query_visual_mix:
+            heard = source_of[lo:hi] != GROUPS.index("visual")
+            source[heard] = _unit_rows(source[heard] + config.query_visual_mix * z_vis[heard])
+        query[lo:hi] = source @ query_map.T + config.query_noise * e_query
 
-        items[item_id] = ItemRecord(
+        z_vis_all[lo:hi], z_aud_all[lo:hi], z_sp_all[lo:hi], source_all[lo:hi] = z_vis, z_aud, z_sp, source
+
+    ids = [f"v{i:05d}" for i in range(n)]
+    items = {
+        item_id: ItemRecord(
             item_id=item_id,
-            visual_tokens=visual.astype(np.float32),
-            audio_tokens=None if i in no_audio else audio.astype(np.float32),
-            speech_tokens=None if i in no_speech else speech.astype(np.float32),
-            teacher_video=teacher_video.astype(np.float32),
-            teacher_audio=teacher_audio.astype(np.float32),
-            group=group,
+            visual_tokens=visual[i],
+            audio_tokens=audio[audio_row[i]] if has_audio[i] else None,
+            speech_tokens=speech[speech_row[i]] if has_speech[i] else None,
+            teacher_video=teacher_video[i],
+            teacher_audio=teacher_audio[i],
+            group=groups[i],
         )
-        query_id = f"q{i:05d}"
-        queries[query_id] = QueryRecord(
-            query_id=query_id,
-            embedding=query_emb.astype(np.float32),
-            ground_truth_item=item_id,
-            group=group,
-        )
-        ids.append(item_id)
-        z_vis_all.append(z_vis)
-        z_aud_all.append(z_aud)
-        z_sp_all.append(z_sp)
-        query_latents[query_id] = source.astype(np.float32)
+        for i, item_id in enumerate(ids)
+    }
+    queries = {
+        f"q{i:05d}": QueryRecord(query_id=f"q{i:05d}", embedding=query[i], ground_truth_item=ids[i], group=groups[i])
+        for i in range(n)
+    }
 
     split_counts = _largest_remainder_counts(n, config.splits)
     order = rng.permutation(n)
@@ -224,10 +286,10 @@ def generate(config: SynthConfig) -> tuple[Dataset, LatentStore]:
     dataset = Dataset(manifest=manifest, items=items, queries=queries)
     store = LatentStore(
         item_ids=ids,
-        z_vis=np.stack(z_vis_all).astype(np.float32),
-        z_aud=np.stack(z_aud_all).astype(np.float32),
-        z_sp=np.stack(z_sp_all).astype(np.float32),
-        query_latent=query_latents,
+        z_vis=z_vis_all,
+        z_aud=z_aud_all,
+        z_sp=z_sp_all,
+        query_latent=dict(zip(queries, source_all)),
     )
     return dataset, store
 

@@ -2,7 +2,7 @@
 
 Criteria 5-7, directional reproductions of the ablation structure that train
 small models on synthetic data, are still to come; `train_and_score` is the
-helper they will share.
+helper they will share, and a smoke test keeps it running until then.
 """
 
 import time
@@ -39,6 +39,16 @@ def train_and_score(dataset, mode, align_kind, seed, epochs, batch_size, lr, gra
     matrix = score_matrix(index, queries)
     gt = {q.query_id: q.ground_truth_item for q in queries}
     return summary_metrics(matrix, gt)
+
+
+class TestTrainAndScoreSmoke:
+    """`train_and_score` still trains and scores until criteria 5-7 call it."""
+
+    def test_tiny_run_gives_finite_metrics(self):
+        dataset, _ = generate(SynthConfig(n_items=120, seed=0))
+        metrics = train_and_score(dataset, FusionMode.SAVE, "soft_albef", seed=0, epochs=1, batch_size=16, lr=1e-3)
+        assert all(np.isfinite(metrics[k]) for k in ("r1", "r5", "r10"))
+        assert 0.0 <= metrics["sumr"] <= 300.0
 
 
 class TestCriterion1GradientIntegrity:

@@ -54,6 +54,26 @@ class TestGen:
         assert code == 2
         assert "bogus_knob" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("key, value", [
+        ("background_pool", 0), ("noise_scale", -1.0), ("query_noise", -0.1), ("teacher_noise", -0.05),
+        ("frames", 0), ("audio_len", 0), ("speech_pad", 0), ("teacher_dim", 0), ("dim", 0), ("dim", 1),
+        ("audio_drift", -1.0), ("query_visual_mix", -0.5),
+        ("group_mix", {"visual": 1.5, "sound": -0.5}), ("splits", {"train": 1.5, "test": -0.5}),
+    ])
+    def test_bad_value_is_config_error_before_writing(self, tmp_path, capsys, key, value):
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps({"synth": {"n_items": 8, key: value}}))
+        code = main(["gen", "--config", str(cfg), "--out", str(tmp_path / "d")])
+        assert code == 2
+        assert key in capsys.readouterr().err
+        assert not (tmp_path / "d").exists()
+
+    def test_unknown_group_is_config_error(self, tmp_path, capsys):
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps({"synth": {"n_items": 8, "group_mix": {"visual": 0.5, "music": 0.5}}}))
+        assert main(["gen", "--config", str(cfg), "--out", str(tmp_path / "d")]) == 2
+        assert "group mix keys" in capsys.readouterr().err
+
     def test_refuses_overwrite_without_force(self, workspace, capsys):
         code = main(["gen", "--config", str(workspace["config"]), "--out", str(workspace["data"])])
         assert code == 3

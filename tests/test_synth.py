@@ -3,12 +3,28 @@
 import numpy as np
 import pytest
 
-from trifuse.data import KIND_VECTOR, ContainerError, read_container, read_dataset, write_container
+from trifuse import synth
+from trifuse.data import (
+    KIND_VECTOR,
+    ContainerError,
+    Dataset,
+    ItemRecord,
+    Manifest,
+    QueryRecord,
+    read_container,
+    read_dataset,
+    write_container,
+)
 from trifuse.fusion import FusionMode, FusionParams, precompute_index
 from trifuse.losses import affinity_from_teacher
 from trifuse.similarity import score_matrix
 from trifuse.synth import (
+    CHUNK_ITEMS,
+    LatentStore,
     SynthConfig,
+    _largest_remainder_counts,
+    _orthonormal,
+    _unit_rows,
     generate,
     load_latents,
     oracle_rank,
@@ -17,21 +33,251 @@ from trifuse.synth import (
 )
 
 
+def reference_generate(config: SynthConfig) -> tuple[Dataset, LatentStore]:
+    """The per-item generator that `generate` replaced, kept verbatim as the
+    byte-identity oracle for every knob it has (not the drift and mix knobs)."""
+    rng = np.random.default_rng(config.seed)
+    n, d, d_t = config.n_items, config.dim, config.teacher_dim
+
+    query_map = _orthonormal(rng, d, d)  # shared pre-aligned space (vision/speech/query)
+    audio_map = _orthonormal(rng, d, d)  # separate, unaligned audio-encoder space
+    teacher_map = _orthonormal(rng, d, d_t)
+
+    group_counts = _largest_remainder_counts(n, config.group_mix)
+    group_pool = [g for g in sorted(group_counts) for _ in range(group_counts[g])]
+    groups = [group_pool[i] for i in rng.permutation(n)]
+
+    n_mismatch = int(round(config.correspondence_noise * n))
+    mismatched = set(rng.permutation(n)[:n_mismatch].tolist())
+    soundtrack_pool = _unit_rows(rng.normal(size=(max(1, config.background_pool), d)))
+    n_no_audio = int(round(config.missing_audio * n))
+    no_audio = set(rng.permutation(n)[:n_no_audio].tolist())
+    n_no_speech = int(round(config.missing_speech * n))
+    no_speech = set(rng.permutation(n)[:n_no_speech].tolist())
+
+    items: dict[str, ItemRecord] = {}
+    queries: dict[str, QueryRecord] = {}
+    ids, z_vis_all, z_aud_all, z_sp_all = [], [], [], []
+    query_latents: dict[str, np.ndarray] = {}
+
+    for i in range(n):
+        item_id = f"v{i:05d}"
+        group = groups[i]
+        z_vis = _unit_rows(rng.normal(size=d))
+        z_aud = soundtrack_pool[rng.integers(len(soundtrack_pool))].copy() if i in mismatched else z_vis.copy()
+        z_sp = _unit_rows(rng.normal(size=d))
+
+        visual = z_vis @ query_map.T + config.noise_scale * rng.normal(size=(config.frames, d))
+        audio = z_aud @ audio_map.T + config.noise_scale * rng.normal(size=(config.audio_len, d))
+        speech = z_sp @ query_map.T + config.noise_scale * rng.normal(size=(config.speech_pad, d))
+
+        teacher_video = _unit_rows(z_vis @ teacher_map + config.teacher_noise * rng.normal(size=d_t))
+        teacher_audio = _unit_rows(z_aud @ teacher_map + config.teacher_noise * rng.normal(size=d_t))
+
+        if group == "visual":
+            source = z_vis
+        elif group == "sound":
+            source = z_aud
+        elif group == "speech":
+            source = z_sp
+        else:
+            source = _unit_rows(z_aud + z_sp)
+        query_emb = source @ query_map.T + config.query_noise * rng.normal(size=d)
+
+        items[item_id] = ItemRecord(
+            item_id=item_id,
+            visual_tokens=visual.astype(np.float32),
+            audio_tokens=None if i in no_audio else audio.astype(np.float32),
+            speech_tokens=None if i in no_speech else speech.astype(np.float32),
+            teacher_video=teacher_video.astype(np.float32),
+            teacher_audio=teacher_audio.astype(np.float32),
+            group=group,
+        )
+        query_id = f"q{i:05d}"
+        queries[query_id] = QueryRecord(
+            query_id=query_id,
+            embedding=query_emb.astype(np.float32),
+            ground_truth_item=item_id,
+            group=group,
+        )
+        ids.append(item_id)
+        z_vis_all.append(z_vis)
+        z_aud_all.append(z_aud)
+        z_sp_all.append(z_sp)
+        query_latents[query_id] = source.astype(np.float32)
+
+    split_counts = _largest_remainder_counts(n, config.splits)
+    order = rng.permutation(n)
+    splits: dict[str, dict[str, list[str]]] = {}
+    cursor = 0
+    for split in sorted(split_counts):
+        take = order[cursor : cursor + split_counts[split]]
+        cursor += split_counts[split]
+        member_items = sorted(ids[j] for j in take)
+        splits[split] = {
+            "items": member_items,
+            "queries": [f"q{iid[1:]}" for iid in member_items],
+        }
+
+    manifest = Manifest(
+        dim=d,
+        teacher_dim=d_t,
+        frames=config.frames,
+        speech_pad=config.speech_pad,
+        audio_pad=config.frames,
+        splits=splits,
+    )
+    dataset = Dataset(manifest=manifest, items=items, queries=queries)
+    store = LatentStore(
+        item_ids=ids,
+        z_vis=np.stack(z_vis_all).astype(np.float32),
+        z_aud=np.stack(z_aud_all).astype(np.float32),
+        z_sp=np.stack(z_sp_all).astype(np.float32),
+        query_latent=query_latents,
+    )
+    return dataset, store
+
+
 def config(**overrides):
     defaults = dict(n_items=60, dim=8, teacher_dim=4, frames=3, audio_len=4, speech_pad=4, seed=0)
     defaults.update(overrides)
     return SynthConfig(**defaults)
 
 
+ITEM_FIELDS = ("visual_tokens", "audio_tokens", "speech_tokens", "teacher_video", "teacher_audio")
+
+
+def same_bytes(x: np.ndarray, y: np.ndarray) -> bool:
+    return x.dtype == y.dtype and x.shape == y.shape and x.tobytes() == y.tobytes()
+
+
+def assert_same_bytes(got, want):
+    """Every array of every item, query and latent, and every other field,
+    bit for bit."""
+    __tracebackhide__ = True  # a failure report would print both whole datasets
+    (ds_a, store_a), (ds_b, store_b) = got, want
+    assert ds_a.manifest == ds_b.manifest
+    assert list(ds_a.items) == list(ds_b.items) and list(ds_a.queries) == list(ds_b.queries)
+    for iid, a in ds_a.items.items():
+        b = ds_b.items[iid]
+        assert (a.item_id, a.group) == (b.item_id, b.group)
+        for name in ITEM_FIELDS:
+            x, y = getattr(a, name), getattr(b, name)
+            assert (x is None) == (y is None), (iid, name)
+            assert x is None or same_bytes(x, y), (iid, name)
+    for qid, a in ds_a.queries.items():
+        b = ds_b.queries[qid]
+        assert (a.query_id, a.ground_truth_item, a.group) == (b.query_id, b.ground_truth_item, b.group)
+        assert same_bytes(a.embedding, b.embedding), qid
+    assert store_a.item_ids == store_b.item_ids
+    for name in ("z_vis", "z_aud", "z_sp"):
+        assert same_bytes(getattr(store_a, name), getattr(store_b, name)), name
+    assert list(store_a.query_latent) == list(store_b.query_latent)
+    for qid, x in store_a.query_latent.items():
+        assert same_bytes(x, store_b.query_latent[qid]), qid
+
+
+# The train workload's synth config, at full size.
+TRAIN_WORKLOAD = dict(
+    n_items=512, dim=16, frames=12, audio_len=12, speech_pad=32,
+    correspondence_noise=0.3, missing_audio=0.1, missing_speech=0.1,
+)
+ORACLE_CONFIGS = {
+    "defaults": dict(n_items=300),
+    "train_workload": TRAIN_WORKLOAD,
+    "full_mismatch_one_soundtrack": dict(n_items=300, correspondence_noise=1.0, background_pool=1),
+    "no_audio": dict(n_items=300, missing_audio=1.0),
+    "two_items": dict(n_items=2),
+    "chunk_minus_one": dict(n_items=CHUNK_ITEMS - 1, correspondence_noise=0.3, seed=3),
+    "chunk_plus_one": dict(n_items=CHUNK_ITEMS + 1, correspondence_noise=0.3, seed=4),
+    "three_chunks_and_five": dict(n_items=3 * CHUNK_ITEMS + 5, correspondence_noise=0.5, missing_speech=0.2, seed=5),
+    "small_shapes": dict(n_items=60, dim=8, teacher_dim=4, frames=3, audio_len=4, speech_pad=4, seed=2,
+                         correspondence_noise=0.4, background_pool=2),
+}
+
+
+class TestChunkedGenerator:
+    """`generate` draws items in chunks as array operations and must give the
+    bytes of the per-item loop it replaced, `reference_generate`."""
+
+    @pytest.mark.parametrize("name", sorted(ORACLE_CONFIGS))
+    def test_same_bytes_as_per_item_loop(self, name):
+        cfg = SynthConfig(**ORACLE_CONFIGS[name])
+        assert_same_bytes(generate(cfg), reference_generate(cfg))
+
+    @pytest.mark.parametrize("chunk", [1, 7])
+    def test_output_does_not_depend_on_chunk_size(self, chunk, monkeypatch):
+        cfg = SynthConfig(n_items=40, correspondence_noise=0.5, missing_audio=0.2, seed=9)
+        monkeypatch.setattr(synth, "CHUNK_ITEMS", chunk)
+        assert_same_bytes(generate(cfg), reference_generate(cfg))
+
+    @pytest.mark.parametrize("name", ["defaults", "train_workload"])
+    def test_written_files_same_bytes(self, name, tmp_path, monkeypatch):
+        cfg = SynthConfig(**ORACLE_CONFIGS[name])
+        write_synthetic(cfg, tmp_path / "chunked")
+        monkeypatch.setattr(synth, "generate", reference_generate)
+        write_synthetic(cfg, tmp_path / "reference")
+        for filename in ("manifest.json", "tensors.sve", "latents.sve"):
+            same = (tmp_path / "chunked" / filename).read_bytes() == (tmp_path / "reference" / filename).read_bytes()
+            assert same, filename
+
+    def test_item_arrays_are_views_of_one_array_per_field(self):
+        ds, store = generate(config(n_items=20))
+        items = list(ds.items.values())
+        for name in ITEM_FIELDS:
+            bases = {id(getattr(it, name).base) for it in items if getattr(it, name) is not None}
+            assert len(bases) == 1, name
+        assert len({id(q.embedding.base) for q in ds.queries.values()}) == 1
+        assert len({id(v.base) for v in store.query_latent.values()}) == 1
+
+
+class TestDriftAndMix:
+    """The audio-drift (kappa) and query-visual-mix (lambda) knobs."""
+
+    def test_drift_moves_only_the_audio_latent(self):
+        base_ds, base = generate(config(n_items=50))
+        ds, store = generate(config(n_items=50, audio_drift=2.0))
+        # the drift comes from a child generator: the main stream is untouched
+        for name in ("z_vis", "z_sp"):
+            np.testing.assert_array_equal(getattr(store, name), getattr(base, name))
+        for iid, item in ds.items.items():
+            np.testing.assert_array_equal(item.visual_tokens, base_ds.items[iid].visual_tokens)
+            np.testing.assert_array_equal(item.teacher_video, base_ds.items[iid].teacher_video)
+        np.testing.assert_allclose(np.linalg.norm(store.z_aud, axis=1), 1.0, atol=1e-6)
+        # matched items no longer hear exactly what they show
+        cos = np.sum(store.z_aud * store.z_vis, axis=1)
+        assert cos.max() < 0.99
+
+    def test_mix_adds_the_visual_latent_to_non_visual_queries(self):
+        _, base = generate(config(n_items=50))
+        ds, store = generate(config(n_items=50, query_visual_mix=0.5))
+        for k, item_id in enumerate(store.item_ids):
+            qid = f"q{item_id[1:]}"
+            group = ds.queries[qid].group
+            if group == "visual":
+                np.testing.assert_array_equal(store.query_latent[qid], base.query_latent[qid])
+            else:
+                want = _unit_rows(base.item_latents(group)[k].astype(np.float64) + 0.5 * base.z_vis[k])
+                np.testing.assert_allclose(store.query_latent[qid], want, atol=1e-6)
+
+    def test_vision_only_oracle_ceilings(self):
+        """Test-split gallery, z_vis item latents, R@1 of `oracle_rank`, at
+        kappa 2, lambda 0.5, seed 0 and 1,000 items."""
+        ds, store = generate(SynthConfig(n_items=1000, seed=0, audio_drift=2.0, query_visual_mix=0.5))
+        row = {iid: k for k, iid in enumerate(store.item_ids)}
+        test_items = ds.manifest.splits["test"]["items"]
+        gallery = store.z_vis[[row[i] for i in test_items]]
+        r1 = {}
+        for group in ("visual", "sound", "speech"):
+            hits = [oracle_rank(store.query_latent[f"q{iid[1:]}"], gallery, k) == 1
+                    for k, iid in enumerate(test_items) if ds.items[iid].group == group]
+            r1[group] = round(float(np.mean(hits)), 3)
+        assert r1 == {"visual": 1.0, "sound": 0.807, "speech": 0.152}
+
+
 class TestGenerate:
     def test_same_seed_bit_identical(self):
-        a, sa = generate(config())
-        b, sb = generate(config())
-        for iid in a.items:
-            np.testing.assert_array_equal(a.items[iid].visual_tokens, b.items[iid].visual_tokens)
-        np.testing.assert_array_equal(sa.z_sp, sb.z_sp)
-        for qid in a.queries:
-            np.testing.assert_array_equal(a.queries[qid].embedding, b.queries[qid].embedding)
+        assert_same_bytes(generate(config()), generate(config()))
 
     def test_missing_fraction_exact_count(self):
         ds, _ = generate(config(n_items=100, missing_audio=0.5, missing_speech=0.85))
