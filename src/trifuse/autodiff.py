@@ -259,15 +259,17 @@ def div(a: Tensor, b) -> Tensor:
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
-    """Matrix product: (..., k) @ (k, n) or (k,), 1D @ 2D, or batched
-    (..., m, k) @ (..., k, n) with equal batch dims."""
+    """Matrix product: (..., k) @ (k, n), or batched (..., m, k) @ (..., k, n)
+    with equal batch dims. The right operand has at least 2 dims."""
+    if b.data.ndim < 2:
+        raise ValueError(f"matmul needs a right operand with at least 2 dims, got {b.shape}")
     if b.data.ndim > 2 and a.data.shape[:-2] != b.data.shape[:-2]:
         raise ValueError(f"matmul batch mismatch: {a.shape} @ {b.shape}")
     out_data = a.data @ b.data
 
     def backward(g):
         if a.requires_grad:
-            ga = np.multiply.outer(g, b.data) if b.data.ndim == 1 else g @ b.data.swapaxes(-1, -2)
+            ga = g @ b.data.swapaxes(-1, -2)
             _accumulate(a, ga)
         if b.requires_grad:
             if b.data.ndim > 2:

@@ -7,9 +7,10 @@ and `score` score with both, and `--mode` overrides the mode. Exit codes:
 0 success, 2 config parse error (including an out-of-range value, such as a
 train sharpness outside (0, 80]), 3 IO error (a missing file, a malformed
 container, manifest or checkpoint sidecar, a manifest with a duplicate id or
-a wrongly typed field, a checkpoint sidecar sharpness outside (0, 80],
-checkpoint tensors that disagree with their sidecar, a non-finite embedding,
-or an eval split that the manifest does not list or that has no queries), 4
+a wrongly typed field, a checkpoint sidecar sharpness outside (0, 80] or
+fusion mode not among `--mode`'s choices, checkpoint tensors that disagree
+with their sidecar, a non-finite embedding, or an eval split that the
+manifest does not list or that has no queries), 4
 training aborted on non-finite loss, 5 checkpoint, config or dataset dimension mismatch
 (including audio longer than max_audio_len), 6 unknown query id.
 """
@@ -301,8 +302,6 @@ def cmd_inspect(args) -> int:
             "arch": params.arch,
             "audio_gate": params.audio_fusion.gate_value(),
             "speech_gate": params.speech_fusion.gate_value(),
-            "alpha": float(params.alpha.data),
-            "beta": float(params.beta.data),
             "logit_scale": float(params.logit_scale.data),
             "temperature": 1.0 / float(np.exp(params.logit_scale.data)),
         },

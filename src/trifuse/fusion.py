@@ -1,11 +1,12 @@
 """End-to-end video representation under every fusion mode, plus the offline index.
 
 The trainable bundle (`FusionParams`) holds one audio resampler, two
-independently parameterized gated-fusion stacks (audio, speech), the
-contrastive logit scale, the holistic-aggregation weights, and the optional
-learnable combination weights alpha/beta. At default initialization every
-fusion mode that is defined through the gates reduces exactly to the raw
-visual tokens.
+independently parameterized gated-fusion stacks (audio, speech) and the
+contrastive logit scale. The four modes are `save` (both branches),
+`avigate` (audio only), `no_audio` (speech only) and `vision_only`. Every
+mode is scored from the same two arrays: the fused tokens and their mean. At
+default initialization the gates are zero, so every mode reduces exactly to
+the raw visual tokens.
 """
 
 from __future__ import annotations
@@ -31,17 +32,6 @@ class FusionMode(str, Enum):
     AVIGATE = "avigate"
     VISION_ONLY = "vision_only"
     NO_AUDIO = "no_audio"
-    LATE_FUSION = "late_fusion"
-    LEARNABLE_WEIGHTS = "learnable_weights"
-    HOLISTIC = "holistic"
-
-
-# The arrays each mode's videos are scored with: the one place that decides
-# what `forward_video` returns and what an index holds, carries and stores.
-SCORED_ARRAYS = {mode: ("tokens", "pooled") for mode in FusionMode} | {
-    FusionMode.HOLISTIC: ("holistic",),
-    FusionMode.LATE_FUSION: ("pooled", "speech_pool"),
-}
 
 
 # Audio-visual weighted-sum coefficients. The fused tokens are stored
@@ -70,25 +60,6 @@ def check_sharpness(sharpness: float) -> float:
     return float(sharpness)
 
 
-class HolisticAggregator(nn.Module):
-    """Attention-pooled single-vector video representation.
-
-    Token scores are q . tanh(tokens W); the output is the softmax-weighted
-    sum of the tokens.
-    """
-
-    def __init__(self, dim: int, rng: np.random.Generator, dtype=np.float32):
-        scale = 1.0 / math.sqrt(dim)
-        self.weight = ad.parameter(rng.normal(0.0, scale, size=(dim, dim)).astype(dtype))
-        self.query = ad.parameter(rng.normal(0.0, scale, size=dim).astype(dtype))
-
-    def __call__(self, tokens: Tensor) -> Tensor:
-        """(..., m, d) tokens -> (..., d)."""
-        scores = ad.matmul(ad.tanh(ad.matmul(tokens, self.weight)), self.query)  # (..., m)
-        weights = ad.softmax(scores, axis=-1)
-        return (tokens * ad.reshape(weights, weights.shape + (1,))).sum(axis=-2)
-
-
 class FusionParams(nn.Module):
     """Every trainable tensor of the fusion network, in a fixed order. `arch`
     also records the mode and sharpness the parameters were trained to score
@@ -114,10 +85,7 @@ class FusionParams(nn.Module):
         )
         self.audio_fusion = nn.GatedFusion(dim, heads, fusion_depth, rng, dtype=dtype)
         self.speech_fusion = nn.GatedFusion(dim, heads, fusion_depth, rng, dtype=dtype)
-        self.holistic = HolisticAggregator(dim, rng, dtype=dtype)
         self.logit_scale = ad.parameter(np.asarray(LOGIT_SCALE_INIT, dtype=dtype))
-        self.alpha = ad.parameter(np.asarray(1.0, dtype=dtype))
-        self.beta = ad.parameter(np.asarray(0.0, dtype=dtype))
         self.arch = {
             "dim": dim,
             "frames": frames,
@@ -173,38 +141,30 @@ def load_params(path) -> FusionParams:
 
 @dataclass
 class VideoIndex:
-    """Offline per-video artifact scored online without any network evaluation.
-    It holds the arrays SCORED_ARRAYS names for its mode; the others are None."""
+    """Offline per-video artifact scored online without any network evaluation."""
 
     mode: FusionMode
     item_ids: list[str]
-    tokens: np.ndarray | None = None  # (n, m, d) fused tokens
-    pooled: np.ndarray | None = None  # (n, d) token means
-    holistic: np.ndarray | None = None  # (n, d) attention-pooled tokens
-    speech_pool: np.ndarray | None = None  # (n, d) raw speech-token means
+    tokens: np.ndarray  # (n, m, d) fused tokens
+    pooled: np.ndarray  # (n, d) token means
 
     @property
     def dim(self) -> int:
-        return getattr(self, SCORED_ARRAYS[self.mode][0]).shape[-1]
+        return self.pooled.shape[-1]
 
 
 @dataclass
 class FusedBatch:
-    """`forward_video` output for B items; every array leads with the item axis.
-    The scored arrays are those SCORED_ARRAYS names for the mode; the others are None."""
+    """`forward_video` output for B items; every array leads with the item axis."""
 
-    tokens: Tensor | None = None  # (B, m, d) fused tokens
-    pooled: Tensor | None = None  # (B, d) their means
-    holistic: Tensor | None = None  # (B, d) attention-pooled tokens
-    speech_pool: Tensor | None = None  # (B, d) raw speech-token means, a constant
+    tokens: Tensor  # (B, m, d) fused tokens
+    pooled: Tensor  # (B, d) their means
     visual: Tensor | None = None  # (B, m, d) input visual tokens
     audio: Tensor | None = None  # (B, m, d) resampled audio, in the modes that use audio
 
 
-AUDIO_MODES = frozenset({FusionMode.AVIGATE, FusionMode.SAVE, FusionMode.HOLISTIC,
-                         FusionMode.LEARNABLE_WEIGHTS, FusionMode.LATE_FUSION})
-SPEECH_MODES = frozenset({FusionMode.NO_AUDIO, FusionMode.SAVE, FusionMode.HOLISTIC,
-                          FusionMode.LEARNABLE_WEIGHTS, FusionMode.LATE_FUSION})
+AUDIO_MODES = frozenset({FusionMode.AVIGATE, FusionMode.SAVE})
+SPEECH_MODES = frozenset({FusionMode.NO_AUDIO, FusionMode.SAVE})
 
 # Items per forward pass when building an index.
 INDEX_CHUNK = 128
@@ -228,37 +188,26 @@ def forward_video(items: list[ItemRecord], params: FusionParams, mode: FusionMod
     """Fused tokens of a batch of resolved items, as one graph.
 
     The items must come through `resolve_missing` first in the modes that
-    touch audio or speech; a batch may mix token lengths. late_fusion fuses as
-    avigate does and is scored with the token means and the raw speech-token
-    means; holistic is scored with the attention-pooled tokens alone.
+    touch audio or speech; a batch may mix token lengths.
     """
     mode = FusionMode(mode)
     v, _ = _stack(items, "visual_tokens", params.dtype)
-    audio = a_hat = s_hat = speech_pool = None
+    audio = a_hat = s_hat = None
     if mode in AUDIO_MODES:
         audio = params.resampler(*_stack(items, "audio_tokens", params.dtype))
         a_hat = params.audio_fusion(v, audio)
     if mode in SPEECH_MODES:
-        speech, speech_mask = _stack(items, "speech_tokens", params.dtype)
-        if mode == FusionMode.LATE_FUSION:
-            speech_pool = Tensor(speech.data.sum(axis=1) / speech_mask.sum(axis=1, keepdims=True))
-        else:
-            s_hat = params.speech_fusion(v, speech, speech_mask)
+        s_hat = params.speech_fusion(v, *_stack(items, "speech_tokens", params.dtype))
 
     if mode == FusionMode.VISION_ONLY:
         fused = v
-    elif mode in (FusionMode.AVIGATE, FusionMode.LATE_FUSION):
+    elif mode == FusionMode.AVIGATE:
         fused = v + a_hat * (AV_AUDIO_WEIGHT / AV_VISUAL_WEIGHT)
     elif mode == FusionMode.NO_AUDIO:
         fused = v + s_hat
-    elif mode in (FusionMode.SAVE, FusionMode.HOLISTIC):
+    else:  # save
         fused = v + (a_hat + s_hat) * 0.5
-    else:  # learnable_weights
-        gamma = 1.0 - params.alpha - params.beta
-        fused = params.alpha * v + params.beta * a_hat + gamma * s_hat
-    holistic = params.holistic(fused) if mode == FusionMode.HOLISTIC else None
-    scored = {"tokens": fused, "pooled": fused.mean(axis=-2), "holistic": holistic, "speech_pool": speech_pool}
-    return FusedBatch(visual=v, audio=audio, **{name: scored[name] for name in SCORED_ARRAYS[mode]})
+    return FusedBatch(fused, fused.mean(axis=-2), visual=v, audio=audio)
 
 
 def pre_fusion_pooled(fused: FusedBatch) -> tuple[Tensor, Tensor]:
@@ -273,12 +222,12 @@ def precompute_index(
     items: list[ItemRecord], params: FusionParams, mode: FusionMode, manifest: Manifest
 ) -> VideoIndex:
     """Forward passes over fixed chunks of INDEX_CHUNK items under no_grad; a
-    pure function of (items, params, mode). The index holds the mode's
-    SCORED_ARRAYS as float32."""
+    pure function of (items, params, mode). The index holds the fused tokens
+    and their means as float32."""
     mode = FusionMode(mode)
     n = len(items)
-    arrays = {name: np.empty((n, manifest.frames, manifest.dim) if name == "tokens" else (n, manifest.dim), np.float32)
-              for name in SCORED_ARRAYS[mode]}
+    arrays = {"tokens": np.empty((n, manifest.frames, manifest.dim), np.float32),
+              "pooled": np.empty((n, manifest.dim), np.float32)}
     with ad.no_grad():
         for start in range(0, n, INDEX_CHUNK):
             chunk = [resolve_missing(item, manifest) for item in items[start : start + INDEX_CHUNK]]
@@ -289,16 +238,13 @@ def precompute_index(
 
 
 def save_index(index: VideoIndex, path) -> None:
-    """One container record per scored array, `index/<name>`, with tokens
-    stored as (n*m, d); a `.json` sidecar with the mode, the item ids and,
-    when there are tokens, m."""
+    """Two container records, `index/tokens` stored as (n*m, d) and
+    `index/pooled`; a `.json` sidecar with the mode, the item ids and m."""
     path = Path(path)
-    arrays = {name: getattr(index, name) for name in SCORED_ARRAYS[index.mode]}
-    meta = {"mode": index.mode.value, "item_ids": index.item_ids}
-    if "tokens" in arrays:
-        n, m, d = index.tokens.shape
-        arrays["tokens"], meta["m"] = index.tokens.reshape(n * m, d), m
-    write_container(path, {f"index/{name}": (KIND_TOKENS, arr) for name, arr in arrays.items()})
+    n, m, d = index.tokens.shape
+    write_container(path, {"index/tokens": (KIND_TOKENS, index.tokens.reshape(n * m, d)),
+                           "index/pooled": (KIND_TOKENS, index.pooled)})
+    meta = {"mode": index.mode.value, "item_ids": index.item_ids, "m": m}
     atomic_write(Path(str(path) + ".json"), (json.dumps(meta, indent=2, sort_keys=True) + "\n").encode())
 
 
@@ -307,12 +253,11 @@ def load_index(path) -> VideoIndex:
     meta = json.loads(Path(str(path) + ".json").read_text())
     records = read_container(path)
     try:
-        mode, ids = FusionMode(meta["mode"]), meta["item_ids"]
-        m = meta["m"] if "tokens" in SCORED_ARRAYS[mode] else None
+        mode, ids, m = FusionMode(meta["mode"]), meta["item_ids"], meta["m"]
     except (KeyError, ValueError) as err:
         raise ContainerError(f"index sidecar does not describe an index ({type(err).__name__}: {err})") from err
     arrays = {}
-    for name in SCORED_ARRAYS[mode]:
+    for name in ("tokens", "pooled"):
         if f"index/{name}" not in records:
             raise ContainerError(f"{mode.value} index {path} lacks its {name} record")
         arr = records[f"index/{name}"][1]

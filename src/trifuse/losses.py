@@ -50,29 +50,14 @@ def _as_tensor(x) -> Tensor:
     return x if isinstance(x, Tensor) else Tensor(np.asarray(x, dtype=np.float64))
 
 
-def pearson_row_distance(p, q, eps: float = PEARSON_EPS):
-    """1 - corr(p, q), in [0, 2].
+def _pearson_distances(p: Tensor, q: Tensor, axis: int) -> Tensor:
+    """1 - corr(p, q) of every slice along `axis`, in [0, 2], as one expression.
 
-    A vector whose standard deviation is at or below `eps` is treated as
+    A slice whose standard deviation is at or below PEARSON_EPS is treated as
     degenerate and contributes distance 0 (and no gradient): a constant
     softmax row only arises from all-equal scores, and penalizing it would
     be arbitrary.
     """
-    p = _as_tensor(p)
-    q = _as_tensor(q)
-    if p.shape != q.shape or p.data.ndim != 1:
-        raise ValueError(f"pearson distance needs equal-length vectors, got {p.shape} and {q.shape}")
-    pc = p - p.mean()
-    qc = q - q.mean()
-    sig_p = ad.sqrt((pc * pc).mean())
-    sig_q = ad.sqrt((qc * qc).mean())
-    if float(sig_p.data) <= eps or float(sig_q.data) <= eps:
-        return Tensor(np.asarray(0.0, dtype=p.dtype))
-    return 1.0 - ((pc * qc).mean() / (sig_p * sig_q))
-
-
-def _pearson_distances(p: Tensor, q: Tensor, axis: int) -> Tensor:
-    """`pearson_row_distance` of every slice along `axis`, as one expression."""
     pc = p - p.mean(axis=axis, keepdims=True)
     qc = q - q.mean(axis=axis, keepdims=True)
     var_p = (pc * pc).mean(axis=axis)

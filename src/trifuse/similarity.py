@@ -1,18 +1,14 @@
-"""Video-query scoring: global, local (log-sum-exp), combined, holistic, late.
+"""Video-query scoring: global, local (log-sum-exp) and their mean.
 
 One formula (`_scores`, built from autodiff ops) scores every fusion mode on
-both routes: the mean of the local term over the fused tokens, when there are
-tokens, and of one cosine per (n, d) vector. It never asks for the mode.
-`fusion.SCORED_ARRAYS` decides which arrays a mode's index or fused batch
-holds: `tokens` and `pooled` (local term plus global cosine), `holistic` alone
-(holistic), or `pooled` and `speech_pool` (late_fusion, two cosines).
-`QueryScorer` feeds it a precomputed `VideoIndex` as constant tensors, with no
-network evaluation and no tape (the online path); `batch_scores` feeds it a
-fused batch and returns the differentiable score matrix the training losses
-consume. The scalar `global_/local_/
-combined_similarity` are an independent reference written in numpy. Zero-norm
-vectors score 0 by convention so zero-filled missing modalities cannot poison
-evaluation.
+both routes: the mean of the local term over the fused tokens and the global
+cosine of their mean, `pooled`. It never asks for the mode. `QueryScorer`
+feeds it a precomputed `VideoIndex` as constant tensors, with no network
+evaluation and no tape (the online path); `batch_scores` feeds it a fused
+batch and returns the differentiable score matrix the training losses
+consume. The scalar `global_/local_/combined_similarity` are an independent
+reference written in numpy. Zero-norm vectors score 0 by convention so
+zero-filled missing modalities cannot poison evaluation.
 
 The local term is one tape node, `autodiff.token_logmeanexp`: one matmul
 into a fresh (T, m, B) buffer, exp in place, a sum over m and a log. Tokens
@@ -52,10 +48,6 @@ _EPS_SQ = ad.NORM_EPS_SQ
 def _unit_rows(x: np.ndarray) -> np.ndarray:
     norm = np.sqrt(np.sum(x * x, axis=-1, keepdims=True) + _EPS_SQ)
     return x / norm
-
-
-def _unit64(x: np.ndarray | None) -> np.ndarray | None:
-    return None if x is None else _unit_rows(x.astype(np.float64))
 
 
 def global_similarity(pooled: np.ndarray, query: np.ndarray) -> float:
@@ -108,21 +100,19 @@ def _cosines(q: Tensor, rows: Tensor) -> Tensor:
     return ad.matmul(q, ad.transpose(rows))
 
 
-def _scores(q: Tensor, sharpness: float, tokens: Tensor | None, vectors: list[Tensor]) -> Tensor:
+def _scores(q: Tensor, sharpness: float, tokens: Tensor, pooled: Tensor) -> Tensor:
     """(T, B) scores of unit-norm (T, d) queries against a unit-norm gallery:
-    the mean of the local term over token-major (m, B, d) tokens, when given,
-    and of one cosine per (B, d) vector.
+    the mean of the local term over token-major (m, B, d) tokens and the
+    cosine with the (B, d) pooled vectors.
 
     The one formula of every fusion mode, for serving and for training.
     """
     # the local term comes first, so no global term is alive at the (T, m, B) peak
-    terms = [] if tokens is None else [ad.token_logmeanexp(q, tokens, sharpness)]
-    terms += [_cosines(q, v) for v in vectors]
-    return sum(terms[1:], terms[0]) * (1.0 / len(terms))
+    return (ad.token_logmeanexp(q, tokens, sharpness) + _cosines(q, pooled)) * 0.5
 
 
 class QueryScorer:
-    """Prenormalized float64 copies of the gallery arrays the index holds;
+    """Prenormalized float64 copies of the index's tokens and pooled vectors;
     per-query scoring touches no network."""
 
     def __init__(self, index: VideoIndex, mode: FusionMode, sharpness: float = DEFAULT_SHARPNESS):
@@ -131,9 +121,9 @@ class QueryScorer:
         self.sharpness = check_sharpness(sharpness)
         self.size = len(index.item_ids)
         # (m, n, d): token-major, contiguous
-        self.tokens = None if index.tokens is None else _unit_rows(
-            np.ascontiguousarray(index.tokens.swapaxes(0, 1), np.float64))
-        self.pooled, self.holistic, self.speech_pool = map(_unit64, (index.pooled, index.holistic, index.speech_pool))
+        self.tokens = _unit_rows(np.ascontiguousarray(index.tokens.swapaxes(0, 1), np.float64))
+        self.pooled = _unit_rows(index.pooled.astype(np.float64))
+        self.holistic = self.speech_pool = None  # perfbench/layers.py::gallery_bytes still reads both
 
     def score_one(self, query: np.ndarray) -> np.ndarray:
         return self.score_many(np.asarray(query, dtype=np.float64)[None, :])[0]
@@ -142,13 +132,11 @@ class QueryScorer:
         """(T, n) scores, written chunk by chunk; constant Tensors record no
         tape and copy no array."""
         q = _unit_rows(q_mat.astype(np.float64))
-        tokens = None if self.tokens is None else Tensor(self.tokens)
-        vectors = [Tensor(a) for a in (self.pooled, self.holistic, self.speech_pool) if a is not None]
-        row_bytes = 8 * self.size * (1 if self.tokens is None else self.tokens.shape[0])
-        rows = max(1, SCORE_CHUNK_BYTES // max(1, row_bytes))
+        tokens, pooled = Tensor(self.tokens), Tensor(self.pooled)
+        rows = max(1, SCORE_CHUNK_BYTES // max(1, 8 * self.size * self.tokens.shape[0]))
         out = np.empty((len(q), self.size))
         for start in range(0, len(q), rows):
-            out[start : start + rows] = _scores(Tensor(q[start : start + rows]), self.sharpness, tokens, vectors).data
+            out[start : start + rows] = _scores(Tensor(q[start : start + rows]), self.sharpness, tokens, pooled).data
         return out
 
 
@@ -161,6 +149,6 @@ def batch_scores(fused: FusedBatch, query_embeddings: np.ndarray, sharpness: flo
     return _scores(
         Tensor(_unit_rows(np.asarray(query_embeddings))),
         sharpness,
-        None if fused.tokens is None else ad.swapaxes(ad.l2_normalize(fused.tokens), 0, 1),
-        [ad.l2_normalize(v) for v in (fused.pooled, fused.holistic, fused.speech_pool) if v is not None],
+        ad.swapaxes(ad.l2_normalize(fused.tokens), 0, 1),
+        ad.l2_normalize(fused.pooled),
     )

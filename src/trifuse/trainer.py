@@ -9,8 +9,8 @@ parameters and checkpoints; log records therefore carry no wall-clock fields.
 Besides the losses and the learning rate, each step's record holds the
 gradient norm before clipping (`grad_norm`, also without clipping), the
 values of the parameters the loss was computed with (`audio_gate` and
-`speech_gate` as tanh of the gates, `temperature` = 1 / exp(logit_scale),
-`alpha`, `beta`) and `teacher_items`, the batch items with teacher embeddings.
+`speech_gate` as tanh of the gates, `temperature` = 1 / exp(logit_scale))
+and `teacher_items`, the batch items with teacher embeddings.
 """
 
 from __future__ import annotations
@@ -155,8 +155,6 @@ def _readings(params: FusionParams, items: list[ItemRecord]) -> dict:
         "audio_gate": params.audio_fusion.gate_value(),
         "speech_gate": params.speech_fusion.gate_value(),
         "temperature": 1.0 / math.exp(float(params.logit_scale.data)),
-        "alpha": float(params.alpha.data),
-        "beta": float(params.beta.data),
         "teacher_items": sum(item.has_teacher() for item in items),
     }
 

@@ -84,13 +84,6 @@ class TestCriterion1GradientIntegrity:
             track("resample",
                   finite_difference_check(lambda: (resampler(tokens) * rr).sum(), resampler.parameters()))
 
-            hol = FusionParams(dim=4, frames=3, heads=2, seed=seed, dtype=np.float64)
-            htok = Tensor(rng.normal(size=(3, 4)))
-            hv = rng.normal(size=4)
-            track("holistic_aggregate",
-                  finite_difference_check(lambda: (hol.holistic(htok) * hv).sum(),
-                                          [hol.holistic.weight, hol.holistic.query]))
-
             scores = parameter(rng.normal(size=(4, 4)))
             scale = parameter(np.asarray(rng.uniform(1.0, 5.0)))
             track("contrastive_loss",
@@ -125,8 +118,9 @@ class TestCriterion1GradientIntegrity:
 
 
 class TestCriterion2ZeroGateIdentity:
-    """At default init, save/avigate/learnable_weights score bit-identically
-    to vision_only on 100 random items."""
+    """At default init, every gated mode (save/avigate/no_audio) scores
+    bit-identically to vision_only on 100 random items: a zero gate adds
+    exactly 0 to the visual tokens."""
 
     def test_zero_gate_identity(self):
         cfg = SynthConfig(n_items=100, dim=16, frames=6, audio_len=8, speech_pad=8,
@@ -139,7 +133,7 @@ class TestCriterion2ZeroGateIdentity:
         base = precompute_index(items, params, FusionMode.VISION_ONLY, dataset.manifest)
         base_scores = score_matrix(base, queries).values
         identical = True
-        for mode in (FusionMode.SAVE, FusionMode.AVIGATE, FusionMode.LEARNABLE_WEIGHTS):
+        for mode in (FusionMode.SAVE, FusionMode.AVIGATE, FusionMode.NO_AUDIO):
             index = precompute_index(items, params, mode, dataset.manifest)
             if not np.array_equal(index.tokens, base.tokens):
                 identical = False

@@ -227,6 +227,23 @@ class TestEval:
         assert exit_info.value.code == 2
         assert "invalid choice: 'avigate_plus'" in capsys.readouterr().err
 
+    def test_deleted_mode_exits_3_from_a_sidecar_and_2_as_a_flag(self, workspace, tmp_path, capsys):
+        """holistic is no longer a fusion mode: a checkpoint whose sidecar names
+        it exits 3 under eval and inspect, and --mode holistic exits 2."""
+        ckpt = tmp_path / "c.ckpt"
+        ckpt.write_bytes((workspace["run"] / "best.ckpt").read_bytes())
+        meta = json.loads((workspace["run"] / "best.ckpt.json").read_text())
+        (tmp_path / "c.ckpt.json").write_text(json.dumps({**meta, "mode": "holistic"}))
+        for command in (["eval", "--checkpoint", str(ckpt), "--data", str(workspace["data"])], ["inspect", str(ckpt)]):
+            assert main(command) == 3, command
+            err = capsys.readouterr().err
+            assert "'holistic' is not a valid FusionMode" in err and "Traceback" not in err
+        with pytest.raises(SystemExit) as exit_info:
+            main(["eval", "--checkpoint", str(workspace["run"] / "best.ckpt"), "--data", str(workspace["data"]),
+                  "--mode", "holistic"])
+        assert exit_info.value.code == 2
+        assert "invalid choice: 'holistic'" in capsys.readouterr().err
+
     def test_dim_mismatch_exit_5(self, workspace, tmp_path, capsys):
         cfg = tmp_path / "c.json"
         cfg.write_text(json.dumps({"synth": {"n_items": 16, "dim": 4, "frames": 2, "audio_len": 2, "speech_pad": 2}}))

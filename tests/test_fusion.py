@@ -8,12 +8,12 @@ import pytest
 from trifuse import autodiff as ad
 from trifuse import fusion
 from trifuse.autodiff import Tensor, finite_difference_check
-from trifuse.data import ContainerError, ItemRecord, Manifest, QueryRecord, read_container, resolve_missing
+from trifuse.data import (KIND_TOKENS, KIND_VECTOR, ContainerError, ItemRecord, Manifest, QueryRecord, read_container,
+                          resolve_missing, write_container)
 from trifuse.fusion import (
     AV_AUDIO_WEIGHT,
     AV_VISUAL_WEIGHT,
     AUDIO_MODES,
-    SCORED_ARRAYS,
     FusionMode,
     FusionParams,
     forward_video,
@@ -24,7 +24,7 @@ from trifuse.fusion import (
     save_index,
     save_params,
 )
-from trifuse.similarity import QueryScorer, batch_scores, combined_similarity, global_similarity, score_matrix
+from trifuse.similarity import QueryScorer, batch_scores, combined_similarity, score_matrix
 
 
 D, M = 8, 3
@@ -54,8 +54,8 @@ class TestForwardVideo:
 
     @pytest.mark.parametrize(
         "mode",
-        [FusionMode.SAVE, FusionMode.AVIGATE, FusionMode.LEARNABLE_WEIGHTS],
-        ids=["save", "avigate", "learnable_weights"],
+        [FusionMode.SAVE, FusionMode.AVIGATE, FusionMode.NO_AUDIO],
+        ids=["save", "avigate", "no_audio"],
     )
     def test_zero_gate_identity_is_bitwise(self, mode):
         """Fresh gates are zero, so every gated mode must emit the raw visual tokens."""
@@ -86,16 +86,6 @@ class TestForwardVideo:
         )
         np.testing.assert_allclose(out.tokens.data[0], item.visual_tokens + s_hat.data, rtol=1e-5)
         assert out.audio is None
-
-    def test_late_fusion_fuses_as_avigate_plus_speech_pool(self):
-        items = [make_item(5), make_item(8)]
-        params = make_params()
-        params.audio_fusion.gate.data = np.asarray(0.6, dtype=np.float32)
-        late = forward_video(items, params, FusionMode.LATE_FUSION)
-        avigate = forward_video(items, params, FusionMode.AVIGATE)
-        np.testing.assert_array_equal(late.pooled.data, avigate.pooled.data)
-        want = np.stack([it.speech_tokens.mean(axis=0) for it in items])
-        np.testing.assert_allclose(late.speech_pool.data, want, rtol=1e-6, atol=1e-7)
 
     def test_unresolved_item_rejected(self):
         item = make_item(6, with_audio=False)
@@ -163,13 +153,11 @@ class TestBatchInvariance:
         params = make_params(seed=8, dtype=np.float64)
         params.audio_fusion.gate.data = np.asarray(0.4)
         params.speech_fusion.gate.data = np.asarray(-0.3)
-        params.alpha.data = np.asarray(0.7)
-        params.beta.data = np.asarray(0.2)
         return params
 
     @staticmethod
-    def arrays(out, mode):
-        got = {name: getattr(out, name).data for name in SCORED_ARRAYS[mode]}
+    def arrays(out):
+        got = {"tokens": out.tokens.data, "pooled": out.pooled.data}
         if out.audio is not None:
             got["v_mean"], got["a_mean"] = (t.data for t in pre_fusion_pooled(out))
         return got
@@ -177,10 +165,10 @@ class TestBatchInvariance:
     @pytest.mark.parametrize("mode", list(FusionMode), ids=lambda m: m.value)
     def test_each_item_matches_its_solo_run(self, mode):
         items, params = self.batch(), self.params()
-        batched = self.arrays(forward_video(items, params, mode), mode)
+        batched = self.arrays(forward_video(items, params, mode))
         assert ("a_mean" in batched) == (mode in AUDIO_MODES)
         for b, item in enumerate(items):
-            alone = self.arrays(forward_video([item], params, mode), mode)
+            alone = self.arrays(forward_video([item], params, mode))
             assert alone.keys() == batched.keys()
             for key, value in alone.items():
                 np.testing.assert_allclose(batched[key][b], value[0], rtol=0, atol=1e-12, err_msg=key)
@@ -189,8 +177,8 @@ class TestBatchInvariance:
     def test_permuting_the_batch_permutes_outputs(self, mode):
         items, params = self.batch(), self.params()
         perm = np.random.default_rng(31).permutation(len(items))
-        base = self.arrays(forward_video(items, params, mode), mode)
-        permuted = self.arrays(forward_video([items[k] for k in perm], params, mode), mode)
+        base = self.arrays(forward_video(items, params, mode))
+        permuted = self.arrays(forward_video([items[k] for k in perm], params, mode))
         for key, value in base.items():
             np.testing.assert_allclose(permuted[key], value[perm], rtol=0, atol=1e-12, err_msg=key)
 
@@ -251,17 +239,17 @@ class TestIndex:
         index = precompute_index(self.items(5), make_params(), FusionMode.SAVE, MAN)
         assert index.tokens.shape == (5, M, D)
         assert index.pooled.shape == (5, D)
-        assert index.holistic is None
 
     def test_chunking_does_not_change_the_index(self, monkeypatch):
         params = make_params(6)
         params.audio_fusion.gate.data = np.asarray(0.3, dtype=np.float32)
+        params.speech_fusion.gate.data = np.asarray(-0.2, dtype=np.float32)
         items = self.items(7)
-        whole = precompute_index(items, params, FusionMode.LATE_FUSION, MAN)
+        whole = precompute_index(items, params, FusionMode.SAVE, MAN)
         monkeypatch.setattr(fusion, "INDEX_CHUNK", 3)
-        chunked = precompute_index(items, params, FusionMode.LATE_FUSION, MAN)
+        chunked = precompute_index(items, params, FusionMode.SAVE, MAN)
         assert chunked.item_ids == whole.item_ids
-        for name in SCORED_ARRAYS[FusionMode.LATE_FUSION]:
+        for name in ("tokens", "pooled"):
             np.testing.assert_allclose(getattr(chunked, name), getattr(whole, name), rtol=1e-5, atol=1e-6)
 
     def test_empty_item_list(self):
@@ -283,7 +271,7 @@ class TestIndex:
             assert abs(direct - via_index) < 1e-6
 
     @pytest.mark.parametrize("n", [0, 1, 60])
-    @pytest.mark.parametrize("mode", [FusionMode.SAVE, FusionMode.HOLISTIC, FusionMode.LATE_FUSION])
+    @pytest.mark.parametrize("mode", [FusionMode.SAVE])
     def test_save_load_round_trip_bit_exact(self, tmp_path, mode, n):
         params = make_params(8)
         params.audio_fusion.gate.data = np.asarray(0.3, dtype=np.float32)
@@ -291,12 +279,10 @@ class TestIndex:
         save_index(index, tmp_path / "g.idx")
         back = load_index(tmp_path / "g.idx")
         assert back.mode == index.mode and back.item_ids == index.item_ids
-        for name in ("tokens", "pooled", "holistic", "speech_pool"):
+        for name in ("tokens", "pooled"):
             want, got = getattr(index, name), getattr(back, name)
-            assert (got is None) == (want is None)
-            if want is not None:
-                assert got.shape == want.shape and got.tobytes() == want.tobytes()
-        assert len(read_container(tmp_path / "g.idx")) == len(SCORED_ARRAYS[mode])
+            assert got.shape == want.shape and got.tobytes() == want.tobytes()
+        assert len(read_container(tmp_path / "g.idx")) == 2
 
     def test_load_rejects_row_count_that_disagrees_with_ids(self, tmp_path):
         save_index(precompute_index(self.items(3), make_params(), FusionMode.SAVE, MAN), tmp_path / "g.idx")
@@ -307,38 +293,32 @@ class TestIndex:
             load_index(tmp_path / "g.idx")
 
     @pytest.mark.parametrize(
-        "mode, change, match",
+        "change, match",
         [
-            (FusionMode.SAVE, {"m": None}, "KeyError: 'm'"),
-            (FusionMode.SAVE, {"item_ids": None}, "KeyError: 'item_ids'"),
-            (FusionMode.SAVE, {"mode": "bogus"}, "'bogus' is not a valid FusionMode"),
-            (FusionMode.SAVE, {"mode": "holistic"}, "holistic index .* lacks its holistic record"),
+            ({"m": None}, "KeyError: 'm'"),
+            ({"item_ids": None}, "KeyError: 'item_ids'"),
+            ({"mode": "bogus"}, "'bogus' is not a valid FusionMode"),
+            ({"mode": "holistic"}, "'holistic' is not a valid FusionMode"),
+            ({"mode": "late_fusion"}, "'late_fusion' is not a valid FusionMode"),
+            ({"mode": "learnable_weights"}, "'learnable_weights' is not a valid FusionMode"),
         ],
-        ids=["missing_m", "missing_item_ids", "unknown_mode", "holistic_without_holistic_record"],
+        ids=["missing_m", "missing_item_ids", "unknown_mode", "holistic", "late_fusion", "learnable_weights"],
     )
-    def test_sidecar_that_disagrees_with_records_raises(self, tmp_path, mode, change, match):
-        save_index(precompute_index(self.items(3), make_params(), mode, MAN), tmp_path / "g.idx")
+    def test_sidecar_that_disagrees_with_records_raises(self, tmp_path, change, match):
+        """A sidecar that lacks a key, or names a mode that does not exist
+        (a deleted one included), raises ContainerError."""
+        save_index(precompute_index(self.items(3), make_params(), FusionMode.SAVE, MAN), tmp_path / "g.idx")
         sidecar = tmp_path / "g.idx.json"
         meta = {**json.loads(sidecar.read_text()), **change}
         sidecar.write_text(json.dumps({key: value for key, value in meta.items() if value is not None}))
         with pytest.raises(ContainerError, match=match):
             load_index(tmp_path / "g.idx")
 
-    @staticmethod
-    def scalar_reference(index, j, query):
-        """The numpy reference score of item j in the index's mode."""
-        if index.mode == FusionMode.HOLISTIC:
-            return global_similarity(index.holistic[j], query)
-        if index.mode == FusionMode.LATE_FUSION:
-            return 0.5 * (global_similarity(index.pooled[j], query) + global_similarity(index.speech_pool[j], query))
-        return combined_similarity(index.tokens[j], index.pooled[j], query)
-
     @pytest.mark.parametrize("mode", list(FusionMode), ids=lambda m: m.value)
     def test_score_matrix_matches_batch_scores(self, tmp_path, mode):
-        """Each mode's index holds exactly the arrays SCORED_ARRAYS names and
-        survives save/load bit for bit. Serving it gives the scores of
-        training-time scoring of the same fused batch and of the scalar
-        reference, and a scorer in any other mode is refused."""
+        """Each mode's index survives save/load bit for bit. Serving it gives
+        the scores of training-time scoring of the same fused batch and of the
+        scalar reference, and a scorer in any other mode is refused."""
         params = make_params(9, dtype=np.float64)
         params.audio_fusion.gate.data = np.asarray(0.3)
         params.speech_fusion.gate.data = np.asarray(-0.2)
@@ -350,24 +330,20 @@ class TestIndex:
             fused = forward_video([resolve_missing(item, MAN) for item in items], params, mode)
             want = batch_scores(fused, np.stack([q.embedding for q in queries])).data
 
-        names = ("tokens", "pooled", "holistic", "speech_pool")
-        assert {name for name in names if getattr(index, name) is not None} == set(SCORED_ARRAYS[mode])
         save_index(index, tmp_path / "g.idx")
         back = load_index(tmp_path / "g.idx")
         assert back.mode == mode and back.item_ids == index.item_ids
-        for name in names:
+        for name in ("tokens", "pooled"):
             held, loaded = getattr(index, name), getattr(back, name)
-            assert (loaded is None) == (held is None)
-            assert held is None or (loaded.shape == held.shape and loaded.tobytes() == held.tobytes())
+            assert loaded.shape == held.shape and loaded.tobytes() == held.tobytes()
 
         got = score_matrix(back, queries).values
         np.testing.assert_allclose(got, want, rtol=0, atol=1e-6)
         for i, q in enumerate(queries):
             for j in range(len(items)):
-                assert abs(got[i, j] - self.scalar_reference(index, j, q.embedding)) < 1e-9
+                assert abs(got[i, j] - combined_similarity(index.tokens[j], index.pooled[j], q.embedding)) < 1e-9
         scorer = QueryScorer(back, mode)
-        assert all((getattr(scorer, name) is None) == (getattr(index, name) is None) for name in names)
-        assert scorer.tokens is None or (scorer.tokens.shape == (M, 6, D) and scorer.tokens.flags.c_contiguous)
+        assert scorer.tokens.shape == (M, 6, D) and scorer.tokens.flags.c_contiguous
         other = next(m for m in FusionMode if m != mode)
         with pytest.raises(ValueError, match=f"cannot score a {mode.value} index in mode {other.value}"):
             QueryScorer(index, other)
@@ -419,11 +395,15 @@ class TestParamsIO:
             ({"heads": 3}, "model dim 8 not divisible by head count 3"),
             ({"dim": "8"}, "TypeError"),
             ({"mode": "bogus"}, "'bogus' is not a valid FusionMode"),
+            ({"mode": "holistic"}, "'holistic' is not a valid FusionMode"),
+            ({"mode": "late_fusion"}, "'late_fusion' is not a valid FusionMode"),
+            ({"mode": "learnable_weights"}, "'learnable_weights' is not a valid FusionMode"),
             ({"sharpness": 0}, "sharpness must be > 0, got 0"),
             ({"sharpness": 100}, r"sharpness must be <= MAX_SHARPNESS \(80.0\), got 100"),
         ],
         ids=["missing_record", "size_mismatch", "unknown_key", "missing_dim", "missing_dtype", "heads_vs_dim",
-             "dim_as_string", "unknown_mode", "zero_sharpness", "over_max_sharpness"],
+             "dim_as_string", "unknown_mode", "holistic", "late_fusion", "learnable_weights", "zero_sharpness",
+             "over_max_sharpness"],
     )
     def test_sidecar_that_disagrees_with_tensors_raises(self, tmp_path, change, match):
         save_params(make_params(), tmp_path / "c.ckpt")
@@ -432,3 +412,30 @@ class TestParamsIO:
         sidecar.write_text(json.dumps({key: value for key, value in meta.items() if value is not None}))
         with pytest.raises(ContainerError, match=match):
             load_params(tmp_path / "c.ckpt")
+
+    def test_checkpoint_with_tensors_of_deleted_modes_scores_the_same(self, tmp_path):
+        """A save checkpoint written while the holistic and learnable-weights
+        modes existed also holds their tensors; they are ignored, so it loads
+        and scores bit-identically to the same checkpoint without them."""
+        params = make_params(6)
+        params.audio_fusion.gate.data = np.asarray(0.3, dtype=np.float32)
+        params.speech_fusion.gate.data = np.asarray(-0.2, dtype=np.float32)
+        save_params(params, tmp_path / "new.ckpt")
+        rng = np.random.default_rng(0)
+        old = {}
+        for name, record in read_container(tmp_path / "new.ckpt").items():  # in the old writer's record order
+            if name == "param/logit_scale":
+                old["param/holistic.weight"] = (KIND_TOKENS, rng.normal(size=(D, D)))
+                old["param/holistic.query"] = (KIND_VECTOR, rng.normal(size=D))
+            old[name] = record
+        old |= {"param/alpha": (KIND_VECTOR, np.ones(1)), "param/beta": (KIND_VECTOR, np.zeros(1))}
+        write_container(tmp_path / "old.ckpt", old)
+        (tmp_path / "old.ckpt.json").write_bytes((tmp_path / "new.ckpt.json").read_bytes())
+
+        items = [make_item(200 + i, with_audio=i % 2 == 0, with_speech=i % 3 == 0) for i in range(5)]
+        queries = [QueryRecord(f"q{i}", make_item(300 + i).visual_tokens[0], "item200") for i in range(3)]
+        scores = []
+        for name in ("new.ckpt", "old.ckpt"):
+            loaded = load_params(tmp_path / name)
+            scores.append(score_matrix(precompute_index(items, loaded, FusionMode.SAVE, MAN), queries).values)
+        assert scores[0].tobytes() == scores[1].tobytes()

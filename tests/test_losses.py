@@ -8,10 +8,10 @@ from trifuse.autodiff import Tensor, finite_difference_check, parameter
 from trifuse.data import ItemRecord
 from trifuse.fusion import FusionMode, FusionParams, forward_video, pre_fusion_pooled
 from trifuse.losses import (
+    PEARSON_EPS,
     affinity_from_teacher,
     contrastive_loss,
     hard_albef_loss,
-    pearson_row_distance,
     soft_albef_loss,
     student_affinity,
     total_loss,
@@ -20,6 +20,26 @@ from trifuse.losses import (
 
 def unit_rows(x):
     return x / np.linalg.norm(x, axis=-1, keepdims=True)
+
+
+def pearson_row_distance(p, q, eps: float = PEARSON_EPS):
+    """1 - corr(p, q) of two vectors, in [0, 2]: the per-row reference that
+    `soft_albef_loss`'s vectorized distances are checked against.
+
+    A vector whose standard deviation is at or below `eps` is degenerate and
+    contributes distance 0 (and no gradient).
+    """
+    p = p if isinstance(p, Tensor) else Tensor(np.asarray(p, dtype=np.float64))
+    q = q if isinstance(q, Tensor) else Tensor(np.asarray(q, dtype=np.float64))
+    if p.shape != q.shape or p.data.ndim != 1:
+        raise ValueError(f"pearson distance needs equal-length vectors, got {p.shape} and {q.shape}")
+    pc = p - p.mean()
+    qc = q - q.mean()
+    sig_p = ad.sqrt((pc * pc).mean())
+    sig_q = ad.sqrt((qc * qc).mean())
+    if float(sig_p.data) <= eps or float(sig_q.data) <= eps:
+        return Tensor(np.asarray(0.0, dtype=p.dtype))
+    return 1.0 - ((pc * qc).mean() / (sig_p * sig_q))
 
 
 class TestTeacherAffinity:

@@ -1,4 +1,4 @@
-"""Scoring formulas, LSE bounds, holistic pooling, score-matrix assembly."""
+"""Scoring formulas, LSE bounds, score-matrix assembly."""
 
 import numpy as np
 import pytest
@@ -6,7 +6,7 @@ import pytest
 from trifuse import similarity
 from trifuse.autodiff import Tensor, finite_difference_check, parameter
 from trifuse.data import QueryRecord
-from trifuse.fusion import MAX_SHARPNESS, SCORED_ARRAYS, FusedBatch, FusionMode, FusionParams, VideoIndex
+from trifuse.fusion import MAX_SHARPNESS, FusedBatch, FusionMode, VideoIndex
 from trifuse.similarity import (
     QueryScorer,
     batch_scores,
@@ -112,38 +112,12 @@ class TestCombinedSimilarity:
             assert -1.0 - 1e-12 <= s <= 1.0 + 1e-12
 
 
-class TestHolisticAggregate:
-    def test_single_token_passthrough(self):
-        params = FusionParams(dim=4, frames=1, heads=2, seed=0)
-        tokens = np.array([[1.0, 2.0, 3.0, 4.0]], dtype=np.float32)
-        out = params.holistic(Tensor(tokens))
-        np.testing.assert_allclose(out.data, tokens[0], rtol=1e-6)
-
-    def test_identical_tokens_passthrough(self):
-        params = FusionParams(dim=4, frames=3, heads=2, seed=1)
-        tokens = np.tile(np.array([0.5, -1.0, 2.0, 0.0], dtype=np.float32), (3, 1))
-        out = params.holistic(Tensor(tokens))
-        np.testing.assert_allclose(out.data, tokens[0], rtol=1e-5)
-
-    def test_gradient_check_on_attention_weights(self):
-        params = FusionParams(dim=4, frames=3, heads=2, seed=2, dtype=np.float64)
-        rng = np.random.default_rng(4)
-        tokens = Tensor(rng.normal(size=(3, 4)))
-        r = rng.normal(size=4)
-
-        def f():
-            return (params.holistic(tokens) * r).sum()
-
-        wrt = [params.holistic.weight, params.holistic.query]
-        assert finite_difference_check(f, wrt, eps=1e-5) < 1e-4
-
-
 def small_index(n=5, m=3, d=4, seed=0, mode=FusionMode.SAVE) -> VideoIndex:
-    """Random arrays in place of the ones the mode's index holds."""
+    """Random arrays in place of the fused tokens and their means."""
     rng = np.random.default_rng(seed)
-    arrays = {name: rng.normal(size=(n, m, d) if name == "tokens" else (n, d)).astype(np.float32)
-              for name in SCORED_ARRAYS[mode]}
-    return VideoIndex(mode=mode, item_ids=[f"it{i}" for i in range(n)], **arrays)
+    tokens = rng.normal(size=(n, m, d)).astype(np.float32)
+    pooled = rng.normal(size=(n, d)).astype(np.float32)
+    return VideoIndex(mode=mode, item_ids=[f"it{i}" for i in range(n)], tokens=tokens, pooled=pooled)
 
 
 def queries_for(index, t=3, seed=1):
@@ -234,8 +208,7 @@ class TestChunkedScoring:
             return inner(q, *args)
 
         monkeypatch.setattr(similarity, "_scores", spy)
-        cosines_per_row = n * (m if "tokens" in SCORED_ARRAYS[mode] else 1)
-        monkeypatch.setattr(similarity, "SCORE_CHUNK_BYTES", rows * 8 * cosines_per_row)
+        monkeypatch.setattr(similarity, "SCORE_CHUNK_BYTES", rows * 8 * n * m)
         chunked = QueryScorer(index, mode).score_many(queries)
         assert seen == [rows] * (20 // rows) + ([20 % rows] if 20 % rows else [])
         assert chunked.shape == (20, n)

@@ -177,13 +177,6 @@ class TestTrainLoop:
         assert all(rec["alignment"] == 0.0 for rec in soft.log)
         assert [r["contrastive"] for r in soft.log] == [r["contrastive"] for r in none.log]
 
-    def test_late_fusion_epoch_logs_finite_losses(self):
-        result = train(small_config(mode=FusionMode.LATE_FUSION, epochs=1), small_dataset(seed=5))
-        assert not result.aborted
-        steps = [rec for rec in result.log if "total" in rec]
-        assert steps and all(np.isfinite([r["contrastive"], r["alignment"], r["total"]]).all() for r in steps)
-        assert any(r["alignment"] != 0.0 for r in steps)
-
     def test_vision_only_mode_has_zero_alignment(self):
         dataset = small_dataset(seed=3)
         result = train(small_config(mode=FusionMode.VISION_ONLY), dataset)
@@ -240,7 +233,7 @@ class TestTrainLoop:
         assert val[-1][0] == len(result.log) - 1
 
 
-STEP_READINGS = ("grad_norm", "audio_gate", "speech_gate", "temperature", "alpha", "beta", "teacher_items")
+STEP_READINGS = ("grad_norm", "audio_gate", "speech_gate", "temperature", "teacher_items")
 
 
 class TestStepDiagnostics:
@@ -253,7 +246,7 @@ class TestStepDiagnostics:
             assert all(math.isfinite(rec[key]) for key in STEP_READINGS)
             assert 0 <= rec["teacher_items"] <= 8 and isinstance(rec["teacher_items"], int)
         first = steps[0]  # the parameters at their initial values
-        assert (first["audio_gate"], first["speech_gate"], first["alpha"], first["beta"]) == (0.0, 0.0, 1.0, 0.0)
+        assert (first["audio_gate"], first["speech_gate"]) == (0.0, 0.0)
         assert first["temperature"] == pytest.approx(0.07, rel=1e-6)
         assert any(rec["teacher_items"] > 0 for rec in steps)
 
