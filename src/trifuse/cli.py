@@ -5,9 +5,9 @@ One JSON config file drives generation ("synth" section) and training
 checkpoint records the fusion mode and sharpness it was trained with; `eval`
 and `score` score with both, and `--mode` overrides the mode. Exit codes:
 0 success, 2 config parse error (including an out-of-range value, such as a
-train sharpness outside (0, 80]), 3 IO error (a missing file, a malformed
-container, manifest or checkpoint sidecar, a manifest with a duplicate id or
-a wrongly typed field, a checkpoint sidecar sharpness outside (0, 80] or
+train sharpness outside (0, 80]), 3 IO error (a missing file or a directory in
+place of a container, a malformed container, manifest or checkpoint sidecar,
+a manifest with a duplicate id or a wrongly typed field, a checkpoint sidecar sharpness outside (0, 80] or
 fusion mode not among `--mode`'s choices, checkpoint tensors that disagree
 with their sidecar, a non-finite embedding, or an eval split that the
 manifest does not list or that has no queries), 4

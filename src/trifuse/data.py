@@ -18,12 +18,15 @@ with rows in the manifest's (sorted) item or query order: `items/visual`
 another), `items/teacher_video` and `items/teacher_audio` (one row per item
 with teacher embeddings) and `queries/embedding` (n_q, d). Each manifest item
 entry gives its `audio_len` and `speech_len` (0: the modality is absent) and
-`has_teacher`. `read_dataset` gives items read-only views into those records.
-One function, `_check`, decides whether a manifest and its records form a
-valid dataset: `write_dataset` applies it before anything touches disk, and
-`read_dataset` applies it before building any item. It runs one finiteness
-pass over each record. A dataset in the older one-record-per-item layout is
-rejected for lacking `items/visual`; regenerate it with `trifuse gen`.
+`has_teacher`. `read_container` maps the container read-only, and
+`read_dataset` builds each item and query the first time it is looked up:
+items are read-only views into the mapped records. One function, `_check`,
+decides whether a manifest and its records form a valid dataset:
+`write_dataset` applies it before anything touches disk, and `read_dataset`
+applies it to every entry and record before it returns, so a lookup never
+fails. It runs one finiteness pass over each record. A dataset in the older
+one-record-per-item layout is rejected for lacking `items/visual`; regenerate
+it with `trifuse gen`.
 """
 
 from __future__ import annotations
@@ -32,8 +35,10 @@ import bisect
 import collections
 import itertools
 import json
+import mmap
 import os
 import struct
+from collections.abc import Mapping
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
@@ -109,8 +114,17 @@ def write_container(path, records: dict[str, tuple[int, np.ndarray]]) -> None:
 
 
 def read_container(path) -> dict[str, tuple[int, np.ndarray]]:
-    """Named float32 arrays: read-only views into the one buffer read from `path`."""
-    blob = Path(path).read_bytes()
+    """Named float32 arrays: read-only views into `path`, mapped read-only.
+
+    The file stays mapped while any view lives. A file truncated in place by
+    another program while it is mapped can end the process with SIGBUS;
+    trifuse's own writers always replace files by rename (`atomic_write`)."""
+    try:
+        with open(path, "rb") as f:
+            # an empty file cannot be mapped; it fails the magic check below
+            blob = mmap.mmap(f.fileno(), 0, access=mmap.ACCESS_READ) if os.fstat(f.fileno()).st_size else b""
+    except IsADirectoryError as err:
+        raise ContainerError(f"{path} is a directory, not a container") from err
     if blob[:4] != MAGIC:
         raise ContainerError("unrecognized container")
     if len(blob) < 12:
@@ -187,11 +201,37 @@ class Manifest:
     splits: dict[str, dict[str, list[str]]] = field(default_factory=dict)
 
 
+class LazyRecords(Mapping):
+    """A read-only mapping from ids, in the order given, to records that
+    `build(k)` makes for the k-th id the first time it is looked up; every
+    later lookup returns that same object."""
+
+    def __init__(self, ids: list[str], build):
+        self._rows = {owner: k for k, owner in enumerate(ids)}
+        self._build = build
+        self._built = {}
+
+    def __getitem__(self, owner):
+        record = self._built.get(owner)
+        if record is None:
+            record = self._built[owner] = self._build(self._rows[owner])
+        return record
+
+    def __contains__(self, owner) -> bool:
+        return owner in self._rows
+
+    def __iter__(self):
+        return iter(self._rows)
+
+    def __len__(self) -> int:
+        return len(self._rows)
+
+
 @dataclass
 class Dataset:
     manifest: Manifest
-    items: dict[str, ItemRecord]
-    queries: dict[str, QueryRecord]
+    items: Mapping[str, ItemRecord]
+    queries: Mapping[str, QueryRecord]
 
     def split_items(self, split: str) -> list[ItemRecord]:
         return [self.items[i] for i in self.manifest.splits[split]["items"]]
@@ -231,8 +271,9 @@ def _check(doc: dict, records: dict) -> dict[str, list[int]]:
                 raise ContainerError(f"record {name}: item {meta['id']} has length {meta[key]!r}, not an integer >= 0")
         if meta["group"] is not None and meta["group"] not in GROUPS:
             raise ValidationError(f"item {meta['id']}: unknown group {meta['group']!r}")
+    gts_known = known_items.issuperset(meta["gt"] for meta in queries)
     for meta in queries:
-        if meta["gt"] not in known_items:
+        if not gts_known and meta["gt"] not in known_items:
             raise ValidationError(f"query {meta['id']}: unknown ground-truth item {meta['gt']}")
         if meta["group"] is not None and meta["group"] not in GROUPS:
             raise ValidationError(f"query {meta['id']}: unknown group {meta['group']!r}")
@@ -261,12 +302,10 @@ def _check(doc: dict, records: dict) -> dict[str, list[int]]:
             raise ValidationError(f"{kind} {owners[bisect.bisect_right(ends[name], row)]}: non-finite {label}")
 
     for split, members in doc["splits"].items():
-        for i in members["items"]:
-            if i not in known_items:
-                raise ValidationError(f"split {split}: unknown item {i}")
-        for q in members["queries"]:
-            if q not in known_queries:
-                raise ValidationError(f"split {split}: unknown query {q}")
+        for kind, known, key in (("item", known_items, "items"), ("query", known_queries, "queries")):
+            if not known.issuperset(members[key]):
+                unknown = next(i for i in members[key] if i not in known)
+                raise ValidationError(f"split {split}: unknown {kind} {unknown}")
     return ends
 
 
@@ -345,8 +384,9 @@ def write_dataset(dataset: Dataset, path) -> None:
 
 
 def read_dataset(path) -> Dataset:
-    """Load and check; teacher vectors are L2-normalized here. Items hold
-    read-only views into the container's per-field records."""
+    """Load and check; teacher vectors are L2-normalized here. Each item and
+    query is built the first time it is looked up; items hold read-only
+    views into the container's per-field records."""
     path = Path(path)
     manifest_file = path / MANIFEST_NAME
     if not manifest_file.exists():
@@ -375,38 +415,46 @@ def read_dataset(path) -> Dataset:
     except (KeyError, TypeError, ValueError, AttributeError) as err:
         raise ContainerError(f"malformed {manifest_file} ({type(err).__name__}: {err})") from err
 
-    visual = records["items/visual"][1].reshape(len(doc["items"]), man.frames, man.dim)
-    audio = _segments(records["items/audio"][1], ends["items/audio"])
-    speech = _segments(records["items/speech"][1], ends["items/speech"])
-    teacher_video = iter(_unit_rows(records["items/teacher_video"][1]))
-    teacher_audio = iter(_unit_rows(records["items/teacher_audio"][1]))
-    items = {
-        meta["id"]: ItemRecord(
-            item_id=meta["id"],
-            visual_tokens=visual[k],
-            audio_tokens=audio[k],
-            speech_tokens=speech[k],
-            teacher_video=next(teacher_video) if meta["has_teacher"] else None,
-            teacher_audio=next(teacher_audio) if meta["has_teacher"] else None,
-            group=meta["group"],
+    item_metas, query_metas = doc["items"], doc["queries"]
+    arrays = {name: records[name][1] for name in DATASET_RECORDS}
+    arrays["items/visual"] = arrays["items/visual"].reshape(len(item_metas), man.frames, man.dim)
+    for name in ("items/teacher_video", "items/teacher_audio"):
+        arrays[name] = _unit_rows(arrays[name])
+
+    def rows(name: str, k: int) -> np.ndarray | None:
+        """Item k's rows of a token record; None where it has none."""
+        start, end = ends[name][k - 1] if k else 0, ends[name][k]
+        return arrays[name][start:end] if end > start else None
+
+    def teacher(name: str, k: int) -> np.ndarray | None:
+        return arrays[name][ends[name][k] - 1] if item_metas[k]["has_teacher"] else None
+
+    def item(k: int) -> ItemRecord:
+        return ItemRecord(
+            item_id=item_metas[k]["id"],
+            visual_tokens=arrays["items/visual"][k],
+            audio_tokens=rows("items/audio", k),
+            speech_tokens=rows("items/speech", k),
+            teacher_video=teacher("items/teacher_video", k),
+            teacher_audio=teacher("items/teacher_audio", k),
+            group=item_metas[k]["group"],
         )
-        for k, meta in enumerate(doc["items"])
-    }
+
     # Copied: queries often outlive the items (an index is built from the
     # items, then the queries are scored), and views would keep the whole
-    # container buffer alive for them.
-    embeddings = records["queries/embedding"][1].copy()
-    queries = {
-        meta["id"]: QueryRecord(query_id=meta["id"], embedding=embedding, ground_truth_item=meta["gt"],
-                                group=meta["group"])
-        for meta, embedding in zip(doc["queries"], embeddings)
-    }
-    return Dataset(manifest=man, items=items, queries=queries)
+    # container mapped for them.
+    embeddings = arrays["queries/embedding"].copy()
 
+    def query(k: int) -> QueryRecord:
+        meta = query_metas[k]
+        return QueryRecord(query_id=meta["id"], embedding=embeddings[k], ground_truth_item=meta["gt"],
+                           group=meta["group"])
 
-def _segments(arr: np.ndarray, ends: list[int]) -> list[np.ndarray | None]:
-    """Each id's view of a record's rows; None where it has none."""
-    return [arr[start:end] if end > start else None for start, end in zip([0, *ends], ends)]
+    return Dataset(
+        manifest=man,
+        items=LazyRecords([meta["id"] for meta in item_metas], item),
+        queries=LazyRecords([meta["id"] for meta in query_metas], query),
+    )
 
 
 def _unit_rows(v: np.ndarray) -> np.ndarray:

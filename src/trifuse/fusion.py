@@ -256,6 +256,8 @@ def load_index(path) -> VideoIndex:
         mode, ids, m = FusionMode(meta["mode"]), meta["item_ids"], meta["m"]
     except (KeyError, ValueError) as err:
         raise ContainerError(f"index sidecar does not describe an index ({type(err).__name__}: {err})") from err
+    if type(m) is not int or m < 1:
+        raise ContainerError(f"index sidecar field m is {m!r}, not an integer >= 1")
     arrays = {}
     for name in ("tokens", "pooled"):
         if f"index/{name}" not in records:
@@ -265,4 +267,7 @@ def load_index(path) -> VideoIndex:
         if len(arr) != rows:
             raise ContainerError(f"index record {name} has {len(arr)} rows, expected {rows} for {len(ids)} items")
         arrays[name] = arr.reshape(len(ids), m, arr.shape[-1]) if name == "tokens" else arr
+    widths = {name: arr.shape[-1] for name, arr in arrays.items()}
+    if widths["tokens"] != widths["pooled"]:
+        raise ContainerError(f"index record tokens is {widths['tokens']} wide, record pooled {widths['pooled']}")
     return VideoIndex(mode=mode, item_ids=ids, **arrays)

@@ -443,6 +443,15 @@ class TestInspect:
         err = capsys.readouterr().err
         assert match in err and "Traceback" not in err
 
+    def test_directory_in_place_of_container_exit_3(self, workspace, tmp_path, capsys):
+        data = tmp_path / "data"
+        data.mkdir()
+        (data / "manifest.json").write_bytes((workspace["data"] / "manifest.json").read_bytes())
+        (data / "tensors.sve").mkdir()
+        assert main(["inspect", str(data)]) == 3
+        err = capsys.readouterr().err
+        assert "tensors.sve is a directory, not a container" in err and "Traceback" not in err
+
     def test_non_utf8_record_name_exit_3(self, workspace, tmp_path, capsys):
         data = copied_data(workspace, tmp_path)
         blob = (data / "tensors.sve").read_bytes()

@@ -2,8 +2,10 @@
 
 import dataclasses
 import json
+import mmap
 import os
 import struct
+import weakref
 
 import numpy as np
 import pytest
@@ -102,6 +104,12 @@ class TestContainer:
     def test_empty_container(self, tmp_path):
         write_container(tmp_path / "e.sve", {})
         assert read_container(tmp_path / "e.sve") == {}
+
+    def test_empty_file_is_unrecognized(self, tmp_path):
+        p = tmp_path / "empty.sve"
+        p.write_bytes(b"")
+        with pytest.raises(ContainerError, match="unrecognized container"):
+            read_container(p)
 
     def test_bad_magic(self, tmp_path):
         p = tmp_path / "bad.sve"
@@ -400,10 +408,10 @@ class TestPerFieldLayout:
         def owner(arr):
             while isinstance(arr, np.ndarray):
                 arr = arr.base
-            return arr
+            return arr.obj if isinstance(arr, memoryview) else arr
 
         views = [v1, back.items["v2"].audio_tokens, back.items["v4"].speech_tokens, back.items["v0"].teacher_audio]
-        assert isinstance(owner(v0), bytes)
+        assert isinstance(owner(v0), mmap.mmap)  # the container file, mapped read-only
         for arr in views:
             assert owner(arr) is owner(v0) and not arr.flags.writeable
         # query embeddings are copied out and do not hold the container
@@ -455,6 +463,108 @@ class TestPerFieldLayout:
                 read_dataset(tmp_path / "ds")
             except (ContainerError, ValidationError):
                 pass
+
+
+def _assert_fields_equal(back: Dataset, ds: Dataset) -> None:
+    """Every field of every item and query of `back` is bit-equal to `ds`'s."""
+    assert list(back.items) == sorted(ds.items) and list(back.queries) == sorted(ds.queries)
+    for iid, item in ds.items.items():
+        got = back.items[iid]
+        assert (got.item_id, got.group) == (item.item_id, item.group)
+        for name in ITEM_FIELDS:
+            want, have = getattr(item, name), getattr(got, name)
+            assert (have is None) == (want is None), (iid, name)
+            if want is not None:
+                assert have.shape == want.shape and have.tobytes() == want.tobytes(), (iid, name)
+    for qid, query in ds.queries.items():
+        got = back.queries[qid]
+        assert (got.query_id, got.ground_truth_item, got.group) == (query.query_id, query.ground_truth_item, query.group)
+        assert got.embedding.tobytes() == query.embedding.tobytes()
+
+
+class TestBuiltOnLookup:
+    """`read_dataset` checks every entry and record, then builds each item and
+    query the first time it is looked up."""
+
+    @staticmethod
+    def count_built(monkeypatch) -> list[str]:
+        built = []
+
+        def counted(**fields):
+            built.append(fields["item_id"])
+            return ItemRecord(**fields)
+
+        monkeypatch.setattr(data, "ItemRecord", counted)
+        return built
+
+    def test_only_the_split_looked_up_is_built(self, tmp_path, monkeypatch):
+        write_dataset(generate(SynthConfig(n_items=200, seed=1))[0], tmp_path / "ds")
+        built = self.count_built(monkeypatch)
+        back = read_dataset(tmp_path / "ds")
+        assert built == []
+        test_ids = back.manifest.splits["test"]["items"]
+        assert [item.item_id for item in back.split_items("test")] == test_ids
+        assert built == test_ids and len(test_ids) < len(back.items) / 4
+
+    def test_repeated_lookup_returns_the_same_object(self, tmp_path):
+        write_dataset(mixed_dataset(), tmp_path / "ds")
+        back = read_dataset(tmp_path / "ds")
+        assert back.items["v3"] is back.items["v3"] is back.split_items("test")[3]
+        assert back.queries["q2"] is back.queries["q2"] is back.split_queries("test")[2]
+        assert list(back.items.values()) == [back.items[i] for i in back.items]
+
+    def test_len_order_and_membership_follow_the_manifest(self, tmp_path, monkeypatch):
+        write_dataset(mixed_dataset(), tmp_path / "ds")
+        built = self.count_built(monkeypatch)
+        back = read_dataset(tmp_path / "ds")
+        doc = json.loads((tmp_path / "ds" / "manifest.json").read_text())
+        for mapping, metas in ((back.items, doc["items"]), (back.queries, doc["queries"])):
+            ids = [meta["id"] for meta in metas]
+            assert len(mapping) == len(ids) and list(mapping) == ids
+            assert all(i in mapping for i in ids) and "missing" not in mapping
+            with pytest.raises(KeyError):
+                mapping["missing"]
+        assert built == []  # neither len, iteration nor `in` builds a record
+
+    @pytest.mark.parametrize(
+        "config",
+        [dict(n_items=300), dict(n_items=300, missing_audio=0.3, missing_speech=0.3), dict(n_items=10000)],
+        ids=["synth_defaults", "missing_modalities", "eval_workload"],
+    )
+    def test_every_field_matches_the_written_dataset(self, tmp_path, config):
+        ds, _ = generate(SynthConfig(**config, seed=1))
+        write_dataset(ds, tmp_path / "ds")
+        _assert_fields_equal(read_dataset(tmp_path / "ds"), ds)
+
+    def test_queries_do_not_keep_the_container_mapped(self, tmp_path):
+        write_dataset(mixed_dataset(), tmp_path / "ds")
+        back = read_dataset(tmp_path / "ds")
+        view = back.items["v0"].visual_tokens
+        while isinstance(view, np.ndarray):
+            view = view.base
+        mapped = weakref.ref(view.obj)
+        queries = back.split_queries("test")
+        del back, view
+        assert mapped() is None and len(queries) == 7
+
+    def test_bad_group_on_the_last_item_fails_the_read(self, tmp_path):
+        write_dataset(mixed_dataset(), tmp_path / "ds")
+        manifest = tmp_path / "ds" / "manifest.json"
+        doc = json.loads(manifest.read_text())
+        doc["items"][-1]["group"] = "music"
+        manifest.write_text(json.dumps(doc))
+        with pytest.raises(ValidationError, match="item v4: unknown group 'music'"):
+            read_dataset(tmp_path / "ds")
+
+    def test_readable_after_its_container_is_replaced(self, tmp_path):
+        """`atomic_write` renames a new file over the mapped one; the mapped
+        one lives on until its last view is gone."""
+        old, new = tiny_dataset(seed=1), tiny_dataset(seed=2)
+        write_dataset(old, tmp_path / "ds")
+        back = read_dataset(tmp_path / "ds")
+        write_dataset(new, tmp_path / "ds")
+        _assert_fields_equal(back, old)
+        _assert_fields_equal(read_dataset(tmp_path / "ds"), new)
 
 
 def _index(n=2, m=2, d=3) -> VideoIndex:

@@ -292,6 +292,29 @@ class TestIndex:
         with pytest.raises(ContainerError, match="index record tokens has 9 rows, expected 6"):
             load_index(tmp_path / "g.idx")
 
+    def test_load_rejects_records_of_different_widths(self, tmp_path):
+        """Tokens 8 wide beside pooled vectors 6 wide would load and then
+        fail inside the scorer's matmul."""
+        save_index(precompute_index(self.items(3), make_params(), FusionMode.SAVE, MAN), tmp_path / "g.idx")
+        records = read_container(tmp_path / "g.idx")
+        records["index/pooled"] = (KIND_TOKENS, records["index/pooled"][1][:, :6])
+        write_container(tmp_path / "g.idx", records)
+        with pytest.raises(ContainerError, match="index record tokens is 8 wide, record pooled 6"):
+            load_index(tmp_path / "g.idx")
+
+    @pytest.mark.parametrize("m", [0, -1, 2.0, "2", True])
+    def test_load_rejects_m_that_is_not_a_positive_integer(self, tmp_path, m):
+        """m = 0 with an empty tokens record would load and then fail with a
+        math domain error when scored."""
+        save_index(precompute_index(self.items(3), make_params(), FusionMode.SAVE, MAN), tmp_path / "g.idx")
+        records = read_container(tmp_path / "g.idx")
+        records["index/tokens"] = (KIND_TOKENS, np.zeros((0, D), np.float32))
+        write_container(tmp_path / "g.idx", records)
+        sidecar = tmp_path / "g.idx.json"
+        sidecar.write_text(json.dumps({**json.loads(sidecar.read_text()), "m": m}))
+        with pytest.raises(ContainerError, match=f"index sidecar field m is {m!r}, not an integer >= 1"):
+            load_index(tmp_path / "g.idx")
+
     @pytest.mark.parametrize(
         "change, match",
         [
