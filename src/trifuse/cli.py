@@ -84,11 +84,7 @@ def _build(cls, section: dict, overrides: dict, section_name: str):
 def _audio_too_long(dataset, max_audio_len: int) -> bool:
     """True, with a message, if an item's audio (or the zero-fill standing in
     for missing audio) is longer than the resampler accepts."""
-    longest = max(
-        (len(it.audio_tokens) if it.audio_tokens is not None else dataset.manifest.audio_pad
-         for it in dataset.items.values()),
-        default=0,
-    )
+    longest = dataset.longest_audio()
     if longest > max_audio_len:
         print(f"audio length {longest} exceeds max_audio_len {max_audio_len}", file=sys.stderr)
     return longest > max_audio_len

@@ -116,8 +116,10 @@ def write_container(path, records: dict[str, tuple[int, np.ndarray]]) -> None:
 def read_container(path) -> dict[str, tuple[int, np.ndarray]]:
     """Named float32 arrays: read-only views into `path`, mapped read-only.
 
-    The file stays mapped while any view lives. A file truncated in place by
-    another program while it is mapped can end the process with SIGBUS;
+    The file stays mapped, and its descriptor open, while any view lives
+    (dataset items, a loaded index): a process that keeps views of many
+    containers alive holds a descriptor for each. A file truncated in place
+    by another program while it is mapped can end the process with SIGBUS;
     trifuse's own writers always replace files by rename (`atomic_write`)."""
     try:
         with open(path, "rb") as f:
@@ -232,6 +234,18 @@ class Dataset:
     manifest: Manifest
     items: Mapping[str, ItemRecord]
     queries: Mapping[str, QueryRecord]
+    # Each item's audio length in tokens (0: absent), in `items` order.
+    # `read_dataset` takes it from the manifest so that `longest_audio` builds
+    # no item; None: `longest_audio` measures the items.
+    audio_lens: list[int] | None = None
+
+    def longest_audio(self) -> int:
+        """The longest item audio in tokens, absent audio counting as the
+        zero-fill (`audio_pad`) that stands in for it; 0 without items."""
+        lens = self.audio_lens
+        if lens is None:
+            lens = [0 if it.audio_tokens is None else len(it.audio_tokens) for it in self.items.values()]
+        return max((n or self.manifest.audio_pad for n in lens), default=0)
 
     def split_items(self, split: str) -> list[ItemRecord]:
         return [self.items[i] for i in self.manifest.splits[split]["items"]]
@@ -454,6 +468,7 @@ def read_dataset(path) -> Dataset:
         manifest=man,
         items=LazyRecords([meta["id"] for meta in item_metas], item),
         queries=LazyRecords([meta["id"] for meta in query_metas], query),
+        audio_lens=[meta["audio_len"] for meta in item_metas],
     )
 
 

@@ -322,11 +322,13 @@ def load_latents(data_dir, item_ids: list[str], query_ids: list[str]) -> LatentS
     item_row = {meta["id"]: k for k, meta in enumerate(doc["items"])}
     query_row = {meta["id"]: k for k, meta in enumerate(doc["queries"])}
     items = [item_row[i] for i in item_ids]
-    queries = records["latent/query"][1]
+    # Rows are gathered into new arrays, so that the store does not hold the
+    # sidecar mapped.
+    queries = records["latent/query"][1][[query_row[q] for q in query_ids]]
     return LatentStore(
         item_ids=list(item_ids),
         **{name: records[f"latent/{name}"][1][items] for name in LATENT_FIELDS},
-        query_latent={q: queries[query_row[q]] for q in query_ids},
+        query_latent=dict(zip(query_ids, queries)),
     )
 
 

@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from trifuse import cli
+from trifuse import cli, data
 from trifuse.cli import main
 from trifuse.data import read_container, write_container
 from trifuse.similarity import ScoreMatrix
@@ -184,6 +184,18 @@ def mismatched_checkpoint(workspace, tmp_path):
     return ckpt
 
 
+def count_built_items(monkeypatch) -> list[str]:
+    """Record the id of every `ItemRecord` that `read_dataset` builds."""
+    built, build = [], data.ItemRecord
+
+    def counted(**fields):
+        built.append(fields["item_id"])
+        return build(**fields)
+
+    monkeypatch.setattr(data, "ItemRecord", counted)
+    return built
+
+
 class TestEval:
     def test_json_metrics(self, workspace, capsys):
         code = main(["eval", "--checkpoint", str(workspace["run"] / "best.ckpt"), "--data", str(workspace["data"])])
@@ -191,6 +203,14 @@ class TestEval:
         metrics = json.loads(capsys.readouterr().out)
         assert set(metrics) >= {"r1", "r5", "r10", "sumr", "mr1"}
         assert 0.0 <= metrics["sumr"] <= 300.0
+
+    def test_builds_only_the_split_it_scores(self, workspace, capsys, monkeypatch):
+        built = count_built_items(monkeypatch)
+        code = main(["eval", "--checkpoint", str(workspace["run"] / "best.ckpt"), "--data", str(workspace["data"]),
+                     "--groups"])
+        assert code == 0
+        manifest = json.loads((workspace["data"] / "manifest.json").read_text())
+        assert built == manifest["splits"]["test"]["items"] and len(built) < len(manifest["items"])
 
     def test_groups_flag_adds_blocks(self, workspace, capsys):
         code = main(
@@ -323,6 +343,15 @@ class TestScore:
               "--query", qid, "--k", "5"])
         assert capsys.readouterr().out == first
         assert len(first.strip().splitlines()) == 5
+
+    def test_builds_only_the_split_of_the_query(self, workspace, capsys, monkeypatch):
+        manifest = json.loads((workspace["data"] / "manifest.json").read_text())
+        qid = manifest["splits"]["val"]["queries"][0]
+        built = count_built_items(monkeypatch)
+        code = main(["score", "--checkpoint", str(workspace["run"] / "best.ckpt"), "--data", str(workspace["data"]),
+                     "--query", qid])
+        assert code == 0
+        assert built == manifest["splits"]["val"]["items"] and len(built) < len(manifest["items"])
 
     def test_k_larger_than_gallery_lists_all(self, workspace, capsys):
         data = workspace["data"]

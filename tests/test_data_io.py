@@ -547,6 +547,27 @@ class TestBuiltOnLookup:
         del back, view
         assert mapped() is None and len(queries) == 7
 
+    @pytest.mark.parametrize(
+        "dataset",
+        [mixed_dataset, lambda: generate(SynthConfig(n_items=200, missing_audio=0.5, seed=1))[0]],
+        ids=["mixed", "missing_audio"],
+    )
+    def test_longest_audio_builds_no_item(self, tmp_path, monkeypatch, dataset):
+        ds = dataset()
+        write_dataset(ds, tmp_path / "ds")
+        built = self.count_built(monkeypatch)
+        back = read_dataset(tmp_path / "ds")
+        assert back.longest_audio() == ds.longest_audio() > 0 and built == []
+
+    def test_longest_audio_counts_absent_audio_as_its_zero_fill(self, tmp_path):
+        ds = mixed_dataset()
+        ds.manifest.audio_pad = 9  # longer than any item's audio (6 tokens)
+        write_dataset(ds, tmp_path / "ds")
+        assert ds.longest_audio() == read_dataset(tmp_path / "ds").longest_audio() == 9
+        ds.items = {k: v for k, v in ds.items.items() if v.audio_tokens is not None}
+        assert ds.longest_audio() == 6
+        assert Dataset(ds.manifest, {}, {}).longest_audio() == 0
+
     def test_bad_group_on_the_last_item_fails_the_read(self, tmp_path):
         write_dataset(mixed_dataset(), tmp_path / "ds")
         manifest = tmp_path / "ds" / "manifest.json"

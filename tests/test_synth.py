@@ -358,6 +358,9 @@ class TestSidecar:
         assert list(loaded.query_latent) == query_ids
         for qid in query_ids:
             np.testing.assert_array_equal(loaded.query_latent[qid], store.query_latent[qid])
+        # gathered into new arrays: the store does not hold the sidecar mapped
+        arrays = [loaded.z_vis, loaded.z_aud, loaded.z_sp, *loaded.query_latent.values()]
+        assert all(arr.flags.writeable for arr in arrays)
 
     def test_one_record_per_latent_field(self, tmp_path):
         write_synthetic(config(), tmp_path / "ds")
