@@ -24,13 +24,20 @@ weights), `softmax`, `logsumexp` (`log_softmax` is x minus it), `gelu` and
 `token_logmeanexp` (the scorer's local term: cosines, log-mean-exp over the
 token axis and the 1/sharpness scale). Composed of primitive ops, each would
 record 2-13 nodes with a full-size temporary apiece. `softmax`, `logsumexp`
-and `attention` reduce over a C-order copy with the reduced axis moved to
-the front: numpy reduces a short last axis (an attention row's 12 or 32
-keys) in one slow inner loop per output, but a leading axis in a few passes
-over whole contiguous rows. Working on a copy, they never write into their
-input. `token_logmeanexp` needs no copy: its matmul writes the token axis in
-the middle of a fresh (T, m, B) buffer, and its inputs are unit-norm, so it
-skips the max shift too.
+and `attention` reduce over a C-order array with the reduced axis in front:
+numpy reduces a short last axis (an attention row's 12 or 32 keys) in one
+slow inner loop per output, but a leading axis in a few passes over whole
+contiguous rows. `softmax` and `logsumexp` make that array as a copy, so
+they never write into their input. `attention` computes its scores straight
+into it, and its head-merged products straight into a fresh (..., n, d)
+array. `token_logmeanexp` needs no copy either: its matmul writes the token
+axis in the middle of a fresh (T, m, B) buffer, and its inputs are unit-norm,
+so it skips the max shift too.
+
+Operands are shaped for BLAS: `linear` and `layer_norm` fold the leading
+dims of a (B, n, k) input into one row axis, so each product is one 2-D
+matrix product or mat-vec instead of B small ones, and `attention` takes the
+scores of all heads of an item in one product (`_head_scores`).
 
 Training runs in float32; gradient checking builds the same graphs in float64
 (`finite_difference_check` refuses nothing else, 1e-4 tolerances are not
@@ -380,8 +387,20 @@ def gelu(a: Tensor) -> Tensor:
     out_data *= 0.5
 
     def backward(g):  # d/dx of 0.5 x (1 + t), with t = tanh(c (x + 0.044715 x^3))
-        slope = (x * x * (3.0 * 0.044715) + 1.0) * _GELU_C * (1.0 - t * t) * x + t + 1.0
-        _accumulate(a, g * slope * 0.5)
+        # In place, in the order of ((x^2 * 3 * 0.044715 + 1) c (1 - t^2) x + t + 1) g / 2
+        slope = x * x
+        slope *= 3.0 * 0.044715
+        slope += 1.0
+        slope *= _GELU_C
+        dt = t * t
+        np.subtract(1.0, dt, out=dt)
+        slope *= dt
+        slope *= x
+        slope += t
+        slope += 1.0
+        slope *= g
+        slope *= 0.5
+        _accumulate(a, slope)
 
     return _node(out_data, (a,), backward)
 
@@ -403,12 +422,12 @@ def _softmax_leading(y: np.ndarray) -> np.ndarray:
     return y
 
 
-def _softmax_leading_grad(g: np.ndarray, y: np.ndarray) -> np.ndarray:
+def _softmax_leading_grad(g: np.ndarray, y: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """The gradient of the scores, given `g`, the gradient of their softmax
-    `y` over axis 0."""
-    gx = g - (g * y).sum(axis=0)
-    gx *= y
-    return gx
+    `y` over axis 0; written into `out` when given (which may be `g`)."""
+    out = np.subtract(g, (g * y).sum(axis=0), out=out)
+    out *= y
+    return out
 
 
 def softmax(x: Tensor, axis: int = -1) -> Tensor:
@@ -480,20 +499,28 @@ def log_softmax(x: Tensor, axis: int = -1) -> Tensor:
 
 
 def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
-    """x @ w + b for (..., k) inputs, a (k, n) weight and an (n,) bias."""
-    out_data = x.data @ w.data
+    """x @ w + b for (..., k) inputs, a (k, n) weight and an (n,) bias. x's
+    leading dims are folded into one row axis, so every product is one 2-D
+    BLAS call."""
+    x2 = x.data.reshape(-1, x.shape[-1])
+    out_data = (x2 @ w.data).reshape(x.shape[:-1] + (w.shape[-1],))
     out_data += b.data
 
     def backward(g):
+        g2 = g.reshape(-1, g.shape[-1])
         if x.requires_grad:
-            _accumulate(x, g @ w.data.T)
-        if w.requires_grad:  # fold x's leading dims into its rows
-            x2 = x.data.reshape(-1, x.shape[-1])
-            _accumulate(w, x2.T @ g.reshape(x2.shape[0], -1))
+            _accumulate(x, (g2 @ w.data.T).reshape(x.shape))
+        if w.requires_grad:
+            _accumulate(w, x2.T @ g2)
         if b.requires_grad:
             _accumulate(b, _sum_to_shape(g, b.shape))
 
     return _node(out_data, (x, w, b), backward)
+
+
+def _row_dot(a: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """a @ v over the last axis, as one 2-D mat-vec, with a trailing axis of 1."""
+    return (a.reshape(-1, a.shape[-1]) @ v).reshape(a.shape[:-1] + (1,))
 
 
 def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float) -> Tensor:
@@ -502,8 +529,8 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float) -> Tensor:
     numpy's reduction over a short last axis; the backward keeps only the
     normalized input and 1/sqrt(var + eps)."""
     mean = np.full(x.shape[-1], 1.0 / x.shape[-1], dtype=x.dtype)
-    xhat = x.data - (x.data @ mean)[..., None]
-    inv_std = ((xhat * xhat) @ mean)[..., None]
+    xhat = x.data - _row_dot(x.data, mean)
+    inv_std = _row_dot(xhat * xhat, mean)
     inv_std += eps
     np.sqrt(inv_std, out=inv_std)
     np.divide(1.0, inv_std, out=inv_std)
@@ -516,10 +543,12 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float) -> Tensor:
             _accumulate(gain, _sum_to_shape(g * xhat, gain.shape))
         if bias.requires_grad:
             _accumulate(bias, _sum_to_shape(g, bias.shape))
-        if x.requires_grad:
-            g = g * gain.data
-            gx = g - (g @ mean)[..., None]
-            gx -= xhat * ((g * xhat) @ mean)[..., None]
+        if x.requires_grad:  # in place, in the order of ((g - mean(g)) - xhat mean(g xhat)) / sigma
+            gx = g * gain.data
+            gxhat = gx * xhat
+            centre, slope = _row_dot(gx, mean), _row_dot(gxhat, mean)
+            gx -= centre
+            gx -= np.multiply(xhat, slope, out=gxhat)
             gx *= inv_std
             _accumulate(x, gx)
 
@@ -532,9 +561,34 @@ def _heads(x: np.ndarray, heads: int) -> np.ndarray:
 
 
 def _merge_heads(x: np.ndarray) -> np.ndarray:
-    """(..., heads, n, c) -> (..., n, heads * c), a C-order copy."""
+    """(..., heads, n, c) -> (..., n, heads * c); a view where the strides allow."""
     x = x.swapaxes(-2, -3)
     return x.reshape(x.shape[:-2] + (-1,))
+
+
+def _matmul_merged(a: np.ndarray, b: np.ndarray, heads: int) -> np.ndarray:
+    """a @ b over (..., heads, n, c) operands, written straight into a fresh
+    (..., n, heads * c) array: the heads merged back, with no copy."""
+    out = np.empty(a.shape[:-3] + (a.shape[-2], heads * b.shape[-1]), dtype=np.result_type(a, b))
+    np.matmul(a, b, out=_heads(out, heads))
+    return out
+
+
+def _head_scores(q: np.ndarray, k: np.ndarray, heads: int) -> np.ndarray:
+    """q_h @ k_h^T for every head h of (..., m, d) queries and (..., L, d)
+    keys, as a fresh key-major (L, ..., heads, m) array (module docstring).
+    One matrix product per item, not per item and head: the queries enter as
+    a block-diagonal (d, heads * m) matrix, and the products with its zeros
+    add exactly nothing to the sums."""
+    *lead, m, d = q.shape
+    n, length, c = math.prod(lead), k.shape[-2], d // heads
+    blocks = np.zeros((n, heads, c, heads, m), dtype=np.result_type(q, k))
+    split = q.reshape(n, m, heads, c)
+    for h in range(heads):
+        blocks[:, h, :, h, :] = split[:, :, h, :].swapaxes(-1, -2)
+    out = np.empty((length, n, heads * m), dtype=blocks.dtype)
+    np.matmul(k.reshape(n, length, d), blocks.reshape(n, d, heads * m), out=out.swapaxes(0, 1))
+    return out.reshape((length, *lead, heads, m))
 
 
 def attention_weights(q: np.ndarray, k: np.ndarray, heads: int, mask=None) -> np.ndarray:
@@ -543,7 +597,7 @@ def attention_weights(q: np.ndarray, k: np.ndarray, heads: int, mask=None) -> np
     (L, ..., heads, m) array: the key axis leads, so the softmax reduces over
     it (module docstring). `mask` (..., L), when given, marks the valid keys;
     the others get weight exactly 0."""
-    w = _leading(_heads(q, heads) @ _heads(k, heads).swapaxes(-1, -2), -1)
+    w = _head_scores(q, k, heads)
     w *= 1.0 / math.sqrt(q.shape[-1] // heads)
     if mask is not None:
         np.copyto(w, -np.inf, where=np.logical_not(np.moveaxis(mask, -1, 0))[..., None, None])
@@ -555,27 +609,30 @@ def attention(q: Tensor, k: Tensor, v: Tensor, heads: int, mask=None) -> Tensor:
     over projected (..., L, d) keys and values with the same leading dims,
     heads split and merged inside. Returns the (..., m, d) attention output
     before the output projection. `mask` (..., L) marks the valid keys; the
-    others get exactly zero weight and zero gradient. The backward keeps the
-    softmax weights and views of the inputs."""
+    others get exactly zero weight and zero gradient; None means every key is
+    valid. The backward keeps the softmax weights and views of the inputs."""
     if q.shape[:-2] != k.shape[:-2] or k.shape != v.shape:
         raise ValueError(f"attention shape mismatch: q {q.shape}, k {k.shape}, v {v.shape}")
     w = attention_weights(q.data, k.data, heads, mask)  # (L, ..., heads, m)
     weights = np.moveaxis(w, 0, -1)  # (..., heads, m, L)
-    vh = _heads(v.data, heads)
 
     def backward(g):
+        gs = _head_scores(g, v.data, heads)
+        _softmax_leading_grad(gs, w, out=gs)
         g = _heads(g, heads)  # (..., heads, m, c)
         if v.requires_grad:
-            _accumulate(v, _merge_heads(weights.swapaxes(-1, -2) @ g))
-        gs = _softmax_leading_grad(np.moveaxis(g @ vh.swapaxes(-1, -2), -1, 0), w)
+            _accumulate(v, _matmul_merged(weights.swapaxes(-1, -2), g, heads))
         gs *= 1.0 / math.sqrt(q.shape[-1] // heads)
-        gs = np.moveaxis(gs, 0, -1)  # (..., heads, m, L)
+        gs = np.ascontiguousarray(np.moveaxis(gs, 0, -1))  # (..., heads, m, L), BLAS operand
         if q.requires_grad:
-            _accumulate(q, _merge_heads(gs @ _heads(k.data, heads)))
+            _accumulate(q, _matmul_merged(gs, _heads(k.data, heads), heads))
+        # The key gradient stays a strided view of the (..., heads, c, L)
+        # product: no copy, and `_sum_to_shape` sums in memory order, so a
+        # C-order copy would round the key bias's gradient differently.
         if k.requires_grad:
             _accumulate(k, _merge_heads((_heads(q.data, heads).swapaxes(-1, -2) @ gs).swapaxes(-1, -2)))
 
-    return _node(_merge_heads(weights @ vh), (q, k, v), backward)
+    return _node(_matmul_merged(weights, _heads(v.data, heads), heads), (q, k, v), backward)
 
 
 # Squared-eps guard: unit-scale vectors are untouched (1 + 1e-24 rounds to 1),

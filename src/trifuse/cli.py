@@ -5,14 +5,18 @@ One JSON config file drives generation ("synth" section) and training
 checkpoint records the fusion mode and sharpness it was trained with; `eval`
 and `score` score with both, and `--mode` overrides the mode. Exit codes:
 0 success, 2 config parse error (including an out-of-range value, such as a
-train sharpness outside (0, 80]), 3 IO error (a missing file or a directory in
+train sharpness outside (0, 80] or heads, fusion_depth, resampler_depth or
+max_audio_len below 1), 3 IO error (a missing file or a directory in
 place of a container, a malformed container, manifest or checkpoint sidecar,
-a manifest with a duplicate id or a wrongly typed field, a checkpoint sidecar sharpness outside (0, 80] or
-fusion mode not among `--mode`'s choices, checkpoint tensors that disagree
-with their sidecar, a non-finite embedding, or an eval split that the
+a manifest with a duplicate id or a wrongly typed field, a checkpoint sidecar sharpness outside (0, 80],
+fusion mode not among `--mode`'s choices, size below 1, heads that do not
+divide dim or non-float dtype, checkpoint tensors that disagree with their
+sidecar (a parameter missing, of the wrong size, or a `param/` record the
+model lacks), a non-finite embedding, or an eval split that the
 manifest does not list or that has no queries), 4
 training aborted on non-finite loss, 5 checkpoint, config or dataset dimension mismatch
-(including audio longer than max_audio_len), 6 unknown query id.
+(including audio longer than max_audio_len, and a dataset dim that the train
+config's heads do not divide), 6 unknown query id.
 """
 
 from __future__ import annotations
@@ -147,6 +151,9 @@ def cmd_train(args) -> int:
     }
     config = _build(TrainConfig, _load_config_section(args.config, "train"), overrides, "train")
     dataset = read_dataset(args.data)
+    if dataset.manifest.dim % config.heads:
+        print(f"dataset dim {dataset.manifest.dim} is not divisible by heads {config.heads}", file=sys.stderr)
+        return EXIT_DIM
     if _audio_too_long(dataset, config.max_audio_len):
         return EXIT_DIM
     result = train(config, dataset, val_split="val")

@@ -14,6 +14,7 @@ from __future__ import annotations
 import inspect
 import json
 import math
+import numbers
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
@@ -60,10 +61,21 @@ def check_sharpness(sharpness: float) -> float:
     return float(sharpness)
 
 
+def check_sizes(**sizes) -> None:
+    """TypeError unless every size is an integer, ValueError unless it is >= 1."""
+    for name, value in sizes.items():
+        if not isinstance(value, numbers.Integral):
+            raise TypeError(f"{name} must be an integer, got {value!r}")
+        if value < 1:
+            raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
+
+
 class FusionParams(nn.Module):
     """Every trainable tensor of the fusion network, in a fixed order. `arch`
     also records the mode and sharpness the parameters were trained to score
-    with, so a checkpoint is scored the way it was trained."""
+    with, so a checkpoint is scored the way it was trained. A size that is not
+    an integer >= 1 (`check_sizes`), a `dim` that `heads` does not divide and
+    a non-float dtype are refused."""
 
     def __init__(
         self,
@@ -79,6 +91,10 @@ class FusionParams(nn.Module):
         dtype=np.float32,
     ):
         sharpness = check_sharpness(sharpness)
+        check_sizes(dim=dim, frames=frames, heads=heads, fusion_depth=fusion_depth,
+                    resampler_depth=resampler_depth, max_audio_len=max_audio_len)
+        if not np.issubdtype(dtype, np.floating):
+            raise ValueError(f"parameters need a float dtype, got {np.dtype(dtype).name}")
         rng = np.random.default_rng(seed)
         self.resampler = nn.Resampler(
             dim, heads, frames, rng, depth=resampler_depth, max_len=max_audio_len, dtype=dtype
@@ -101,6 +117,11 @@ class FusionParams(nn.Module):
     def temperature_scale(self) -> Tensor:
         """Positive contrastive score multiplier exp(logit_scale)."""
         return ad.exp(self.logit_scale)
+
+
+# Tensors of the deleted holistic and learnable_weights modes. Older save
+# checkpoints still hold them; `load_params` ignores them.
+RETIRED_PARAMS = frozenset({"holistic.weight", "holistic.query", "alpha", "beta"})
 
 
 def save_params(params: FusionParams, path) -> None:
@@ -129,7 +150,12 @@ def load_params(path) -> FusionParams:
     except (KeyError, TypeError, ValueError) as err:
         raise ContainerError(f"checkpoint sidecar does not describe a model ({type(err).__name__}: {err})") from err
     records = read_container(path)
-    for name, p in params.named_parameters():
+    named = dict(params.named_parameters())
+    known = named.keys() | RETIRED_PARAMS
+    extra = sorted(key for key in records if key.startswith("param/") and key.removeprefix("param/") not in known)
+    if extra:
+        raise ContainerError(f"checkpoint record {extra[0]} is not a parameter of the model its sidecar describes")
+    for name, p in named.items():
         key = f"param/{name}"
         if key not in records:
             raise ContainerError(f"checkpoint missing parameter {name}")
@@ -170,14 +196,17 @@ SPEECH_MODES = frozenset({FusionMode.NO_AUDIO, FusionMode.SAVE})
 INDEX_CHUNK = 128
 
 
-def _stack(items: list[ItemRecord], field: str, dtype) -> tuple[Tensor, np.ndarray]:
+def _stack(items: list[ItemRecord], field: str, dtype) -> tuple[Tensor, np.ndarray | None]:
     """One token field of every item, zero-padded to (B, L_max, d), and the
-    (B, L_max) mask of each item's own tokens."""
+    (B, L_max) mask of each item's own tokens; no mask when every item has
+    L_max tokens, so attention skips the masking."""
     arrays = [getattr(item, field) for item in items]
     missing = [item.item_id for item, arr in zip(items, arrays) if arr is None]
     if missing:
         raise ValueError(f"item {missing[0]} must go through resolve_missing before fusion")
     lengths = np.array([len(arr) for arr in arrays])
+    if lengths.min() == lengths.max():
+        return Tensor(np.stack(arrays, dtype=dtype)), None
     mask = np.arange(lengths.max()) < lengths[:, None]
     out = np.zeros(mask.shape + (arrays[0].shape[-1],), dtype=dtype)
     out[mask] = np.concatenate(arrays)

@@ -4,6 +4,8 @@ One optimization step builds one autodiff graph over the whole batch: a
 single fusion forward (whose resampled audio also feeds the pre-fusion pooling
 of the student affinity) -> differentiable score matrix -> contrastive +
 alignment -> backward -> clipped Adam update at the cosine-scheduled rate.
+Adam holds every parameter in one flat buffer, so clipping, the update, the
+per-epoch snapshots and the restores are each one operation over it.
 Identical (seed, config, dataset) triples reproduce bit-identical logs,
 parameters and checkpoints; log records therefore carry no wall-clock fields.
 Besides the losses and the learning rate, each step's record holds the
@@ -17,6 +19,7 @@ from __future__ import annotations
 
 import logging
 import math
+from collections.abc import Iterable
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,8 +28,8 @@ from . import autodiff as ad
 from .autodiff import Tensor
 from .data import Dataset, ItemRecord, batch_iter, resolve_missing
 from .evaluation import summary_metrics
-from .fusion import (DEFAULT_SHARPNESS, FusedBatch, FusionMode, FusionParams, check_sharpness, forward_video,
-                     precompute_index, pre_fusion_pooled)
+from .fusion import (DEFAULT_SHARPNESS, FusedBatch, FusionMode, FusionParams, check_sharpness, check_sizes,
+                     forward_video, precompute_index, pre_fusion_pooled)
 from .losses import (
     AlignKind,
     affinity_from_teacher,
@@ -72,37 +75,88 @@ class TrainConfig:
         if self.lr <= 0 or self.tau_init <= 0:
             raise ValueError("learning rate and tau must be positive")
         check_sharpness(self.sharpness)
+        check_sizes(heads=self.heads, fusion_depth=self.fusion_depth, resampler_depth=self.resampler_depth,
+                    max_audio_len=self.max_audio_len)
 
 
 class Adam:
-    """Bias-corrected Adam over named parameters."""
+    """Bias-corrected Adam over named parameters held in one flat buffer.
 
-    def __init__(self, named_params: list[tuple[str, Tensor]], beta1=0.9, beta2=0.999, eps=1e-8):
-        self.named_params = named_params
+    On construction every parameter's `.data` becomes a view into `data`, one
+    array of the parameters' common dtype in the order given, and the two
+    moments are flat arrays of the same layout. A step gathers the gradients
+    with one concatenate, checks them once and updates in place, one fused
+    update per run of adjacent parameters with a gradient; a parameter without
+    one (the branch a mode does not use) keeps its data and moments. The
+    update is elementwise, in the order of the per-tensor formula, so
+    identical gradients give bit-identical parameters. Change parameters
+    before building Adam (as `train` sets `logit_scale`): a parameter given a
+    new `.data` array afterwards is cut off from the buffer.
+    """
+
+    def __init__(self, named_params: Iterable[tuple[str, Tensor]], beta1=0.9, beta2=0.999, eps=1e-8):
+        self.named_params = list(named_params)
+        self.tensors = [p for _, p in self.named_params]
+        dtypes = {p.data.dtype for p in self.tensors}
+        if len(dtypes) != 1:
+            raise ValueError(f"Adam needs parameters of one dtype, got {sorted(d.name for d in dtypes)}")
+        self.data = np.concatenate([p.data.reshape(-1) for p in self.tensors])
+        self.bounds = np.cumsum([0] + [p.data.size for p in self.tensors]).tolist()
+        for p, lo, hi in zip(self.tensors, self.bounds, self.bounds[1:]):
+            p.data = self.data[lo:hi].reshape(p.data.shape)
+        self.m, self.v = np.zeros_like(self.data), np.zeros_like(self.data)
         self.beta1, self.beta2, self.eps = beta1, beta2, eps
         self.step_count = 0
-        self.moments = {
-            name: (np.zeros_like(p.data), np.zeros_like(p.data)) for name, p in named_params
-        }
+
+    def zero_grad(self) -> None:
+        for p in self.tensors:
+            p.grad = None
+
+    def _runs(self) -> list[slice]:
+        """The buffer slices of the runs of adjacent parameters that have a gradient."""
+        runs = []
+        for p, lo, hi in zip(self.tensors, self.bounds, self.bounds[1:]):
+            if p.grad is None:
+                continue
+            if runs and runs[-1].stop == lo:
+                lo = runs.pop().start
+            runs.append(slice(lo, hi))
+        return runs
 
     def step(self, lr: float) -> None:
         if lr <= 0:
             raise ValueError("lr must be positive")
         self.step_count += 1
         t = self.step_count
-        for name, p in self.named_params:
-            g = p.grad
-            if g is None:
-                continue
-            if not np.all(np.isfinite(g)):
-                raise NanGradientError(name)
-            m, v = self.moments[name]
-            m = self.beta1 * m + (1.0 - self.beta1) * g
-            v = self.beta2 * v + (1.0 - self.beta2) * (g * g)
-            self.moments[name] = (m, v)
-            m_hat = m / (1.0 - self.beta1**t)
-            v_hat = v / (1.0 - self.beta2**t)
-            p.data = p.data - (lr * m_hat / (np.sqrt(v_hat) + self.eps)).astype(p.data.dtype)
+        runs = self._runs()
+        if not runs:
+            return
+        g = np.concatenate([p.grad.reshape(-1) for p in self.tensors if p.grad is not None])
+        if not np.isfinite(g).all():
+            raise NanGradientError(next(
+                name for name, p in self.named_params if p.grad is not None and not np.isfinite(p.grad).all()
+            ))
+        # In place, in the order of m = b1 m + (1 - b1) g, v = b2 v + (1 - b2) g^2,
+        # data -= lr m_hat / (sqrt(v_hat) + eps); `g` is this step's own copy.
+        gg = g * g
+        gg *= 1.0 - self.beta2
+        g *= 1.0 - self.beta1
+        start = 0
+        for run in runs:
+            end = start + run.stop - run.start
+            m, v = self.m[run], self.v[run]
+            m *= self.beta1
+            m += g[start:end]
+            v *= self.beta2
+            v += gg[start:end]
+            update = m / (1.0 - self.beta1**t)
+            denom = v / (1.0 - self.beta2**t)
+            np.sqrt(denom, out=denom)
+            denom += self.eps
+            update *= lr
+            update /= denom
+            self.data[run] -= update
+            start = end
 
 
 def cosine_lr(step: int, total_steps: int, base_lr: float) -> float:
@@ -115,18 +169,22 @@ def cosine_lr(step: int, total_steps: int, base_lr: float) -> float:
 
 
 def clip_global_norm(named_params, max_norm: float | None) -> float:
-    """The global L2 norm of the gradients before clipping; when it exceeds a
-    positive `max_norm`, every gradient is scaled down to that norm."""
-    total = 0.0
-    for _, p in named_params:
-        if p.grad is not None:
-            total += float(np.sum(p.grad.astype(np.float64) ** 2))
-    norm = math.sqrt(total)
+    """The global L2 norm of the gradients before clipping, one float64 sum
+    over the gradients gathered into one vector. When it exceeds a positive
+    `max_norm`, that vector is scaled down to the norm once, and each
+    gradient becomes a view into it (no `.grad` array is written in place)."""
+    tensors = [p for _, p in named_params if p.grad is not None]
+    if not tensors:
+        return 0.0
+    flat = np.concatenate([p.grad.reshape(-1) for p in tensors])
+    norm = math.sqrt(float(np.square(flat, dtype=np.float64).sum()))
     if max_norm is not None and norm > max_norm > 0:
-        scale = max_norm / norm
-        for _, p in named_params:
-            if p.grad is not None:
-                p.grad = (p.grad * scale).astype(p.grad.dtype)
+        flat *= max_norm / norm
+        start = 0
+        for p in tensors:
+            end = start + p.grad.size
+            p.grad = flat[start:end].reshape(p.grad.shape)
+            start = end
     return norm
 
 
@@ -137,15 +195,6 @@ class TrainResult:
     best_epoch: int | None = None
     aborted: bool = False
     abort_reason: str | None = None
-
-
-def _snapshot(params: FusionParams) -> dict[str, np.ndarray]:
-    return {name: p.data.copy() for name, p in params.named_parameters()}
-
-
-def _restore(params: FusionParams, state: dict[str, np.ndarray]) -> None:
-    for name, p in params.named_parameters():
-        p.data = state[name].copy()
 
 
 def _readings(params: FusionParams, items: list[ItemRecord]) -> dict:
@@ -219,9 +268,9 @@ def train(
     validate = bool(val_split and man.splits.get(val_split, {}).get("queries"))
     if val_split and not validate:
         logger.warning("validation split %r has no queries: keeping the last epoch", val_split)
-    adam = Adam(list(params.named_parameters()))
+    adam = Adam(params.named_parameters())
     log: list[dict] = []
-    last_good = best = _snapshot(params)
+    last_good = best = adam.data.copy()
     best_epoch, best_r1 = config.epochs - 1, -1.0
     step = 0
 
@@ -239,7 +288,7 @@ def train(
                 if not np.isfinite(float(loss.data)):
                     raise FloatingPointError(f"non-finite loss at step {step}")
 
-                params.zero_grad()
+                adam.zero_grad()
                 loss.backward()
                 grad_norm = clip_global_norm(adam.named_params, config.grad_clip)
                 lr = cosine_lr(step, total_steps, config.lr)
@@ -257,19 +306,19 @@ def train(
                 log.append(record)
                 step += 1
 
-            last_good = _snapshot(params)
+            last_good = adam.data.copy()
             if validate:
                 r1 = _val_r1(params, dataset, val_split, config)
                 log.append({"epoch": epoch, "val_r1": r1})
                 if r1 > best_r1:  # ties keep the earlier epoch
                     best_epoch, best_r1, best = epoch, r1, last_good
     except (FloatingPointError, NanGradientError) as err:
-        _restore(params, last_good)
+        adam.data[...] = last_good
         logger.error("%s; restored last-good parameters", err)
         return TrainResult(params, log, aborted=True, abort_reason=str(err))
 
     if validate:
-        _restore(params, best)
+        adam.data[...] = best
     return TrainResult(params, log, best_epoch)
 
 

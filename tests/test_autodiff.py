@@ -515,3 +515,20 @@ def test_attention_padded_keys_get_zero_weight_and_gradient(name):
     _weighted_sum(ad.attention(q, k, v, heads, mask)).backward()
     assert np.all(k.grad[~mask] == 0.0) and np.all(v.grad[~mask] == 0.0)
     assert np.all(v.grad[mask] != 0.0)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_no_mask_is_bit_equal_to_an_all_true_mask(dtype):
+    """Full-length batches reach attention with no mask (`fusion._stack`); the
+    values and gradients are those of a mask that keeps every key."""
+    rng = np.random.default_rng(32)
+    inputs = [rng.normal(size=s).astype(dtype) for s in ((4, 3, 8), (4, 5, 8), (4, 5, 8))]
+    runs = []
+    for mask in (None, np.ones((4, 5), dtype=bool)):
+        q, k, v = (parameter(x) for x in inputs)
+        out = ad.attention(q, k, v, 2, mask)
+        _weighted_sum(out).backward()
+        runs.append([out.data, q.grad, k.grad, v.grad])
+    for unmasked, masked in zip(*runs):
+        assert unmasked.dtype == masked.dtype == dtype
+        assert unmasked.tobytes() == masked.tobytes()

@@ -132,6 +132,25 @@ class TestTrain:
         assert code == 2
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize("key, value", [
+        ("heads", 0), ("fusion_depth", -1), ("resampler_depth", 0), ("max_audio_len", 0),
+    ])
+    def test_size_below_one_is_config_error(self, workspace, tmp_path, capsys, key, value):
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps({"train": {key: value}}))
+        code = main(["train", "--config", str(cfg), "--data", str(workspace["data"]), "--out", str(tmp_path / "o")])
+        assert code == 2
+        assert f"{key} must be an integer >= 1, got {value}" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    def test_heads_that_do_not_divide_dim_exit_5(self, workspace, tmp_path, capsys):
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps({"train": {"heads": 3}}))  # the workspace data has d = 8
+        code = main(["train", "--config", str(cfg), "--data", str(workspace["data"]), "--out", str(tmp_path / "o")])
+        assert code == 5
+        assert "dataset dim 8 is not divisible by heads 3" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
     def test_missing_data_dir_is_io_error(self, workspace, tmp_path):
         code = main(["train", "--config", str(workspace["config"]), "--data", str(tmp_path / "nope"), "--out", str(tmp_path / "o")])
         assert code == 3
@@ -196,7 +215,36 @@ def count_built_items(monkeypatch) -> list[str]:
     return built
 
 
+def deep_checkpoint(tmp_path, **edit):
+    """A fresh checkpoint for the workspace data with two fusion and two
+    resampler blocks, its sidecar edited."""
+    from trifuse.fusion import FusionParams, save_params
+
+    ckpt = tmp_path / "deep.ckpt"
+    save_params(FusionParams(dim=8, frames=3, heads=2, fusion_depth=2, resampler_depth=2), ckpt)
+    sidecar = tmp_path / "deep.ckpt.json"
+    sidecar.write_text(json.dumps({**json.loads(sidecar.read_text()), **edit}))
+    return ckpt
+
+
 class TestEval:
+    @pytest.mark.parametrize("edit, match", [
+        ({}, None),
+        ({"heads": 0}, "heads must be an integer >= 1, got 0"),
+        ({"heads": 3}, "model dim 8 not divisible by head count 3"),
+        ({"dtype": "int32"}, "parameters need a float dtype, got int32"),
+        ({"fusion_depth": 0}, "fusion_depth must be an integer >= 1, got 0"),
+        ({"resampler_depth": 0}, "resampler_depth must be an integer >= 1, got 0"),
+        ({"fusion_depth": 1}, "record param/audio_fusion.stack.blocks.1."),
+        ({"resampler_depth": 1}, "record param/resampler.stack.blocks.1."),
+    ], ids=["as_written", "zero_heads", "heads_vs_dim", "int_dtype", "zero_fusion_depth", "zero_resampler_depth",
+            "fewer_fusion_blocks", "fewer_resampler_blocks"])
+    def test_sidecar_that_disagrees_with_its_tensors_exit_3(self, workspace, tmp_path, capsys, edit, match):
+        code = main(["eval", "--checkpoint", str(deep_checkpoint(tmp_path, **edit)), "--data", str(workspace["data"])])
+        err = capsys.readouterr().err
+        assert code == (0 if match is None else 3)
+        assert match is None or match in err
+
     def test_json_metrics(self, workspace, capsys):
         code = main(["eval", "--checkpoint", str(workspace["run"] / "best.ckpt"), "--data", str(workspace["data"])])
         assert code == 0

@@ -131,6 +131,21 @@ class TestForwardVideo:
             assert p.grad is not None and np.any(p.grad != 0.0)
 
 
+class TestStack:
+    def test_full_length_batch_gets_no_mask(self):
+        tokens, mask = fusion._stack([make_item(seed=s) for s in range(3)], "speech_tokens", np.float32)
+        assert mask is None
+        assert tokens.data.tobytes() == np.stack([make_item(seed=s).speech_tokens for s in range(3)]).tobytes()
+
+    def test_ragged_batch_gets_a_mask(self):
+        short = make_item(seed=1)
+        short.speech_tokens = short.speech_tokens[:2]
+        tokens, mask = fusion._stack([make_item(seed=0), short], "speech_tokens", np.float32)
+        np.testing.assert_array_equal(mask, [[True] * 6, [True] * 2 + [False] * 4])
+        assert np.all(tokens.data[1, 2:] == 0.0)
+        np.testing.assert_array_equal(tokens.data[1, :2], short.speech_tokens)
+
+
 class TestBatchInvariance:
     """A batch fuses each item exactly as the item fused alone (float64)."""
 

@@ -8,7 +8,7 @@ import pytest
 from trifuse import autodiff as ad
 from trifuse import trainer
 from trifuse.autodiff import parameter
-from trifuse.fusion import FusionMode
+from trifuse.fusion import FusionMode, FusionParams, load_params, save_params
 from trifuse.losses import AlignKind
 from trifuse.synth import SynthConfig, generate
 from trifuse.trainer import (
@@ -84,6 +84,118 @@ class TestAdam:
         p.grad = None
         Adam([("p", p)]).step(lr=0.1)
         np.testing.assert_array_equal(p.data, np.ones(2))
+
+
+class PerTensorAdam:
+    """The per-tensor Adam update that the flat buffer replaced, as the reference."""
+
+    def __init__(self, arrays: dict, beta1=0.9, beta2=0.999, eps=1e-8):
+        self.data = {name: a.copy() for name, a in arrays.items()}
+        self.moments = {name: (np.zeros_like(a), np.zeros_like(a)) for name, a in arrays.items()}
+        self.beta1, self.beta2, self.eps, self.t = beta1, beta2, eps, 0
+
+    def step(self, grads: dict, lr: float) -> None:
+        self.t += 1
+        for name, g in grads.items():
+            if g is None:
+                continue
+            m, v = self.moments[name]
+            m = self.beta1 * m + (1.0 - self.beta1) * g
+            v = self.beta2 * v + (1.0 - self.beta2) * (g * g)
+            self.moments[name] = (m, v)
+            m_hat = m / (1.0 - self.beta1**self.t)
+            v_hat = v / (1.0 - self.beta2**self.t)
+            p = self.data[name]
+            self.data[name] = p - (lr * m_hat / (np.sqrt(v_hat) + self.eps)).astype(p.dtype)
+
+
+def flat_slice(adam: Adam, array: np.ndarray, name: str) -> np.ndarray:
+    """The part of a flat array of `adam` (its data or a moment) that holds `name`."""
+    i = [n for n, _ in adam.named_params].index(name)
+    return array[adam.bounds[i] : adam.bounds[i + 1]]
+
+
+def recorded_adams(monkeypatch) -> list:
+    """Every `Adam` that `train` builds, in order."""
+    built = []
+
+    class Recorded(Adam):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            built.append(self)
+
+    monkeypatch.setattr(trainer, "Adam", Recorded)
+    return built
+
+
+UNUSED_BRANCHES = {
+    FusionMode.AVIGATE: ("speech_fusion.",),
+    FusionMode.NO_AUDIO: ("resampler.", "audio_fusion."),
+    FusionMode.VISION_ONLY: ("resampler.", "audio_fusion.", "speech_fusion."),
+}
+
+
+class TestFlatBuffer:
+    def test_twenty_steps_bit_identical_to_per_tensor_adam(self):
+        """Seeded float32 gradients over the fusion parameters, some steps
+        without the speech branch's: every parameter and moment matches the
+        per-tensor reference bit for bit."""
+        params = FusionParams(dim=8, frames=3, heads=2, seed=0)
+        named = list(params.named_parameters())
+        reference = PerTensorAdam({name: p.data for name, p in named})
+        adam = Adam(named)
+        rng = np.random.default_rng(0)
+        for step in range(20):
+            grads = {
+                name: None if step % 3 == 1 and name.startswith("speech_fusion.")
+                else rng.normal(size=p.shape).astype(np.float32)
+                for name, p in named
+            }
+            for name, p in named:
+                p.grad = grads[name]
+            lr = cosine_lr(step, 20, 1e-2)
+            adam.step(lr)
+            reference.step(grads, lr)
+        for name, p in named:
+            assert p.data.dtype == np.float32
+            assert p.data.tobytes() == np.asarray(reference.data[name]).tobytes(), name
+            m, v = reference.moments[name]
+            assert flat_slice(adam, adam.m, name).tobytes() == np.asarray(m).tobytes(), name
+            assert flat_slice(adam, adam.v, name).tobytes() == np.asarray(v).tobytes(), name
+
+    def test_parameters_are_views_into_one_buffer(self, monkeypatch):
+        adams = recorded_adams(monkeypatch)
+        result = train(small_config(epochs=1), small_dataset(seed=14))
+        (adam,) = adams
+        for name, p in result.params.named_parameters():
+            assert p.data.base is adam.data
+            assert flat_slice(adam, adam.data, name).tobytes() == p.data.tobytes()
+
+    @pytest.mark.parametrize("mode", list(UNUSED_BRANCHES), ids=lambda m: m.value)
+    def test_unused_branch_keeps_its_data_and_moments(self, monkeypatch, mode):
+        adams = recorded_adams(monkeypatch)
+        result = train(small_config(epochs=2, mode=mode), small_dataset(seed=15))
+        (adam,) = adams
+        fresh = dict(FusionParams(dim=8, frames=3, heads=2, fusion_depth=1, seed=0).named_parameters())
+        unused = [name for name in fresh if name.startswith(UNUSED_BRANCHES[mode])]
+        assert unused
+        for name, p in result.params.named_parameters():
+            if name in unused:
+                assert p.data.tobytes() == fresh[name].data.tobytes(), name
+                assert not flat_slice(adam, adam.m, name).any() and not flat_slice(adam, adam.v, name).any(), name
+        assert result.params.logit_scale.data != fresh["logit_scale"].data  # the used part did train
+
+    def test_checkpoint_round_trip_byte_equal(self, tmp_path):
+        """A checkpoint written from the buffer's views has the bytes of one
+        written from arrays of their own, and loading and saving it again
+        changes no byte."""
+        result = train(small_config(epochs=1), small_dataset(seed=16))
+        save_params(result.params, tmp_path / "views.ckpt")
+        owned = load_params(tmp_path / "views.ckpt")
+        assert all(p.data.base is None for p in owned.parameters())
+        save_params(owned, tmp_path / "owned.ckpt")
+        for suffix in ("ckpt", "ckpt.json"):
+            assert (tmp_path / f"views.{suffix}").read_bytes() == (tmp_path / f"owned.{suffix}").read_bytes()
 
 
 class TestCosineLr:
