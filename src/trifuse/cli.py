@@ -4,11 +4,12 @@ One JSON config file drives generation ("synth" section) and training
 ("train" section); command-line flags override individual keys. A
 checkpoint records the fusion mode and sharpness it was trained with; `eval`
 and `score` score with both, and `--mode` overrides the mode. Exit codes:
-0 success, 2 config parse error (including an out-of-range value, such as a
-train sharpness outside (0, 80] or heads, fusion_depth, resampler_depth or
-max_audio_len below 1), 3 IO error (a missing file or a directory in
-place of a container, a malformed container, manifest or checkpoint sidecar,
-a manifest with a duplicate id or a wrongly typed field, a checkpoint sidecar sharpness outside (0, 80],
+0 success, 2 config parse error (including a config file that is a
+directory or not UTF-8, an out-of-range value, such as a train sharpness
+outside (0, 80] or heads, fusion_depth, resampler_depth or max_audio_len
+below 1, and a `score --k` below 1), 3 IO error (a missing file, a
+container, manifest or checkpoint sidecar that is malformed or a directory,
+a manifest or checkpoint sidecar that is not UTF-8, a manifest with a duplicate id or a wrongly typed field, a checkpoint sidecar sharpness outside (0, 80],
 fusion mode not among `--mode`'s choices, size below 1, heads that do not
 divide dim or non-float dtype, checkpoint tensors that disagree with their
 sidecar (a parameter missing, of the wrong size, or a `param/` record the
@@ -30,7 +31,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .data import ContainerError, ValidationError, atomic_write, read_dataset
+from .data import ContainerError, ValidationError, atomic_write, read_dataset, read_json
 from .evaluation import grouped_eval, summary_metrics
 from .fusion import FusionMode, load_params, precompute_index, save_params
 from .losses import AlignKind
@@ -59,11 +60,11 @@ def _load_config_section(path: str | None, section: str) -> dict:
     if path is None:
         return {}
     try:
-        doc = json.loads(Path(path).read_text())
+        doc = read_json(path)
     except FileNotFoundError as err:
         raise ConfigError(f"config file not found: {path}") from err
-    except json.JSONDecodeError as err:
-        raise ConfigError(f"config is not valid JSON: {err}") from err
+    except ContainerError as err:
+        raise ConfigError(f"bad config file: {err}") from err
     if not isinstance(doc, dict):
         raise ConfigError("config root must be an object")
     sub = doc.get(section, {})
@@ -314,6 +315,13 @@ def cmd_inspect(args) -> int:
     return EXIT_OK
 
 
+def _positive_int(text: str) -> int:
+    """An argparse type: an integer >= 1, else exit 2."""
+    if not text.isdecimal() or int(text) < 1:
+        raise argparse.ArgumentTypeError(f"{text!r} is not an integer >= 1")
+    return int(text)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="trifuse", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
@@ -351,7 +359,7 @@ def build_parser() -> argparse.ArgumentParser:
     sc.add_argument("--checkpoint", required=True)
     sc.add_argument("--data", required=True)
     sc.add_argument("--query", required=True)
-    sc.add_argument("--k", type=int, default=10)
+    sc.add_argument("--k", type=_positive_int, default=10, help="how many items to list (>= 1)")
     sc.add_argument("--mode", choices=MODE_CHOICES, default=None, help="default: the checkpoint's mode")
     sc.set_defaults(func=cmd_score)
 
@@ -370,7 +378,7 @@ def main(argv: list[str] | None = None) -> int:
     except ConfigError as err:
         print(f"config error: {err}", file=sys.stderr)
         return EXIT_CONFIG
-    except (ContainerError, ValidationError, FileNotFoundError, NotADirectoryError, json.JSONDecodeError) as err:
+    except (ContainerError, ValidationError, FileNotFoundError, NotADirectoryError) as err:
         print(f"io error: {err}", file=sys.stderr)
         return EXIT_IO
 

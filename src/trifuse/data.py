@@ -10,7 +10,7 @@ split assignments) and `tensors.sve`, a flat binary container:
 All integers are little-endian. Writes are deterministic: identical datasets
 produce identical bytes, and every artifact is written to a temporary file
 that replaces the old one only once complete. The same container carries
-datasets, checkpoints, indexes and the synthetic-latent sidecar.
+datasets, checkpoints and indexes.
 
 A dataset's container holds one record per field, whatever its item count,
 with rows in the manifest's (sorted) item or query order: `items/visual`
@@ -64,7 +64,6 @@ DATASET_RECORDS = {
 
 MANIFEST_NAME = "manifest.json"
 TENSORS_NAME = "tensors.sve"
-LATENTS_NAME = "latents.sve"
 
 
 class ContainerError(ValueError):
@@ -91,6 +90,17 @@ def atomic_write(path, *buffers) -> None:
         os.replace(tmp, path)
     finally:
         tmp.unlink(missing_ok=True)
+
+
+def read_json(path):
+    """The JSON document in `path`, read as UTF-8. A directory in its place,
+    bytes that are not UTF-8 and text that is not JSON raise ContainerError."""
+    try:
+        return json.loads(Path(path).read_text(encoding="utf-8"))
+    except IsADirectoryError as err:
+        raise ContainerError(f"{path} is a directory, not a JSON file") from err
+    except (UnicodeDecodeError, json.JSONDecodeError) as err:
+        raise ContainerError(f"{path} is not UTF-8 JSON: {err}") from err
 
 
 def write_container(path, records: dict[str, tuple[int, np.ndarray]]) -> None:
@@ -405,7 +415,7 @@ def read_dataset(path) -> Dataset:
     manifest_file = path / MANIFEST_NAME
     if not manifest_file.exists():
         raise ContainerError(f"no {MANIFEST_NAME} under {path}")
-    doc = json.loads(manifest_file.read_text())
+    doc = read_json(manifest_file)
     records = read_container(path / TENSORS_NAME)
     for name in DATASET_RECORDS:
         if name not in records:

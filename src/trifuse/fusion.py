@@ -25,7 +25,7 @@ from . import autodiff as ad
 from . import nn
 from .autodiff import Tensor
 from .data import (KIND_TOKENS, KIND_VECTOR, ContainerError, ItemRecord, Manifest, atomic_write, read_container,
-                   resolve_missing, write_container)
+                   read_json, resolve_missing, write_container)
 
 
 class FusionMode(str, Enum):
@@ -140,7 +140,7 @@ def save_params(params: FusionParams, path) -> None:
 
 def load_params(path) -> FusionParams:
     path = Path(path)
-    meta = json.loads(Path(str(path) + ".json").read_text())
+    meta = read_json(str(path) + ".json")
     unknown = sorted(set(meta) - set(inspect.signature(FusionParams).parameters))
     if unknown:
         raise ContainerError(f"checkpoint sidecar has unknown parameter {unknown[0]!r}")
@@ -279,7 +279,7 @@ def save_index(index: VideoIndex, path) -> None:
 
 def load_index(path) -> VideoIndex:
     path = Path(path)
-    meta = json.loads(Path(str(path) + ".json").read_text())
+    meta = read_json(str(path) + ".json")
     records = read_container(path)
     try:
         mode, ids, m = FusionMode(meta["mode"]), meta["item_ids"], meta["m"]

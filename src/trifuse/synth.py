@@ -32,35 +32,15 @@ speech_pad, d) speech, (n, d_t) for each teacher, (n, d) queries and
 latents. The draws follow the per-item order, so the bytes do not depend on
 the chunk size and equal those of an item-by-item loop (tests/test_synth.py
 keeps that loop as the oracle).
-
-A latent sidecar, `latents.sve` (same container format), retains the
-generator latents for oracle tests as four records: `latent/z_vis`,
-`latent/z_aud` and `latent/z_sp`, (n, d) in the manifest's item order, and
-`latent/query`, (n_q, d) in its query order. `load_latents` slices them by id.
 """
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
-from pathlib import Path
 
 import numpy as np
 
-from .data import (
-    GROUPS,
-    KIND_TOKENS,
-    LATENTS_NAME,
-    MANIFEST_NAME,
-    ContainerError,
-    Dataset,
-    ItemRecord,
-    Manifest,
-    QueryRecord,
-    read_container,
-    write_container,
-    write_dataset,
-)
+from .data import GROUPS, Dataset, ItemRecord, Manifest, QueryRecord, write_dataset
 from .evaluation import rank_of
 
 DEFAULT_GROUP_MIX = {"visual": 0.4, "sound": 0.25, "speech": 0.25, "sound_speech": 0.1}
@@ -294,49 +274,18 @@ def generate(config: SynthConfig) -> tuple[Dataset, LatentStore]:
     return dataset, store
 
 
-LATENT_FIELDS = ("z_vis", "z_aud", "z_sp")
-
-
 def write_synthetic(config: SynthConfig, out_dir) -> tuple[Dataset, LatentStore]:
-    """Generate, write the dataset dir, and drop the latent sidecar next to it."""
+    """Generate and write the dataset dir; the latents stay in memory only."""
     dataset, store = generate(config)
     write_dataset(dataset, out_dir)
-    order = np.argsort(store.item_ids)  # the manifest lists items by sorted id
-    records = {f"latent/{name}": (KIND_TOKENS, getattr(store, name)[order]) for name in LATENT_FIELDS}
-    records["latent/query"] = (KIND_TOKENS, np.stack([store.query_latent[q] for q in sorted(store.query_latent)]))
-    write_container(Path(out_dir) / LATENTS_NAME, records)
     return dataset, store
 
 
-def load_latents(data_dir, item_ids: list[str], query_ids: list[str]) -> LatentStore:
-    """The latents of `item_ids` and `query_ids`, in that order, from the
-    sidecar beside a synthetic dataset's manifest."""
-    path = Path(data_dir) / LATENTS_NAME
-    if not path.exists():
-        raise FileNotFoundError(f"latent sidecar absent: {path}")
-    records = read_container(path)
-    for name in (*LATENT_FIELDS, "query"):
-        if f"latent/{name}" not in records:
-            raise ContainerError(f"{path} lacks record latent/{name}")
-    doc = json.loads((Path(data_dir) / MANIFEST_NAME).read_text())
-    item_row = {meta["id"]: k for k, meta in enumerate(doc["items"])}
-    query_row = {meta["id"]: k for k, meta in enumerate(doc["queries"])}
-    items = [item_row[i] for i in item_ids]
-    # Rows are gathered into new arrays, so that the store does not hold the
-    # sidecar mapped.
-    queries = records["latent/query"][1][[query_row[q] for q in query_ids]]
-    return LatentStore(
-        item_ids=list(item_ids),
-        **{name: records[f"latent/{name}"][1][items] for name in LATENT_FIELDS},
-        query_latent=dict(zip(query_ids, queries)),
-    )
+def oracle_scores(query_latent: np.ndarray, item_latents: np.ndarray) -> np.ndarray:
+    """Exact latent-space relevance: the cosine of the query latent to each item latent."""
+    return _unit_rows(item_latents) @ _unit_rows(np.asarray(query_latent, dtype=np.float64))
 
 
 def oracle_rank(query_latent: np.ndarray, item_latents: np.ndarray, gt_index: int) -> int:
     """Pessimistic rank of the true item under exact latent-space relevance."""
-    scores = _unit_rows(item_latents) @ _unit_rows(np.asarray(query_latent, dtype=np.float64))
-    return rank_of(scores, gt_index)
-
-
-def oracle_scores(query_latent: np.ndarray, item_latents: np.ndarray) -> np.ndarray:
-    return _unit_rows(item_latents) @ _unit_rows(np.asarray(query_latent, dtype=np.float64))
+    return rank_of(oracle_scores(query_latent, item_latents), gt_index)

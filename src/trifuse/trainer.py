@@ -4,8 +4,9 @@ One optimization step builds one autodiff graph over the whole batch: a
 single fusion forward (whose resampled audio also feeds the pre-fusion pooling
 of the student affinity) -> differentiable score matrix -> contrastive +
 alignment -> backward -> clipped Adam update at the cosine-scheduled rate.
-Adam holds every parameter in one flat buffer, so clipping, the update, the
-per-epoch snapshots and the restores are each one operation over it.
+Adam holds every parameter in one flat buffer and gathers each step's
+gradients once, so the finite check and clipping are each one operation over
+that vector, and the per-epoch snapshots and the restores one over the buffer.
 Identical (seed, config, dataset) triples reproduce bit-identical logs,
 parameters and checkpoints; log records therefore carry no wall-clock fields.
 Besides the losses and the learning rate, each step's record holds the
@@ -85,13 +86,15 @@ class Adam:
     On construction every parameter's `.data` becomes a view into `data`, one
     array of the parameters' common dtype in the order given, and the two
     moments are flat arrays of the same layout. A step gathers the gradients
-    with one concatenate, checks them once and updates in place, one fused
-    update per run of adjacent parameters with a gradient; a parameter without
-    one (the branch a mode does not use) keeps its data and moments. The
-    update is elementwise, in the order of the per-tensor formula, so
-    identical gradients give bit-identical parameters. Change parameters
-    before building Adam (as `train` sets `logit_scale`): a parameter given a
-    new `.data` array afterwards is cut off from the buffer.
+    once into a vector of its own, checks it, clips it in place
+    (`clip_global_norm`) and updates in place, one fused update per run of
+    adjacent parameters with a gradient; no `.grad` array is written, and a
+    parameter without a gradient (the branch a mode does not use) keeps its
+    data and moments. The update is elementwise, in the order of the
+    per-tensor formula, so identical gradients give bit-identical
+    parameters. Change parameters before building Adam (as `train` sets
+    `logit_scale`): a parameter given a new `.data` array afterwards is cut
+    off from the buffer.
     """
 
     def __init__(self, named_params: Iterable[tuple[str, Tensor]], beta1=0.9, beta2=0.999, eps=1e-8):
@@ -123,19 +126,22 @@ class Adam:
             runs.append(slice(lo, hi))
         return runs
 
-    def step(self, lr: float) -> None:
+    def step(self, lr: float, max_norm: float | None = None) -> float:
+        """Update at rate `lr` with the gradients clipped to a global norm of
+        `max_norm`; return their norm before clipping (0.0 without gradients)."""
         if lr <= 0:
             raise ValueError("lr must be positive")
         self.step_count += 1
         t = self.step_count
         runs = self._runs()
         if not runs:
-            return
+            return 0.0
         g = np.concatenate([p.grad.reshape(-1) for p in self.tensors if p.grad is not None])
         if not np.isfinite(g).all():
             raise NanGradientError(next(
                 name for name, p in self.named_params if p.grad is not None and not np.isfinite(p.grad).all()
             ))
+        norm = clip_global_norm(g, max_norm)
         # In place, in the order of m = b1 m + (1 - b1) g, v = b2 v + (1 - b2) g^2,
         # data -= lr m_hat / (sqrt(v_hat) + eps); `g` is this step's own copy.
         gg = g * g
@@ -157,6 +163,7 @@ class Adam:
             update /= denom
             self.data[run] -= update
             start = end
+        return norm
 
 
 def cosine_lr(step: int, total_steps: int, base_lr: float) -> float:
@@ -168,23 +175,13 @@ def cosine_lr(step: int, total_steps: int, base_lr: float) -> float:
     return base_lr * 0.5 * (1.0 + math.cos(math.pi * step / total_steps))
 
 
-def clip_global_norm(named_params, max_norm: float | None) -> float:
-    """The global L2 norm of the gradients before clipping, one float64 sum
-    over the gradients gathered into one vector. When it exceeds a positive
-    `max_norm`, that vector is scaled down to the norm once, and each
-    gradient becomes a view into it (no `.grad` array is written in place)."""
-    tensors = [p for _, p in named_params if p.grad is not None]
-    if not tensors:
-        return 0.0
-    flat = np.concatenate([p.grad.reshape(-1) for p in tensors])
+def clip_global_norm(flat: np.ndarray, max_norm: float | None) -> float:
+    """The L2 norm of the gathered gradients `flat` before clipping, one
+    float64 sum. When it exceeds a positive `max_norm`, `flat` is scaled in
+    place down to that norm."""
     norm = math.sqrt(float(np.square(flat, dtype=np.float64).sum()))
     if max_norm is not None and norm > max_norm > 0:
         flat *= max_norm / norm
-        start = 0
-        for p in tensors:
-            end = start + p.grad.size
-            p.grad = flat[start:end].reshape(p.grad.shape)
-            start = end
     return norm
 
 
@@ -290,9 +287,10 @@ def train(
 
                 adam.zero_grad()
                 loss.backward()
-                grad_norm = clip_global_norm(adam.named_params, config.grad_clip)
                 lr = cosine_lr(step, total_steps, config.lr)
-                record = {
+                readings = _readings(params, items)  # before the update changes the parameters
+                grad_norm = adam.step(lr, config.grad_clip)
+                log.append({
                     "step": step,
                     "epoch": epoch,
                     "lr": lr,
@@ -300,10 +298,8 @@ def train(
                     "alignment": align_value,
                     "total": float(loss.data),
                     "grad_norm": grad_norm,
-                    **_readings(params, items),
-                }
-                adam.step(lr)
-                log.append(record)
+                    **readings,
+                })
                 step += 1
 
             last_good = adam.data.copy()

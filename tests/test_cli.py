@@ -46,6 +46,8 @@ class TestGen:
         assert code == 0
         summary = json.loads(capsys.readouterr().out)
         assert summary["items"] == 32
+        # the dataset and nothing else: the generator's latents stay in memory
+        assert sorted(path.name for path in (tmp_path / "d").iterdir()) == ["manifest.json", "tensors.sve"]
 
     def test_malformed_config_names_key(self, tmp_path, capsys):
         cfg = tmp_path / "c.json"
@@ -446,6 +448,16 @@ class TestScore:
                      "--query", "qXXXXX"])
         assert code == 6
 
+    @pytest.mark.parametrize("k", ["0", "-3", "two"])
+    def test_k_below_one_exit_2(self, workspace, capsys, k):
+        qid = json.loads((workspace["data"] / "manifest.json").read_text())["splits"]["test"]["queries"][0]
+        with pytest.raises(SystemExit) as exit_info:  # argparse rejects the value
+            main(["score", "--checkpoint", str(workspace["run"] / "best.ckpt"), "--data", str(workspace["data"]),
+                  "--query", qid, "--k", k])
+        assert exit_info.value.code == 2
+        captured = capsys.readouterr()
+        assert f"argument --k: {k!r} is not an integer >= 1" in captured.err and captured.out == ""
+
 
 class TestInspect:
     def test_dataset_summary(self, workspace, capsys):
@@ -536,3 +548,51 @@ class TestInspect:
         assert main(["inspect", str(data)]) == 3
         err = capsys.readouterr().err
         assert "not UTF-8" in err and "Traceback" not in err
+
+
+class TestUnreadableJson:
+    """A JSON input that is a directory or not UTF-8: exit 2 for a config,
+    3 for a manifest or a checkpoint sidecar, never a traceback."""
+
+    DAMAGE = {
+        "directory": (lambda path: path.mkdir(), "is a directory, not a JSON file"),
+        "not_utf8": (lambda path: path.write_bytes(b'{"synth": {}, "note": "\xff"}'), "is not UTF-8 JSON"),
+    }
+
+    def run(self, capsys, argv, code, match):
+        assert main(argv) == code
+        err = capsys.readouterr().err
+        assert match in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("damage", DAMAGE)
+    def test_config_exit_2(self, tmp_path, capsys, damage):
+        make, match = self.DAMAGE[damage]
+        make(tmp_path / "c.json")
+        self.run(capsys, ["gen", "--config", str(tmp_path / "c.json"), "--out", str(tmp_path / "d")], 2,
+                 f"c.json {match}")
+        assert not (tmp_path / "d").exists()
+
+    @pytest.mark.parametrize("command", ["inspect", "train", "eval", "score"])
+    def test_manifest_not_utf8_exit_3(self, workspace, tmp_path, capsys, command):
+        data = copied_data(workspace, tmp_path)
+        manifest = (data / "manifest.json").read_bytes()
+        (data / "manifest.json").write_bytes(manifest.replace(b'"v00000"', b'"v\xff0000"'))
+        ckpt = str(workspace["run"] / "best.ckpt")
+        argv = {
+            "inspect": ["inspect", str(data)],
+            "train": ["train", "--config", str(workspace["config"]), "--data", str(data), "--out", str(tmp_path / "o")],
+            "eval": ["eval", "--checkpoint", ckpt, "--data", str(data)],
+            "score": ["score", "--checkpoint", ckpt, "--data", str(data), "--query", "q00000"],
+        }[command]
+        self.run(capsys, argv, 3, "manifest.json is not UTF-8 JSON")
+
+    @pytest.mark.parametrize("command", ["inspect", "eval"])
+    @pytest.mark.parametrize("damage", DAMAGE)
+    def test_checkpoint_sidecar_exit_3(self, workspace, tmp_path, capsys, damage, command):
+        make, match = self.DAMAGE[damage]
+        ckpt = tmp_path / "c.ckpt"
+        ckpt.write_bytes((workspace["run"] / "best.ckpt").read_bytes())
+        make(tmp_path / "c.ckpt.json")
+        argv = {"inspect": ["inspect", str(ckpt)],
+                "eval": ["eval", "--checkpoint", str(ckpt), "--data", str(workspace["data"])]}[command]
+        self.run(capsys, argv, 3, f"c.ckpt.json {match}")

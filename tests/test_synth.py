@@ -4,17 +4,7 @@ import numpy as np
 import pytest
 
 from trifuse import synth
-from trifuse.data import (
-    KIND_VECTOR,
-    ContainerError,
-    Dataset,
-    ItemRecord,
-    Manifest,
-    QueryRecord,
-    read_container,
-    read_dataset,
-    write_container,
-)
+from trifuse.data import Dataset, ItemRecord, Manifest, QueryRecord
 from trifuse.fusion import FusionMode, FusionParams, precompute_index
 from trifuse.losses import affinity_from_teacher
 from trifuse.similarity import score_matrix
@@ -26,7 +16,6 @@ from trifuse.synth import (
     _orthonormal,
     _unit_rows,
     generate,
-    load_latents,
     oracle_rank,
     oracle_scores,
     write_synthetic,
@@ -217,7 +206,7 @@ class TestChunkedGenerator:
         write_synthetic(cfg, tmp_path / "chunked")
         monkeypatch.setattr(synth, "generate", reference_generate)
         write_synthetic(cfg, tmp_path / "reference")
-        for filename in ("manifest.json", "tensors.sve", "latents.sve"):
+        for filename in ("manifest.json", "tensors.sve"):
             same = (tmp_path / "chunked" / filename).read_bytes() == (tmp_path / "reference" / filename).read_bytes()
             assert same, filename
 
@@ -339,45 +328,6 @@ class TestGenerate:
         # construction-level guard only: tiny datasets still generate
         ds, _ = generate(config(n_items=4))
         assert len(ds.items) == 4
-
-
-class TestSidecar:
-    def test_write_read_round_trip(self, tmp_path):
-        ds, store = write_synthetic(config(), tmp_path / "ds")
-        back = read_dataset(tmp_path / "ds")
-        assert sorted(back.items) == sorted(ds.items)
-        loaded = load_latents(tmp_path / "ds", store.item_ids, sorted(ds.queries))
-        np.testing.assert_allclose(loaded.z_vis, store.z_vis, atol=1e-7)
-        # any ids, in any order, come back as the rows of those ids
-        rows = [7, 0, 59, 3]
-        item_ids, query_ids = [store.item_ids[k] for k in rows], ["q00042", "q00001"]
-        loaded = load_latents(tmp_path / "ds", item_ids, query_ids)
-        assert loaded.item_ids == item_ids
-        for name in ("z_vis", "z_aud", "z_sp"):
-            np.testing.assert_array_equal(getattr(loaded, name), getattr(store, name)[rows])
-        assert list(loaded.query_latent) == query_ids
-        for qid in query_ids:
-            np.testing.assert_array_equal(loaded.query_latent[qid], store.query_latent[qid])
-        # gathered into new arrays: the store does not hold the sidecar mapped
-        arrays = [loaded.z_vis, loaded.z_aud, loaded.z_sp, *loaded.query_latent.values()]
-        assert all(arr.flags.writeable for arr in arrays)
-
-    def test_one_record_per_latent_field(self, tmp_path):
-        write_synthetic(config(), tmp_path / "ds")
-        records = read_container(tmp_path / "ds" / "latents.sve")
-        assert {name: arr.shape for name, (_, arr) in records.items()} == {
-            "latent/z_vis": (60, 8), "latent/z_aud": (60, 8), "latent/z_sp": (60, 8), "latent/query": (60, 8)
-        }
-        # a sidecar in the older one-record-per-item layout is refused
-        write_container(tmp_path / "ds" / "latents.sve", {"latent/v00000/z_vis": (KIND_VECTOR, np.ones(8))})
-        with pytest.raises(ContainerError, match="lacks record latent/z_vis"):
-            load_latents(tmp_path / "ds", ["v00000"], [])
-
-    def test_missing_sidecar_raises(self, tmp_path):
-        write_synthetic(config(), tmp_path / "ds")
-        (tmp_path / "ds" / "latents.sve").unlink()
-        with pytest.raises(FileNotFoundError):
-            load_latents(tmp_path / "ds", [], [])
 
 
 class TestOracle:

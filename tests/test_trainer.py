@@ -219,23 +219,34 @@ class TestCosineLr:
 
 class TestClip:
     def test_large_gradients_scaled_to_max_norm(self):
-        p = parameter(np.zeros(3))
-        p.grad = np.array([3.0, 4.0, 0.0])
-        norm = clip_global_norm([("p", p)], max_norm=1.0)
-        assert norm == pytest.approx(5.0)
-        assert np.linalg.norm(p.grad) == pytest.approx(1.0, rel=1e-6)
+        """Clipping scales the gathered vector in place; through Adam.step,
+        the step returns the norm before clipping, updates with the clipped
+        gradients and leaves every `.grad` as it was."""
+        flat = np.array([3.0, 4.0, 0.0])
+        assert clip_global_norm(flat, max_norm=1.0) == pytest.approx(5.0)
+        assert np.linalg.norm(flat) == pytest.approx(1.0, rel=1e-6)
+        a, b = parameter(np.zeros(2)), parameter(np.zeros(1))
+        a.grad, b.grad = np.array([3.0, 0.0]), np.array([4.0])
+        opt = Adam([("a", a), ("b", b)])
+        assert opt.step(lr=0.1, max_norm=1.0) == pytest.approx(5.0)
+        np.testing.assert_allclose(opt.m, 0.1 * np.array([0.6, 0.0, 0.8]), rtol=1e-12)
+        np.testing.assert_array_equal(a.grad, [3.0, 0.0])
+        np.testing.assert_array_equal(b.grad, [4.0])
 
     def test_small_gradients_untouched(self):
-        p = parameter(np.zeros(2))
-        p.grad = np.array([0.1, 0.2])
-        clip_global_norm([("p", p)], max_norm=1.0)
-        np.testing.assert_array_equal(p.grad, [0.1, 0.2])
+        flat = np.array([0.1, 0.2])
+        assert clip_global_norm(flat, max_norm=1.0) == pytest.approx(math.sqrt(0.05))
+        np.testing.assert_array_equal(flat, [0.1, 0.2])
 
     def test_no_max_norm_only_measures(self):
+        flat = np.array([3.0, 4.0, 0.0])
+        assert clip_global_norm(flat, max_norm=None) == pytest.approx(5.0)
+        np.testing.assert_array_equal(flat, [3.0, 4.0, 0.0])
         p = parameter(np.zeros(3))
         p.grad = np.array([3.0, 4.0, 0.0])
-        assert clip_global_norm([("p", p)], max_norm=None) == pytest.approx(5.0)
-        np.testing.assert_array_equal(p.grad, [3.0, 4.0, 0.0])
+        opt = Adam([("p", p)])
+        assert opt.step(lr=0.1) == pytest.approx(5.0)
+        np.testing.assert_allclose(opt.m, 0.1 * np.array([3.0, 4.0, 0.0]), rtol=1e-12)
 
 
 class TestConfig:
@@ -363,15 +374,14 @@ class TestStepDiagnostics:
         assert any(rec["teacher_items"] > 0 for rec in steps)
 
     def test_grad_norm_is_the_norm_before_clipping(self, monkeypatch):
-        """Step 0's grad_norm is the norm of the gradients clipping received,
-        recomputed here, and the same with clipping off."""
+        """Step 0's grad_norm is the norm of the gathered gradients clipping
+        received, recomputed here, and the same with clipping off."""
         clip = trainer.clip_global_norm
         norms = []
 
-        def recording(named_params, max_norm):
-            grads = [p.grad.astype(np.float64).ravel() for _, p in named_params if p.grad is not None]
-            norms.append(float(np.linalg.norm(np.concatenate(grads))))
-            return clip(named_params, max_norm)
+        def recording(flat, max_norm):
+            norms.append(float(np.linalg.norm(flat.astype(np.float64))))
+            return clip(flat, max_norm)
 
         monkeypatch.setattr(trainer, "clip_global_norm", recording)
         clipped = train(small_config(epochs=1, grad_clip=1e-3), small_dataset(seed=12))
@@ -386,25 +396,21 @@ class TestZeroCopyGradients:
         """Gradients are stored without a copy, so one array may be the .grad
         of several tensors. With every stored gradient made read-only, a
         save/soft_albef step (forward, backward, clipping, Adam) must run:
-        any in-place write into a gradient raises."""
+        any in-place write into a gradient raises. Clipping scales only the
+        vector Adam gathers, so it must not receive a gradient array."""
         accumulate, clip = ad._accumulate, trainer.clip_global_norm
-
-        def lock(t):
-            if isinstance(t.grad, np.ndarray):
-                t.grad.flags.writeable = False
 
         def accumulate_read_only(t, g):
             accumulate(t, g)
-            lock(t)
+            if isinstance(t.grad, np.ndarray):
+                t.grad.flags.writeable = False
 
-        def clip_read_only(named_params, max_norm):
-            norm = clip(named_params, max_norm)
-            for _, p in named_params:
-                lock(p)
-            return norm
+        def clip_own_vector(flat, max_norm):
+            assert flat.flags.writeable and flat.flags.owndata
+            return clip(flat, max_norm)
 
         monkeypatch.setattr(ad, "_accumulate", accumulate_read_only)
-        monkeypatch.setattr(trainer, "clip_global_norm", clip_read_only)
+        monkeypatch.setattr(trainer, "clip_global_norm", clip_own_vector)
         config = small_config(epochs=1, batch_size=16, grad_clip=1e-3, mode=FusionMode.SAVE,
                               align_kind=AlignKind.SOFT_ALBEF)
         result = train(config, small_dataset(seed=13))
