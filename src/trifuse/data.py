@@ -103,6 +103,14 @@ def read_json(path):
         raise ContainerError(f"{path} is not UTF-8 JSON: {err}") from err
 
 
+def write_json(path, doc) -> None:
+    """Write `doc` to `path` atomically as compact JSON, keys sorted, with a
+    final newline: equal documents give equal bytes. With no indent,
+    `json.dumps` runs CPython's C encoder. `read_json` reads it back, as it
+    reads the indented files of older versions."""
+    atomic_write(path, (json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n").encode())
+
+
 def write_container(path, records: dict[str, tuple[int, np.ndarray]]) -> None:
     """Write named float32 arrays. `records` maps name -> (kind, 2D or 1D array).
     The arrays are written from their own memory, not copied into one payload."""
@@ -403,7 +411,7 @@ def write_dataset(dataset: Dataset, path) -> None:
     _check(manifest_doc, records)
     path = Path(path)
     path.mkdir(parents=True, exist_ok=True)
-    atomic_write(path / MANIFEST_NAME, (json.dumps(manifest_doc, indent=2, sort_keys=True) + "\n").encode())
+    write_json(path / MANIFEST_NAME, manifest_doc)
     write_container(path / TENSORS_NAME, records)
 
 

@@ -12,7 +12,6 @@ the raw visual tokens.
 from __future__ import annotations
 
 import inspect
-import json
 import math
 import numbers
 from dataclasses import dataclass
@@ -24,8 +23,8 @@ import numpy as np
 from . import autodiff as ad
 from . import nn
 from .autodiff import Tensor
-from .data import (KIND_TOKENS, KIND_VECTOR, ContainerError, ItemRecord, Manifest, atomic_write, read_container,
-                   read_json, resolve_missing, write_container)
+from .data import (KIND_TOKENS, KIND_VECTOR, ContainerError, ItemRecord, Manifest, read_container, read_json,
+                   resolve_missing, write_container, write_json)
 
 
 class FusionMode(str, Enum):
@@ -135,7 +134,7 @@ def save_params(params: FusionParams, path) -> None:
     write_container(path, records)
     meta = dict(params.arch)
     meta["dtype"] = params.dtype.name
-    atomic_write(Path(str(path) + ".json"), (json.dumps(meta, indent=2, sort_keys=True) + "\n").encode())
+    write_json(Path(str(path) + ".json"), meta)
 
 
 def load_params(path) -> FusionParams:
@@ -274,7 +273,7 @@ def save_index(index: VideoIndex, path) -> None:
     write_container(path, {"index/tokens": (KIND_TOKENS, index.tokens.reshape(n * m, d)),
                            "index/pooled": (KIND_TOKENS, index.pooled)})
     meta = {"mode": index.mode.value, "item_ids": index.item_ids, "m": m}
-    atomic_write(Path(str(path) + ".json"), (json.dumps(meta, indent=2, sort_keys=True) + "\n").encode())
+    write_json(Path(str(path) + ".json"), meta)
 
 
 def load_index(path) -> VideoIndex:

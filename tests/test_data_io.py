@@ -25,8 +25,10 @@ from trifuse.data import (
     resolve_missing,
     write_container,
     write_dataset,
+    write_json,
 )
-from trifuse.fusion import FusionMode, FusionParams, VideoIndex, forward_video, save_index, save_params
+from trifuse.fusion import (FusionMode, FusionParams, VideoIndex, forward_video, load_index, load_params, save_index,
+                            save_params)
 from trifuse.synth import SynthConfig, generate
 
 
@@ -591,6 +593,36 @@ class TestBuiltOnLookup:
 def _index(n=2, m=2, d=3) -> VideoIndex:
     tokens = np.arange(n * m * d, dtype=np.float32).reshape(n, m, d)
     return VideoIndex(FusionMode.SAVE, [f"v{i}" for i in range(n)], tokens, tokens.mean(axis=1))
+
+
+class TestWriteJson:
+    """Manifests and checkpoint and index sidecars are compact JSON, keys
+    sorted; files written indented by older versions still load."""
+
+    def test_compact_sorted_bytes(self, tmp_path):
+        write_json(tmp_path / "d.json", {"b": [1, 2.5], "a": {"z": None, "y": "\u00e9", "x": True}})
+        assert (tmp_path / "d.json").read_bytes() == b'{"a":{"x":true,"y":"\\u00e9","z":null},"b":[1,2.5]}\n'
+
+    @pytest.mark.parametrize("written", ["manifest.json", "c.ckpt.json", "g.idx.json"])
+    def test_every_sidecar_is_one_compact_line(self, tmp_path, written):
+        write_dataset(tiny_dataset(), tmp_path)
+        save_params(FusionParams(dim=4, frames=2, heads=2), tmp_path / "c.ckpt")
+        save_index(_index(), tmp_path / "g.idx")
+        blob = (tmp_path / written).read_bytes()
+        assert blob == (json.dumps(json.loads(blob), sort_keys=True, separators=(",", ":")) + "\n").encode()
+
+    def test_indented_files_still_load(self, tmp_path):
+        ds = tiny_dataset()
+        write_dataset(ds, tmp_path / "ds")
+        params = FusionParams(dim=4, frames=2, heads=2, seed=3)
+        save_params(params, tmp_path / "c.ckpt")
+        save_index(_index(n=3), tmp_path / "g.idx")
+        for path in (tmp_path / "ds" / "manifest.json", tmp_path / "c.ckpt.json", tmp_path / "g.idx.json"):
+            path.write_text(json.dumps(json.loads(path.read_text()), indent=2, sort_keys=True) + "\n")
+        _assert_fields_equal(read_dataset(tmp_path / "ds"), ds)
+        assert load_params(tmp_path / "c.ckpt").arch == params.arch
+        index = load_index(tmp_path / "g.idx")
+        assert index.item_ids == ["v0", "v1", "v2"] and index.tokens.tobytes() == _index(n=3).tokens.tobytes()
 
 
 class TestAtomicWrite:
