@@ -5,9 +5,10 @@ One JSON config file drives generation ("synth" section) and training
 checkpoint records the fusion mode and sharpness it was trained with; `eval`
 and `score` score with both, and `--mode` overrides the mode. Exit codes:
 0 success, 2 config parse error (including a config file that is a
-directory or not UTF-8, an out-of-range value, such as a train sharpness
-outside (0, 80] or heads, fusion_depth, resampler_depth or max_audio_len
-below 1, and a `score --k` below 1), 3 IO error (a missing file, a
+directory or not UTF-8 or a path under a regular file, an out-of-range
+value, such as a train sharpness outside (0, 80], heads, fusion_depth,
+resampler_depth or max_audio_len below 1, or a seed that is not an integer
+>= 0, and a `score --k` below 1), 3 IO error (a missing file, a
 container, manifest or checkpoint sidecar that is malformed or a directory,
 a manifest or checkpoint sidecar that is not UTF-8, a manifest with a duplicate id or a wrongly typed field, a checkpoint sidecar sharpness outside (0, 80],
 fusion mode not among `--mode`'s choices, size below 1, heads that do not
@@ -23,6 +24,7 @@ config's heads do not divide), 6 unknown query id.
 from __future__ import annotations
 
 import argparse
+import collections
 import dataclasses
 import json
 import logging
@@ -61,7 +63,7 @@ def _load_config_section(path: str | None, section: str) -> dict:
         return {}
     try:
         doc = read_json(path)
-    except FileNotFoundError as err:
+    except (FileNotFoundError, NotADirectoryError) as err:
         raise ConfigError(f"config file not found: {path}") from err
     except ContainerError as err:
         raise ConfigError(f"bad config file: {err}") from err
@@ -114,6 +116,16 @@ def _mode(args, params) -> FusionMode:
     return FusionMode(args.mode or params.arch["mode"])
 
 
+def _group_counts(item_entries: list[dict]) -> dict[str, int]:
+    """Items per group, from the manifest entries; untagged items under "untagged"."""
+    return dict(sorted(collections.Counter(entry["group"] or "untagged" for entry in item_entries).items()))
+
+
+def _fraction(item_entries: list[dict], holds) -> float:
+    """The fraction of entries for which `holds` is true, to 6 places; 0.0 without entries."""
+    return round(sum(map(holds, item_entries)) / len(item_entries), 6) if item_entries else 0.0
+
+
 def cmd_gen(args) -> int:
     cfg = _build(SynthConfig, _load_config_section(args.config, "synth"), {"seed": args.seed}, "synth")
     out = Path(args.out)
@@ -121,19 +133,13 @@ def cmd_gen(args) -> int:
         print(f"refusing to overwrite non-empty {out} (use --force)", file=sys.stderr)
         return EXIT_IO
     dataset, _ = write_synthetic(cfg, out)
-    groups = {}
-    for item in dataset.items.values():
-        groups[item.group] = groups.get(item.group, 0) + 1
+    entries = dataset.item_entries
     summary = {
-        "items": len(dataset.items),
-        "queries": len(dataset.queries),
-        "groups": dict(sorted(groups.items())),
-        "missing_audio_fraction": round(
-            sum(1 for i in dataset.items.values() if i.audio_tokens is None) / len(dataset.items), 6
-        ),
-        "missing_speech_fraction": round(
-            sum(1 for i in dataset.items.values() if i.speech_tokens is None) / len(dataset.items), 6
-        ),
+        "items": len(entries),
+        "queries": len(dataset.query_entries),
+        "groups": _group_counts(entries),
+        "missing_audio_fraction": _fraction(entries, lambda entry: not entry["audio_len"]),
+        "missing_speech_fraction": _fraction(entries, lambda entry: not entry["speech_len"]),
         "splits": {k: len(v["items"]) for k, v in dataset.manifest.splits.items()},
         "out": str(out),
     }
@@ -268,12 +274,7 @@ def cmd_inspect(args) -> int:
     path = Path(args.path)
     if path.is_dir():
         dataset = read_dataset(path)
-        man = dataset.manifest
-        n = len(dataset.items)
-        groups = {}
-        for item in dataset.items.values():
-            key = item.group or "untagged"
-            groups[key] = groups.get(key, 0) + 1
+        man, entries = dataset.manifest, dataset.item_entries
         print(json.dumps(
             {
                 "kind": "dataset",
@@ -282,17 +283,11 @@ def cmd_inspect(args) -> int:
                 "frames": man.frames,
                 "speech_pad": man.speech_pad,
                 "audio_pad": man.audio_pad,
-                "items": n,
-                "queries": len(dataset.queries),
-                "groups": dict(sorted(groups.items())),
-                "audio_fraction": round(sum(1 for i in dataset.items.values() if i.audio_tokens is not None) / n, 6)
-                if n
-                else 0.0,
-                "speech_fraction": round(
-                    sum(1 for i in dataset.items.values() if i.speech_tokens is not None) / n, 6
-                )
-                if n
-                else 0.0,
+                "items": len(entries),
+                "queries": len(dataset.query_entries),
+                "groups": _group_counts(entries),
+                "audio_fraction": _fraction(entries, lambda entry: entry["audio_len"] > 0),
+                "speech_fraction": _fraction(entries, lambda entry: entry["speech_len"] > 0),
                 "splits": {k: {"items": len(v["items"]), "queries": len(v["queries"])} for k, v in man.splits.items()},
             },
             indent=2,

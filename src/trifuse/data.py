@@ -18,15 +18,22 @@ with rows in the manifest's (sorted) item or query order: `items/visual`
 another), `items/teacher_video` and `items/teacher_audio` (one row per item
 with teacher embeddings) and `queries/embedding` (n_q, d). Each manifest item
 entry gives its `audio_len` and `speech_len` (0: the modality is absent) and
-`has_teacher`. `read_container` maps the container read-only, and
-`read_dataset` builds each item and query the first time it is looked up:
-items are read-only views into the mapped records. One function, `_check`,
-decides whether a manifest and its records form a valid dataset:
-`write_dataset` applies it before anything touches disk, and `read_dataset`
-applies it to every entry and record before it returns, so a lookup never
-fails. It runs one finiteness pass over each record. A dataset in the older
-one-record-per-item layout is rejected for lacking `items/visual`; regenerate
-it with `trifuse gen`.
+`has_teacher`.
+
+A `Dataset` in memory is the same thing whatever its source: those six
+arrays (its `columns`) and the manifest's item and query entries, with each
+item and query built the first time it is looked up, as views into the
+columns. `read_dataset` maps the container read-only (`read_container`);
+`synth.generate` hands over its generator arrays; `Dataset.from_records`
+stacks hand-built records once, checking each record's shapes. One
+function, `_check`, decides whether a manifest and its records form a valid
+dataset: `write_dataset` applies it to the dataset's own entries and columns
+before anything touches disk, and `read_dataset` applies it to every entry
+and record before it returns, so a lookup never fails. It runs one
+finiteness pass over each record. The manifest and the checkpoint and index
+sidecars are compact JSON (`write_json`). A dataset in the older
+one-record-per-item layout is rejected for lacking `items/visual`;
+regenerate it with `trifuse gen`.
 """
 
 from __future__ import annotations
@@ -36,6 +43,7 @@ import collections
 import itertools
 import json
 import mmap
+import numbers
 import os
 import struct
 from collections.abc import Mapping
@@ -247,23 +255,80 @@ class LazyRecords(Mapping):
         return len(self._rows)
 
 
-@dataclass
+@dataclass(eq=False)
 class Dataset:
+    """A dataset as its container and manifest hold it, whatever its source.
+
+    `columns` maps each name of DATASET_RECORDS to its 2-D float32 array, rows
+    in entry order: exactly the container's records. `item_entries` and
+    `query_entries` are the manifest's entries, in its order: an item's id,
+    group, `audio_len`, `speech_len` and `has_teacher`; a query's id, gt and
+    group. `items` and `queries` build each record the first time it is
+    looked up, as views into the columns."""
+
     manifest: Manifest
-    items: Mapping[str, ItemRecord]
-    queries: Mapping[str, QueryRecord]
-    # Each item's audio length in tokens (0: absent), in `items` order.
-    # `read_dataset` takes it from the manifest so that `longest_audio` builds
-    # no item; None: `longest_audio` measures the items.
-    audio_lens: list[int] | None = None
+    columns: dict[str, np.ndarray]
+    item_entries: list[dict]
+    query_entries: list[dict]
+    items: Mapping[str, ItemRecord] = field(init=False, repr=False)
+    queries: Mapping[str, QueryRecord] = field(init=False, repr=False)
+
+    def __post_init__(self):
+        self.items, self.queries = _records(self.manifest.frames, self.columns, self.item_entries, self.query_entries)
+
+    @classmethod
+    def from_records(cls, manifest: Manifest, items: Mapping[str, ItemRecord],
+                     queries: Mapping[str, QueryRecord]) -> Dataset:
+        """Hand-built records as columns, stacked once in sorted id order.
+        Each array's shape is checked here, naming its item or query."""
+        d, d_t = manifest.dim, manifest.teacher_dim
+        items = [items[i] for i in sorted(items)]
+        queries = [queries[q] for q in sorted(queries)]
+        for item in items:
+            if item.visual_tokens.shape != (manifest.frames, d):
+                raise ValidationError(
+                    f"item {item.item_id}: visual tokens shape {item.visual_tokens.shape}, "
+                    f"expected ({manifest.frames}, {d})"
+                )
+            for name, tok in (("audio", item.audio_tokens), ("speech", item.speech_tokens)):
+                if tok is not None and (tok.ndim != 2 or tok.shape[1] != d):
+                    raise ValidationError(f"item {item.item_id}: {name} tokens must be Lx{d}, got {tok.shape}")
+            for name, vec in (("teacher_video", item.teacher_video), ("teacher_audio", item.teacher_audio)):
+                if vec is not None and vec.shape != (d_t,):
+                    raise ValidationError(f"item {item.item_id}: {name} must have dim {d_t}, got {vec.shape}")
+        for query in queries:
+            if query.embedding.shape != (d,):
+                raise ValidationError(f"query {query.query_id}: embedding dim {query.embedding.shape}, expected {d}")
+        teachers = [item for item in items if item.has_teacher()]
+
+        def stacked(arrays: list[np.ndarray], cols: int, join=np.concatenate) -> np.ndarray:
+            return np.asarray(join(arrays), dtype=np.float32) if arrays else np.zeros((0, cols), dtype=np.float32)
+
+        columns = {
+            "items/visual": stacked([item.visual_tokens for item in items], d),
+            "items/audio": stacked([item.audio_tokens for item in items if item.audio_tokens is not None], d),
+            "items/speech": stacked([item.speech_tokens for item in items if item.speech_tokens is not None], d),
+            "items/teacher_video": stacked([item.teacher_video for item in teachers], d_t, np.stack),
+            "items/teacher_audio": stacked([item.teacher_audio for item in teachers], d_t, np.stack),
+            "queries/embedding": stacked([query.embedding for query in queries], d, np.stack),
+        }
+        item_entries = [
+            {
+                "id": item.item_id,
+                "group": item.group,
+                "audio_len": 0 if item.audio_tokens is None else len(item.audio_tokens),
+                "speech_len": 0 if item.speech_tokens is None else len(item.speech_tokens),
+                "has_teacher": item.has_teacher(),
+            }
+            for item in items
+        ]
+        query_entries = [{"id": q.query_id, "gt": q.ground_truth_item, "group": q.group} for q in queries]
+        return cls(manifest, columns, item_entries, query_entries)
 
     def longest_audio(self) -> int:
         """The longest item audio in tokens, absent audio counting as the
         zero-fill (`audio_pad`) that stands in for it; 0 without items."""
-        lens = self.audio_lens
-        if lens is None:
-            lens = [0 if it.audio_tokens is None else len(it.audio_tokens) for it in self.items.values()]
-        return max((n or self.manifest.audio_pad for n in lens), default=0)
+        return max((entry["audio_len"] or self.manifest.audio_pad for entry in self.item_entries), default=0)
 
     def split_items(self, split: str) -> list[ItemRecord]:
         return [self.items[i] for i in self.manifest.splits[split]["items"]]
@@ -281,14 +346,62 @@ class Dataset:
         return first
 
 
-def _check(doc: dict, records: dict) -> dict[str, list[int]]:
+def _row_ends(item_entries: list[dict], n_queries: int, frames: int) -> dict[str, list[int]]:
+    """Each container record's end row per item or query, in entry order."""
+    teachers = list(itertools.accumulate(int(entry["has_teacher"]) for entry in item_entries))
+    return {
+        "items/visual": range(frames, frames * len(item_entries) + 1, frames),
+        "items/audio": list(itertools.accumulate(entry["audio_len"] for entry in item_entries)),
+        "items/speech": list(itertools.accumulate(entry["speech_len"] for entry in item_entries)),
+        "items/teacher_video": teachers,
+        "items/teacher_audio": teachers,
+        "queries/embedding": range(1, n_queries + 1),
+    }
+
+
+def _records(frames: int, columns: dict, item_entries: list[dict], query_entries: list[dict]):
+    """The one record builder: the items and queries of a dataset's columns
+    and entries, each built on its first lookup. Items are views into the
+    columns. The builders hold the columns and entries, not the dataset, so
+    that records and mappings keep no container mapped beyond their use."""
+    ends = _row_ends(item_entries, len(query_entries), frames)
+
+    def rows(name: str, k: int) -> np.ndarray | None:
+        """Item k's rows of a token record; None where it has none."""
+        start, end = ends[name][k - 1] if k else 0, ends[name][k]
+        return columns[name][start:end] if end > start else None
+
+    def teacher(name: str, k: int) -> np.ndarray | None:
+        return columns[name][ends[name][k] - 1] if item_entries[k]["has_teacher"] else None
+
+    def item(k: int) -> ItemRecord:
+        return ItemRecord(
+            item_id=item_entries[k]["id"],
+            visual_tokens=columns["items/visual"][k * frames : (k + 1) * frames],
+            audio_tokens=rows("items/audio", k),
+            speech_tokens=rows("items/speech", k),
+            teacher_video=teacher("items/teacher_video", k),
+            teacher_audio=teacher("items/teacher_audio", k),
+            group=item_entries[k]["group"],
+        )
+
+    def query(k: int) -> QueryRecord:
+        entry = query_entries[k]
+        return QueryRecord(query_id=entry["id"], embedding=columns["queries/embedding"][k],
+                           ground_truth_item=entry["gt"], group=entry["group"])
+
+    return (LazyRecords([entry["id"] for entry in item_entries], item),
+            LazyRecords([entry["id"] for entry in query_entries], query))
+
+
+def _check(doc: dict, records: dict) -> None:
     """The one rule for a valid dataset, as a manifest document and its six
     container records state it; `write_dataset` and `read_dataset` both apply
     it. It checks m >= 1 and d >= 2; that item and query ids are unique
     strings; each item's row counts and each group and ground-truth item;
     each record's shape and finiteness, naming the owner of the first bad row;
-    and split members. Returns each record's end row per id. A field of the
-    wrong JSON type surfaces as KeyError, TypeError or ValueError."""
+    and split members. A field of the wrong JSON type surfaces as KeyError,
+    TypeError or ValueError."""
     dim, teacher_dim, frames = int(doc["dim"]), int(doc["teacher_dim"]), int(doc["m"])
     if frames < 1 or dim < 2:
         raise ValidationError(f"manifest requires m >= 1 and d >= 2, got m={frames} d={dim}")
@@ -310,35 +423,33 @@ def _check(doc: dict, records: dict) -> dict[str, list[int]]:
         if meta["group"] is not None and meta["group"] not in GROUPS:
             raise ValidationError(f"query {meta['id']}: unknown group {meta['group']!r}")
 
-    teachers = [int(meta["has_teacher"]) for meta in items]
-    row_counts = {
-        "items/visual": [frames] * len(items),
-        "items/audio": [meta["audio_len"] for meta in items],
-        "items/speech": [meta["speech_len"] for meta in items],
+    teachers = sum(meta["has_teacher"] for meta in items)
+    row_totals = {
+        "items/visual": frames * len(items),
+        "items/audio": sum(meta["audio_len"] for meta in items),
+        "items/speech": sum(meta["speech_len"] for meta in items),
         "items/teacher_video": teachers,
         "items/teacher_audio": teachers,
-        "queries/embedding": [1] * len(queries),
+        "queries/embedding": len(queries),
     }
-    ends = {}
-    for name, lengths in row_counts.items():
+    for name, rows in row_totals.items():
         kind, label = DATASET_RECORDS[name]
-        ends[name] = list(itertools.accumulate(lengths))
         arr = records[name][1]
-        rows, cols = ends[name][-1] if ends[name] else 0, teacher_dim if "teacher" in name else dim
+        cols = teacher_dim if "teacher" in name else dim
         if arr.shape != (rows, cols):
             raise ContainerError(f"record {name} has shape {arr.shape}, the manifest implies ({rows}, {cols})")
         finite = np.isfinite(arr)
         if not finite.all():
             row = int(np.argmin(finite.all(axis=1)))
             owners = item_ids if kind == "item" else query_ids
-            raise ValidationError(f"{kind} {owners[bisect.bisect_right(ends[name], row)]}: non-finite {label}")
+            ends = _row_ends(items, len(queries), frames)[name]
+            raise ValidationError(f"{kind} {owners[bisect.bisect_right(ends, row)]}: non-finite {label}")
 
     for split, members in doc["splits"].items():
         for kind, known, key in (("item", known_items, "items"), ("query", known_queries, "queries")):
             if not known.issuperset(members[key]):
                 unknown = next(i for i in members[key] if i not in known)
                 raise ValidationError(f"split {split}: unknown {kind} {unknown}")
-    return ends
 
 
 def _id_set(ids: list[str], kind: str) -> set[str]:
@@ -354,60 +465,21 @@ def _id_set(ids: list[str], kind: str) -> set[str]:
 
 
 def write_dataset(dataset: Dataset, path) -> None:
-    """Emit manifest + tensor container; byte-deterministic for equal input.
-    Nothing is written unless the dataset passes `_check`."""
+    """Emit manifest + tensor container from the dataset's own entries and
+    columns; byte-deterministic for equal input. Nothing is written unless the
+    dataset passes `_check`."""
     man = dataset.manifest
-    items = [dataset.items[i] for i in sorted(dataset.items)]
-    queries = [dataset.queries[q] for q in sorted(dataset.queries)]
-    # The in-memory arrays are checked item by item before they are stacked,
-    # so that a wrongly shaped one is named.
-    for item in items:
-        if item.visual_tokens.shape != (man.frames, man.dim):
-            raise ValidationError(
-                f"item {item.item_id}: visual tokens shape {item.visual_tokens.shape}, "
-                f"expected ({man.frames}, {man.dim})"
-            )
-        for name, tok in (("audio", item.audio_tokens), ("speech", item.speech_tokens)):
-            if tok is not None and (tok.ndim != 2 or tok.shape[1] != man.dim):
-                raise ValidationError(f"item {item.item_id}: {name} tokens must be Lx{man.dim}, got {tok.shape}")
-        for name, vec in (("teacher_video", item.teacher_video), ("teacher_audio", item.teacher_audio)):
-            if vec is not None and vec.shape != (man.teacher_dim,):
-                raise ValidationError(f"item {item.item_id}: {name} must have dim {man.teacher_dim}, got {vec.shape}")
-    for query in queries:
-        if query.embedding.shape != (man.dim,):
-            raise ValidationError(f"query {query.query_id}: embedding dim {query.embedding.shape}, expected {man.dim}")
-    teachers = [item for item in items if item.has_teacher()]
-
-    def stacked(arrays: list[np.ndarray], cols: int, join=np.concatenate) -> tuple[int, np.ndarray]:
-        return KIND_TOKENS, join(arrays) if arrays else np.zeros((0, cols), dtype=np.float32)
-
-    records = {
-        "items/visual": stacked([item.visual_tokens for item in items], man.dim),
-        "items/audio": stacked([item.audio_tokens for item in items if item.audio_tokens is not None], man.dim),
-        "items/speech": stacked([item.speech_tokens for item in items if item.speech_tokens is not None], man.dim),
-        "items/teacher_video": stacked([item.teacher_video for item in teachers], man.teacher_dim, np.stack),
-        "items/teacher_audio": stacked([item.teacher_audio for item in teachers], man.teacher_dim, np.stack),
-        "queries/embedding": stacked([query.embedding for query in queries], man.dim, np.stack),
-    }
     manifest_doc = {
         "dim": man.dim,
         "teacher_dim": man.teacher_dim,
         "m": man.frames,
         "n_s": man.speech_pad,
         "l_a0": man.audio_pad,
-        "items": [
-            {
-                "id": item.item_id,
-                "group": item.group,
-                "audio_len": 0 if item.audio_tokens is None else len(item.audio_tokens),
-                "speech_len": 0 if item.speech_tokens is None else len(item.speech_tokens),
-                "has_teacher": item.has_teacher(),
-            }
-            for item in items
-        ],
-        "queries": [{"id": q.query_id, "gt": q.ground_truth_item, "group": q.group} for q in queries],
+        "items": dataset.item_entries,
+        "queries": dataset.query_entries,
         "splits": man.splits,
     }
+    records = {name: (KIND_TOKENS, dataset.columns[name]) for name in DATASET_RECORDS}
     _check(manifest_doc, records)
     path = Path(path)
     path.mkdir(parents=True, exist_ok=True)
@@ -433,7 +505,7 @@ def read_dataset(path) -> Dataset:
     # missing or wrongly typed field surfaces as one of the errors below.
     # Every field the items are built from has been read by `_check`.
     try:
-        ends = _check(doc, records)
+        _check(doc, records)
         man = Manifest(
             dim=int(doc["dim"]),
             teacher_dim=int(doc["teacher_dim"]),
@@ -447,47 +519,14 @@ def read_dataset(path) -> Dataset:
     except (KeyError, TypeError, ValueError, AttributeError) as err:
         raise ContainerError(f"malformed {manifest_file} ({type(err).__name__}: {err})") from err
 
-    item_metas, query_metas = doc["items"], doc["queries"]
-    arrays = {name: records[name][1] for name in DATASET_RECORDS}
-    arrays["items/visual"] = arrays["items/visual"].reshape(len(item_metas), man.frames, man.dim)
+    columns = {name: records[name][1] for name in DATASET_RECORDS}
     for name in ("items/teacher_video", "items/teacher_audio"):
-        arrays[name] = _unit_rows(arrays[name])
-
-    def rows(name: str, k: int) -> np.ndarray | None:
-        """Item k's rows of a token record; None where it has none."""
-        start, end = ends[name][k - 1] if k else 0, ends[name][k]
-        return arrays[name][start:end] if end > start else None
-
-    def teacher(name: str, k: int) -> np.ndarray | None:
-        return arrays[name][ends[name][k] - 1] if item_metas[k]["has_teacher"] else None
-
-    def item(k: int) -> ItemRecord:
-        return ItemRecord(
-            item_id=item_metas[k]["id"],
-            visual_tokens=arrays["items/visual"][k],
-            audio_tokens=rows("items/audio", k),
-            speech_tokens=rows("items/speech", k),
-            teacher_video=teacher("items/teacher_video", k),
-            teacher_audio=teacher("items/teacher_audio", k),
-            group=item_metas[k]["group"],
-        )
-
+        columns[name] = _unit_rows(columns[name])
     # Copied: queries often outlive the items (an index is built from the
     # items, then the queries are scored), and views would keep the whole
     # container mapped for them.
-    embeddings = arrays["queries/embedding"].copy()
-
-    def query(k: int) -> QueryRecord:
-        meta = query_metas[k]
-        return QueryRecord(query_id=meta["id"], embedding=embeddings[k], ground_truth_item=meta["gt"],
-                           group=meta["group"])
-
-    return Dataset(
-        manifest=man,
-        items=LazyRecords([meta["id"] for meta in item_metas], item),
-        queries=LazyRecords([meta["id"] for meta in query_metas], query),
-        audio_lens=[meta["audio_len"] for meta in item_metas],
-    )
+    columns["queries/embedding"] = columns["queries/embedding"].copy()
+    return Dataset(man, columns, doc["items"], doc["queries"])
 
 
 def _unit_rows(v: np.ndarray) -> np.ndarray:
@@ -521,6 +560,15 @@ def resolve_missing(item: ItemRecord, manifest: Manifest) -> ItemRecord:
 
 
 # -- batching ----------------------------------------------------------------
+
+
+def check_seed(seed) -> None:
+    """TypeError unless `seed` is an integer, ValueError unless it is >= 0:
+    the seeds `np.random.default_rng` accepts."""
+    if not isinstance(seed, numbers.Integral):
+        raise TypeError(f"seed must be an integer, got {seed!r}")
+    if seed < 0:
+        raise ValueError(f"seed must be an integer >= 0, got {seed!r}")
 
 
 def batch_iter(ids: list[str], batch_size: int, seed: int):

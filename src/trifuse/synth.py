@@ -25,13 +25,14 @@ Knobs:
     what is heard or said.
   Both are skipped at 0, their default.
 
-Items are drawn CHUNK_ITEMS at a time as array operations, and every item's
-and query's arrays are views into one float32 array per field: (n, m, d)
-visual, (items with audio, audio_len, d) audio, (items with speech,
-speech_pad, d) speech, (n, d_t) for each teacher, (n, d) queries and
-latents. The draws follow the per-item order, so the bytes do not depend on
-the chunk size and equal those of an item-by-item loop (tests/test_synth.py
-keeps that loop as the oracle).
+Items are drawn CHUNK_ITEMS at a time as array operations into one float32
+array per field: (n, m, d) visual, (items with audio, audio_len, d) audio,
+(items with speech, speech_pad, d) speech, (n, d_t) for each teacher, (n, d)
+queries and latents. Those arrays are the dataset's columns as they are, and
+the manifest entries come from the group, audio and speech draws, so no
+per-item record is built. The draws follow the per-item order, so the bytes
+do not depend on the chunk size and equal those of an item-by-item loop
+(tests/test_synth.py keeps that loop as the oracle).
 """
 
 from __future__ import annotations
@@ -40,7 +41,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .data import GROUPS, Dataset, ItemRecord, Manifest, QueryRecord, write_dataset
+from .data import GROUPS, Dataset, Manifest, check_seed, write_dataset
 from .evaluation import rank_of
 
 DEFAULT_GROUP_MIX = {"visual": 0.4, "sound": 0.25, "speech": 0.25, "sound_speech": 0.1}
@@ -70,6 +71,7 @@ class SynthConfig:
     seed: int = 0
 
     def __post_init__(self):
+        check_seed(self.seed)
         if self.n_items < 2:
             raise ValueError("need at least 2 items")
         if self.dim < 2:
@@ -224,22 +226,22 @@ def generate(config: SynthConfig) -> tuple[Dataset, LatentStore]:
 
         z_vis_all[lo:hi], z_aud_all[lo:hi], z_sp_all[lo:hi], source_all[lo:hi] = z_vis, z_aud, z_sp, source
 
-    ids = [f"v{i:05d}" for i in range(n)]
-    items = {
-        item_id: ItemRecord(
-            item_id=item_id,
-            visual_tokens=visual[i],
-            audio_tokens=audio[audio_row[i]] if has_audio[i] else None,
-            speech_tokens=speech[speech_row[i]] if has_speech[i] else None,
-            teacher_video=teacher_video[i],
-            teacher_audio=teacher_audio[i],
-            group=groups[i],
-        )
-        for i, item_id in enumerate(ids)
-    }
-    queries = {
-        f"q{i:05d}": QueryRecord(query_id=f"q{i:05d}", embedding=query[i], ground_truth_item=ids[i], group=groups[i])
-        for i in range(n)
+    # zero-padded to one width, so that the ids sort in item order, as a manifest lists them
+    width = max(5, len(str(n - 1)))
+    ids, query_ids = [f"v{i:0{width}d}" for i in range(n)], [f"q{i:0{width}d}" for i in range(n)]
+    lens = zip((has_audio * l_a).tolist(), (has_speech * n_s).tolist())
+    item_entries = [
+        {"id": item_id, "group": group, "audio_len": audio_len, "speech_len": speech_len, "has_teacher": True}
+        for item_id, group, (audio_len, speech_len) in zip(ids, groups, lens)
+    ]
+    query_entries = [{"id": qid, "gt": item_id, "group": group} for qid, item_id, group in zip(query_ids, ids, groups)]
+    columns = {
+        "items/visual": visual.reshape(n * m, d),
+        "items/audio": audio.reshape(-1, d),
+        "items/speech": speech.reshape(-1, d),
+        "items/teacher_video": teacher_video,
+        "items/teacher_audio": teacher_audio,
+        "queries/embedding": query,
     }
 
     split_counts = _largest_remainder_counts(n, config.splits)
@@ -263,13 +265,13 @@ def generate(config: SynthConfig) -> tuple[Dataset, LatentStore]:
         audio_pad=config.frames,
         splits=splits,
     )
-    dataset = Dataset(manifest=manifest, items=items, queries=queries)
+    dataset = Dataset(manifest, columns, item_entries, query_entries)
     store = LatentStore(
         item_ids=ids,
         z_vis=z_vis_all,
         z_aud=z_aud_all,
         z_sp=z_sp_all,
-        query_latent=dict(zip(queries, source_all)),
+        query_latent=dict(zip(query_ids, source_all)),
     )
     return dataset, store
 

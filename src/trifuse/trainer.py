@@ -27,7 +27,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .data import Dataset, ItemRecord, batch_iter, resolve_missing
+from .data import Dataset, ItemRecord, batch_iter, check_seed, resolve_missing
 from .evaluation import summary_metrics
 from .fusion import (DEFAULT_SHARPNESS, FusedBatch, FusionMode, FusionParams, check_sharpness, check_sizes,
                      forward_video, precompute_index, pre_fusion_pooled)
@@ -69,6 +69,7 @@ class TrainConfig:
     def __post_init__(self):
         self.align_kind = AlignKind(self.align_kind)
         self.mode = FusionMode(self.mode)
+        check_seed(self.seed)
         if self.epochs < 1:
             raise ValueError("epochs must be >= 1")
         if self.batch_size < 2:

@@ -158,6 +158,33 @@ class TestTrain:
         assert code == 3
 
 
+class TestSeed:
+    """A seed is an integer >= 0, given as a flag or as a config key; any
+    other exits 2 before anything is written, never with a traceback."""
+
+    CASES = {"flag_negative": (["--seed", "-1"], {}), "key_negative": ([], {"seed": -2}),
+             "key_float": ([], {"seed": 1.5})}
+
+    @pytest.mark.parametrize("case", CASES)
+    def test_gen_exit_2(self, tmp_path, capsys, case):
+        flags, section = self.CASES[case]
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps({"synth": {"n_items": 8, **section}}))
+        assert main(["gen", "--config", str(cfg), "--out", str(tmp_path / "d"), *flags]) == 2
+        assert "seed must be an integer" in capsys.readouterr().err
+        assert not (tmp_path / "d").exists()
+
+    @pytest.mark.parametrize("case", CASES)
+    def test_train_exit_2(self, workspace, tmp_path, capsys, case):
+        flags, section = self.CASES[case]
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps({"train": section}))
+        argv = ["train", "--config", str(cfg), "--data", str(workspace["data"]), "--out", str(tmp_path / "o"), *flags]
+        assert main(argv) == 2
+        assert "seed must be an integer" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+
 def long_audio_data(tmp_path):
     """A dataset whose audio (70 tokens) exceeds the default max_audio_len of 64."""
     cfg = tmp_path / "long.json"
@@ -570,6 +597,12 @@ class TestUnreadableJson:
         make(tmp_path / "c.json")
         self.run(capsys, ["gen", "--config", str(tmp_path / "c.json"), "--out", str(tmp_path / "d")], 2,
                  f"c.json {match}")
+        assert not (tmp_path / "d").exists()
+
+    def test_config_under_a_file_exit_2(self, tmp_path, capsys):
+        (tmp_path / "c.json").write_text("{}")
+        self.run(capsys, ["gen", "--config", str(tmp_path / "c.json" / "x"), "--out", str(tmp_path / "d")], 2,
+                 "config file not found")
         assert not (tmp_path / "d").exists()
 
     @pytest.mark.parametrize("command", ["inspect", "train", "eval", "score"])

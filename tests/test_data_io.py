@@ -5,12 +5,14 @@ import json
 import mmap
 import os
 import struct
+import tracemalloc
 import weakref
 
 import numpy as np
 import pytest
 
 from trifuse import data
+from trifuse.cli import main
 from trifuse.data import (
     GROUPS,
     ContainerError,
@@ -29,10 +31,11 @@ from trifuse.data import (
 )
 from trifuse.fusion import (FusionMode, FusionParams, VideoIndex, forward_video, load_index, load_params, save_index,
                             save_params)
-from trifuse.synth import SynthConfig, generate
+from trifuse.synth import SynthConfig, generate, write_synthetic
 
 
-def tiny_dataset(n_items=4, d=6, d_t=5, m=3, seed=0) -> Dataset:
+def tiny_records(n_items=4, d=6, d_t=5, m=3, seed=0) -> tuple[Manifest, dict, dict]:
+    """A manifest and hand-built item and query records, before they become a dataset."""
     rng = np.random.default_rng(seed)
     items, queries = {}, {}
     for i in range(n_items):
@@ -60,7 +63,11 @@ def tiny_dataset(n_items=4, d=6, d_t=5, m=3, seed=0) -> Dataset:
         audio_pad=m,
         splits={"train": {"items": ids[:2], "queries": qids[:2]}, "test": {"items": ids, "queries": qids}},
     )
-    return Dataset(manifest=manifest, items=items, queries=queries)
+    return manifest, items, queries
+
+
+def tiny_dataset(**kwargs) -> Dataset:
+    return Dataset.from_records(*tiny_records(**kwargs))
 
 
 class TestContainer:
@@ -200,34 +207,35 @@ class TestDatasetIO:
         assert (tmp_path / "a" / "tensors.sve").read_bytes() == (tmp_path / "b" / "tensors.sve").read_bytes()
         assert (tmp_path / "a" / "manifest.json").read_bytes() == (tmp_path / "b" / "manifest.json").read_bytes()
 
-    def test_dim_violation_names_item(self, tmp_path):
-        ds = tiny_dataset()
-        ds.items["it001"].visual_tokens = np.zeros((2, 6), dtype=np.float32)  # wrong row count
+    def test_dim_violation_names_item(self):
+        """Hand-built records are checked, item by item, where they become columns."""
+        manifest, items, queries = tiny_records()
+        items["it001"].visual_tokens = np.zeros((2, 6), dtype=np.float32)  # wrong row count
         with pytest.raises(ValidationError, match="it001"):
-            write_dataset(ds, tmp_path / "ds")
-        # each in-memory field whose shape is checked before stacking
+            Dataset.from_records(manifest, items, queries)
+        # each hand-built field whose shape is checked before stacking
         for owner, field, value, match in [
             ("it000", "audio_tokens", np.zeros((4, 5)), r"item it000: audio tokens must be Lx6, got \(4, 5\)"),
             ("it003", "speech_tokens", np.zeros(6), r"item it003: speech tokens must be Lx6, got \(6,\)"),
             ("it002", "teacher_audio", np.zeros(4), r"item it002: teacher_audio must have dim 5, got \(4,\)"),
             ("q001", "embedding", np.zeros(7), r"query q001: embedding dim \(7,\), expected 6"),
         ]:
-            ds = tiny_dataset()
-            setattr(ds.queries[owner] if owner.startswith("q") else ds.items[owner], field, value.astype(np.float32))
+            manifest, items, queries = tiny_records()
+            setattr(queries[owner] if owner.startswith("q") else items[owner], field, value.astype(np.float32))
             with pytest.raises(ValidationError, match=match):
-                write_dataset(ds, tmp_path / "ds")
-        assert not (tmp_path / "ds").exists()
+                Dataset.from_records(manifest, items, queries)
 
     def test_unknown_gt_rejected(self, tmp_path):
-        ds = tiny_dataset()
-        ds.queries["q000"].ground_truth_item = "missing"
+        manifest, items, queries = tiny_records()
+        queries["q000"].ground_truth_item = "missing"
         with pytest.raises(ValidationError, match="q000"):
-            write_dataset(ds, tmp_path / "ds")
+            write_dataset(Dataset.from_records(manifest, items, queries), tmp_path / "ds")
+        assert not (tmp_path / "ds").exists()
 
     def test_teacher_vectors_unit_norm_after_load(self, tmp_path):
-        ds = tiny_dataset()
-        ds.items["it000"].teacher_video = np.full(5, 2.0, dtype=np.float32)  # norm != 1 on disk
-        write_dataset(ds, tmp_path / "ds")
+        manifest, items, queries = tiny_records()
+        items["it000"].teacher_video = np.full(5, 2.0, dtype=np.float32)  # norm != 1 on disk
+        write_dataset(Dataset.from_records(manifest, items, queries), tmp_path / "ds")
         back = read_dataset(tmp_path / "ds")
         assert abs(np.linalg.norm(back.items["it000"].teacher_video) - 1.0) < 1e-6
 
@@ -317,7 +325,7 @@ class TestDatasetIO:
             read_dataset(tmp_path / "ds")
 
     def test_empty_dataset(self, tmp_path):
-        ds = Dataset(Manifest(dim=4, teacher_dim=2, frames=1, speech_pad=2, audio_pad=1), {}, {})
+        ds = Dataset.from_records(Manifest(dim=4, teacher_dim=2, frames=1, speech_pad=2, audio_pad=1), {}, {})
         write_dataset(ds, tmp_path / "ds")
         back = read_dataset(tmp_path / "ds")
         assert back.items == {} and back.queries == {}
@@ -351,7 +359,7 @@ def mixed_dataset(d=4, d_t=3, m=2) -> Dataset:
     }
     manifest = Manifest(dim=d, teacher_dim=d_t, frames=m, speech_pad=2, audio_pad=3,
                         splits={"test": {"items": sorted(items), "queries": sorted(queries)}})
-    return Dataset(manifest=manifest, items=items, queries=queries)
+    return Dataset.from_records(manifest, items, queries)
 
 
 ITEM_FIELDS = ("visual_tokens", "audio_tokens", "speech_tokens", "teacher_video", "teacher_audio")
@@ -360,7 +368,7 @@ ITEM_FIELDS = ("visual_tokens", "audio_tokens", "speech_tokens", "teacher_video"
 class TestPerFieldLayout:
     @pytest.mark.parametrize(
         "ds",
-        [mixed_dataset(), Dataset(Manifest(dim=4, teacher_dim=2, frames=1, speech_pad=2, audio_pad=1), {}, {})],
+        [mixed_dataset(), Dataset.from_records(Manifest(dim=4, teacher_dim=2, frames=1, speech_pad=2, audio_pad=1), {}, {})],
         ids=["mixed", "empty"],
     )
     def test_round_trip_bit_exact(self, tmp_path, ds):
@@ -490,13 +498,14 @@ class TestBuiltOnLookup:
 
     @staticmethod
     def count_built(monkeypatch) -> list[str]:
-        built = []
+        """The ids of the ItemRecords made from now on, however they are made."""
+        built, init = [], ItemRecord.__init__
 
-        def counted(**fields):
-            built.append(fields["item_id"])
-            return ItemRecord(**fields)
+        def counted(self, *args, **kwargs):
+            init(self, *args, **kwargs)
+            built.append(self.item_id)
 
-        monkeypatch.setattr(data, "ItemRecord", counted)
+        monkeypatch.setattr(ItemRecord, "__init__", counted)
         return built
 
     def test_only_the_split_looked_up_is_built(self, tmp_path, monkeypatch):
@@ -566,9 +575,9 @@ class TestBuiltOnLookup:
         ds.manifest.audio_pad = 9  # longer than any item's audio (6 tokens)
         write_dataset(ds, tmp_path / "ds")
         assert ds.longest_audio() == read_dataset(tmp_path / "ds").longest_audio() == 9
-        ds.items = {k: v for k, v in ds.items.items() if v.audio_tokens is not None}
-        assert ds.longest_audio() == 6
-        assert Dataset(ds.manifest, {}, {}).longest_audio() == 0
+        with_audio = {k: v for k, v in ds.items.items() if v.audio_tokens is not None}
+        assert Dataset.from_records(ds.manifest, with_audio, {}).longest_audio() == 6
+        assert Dataset.from_records(ds.manifest, {}, {}).longest_audio() == 0
 
     def test_bad_group_on_the_last_item_fails_the_read(self, tmp_path):
         write_dataset(mixed_dataset(), tmp_path / "ds")
@@ -593,6 +602,59 @@ class TestBuiltOnLookup:
 def _index(n=2, m=2, d=3) -> VideoIndex:
     tokens = np.arange(n * m * d, dtype=np.float32).reshape(n, m, d)
     return VideoIndex(FusionMode.SAVE, [f"v{i}" for i in range(n)], tokens, tokens.mean(axis=1))
+
+
+class TestWrittenFromColumns:
+    """A dataset is its columns and entries whatever its source: the generator
+    hands over its arrays, `write_dataset` writes them as they are, and no
+    item record is built to generate, summarise or write a dataset."""
+
+    # correspondence noise and missing audio and speech: token records of
+    # uneven length and a background-soundtrack pool
+    CONFIG = dict(n_items=300, correspondence_noise=0.3, missing_audio=0.2, missing_speech=0.3, seed=6)
+
+    def test_same_bytes_as_written_from_item_records(self, tmp_path):
+        ds, _ = write_synthetic(SynthConfig(**self.CONFIG), tmp_path / "columns")
+        rebuilt = Dataset.from_records(ds.manifest, dict(ds.items), dict(ds.queries))
+        write_dataset(rebuilt, tmp_path / "records")
+        assert ds.columns["items/audio"].shape[0] < 300 * 12 and ds.columns["items/speech"].shape[0] < 300 * 32
+        blobs = [(tmp_path / side / "tensors.sve").read_bytes() for side in ("columns", "records")]
+        assert blobs[0] == blobs[1]
+        docs = [json.loads((tmp_path / side / "manifest.json").read_text()) for side in ("columns", "records")]
+        assert docs[0] == docs[1]
+
+    @pytest.mark.parametrize("route", ["generate", "gen", "inspect"])
+    def test_builds_no_item_record(self, tmp_path, monkeypatch, capsys, route):
+        write_synthetic(SynthConfig(**self.CONFIG), tmp_path / "ds")
+        (tmp_path / "c.json").write_text(json.dumps({"synth": self.CONFIG}))
+        built = TestBuiltOnLookup.count_built(monkeypatch)
+        if route == "generate":
+            assert len(generate(SynthConfig(**self.CONFIG))[0].items) == 300
+        else:
+            argv = {"gen": ["gen", "--config", str(tmp_path / "c.json"), "--out", str(tmp_path / "gen")],
+                    "inspect": ["inspect", str(tmp_path / "ds")]}
+            assert main(argv[route]) == 0
+            summary = json.loads(capsys.readouterr().out)
+            assert summary["items"] == 300 and sum(summary["groups"].values()) == 300
+        assert built == []
+
+    def test_write_allocates_under_half_the_token_bytes(self, tmp_path):
+        """The columns are written from their own memory: no stacked copy of
+        the token records, no large JSON chunks."""
+        ds, _ = generate(SynthConfig(n_items=2000, seed=1))
+        token_bytes = sum(
+            getattr(item, name).nbytes
+            for item in ds.items.values()
+            for name in ("visual_tokens", "audio_tokens", "speech_tokens")
+            if getattr(item, name) is not None
+        )
+        tracemalloc.start()
+        try:
+            write_dataset(ds, tmp_path / "ds")
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < token_bytes / 2, (peak, token_bytes)
 
 
 class TestWriteJson:
@@ -684,19 +746,20 @@ class TestResolveMissing:
     @pytest.mark.parametrize("field", ["audio_tokens", "speech_tokens"])
     def test_zero_row_modality_fuses_as_missing(self, tmp_path, field):
         """A present but empty modality is zero-filled as a missing one is, so
-        the in-memory dataset and its written and read-back copy fuse to the
-        same finite tokens (read back, the item's modality is absent)."""
+        the hand-built records and their written and read-back copy fuse to the
+        same finite tokens (as columns, the item's modality is absent)."""
         ds, _ = generate(SynthConfig(n_items=8, dim=8, frames=3, audio_len=4, speech_pad=4, seed=0))
-        first = sorted(ds.items)[0]
-        ds.items[first] = dataclasses.replace(ds.items[first], **{field: np.zeros((0, 8), dtype=np.float32)})
-        write_dataset(ds, tmp_path / "d")
+        items = dict(ds.items)
+        first = sorted(items)[0]
+        items[first] = dataclasses.replace(items[first], **{field: np.zeros((0, 8), dtype=np.float32)})
+        write_dataset(Dataset.from_records(ds.manifest, items, dict(ds.queries)), tmp_path / "d")
         back = read_dataset(tmp_path / "d")
         assert getattr(back.items[first], field) is None
         params = FusionParams(dim=8, frames=3, heads=2, seed=0)
         params.audio_fusion.gate.data = np.asarray(0.5, dtype=params.dtype)
         params.speech_fusion.gate.data = np.asarray(0.5, dtype=params.dtype)
-        fused = [forward_video([resolve_missing(d.items[i], d.manifest) for i in sorted(d.items)], params,
-                               FusionMode.SAVE).tokens.data for d in (ds, back)]
+        fused = [forward_video([resolve_missing(records[i], ds.manifest) for i in sorted(records)], params,
+                               FusionMode.SAVE).tokens.data for records in (items, back.items)]
         assert np.all(np.isfinite(fused[0]))
         np.testing.assert_array_equal(fused[0], fused[1])
 

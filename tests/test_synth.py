@@ -116,7 +116,7 @@ def reference_generate(config: SynthConfig) -> tuple[Dataset, LatentStore]:
         audio_pad=config.frames,
         splits=splits,
     )
-    dataset = Dataset(manifest=manifest, items=items, queries=queries)
+    dataset = Dataset.from_records(manifest, items, queries)
     store = LatentStore(
         item_ids=ids,
         z_vis=np.stack(z_vis_all).astype(np.float32),
@@ -285,6 +285,11 @@ class TestGenerate:
     def test_bad_mix_rejected(self):
         with pytest.raises(ValueError, match="sum to 1"):
             config(group_mix={"visual": 0.5, "sound": 0.1, "speech": 0.1, "sound_speech": 0.1})
+
+    @pytest.mark.parametrize("seed, error", [(-1, ValueError), (2.0, TypeError), ("3", TypeError)])
+    def test_seed_that_is_not_an_integer_at_least_0_rejected(self, seed, error):
+        with pytest.raises(error, match="seed must be an integer"):
+            config(seed=seed)
 
     def test_splits_partition_items(self):
         ds, _ = generate(config(n_items=50))

@@ -258,6 +258,11 @@ class TestConfig:
         with pytest.raises(ValueError, match="epochs"):
             TrainConfig(epochs=0)
 
+    @pytest.mark.parametrize("seed, error", [(-1, ValueError), (2.0, TypeError), ("3", TypeError)])
+    def test_rejects_seed_that_is_not_an_integer_at_least_0(self, seed, error):
+        with pytest.raises(error, match="seed must be an integer"):
+            TrainConfig(seed=seed)
+
     def test_coerces_enum_strings(self):
         cfg = TrainConfig(mode="save", align_kind="none")
         assert cfg.mode is FusionMode.SAVE
