@@ -46,7 +46,7 @@ import mmap
 import numbers
 import os
 import struct
-from collections.abc import Mapping
+from collections.abc import Mapping, Sequence
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
@@ -274,7 +274,8 @@ class Dataset:
     queries: Mapping[str, QueryRecord] = field(init=False, repr=False)
 
     def __post_init__(self):
-        self.items, self.queries = _records(self.manifest.frames, self.columns, self.item_entries, self.query_entries)
+        self.items, self.queries = _built_on_lookup(self.manifest.frames, self.columns, self.item_entries,
+                                                    self.query_entries)
 
     @classmethod
     def from_records(cls, manifest: Manifest, items: Mapping[str, ItemRecord],
@@ -346,7 +347,7 @@ class Dataset:
         return first
 
 
-def _row_ends(item_entries: list[dict], n_queries: int, frames: int) -> dict[str, list[int]]:
+def _row_ends(item_entries: list[dict], n_queries: int, frames: int) -> dict[str, Sequence[int]]:
     """Each container record's end row per item or query, in entry order."""
     teachers = list(itertools.accumulate(int(entry["has_teacher"]) for entry in item_entries))
     return {
@@ -359,11 +360,12 @@ def _row_ends(item_entries: list[dict], n_queries: int, frames: int) -> dict[str
     }
 
 
-def _records(frames: int, columns: dict, item_entries: list[dict], query_entries: list[dict]):
+def _built_on_lookup(frames: int, columns: dict, item_entries: list[dict], query_entries: list[dict]):
     """The one record builder: the items and queries of a dataset's columns
-    and entries, each built on its first lookup. Items are views into the
-    columns. The builders hold the columns and entries, not the dataset, so
-    that records and mappings keep no container mapped beyond their use."""
+    and entries, each built on its first lookup, as views into the columns.
+    The builders close over the columns and entries, not over the dataset: a
+    reference cycle would keep a mapped container alive until the garbage
+    collector runs."""
     ends = _row_ends(item_entries, len(query_entries), frames)
 
     def rows(name: str, k: int) -> np.ndarray | None:

@@ -368,7 +368,8 @@ ITEM_FIELDS = ("visual_tokens", "audio_tokens", "speech_tokens", "teacher_video"
 class TestPerFieldLayout:
     @pytest.mark.parametrize(
         "ds",
-        [mixed_dataset(), Dataset.from_records(Manifest(dim=4, teacher_dim=2, frames=1, speech_pad=2, audio_pad=1), {}, {})],
+        [mixed_dataset(),
+         Dataset.from_records(Manifest(dim=4, teacher_dim=2, frames=1, speech_pad=2, audio_pad=1), {}, {})],
         ids=["mixed", "empty"],
     )
     def test_round_trip_bit_exact(self, tmp_path, ds):

@@ -286,6 +286,14 @@ class TestGenerate:
         with pytest.raises(ValueError, match="sum to 1"):
             config(group_mix={"visual": 0.5, "sound": 0.1, "speech": 0.1, "sound_speech": 0.1})
 
+    def test_ids_sort_in_item_order_past_99999_items(self):
+        """Ids share one zero-padded width, so the manifest, which lists
+        items and queries in generation order, lists them sorted."""
+        ds, store = generate(SynthConfig(n_items=100_001, dim=2, teacher_dim=1, frames=1, audio_len=1, speech_pad=1))
+        for ids in (list(ds.items), list(ds.queries)):
+            assert ids == sorted(ids) and ids[-1][1:] == "100000"
+        assert store.item_ids == list(ds.items)
+
     @pytest.mark.parametrize("seed, error", [(-1, ValueError), (2.0, TypeError), ("3", TypeError)])
     def test_seed_that_is_not_an_integer_at_least_0_rejected(self, seed, error):
         with pytest.raises(error, match="seed must be an integer"):
