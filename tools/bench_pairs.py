@@ -5,9 +5,11 @@
 
 Each WORKLOAD:SEED:PAIRS argument runs `perfbench/run.py --workload WORKLOAD
 --seed SEED --seconds S --trace 0` PAIRS times in each checkout, one process
-at a time; odd pairs run the base first, even pairs the change. `--base` and
-`--change` are the roots of two full checkouts (the change defaults to this
-one). Make the base with `git archive`, never by checking out over this tree.
+at a time; odd pairs run the base first, even pairs the change. S is the
+`run_seconds` of the change checkout's BENCHMARK.json, the same on both
+sides. `--base` and `--change` are the roots of two full checkouts (the
+change defaults to this one). Make the base with `git archive`, never by
+checking out over this tree.
 
 The output holds, per row (workload and seed), each end-to-end metric's
 median and quartiles on each side, the parent's interquartile range, how many
@@ -34,7 +36,6 @@ def parse_args(argv):
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--base", required=True, type=Path, help="root of the parent's checkout")
     parser.add_argument("--change", type=Path, default=ROOT, help="root of the change's checkout")
-    parser.add_argument("--seconds", type=float, default=10.0, help="perfbench's measured phase per run")
     parser.add_argument("--out", required=True, type=Path)
     parser.add_argument("rows", nargs="+", metavar="WORKLOAD:SEED:PAIRS")
     return parser.parse_args(argv)
@@ -77,6 +78,7 @@ def summarise(workload: str, seed: int, runs: list[dict]) -> dict:
 def main(argv=None) -> int:
     args = parse_args(argv)
     roots = {"base": args.base.resolve(), "change": args.change.resolve()}
+    seconds = json.loads((roots["change"] / "BENCHMARK.json").read_text())["run_seconds"]
     rows, machine = [], None
     for spec in args.rows:
         workload, seed, n_pairs = spec.split(":")
@@ -84,15 +86,15 @@ def main(argv=None) -> int:
         for pair in range(1, int(n_pairs) + 1):
             order = SIDES if pair % 2 else SIDES[::-1]
             for side in order:
-                record = run_once(roots[side], workload, int(seed), args.seconds)
+                record = run_once(roots[side], workload, int(seed), seconds)
                 machine = machine or record["machine"]
                 runs.append({**record, "pair": pair, "side": side, "first": order[0]})
                 print(f"{workload} seed {seed} pair {pair} {side}: "
                       + " ".join(f"{k}={v[0]:.4g}" for k, v in record["end_to_end"].items()), flush=True)
         rows.append(summarise(workload, int(seed), runs))
     doc = {
-        "command": f"python3 tools/bench_pairs.py --seconds {args.seconds:g} " + " ".join(args.rows),
-        "perfbench": {"seconds": args.seconds, "trace": 0},
+        "command": "python3 tools/bench_pairs.py " + " ".join(args.rows),
+        "perfbench": {"seconds": seconds, "trace": 0},
         "machine": machine,
         "rows": rows,
     }
