@@ -261,10 +261,10 @@ class Dataset:
 
     `columns` maps each name of DATASET_RECORDS to its 2-D float32 array, rows
     in entry order: exactly the container's records. `item_entries` and
-    `query_entries` are the manifest's entries, in its order: an item's id,
-    group, `audio_len`, `speech_len` and `has_teacher`; a query's id, gt and
-    group. `items` and `queries` build each record the first time it is
-    looked up, as views into the columns."""
+    `query_entries` are the manifest's entries, in its order, which is sorted
+    by id: an item's id, group, `audio_len`, `speech_len` and `has_teacher`;
+    a query's id, gt and group. `items` and `queries` build each record the
+    first time it is looked up, as views into the columns."""
 
     manifest: Manifest
     columns: dict[str, np.ndarray]
@@ -400,7 +400,7 @@ def _check(doc: dict, records: dict) -> None:
     """The one rule for a valid dataset, as a manifest document and its six
     container records state it; `write_dataset` and `read_dataset` both apply
     it. It checks m >= 1 and d >= 2; that item and query ids are unique
-    strings; each item's row counts and each group and ground-truth item;
+    strings listed in sorted order; each item's row counts and each group and ground-truth item;
     each record's shape and finiteness, naming the owner of the first bad row;
     and split members. A field of the wrong JSON type surfaces as KeyError,
     TypeError or ValueError."""
@@ -455,7 +455,8 @@ def _check(doc: dict, records: dict) -> None:
 
 
 def _id_set(ids: list[str], kind: str) -> set[str]:
-    """`ids` as a set, each checked to be a string that is listed once."""
+    """`ids` as a set, each checked to be a string that is listed once, in
+    sorted order."""
     for owner in ids:
         if type(owner) is not str:
             raise ContainerError(f"{kind} id {owner!r} is not a string")
@@ -463,6 +464,9 @@ def _id_set(ids: list[str], kind: str) -> set[str]:
     if len(unique) < len(ids):
         counts = collections.Counter(ids)
         raise ValidationError(f"duplicate {kind} id {next(i for i in ids if counts[i] > 1)}")
+    for before, after in zip(ids, ids[1:]):
+        if before > after:
+            raise ValidationError(f"{kind} ids out of order: {before} is listed before {after}")
     return unique
 
 

@@ -304,6 +304,10 @@ class TestDatasetIO:
             (lambda doc: doc["items"][2].update(id="it001"), ValidationError, "duplicate item id it001"),
             (lambda doc: doc["queries"][3].update(id="q000"), ValidationError, "duplicate query id q000"),
             (lambda doc: doc["queries"][1].update(id=7), ContainerError, "query id 7 is not a string"),
+            (lambda doc: doc["items"].insert(0, doc["items"].pop(1)), ValidationError,
+             "item ids out of order: it001 is listed before it000"),
+            (lambda doc: doc["queries"].append(doc["queries"].pop(0)), ValidationError,
+             "query ids out of order: q003 is listed before q000"),
             (lambda doc: doc["items"][1].update(has_teacher=1), ContainerError,
              "item it001: has_teacher is 1, not a boolean"),
             (lambda doc: doc["queries"][2].update(group="music"), ValidationError,
@@ -313,7 +317,7 @@ class TestDatasetIO:
             (lambda doc: doc.update(m=0), ValidationError, "manifest requires m >= 1 and d >= 2, got m=0 d=6"),
         ],
         ids=["missing_key", "wrong_type", "gt_list", "split_member_list", "duplicate_item", "duplicate_query",
-             "query_id_int", "has_teacher_int", "unknown_group", "unknown_split_member", "zero_frames"],
+             "query_id_int", "unsorted_items", "unsorted_queries", "has_teacher_int", "unknown_group", "unknown_split_member", "zero_frames"],
     )
     def test_malformed_manifest_raises(self, tmp_path, edit, error, match):
         write_dataset(tiny_dataset(), tmp_path / "ds")
@@ -638,6 +642,16 @@ class TestWrittenFromColumns:
             summary = json.loads(capsys.readouterr().out)
             assert summary["items"] == 300 and sum(summary["groups"].values()) == 300
         assert built == []
+
+    def test_write_refuses_entries_out_of_id_order(self, tmp_path):
+        """The manifest lists ids in sorted order, the order of the rows: a
+        dataset whose entries are not in that order writes nothing."""
+        ds = generate(SynthConfig(n_items=20, seed=1))[0]
+        entries = ds.item_entries[::-1]
+        shuffled = Dataset(ds.manifest, ds.columns, entries, ds.query_entries)
+        with pytest.raises(ValidationError, match="item ids out of order: v00019 is listed before v00018"):
+            write_dataset(shuffled, tmp_path / "ds")
+        assert not (tmp_path / "ds").exists() or not any((tmp_path / "ds").iterdir())
 
     def test_write_allocates_under_half_the_token_bytes(self, tmp_path):
         """The columns are written from their own memory: no stacked copy of
