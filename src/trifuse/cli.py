@@ -54,8 +54,18 @@ ALIGN_CHOICES = [k.value for k in AlignKind]
 logger = logging.getLogger(__name__)
 
 
-class ConfigError(ValueError):
-    pass
+class Refusal(Exception):
+    """An input a command refuses: `main` prints the message to stderr and
+    exits with `code`."""
+
+    def __init__(self, code: int, message: str):
+        super().__init__(message)
+        self.code = code
+
+
+class ConfigError(Refusal):
+    def __init__(self, message: str):
+        super().__init__(EXIT_CONFIG, f"config error: {message}")
 
 
 def _load_config_section(path: str | None, section: str) -> dict:
@@ -88,27 +98,22 @@ def _build(cls, section: dict, overrides: dict, section_name: str):
         raise ConfigError(f"bad {section_name} config: {err}") from err
 
 
-def _audio_too_long(dataset, max_audio_len: int) -> bool:
-    """True, with a message, if an item's audio (or the zero-fill standing in
-    for missing audio) is longer than the resampler accepts."""
+def _refuse_long_audio(dataset, max_audio_len: int) -> None:
+    """Refuse (exit 5) a dataset with an item whose audio (or the zero-fill
+    standing in for missing audio) is longer than the resampler accepts."""
     longest = dataset.longest_audio()
     if longest > max_audio_len:
-        print(f"audio length {longest} exceeds max_audio_len {max_audio_len}", file=sys.stderr)
-    return longest > max_audio_len
+        raise Refusal(EXIT_DIM, f"audio length {longest} exceeds max_audio_len {max_audio_len}")
 
 
-def _checkpoint_mismatch(params, dataset) -> bool:
-    """True, with a message, if the checkpoint cannot run on the dataset: its
-    d or m differ, or the dataset's audio is too long for its resampler."""
+def _refuse_mismatch(params, dataset) -> None:
+    """Refuse (exit 5) a checkpoint that cannot run on the dataset: its d or
+    m differ, or the dataset's audio is too long for its resampler."""
     arch, man = params.arch, dataset.manifest
     if arch["dim"] != man.dim or arch["frames"] != man.frames:
-        print(
-            f"checkpoint dims (d={arch['dim']}, m={arch['frames']}) do not match "
-            f"dataset (d={man.dim}, m={man.frames})",
-            file=sys.stderr,
-        )
-        return True
-    return _audio_too_long(dataset, arch["max_audio_len"])
+        raise Refusal(EXIT_DIM, f"checkpoint dims (d={arch['dim']}, m={arch['frames']}) do not match "
+                                f"dataset (d={man.dim}, m={man.frames})")
+    _refuse_long_audio(dataset, arch["max_audio_len"])
 
 
 def _mode(args, params) -> FusionMode:
@@ -126,12 +131,11 @@ def _fraction(item_entries: list[dict], holds) -> float:
     return round(sum(map(holds, item_entries)) / len(item_entries), 6) if item_entries else 0.0
 
 
-def cmd_gen(args) -> int:
+def cmd_gen(args) -> None:
     cfg = _build(SynthConfig, _load_config_section(args.config, "synth"), {"seed": args.seed}, "synth")
     out = Path(args.out)
     if out.exists() and any(out.iterdir()) and not args.force:
-        print(f"refusing to overwrite non-empty {out} (use --force)", file=sys.stderr)
-        return EXIT_IO
+        raise Refusal(EXIT_IO, f"refusing to overwrite non-empty {out} (use --force)")
     dataset, _ = write_synthetic(cfg, out)
     entries = dataset.item_entries
     summary = {
@@ -144,10 +148,9 @@ def cmd_gen(args) -> int:
         "out": str(out),
     }
     print(json.dumps(summary, indent=2, sort_keys=True))
-    return EXIT_OK
 
 
-def cmd_train(args) -> int:
+def cmd_train(args) -> None:
     overrides = {
         "mode": args.mode,
         "seed": args.seed,
@@ -159,19 +162,16 @@ def cmd_train(args) -> int:
     config = _build(TrainConfig, _load_config_section(args.config, "train"), overrides, "train")
     dataset = read_dataset(args.data)
     if dataset.manifest.dim % config.heads:
-        print(f"dataset dim {dataset.manifest.dim} is not divisible by heads {config.heads}", file=sys.stderr)
-        return EXIT_DIM
-    if _audio_too_long(dataset, config.max_audio_len):
-        return EXIT_DIM
+        raise Refusal(EXIT_DIM, f"dataset dim {dataset.manifest.dim} is not divisible by heads {config.heads}")
+    _refuse_long_audio(dataset, config.max_audio_len)
     result = train(config, dataset, val_split="val")
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     log_path = out / "train_log.jsonl"
     atomic_write(log_path, "".join(json.dumps(rec, sort_keys=True) + "\n" for rec in result.log).encode())
     if result.aborted:
-        print(f"training aborted: {result.abort_reason}", file=sys.stderr)
         save_params(result.params, out / "last_good.ckpt")
-        return EXIT_NAN
+        raise Refusal(EXIT_NAN, f"training aborted: {result.abort_reason}")
 
     save_params(result.params, out / "best.ckpt")
     steps = [rec for rec in result.log if "total" in rec]
@@ -188,7 +188,6 @@ def cmd_train(args) -> int:
             sort_keys=True,
         )
     )
-    return EXIT_OK
 
 
 def _transpose_for_v2t(matrix: ScoreMatrix, first_query: dict[str, str]) -> tuple[ScoreMatrix, dict[str, str]]:
@@ -204,19 +203,16 @@ def _transpose_for_v2t(matrix: ScoreMatrix, first_query: dict[str, str]) -> tupl
     return transposed, gt
 
 
-def cmd_eval(args) -> int:
+def cmd_eval(args) -> None:
     params = load_params(args.checkpoint)
     dataset = read_dataset(args.data)
-    if _checkpoint_mismatch(params, dataset):
-        return EXIT_DIM
+    _refuse_mismatch(params, dataset)
     if args.split not in dataset.manifest.splits:
-        print(f"unknown split {args.split!r}", file=sys.stderr)
-        return EXIT_IO
+        raise Refusal(EXIT_IO, f"unknown split {args.split!r}")
     items = dataset.split_items(args.split)
     queries = dataset.split_queries(args.split)
     if not queries:
-        print(f"split {args.split!r} has no queries", file=sys.stderr)
-        return EXIT_IO
+        raise Refusal(EXIT_IO, f"split {args.split!r} has no queries")
     index = precompute_index(items, params, _mode(args, params), dataset.manifest)
     matrix = score_matrix(index, queries, sharpness=params.arch["sharpness"])
 
@@ -243,17 +239,14 @@ def cmd_eval(args) -> int:
         print("\n".join(lines))
     else:
         print(json.dumps(metrics, indent=2, sort_keys=True))
-    return EXIT_OK
 
 
-def cmd_score(args) -> int:
+def cmd_score(args) -> None:
     params = load_params(args.checkpoint)
     dataset = read_dataset(args.data)
     if args.query not in dataset.queries:
-        print(f"unknown query id: {args.query}", file=sys.stderr)
-        return EXIT_QUERY
-    if _checkpoint_mismatch(params, dataset):
-        return EXIT_DIM
+        raise Refusal(EXIT_QUERY, f"unknown query id: {args.query}")
+    _refuse_mismatch(params, dataset)
     query = dataset.queries[args.query]
     split = next(
         (s for s in sorted(dataset.manifest.splits) if args.query in dataset.manifest.splits[s]["queries"]),
@@ -267,10 +260,9 @@ def cmd_score(args) -> int:
     for j in order[: args.k]:
         marker = " *" if matrix.item_ids[j] == query.ground_truth_item else ""
         print(f"{matrix.item_ids[j]}\t{scores[j]:.6f}{marker}")
-    return EXIT_OK
 
 
-def cmd_inspect(args) -> int:
+def cmd_inspect(args) -> None:
     path = Path(args.path)
     if path.is_dir():
         dataset = read_dataset(path)
@@ -293,7 +285,7 @@ def cmd_inspect(args) -> int:
             indent=2,
             sort_keys=True,
         ))
-        return EXIT_OK
+        return
     params = load_params(path)
     print(json.dumps(
         {
@@ -307,7 +299,6 @@ def cmd_inspect(args) -> int:
         indent=2,
         sort_keys=True,
     ))
-    return EXIT_OK
 
 
 def _positive_int(text: str) -> int:
@@ -369,13 +360,14 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
-    except ConfigError as err:
-        print(f"config error: {err}", file=sys.stderr)
-        return EXIT_CONFIG
+        args.func(args)
+    except Refusal as err:
+        print(err, file=sys.stderr)
+        return err.code
     except (ContainerError, ValidationError, FileNotFoundError, NotADirectoryError) as err:
         print(f"io error: {err}", file=sys.stderr)
         return EXIT_IO
+    return EXIT_OK
 
 
 if __name__ == "__main__":
