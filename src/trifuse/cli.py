@@ -7,18 +7,24 @@ and `score` score with both, and `--mode` overrides the mode. Exit codes:
 0 success, 2 config parse error (including a config file that is a
 directory or not UTF-8 or a path under a regular file, an out-of-range
 value, such as a train sharpness outside (0, 80], heads, fusion_depth,
-resampler_depth or max_audio_len below 1, or a seed that is not an integer
->= 0, and a `score --k` below 1), 3 IO error (a missing file, a
-container, manifest or checkpoint sidecar that is malformed or a directory,
-a manifest or checkpoint sidecar that is not UTF-8, a manifest with a duplicate id or a wrongly typed field, a checkpoint sidecar sharpness outside (0, 80],
+resampler_depth or max_audio_len below 1, a count or size that is not an
+integer, a seed that is not an integer >= 0, an lr or tau_init that is not
+a finite number > 0 or a grad_clip that is neither null nor one, and a
+`score --k` below 1), 3 IO error (a missing file, a container, manifest or
+checkpoint sidecar that is malformed or a directory, a manifest or
+checkpoint sidecar that is not UTF-8, a manifest with a duplicate id or a
+wrongly typed field, a checkpoint sidecar sharpness outside (0, 80],
 fusion mode not among `--mode`'s choices, size below 1, heads that do not
 divide dim or non-float dtype, checkpoint tensors that disagree with their
 sidecar (a parameter missing, of the wrong size, or a `param/` record the
-model lacks), a non-finite embedding, or an eval split that the
-manifest does not list or that has no queries), 4
-training aborted on non-finite loss, 5 checkpoint, config or dataset dimension mismatch
-(including audio longer than max_audio_len, and a dataset dim that the train
-config's heads do not divide), 6 unknown query id.
+model lacks), a non-finite embedding, a split query whose ground-truth item
+is outside that split, an eval split that the manifest does not list or
+that has no queries, or for train a manifest without a train split or a
+train item without a train query), 4 training aborted on non-finite loss,
+5 checkpoint, config or dataset dimension mismatch (including audio longer
+than max_audio_len, a dataset dim that the train config's heads do not
+divide, and a batch size larger than the train split), 6 unknown query id.
+A command refuses by raising `Refusal`; only `main` writes to stderr.
 """
 
 from __future__ import annotations
@@ -163,6 +169,10 @@ def cmd_train(args) -> None:
     dataset = read_dataset(args.data)
     if dataset.manifest.dim % config.heads:
         raise Refusal(EXIT_DIM, f"dataset dim {dataset.manifest.dim} is not divisible by heads {config.heads}")
+    splits = dataset.manifest.splits
+    if "train" in splits and len(splits["train"]["items"]) < config.batch_size:
+        raise Refusal(EXIT_DIM, f"batch size {config.batch_size} exceeds the {len(splits['train']['items'])} "
+                                "items of the train split")
     _refuse_long_audio(dataset, config.max_audio_len)
     result = train(config, dataset, val_split="val")
     out = Path(args.out)

@@ -38,15 +38,13 @@ regenerate it with `trifuse gen`.
 
 from __future__ import annotations
 
-import bisect
 import collections
-import itertools
 import json
 import mmap
 import numbers
 import os
 import struct
-from collections.abc import Mapping, Sequence
+from collections.abc import Mapping
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
@@ -347,16 +345,21 @@ class Dataset:
         return first
 
 
-def _row_ends(item_entries: list[dict], n_queries: int, frames: int) -> dict[str, Sequence[int]]:
-    """Each container record's end row per item or query, in entry order."""
-    teachers = list(itertools.accumulate(int(entry["has_teacher"]) for entry in item_entries))
+def _row_starts(item_entries: list[dict], n_queries: int, frames: int) -> dict[str, np.ndarray]:
+    """The row layout of each container record, in entry order: the k-th
+    item's or query's rows are `starts[k]:starts[k + 1]`, and the last start
+    is the record's row count."""
+    def starts(key: str) -> np.ndarray:
+        return np.cumsum([0] + [entry[key] for entry in item_entries], dtype=np.int64)
+
+    teachers = starts("has_teacher")
     return {
-        "items/visual": range(frames, frames * len(item_entries) + 1, frames),
-        "items/audio": list(itertools.accumulate(entry["audio_len"] for entry in item_entries)),
-        "items/speech": list(itertools.accumulate(entry["speech_len"] for entry in item_entries)),
+        "items/visual": np.arange(len(item_entries) + 1) * frames,
+        "items/audio": starts("audio_len"),
+        "items/speech": starts("speech_len"),
         "items/teacher_video": teachers,
         "items/teacher_audio": teachers,
-        "queries/embedding": range(1, n_queries + 1),
+        "queries/embedding": np.arange(n_queries + 1),
     }
 
 
@@ -366,20 +369,23 @@ def _built_on_lookup(frames: int, columns: dict, item_entries: list[dict], query
     The builders close over the columns and entries, not over the dataset: a
     reference cycle would keep a mapped container alive until the garbage
     collector runs."""
-    ends = _row_ends(item_entries, len(query_entries), frames)
+    # memoryviews of the arrays: they index to Python ints several times
+    # faster than the arrays do, and copy nothing
+    layouts = _row_starts(item_entries, len(query_entries), frames)
+    starts = {name: memoryview(layout) for name, layout in layouts.items()}
 
     def rows(name: str, k: int) -> np.ndarray | None:
         """Item k's rows of a token record; None where it has none."""
-        start, end = ends[name][k - 1] if k else 0, ends[name][k]
+        start, end = starts[name][k], starts[name][k + 1]
         return columns[name][start:end] if end > start else None
 
     def teacher(name: str, k: int) -> np.ndarray | None:
-        return columns[name][ends[name][k] - 1] if item_entries[k]["has_teacher"] else None
+        return columns[name][starts[name][k]] if item_entries[k]["has_teacher"] else None
 
     def item(k: int) -> ItemRecord:
         return ItemRecord(
             item_id=item_entries[k]["id"],
-            visual_tokens=columns["items/visual"][k * frames : (k + 1) * frames],
+            visual_tokens=rows("items/visual", k),
             audio_tokens=rows("items/audio", k),
             speech_tokens=rows("items/speech", k),
             teacher_video=teacher("items/teacher_video", k),
@@ -400,10 +406,12 @@ def _check(doc: dict, records: dict) -> None:
     """The one rule for a valid dataset, as a manifest document and its six
     container records state it; `write_dataset` and `read_dataset` both apply
     it. It checks m >= 1 and d >= 2; that item and query ids are unique
-    strings listed in sorted order; each item's row counts and each group and ground-truth item;
-    each record's shape and finiteness, naming the owner of the first bad row;
-    and split members. A field of the wrong JSON type surfaces as KeyError,
-    TypeError or ValueError."""
+    strings listed in sorted order; each item's row counts and each group and
+    ground-truth item; each record's shape (its `_row_starts`) and
+    finiteness, naming the owner of the first bad row; and split members,
+    each split's queries having their ground-truth items in that split. A
+    field of the wrong JSON type surfaces as KeyError, TypeError or
+    ValueError."""
     dim, teacher_dim, frames = int(doc["dim"]), int(doc["teacher_dim"]), int(doc["m"])
     if frames < 1 or dim < 2:
         raise ValidationError(f"manifest requires m >= 1 and d >= 2, got m={frames} d={dim}")
@@ -425,33 +433,28 @@ def _check(doc: dict, records: dict) -> None:
         if meta["group"] is not None and meta["group"] not in GROUPS:
             raise ValidationError(f"query {meta['id']}: unknown group {meta['group']!r}")
 
-    teachers = sum(meta["has_teacher"] for meta in items)
-    row_totals = {
-        "items/visual": frames * len(items),
-        "items/audio": sum(meta["audio_len"] for meta in items),
-        "items/speech": sum(meta["speech_len"] for meta in items),
-        "items/teacher_video": teachers,
-        "items/teacher_audio": teachers,
-        "queries/embedding": len(queries),
-    }
-    for name, rows in row_totals.items():
+    for name, starts in _row_starts(items, len(queries), frames).items():
         kind, label = DATASET_RECORDS[name]
         arr = records[name][1]
-        cols = teacher_dim if "teacher" in name else dim
+        rows, cols = int(starts[-1]), teacher_dim if "teacher" in name else dim
         if arr.shape != (rows, cols):
             raise ContainerError(f"record {name} has shape {arr.shape}, the manifest implies ({rows}, {cols})")
         finite = np.isfinite(arr)
         if not finite.all():
-            row = int(np.argmin(finite.all(axis=1)))
             owners = item_ids if kind == "item" else query_ids
-            ends = _row_ends(items, len(queries), frames)[name]
-            raise ValidationError(f"{kind} {owners[bisect.bisect_right(ends, row)]}: non-finite {label}")
+            owner = owners[np.searchsorted(starts, np.argmin(finite.all(axis=1)), side="right") - 1]
+            raise ValidationError(f"{kind} {owner}: non-finite {label}")
 
+    gt_of = {meta["id"]: meta["gt"] for meta in queries}
     for split, members in doc["splits"].items():
         for kind, known, key in (("item", known_items, "items"), ("query", known_queries, "queries")):
             if not known.issuperset(members[key]):
                 unknown = next(i for i in members[key] if i not in known)
                 raise ValidationError(f"split {split}: unknown {kind} {unknown}")
+        split_items = set(members["items"])
+        if not split_items.issuperset(map(gt_of.get, members["queries"])):
+            query = next(q for q in members["queries"] if gt_of[q] not in split_items)
+            raise ValidationError(f"split {split}: query {query}'s ground-truth item {gt_of[query]} is outside it")
 
 
 def _id_set(ids: list[str], kind: str) -> set[str]:
@@ -568,13 +571,14 @@ def resolve_missing(item: ItemRecord, manifest: Manifest) -> ItemRecord:
 # -- batching ----------------------------------------------------------------
 
 
-def check_seed(seed) -> None:
-    """TypeError unless `seed` is an integer, ValueError unless it is >= 0:
-    the seeds `np.random.default_rng` accepts."""
-    if not isinstance(seed, numbers.Integral):
-        raise TypeError(f"seed must be an integer, got {seed!r}")
-    if seed < 0:
-        raise ValueError(f"seed must be an integer >= 0, got {seed!r}")
+def check_ints(least: int, **values) -> None:
+    """TypeError unless every value is an integer, ValueError unless it is
+    >= `least`: the one check of a config's counts, sizes and seeds."""
+    for name, value in values.items():
+        if not isinstance(value, numbers.Integral):
+            raise TypeError(f"{name} must be an integer, got {value!r}")
+        if value < least:
+            raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
 
 
 def batch_iter(ids: list[str], batch_size: int, seed: int):

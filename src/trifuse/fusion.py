@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import inspect
 import math
-import numbers
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
@@ -23,8 +22,8 @@ import numpy as np
 from . import autodiff as ad
 from . import nn
 from .autodiff import Tensor
-from .data import (KIND_TOKENS, KIND_VECTOR, ContainerError, ItemRecord, Manifest, read_container, read_json,
-                   resolve_missing, write_container, write_json)
+from .data import (KIND_TOKENS, KIND_VECTOR, ContainerError, ItemRecord, Manifest, check_ints, read_container,
+                   read_json, resolve_missing, write_container, write_json)
 
 
 class FusionMode(str, Enum):
@@ -60,20 +59,11 @@ def check_sharpness(sharpness: float) -> float:
     return float(sharpness)
 
 
-def check_sizes(**sizes) -> None:
-    """TypeError unless every size is an integer, ValueError unless it is >= 1."""
-    for name, value in sizes.items():
-        if not isinstance(value, numbers.Integral):
-            raise TypeError(f"{name} must be an integer, got {value!r}")
-        if value < 1:
-            raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
-
-
 class FusionParams(nn.Module):
     """Every trainable tensor of the fusion network, in a fixed order. `arch`
     also records the mode and sharpness the parameters were trained to score
     with, so a checkpoint is scored the way it was trained. A size that is not
-    an integer >= 1 (`check_sizes`), a `dim` that `heads` does not divide and
+    an integer >= 1 (`check_ints`), a `dim` that `heads` does not divide and
     a non-float dtype are refused."""
 
     def __init__(
@@ -90,8 +80,8 @@ class FusionParams(nn.Module):
         dtype=np.float32,
     ):
         sharpness = check_sharpness(sharpness)
-        check_sizes(dim=dim, frames=frames, heads=heads, fusion_depth=fusion_depth,
-                    resampler_depth=resampler_depth, max_audio_len=max_audio_len)
+        check_ints(1, dim=dim, frames=frames, heads=heads, fusion_depth=fusion_depth,
+                   resampler_depth=resampler_depth, max_audio_len=max_audio_len)
         if not np.issubdtype(dtype, np.floating):
             raise ValueError(f"parameters need a float dtype, got {np.dtype(dtype).name}")
         rng = np.random.default_rng(seed)

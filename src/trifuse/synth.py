@@ -41,7 +41,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .data import GROUPS, Dataset, Manifest, check_seed, write_dataset
+from .data import GROUPS, Dataset, Manifest, check_ints, write_dataset
 from .evaluation import rank_of
 
 DEFAULT_GROUP_MIX = {"visual": 0.4, "sound": 0.25, "speech": 0.25, "sound_speech": 0.1}
@@ -71,14 +71,10 @@ class SynthConfig:
     seed: int = 0
 
     def __post_init__(self):
-        check_seed(self.seed)
-        if self.n_items < 2:
-            raise ValueError("need at least 2 items")
-        if self.dim < 2:
-            raise ValueError("dim must be at least 2")
-        for name in ("teacher_dim", "frames", "audio_len", "speech_pad", "background_pool"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be at least 1")
+        check_ints(0, seed=self.seed)
+        check_ints(2, n_items=self.n_items, dim=self.dim)
+        check_ints(1, teacher_dim=self.teacher_dim, frames=self.frames, audio_len=self.audio_len,
+                   speech_pad=self.speech_pad, background_pool=self.background_pool)
         for name in ("noise_scale", "query_noise", "teacher_noise", "audio_drift", "query_visual_mix"):
             if not getattr(self, name) >= 0:
                 raise ValueError(f"{name} must be non-negative")

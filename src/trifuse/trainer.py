@@ -27,10 +27,10 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .data import Dataset, ItemRecord, batch_iter, check_seed, resolve_missing
+from .data import Dataset, ItemRecord, ValidationError, batch_iter, check_ints, resolve_missing
 from .evaluation import summary_metrics
-from .fusion import (DEFAULT_SHARPNESS, FusedBatch, FusionMode, FusionParams, check_sharpness, check_sizes,
-                     forward_video, precompute_index, pre_fusion_pooled)
+from .fusion import (DEFAULT_SHARPNESS, FusedBatch, FusionMode, FusionParams, check_sharpness, forward_video,
+                     precompute_index, pre_fusion_pooled)
 from .losses import (
     AlignKind,
     affinity_from_teacher,
@@ -69,16 +69,17 @@ class TrainConfig:
     def __post_init__(self):
         self.align_kind = AlignKind(self.align_kind)
         self.mode = FusionMode(self.mode)
-        check_seed(self.seed)
-        if self.epochs < 1:
-            raise ValueError("epochs must be >= 1")
+        check_ints(0, seed=self.seed)
+        check_ints(1, epochs=self.epochs, batch_size=self.batch_size, heads=self.heads,
+                   fusion_depth=self.fusion_depth, resampler_depth=self.resampler_depth,
+                   max_audio_len=self.max_audio_len)
         if self.batch_size < 2:
             raise ValueError("batch size must be >= 2 for contrastive training")
-        if self.lr <= 0 or self.tau_init <= 0:
-            raise ValueError("learning rate and tau must be positive")
+        for name in ("lr", "tau_init", "grad_clip"):  # grad_clip None: no clipping
+            value = getattr(self, name)
+            if not (name == "grad_clip" and value is None) and not 0 < value < math.inf:
+                raise ValueError(f"{name} must be a finite number > 0, got {value!r}")
         check_sharpness(self.sharpness)
-        check_sizes(heads=self.heads, fusion_depth=self.fusion_depth, resampler_depth=self.resampler_depth,
-                    max_audio_len=self.max_audio_len)
 
 
 class Adam:
@@ -229,16 +230,20 @@ def _alignment_term(
     return term, float(term.data)
 
 
-def train(
-    config: TrainConfig,
-    dataset: Dataset,
-    train_split: str = "train",
-    val_split: str | None = None,
-) -> TrainResult:
-    """Train on `train_split`; with a `val_split` that has queries, validate
-    R@1 after every epoch and return the best epoch's parameters (ties go to
-    the earliest), otherwise the last epoch's."""
+def train(config: TrainConfig, dataset: Dataset, val_split: str | None = None) -> TrainResult:
+    """Train on the "train" split, each item paired with its first query
+    there; a dataset without that split, or with a train item that has no
+    train query, raises ValidationError. With a `val_split` that has queries,
+    validate R@1 after every epoch and return the best epoch's parameters
+    (ties go to the earliest), otherwise the last epoch's."""
     man = dataset.manifest
+    if "train" not in man.splits:
+        raise ValidationError("dataset has no train split")
+    item_ids = list(man.splits["train"]["items"])
+    query_of = dataset.first_queries("train")
+    missing = [i for i in item_ids if i not in query_of]
+    if missing:
+        raise ValidationError(f"train items without any query: {missing[:5]}")
     params = FusionParams(
         dim=man.dim,
         frames=man.frames,
@@ -251,12 +256,6 @@ def train(
         seed=config.seed,
     )
     params.logit_scale.data = np.asarray(math.log(1.0 / config.tau_init), dtype=params.dtype)
-
-    item_ids = list(man.splits[train_split]["items"])
-    query_of = dataset.first_queries(train_split)
-    missing = [i for i in item_ids if i not in query_of]
-    if missing:
-        raise ValueError(f"train items without any query: {missing[:5]}")
 
     steps_per_epoch = len(item_ids) // config.batch_size
     total_steps = steps_per_epoch * config.epochs

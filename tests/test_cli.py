@@ -629,3 +629,68 @@ class TestUnreadableJson:
         argv = {"inspect": ["inspect", str(ckpt)],
                 "eval": ["eval", "--checkpoint", str(ckpt), "--data", str(workspace["data"])]}[command]
         self.run(capsys, argv, 3, f"c.ckpt.json {match}")
+
+
+def ground_truth_moved_to_train(split):
+    """A manifest edit: the first query of `split` and its ground-truth item
+    join the train split, and the item leaves `split`; the query stays in
+    `split`, so training can pair the item and only `split` lacks it."""
+    def edit(doc):
+        query = doc["splits"][split]["queries"][0]
+        gt = {entry["id"]: entry["gt"] for entry in doc["queries"]}[query]
+        doc["splits"][split]["items"].remove(gt)
+        doc["splits"]["train"]["items"].append(gt)
+        doc["splits"]["train"]["queries"].append(query)
+    return edit
+
+
+class TestRefusedInputs:
+    """Inputs that each ended in a traceback, or were accepted and then failed
+    or ran wrongly: each exits with its documented code and a message, writes
+    nothing, and prints no traceback."""
+
+    # command, config keys (merged into the workspace section), flags, manifest edit, exit code, message
+    CASES = {
+        "eval_query_gt_outside_split": ("eval", {}, [], ground_truth_moved_to_train("test"), 3,
+                                        "ground-truth item"),
+        "train_val_query_gt_outside_split": ("train", {}, [], ground_truth_moved_to_train("val"), 3,
+                                             "split val: query"),
+        "train_no_train_split": ("train", {}, [], lambda doc: doc["splits"].pop("train"), 3,
+                                 "dataset has no train split"),
+        "train_item_without_train_query": ("train", {}, [], lambda doc: doc["splits"]["train"]["queries"].pop(0), 3,
+                                           "train items without any query"),
+        "train_batch_above_train_split": ("train", {}, ["--batch-size", "500"], None, 5,
+                                          "batch size 500 exceeds the 24 items of the train split"),
+        "train_epochs_float": ("train", {"epochs": 1.5}, [], None, 2, "epochs must be an integer"),
+        "train_batch_size_float": ("train", {"batch_size": 8.0}, [], None, 2, "batch_size must be an integer"),
+        "train_lr_nan_flag": ("train", {}, ["--lr", "nan"], None, 2, "lr must be a finite number > 0"),
+        "train_lr_inf": ("train", {"lr": float("inf")}, [], None, 2, "lr must be a finite number > 0"),
+        "train_tau_init_nan": ("train", {"tau_init": float("nan")}, [], None, 2, "tau_init must be a finite number"),
+        "train_grad_clip_negative": ("train", {"grad_clip": -1}, [], None, 2, "grad_clip must be a finite number"),
+        "gen_n_items_float": ("gen", {"n_items": 50.5}, [], None, 2, "n_items must be an integer"),
+        "gen_frames_float": ("gen", {"frames": 2.5}, [], None, 2, "frames must be an integer"),
+    }
+
+    @pytest.mark.parametrize("case", CASES)
+    def test_exit_code_without_traceback(self, workspace, tmp_path, capsys, case):
+        command, keys, flags, edit, code, message = self.CASES[case]
+        config = json.loads(workspace["config"].read_text())
+        config["synth" if command == "gen" else "train"].update(keys)
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps(config))
+        data = workspace["data"]
+        if edit is not None:
+            data = copied_data(workspace, tmp_path)
+            doc = json.loads((data / "manifest.json").read_text())
+            edit(doc)
+            (data / "manifest.json").write_text(json.dumps(doc))
+        out = tmp_path / "out"
+        argv = {
+            "gen": ["gen", "--config", str(cfg), "--out", str(out)],
+            "train": ["train", "--config", str(cfg), "--data", str(data), "--out", str(out)],
+            "eval": ["eval", "--checkpoint", str(workspace["run"] / "best.ckpt"), "--data", str(data)],
+        }[command]
+        assert main([*argv, *flags]) == code
+        err = capsys.readouterr().err
+        assert message in err and "Traceback" not in err
+        assert not out.exists()
