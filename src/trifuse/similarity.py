@@ -125,8 +125,12 @@ class QueryScorer:
             raise ValueError(f"cannot score a {index.mode.value} index in mode {FusionMode(mode).value}")
         self.sharpness = check_sharpness(sharpness)
         self.size = len(index.item_ids)
-        # (m, n, d): token-major, contiguous
-        self.tokens = _unit_rows(np.ascontiguousarray(index.tokens.swapaxes(0, 1), np.float32))
+        # (m, n, d): token-major, contiguous, filled one token slot at a time
+        # so the normalisation's temporaries stay at about one slot
+        n, m, d = index.tokens.shape
+        self.tokens = np.empty((m, n, d), np.float32)
+        for k in range(m):
+            self.tokens[k] = _unit_rows(np.asarray(index.tokens[:, k], np.float32))
         self.pooled = _unit_rows(np.asarray(index.pooled, np.float32))
         self.holistic = self.speech_pool = None  # perfbench/layers.py::gallery_bytes still reads both
 

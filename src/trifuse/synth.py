@@ -37,6 +37,7 @@ do not depend on the chunk size and equal those of an item-by-item loop
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -76,8 +77,9 @@ class SynthConfig:
         check_ints(1, teacher_dim=self.teacher_dim, frames=self.frames, audio_len=self.audio_len,
                    speech_pad=self.speech_pad, background_pool=self.background_pool)
         for name in ("noise_scale", "query_noise", "teacher_noise", "audio_drift", "query_visual_mix"):
-            if not getattr(self, name) >= 0:
-                raise ValueError(f"{name} must be non-negative")
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value >= 0):
+                raise ValueError(f"{name} must be a finite number >= 0, got {value!r}")
         if not set(self.group_mix) <= set(GROUPS):
             raise ValueError(f"group mix keys must be among {GROUPS}")
         for name in ("group_mix", "splits"):

@@ -4,6 +4,8 @@ One optimization step builds one autodiff graph over the whole batch: a
 single fusion forward (whose resampled audio also feeds the pre-fusion pooling
 of the student affinity) -> differentiable score matrix -> contrastive +
 alignment -> backward -> clipped Adam update at the cosine-scheduled rate.
+The graph is dropped when the step ends (`_step`), so one tape at most is
+alive at a time, and validation runs with none.
 Adam holds every parameter in one flat buffer and gathers each step's
 gradients once, so the finite check and clipping are each one operation over
 that vector, and the per-epoch snapshots and the restores one over the buffer.
@@ -230,6 +232,36 @@ def _alignment_term(
     return term, float(term.data)
 
 
+def _step(config: TrainConfig, params: FusionParams, adam: Adam, items: list[ItemRecord], queries: np.ndarray,
+          epoch: int, step: int, total_steps: int) -> dict:
+    """One optimization step on a batch, and its log record. The step's tape
+    (every node, and the activations its closures hold) is referenced only
+    from this frame, so it is freed when the step returns."""
+    fused = forward_video(items, params, config.mode)
+    scores = batch_scores(fused, queries, sharpness=config.sharpness)
+    contrastive = contrastive_loss(scores, scale=params.temperature_scale())
+    align_term, align_value = _alignment_term(config, items, fused)
+    loss = total_loss(contrastive, align_term)
+    if not np.isfinite(float(loss.data)):
+        raise FloatingPointError(f"non-finite loss at step {step}")
+
+    adam.zero_grad()
+    loss.backward()
+    lr = cosine_lr(step, total_steps, config.lr)
+    readings = _readings(params, items)  # before the update changes the parameters
+    grad_norm = adam.step(lr, config.grad_clip)
+    return {
+        "step": step,
+        "epoch": epoch,
+        "lr": lr,
+        "contrastive": float(contrastive.data),
+        "alignment": align_value,
+        "total": float(loss.data),
+        "grad_norm": grad_norm,
+        **readings,
+    }
+
+
 def train(config: TrainConfig, dataset: Dataset, val_split: str | None = None) -> TrainResult:
     """Train on the "train" split, each item paired with its first query
     there; a dataset without that split, or with a train item that has no
@@ -277,29 +309,7 @@ def train(config: TrainConfig, dataset: Dataset, val_split: str | None = None) -
                 items = [resolve_missing(dataset.items[i], man) for i in batch_ids]
                 queries = np.stack([dataset.queries[query_of[i]].embedding for i in batch_ids])
 
-                fused = forward_video(items, params, config.mode)
-                scores = batch_scores(fused, queries, sharpness=config.sharpness)
-                contrastive = contrastive_loss(scores, scale=params.temperature_scale())
-                align_term, align_value = _alignment_term(config, items, fused)
-                loss = total_loss(contrastive, align_term)
-                if not np.isfinite(float(loss.data)):
-                    raise FloatingPointError(f"non-finite loss at step {step}")
-
-                adam.zero_grad()
-                loss.backward()
-                lr = cosine_lr(step, total_steps, config.lr)
-                readings = _readings(params, items)  # before the update changes the parameters
-                grad_norm = adam.step(lr, config.grad_clip)
-                log.append({
-                    "step": step,
-                    "epoch": epoch,
-                    "lr": lr,
-                    "contrastive": float(contrastive.data),
-                    "alignment": align_value,
-                    "total": float(loss.data),
-                    "grad_norm": grad_norm,
-                    **readings,
-                })
+                log.append(_step(config, params, adam, items, queries, epoch, step, total_steps))
                 step += 1
 
             last_good = adam.data.copy()

@@ -1,0 +1,61 @@
+"""tools/bench_pairs.py's verdicts, from hand-made run records: no benchmark runs."""
+
+import importlib.util
+from pathlib import Path
+
+import pytest
+
+_spec = importlib.util.spec_from_file_location(
+    "bench_pairs", Path(__file__).resolve().parent.parent / "tools" / "bench_pairs.py")
+bench_pairs = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(bench_pairs)
+
+BASE = [100.0, 101.0, 102.0, 103.0, 104.0, 105.0, 106.0, 107.0, 108.0, 109.0]  # median 104.5, IQR 4.5
+
+
+def records(base: list[float], change: list[float]) -> list[dict]:
+    """The run records of alternating pairs, as perfbench writes them, with
+    one end-to-end metric `m`."""
+    runs = []
+    for pair, values in enumerate(zip(base, change), 1):
+        order = bench_pairs.SIDES if pair % 2 else bench_pairs.SIDES[::-1]
+        for side in order:
+            value = values[bench_pairs.SIDES.index(side)]
+            runs.append({"pair": pair, "side": side, "first": order[0], "failed": 0,
+                         "end_to_end": {"m": [value, "ms"]}})
+    return runs
+
+
+CASES = {
+    # every pair lower, medians 10 apart against an IQR of 4.5
+    "all_pairs_lower": ([b - 10 for b in BASE], 0.25, "lower"),
+    "all_pairs_higher": ([b + 10 for b in BASE], 0.25, "higher"),
+    # nine of ten pairs suffice; the tenth reads higher
+    "nine_pairs_lower": ([b - 10 for b in BASE[:9]] + [120.0], 0.25, "lower"),
+    # eight of ten do not
+    "eight_pairs_lower": ([b - 10 for b in BASE[:8]] + [120.0, 121.0], 0.25, "unchanged"),
+    # a tie counts for neither side, so nine lower and one tie is still nine
+    "nine_lower_one_tie": ([b - 10 for b in BASE[:9]] + [BASE[9]], 0.25, "lower"),
+    # every pair lower, but the medians only 2 apart against an IQR of 4.5
+    "lower_within_base_iqr": ([b - 2 for b in BASE], 0.25, "unchanged"),
+    # the same, with a bound under the base's relative IQR (4.5 / 104.5 = 4.3%)
+    "lower_within_noisy_base": ([b - 2 for b in BASE], 0.04, "unresolved"),
+    "no_move_noisy_base": (BASE, 0.04, "unresolved"),
+    "no_move_quiet_base": (BASE, 0.05, "unchanged"),
+    "no_move_without_bound": (BASE, None, "unchanged"),
+    # a clear move is reported even over a noisy base
+    "lower_over_noisy_base": ([b - 10 for b in BASE], 0.04, "lower"),
+}
+
+
+@pytest.mark.parametrize("case", CASES)
+def test_verdict(case):
+    change, bound, want = CASES[case]
+    bounds = {} if bound is None else {"m": bound}
+    row = bench_pairs.summarise("train", 1, records(BASE, change), bounds)
+    metric = row["metrics"]["m"]
+    assert row["pairs"] == 10 and row["all_correct"] == {"base": True, "change": True}
+    assert metric["base"]["median"] == 104.5 and metric["base_iqr"] == 4.5
+    assert metric["change_lower_pairs"] == sum(c < b for b, c in zip(BASE, change))
+    assert metric["change_higher_pairs"] == sum(c > b for b, c in zip(BASE, change))
+    assert metric["verdict"] == want

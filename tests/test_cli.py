@@ -669,6 +669,8 @@ class TestRefusedInputs:
         "train_grad_clip_negative": ("train", {"grad_clip": -1}, [], None, 2, "grad_clip must be a finite number"),
         "gen_n_items_float": ("gen", {"n_items": 50.5}, [], None, 2, "n_items must be an integer"),
         "gen_frames_float": ("gen", {"frames": 2.5}, [], None, 2, "frames must be an integer"),
+        **{f"gen_{name}_inf": ("gen", {name: float("inf")}, [], None, 2, f"{name} must be a finite number >= 0")
+           for name in ("noise_scale", "query_noise", "teacher_noise", "audio_drift", "query_visual_mix")},
     }
 
     @pytest.mark.parametrize("case", CASES)

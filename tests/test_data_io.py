@@ -274,6 +274,36 @@ class TestDatasetIO:
         with pytest.raises(ValidationError, match=match):
             read_dataset(tmp_path / "ds")
 
+    @pytest.mark.parametrize("block_rows", [1, 2, 4, data.CHECK_BLOCK_ROWS])
+    def test_first_non_finite_row_is_named_whatever_the_blocks(self, tmp_path, monkeypatch, block_rows):
+        """Finiteness is tested a block of rows at a time; the error names the
+        owner of the first bad row wherever the blocks end."""
+        monkeypatch.setattr(data, "CHECK_BLOCK_ROWS", block_rows)
+        write_dataset(tiny_dataset(), tmp_path / "ds")
+        records = read_container(tmp_path / "ds" / "tensors.sve")
+        kind, arr = records["items/visual"]
+        arr = arr.copy()
+        arr[7, 0], arr[10, 1] = np.nan, np.inf  # rows of it002 (6-8) and it003 (9-11)
+        records["items/visual"] = (kind, arr)
+        write_container(tmp_path / "ds" / "tensors.sve", records)
+        with pytest.raises(ValidationError, match="item it002: non-finite visual tokens"):
+            read_dataset(tmp_path / "ds")
+
+    def test_finiteness_mask_is_a_block_not_the_record(self, tmp_path):
+        """`_check` allocates under half the bytes of a whole-record mask of
+        its largest record (speech, 819,200 values here)."""
+        write_dataset(generate(SynthConfig(n_items=200, speech_pad=256, seed=1))[0], tmp_path / "ds")
+        doc = json.loads((tmp_path / "ds" / "manifest.json").read_text())
+        records = read_container(tmp_path / "ds" / "tensors.sve")
+        tracemalloc.start()
+        try:
+            data._check(doc, records)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        largest = max(arr.size for _, arr in records.values())
+        assert peak < largest / 2, (peak, largest)
+
     @pytest.mark.parametrize(
         "item, field, match",
         [

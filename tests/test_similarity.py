@@ -1,5 +1,7 @@
 """Scoring formulas, LSE bounds, score-matrix assembly."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -8,7 +10,7 @@ from trifuse.autodiff import Tensor, finite_difference_check, parameter
 from trifuse.data import QueryRecord
 from trifuse.evaluation import grouped_eval, summary_metrics
 from trifuse.fusion import (DEFAULT_SHARPNESS, MAX_SHARPNESS, FusedBatch, FusionMode, FusionParams, VideoIndex,
-                            load_params, precompute_index, save_params)
+                            load_index, load_params, precompute_index, save_index, save_params)
 from trifuse.similarity import (
     QueryScorer,
     ScoreMatrix,
@@ -236,6 +238,37 @@ class TestChunkedScoring:
         index = small_index(n=9)
         sm = score_matrix(index, [])
         assert sm.values.shape == (0, 9) and sm.query_ids == []
+
+
+class TestScorerGallery:
+    @pytest.mark.parametrize("m", [8, 12])
+    def test_build_peak_under_one_and_a_half_gallery(self, m):
+        """The token-major copy is filled one token slot at a time, so building
+        the scorer allocates little beyond the gallery it keeps."""
+        index = small_index(n=2000, m=m, d=16)
+        tracemalloc.start()
+        try:
+            scorer = QueryScorer(index, FusionMode.SAVE)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        gallery = scorer.tokens.nbytes + scorer.pooled.nbytes
+        assert peak < 1.5 * gallery, (peak, gallery)
+
+    def test_loaded_index_is_served_from_aligned_arrays(self, tmp_path):
+        """A loaded index's records are views at whatever byte offset the
+        container header leaves; numpy multiplies unaligned arrays on a slow
+        path, so the scorer must hold aligned, C-contiguous float32 copies."""
+        save_index(small_index(n=50, m=3, d=16), tmp_path / "g.idx")
+        scorer = QueryScorer(load_index(tmp_path / "g.idx"), FusionMode.SAVE)
+        for array in (scorer.tokens, scorer.pooled):
+            assert array.dtype == np.float32
+            assert array.flags.aligned and array.flags.c_contiguous
+
+    def test_same_bits_as_one_whole_gallery_normalisation(self):
+        index = small_index(n=300, m=12, d=16)
+        whole = similarity._unit_rows(np.ascontiguousarray(index.tokens.swapaxes(0, 1)))
+        assert QueryScorer(index, FusionMode.SAVE).tokens.tobytes() == whole.tobytes()
 
 
 def float64_scores(index: VideoIndex, q_mat: np.ndarray, sharpness: float) -> np.ndarray:

@@ -1,5 +1,7 @@
 """Generator determinism, controllable structure, and the latent oracle."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -298,6 +300,12 @@ class TestGenerate:
     def test_seed_that_is_not_an_integer_at_least_0_rejected(self, seed, error):
         with pytest.raises(error, match="seed must be an integer"):
             config(seed=seed)
+
+    @pytest.mark.parametrize("value", [math.inf, math.nan, -0.5])
+    @pytest.mark.parametrize("name", ["noise_scale", "query_noise", "teacher_noise", "audio_drift", "query_visual_mix"])
+    def test_noise_drift_and_mix_must_be_finite_and_non_negative(self, name, value):
+        with pytest.raises(ValueError, match=f"{name} must be a finite number >= 0"):
+            config(**{name: value})
 
     def test_splits_partition_items(self):
         ds, _ = generate(config(n_items=50))

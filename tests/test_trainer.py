@@ -1,6 +1,7 @@
 """Optimizer math, LR schedule, loop determinism, validation-based selection."""
 
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -422,6 +423,34 @@ class TestZeroCopyGradients:
         assert not result.aborted
         assert len(result.log) == 1 and result.log[0]["alignment"] != 0.0
         assert result.log[0]["grad_norm"] > 1e-3  # clipping rescaled this step
+
+
+class TestTapeLifetime:
+    def test_no_earlier_tape_alive_at_forward_or_validation(self, monkeypatch):
+        """A step's tape is freed when the step ends: when a forward starts or
+        validation runs, no earlier step's fused-token array is alive. The
+        weak reference is to the array, since Tensor has no __weakref__."""
+        forward, val_r1 = trainer.forward_video, trainer._val_r1
+        tapes, live_at = [], {"forward": [], "validation": []}
+
+        def alive():
+            return sum(ref() is not None for ref in tapes)
+
+        def watched_forward(*args, **kwargs):
+            live_at["forward"].append(alive())
+            fused = forward(*args, **kwargs)
+            tapes.append(weakref.ref(fused.tokens.data))
+            return fused
+
+        def watched_val_r1(*args, **kwargs):
+            live_at["validation"].append(alive())
+            return val_r1(*args, **kwargs)
+
+        monkeypatch.setattr(trainer, "forward_video", watched_forward)
+        monkeypatch.setattr(trainer, "_val_r1", watched_val_r1)
+        result = train(small_config(epochs=2), small_dataset(seed=14), val_split="val")
+        assert len(result.log) == 8  # 3 steps and one validation per epoch
+        assert live_at == {"forward": [0] * 6, "validation": [0, 0]}
 
 
 class TestSelectCheckpoint:

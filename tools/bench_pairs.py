@@ -13,10 +13,16 @@ checking out over this tree.
 
 The output holds, per row (workload and seed), each end-to-end metric's
 median and quartiles on each side, the parent's interquartile range, how many
-pairs the change read lower (ties count for neither side), every run's
-figures, and perfbench's machine block. It claims nothing: whether a gain
-holds (at least nine tenths of the pairs won, and medians further apart than
-the parent's interquartile range) is read from the figures.
+pairs the change read lower and higher (ties count for neither side), the
+metric's verdict, every run's figures, and perfbench's machine block. The
+verdict is, by the first rule that holds:
+  lower / higher  at least nine tenths of the pairs read that way on the
+                  change, and its median is further that way from the base
+                  median than the base interquartile range;
+  unresolved      the base interquartile range exceeds the metric's
+                  `end_to_end` bound in BENCHMARK.json times the base median
+                  (a metric without a bound is never unresolved);
+  unchanged       otherwise.
 """
 
 from __future__ import annotations
@@ -54,8 +60,21 @@ def spread(values: list[float]) -> dict:
     return {"median": median, "q1": q1, "q3": q3}
 
 
-def summarise(workload: str, seed: int, runs: list[dict]) -> dict:
-    """Medians, quartiles and pairs won per end-to-end metric of one row."""
+def verdict(row: dict, pairs: int, bound: float | None) -> str:
+    """The docstring's rule, applied to one metric's summary `row`."""
+    shift = row["change"]["median"] - row["base"]["median"]
+    if 10 * row["change_lower_pairs"] >= 9 * pairs and -shift > row["base_iqr"]:
+        return "lower"
+    if 10 * row["change_higher_pairs"] >= 9 * pairs and shift > row["base_iqr"]:
+        return "higher"
+    if bound is not None and row["base_iqr"] > bound * row["base"]["median"]:
+        return "unresolved"
+    return "unchanged"
+
+
+def summarise(workload: str, seed: int, runs: list[dict], bounds: dict[str, float]) -> dict:
+    """Medians, quartiles, pairs won and the verdict per end-to-end metric of
+    one row; `bounds` maps a metric to its BENCHMARK.json bound."""
     pairs = sorted({run["pair"] for run in runs})
     by = {(run["pair"], run["side"]): run for run in runs}
     metrics = {}
@@ -65,6 +84,7 @@ def summarise(workload: str, seed: int, runs: list[dict]) -> dict:
         row["base_iqr"] = row["base"]["q3"] - row["base"]["q1"]
         row["change_lower_pairs"] = sum(c < b for b, c in zip(values["base"], values["change"]))
         row["change_higher_pairs"] = sum(c > b for b, c in zip(values["base"], values["change"]))
+        row["verdict"] = verdict(row, len(pairs), bounds.get(name))
         metrics[name] = row
     return {
         "workload": workload, "seed": seed, "pairs": len(pairs),
@@ -78,7 +98,9 @@ def summarise(workload: str, seed: int, runs: list[dict]) -> dict:
 def main(argv=None) -> int:
     args = parse_args(argv)
     roots = {"base": args.base.resolve(), "change": args.change.resolve()}
-    seconds = json.loads((roots["change"] / "BENCHMARK.json").read_text())["run_seconds"]
+    benchmark = json.loads((roots["change"] / "BENCHMARK.json").read_text())
+    seconds = benchmark["run_seconds"]
+    bounds = {metric["name"]: metric["bound"] for metric in benchmark["end_to_end"]}
     rows, machine = [], None
     for spec in args.rows:
         workload, seed, n_pairs = spec.split(":")
@@ -91,7 +113,7 @@ def main(argv=None) -> int:
                 runs.append({**record, "pair": pair, "side": side, "first": order[0]})
                 print(f"{workload} seed {seed} pair {pair} {side}: "
                       + " ".join(f"{k}={v[0]:.4g}" for k, v in record["end_to_end"].items()), flush=True)
-        rows.append(summarise(workload, int(seed), runs))
+        rows.append(summarise(workload, int(seed), runs, bounds))
     doc = {
         "command": "python3 tools/bench_pairs.py " + " ".join(args.rows),
         "perfbench": {"seconds": seconds, "trace": 0},
