@@ -12,23 +12,37 @@ array may be the `.grad` of several tensors and also be read by a backward
 pass still to run. The rule that keeps this safe: nothing writes into a
 `.grad` array in place (no backward closure, no clipping, no optimizer);
 whoever changes a gradient assigns a new array, as `_accumulate` itself does
-from the second gradient on.
+from the second gradient on. Some backward passes recompute an array of their
+forward from the node's inputs and parameters instead of keeping it, so a
+second rule: nothing a backward recomputes from may be written in place
+between the forward and that backward. Adam, which writes the parameters in
+place, steps only after backward.
 
 Only the ops needed by the fusion stacks, the scorer and the training losses
 are provided. The transformer sublayers and the nonlinearities are single
-tape nodes with closed-form backward passes that keep only what the backward
-needs: `linear` (x @ w + b), `layer_norm` (keeps the normalized input and
-1/sigma), `attention` (multi-head scaled dot-product attention of projected
-queries, keys and values, heads split and merged inside; keeps the softmax
-weights), `softmax`, `logsumexp` (`log_softmax` is x minus it), `gelu` and
-`token_logmeanexp` (the scorer's local term: cosines, log-mean-exp over the
-token axis and the 1/sharpness scale). Composed of primitive ops, each would
-record 2-13 nodes with a full-size temporary apiece. `softmax`, `logsumexp`
-and `attention` reduce over a C-order array with the reduced axis in front:
-numpy reduces a short last axis (an attention row's 12 or 32 keys) in one
-slow inner loop per output, but a leading axis in a few passes over whole
-contiguous rows. `softmax` and `logsumexp` make that array as a copy, so
-they never write into their input. `attention` computes its scores straight
+tape nodes with closed-form backward passes. Each keeps only what its
+backward cannot recompute from the inputs it holds anyway:
+- `linear` (x @ w + b) keeps nothing more;
+- `layer_norm` keeps 1/sigma and recomputes the normalized input from x;
+- `feed_forward` (linear, the smooth GELU in tanh form, linear) keeps
+  nothing more and recomputes the (..., 4d) hidden layer;
+- `attention` (multi-head scaled dot-product attention of projected queries,
+  keys and values, heads split and merged inside) keeps the softmax weights;
+- `softmax` keeps its output, and `logsumexp` its exponentials and their sum
+  (`log_softmax` is x minus it);
+- `token_logmeanexp` (the scorer's local term: cosines, log-mean-exp over
+  the token axis and the 1/sharpness scale) keeps the sum of its
+  exponentials and recomputes them.
+A recompute repeats the forward's numpy expressions in the same order, so
+its arrays, and the gradients made from them, keep their bits. Composed of
+primitive ops, each node would record 2-13 nodes with a full-size temporary
+apiece.
+
+`softmax`, `logsumexp` and `attention` reduce over a C-order array with the
+reduced axis in front: numpy reduces a short last axis (an attention row's 12
+or 32 keys) in one slow inner loop per output, but a leading axis in a few
+passes over whole contiguous rows. `softmax` and `logsumexp` make that array
+as a copy, so they never write into their input. `attention` computes its scores straight
 into it, and its head-merged products straight into a fresh (..., n, d)
 array. `token_logmeanexp` needs no copy either: its matmul writes the token
 axis in the middle of a fresh (T, m, B) buffer, and its inputs are unit-norm,
@@ -369,41 +383,6 @@ def take(a: Tensor, indices, axis: int = 0) -> Tensor:
 
 # -- single-node nonlinearities ---------------------------------------------
 
-_GELU_C = math.sqrt(2.0 / math.pi)
-
-
-def gelu(a: Tensor) -> Tensor:
-    """Smooth GELU (tanh form), differentiable everywhere."""
-    x = a.data
-    # In place, in the composite's order: t = tanh((x + x^3 * 0.044715) * c)
-    t = x * x
-    t *= x
-    t *= 0.044715
-    t += x
-    t *= _GELU_C
-    np.tanh(t, out=t)
-    out_data = t + 1.0
-    out_data *= x
-    out_data *= 0.5
-
-    def backward(g):  # d/dx of 0.5 x (1 + t), with t = tanh(c (x + 0.044715 x^3))
-        # In place, in the order of ((x^2 * 3 * 0.044715 + 1) c (1 - t^2) x + t + 1) g / 2
-        slope = x * x
-        slope *= 3.0 * 0.044715
-        slope += 1.0
-        slope *= _GELU_C
-        dt = t * t
-        np.subtract(1.0, dt, out=dt)
-        slope *= dt
-        slope *= x
-        slope += t
-        slope += 1.0
-        slope *= g
-        slope *= 0.5
-        _accumulate(a, slope)
-
-    return _node(out_data, (a,), backward)
-
 
 def _leading(x: np.ndarray, axis: int) -> np.ndarray:
     """A C-order copy of `x` with `axis` moved to the front (see the module
@@ -469,18 +448,23 @@ def token_logmeanexp(q: Tensor, tokens: Tensor, sharpness: float) -> Tensor:
     while m e^s and e^-s fit the dtype (s <= fusion.MAX_SHARPNESS in float32).
     One fresh (T, m, B) buffer holds the scaled cosines and then, in place,
     their exponentials; the gradient is two matmuls with weights e / total.
+    The node keeps `total` and recomputes e in backward.
     """
     m, b, d = tokens.shape
     flat = tokens.data.reshape(m * b, d)
-    e = ((q.data * sharpness) @ flat.T).reshape(q.shape[0], m, b)
-    np.exp(e, out=e)
-    total = e.sum(axis=1)
+
+    def exponentials():
+        e = ((q.data * sharpness) @ flat.T).reshape(q.shape[0], m, b)
+        return np.exp(e, out=e)
+
+    total = exponentials().sum(axis=1)
     out_data = np.log(total)
     out_data -= math.log(m)
     out_data *= 1.0 / sharpness
 
     def backward(g):
-        w = e / total[:, None, :]
+        w = exponentials()
+        w /= total[:, None, :]
         w *= g[:, None, :]
         w = w.reshape(q.shape[0], m * b)
         if q.requires_grad:
@@ -518,6 +502,69 @@ def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     return _node(out_data, (x, w, b), backward)
 
 
+_GELU_C = math.sqrt(2.0 / math.pi)
+
+
+def feed_forward(x: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor) -> Tensor:
+    """linear(gelu(linear(x, w1, b1)), w2, b2), with the smooth GELU (tanh
+    form), for (..., k) inputs, as one node. It keeps no hidden layer: the
+    backward recomputes it from x, by the forward's own expressions."""
+    x2 = x.data.reshape(-1, x.shape[-1])
+
+    def hidden():
+        """fc1's (rows, n) output h, t = tanh(c (h + 0.044715 h^3)) and the
+        GELU 0.5 h (1 + t)."""
+        h = x2 @ w1.data
+        h += b1.data
+        # In place, in the composite's order: t = tanh((h + h^3 * 0.044715) * c)
+        t = h * h
+        t *= h
+        t *= 0.044715
+        t += h
+        t *= _GELU_C
+        np.tanh(t, out=t)
+        act = t + 1.0
+        act *= h
+        act *= 0.5
+        return h, t, act
+
+    out_data = (hidden()[2] @ w2.data).reshape(x.shape[:-1] + (w2.shape[-1],))
+    out_data += b2.data
+
+    def backward(g):
+        h, t, act = hidden()
+        g2 = g.reshape(-1, g.shape[-1])
+        if w2.requires_grad:
+            _accumulate(w2, act.T @ g2)
+        if b2.requires_grad:
+            _accumulate(b2, _sum_to_shape(g, b2.shape))
+        del act  # one hidden-size array fewer while the slope is built
+        # d/dh of 0.5 h (1 + t), in place, in the order of
+        # ((h^2 * 3 * 0.044715 + 1) c (1 - t^2) h + t + 1) g_act / 2
+        slope = h * h
+        slope *= 3.0 * 0.044715
+        slope += 1.0
+        slope *= _GELU_C
+        dt = t * t
+        np.subtract(1.0, dt, out=dt)
+        slope *= dt
+        slope *= h
+        slope += t
+        slope += 1.0
+        slope *= g2 @ w2.data.T
+        slope *= 0.5
+        if x.requires_grad:
+            _accumulate(x, (slope @ w1.data.T).reshape(x.shape))
+        if w1.requires_grad:
+            _accumulate(w1, x2.T @ slope)
+        # Summed in fc1's (..., n) output shape, as `linear` summed it:
+        # `_sum_to_shape` sums one leading axis at a time, so the bits depend on it.
+        if b1.requires_grad:
+            _accumulate(b1, _sum_to_shape(slope.reshape(x.shape[:-1] + (-1,)), b1.shape))
+
+    return _node(out_data, (x, w1, b1, w2, b2), backward)
+
+
 def _row_dot(a: np.ndarray, v: np.ndarray) -> np.ndarray:
     """a @ v over the last axis, as one 2-D mat-vec, with a trailing axis of 1."""
     return (a.reshape(-1, a.shape[-1]) @ v).reshape(a.shape[:-1] + (1,))
@@ -526,19 +573,25 @@ def _row_dot(a: np.ndarray, v: np.ndarray) -> np.ndarray:
 def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float) -> Tensor:
     """(x - mean) / sqrt(var + eps) * gain + bias over the last axis. The
     means are matrix-vector products, which run several times faster than
-    numpy's reduction over a short last axis; the backward keeps only the
-    normalized input and 1/sqrt(var + eps)."""
+    numpy's reduction over a short last axis; the node keeps only
+    1/sqrt(var + eps), and the backward recomputes the normalized input from x."""
     mean = np.full(x.shape[-1], 1.0 / x.shape[-1], dtype=x.dtype)
-    xhat = x.data - _row_dot(x.data, mean)
-    inv_std = _row_dot(xhat * xhat, mean)
+
+    def centred():
+        return x.data - _row_dot(x.data, mean)
+
+    centred_x = centred()
+    inv_std = _row_dot(centred_x * centred_x, mean)
     inv_std += eps
     np.sqrt(inv_std, out=inv_std)
     np.divide(1.0, inv_std, out=inv_std)
-    xhat *= inv_std
-    out_data = xhat * gain.data
+    centred_x *= inv_std
+    out_data = centred_x * gain.data
     out_data += bias.data
 
     def backward(g):
+        xhat = centred()
+        xhat *= inv_std
         if gain.requires_grad:
             _accumulate(gain, _sum_to_shape(g * xhat, gain.shape))
         if bias.requires_grad:

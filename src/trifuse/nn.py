@@ -5,10 +5,11 @@ layer norm, multi-head cross attention, feed-forward, a gated cross-attention
 stack (scalar tanh gate, zero-initialized so the stack contributes exactly
 nothing at init), and a resampler that maps any input sequence to a fixed
 number of learned query tokens. Each linear map, layer norm and attention
-core is one tape node (`autodiff.linear`, `layer_norm`, `attention`), so a
-masked `CrossAttentionBlock` call records 13 nodes: two layer norms, four
-projections, attention, a residual add, a layer norm, two linear maps
-around one GELU, and a residual add.
+core is one tape node (`autodiff.linear`, `layer_norm`, `attention`), and so
+is the whole feed-forward layer (`autodiff.feed_forward`: linear, GELU,
+linear), so a masked `CrossAttentionBlock` call records 11 nodes: two layer
+norms, four projections, attention, a residual add, a layer norm, the
+feed-forward layer and a residual add.
 
 Blocks take token tensors of shape (..., n, d): one item as (n, d) or a batch
 as (B, n, d). A batch whose items have different key/value lengths is
@@ -134,7 +135,7 @@ class FeedForward(Module):
         self.fc2 = Linear(dim * mult, dim, rng, dtype, init="zero")
 
     def __call__(self, x: Tensor) -> Tensor:
-        return self.fc2(ad.gelu(self.fc1(x)))
+        return ad.feed_forward(x, self.fc1.weight, self.fc1.bias, self.fc2.weight, self.fc2.bias)
 
 
 class CrossAttentionBlock(Module):

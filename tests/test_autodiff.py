@@ -1,10 +1,13 @@
 """Core tape tests: forward values, gradient accumulation, finite differences."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from trifuse import autodiff as ad
-from trifuse.autodiff import Tensor, finite_difference_check, parameter
+from trifuse import nn
+from trifuse.autodiff import _GELU_C, Tensor, _accumulate, _node, finite_difference_check, parameter
 from trifuse.fusion import MAX_SHARPNESS
 
 
@@ -158,13 +161,14 @@ class TestOpGradients:
         a = parameter(rng.normal(size=(3, 4)))
         b = parameter(rng.normal(size=(4, 2)))
         c = parameter(rng.normal(size=2))
+        ff = [parameter(rng.normal(size=s)) for s in ((2, 8), (8,), (8, 2), (2,))]
 
         def f():
             h = ad.tanh(ad.matmul(a, b) + c)
-            h = ad.gelu(h * 1.7)
+            h = ad.feed_forward(h * 1.7, *ff)
             return (h * h).mean() + ad.sqrt((a * a).sum() + 1.0)
 
-        assert finite_difference_check(f, [a, b, c], eps=1e-5) < 1e-4
+        assert finite_difference_check(f, [a, b, c, *ff], eps=1e-5) < 1e-4
 
     @pytest.mark.parametrize("seed", range(3))
     def test_reductions_and_reshape(self, seed):
@@ -255,6 +259,13 @@ def _composite_gelu(x):
     return x * (np.tanh((x + x * x * x * 0.044715) * np.sqrt(2.0 / np.pi)) + 1.0) * 0.5
 
 
+def _identity_feed_forward(x):
+    """`feed_forward` with identity weights and zero biases, whose products
+    and sums are exact: the GELU it folds in."""
+    eye, zero = Tensor(np.eye(x.shape[-1], dtype=x.dtype)), Tensor(np.zeros(x.shape[-1], x.dtype))
+    return ad.feed_forward(x, eye, zero, eye, zero)
+
+
 def _composite_standardize(x, eps):
     centered = x - x.mean(axis=-1, keepdims=True)
     return centered / np.sqrt((centered * centered).mean(axis=-1, keepdims=True) + eps)
@@ -273,7 +284,7 @@ SINGLE_NODE_OPS = {
     "log_softmax": (
         lambda x: ad.log_softmax(x, axis=1), lambda x: x - _composite_logsumexp(x, 1, True), None
     ),
-    "gelu": (ad.gelu, _composite_gelu, None),
+    "gelu": (_identity_feed_forward, _composite_gelu, None),
     # layer_norm at unit gain and zero bias: the standardization it folds in
     "standardize": (
         lambda x: ad.layer_norm(x, Tensor(np.ones(x.shape[-1], x.dtype)), Tensor(np.zeros(x.shape[-1], x.dtype)), 1e-5),
@@ -532,3 +543,96 @@ def test_no_mask_is_bit_equal_to_an_all_true_mask(dtype):
     for unmasked, masked in zip(*runs):
         assert unmasked.dtype == masked.dtype == dtype
         assert unmasked.tobytes() == masked.tobytes()
+
+
+def reference_gelu(a: Tensor) -> Tensor:
+    """The single-node GELU that `feed_forward` folded in, kept verbatim as
+    the reference for `feed_forward`'s bits."""
+    x = a.data
+    # In place, in the composite's order: t = tanh((x + x^3 * 0.044715) * c)
+    t = x * x
+    t *= x
+    t *= 0.044715
+    t += x
+    t *= _GELU_C
+    np.tanh(t, out=t)
+    out_data = t + 1.0
+    out_data *= x
+    out_data *= 0.5
+
+    def backward(g):  # d/dx of 0.5 x (1 + t), with t = tanh(c (x + 0.044715 x^3))
+        # In place, in the order of ((x^2 * 3 * 0.044715 + 1) c (1 - t^2) x + t + 1) g / 2
+        slope = x * x
+        slope *= 3.0 * 0.044715
+        slope += 1.0
+        slope *= _GELU_C
+        dt = t * t
+        np.subtract(1.0, dt, out=dt)
+        slope *= dt
+        slope *= x
+        slope += t
+        slope += 1.0
+        slope *= g
+        slope *= 0.5
+        _accumulate(a, slope)
+
+    return _node(out_data, (a,), backward)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("shape", [(4, 3, 8), (5, 8)], ids=["batch", "single"])
+def test_feed_forward_is_bit_equal_to_linear_gelu_linear(dtype, shape):
+    """The one node recomputes its hidden layer in backward, by the chain's
+    own expressions: the output and all five gradients keep their bits."""
+    rng = np.random.default_rng(41)
+    inputs = [rng.normal(size=s).astype(dtype) for s in (shape, (8, 32), (32,), (32, 8), (8,))]
+    r = rng.normal(size=shape).astype(dtype)
+
+    def chain(x, w1, b1, w2, b2):
+        return ad.linear(reference_gelu(ad.linear(x, w1, b1)), w2, b2)
+
+    runs = []
+    for fn in (ad.feed_forward, chain):
+        params = [parameter(v) for v in inputs]
+        out = fn(*params)
+        (out * r).sum().backward()
+        runs.append([out.data] + [p.grad for p in params])
+    for node, reference in zip(*runs):
+        assert node.dtype == reference.dtype == dtype and node.shape == reference.shape
+        assert node.tobytes() == reference.tobytes()
+
+
+def _retained_bytes(forward) -> int:
+    """Bytes allocated by `forward()` that are still alive after it returns,
+    with its output (and so its tape node) held."""
+    tracemalloc.start()
+    try:
+        out = forward()
+        retained, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert out.requires_grad
+    return retained
+
+
+class TestRetainedMemory:
+    """Nodes that recompute an intermediate in backward do not keep it."""
+
+    def test_feed_forward_keeps_no_hidden_layer(self):
+        rng = np.random.default_rng(42)
+        ff = nn.FeedForward(16, rng)
+        x = parameter(rng.normal(size=(32, 12, 16)).astype(np.float32))
+        assert _retained_bytes(lambda: ff(x)) <= 2 * x.data.nbytes
+
+    def test_layer_norm_keeps_no_normalized_input(self):
+        rng = np.random.default_rng(43)
+        ln = nn.LayerNorm(16)
+        x = parameter(rng.normal(size=(32, 12, 16)).astype(np.float32))
+        assert _retained_bytes(lambda: ln(x)) <= 1.5 * x.data.nbytes
+
+    def test_token_logmeanexp_keeps_no_exponentials(self):
+        rng = np.random.default_rng(44)
+        t, m, b, d = 8, 12, 64, 16
+        q = parameter(_unit(rng.normal(size=(t, d))).astype(np.float32))
+        tokens = parameter(_unit(rng.normal(size=(m, b, d))).astype(np.float32))
+        assert _retained_bytes(lambda: ad.token_logmeanexp(q, tokens, 20.0)) < t * m * b * 4

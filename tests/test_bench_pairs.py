@@ -1,4 +1,4 @@
-"""tools/bench_pairs.py's verdicts, from hand-made run records: no benchmark runs."""
+"""tools/bench_pairs.py's verdicts and bound checks, from hand-made run records: no benchmark runs."""
 
 import importlib.util
 from pathlib import Path
@@ -48,14 +48,52 @@ CASES = {
 }
 
 
+def specs(bound: float | None, better: str = "lower") -> dict:
+    """The BENCHMARK.json `end_to_end` entry of metric `m`, keyed by its name."""
+    return {"m": {"name": "m", "unit": "ms", "better": better, **({} if bound is None else {"bound": bound})}}
+
+
 @pytest.mark.parametrize("case", CASES)
 def test_verdict(case):
     change, bound, want = CASES[case]
-    bounds = {} if bound is None else {"m": bound}
-    row = bench_pairs.summarise("train", 1, records(BASE, change), bounds)
+    row = bench_pairs.summarise("train", 1, records(BASE, change), specs(bound))
     metric = row["metrics"]["m"]
     assert row["pairs"] == 10 and row["all_correct"] == {"base": True, "change": True}
     assert metric["base"]["median"] == 104.5 and metric["base_iqr"] == 4.5
     assert metric["change_lower_pairs"] == sum(c < b for b, c in zip(BASE, change))
     assert metric["change_higher_pairs"] == sum(c > b for b, c in zip(BASE, change))
     assert metric["verdict"] == want
+
+
+BOUND_CASES = {
+    # factor on every base run -> (better, bound, inside_bound)
+    "lower_better_10pct_worse": (1.10, "lower", 0.25, True),
+    "lower_better_30pct_worse": (1.30, "lower", 0.25, False),
+    "lower_better_30pct_better": (0.70, "lower", 0.25, True),
+    "lower_better_5pct_worse_tight_bound": (1.05, "lower", 0.04, False),
+    "higher_better_10pct_lower": (0.90, "higher", 0.25, True),
+    "higher_better_30pct_lower": (0.70, "higher", 0.25, False),
+    "higher_better_30pct_higher": (1.30, "higher", 0.25, True),
+    "without_bound": (1.30, "lower", None, None),
+}
+
+
+@pytest.mark.parametrize("case", BOUND_CASES)
+def test_change_vs_base_and_inside_bound(case):
+    """The regression half of the rule: the change median against the base
+    median, judged by the bound in the metric's `better` direction."""
+    factor, better, bound, want = BOUND_CASES[case]
+    change = [b * factor for b in BASE]
+    metric = bench_pairs.summarise("train", 1, records(BASE, change), specs(bound, better))["metrics"]["m"]
+    assert metric["change_vs_base"] == pytest.approx(factor - 1, abs=1e-12)
+    assert metric["inside_bound"] is want
+    # the verdict is direction only: every pair moved, by more than the base IQR
+    assert metric["verdict"] == ("lower" if factor < 1 else "higher")
+
+
+def test_zero_base_median_has_no_relative_change():
+    """A metric that reads 0 at the base, such as perfbench's unbounded
+    `failed_op_share`, gets null for both fields, not a division error."""
+    metric = bench_pairs.summarise("train", 1, records([0.0] * 10, [0.0] * 10), specs(0.25))["metrics"]["m"]
+    assert metric["change_vs_base"] is None and metric["inside_bound"] is None
+    assert metric["verdict"] == "unchanged"

@@ -128,16 +128,17 @@ class TestCrossAttention:
         assert weights.shape == (2, 4, 3, 4)
         assert np.all(weights[0, :, :, 2:] == 0.0) and np.all(weights[1] > 0.0)
 
-    def test_masked_block_records_thirteen_tape_nodes(self):
+    def test_masked_block_records_eleven_tape_nodes(self):
         """Two layer norms, four projections, the attention core, a residual
-        add, a layer norm, two linear maps around a GELU and a residual add:
-        each linear map, layer norm and attention core is one node."""
+        add, a layer norm, the feed-forward layer and a residual add: each
+        linear map, layer norm, attention core and feed-forward layer is one
+        node."""
         rng = make_rng(21)
         block = nn.CrossAttentionBlock(8, 2, rng)
         q = Tensor(rng.normal(size=(3, 2, 8)).astype(np.float32))
         kv = Tensor(rng.normal(size=(3, 5, 8)).astype(np.float32))
         mask = np.arange(5) < np.array([5, 1, 3])[:, None]
-        assert _tape_nodes(block(q, kv, mask)) == 13
+        assert _tape_nodes(block(q, kv, mask)) == 11
 
     def test_gradient_reaches_inputs(self):
         rng = make_rng(6)

@@ -14,8 +14,12 @@ checking out over this tree.
 The output holds, per row (workload and seed), each end-to-end metric's
 median and quartiles on each side, the parent's interquartile range, how many
 pairs the change read lower and higher (ties count for neither side), the
-metric's verdict, every run's figures, and perfbench's machine block. The
-verdict is, by the first rule that holds:
+change median over the base median minus 1 (`change_vs_base`; null for a
+base median of 0), whether that is not worse, in the metric's `better`
+direction, than its BENCHMARK.json bound (`inside_bound`; null for a metric
+without a bound or without a `change_vs_base`), the metric's verdict, every
+run's figures, and perfbench's machine block. The verdict is, by the first
+rule that holds:
   lower / higher  at least nine tenths of the pairs read that way on the
                   change, and its median is further that way from the base
                   median than the base interquartile range;
@@ -72,9 +76,19 @@ def verdict(row: dict, pairs: int, bound: float | None) -> str:
     return "unchanged"
 
 
-def summarise(workload: str, seed: int, runs: list[dict], bounds: dict[str, float]) -> dict:
-    """Medians, quartiles, pairs won and the verdict per end-to-end metric of
-    one row; `bounds` maps a metric to its BENCHMARK.json bound."""
+def inside_bound(change_vs_base: float | None, spec: dict) -> bool | None:
+    """Whether a relative change is not worse than the bound of `spec`, the
+    metric's BENCHMARK.json entry, in its `better` direction."""
+    if change_vs_base is None or spec.get("bound") is None:
+        return None
+    worse = change_vs_base if spec["better"] == "lower" else -change_vs_base
+    return worse <= spec["bound"]
+
+
+def summarise(workload: str, seed: int, runs: list[dict], specs: dict[str, dict]) -> dict:
+    """Medians, quartiles, pairs won, the change against the bound and the
+    verdict per end-to-end metric of one row; `specs` maps a metric to its
+    BENCHMARK.json `end_to_end` entry."""
     pairs = sorted({run["pair"] for run in runs})
     by = {(run["pair"], run["side"]): run for run in runs}
     metrics = {}
@@ -84,7 +98,10 @@ def summarise(workload: str, seed: int, runs: list[dict], bounds: dict[str, floa
         row["base_iqr"] = row["base"]["q3"] - row["base"]["q1"]
         row["change_lower_pairs"] = sum(c < b for b, c in zip(values["base"], values["change"]))
         row["change_higher_pairs"] = sum(c > b for b, c in zip(values["base"], values["change"]))
-        row["verdict"] = verdict(row, len(pairs), bounds.get(name))
+        spec, base_median = specs.get(name, {}), row["base"]["median"]
+        row["change_vs_base"] = row["change"]["median"] / base_median - 1 if base_median else None
+        row["inside_bound"] = inside_bound(row["change_vs_base"], spec)
+        row["verdict"] = verdict(row, len(pairs), spec.get("bound"))
         metrics[name] = row
     return {
         "workload": workload, "seed": seed, "pairs": len(pairs),
@@ -100,7 +117,7 @@ def main(argv=None) -> int:
     roots = {"base": args.base.resolve(), "change": args.change.resolve()}
     benchmark = json.loads((roots["change"] / "BENCHMARK.json").read_text())
     seconds = benchmark["run_seconds"]
-    bounds = {metric["name"]: metric["bound"] for metric in benchmark["end_to_end"]}
+    specs = {metric["name"]: metric for metric in benchmark["end_to_end"]}
     rows, machine = [], None
     for spec in args.rows:
         workload, seed, n_pairs = spec.split(":")
@@ -113,7 +130,7 @@ def main(argv=None) -> int:
                 runs.append({**record, "pair": pair, "side": side, "first": order[0]})
                 print(f"{workload} seed {seed} pair {pair} {side}: "
                       + " ".join(f"{k}={v[0]:.4g}" for k, v in record["end_to_end"].items()), flush=True)
-        rows.append(summarise(workload, int(seed), runs, bounds))
+        rows.append(summarise(workload, int(seed), runs, specs))
     doc = {
         "command": "python3 tools/bench_pairs.py " + " ".join(args.rows),
         "perfbench": {"seconds": seconds, "trace": 0},
