@@ -1,4 +1,4 @@
-"""Retrieval metrics (R@k, SumR), group breakdowns, and latency probing.
+"""Retrieval metrics (R@k, SumR) and group breakdowns over a `ScoreMatrix`.
 
 Rank handling is pessimistic: the ground truth is placed after every
 equal-scored competitor, and a non-finite ground-truth score ranks last, so
@@ -7,14 +7,9 @@ degenerate scores cannot inflate recall.
 
 from __future__ import annotations
 
-import statistics
-import time
-
 import numpy as np
 
-from . import nn
-from .fusion import VideoIndex
-from .similarity import DEFAULT_SHARPNESS, QueryScorer, ScoreMatrix
+from .similarity import ScoreMatrix
 
 RECALL_KS = (1, 5, 10)
 
@@ -78,35 +73,3 @@ def grouped_eval(
         by_group.setdefault(tag, []).append(i)
     return {tag: _recalls(ranks[rows]) for tag, rows in sorted(by_group.items())}
 
-
-def latency_probe(index: VideoIndex, queries: list, repetitions: int, sharpness: float = DEFAULT_SHARPNESS) -> dict:
-    """Wall time for scoring one query against the whole index.
-
-    The probe asserts that no fusion block runs while queries are scored;
-    the index is the only video-side artifact touched online.
-    """
-    if repetitions <= 0:
-        raise ValueError("repetitions must be >= 1")
-    scorer = QueryScorer(index, index.mode, sharpness)
-    embeddings = [q.embedding for q in queries]
-
-    blocks_before = nn.BLOCK_EVAL_COUNTER["count"]
-    samples_ms = []
-    for _ in range(repetitions):
-        for emb in embeddings:
-            start = time.perf_counter()
-            scorer.score_one(emb)
-            samples_ms.append((time.perf_counter() - start) * 1e3)
-    blocks_after = nn.BLOCK_EVAL_COUNTER["count"]
-    if blocks_after != blocks_before:
-        raise RuntimeError("fusion network was evaluated during query scoring")
-
-    return {
-        "median_ms": statistics.median(samples_ms),
-        "mean_ms": statistics.fmean(samples_ms),
-        "min_ms": min(samples_ms),
-        "max_ms": max(samples_ms),
-        "samples": float(len(samples_ms)),
-        "gallery_size": float(len(index.item_ids)),
-        "fusion_evals": float(blocks_after - blocks_before),
-    }

@@ -17,8 +17,9 @@ zero-padded to the longest, and a boolean key mask of shape (..., L) marks
 each item's own tokens; padded keys get exactly zero attention weight.
 
 `BLOCK_EVAL_COUNTER` counts cross-attention block evaluations, one per item
-per block: a block call on a batch of B items adds B. The efficiency probes
-assert it stays frozen while queries are being scored.
+per block: a block call on a batch of B items adds B. Criterion 8 of the
+acceptance suite and perfbench's query workload read it around query scoring,
+and fail if it moves.
 """
 
 from __future__ import annotations
@@ -30,8 +31,8 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Tensor
 
-# Items through cross-attention blocks, one count per item per block; see
-# evaluation.latency_probe.
+# Items through cross-attention blocks, one count per item per block; read by
+# criterion 8 (tests/test_acceptance.py) and perfbench/run.py.
 BLOCK_EVAL_COUNTER = {"count": 0}
 
 
@@ -52,10 +53,6 @@ class Module:
 
     def parameters(self) -> list[Tensor]:
         return [p for _, p in self.named_parameters()]
-
-    def zero_grad(self) -> None:
-        for p in self.parameters():
-            p.grad = None
 
 
 def _xavier(rng: np.random.Generator, fan_in: int, fan_out: int, dtype) -> np.ndarray:

@@ -44,13 +44,9 @@ logger = logging.getLogger(__name__)
 # 8 were within noise (84 and 79 ms in a second sweep, quartiles overlapping).
 SCORE_CHUNK_BYTES = 4 << 20
 
-# Mirrors autodiff.NORM_EPS_SQ: unit-scale vectors untouched, zero vectors
-# normalize to zero instead of NaN.
-_EPS_SQ = ad.NORM_EPS_SQ
-
 
 def _unit_rows(x: np.ndarray) -> np.ndarray:
-    norm = np.sqrt(np.sum(x * x, axis=-1, keepdims=True) + _EPS_SQ)
+    norm = np.sqrt(np.sum(x * x, axis=-1, keepdims=True) + ad.NORM_EPS_SQ)
     return x / norm
 
 

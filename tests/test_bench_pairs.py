@@ -1,6 +1,8 @@
 """tools/bench_pairs.py's verdicts and bound checks, from hand-made run records: no benchmark runs."""
 
 import importlib.util
+import json
+import subprocess
 from pathlib import Path
 
 import pytest
@@ -97,3 +99,27 @@ def test_zero_base_median_has_no_relative_change():
     metric = bench_pairs.summarise("train", 1, records([0.0] * 10, [0.0] * 10), specs(0.25))["metrics"]["m"]
     assert metric["change_vs_base"] is None and metric["inside_bound"] is None
     assert metric["verdict"] == "unchanged"
+
+
+def test_a_failing_run_keeps_the_finished_rows(tmp_path, monkeypatch):
+    """A benchmark process that fails in the second row leaves the first
+    row's summary on disk."""
+    (tmp_path / "BENCHMARK.json").write_text(json.dumps(
+        {"run_seconds": 1, "end_to_end": [{"name": "m", "unit": "ms", "better": "lower", "bound": 0.25}]}))
+    calls = []
+
+    def run_once(root, workload, seed, seconds):
+        calls.append(workload)
+        if workload == "eval":
+            raise subprocess.CalledProcessError(1, ["perfbench/run.py"])
+        return {"machine": {"cpus": 2}, "failed": 0, "end_to_end": {"m": [100.0 + len(calls), "ms"]}}
+
+    monkeypatch.setattr(bench_pairs, "run_once", run_once)
+    out = tmp_path / "bench.json"
+    with pytest.raises(subprocess.CalledProcessError):
+        bench_pairs.main(["--base", str(tmp_path), "--change", str(tmp_path), "--out", str(out),
+                          "train:1:2", "eval:1:2"])
+    doc = json.loads(out.read_text())
+    assert calls == ["train"] * 4 + ["eval"]
+    assert [(row["workload"], row["seed"], row["pairs"]) for row in doc["rows"]] == [("train", 1, 2)]
+    assert doc["machine"] == {"cpus": 2}

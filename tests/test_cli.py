@@ -5,10 +5,11 @@ import json
 import numpy as np
 import pytest
 
-from trifuse import cli, data
+from trifuse import cli, data, trainer
 from trifuse.cli import main
 from trifuse.data import read_container, write_container
 from trifuse.similarity import ScoreMatrix
+from trifuse.trainer import TrainResult
 
 
 @pytest.fixture(scope="module")
@@ -153,6 +154,34 @@ class TestTrain:
         assert "dataset dim 8 is not divisible by heads 3" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
+    def test_aborted_run_exit_4_keeps_last_good_and_log(self, workspace, tmp_path, capsys, monkeypatch):
+        """An aborted run writes its log and last-good parameters, no best
+        checkpoint, and exits 4 with a message instead of a traceback."""
+        def aborting(config, dataset, val_split=None):
+            result = trainer.train(config, dataset, val_split)
+            return TrainResult(result.params, result.log, aborted=True, abort_reason="non-finite loss at step 3")
+
+        monkeypatch.setattr(cli, "train", aborting)
+        out = tmp_path / "o"
+        assert main(["train", "--config", str(workspace["config"]), "--data", str(workspace["data"]),
+                     "--out", str(out)]) == 4
+        err = capsys.readouterr().err
+        assert "training aborted: non-finite loss at step 3" in err and "Traceback" not in err
+        assert sorted(path.name for path in out.iterdir()) == ["last_good.ckpt", "last_good.ckpt.json",
+                                                               "train_log.jsonl"]
+
+    @pytest.mark.parametrize("config, match", [
+        ([{"train": {}}], "config root must be an object"),
+        ({"train": [["epochs", 1]]}, "config section 'train' must be an object"),
+    ], ids=["root_list", "train_section_list"])
+    def test_config_that_is_not_an_object_exit_2(self, workspace, tmp_path, capsys, config, match):
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps(config))
+        code = main(["train", "--config", str(cfg), "--data", str(workspace["data"]), "--out", str(tmp_path / "o")])
+        err = capsys.readouterr().err
+        assert code == 2 and match in err and "Traceback" not in err
+        assert not (tmp_path / "o").exists()
+
     def test_missing_data_dir_is_io_error(self, workspace, tmp_path):
         code = main(["train", "--config", str(workspace["config"]), "--data", str(tmp_path / "nope"), "--out", str(tmp_path / "o")])
         assert code == 3
@@ -256,6 +285,14 @@ def deep_checkpoint(tmp_path, **edit):
     return ckpt
 
 
+def groups_of_test_items(workspace) -> set[str]:
+    """The groups of the test items that are some test query's ground truth."""
+    manifest = json.loads((workspace["data"] / "manifest.json").read_text())
+    group_of = {entry["id"]: entry["group"] for entry in manifest["items"]}
+    test_queries = set(manifest["splits"]["test"]["queries"])
+    return {group_of[entry["gt"]] for entry in manifest["queries"] if entry["id"] in test_queries}
+
+
 class TestEval:
     @pytest.mark.parametrize("edit, match", [
         ({}, None),
@@ -315,6 +352,26 @@ class TestEval:
         assert code == 0
         metrics = json.loads(capsys.readouterr().out)
         assert "sumr" in metrics
+
+    def test_v2t_groups_are_tagged_from_the_items(self, workspace, capsys):
+        code = main(["eval", "--checkpoint", str(workspace["run"] / "best.ckpt"), "--data", str(workspace["data"]),
+                     "--direction", "v2t", "--groups"])
+        assert code == 0
+        per_group = json.loads(capsys.readouterr().out)["per_group"]
+        assert set(per_group) == groups_of_test_items(workspace) and "unknown" not in per_group
+
+    def test_csv_groups_are_group_dot_metric_lines(self, workspace, capsys):
+        code = main(["eval", "--checkpoint", str(workspace["run"] / "best.ckpt"), "--data", str(workspace["data"]),
+                     "--format", "csv", "--groups"])
+        assert code == 0
+        lines = capsys.readouterr().out.strip().splitlines()
+        assert [line.split(",")[0] for line in lines[:6]] == ["metric", "r1", "r5", "r10", "sumr", "mr1"]
+        group_lines = [line.split(",") for line in lines[6:]]
+        assert {key.split(".")[0] for key, _ in group_lines} == groups_of_test_items(workspace)
+        for key, value in group_lines:
+            group, metric = key.split(".")
+            assert metric in ("r1", "r5", "r10", "sumr") and np.isfinite(float(value))
+        assert len(group_lines) == 4 * len(groups_of_test_items(workspace))
 
     def test_avigate_plus_is_an_unknown_mode(self, workspace, capsys):
         """avigate_plus, once an alias of avigate, fails like any unknown mode."""

@@ -1,17 +1,14 @@
-"""Metrics against a brute-force sort oracle; latency probe contracts."""
+"""Metrics against a brute-force sort oracle."""
 
 import numpy as np
 import pytest
 
-from trifuse.data import QueryRecord
 from trifuse.evaluation import (
     grouped_eval,
-    latency_probe,
     rank_of,
     ranks_of_matrix,
     summary_metrics,
 )
-from trifuse.fusion import FusionMode, VideoIndex
 from trifuse.similarity import ScoreMatrix
 
 
@@ -195,38 +192,3 @@ class TestGrouped:
         sm, gt = random_matrix(rng, t=4, n=4)
         out = grouped_eval(sm, gt, {})
         assert set(out) == {"unknown"}
-
-
-
-def zero_network_index(n=50, m=4, d=8, seed=0):
-    rng = np.random.default_rng(seed)
-    return VideoIndex(
-        mode=FusionMode.SAVE,
-        item_ids=[f"v{i}" for i in range(n)],
-        tokens=rng.normal(size=(n, m, d)).astype(np.float32),
-        pooled=rng.normal(size=(n, d)).astype(np.float32),
-    )
-
-
-class TestLatencyProbe:
-    def queries(self, t=5, d=8, seed=1):
-        rng = np.random.default_rng(seed)
-        return [QueryRecord(f"q{i}", rng.normal(size=d).astype(np.float32), "v0") for i in range(t)]
-
-    def test_zero_repetitions_rejected(self):
-        with pytest.raises(ValueError, match="repetitions"):
-            latency_probe(zero_network_index(), self.queries(), repetitions=0)
-
-    def test_reports_statistics_and_no_fusion_evals(self):
-        out = latency_probe(zero_network_index(), self.queries(), repetitions=3)
-        assert out["fusion_evals"] == 0.0
-        assert out["samples"] == 15.0
-        assert 0.0 <= out["min_ms"] <= out["median_ms"] <= out["max_ms"]
-
-    def test_gallery_scaling_roughly_linear(self):
-        """Doubling the gallery stays within 3x per-query cost."""
-        qs = self.queries(4)
-        small = latency_probe(zero_network_index(n=1000), qs, repetitions=20)
-        big = latency_probe(zero_network_index(n=2000), qs, repetitions=20)
-        ratio = big["median_ms"] / small["median_ms"]
-        assert ratio < 3.0 * 2.0  # 2x data within 3x-per-item budget

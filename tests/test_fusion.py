@@ -453,8 +453,9 @@ class TestParamsIO:
 
     def test_checkpoint_with_tensors_of_deleted_modes_scores_the_same(self, tmp_path):
         """A save checkpoint written while the holistic and learnable-weights
-        modes existed also holds their tensors; they are ignored, so it loads
-        and scores bit-identically to the same checkpoint without them."""
+        modes existed also holds their tensors, `fusion.RETIRED_PARAMS`; they
+        are ignored, so it loads and scores bit-identically to the same
+        checkpoint without them."""
         params = make_params(6)
         params.audio_fusion.gate.data = np.asarray(0.3, dtype=np.float32)
         params.speech_fusion.gate.data = np.asarray(-0.2, dtype=np.float32)
@@ -467,6 +468,8 @@ class TestParamsIO:
                 old["param/holistic.query"] = (KIND_VECTOR, rng.normal(size=D))
             old[name] = record
         old |= {"param/alpha": (KIND_VECTOR, np.ones(1)), "param/beta": (KIND_VECTOR, np.zeros(1))}
+        assert {name.removeprefix("param/") for name in old.keys() - set(read_container(tmp_path / "new.ckpt"))} \
+            == fusion.RETIRED_PARAMS
         write_container(tmp_path / "old.ckpt", old)
         (tmp_path / "old.ckpt.json").write_bytes((tmp_path / "new.ckpt.json").read_bytes())
 

@@ -306,6 +306,17 @@ class TestTrainLoop:
         assert all(rec["alignment"] == 0.0 for rec in soft.log)
         assert [r["contrastive"] for r in soft.log] == [r["contrastive"] for r in none.log]
 
+    def test_alignment_skips_a_batch_with_fewer_than_two_teacher_items(self):
+        """With one train item carrying teacher embeddings, no batch has the
+        two rows an affinity needs: alignment is logged as 0.0 and the total
+        is the contrastive loss."""
+        dataset = small_dataset(seed=6)
+        for item_id in dataset.manifest.splits["train"]["items"][1:]:
+            dataset.items[item_id].teacher_video = dataset.items[item_id].teacher_audio = None
+        steps = train(small_config(align_kind=AlignKind.SOFT_ALBEF), dataset).log
+        assert {rec["teacher_items"] for rec in steps} == {0, 1}
+        assert all(rec["alignment"] == 0.0 and rec["total"] == rec["contrastive"] for rec in steps)
+
     def test_vision_only_mode_has_zero_alignment(self):
         dataset = small_dataset(seed=3)
         result = train(small_config(mode=FusionMode.VISION_ONLY), dataset)
@@ -328,7 +339,6 @@ class TestTrainLoop:
             np.stack([it.teacher_audio for it in items]),
         )
         m1 = student_affinity(*pre_fusion_pooled(forward_video(items, params, FusionMode.SAVE)))
-        params.zero_grad()
         soft_albef_loss(m0, m1).backward()
         speech_grads = [p.grad for p in params.speech_fusion.parameters()]
         assert all(g is None for g in speech_grads)

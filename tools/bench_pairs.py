@@ -9,7 +9,8 @@ at a time; odd pairs run the base first, even pairs the change. S is the
 `run_seconds` of the change checkout's BENCHMARK.json, the same on both
 sides. `--base` and `--change` are the roots of two full checkouts (the
 change defaults to this one). Make the base with `git archive`, never by
-checking out over this tree.
+checking out over this tree. The output is rewritten after every row, so a
+run that fails keeps the rows finished before it.
 
 The output holds, per row (workload and seed), each end-to-end metric's
 median and quartiles on each side, the parent's interquartile range, how many
@@ -118,7 +119,12 @@ def main(argv=None) -> int:
     benchmark = json.loads((roots["change"] / "BENCHMARK.json").read_text())
     seconds = benchmark["run_seconds"]
     specs = {metric["name"]: metric for metric in benchmark["end_to_end"]}
-    rows, machine = [], None
+    doc = {
+        "command": "python3 tools/bench_pairs.py " + " ".join(args.rows),
+        "perfbench": {"seconds": seconds, "trace": 0},
+        "machine": None,
+        "rows": [],
+    }
     for spec in args.rows:
         workload, seed, n_pairs = spec.split(":")
         runs = []
@@ -126,18 +132,12 @@ def main(argv=None) -> int:
             order = SIDES if pair % 2 else SIDES[::-1]
             for side in order:
                 record = run_once(roots[side], workload, int(seed), seconds)
-                machine = machine or record["machine"]
+                doc["machine"] = doc["machine"] or record["machine"]
                 runs.append({**record, "pair": pair, "side": side, "first": order[0]})
                 print(f"{workload} seed {seed} pair {pair} {side}: "
                       + " ".join(f"{k}={v[0]:.4g}" for k, v in record["end_to_end"].items()), flush=True)
-        rows.append(summarise(workload, int(seed), runs, specs))
-    doc = {
-        "command": "python3 tools/bench_pairs.py " + " ".join(args.rows),
-        "perfbench": {"seconds": seconds, "trace": 0},
-        "machine": machine,
-        "rows": rows,
-    }
-    args.out.write_text(json.dumps(doc, indent=1, sort_keys=True) + "\n")
+        doc["rows"].append(summarise(workload, int(seed), runs, specs))
+        args.out.write_text(json.dumps(doc, indent=1, sort_keys=True) + "\n")
     return 0
 
 
