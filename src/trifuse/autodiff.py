@@ -19,15 +19,17 @@ between the forward and that backward. Adam, which writes the parameters in
 place, steps only after backward.
 
 Only the ops needed by the fusion stacks, the scorer and the training losses
-are provided. The transformer sublayers and the nonlinearities are single
-tape nodes with closed-form backward passes. Each keeps only what its
-backward cannot recompute from the inputs it holds anyway:
-- `linear` (x @ w + b) keeps nothing more;
-- `layer_norm` keeps 1/sigma and recomputes the normalized input from x;
-- `feed_forward` (linear, the smooth GELU in tanh form, linear) keeps
-  nothing more and recomputes the (..., 4d) hidden layer;
-- `attention` (multi-head scaled dot-product attention of projected queries,
-  keys and values, heads split and merged inside) keeps the softmax weights;
+are provided. The nonlinearities and the whole pre-norm cross-attention block
+are single tape nodes with closed-form backward passes. Each keeps only what
+its backward cannot recompute from the inputs it holds anyway:
+- `cross_attention_block` (layer norms, query/key/value projections,
+  multi-head attention, output projection, residual, layer norm, the
+  feed-forward layer and residual) keeps the three layer norms' 1/sigma, the
+  mid-block residual, the softmax weights and the attention output, and
+  recomputes the normalized inputs, the projections and the (..., 4d)
+  hidden layer. Its sublayers `linear`, `layer_norm`, `attention_weights` with
+  `attention`, and `feed_forward` (linear, the smooth GELU in tanh form,
+  linear) are numpy functions, each with a `*_backward`, not nodes;
 - `softmax` keeps its output, and `logsumexp` its exponentials and their sum
   (`log_softmax` is x minus it);
 - `token_logmeanexp` (the scorer's local term: cosines, log-mean-exp over
@@ -35,27 +37,23 @@ backward cannot recompute from the inputs it holds anyway:
   exponentials and recomputes them.
 A recompute repeats the forward's numpy expressions in the same order, so
 its arrays, and the gradients made from them, keep their bits. Composed of
-primitive ops, each node would record 2-13 nodes with a full-size temporary
-apiece.
+primitive ops, a nonlinearity would record 2-13 nodes and a block dozens,
+with a full-size temporary apiece.
 
-`softmax`, `logsumexp` and `attention` reduce over a C-order array with the
-reduced axis in front: numpy reduces a short last axis (an attention row's 12
-or 32 keys) in one slow inner loop per output, but a leading axis in a few
-passes over whole contiguous rows. `softmax` and `logsumexp` make that array
-as a copy, so they never write into their input. `attention` computes its scores straight
-into it, and its head-merged products straight into a fresh (..., n, d)
-array. `token_logmeanexp` needs no copy either: its matmul writes the token
-axis in the middle of a fresh (T, m, B) buffer, and its inputs are unit-norm,
-so it skips the max shift too.
+`softmax`, `logsumexp` and `attention_weights` reduce over a C-order array
+with the reduced axis in front: numpy reduces a short last axis (an attention
+row's 12 or 32 keys) in one slow inner loop per output, but a leading axis in
+a few passes over whole contiguous rows. `softmax` and `logsumexp` make that
+array as a copy, so they never write into their input. `attention_weights`
+computes its scores straight into it, and `attention` its head-merged
+products straight into a fresh (..., n, d) array. `token_logmeanexp` needs no
+copy either: its matmul writes the token axis in the middle of a fresh
+(T, m, B) buffer, and its inputs are unit-norm, so it skips the max shift too.
 
 Operands are shaped for BLAS: `linear` and `layer_norm` fold the leading
 dims of a (B, n, k) input into one row axis, so each product is one 2-D
-matrix product or mat-vec instead of B small ones, and `attention` takes the
-scores of all heads of an item in one product (`_head_scores`).
-
-Training runs in float32; gradient checking builds the same graphs in float64
-(`finite_difference_check` refuses nothing else, 1e-4 tolerances are not
-reachable in single precision).
+matrix product or mat-vec instead of B small ones, and `attention_weights`
+takes the scores of all heads of an item in one product (`_head_scores`).
 """
 
 from __future__ import annotations
@@ -476,90 +474,84 @@ def log_softmax(x: Tensor, axis: int = -1) -> Tensor:
     return x - logsumexp(x, axis=axis, keepdims=True)
 
 
-# -- single-node transformer sublayers --------------------------------------
+# -- the cross-attention block: one tape node ---------------------------------
+#
+# The sublayers are numpy functions, the forward and backward halves of the
+# block node at the end of this section; none of them records a tape node.
 
 
-def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
+def linear(x: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
     """x @ w + b for (..., k) inputs, a (k, n) weight and an (n,) bias. x's
-    leading dims are folded into one row axis, so every product is one 2-D
-    BLAS call."""
-    x2 = x.data.reshape(-1, x.shape[-1])
-    out_data = (x2 @ w.data).reshape(x.shape[:-1] + (w.shape[-1],))
-    out_data += b.data
+    leading dims are folded into one row axis, so the product is one 2-D BLAS
+    call."""
+    out = (x.reshape(-1, x.shape[-1]) @ w).reshape(x.shape[:-1] + (w.shape[-1],))
+    out += b
+    return out
 
-    def backward(g):
-        g2 = g.reshape(-1, g.shape[-1])
-        if x.requires_grad:
-            _accumulate(x, (g2 @ w.data.T).reshape(x.shape))
-        if w.requires_grad:
-            _accumulate(w, x2.T @ g2)
-        if b.requires_grad:
-            _accumulate(b, _sum_to_shape(g, b.shape))
 
-    return _node(out_data, (x, w, b), backward)
+def linear_backward(g: np.ndarray, x: np.ndarray, w: np.ndarray) -> tuple:
+    """The gradients of `linear(x, w, b)` with respect to x, w and b, given
+    the gradient `g` of its output."""
+    g2 = g.reshape(-1, g.shape[-1])
+    return (g2 @ w.T).reshape(x.shape), x.reshape(-1, x.shape[-1]).T @ g2, _sum_to_shape(g, (w.shape[-1],))
 
 
 _GELU_C = math.sqrt(2.0 / math.pi)
 
 
-def feed_forward(x: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor) -> Tensor:
+def _gelu_hidden(x2: np.ndarray, w1: np.ndarray, b1: np.ndarray) -> tuple:
+    """fc1's (rows, n) output h, t = tanh(c (h + 0.044715 h^3)) and the GELU
+    0.5 h (1 + t), for (rows, k) inputs."""
+    h = x2 @ w1
+    h += b1
+    # In place, in the composite's order: t = tanh((h + h^3 * 0.044715) * c)
+    t = h * h
+    t *= h
+    t *= 0.044715
+    t += h
+    t *= _GELU_C
+    np.tanh(t, out=t)
+    act = t + 1.0
+    act *= h
+    act *= 0.5
+    return h, t, act
+
+
+def feed_forward(x: np.ndarray, w1: np.ndarray, b1: np.ndarray, w2: np.ndarray, b2: np.ndarray) -> np.ndarray:
     """linear(gelu(linear(x, w1, b1)), w2, b2), with the smooth GELU (tanh
-    form), for (..., k) inputs, as one node. It keeps no hidden layer: the
-    backward recomputes it from x, by the forward's own expressions."""
-    x2 = x.data.reshape(-1, x.shape[-1])
+    form), for (..., k) inputs."""
+    out = (_gelu_hidden(x.reshape(-1, x.shape[-1]), w1, b1)[2] @ w2).reshape(x.shape[:-1] + (w2.shape[-1],))
+    out += b2
+    return out
 
-    def hidden():
-        """fc1's (rows, n) output h, t = tanh(c (h + 0.044715 h^3)) and the
-        GELU 0.5 h (1 + t)."""
-        h = x2 @ w1.data
-        h += b1.data
-        # In place, in the composite's order: t = tanh((h + h^3 * 0.044715) * c)
-        t = h * h
-        t *= h
-        t *= 0.044715
-        t += h
-        t *= _GELU_C
-        np.tanh(t, out=t)
-        act = t + 1.0
-        act *= h
-        act *= 0.5
-        return h, t, act
 
-    out_data = (hidden()[2] @ w2.data).reshape(x.shape[:-1] + (w2.shape[-1],))
-    out_data += b2.data
-
-    def backward(g):
-        h, t, act = hidden()
-        g2 = g.reshape(-1, g.shape[-1])
-        if w2.requires_grad:
-            _accumulate(w2, act.T @ g2)
-        if b2.requires_grad:
-            _accumulate(b2, _sum_to_shape(g, b2.shape))
-        del act  # one hidden-size array fewer while the slope is built
-        # d/dh of 0.5 h (1 + t), in place, in the order of
-        # ((h^2 * 3 * 0.044715 + 1) c (1 - t^2) h + t + 1) g_act / 2
-        slope = h * h
-        slope *= 3.0 * 0.044715
-        slope += 1.0
-        slope *= _GELU_C
-        dt = t * t
-        np.subtract(1.0, dt, out=dt)
-        slope *= dt
-        slope *= h
-        slope += t
-        slope += 1.0
-        slope *= g2 @ w2.data.T
-        slope *= 0.5
-        if x.requires_grad:
-            _accumulate(x, (slope @ w1.data.T).reshape(x.shape))
-        if w1.requires_grad:
-            _accumulate(w1, x2.T @ slope)
-        # Summed in fc1's (..., n) output shape, as `linear` summed it:
-        # `_sum_to_shape` sums one leading axis at a time, so the bits depend on it.
-        if b1.requires_grad:
-            _accumulate(b1, _sum_to_shape(slope.reshape(x.shape[:-1] + (-1,)), b1.shape))
-
-    return _node(out_data, (x, w1, b1, w2, b2), backward)
+def feed_forward_backward(g: np.ndarray, x: np.ndarray, w1: np.ndarray, b1: np.ndarray, w2: np.ndarray) -> tuple:
+    """The gradients of `feed_forward(x, w1, b1, w2, b2)` with respect to x,
+    w1, b1, w2 and b2, given the gradient `g` of its output. The hidden
+    layer is recomputed from x by the forward's own expressions."""
+    x2 = x.reshape(-1, x.shape[-1])
+    h, t, act = _gelu_hidden(x2, w1, b1)
+    g2 = g.reshape(-1, g.shape[-1])
+    gw2, gb2 = act.T @ g2, _sum_to_shape(g, (w2.shape[-1],))
+    del act  # one hidden-size array fewer while the slope is built
+    # d/dh of 0.5 h (1 + t), in place, in the order of
+    # ((h^2 * 3 * 0.044715 + 1) c (1 - t^2) h + t + 1) g_act / 2
+    slope = h * h
+    slope *= 3.0 * 0.044715
+    slope += 1.0
+    slope *= _GELU_C
+    dt = t * t
+    np.subtract(1.0, dt, out=dt)
+    slope *= dt
+    slope *= h
+    slope += t
+    slope += 1.0
+    slope *= g2 @ w2.T
+    slope *= 0.5
+    # b1's gradient is summed in fc1's (..., n) output shape: `_sum_to_shape`
+    # sums one leading axis at a time, so the bits depend on it.
+    gb1 = _sum_to_shape(slope.reshape(x.shape[:-1] + (-1,)), (w1.shape[-1],))
+    return (slope @ w1.T).reshape(x.shape), x2.T @ slope, gb1, gw2, gb2
 
 
 def _row_dot(a: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -567,42 +559,56 @@ def _row_dot(a: np.ndarray, v: np.ndarray) -> np.ndarray:
     return (a.reshape(-1, a.shape[-1]) @ v).reshape(a.shape[:-1] + (1,))
 
 
-def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float) -> Tensor:
-    """(x - mean) / sqrt(var + eps) * gain + bias over the last axis. The
+def _mean_weights(x: np.ndarray) -> np.ndarray:
+    """The vector whose `_row_dot` with x is the mean over x's last axis."""
+    return np.full(x.shape[-1], 1.0 / x.shape[-1], dtype=x.dtype)
+
+
+def normalized(x: np.ndarray, inv_std: np.ndarray) -> np.ndarray:
+    """x-hat = (x - mean) * `inv_std` over the last axis; with the forward's
+    1/sigma, the forward's x-hat to the bit."""
+    xhat = x - _row_dot(x, _mean_weights(x))
+    xhat *= inv_std
+    return xhat
+
+
+def _affine(xhat: np.ndarray, gain: np.ndarray, bias: np.ndarray) -> np.ndarray:
+    out = xhat * gain
+    out += bias
+    return out
+
+
+def layer_norm(x: np.ndarray, gain: np.ndarray, bias: np.ndarray, eps: float) -> tuple:
+    """(x - mean) / sqrt(var + eps) * gain + bias over the last axis, and the
+    (..., 1) 1/sqrt(var + eps) that `normalized` rebuilds x-hat from. The
     means are matrix-vector products, which run several times faster than
-    numpy's reduction over a short last axis; the node keeps only
-    1/sqrt(var + eps), and the backward recomputes the normalized input from x."""
-    mean = np.full(x.shape[-1], 1.0 / x.shape[-1], dtype=x.dtype)
-
-    def centred():
-        return x.data - _row_dot(x.data, mean)
-
-    centred_x = centred()
-    inv_std = _row_dot(centred_x * centred_x, mean)
+    numpy's reduction over a short last axis."""
+    xhat = x - _row_dot(x, _mean_weights(x))
+    inv_std = _row_dot(xhat * xhat, _mean_weights(x))
     inv_std += eps
     np.sqrt(inv_std, out=inv_std)
     np.divide(1.0, inv_std, out=inv_std)
-    centred_x *= inv_std
-    out_data = centred_x * gain.data
-    out_data += bias.data
+    xhat *= inv_std
+    return _affine(xhat, gain, bias), inv_std
 
-    def backward(g):
-        xhat = centred()
-        xhat *= inv_std
-        if gain.requires_grad:
-            _accumulate(gain, _sum_to_shape(g * xhat, gain.shape))
-        if bias.requires_grad:
-            _accumulate(bias, _sum_to_shape(g, bias.shape))
-        if x.requires_grad:  # in place, in the order of ((g - mean(g)) - xhat mean(g xhat)) / sigma
-            gx = g * gain.data
-            gxhat = gx * xhat
-            centre, slope = _row_dot(gx, mean), _row_dot(gxhat, mean)
-            gx -= centre
-            gx -= np.multiply(xhat, slope, out=gxhat)
-            gx *= inv_std
-            _accumulate(x, gx)
 
-    return _node(out_data, (x, gain, bias), backward)
+def layer_norm_backward(g: np.ndarray, xhat: np.ndarray, inv_std: np.ndarray, gain: np.ndarray,
+                        input_grad: bool = True) -> tuple:
+    """The gradients of `layer_norm(x, gain, bias, eps)` with respect to x
+    (None unless `input_grad`), gain and bias, given the gradient `g` of its
+    output and x's `normalized` x-hat."""
+    ggain, gbias = _sum_to_shape(g * xhat, gain.shape), _sum_to_shape(g, gain.shape)
+    if not input_grad:
+        return None, ggain, gbias
+    # In place, in the order of ((g - mean(g)) - xhat mean(g xhat)) / sigma
+    mean = _mean_weights(xhat)
+    gx = g * gain
+    gxhat = gx * xhat
+    centre, slope = _row_dot(gx, mean), _row_dot(gxhat, mean)
+    gx -= centre
+    gx -= np.multiply(xhat, slope, out=gxhat)
+    gx *= inv_std
+    return gx, ggain, gbias
 
 
 def _heads(x: np.ndarray, heads: int) -> np.ndarray:
@@ -646,43 +652,106 @@ def attention_weights(q: np.ndarray, k: np.ndarray, heads: int, mask=None) -> np
     (..., L, d) keys, both split into `heads` heads, as a fresh
     (L, ..., heads, m) array: the key axis leads, so the softmax reduces over
     it (module docstring). `mask` (..., L), when given, marks the valid keys;
-    the others get weight exactly 0."""
+    the others get weight exactly 0: their scores become -inf by adding a
+    broadcast 0 / -inf bias, which is faster than a masked copy and changes
+    no weight's bits (x + 0 differs from x only for x = -0, whose exp is 1)."""
     w = _head_scores(q, k, heads)
     w *= 1.0 / math.sqrt(q.shape[-1] // heads)
     if mask is not None:
-        np.copyto(w, -np.inf, where=np.logical_not(np.moveaxis(mask, -1, 0))[..., None, None])
+        w += np.where(np.moveaxis(mask, -1, 0), 0.0, -np.inf).astype(w.dtype)[..., None, None]
     return _softmax_leading(w)
 
 
-def attention(q: Tensor, k: Tensor, v: Tensor, heads: int, mask=None) -> Tensor:
-    """Multi-head scaled dot-product attention: projected (..., m, d) queries
-    over projected (..., L, d) keys and values with the same leading dims,
-    heads split and merged inside. Returns the (..., m, d) attention output
-    before the output projection. `mask` (..., L) marks the valid keys; the
-    others get exactly zero weight and zero gradient; None means every key is
-    valid. The backward keeps the softmax weights and views of the inputs."""
-    if q.shape[:-2] != k.shape[:-2] or k.shape != v.shape:
-        raise ValueError(f"attention shape mismatch: q {q.shape}, k {k.shape}, v {v.shape}")
-    w = attention_weights(q.data, k.data, heads, mask)  # (L, ..., heads, m)
-    weights = np.moveaxis(w, 0, -1)  # (..., heads, m, L)
+def attention(w: np.ndarray, v: np.ndarray, heads: int) -> np.ndarray:
+    """The (..., m, d) multi-head attention output, heads merged, of
+    `attention_weights` w over projected (..., L, d) values."""
+    return _matmul_merged(np.moveaxis(w, 0, -1), _heads(v, heads), heads)
+
+
+def attention_backward(g: np.ndarray, q: np.ndarray, k: np.ndarray, v: np.ndarray, w: np.ndarray,
+                       heads: int) -> tuple:
+    """The gradients of `attention(attention_weights(q, k, heads, mask), v,
+    heads)` with respect to q, k and v, given the gradient `g` of its output
+    and its weights `w`. A masked key gets exactly zero gradient."""
+    gs = _head_scores(g, v, heads)
+    _softmax_leading_grad(gs, w, out=gs)
+    gv = _matmul_merged(np.moveaxis(w, 0, -1).swapaxes(-1, -2), _heads(g, heads), heads)
+    gs *= 1.0 / math.sqrt(q.shape[-1] // heads)
+    gs = np.ascontiguousarray(np.moveaxis(gs, 0, -1))  # (..., heads, m, L), BLAS operand
+    gq = _matmul_merged(gs, _heads(k, heads), heads)
+    # The key gradient stays a strided view of the (..., heads, c, L)
+    # product: no copy, and `_sum_to_shape` sums in memory order, so a
+    # C-order copy would round the key bias's gradient differently.
+    gk = _merge_heads((_heads(q, heads).swapaxes(-1, -2) @ gs).swapaxes(-1, -2))
+    return gq, gk, gv
+
+
+def cross_attention_block(q: Tensor, kv: Tensor, mask, params, heads: int, eps: tuple) -> Tensor:
+    """The pre-norm cross-attention block as one tape node:
+
+        x   = q + linear(attention(ln_q(q) Wq, ln_kv(kv) Wk, ln_kv(kv) Wv), Wo)
+        out = x + feed_forward(ln_ff(x))
+
+    for (..., m, d) queries `q` and (..., L, d) keys and values `kv` with the
+    same leading dims. `mask` (..., L) marks the valid keys; the others get
+    exactly zero weight and gradient; None means every key is valid.
+    `params` are the block's 18 tensors in `nn.CrossAttentionBlock`'s
+    parameter order: gain and bias of ln_q and of ln_kv, weight and bias of
+    Wq, Wk, Wv and Wo, gain and bias of ln_ff, weight and bias of the
+    feed-forward layer's two linear maps. `eps` holds the eps of ln_q, ln_kv
+    and ln_ff.
+
+    The node keeps its inputs, the three 1/sigma, the mid-block residual x,
+    the softmax weights and the attention output: each product of many small
+    per-head matrices, slow to recompute. The backward recomputes the
+    layer-norm outputs and the projections from them.
+    """
+    if q.shape[:-2] != kv.shape[:-2]:
+        raise ValueError(f"block shape mismatch: queries {q.shape}, keys and values {kv.shape}")
+    (gain_q, bias_q, gain_kv, bias_kv, wq, bq, wk, bk, wv, bv, wo, bo,
+     gain_ff, bias_ff, w1, b1, w2, b2) = (p.data for p in params)
+    eps_q, eps_kv, eps_ff = eps
+
+    lq, inv_q = layer_norm(q.data, gain_q, bias_q, eps_q)
+    lkv, inv_kv = layer_norm(kv.data, gain_kv, bias_kv, eps_kv)
+    qp, kp, vp = linear(lq, wq, bq), linear(lkv, wk, bk), linear(lkv, wv, bv)
+    w = attention_weights(qp, kp, heads, mask)
+    pooled = attention(w, vp, heads)
+    x = q.data + linear(pooled, wo, bo)
+    del lq, lkv, qp, kp, vp
+    h, inv_ff = layer_norm(x, gain_ff, bias_ff, eps_ff)
+    out_data = x + feed_forward(h, w1, b1, w2, b2)
 
     def backward(g):
-        gs = _head_scores(g, v.data, heads)
-        _softmax_leading_grad(gs, w, out=gs)
-        g = _heads(g, heads)  # (..., heads, m, c)
-        if v.requires_grad:
-            _accumulate(v, _matmul_merged(weights.swapaxes(-1, -2), g, heads))
-        gs *= 1.0 / math.sqrt(q.shape[-1] // heads)
-        gs = np.ascontiguousarray(np.moveaxis(gs, 0, -1))  # (..., heads, m, L), BLAS operand
-        if q.requires_grad:
-            _accumulate(q, _matmul_merged(gs, _heads(k.data, heads), heads))
-        # The key gradient stays a strided view of the (..., heads, c, L)
-        # product: no copy, and `_sum_to_shape` sums in memory order, so a
-        # C-order copy would round the key bias's gradient differently.
-        if k.requires_grad:
-            _accumulate(k, _merge_heads((_heads(q.data, heads).swapaxes(-1, -2) @ gs).swapaxes(-1, -2)))
+        xhat = normalized(x, inv_ff)
+        g_h, gw1, gb1, gw2, gb2 = feed_forward_backward(g, _affine(xhat, gain_ff, bias_ff), w1, b1, w2)
+        g_x, ggain_ff, gbias_ff = layer_norm_backward(g_h, xhat, inv_ff, gain_ff)
+        g_x += g  # out = x + feed_forward(...)
+        del xhat, g_h
+        xhat_q, xhat_kv = normalized(q.data, inv_q), normalized(kv.data, inv_kv)
+        lq, lkv = _affine(xhat_q, gain_q, bias_q), _affine(xhat_kv, gain_kv, bias_kv)
+        qp, kp, vp = linear(lq, wq, bq), linear(lkv, wk, bk), linear(lkv, wv, bv)
+        g_att, gwo, gbo = linear_backward(g_x, pooled, wo)
+        g_qp, g_kp, g_vp = attention_backward(g_att, qp, kp, vp, w, heads)
+        del g_att
+        g_lq, gwq, gbq = linear_backward(g_qp, lq, wq)
+        g_lkv, gwk, gbk = linear_backward(g_kp, lkv, wk)
+        g_lv, gwv, gbv = linear_backward(g_vp, lkv, wv)
+        g_lkv += g_lv  # the key and value projections read the same lkv
+        g_q, ggain_q, gbias_q = layer_norm_backward(g_lq, xhat_q, inv_q, gain_q, q.requires_grad)
+        g_kv, ggain_kv, gbias_kv = layer_norm_backward(g_lkv, xhat_kv, inv_kv, gain_kv, kv.requires_grad)
+        grads = (ggain_q, gbias_q, ggain_kv, gbias_kv, gwq, gbq, gwk, gbk, gwv, gbv, gwo, gbo,
+                 ggain_ff, gbias_ff, gw1, gb1, gw2, gb2)
+        for p, gp in zip(params, grads):
+            if p.requires_grad:
+                _accumulate(p, gp)
+        if q.requires_grad:  # the residual's gradient, then ln_q's
+            _accumulate(q, g_x)
+            _accumulate(q, g_q)
+        if kv.requires_grad:
+            _accumulate(kv, g_kv)
 
-    return _node(_matmul_merged(weights, _heads(v.data, heads), heads), (q, k, v), backward)
+    return _node(out_data, (q, kv, *params), backward)
 
 
 # Squared-eps guard: unit-scale vectors are untouched (1 + 1e-24 rounds to 1),
@@ -693,48 +762,3 @@ NORM_EPS_SQ = 1e-24
 def l2_normalize(x: Tensor, axis: int = -1) -> Tensor:
     norm = sqrt(add(reduce_sum(mul(x, x), axis=axis, keepdims=True), NORM_EPS_SQ))
     return div(x, norm)
-
-
-# -- gradient checking ----------------------------------------------------
-
-
-def finite_difference_check(f, wrt, eps: float = 1e-5) -> float:
-    """Compare analytic gradients of the scalar `f()` against central differences.
-
-    `f` is re-evaluated after perturbing each coordinate of each tensor in
-    `wrt` by +/-eps: numeric = (f(x+eps) - f(x-eps)) / (2 eps). Returns the
-    max over coordinates of |analytic - numeric| / max(|analytic|, |numeric|),
-    with an absolute floor of 1e-8: deviations below the floor score 0 (a
-    parameter whose true gradient is exactly zero, e.g. the key bias of an
-    attention layer, would otherwise amplify pure FD roundoff). Tensors must
-    be float64; eps belongs in [1e-6, 1e-3].
-    """
-    if not 1e-6 <= eps <= 1e-3:
-        raise ValueError(f"eps {eps} outside [1e-6, 1e-3]")
-    wrt = list(wrt)
-    for t in wrt:
-        if t.data.dtype != np.float64:
-            raise ValueError("finite_difference_check requires float64 tensors")
-        t.grad = None
-
-    loss = f()
-    loss.backward()
-    analytic = [np.zeros_like(t.data) if t.grad is None else t.grad.copy() for t in wrt]
-
-    worst = 0.0
-    for t, ga in zip(wrt, analytic):
-        flat = t.data.reshape(-1)
-        ga_flat = ga.reshape(-1)
-        for i in range(flat.size):
-            orig = flat[i]
-            flat[i] = orig + eps
-            f_plus = float(f().data)
-            flat[i] = orig - eps
-            f_minus = float(f().data)
-            flat[i] = orig
-            numeric = (f_plus - f_minus) / (2.0 * eps)
-            diff = abs(ga_flat[i] - numeric)
-            if diff < 1e-8:
-                continue
-            worst = max(worst, diff / max(abs(ga_flat[i]), abs(numeric)))
-    return worst

@@ -1,15 +1,14 @@
 """Cross-attention building blocks for the fusion network.
 
 All blocks are pre-norm transformer sub-modules built from `autodiff` ops:
-layer norm, multi-head cross attention, feed-forward, a gated cross-attention
-stack (scalar tanh gate, zero-initialized so the stack contributes exactly
-nothing at init), and a resampler that maps any input sequence to a fixed
-number of learned query tokens. Each linear map, layer norm and attention
-core is one tape node (`autodiff.linear`, `layer_norm`, `attention`), and so
-is the whole feed-forward layer (`autodiff.feed_forward`: linear, GELU,
-linear), so a masked `CrossAttentionBlock` call records 11 nodes: two layer
-norms, four projections, attention, a residual add, a layer norm, the
-feed-forward layer and a residual add.
+a cross-attention block (layer norms, multi-head cross attention,
+feed-forward layer), a gated cross-attention stack (scalar tanh gate,
+zero-initialized so the stack contributes exactly nothing at init), and a
+resampler that maps any input sequence to a fixed number of learned query
+tokens. A `CrossAttentionBlock` call records one tape node
+(`autodiff.cross_attention_block`). `Linear`, `LayerNorm`,
+`MultiHeadCrossAttention` and `FeedForward` only hold the block's
+parameters, under the names that checkpoints and Adam's buffer order use.
 
 Blocks take token tensors of shape (..., n, d): one item as (n, d) or a batch
 as (B, n, d). A batch whose items have different key/value lengths is
@@ -79,9 +78,6 @@ class Linear(Module):
         self.weight = ad.parameter(weight)
         self.bias = ad.parameter(np.zeros(d_out, dtype=dtype))
 
-    def __call__(self, x: Tensor) -> Tensor:
-        return ad.linear(x, self.weight, self.bias)
-
 
 class LayerNorm(Module):
     """Per-token normalization over the last axis, then elementwise affine."""
@@ -93,14 +89,10 @@ class LayerNorm(Module):
         self.bias = ad.parameter(np.zeros(dim, dtype=dtype))
         self.eps = eps
 
-    def __call__(self, x: Tensor) -> Tensor:
-        return ad.layer_norm(x, self.gain, self.bias, self.eps)
-
 
 class MultiHeadCrossAttention(Module):
-    """Scaled dot-product attention, queries from one sequence, keys/values from
-    another: four projections around one `autodiff.attention` node. `kv_mask`
-    (..., L), when given, marks the valid key/value tokens."""
+    """The query, key, value and output projections of scaled dot-product
+    attention, queries from one sequence, keys/values from another."""
 
     def __init__(self, dim: int, heads: int, rng: np.random.Generator, dtype=np.float32):
         if dim % heads != 0:
@@ -115,24 +107,14 @@ class MultiHeadCrossAttention(Module):
         self.wv = Linear(dim, dim, rng, dtype, init="identity")
         self.wo = Linear(dim, dim, rng, dtype, init="identity")
 
-    def __call__(self, q_tokens: Tensor, kv_tokens: Tensor, kv_mask=None) -> Tensor:
-        d, d_kv = q_tokens.shape[-1], kv_tokens.shape[-1]
-        if d != self.dim or d_kv != self.dim:
-            raise ValueError(f"attention dim mismatch: got {d} and {d_kv}, expected {self.dim}")
-        if kv_tokens.shape[-2] < 1:
-            raise ValueError("attention needs at least one key/value token")
-        pooled = ad.attention(self.wq(q_tokens), self.wk(kv_tokens), self.wv(kv_tokens), self.heads, kv_mask)
-        return self.wo(pooled)
-
 
 class FeedForward(Module):
+    """The two linear maps of the feed-forward layer: linear, GELU, linear."""
+
     def __init__(self, dim: int, rng: np.random.Generator, mult: int = 4, dtype=np.float32):
         self.fc1 = Linear(dim, dim * mult, rng, dtype)
         # Zero write-back: the residual branch starts as a no-op.
         self.fc2 = Linear(dim * mult, dim, rng, dtype, init="zero")
-
-    def __call__(self, x: Tensor) -> Tensor:
-        return ad.feed_forward(x, self.fc1.weight, self.fc1.bias, self.fc2.weight, self.fc2.bias)
 
 
 class CrossAttentionBlock(Module):
@@ -155,9 +137,17 @@ class CrossAttentionBlock(Module):
             raise ValueError(
                 f"block dim mismatch: got {q_tokens.shape[-1]} and {kv_tokens.shape[-1]}, expected {dim}"
             )
-        x = q_tokens + self.attn(self.ln_q(q_tokens), self.ln_kv(kv_tokens), kv_mask)
-        BLOCK_EVAL_COUNTER["count"] += math.prod(x.shape[:-2])
-        return x + self.ff(self.ln_ff(x))
+        if kv_tokens.shape[-2] < 1:
+            raise ValueError("attention needs at least one key/value token")
+        attn, fc1, fc2 = self.attn, self.ff.fc1, self.ff.fc2
+        params = (self.ln_q.gain, self.ln_q.bias, self.ln_kv.gain, self.ln_kv.bias,
+                  attn.wq.weight, attn.wq.bias, attn.wk.weight, attn.wk.bias,
+                  attn.wv.weight, attn.wv.bias, attn.wo.weight, attn.wo.bias,
+                  self.ln_ff.gain, self.ln_ff.bias, fc1.weight, fc1.bias, fc2.weight, fc2.bias)
+        out = ad.cross_attention_block(q_tokens, kv_tokens, kv_mask, params, attn.heads,
+                                       (self.ln_q.eps, self.ln_kv.eps, self.ln_ff.eps))
+        BLOCK_EVAL_COUNTER["count"] += math.prod(out.shape[:-2])
+        return out
 
 
 class CrossAttentionStack(Module):

@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 from trifuse import nn
-from trifuse.autodiff import Tensor, finite_difference_check, parameter
+from trifuse.autodiff import Tensor, parameter
 from trifuse.data import ItemRecord, read_dataset, resolve_missing, write_dataset
 from trifuse.evaluation import grouped_eval, ranks_of_matrix, summary_metrics
 from trifuse.fusion import FusedBatch, FusionMode, FusionParams, forward_video, precompute_index
@@ -23,6 +23,8 @@ from trifuse.losses import contrastive_loss, hard_albef_loss, soft_albef_loss
 from trifuse.similarity import QueryScorer, ScoreMatrix, batch_scores, score_matrix
 from trifuse.synth import SynthConfig, generate
 from trifuse.trainer import TrainConfig, train
+
+from gradcheck import finite_difference_check
 
 
 def report(criterion: str, passed: bool, detail: str = ""):

@@ -7,8 +7,10 @@ import pytest
 
 from trifuse import autodiff as ad
 from trifuse import nn
-from trifuse.autodiff import _GELU_C, Tensor, _accumulate, _node, finite_difference_check, parameter
+from trifuse.autodiff import _GELU_C, Tensor, parameter
 from trifuse.fusion import MAX_SHARPNESS
+
+from gradcheck import feed_forward_node, finite_difference_check, layer_norm_node
 
 
 class TestBackward:
@@ -165,7 +167,7 @@ class TestOpGradients:
 
         def f():
             h = ad.tanh(ad.matmul(a, b) + c)
-            h = ad.feed_forward(h * 1.7, *ff)
+            h = feed_forward_node(h * 1.7, *ff)
             return (h * h).mean() + ad.sqrt((a * a).sum() + 1.0)
 
         assert finite_difference_check(f, [a, b, c, *ff], eps=1e-5) < 1e-4
@@ -260,10 +262,10 @@ def _composite_gelu(x):
 
 
 def _identity_feed_forward(x):
-    """`feed_forward` with identity weights and zero biases, whose products
-    and sums are exact: the GELU it folds in."""
+    """The feed-forward helpers with identity weights and zero biases, whose
+    products and sums are exact: the GELU they fold in."""
     eye, zero = Tensor(np.eye(x.shape[-1], dtype=x.dtype)), Tensor(np.zeros(x.shape[-1], x.dtype))
-    return ad.feed_forward(x, eye, zero, eye, zero)
+    return feed_forward_node(x, eye, zero, eye, zero)
 
 
 def _composite_standardize(x, eps):
@@ -285,9 +287,9 @@ SINGLE_NODE_OPS = {
         lambda x: ad.log_softmax(x, axis=1), lambda x: x - _composite_logsumexp(x, 1, True), None
     ),
     "gelu": (_identity_feed_forward, _composite_gelu, None),
-    # layer_norm at unit gain and zero bias: the standardization it folds in
+    # the layer-norm helpers at unit gain and zero bias: the standardization they fold in
     "standardize": (
-        lambda x: ad.layer_norm(x, Tensor(np.ones(x.shape[-1], x.dtype)), Tensor(np.zeros(x.shape[-1], x.dtype)), 1e-5),
+        lambda x: layer_norm_node(x, Tensor(np.ones(x.shape[-1], x.dtype)), Tensor(np.zeros(x.shape[-1], x.dtype)), 1e-5),
         lambda x: _composite_standardize(x, 1e-5),
         None,
     ),
@@ -425,7 +427,7 @@ class TestTokenLogMeanExp:
 
 
 def _composite_attention(q, k, v, heads, mask):
-    """The primitive-op graph `attention` replaced in nn.MultiHeadCrossAttention."""
+    """Masked multi-head attention as a graph of primitive ops."""
     d = q.shape[-1]
 
     def split(x):
@@ -444,76 +446,117 @@ def _composite_layer_norm(x, eps):
     return centered / ad.sqrt((centered * centered).mean(axis=-1, keepdims=True) + eps)
 
 
+def _composite_block(block, q, kv, mask):
+    """`nn.CrossAttentionBlock` as the graph of primitive ops that its one
+    node replaces: per-sublayer nodes would record the same arithmetic."""
+
+    def norm(x, ln):
+        return _composite_layer_norm(x, ln.eps) * ln.gain + ln.bias
+
+    def linear(x, layer):
+        return ad.matmul(x, layer.weight) + layer.bias
+
+    attn = block.attn
+    kv_hat = norm(kv, block.ln_kv)
+    pooled = _composite_attention(
+        linear(norm(q, block.ln_q), attn.wq), linear(kv_hat, attn.wk), linear(kv_hat, attn.wv), attn.heads, mask)
+    x = q + linear(pooled, attn.wo)
+    h = linear(norm(x, block.ln_ff), block.ff.fc1)
+    return x + linear(h * (ad.tanh((h + h * h * h * 0.044715) * _GELU_C) + 1.0) * 0.5, block.ff.fc2)
+
+
+# id -> (model dim, heads, queries per item, each item's key count, parameter
+# scale, input scale, input offset). Every case masks a zero-padded batch of
+# mixed key lengths. "linear" puts every linear map at unit-scale random
+# weights and biases, "layer_norm" feeds inputs far from zero mean and unit
+# variance, "single_kv_token" gives an item one valid key, "padded_keys"
+# pads with more heads.
+BLOCK_CASES = {
+    "linear": (8, 2, 3, [4, 2], 1.0, 1.0, 0.0),
+    "layer_norm": (8, 2, 2, [3, 4], 0.5, 3.0, 2.0),
+    "masked_mixed_lengths": (8, 2, 2, [5, 1, 3], 0.5, 1.0, 0.0),
+    "single_kv_token": (8, 4, 3, [1, 3], 0.5, 1.0, 0.0),
+    "padded_keys": (8, 4, 3, [2, 4], 0.5, 1.0, 0.0),
+}
+
+
+def _block_case(name, dtype=np.float64):
+    """(block, q, kv, mask). Every parameter is random, so every gradient path
+    carries signal (at init fc2 is zero and wv, wo are the identity); padded
+    key and value rows hold random values, not zeros, so only the mask keeps
+    them out."""
+    dim, heads, m, lengths, scale, x_scale, offset = BLOCK_CASES[name]
+    rng = np.random.default_rng(30)
+    block = nn.CrossAttentionBlock(dim, heads, rng, dtype=dtype)
+    for p in block.parameters():
+        p.data = (rng.normal(size=p.shape) * scale).astype(dtype)
+    mask = np.arange(max(lengths)) < np.array(lengths)[:, None]
+    q = (rng.normal(size=(len(lengths), m, dim)) * x_scale + offset).astype(dtype)
+    kv = (rng.normal(size=mask.shape + (dim,)) * x_scale + offset).astype(dtype)
+    return block, q, kv, mask
+
+
+def _block_grads(fn, block, q, kv, mask):
+    """The output and the gradients of every block parameter, q and kv of
+    `_weighted_sum(fn(block, q, kv, mask))`."""
+    for p in block.parameters():
+        p.grad = None
+    q, kv = parameter(q), parameter(kv)
+    out = fn(block, q, kv, mask)
+    _weighted_sum(out).backward()
+    return out.data, [p.grad for p in block.parameters()] + [q.grad, kv.grad]
+
+
+def _block_node(block, q, kv, mask):
+    return block(q, kv, mask)
+
+
+@pytest.mark.parametrize("name", list(BLOCK_CASES))
+class TestSublayerOps:
+    """The cross-attention block's one node against the primitive-op graph of
+    its sublayers (layer norms, projections, masked attention, feed-forward
+    layer, residuals), in float64."""
+
+    def test_matches_composite(self, name):
+        block, q, kv, mask = _block_case(name)
+        got = block(Tensor(q), Tensor(kv), mask).data
+        want = _composite_block(block, Tensor(q), Tensor(kv), mask).data
+        assert got.shape == want.shape == q.shape
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+    def test_gradient_matches_finite_differences(self, name):
+        """Over every block parameter and both token inputs."""
+        block, q, kv, mask = _block_case(name)
+        q, kv = parameter(q), parameter(kv)
+        wrt = block.parameters() + [q, kv]
+        assert finite_difference_check(lambda: _weighted_sum(block(q, kv, mask)), wrt, eps=1e-5) < 1e-4
+
+    def test_gradient_matches_composite(self, name):
+        block, q, kv, mask = _block_case(name)
+        _, got = _block_grads(_block_node, block, q, kv, mask)
+        _, want = _block_grads(_composite_block, block, q, kv, mask)
+        assert len(got) == len(want) == 20
+        for g, w in zip(got, want):
+            assert g.shape == w.shape
+            assert np.max(np.abs(g - w)) <= 1e-11 * max(1.0, np.max(np.abs(w)))
+
+    def test_input_bits_unchanged(self, name):
+        block, q, kv, mask = _block_case(name)
+        before = [p.data.tobytes() for p in block.parameters()] + [q.tobytes(), kv.tobytes()]
+        _, grads = _block_grads(_block_node, block, q, kv, mask)
+        assert [p.data.tobytes() for p in block.parameters()] + [q.tobytes(), kv.tobytes()] == before
+        assert all(g is not None for g in grads)
+
+
 def _attention_case(name):
-    """(q, k, v, heads, mask) in float64. Padded key and value rows hold
-    random values, not zeros, so only the mask keeps them out."""
+    """(q, k, v, heads, mask) projected inputs in float64. Padded key and
+    value rows hold random values, not zeros, so only the mask keeps them out."""
     rng = np.random.default_rng(30)
     if name == "masked_mixed_lengths":
         mask = np.arange(5) < np.array([5, 1, 3])[:, None]
         return rng.normal(size=(3, 2, 8)), rng.normal(size=(3, 5, 8)), rng.normal(size=(3, 5, 8)), 2, mask
-    if name == "single_kv_token":
-        return rng.normal(size=(3, 8)), rng.normal(size=(1, 8)), rng.normal(size=(1, 8)), 4, None
     mask = np.array([[True, True, False, False], [True, True, True, True]])  # padded_keys
     return rng.normal(size=(2, 3, 8)), rng.normal(size=(2, 4, 8)), rng.normal(size=(2, 4, 8)), 4, mask
-
-
-ATTENTION_CASES = ["masked_mixed_lengths", "single_kv_token", "padded_keys"]
-
-
-def _sublayer_inputs(name):
-    """op name -> (the op, the composite it replaced, float64 inputs)."""
-    rng = np.random.default_rng(31)
-    if name == "linear":
-        return ad.linear, lambda x, w, b: ad.matmul(x, w) + b, [rng.normal(size=s) for s in ((2, 3, 4), (4, 5), (5,))]
-    if name == "layer_norm":
-        inputs = [rng.normal(size=(2, 3, 6)) * 3.0, rng.normal(size=6), rng.normal(size=6)]
-        return (
-            lambda x, gain, bias: ad.layer_norm(x, gain, bias, 1e-5),
-            lambda x, gain, bias: _composite_layer_norm(x, 1e-5) * gain + bias,
-            inputs,
-        )
-    q, k, v, heads, mask = _attention_case(name)
-    return (
-        lambda q, k, v: ad.attention(q, k, v, heads, mask),
-        lambda q, k, v: _composite_attention(q, k, v, heads, mask),
-        [q, k, v],
-    )
-
-
-@pytest.mark.parametrize("name", ["linear", "layer_norm"] + ATTENTION_CASES)
-class TestSublayerOps:
-    """linear, layer_norm and attention: one tape node each, with the values
-    and gradients of the composite graph it replaced."""
-
-    def test_matches_composite(self, name):
-        op, composite, inputs = _sublayer_inputs(name)
-        got = op(*map(Tensor, inputs)).data
-        want = composite(*map(Tensor, inputs)).data
-        assert got.shape == want.shape
-        assert np.max(np.abs(got - want)) <= 1e-12
-
-    def test_gradient_matches_finite_differences(self, name):
-        op, _, inputs = _sublayer_inputs(name)
-        params = [parameter(x) for x in inputs]
-        assert finite_difference_check(lambda: _weighted_sum(op(*params)), params, eps=1e-5) < 1e-4
-
-    def test_gradient_matches_composite(self, name):
-        op, composite, inputs = _sublayer_inputs(name)
-        grads = []
-        for fn in (op, composite):
-            params = [parameter(x) for x in inputs]
-            _weighted_sum(fn(*params)).backward()
-            grads.append([p.grad for p in params])
-        for got, want in zip(*grads):
-            assert np.max(np.abs(got - want)) <= 1e-12
-
-    def test_input_bits_unchanged(self, name):
-        op, _, inputs = _sublayer_inputs(name)
-        params = [parameter(x) for x in inputs]
-        before = [p.data.tobytes() for p in params]
-        _weighted_sum(op(*params)).backward()
-        assert [p.data.tobytes() for p in params] == before
-        assert all(p.grad is not None for p in params)
 
 
 @pytest.mark.parametrize("name", ["masked_mixed_lengths", "padded_keys"])
@@ -522,33 +565,26 @@ def test_attention_padded_keys_get_zero_weight_and_gradient(name):
     weights = ad.attention_weights(q, k, heads, mask)  # (L, ..., heads, m)
     padded = np.logical_not(np.moveaxis(mask, -1, 0))
     assert np.all(weights[padded] == 0.0) and np.all(weights[~padded] > 0.0)
-    q, k, v = (parameter(x) for x in (q, k, v))
-    _weighted_sum(ad.attention(q, k, v, heads, mask)).backward()
-    assert np.all(k.grad[~mask] == 0.0) and np.all(v.grad[~mask] == 0.0)
-    assert np.all(v.grad[mask] != 0.0)
+    g = np.random.default_rng(0).normal(size=q.shape)
+    _, gk, gv = ad.attention_backward(g, q, k, v, weights, heads)
+    assert np.all(gk[~mask] == 0.0) and np.all(gv[~mask] == 0.0)
+    assert np.all(gv[mask] != 0.0)
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
 def test_no_mask_is_bit_equal_to_an_all_true_mask(dtype):
-    """Full-length batches reach attention with no mask (`fusion._stack`); the
+    """Full-length batches reach the block with no mask (`fusion._stack`); the
     values and gradients are those of a mask that keeps every key."""
-    rng = np.random.default_rng(32)
-    inputs = [rng.normal(size=s).astype(dtype) for s in ((4, 3, 8), (4, 5, 8), (4, 5, 8))]
-    runs = []
-    for mask in (None, np.ones((4, 5), dtype=bool)):
-        q, k, v = (parameter(x) for x in inputs)
-        out = ad.attention(q, k, v, 2, mask)
-        _weighted_sum(out).backward()
-        runs.append([out.data, q.grad, k.grad, v.grad])
-    for unmasked, masked in zip(*runs):
+    block, q, kv, _ = _block_case("masked_mixed_lengths", dtype)
+    runs = [_block_grads(_block_node, block, q, kv, mask) for mask in (None, np.ones(kv.shape[:-1], dtype=bool))]
+    for unmasked, masked in zip(*[[out, *grads] for out, grads in runs]):
         assert unmasked.dtype == masked.dtype == dtype
         assert unmasked.tobytes() == masked.tobytes()
 
 
-def reference_gelu(a: Tensor) -> Tensor:
-    """The single-node GELU that `feed_forward` folded in, kept verbatim as
-    the reference for `feed_forward`'s bits."""
-    x = a.data
+def reference_gelu(x: np.ndarray):
+    """The single-node GELU that the feed-forward helpers fold in, kept
+    verbatim as the reference for their bits: its output and its backward."""
     # In place, in the composite's order: t = tanh((x + x^3 * 0.044715) * c)
     t = x * x
     t *= x
@@ -574,32 +610,29 @@ def reference_gelu(a: Tensor) -> Tensor:
         slope += 1.0
         slope *= g
         slope *= 0.5
-        _accumulate(a, slope)
+        return slope
 
-    return _node(out_data, (a,), backward)
+    return out_data, backward
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
 @pytest.mark.parametrize("shape", [(4, 3, 8), (5, 8)], ids=["batch", "single"])
 def test_feed_forward_is_bit_equal_to_linear_gelu_linear(dtype, shape):
-    """The one node recomputes its hidden layer in backward, by the chain's
-    own expressions: the output and all five gradients keep their bits."""
+    """The feed-forward helpers recompute the hidden layer in backward, by the
+    chain's own expressions: the output and all five gradients keep the bits
+    of linear, GELU, linear."""
     rng = np.random.default_rng(41)
-    inputs = [rng.normal(size=s).astype(dtype) for s in (shape, (8, 32), (32,), (32, 8), (8,))]
-    r = rng.normal(size=shape).astype(dtype)
+    x, w1, b1, w2, b2 = (rng.normal(size=s).astype(dtype) for s in (shape, (8, 32), (32,), (32, 8), (8,)))
+    g = rng.normal(size=shape).astype(dtype)
 
-    def chain(x, w1, b1, w2, b2):
-        return ad.linear(reference_gelu(ad.linear(x, w1, b1)), w2, b2)
-
-    runs = []
-    for fn in (ad.feed_forward, chain):
-        params = [parameter(v) for v in inputs]
-        out = fn(*params)
-        (out * r).sum().backward()
-        runs.append([out.data] + [p.grad for p in params])
-    for node, reference in zip(*runs):
-        assert node.dtype == reference.dtype == dtype and node.shape == reference.shape
-        assert node.tobytes() == reference.tobytes()
+    act, gelu_backward = reference_gelu(ad.linear(x, w1, b1))
+    g_act, gw2, gb2 = ad.linear_backward(g, act, w2)
+    gx, gw1, gb1 = ad.linear_backward(gelu_backward(g_act), x, w1)
+    chain = [ad.linear(act, w2, b2), gx, gw1, gb1, gw2, gb2]
+    node = [ad.feed_forward(x, w1, b1, w2, b2), *ad.feed_forward_backward(g, x, w1, b1, w2)]
+    for got, want in zip(node, chain):
+        assert got.dtype == want.dtype == dtype and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
 
 
 def _retained_bytes(forward) -> int:
@@ -615,20 +648,36 @@ def _retained_bytes(forward) -> int:
     return retained
 
 
+def _float32_block(length):
+    """A block at its init, a masked float32 batch of 32 items with 12
+    queries and `length` keys and values each, the queries a parameter, and
+    the bytes the block node keeps: its output, the mid-block residual and
+    the attention output (each the queries' size), the (L, B, heads, m)
+    softmax weights and three per-row 1/sigma."""
+    rng = np.random.default_rng(42)
+    block = nn.CrossAttentionBlock(16, 4, rng)
+    q = parameter(rng.normal(size=(32, 12, 16)).astype(np.float32))
+    kv = Tensor(rng.normal(size=(32, length, 16)).astype(np.float32))
+    mask = np.arange(length) < rng.integers(1, length + 1, size=32)[:, None]
+    kept = 3 * q.data.nbytes + (length * 4 * 12 + 2 * 12 + length) * 32 * 4
+    return block, q, kv, mask, kept
+
+
 class TestRetainedMemory:
-    """Nodes that recompute an intermediate in backward do not keep it."""
+    """Nodes that recompute an intermediate in backward do not keep it. Half
+    the queries' size covers the Python objects of a node."""
 
     def test_feed_forward_keeps_no_hidden_layer(self):
-        rng = np.random.default_rng(42)
-        ff = nn.FeedForward(16, rng)
-        x = parameter(rng.normal(size=(32, 12, 16)).astype(np.float32))
-        assert _retained_bytes(lambda: ff(x)) <= 2 * x.data.nbytes
+        """The feed-forward hidden layer is 4x the queries' size."""
+        block, q, kv, mask, kept = _float32_block(12)
+        assert _retained_bytes(lambda: block(q, kv, mask)) <= kept + q.data.nbytes // 2
 
     def test_layer_norm_keeps_no_normalized_input(self):
-        rng = np.random.default_rng(43)
-        ln = nn.LayerNorm(16)
-        x = parameter(rng.normal(size=(32, 12, 16)).astype(np.float32))
-        assert _retained_bytes(lambda: ln(x)) <= 1.5 * x.data.nbytes
+        """Neither the normalized queries, keys and values nor their
+        projections: with 64 keys each key or value array is 5.3x the
+        queries' size."""
+        block, q, kv, mask, kept = _float32_block(64)
+        assert _retained_bytes(lambda: block(q, kv, mask)) <= kept + q.data.nbytes // 2
 
     def test_token_logmeanexp_keeps_no_exponentials(self):
         rng = np.random.default_rng(44)

@@ -123,3 +123,27 @@ def test_a_failing_run_keeps_the_finished_rows(tmp_path, monkeypatch):
     assert calls == ["train"] * 4 + ["eval"]
     assert [(row["workload"], row["seed"], row["pairs"]) for row in doc["rows"]] == [("train", 1, 2)]
     assert doc["machine"] == {"cpus": 2}
+
+
+def test_a_finished_row_prints_each_verdict(tmp_path, monkeypatch, capsys):
+    """When a row finishes, each end-to-end metric of BENCHMARK.json gets one
+    line with its verdict and change_vs_base; a figure without an entry
+    there (`x`) stays in the JSON only."""
+    for side in bench_pairs.SIDES:
+        (tmp_path / side).mkdir()
+    (tmp_path / "change" / "BENCHMARK.json").write_text(json.dumps({"run_seconds": 1, "end_to_end": [
+        {"name": "m", "unit": "ms", "better": "lower", "bound": 0.25},
+        {"name": "z", "unit": "ms", "better": "lower", "bound": 0.25}]}))
+    values = {"base": iter(BASE), "change": iter(b - 10 for b in BASE)}
+
+    def run_once(root, workload, seed, seconds):
+        return {"machine": {}, "failed": 0,
+                "end_to_end": {"m": [next(values[root.name]), "ms"], "z": [0.0, "ms"], "x": [1.0, "items/s"]}}
+
+    monkeypatch.setattr(bench_pairs, "run_once", run_once)
+    bench_pairs.main(["--base", str(tmp_path / "base"), "--change", str(tmp_path / "change"),
+                      "--out", str(tmp_path / "bench.json"), "train:3:10"])
+    lines = [line for line in capsys.readouterr().out.splitlines() if " pair " not in line]
+    # change medians 94.5 against 104.5: -9.57%
+    assert lines == ["train seed 3 m: lower, change_vs_base -9.57%, inside bound yes",
+                     "train seed 3 z: unchanged, change_vs_base n/a, inside bound n/a"]

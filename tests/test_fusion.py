@@ -7,7 +7,7 @@ import pytest
 
 from trifuse import autodiff as ad
 from trifuse import fusion
-from trifuse.autodiff import Tensor, finite_difference_check
+from trifuse.autodiff import Tensor
 from trifuse.data import (KIND_TOKENS, KIND_VECTOR, ContainerError, ItemRecord, Manifest, QueryRecord, read_container,
                           resolve_missing, write_container)
 from trifuse.fusion import (
@@ -25,6 +25,8 @@ from trifuse.fusion import (
     save_params,
 )
 from trifuse.similarity import QueryScorer, batch_scores, combined_similarity, score_matrix
+
+from gradcheck import finite_difference_check
 
 
 D, M = 8, 3

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from trifuse import autodiff as ad
-from trifuse.autodiff import Tensor, finite_difference_check, parameter
+from trifuse.autodiff import Tensor, parameter
 from trifuse.data import ItemRecord
 from trifuse.fusion import FusionMode, FusionParams, forward_video, pre_fusion_pooled
 from trifuse.losses import (
@@ -16,6 +16,8 @@ from trifuse.losses import (
     student_affinity,
     total_loss,
 )
+
+from gradcheck import finite_difference_check
 
 
 def unit_rows(x):

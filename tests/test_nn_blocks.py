@@ -5,7 +5,9 @@ import pytest
 
 from trifuse import autodiff as ad
 from trifuse import nn
-from trifuse.autodiff import Tensor, finite_difference_check, parameter
+from trifuse.autodiff import Tensor, parameter
+
+from gradcheck import finite_difference_check, layer_norm_node
 
 
 def make_rng(seed=0):
@@ -13,9 +15,12 @@ def make_rng(seed=0):
 
 
 def _weights(attn, q, kv, mask=None):
-    """(..., heads, m, L) softmax weights of `attn` on these inputs, from the
-    helper its attention node uses."""
-    w = ad.attention_weights(attn.wq(q).data, attn.wk(kv).data, attn.heads, mask)
+    """(..., heads, m, L) softmax weights of `attn`'s projections on these
+    inputs, from the helper the block node uses."""
+    def project(x, layer):
+        return ad.linear(x.data, layer.weight.data, layer.bias.data)
+
+    w = ad.attention_weights(project(q, attn.wq), project(kv, attn.wk), attn.heads, mask)
     return np.moveaxis(w, 0, -1)
 
 
@@ -32,14 +37,19 @@ def _tape_nodes(out):
     return nodes
 
 
+def _layer_norm(ln, x):
+    """`ln` applied to x by the layer-norm helper the block node uses."""
+    return ad.layer_norm(np.asarray(x), ln.gain.data, ln.bias.data, ln.eps)[0]
+
+
 class TestLayerNorm:
     def test_constant_input_maps_to_zero(self):
-        out = nn.LayerNorm(3, dtype=np.float64)(Tensor([5.0, 5.0, 5.0]))
-        np.testing.assert_allclose(out.data, np.zeros(3), atol=1e-12)
+        out = _layer_norm(nn.LayerNorm(3, dtype=np.float64), [5.0, 5.0, 5.0])
+        np.testing.assert_allclose(out, np.zeros(3), atol=1e-12)
 
     def test_already_normalized_is_fixed_point(self):
-        out = nn.LayerNorm(2, eps=1e-12, dtype=np.float64)(Tensor([1.0, -1.0]))
-        np.testing.assert_allclose(out.data, [1.0, -1.0], atol=1e-6)
+        out = _layer_norm(nn.LayerNorm(2, eps=1e-12, dtype=np.float64), [1.0, -1.0])
+        np.testing.assert_allclose(out, [1.0, -1.0], atol=1e-6)
 
     def test_nonpositive_eps_rejected(self):
         with pytest.raises(ValueError, match="eps"):
@@ -54,7 +64,7 @@ class TestLayerNorm:
         r = rng.normal(size=4)
 
         def f():
-            return (ln(x) * r).sum()
+            return (layer_norm_node(x, ln.gain, ln.bias, ln.eps) * r).sum()
 
         assert finite_difference_check(f, [x, ln.gain, ln.bias], eps=1e-5) < 1e-4
 
@@ -128,17 +138,18 @@ class TestCrossAttention:
         assert weights.shape == (2, 4, 3, 4)
         assert np.all(weights[0, :, :, 2:] == 0.0) and np.all(weights[1] > 0.0)
 
-    def test_masked_block_records_eleven_tape_nodes(self):
-        """Two layer norms, four projections, the attention core, a residual
-        add, a layer norm, the feed-forward layer and a residual add: each
-        linear map, layer norm, attention core and feed-forward layer is one
-        node."""
+    def test_masked_block_records_one_tape_node(self):
+        """Layer norms, projections, attention, feed-forward layer and both
+        residual adds are one node, whose parents are the block's 18
+        parameters (its token inputs here need no gradient)."""
         rng = make_rng(21)
         block = nn.CrossAttentionBlock(8, 2, rng)
         q = Tensor(rng.normal(size=(3, 2, 8)).astype(np.float32))
         kv = Tensor(rng.normal(size=(3, 5, 8)).astype(np.float32))
         mask = np.arange(5) < np.array([5, 1, 3])[:, None]
-        assert _tape_nodes(block(q, kv, mask)) == 11
+        out = block(q, kv, mask)
+        assert _tape_nodes(out) == 1
+        assert out._parents == tuple(block.parameters())
 
     def test_gradient_reaches_inputs(self):
         rng = make_rng(6)

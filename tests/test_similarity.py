@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from trifuse import similarity, synth
-from trifuse.autodiff import Tensor, finite_difference_check, parameter
+from trifuse.autodiff import Tensor, parameter
 from trifuse.data import QueryRecord
 from trifuse.evaluation import grouped_eval, summary_metrics
 from trifuse.fusion import (DEFAULT_SHARPNESS, MAX_SHARPNESS, FusedBatch, FusionMode, FusionParams, VideoIndex,
@@ -20,6 +20,8 @@ from trifuse.similarity import (
     local_similarity,
     score_matrix,
 )
+
+from gradcheck import finite_difference_check
 
 
 class TestGlobalSimilarity:

@@ -10,7 +10,9 @@ at a time; odd pairs run the base first, even pairs the change. S is the
 sides. `--base` and `--change` are the roots of two full checkouts (the
 change defaults to this one). Make the base with `git archive`, never by
 checking out over this tree. The output is rewritten after every row, so a
-run that fails keeps the rows finished before it.
+run that fails keeps the rows finished before it. When a row finishes, one
+line per end-to-end metric of BENCHMARK.json gives its verdict and
+`change_vs_base`.
 
 The output holds, per row (workload and seed), each end-to-end metric's
 median and quartiles on each side, the parent's interquartile range, how many
@@ -113,6 +115,21 @@ def summarise(workload: str, seed: int, runs: list[dict], specs: dict[str, dict]
     }
 
 
+def verdict_lines(row: dict, specs: dict[str, dict]) -> list[str]:
+    """One line per end-to-end metric of BENCHMARK.json in a summarised
+    `row`: its verdict, `change_vs_base` and whether that is inside the bound."""
+    lines = []
+    for name in specs:
+        metric = row["metrics"].get(name)
+        if metric is None:
+            continue
+        change = "n/a" if metric["change_vs_base"] is None else f"{metric['change_vs_base']:+.2%}"
+        inside = {True: "yes", False: "NO", None: "n/a"}[metric["inside_bound"]]
+        lines.append(f"{row['workload']} seed {row['seed']} {name}: {metric['verdict']}, "
+                     f"change_vs_base {change}, inside bound {inside}")
+    return lines
+
+
 def main(argv=None) -> int:
     args = parse_args(argv)
     roots = {"base": args.base.resolve(), "change": args.change.resolve()}
@@ -136,8 +153,11 @@ def main(argv=None) -> int:
                 runs.append({**record, "pair": pair, "side": side, "first": order[0]})
                 print(f"{workload} seed {seed} pair {pair} {side}: "
                       + " ".join(f"{k}={v[0]:.4g}" for k, v in record["end_to_end"].items()), flush=True)
-        doc["rows"].append(summarise(workload, int(seed), runs, specs))
+        row = summarise(workload, int(seed), runs, specs)
+        doc["rows"].append(row)
         args.out.write_text(json.dumps(doc, indent=1, sort_keys=True) + "\n")
+        for line in verdict_lines(row, specs):
+            print(line, flush=True)
     return 0
 
 
