@@ -467,8 +467,8 @@ def _composite_block(block, q, kv, mask):
 
 # id -> (model dim, heads, queries per item, each item's key count, parameter
 # scale, input scale, input offset). Every case masks a zero-padded batch of
-# mixed key lengths. "linear" puts every linear map at unit-scale random
-# weights and biases, "layer_norm" feeds inputs far from zero mean and unit
+# mixed key lengths. "linear" draws every weight and bias at unit scale
+# rather than 0.5, "layer_norm" feeds inputs far from zero mean and unit
 # variance, "single_kv_token" gives an item one valid key, "padded_keys"
 # pads with more heads.
 BLOCK_CASES = {
@@ -542,10 +542,12 @@ class TestSublayerOps:
 
     def test_input_bits_unchanged(self, name):
         block, q, kv, mask = _block_case(name)
-        before = [p.data.tobytes() for p in block.parameters()] + [q.tobytes(), kv.tobytes()]
-        _, grads = _block_grads(_block_node, block, q, kv, mask)
-        assert [p.data.tobytes() for p in block.parameters()] + [q.tobytes(), kv.tobytes()] == before
-        assert all(g is not None for g in grads)
+        q, kv = parameter(q), parameter(kv)
+        tensors = block.parameters() + [q, kv]
+        before = [t.data.tobytes() for t in tensors]
+        _weighted_sum(block(q, kv, mask)).backward()
+        assert [t.data.tobytes() for t in tensors] == before
+        assert all(t.grad is not None for t in tensors)
 
 
 def _attention_case(name):
