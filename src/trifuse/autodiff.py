@@ -27,7 +27,8 @@ its backward cannot recompute from the inputs it holds anyway:
   feed-forward layer and residual) keeps the three layer norms' 1/sigma, the
   mid-block residual, the softmax weights and the attention output, and
   recomputes the normalized inputs, the projections and the (..., 4d)
-  hidden layer. Its sublayers `linear`, `layer_norm`, `attention_weights` with
+  hidden layer. Its sublayers `linear`, `layer_norm` (whose variance guard
+  is the one constant `LAYER_NORM_EPS`), `attention_weights` with
   `attention`, and `feed_forward` (linear, the smooth GELU in tanh form,
   linear) are numpy functions, each with a `*_backward`, not nodes;
 - `softmax` keeps its output, and `logsumexp` its exponentials and their sum
@@ -578,14 +579,18 @@ def _affine(xhat: np.ndarray, gain: np.ndarray, bias: np.ndarray) -> np.ndarray:
     return out
 
 
-def layer_norm(x: np.ndarray, gain: np.ndarray, bias: np.ndarray, eps: float) -> tuple:
-    """(x - mean) / sqrt(var + eps) * gain + bias over the last axis, and the
-    (..., 1) 1/sqrt(var + eps) that `normalized` rebuilds x-hat from. The
-    means are matrix-vector products, which run several times faster than
-    numpy's reduction over a short last axis."""
+# The variance guard of every layer norm: a constant row maps to zero.
+LAYER_NORM_EPS = 1e-5
+
+
+def layer_norm(x: np.ndarray, gain: np.ndarray, bias: np.ndarray) -> tuple:
+    """(x - mean) / sqrt(var + LAYER_NORM_EPS) * gain + bias over the last
+    axis, and the (..., 1) 1/sqrt(var + LAYER_NORM_EPS) that `normalized`
+    rebuilds x-hat from. The means are matrix-vector products, which run
+    several times faster than numpy's reduction over a short last axis."""
     xhat = x - _row_dot(x, _mean_weights(x))
     inv_std = _row_dot(xhat * xhat, _mean_weights(x))
-    inv_std += eps
+    inv_std += LAYER_NORM_EPS
     np.sqrt(inv_std, out=inv_std)
     np.divide(1.0, inv_std, out=inv_std)
     xhat *= inv_std
@@ -594,7 +599,7 @@ def layer_norm(x: np.ndarray, gain: np.ndarray, bias: np.ndarray, eps: float) ->
 
 def layer_norm_backward(g: np.ndarray, xhat: np.ndarray, inv_std: np.ndarray, gain: np.ndarray,
                         input_grad: bool = True) -> tuple:
-    """The gradients of `layer_norm(x, gain, bias, eps)` with respect to x
+    """The gradients of `layer_norm(x, gain, bias)` with respect to x
     (None unless `input_grad`), gain and bias, given the gradient `g` of its
     output and x's `normalized` x-hat."""
     ggain, gbias = _sum_to_shape(g * xhat, gain.shape), _sum_to_shape(g, gain.shape)
@@ -686,7 +691,7 @@ def attention_backward(g: np.ndarray, q: np.ndarray, k: np.ndarray, v: np.ndarra
     return gq, gk, gv
 
 
-def cross_attention_block(q: Tensor, kv: Tensor, mask, params, heads: int, eps: tuple) -> Tensor:
+def cross_attention_block(q: Tensor, kv: Tensor, mask, params, heads: int) -> Tensor:
     """The pre-norm cross-attention block as one tape node:
 
         x   = q + linear(attention(ln_q(q) Wq, ln_kv(kv) Wk, ln_kv(kv) Wv), Wo)
@@ -698,8 +703,7 @@ def cross_attention_block(q: Tensor, kv: Tensor, mask, params, heads: int, eps: 
     `params` are the block's 18 tensors in `nn.CrossAttentionBlock`'s
     parameter order: gain and bias of ln_q and of ln_kv, weight and bias of
     Wq, Wk, Wv and Wo, gain and bias of ln_ff, weight and bias of the
-    feed-forward layer's two linear maps. `eps` holds the eps of ln_q, ln_kv
-    and ln_ff.
+    feed-forward layer's two linear maps.
 
     The node keeps its inputs, the three 1/sigma, the mid-block residual x,
     the softmax weights and the attention output: each product of many small
@@ -710,16 +714,15 @@ def cross_attention_block(q: Tensor, kv: Tensor, mask, params, heads: int, eps: 
         raise ValueError(f"block shape mismatch: queries {q.shape}, keys and values {kv.shape}")
     (gain_q, bias_q, gain_kv, bias_kv, wq, bq, wk, bk, wv, bv, wo, bo,
      gain_ff, bias_ff, w1, b1, w2, b2) = (p.data for p in params)
-    eps_q, eps_kv, eps_ff = eps
 
-    lq, inv_q = layer_norm(q.data, gain_q, bias_q, eps_q)
-    lkv, inv_kv = layer_norm(kv.data, gain_kv, bias_kv, eps_kv)
+    lq, inv_q = layer_norm(q.data, gain_q, bias_q)
+    lkv, inv_kv = layer_norm(kv.data, gain_kv, bias_kv)
     qp, kp, vp = linear(lq, wq, bq), linear(lkv, wk, bk), linear(lkv, wv, bv)
     w = attention_weights(qp, kp, heads, mask)
     pooled = attention(w, vp, heads)
     x = q.data + linear(pooled, wo, bo)
     del lq, lkv, qp, kp, vp
-    h, inv_ff = layer_norm(x, gain_ff, bias_ff, eps_ff)
+    h, inv_ff = layer_norm(x, gain_ff, bias_ff)
     out_data = x + feed_forward(h, w1, b1, w2, b2)
 
     def backward(g):

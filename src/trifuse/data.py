@@ -586,13 +586,22 @@ def resolve_missing(item: ItemRecord, manifest: Manifest) -> ItemRecord:
 
 
 def check_ints(least: int, **values) -> None:
-    """TypeError unless every value is an integer, ValueError unless it is
-    >= `least`: the one check of a config's counts, sizes and seeds."""
+    """TypeError unless every value is an integer other than a bool,
+    ValueError unless it is >= `least`: the one check of a config's counts,
+    sizes and seeds."""
     for name, value in values.items():
-        if not isinstance(value, numbers.Integral):
+        if isinstance(value, bool) or not isinstance(value, numbers.Integral):
             raise TypeError(f"{name} must be an integer, got {value!r}")
         if value < least:
             raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
+
+
+def check_real(name: str, value) -> None:
+    """TypeError unless `value` is a real number other than a bool (JSON
+    `true` would otherwise count as 1): the type check of a config's scalar
+    floats, before their range checks."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise TypeError(f"{name} must be a number, got {value!r}")
 
 
 def batch_iter(ids: list[str], batch_size: int, seed: int):

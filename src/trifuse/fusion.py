@@ -22,8 +22,8 @@ import numpy as np
 from . import autodiff as ad
 from . import nn
 from .autodiff import Tensor
-from .data import (KIND_TOKENS, KIND_VECTOR, ContainerError, ItemRecord, Manifest, check_ints, read_container,
-                   read_json, resolve_missing, write_container, write_json)
+from .data import (KIND_TOKENS, KIND_VECTOR, ContainerError, ItemRecord, Manifest, check_ints, check_real,
+                   read_container, read_json, resolve_missing, write_container, write_json)
 
 
 class FusionMode(str, Enum):
@@ -51,7 +51,9 @@ MAX_SHARPNESS = 80.0
 
 
 def check_sharpness(sharpness: float) -> float:
-    """`sharpness` as a float, or ValueError outside (0, MAX_SHARPNESS]."""
+    """`sharpness` as a float; TypeError unless it is a number other than a
+    bool, ValueError outside (0, MAX_SHARPNESS]."""
+    check_real("sharpness", sharpness)
     if not float(sharpness) > 0:
         raise ValueError(f"sharpness must be > 0, got {sharpness}")
     if not float(sharpness) <= MAX_SHARPNESS:
@@ -103,6 +105,15 @@ class FusionParams(nn.Module):
         }
         self.dtype = np.dtype(dtype)
 
+    def trained_parameters(self, mode: FusionMode) -> list[tuple[str, Tensor]]:
+        """The named parameters that `forward_video` and the losses run in
+        `mode`, in `named_parameters` order: the resampler and audio stack in
+        AUDIO_MODES, the speech stack in SPEECH_MODES, and `logit_scale`."""
+        mode = FusionMode(mode)
+        unused = ("resampler.", "audio_fusion.") if mode not in AUDIO_MODES else ()
+        unused += ("speech_fusion.",) if mode not in SPEECH_MODES else ()
+        return [(name, p) for name, p in self.named_parameters() if not name.startswith(unused)]
+
     def temperature_scale(self) -> Tensor:
         """Positive contrastive score multiplier exp(logit_scale)."""
         return ad.exp(self.logit_scale)
@@ -127,18 +138,41 @@ def save_params(params: FusionParams, path) -> None:
     write_json(Path(str(path) + ".json"), meta)
 
 
+def _refuse_sizes(meta: dict, records: dict) -> None:
+    """ContainerError when a sidecar size that allocates (dim, frames,
+    max_audio_len, resampler_depth, fusion_depth) disagrees with the
+    records, checked before `FusionParams` allocates anything of that size.
+    A size that is not a plain int is left for `FusionParams` to refuse."""
+    sizes = {key: value for key, value in meta.items() if type(value) is int}
+    for name, rows in (("resampler.queries", "frames"), ("resampler.pos", "max_audio_len")):
+        if f"param/{name}" not in records:
+            raise ContainerError(f"checkpoint missing parameter {name}")
+        held = records[f"param/{name}"][1].size
+        if rows in sizes and "dim" in sizes and held != sizes[rows] * sizes["dim"]:
+            raise ContainerError(f"checkpoint parameter {name} has {held} values, not {sizes[rows] * sizes['dim']}")
+    for depth, prefix in (("resampler_depth", "resampler.stack.blocks."),
+                          ("fusion_depth", "audio_fusion.stack.blocks.")):
+        held = 0  # the blocks 0, 1, ... that have records
+        while any(key.startswith(f"param/{prefix}{held}.") for key in records):
+            held += 1
+        if sizes.get(depth, 0) > held:
+            raise ContainerError(f"checkpoint missing parameter {prefix}{held}.* (its sidecar says {depth} "
+                                 f"{sizes[depth]})")
+
+
 def load_params(path) -> FusionParams:
     path = Path(path)
     meta = read_json(str(path) + ".json")
     unknown = sorted(set(meta) - set(inspect.signature(FusionParams).parameters))
     if unknown:
         raise ContainerError(f"checkpoint sidecar has unknown parameter {unknown[0]!r}")
+    records = read_container(path)
+    _refuse_sizes(meta, records)
     try:
         dtype = np.dtype(meta.pop("dtype"))
         params = FusionParams(**meta, dtype=dtype)
     except (KeyError, TypeError, ValueError) as err:
         raise ContainerError(f"checkpoint sidecar does not describe a model ({type(err).__name__}: {err})") from err
-    records = read_container(path)
     named = dict(params.named_parameters())
     known = named.keys() | RETIRED_PARAMS
     extra = sorted(key for key in records if key.startswith("param/") and key.removeprefix("param/") not in known)

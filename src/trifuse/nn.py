@@ -6,9 +6,8 @@ feed-forward layer), a gated cross-attention stack (scalar tanh gate,
 zero-initialized so the stack contributes exactly nothing at init), and a
 resampler that maps any input sequence to a fixed number of learned query
 tokens. A `CrossAttentionBlock` call records one tape node
-(`autodiff.cross_attention_block`). `Linear`, `LayerNorm`,
-`MultiHeadCrossAttention` and `FeedForward` only hold the block's
-parameters, under the names that checkpoints and Adam's buffer order use.
+(`autodiff.cross_attention_block`), whose parents are the block's own 18
+tensors in `parameters()` order.
 
 Blocks take token tensors of shape (..., n, d): one item as (n, d) or a batch
 as (B, n, d). A batch whose items have different key/value lengths is
@@ -36,7 +35,11 @@ BLOCK_EVAL_COUNTER = {"count": 0}
 
 
 class Module:
-    """Minimal parameter container; children discovered from attributes."""
+    """Minimal parameter container; children discovered from attributes.
+    `Module(**attrs)` is a plain namespace of tensors and modules."""
+
+    def __init__(self, **attrs):
+        vars(self).update(attrs)
 
     def named_parameters(self, prefix: str = ""):
         for name, value in vars(self).items():
@@ -59,93 +62,47 @@ def _xavier(rng: np.random.Generator, fan_in: int, fan_out: int, dtype) -> np.nd
     return rng.normal(0.0, std, size=(fan_in, fan_out)).astype(dtype)
 
 
-class Linear(Module):
-    """Affine map. `init` picks the weight start: "xavier", "identity" (square
-    only) or "zero". Identity/zero starts keep residual blocks close to a
-    pass-through, which matters downstream: gated stacks receive gradient only
-    through tanh(gate) * output, so an opening gate must already forward
-    meaningful KV content."""
+class CrossAttentionBlock(Module):
+    """Pre-norm cross attention + feed-forward, both with residual connections.
 
-    def __init__(self, d_in: int, d_out: int, rng: np.random.Generator, dtype=np.float32, init: str = "xavier"):
-        if init == "identity":
-            if d_in != d_out:
-                raise ValueError("identity init needs a square map")
-            weight = np.eye(d_in, dtype=dtype)
-        elif init == "zero":
-            weight = np.zeros((d_in, d_out), dtype=dtype)
-        else:
-            weight = _xavier(rng, d_in, d_out, dtype)
-        self.weight = ad.parameter(weight)
-        self.bias = ad.parameter(np.zeros(d_out, dtype=dtype))
-
-
-class LayerNorm(Module):
-    """Per-token normalization over the last axis, then elementwise affine."""
-
-    def __init__(self, dim: int, eps: float = 1e-5, dtype=np.float32):
-        if eps <= 0:  # guards constant inputs
-            raise ValueError("layer norm eps must be > 0")
-        self.gain = ad.parameter(np.ones(dim, dtype=dtype))
-        self.bias = ad.parameter(np.zeros(dim, dtype=dtype))
-        self.eps = eps
-
-
-class MultiHeadCrossAttention(Module):
-    """The query, key, value and output projections of scaled dot-product
-    attention, queries from one sequence, keys/values from another."""
+    Its 18 tensors sit in plain `Module` namespaces (`ln_q.gain`,
+    `attn.wq.weight`, ..., `ff.fc2.bias`), named and ordered as checkpoints
+    and Adam's buffer hold them. No positional encoding lives inside the
+    block, so the output is invariant to permutations of the key/value rows.
+    """
 
     def __init__(self, dim: int, heads: int, rng: np.random.Generator, dtype=np.float32):
         if dim % heads != 0:
             raise ValueError(f"model dim {dim} not divisible by head count {heads}")
         self.dim = dim
         self.heads = heads
-        self.wq = Linear(dim, dim, rng, dtype)
-        self.wk = Linear(dim, dim, rng, dtype)
-        # Identity value/output start: with near-uniform fresh attention the
-        # block forwards an average of its KV tokens instead of a random
-        # rotation of them.
-        self.wv = Linear(dim, dim, rng, dtype, init="identity")
-        self.wo = Linear(dim, dim, rng, dtype, init="identity")
 
+        def linear(weight):
+            return Module(weight=ad.parameter(weight), bias=ad.parameter(np.zeros(weight.shape[1], dtype=dtype)))
 
-class FeedForward(Module):
-    """The two linear maps of the feed-forward layer: linear, GELU, linear."""
+        def norm():
+            return Module(gain=ad.parameter(np.ones(dim, dtype=dtype)), bias=ad.parameter(np.zeros(dim, dtype=dtype)))
 
-    def __init__(self, dim: int, rng: np.random.Generator, mult: int = 4, dtype=np.float32):
-        self.fc1 = Linear(dim, dim * mult, rng, dtype)
-        # Zero write-back: the residual branch starts as a no-op.
-        self.fc2 = Linear(dim * mult, dim, rng, dtype, init="zero")
-
-
-class CrossAttentionBlock(Module):
-    """Pre-norm cross attention + feed-forward, both with residual connections.
-
-    No positional encoding lives inside the block, so the output is invariant
-    to permutations of the key/value rows.
-    """
-
-    def __init__(self, dim: int, heads: int, rng: np.random.Generator, dtype=np.float32):
-        self.ln_q = LayerNorm(dim, dtype=dtype)
-        self.ln_kv = LayerNorm(dim, dtype=dtype)
-        self.attn = MultiHeadCrossAttention(dim, heads, rng, dtype)
-        self.ln_ff = LayerNorm(dim, dtype=dtype)
-        self.ff = FeedForward(dim, rng, dtype=dtype)
+        self.ln_q = norm()
+        self.ln_kv = norm()
+        # Identity value/output starts and a zero write-back keep a fresh block
+        # a pass-through that forwards an average of its KV tokens: a gated
+        # stack gets gradient only through tanh(gate) * output, so an opening
+        # gate must already forward meaningful KV content.
+        self.attn = Module(wq=linear(_xavier(rng, dim, dim, dtype)), wk=linear(_xavier(rng, dim, dim, dtype)),
+                           wv=linear(np.eye(dim, dtype=dtype)), wo=linear(np.eye(dim, dtype=dtype)))
+        self.ln_ff = norm()
+        self.ff = Module(fc1=linear(_xavier(rng, dim, 4 * dim, dtype)),
+                         fc2=linear(np.zeros((4 * dim, dim), dtype=dtype)))
 
     def __call__(self, q_tokens: Tensor, kv_tokens: Tensor, kv_mask=None) -> Tensor:
-        dim = self.attn.dim
-        if q_tokens.shape[-1] != dim or kv_tokens.shape[-1] != dim:
+        if q_tokens.shape[-1] != self.dim or kv_tokens.shape[-1] != self.dim:
             raise ValueError(
-                f"block dim mismatch: got {q_tokens.shape[-1]} and {kv_tokens.shape[-1]}, expected {dim}"
+                f"block dim mismatch: got {q_tokens.shape[-1]} and {kv_tokens.shape[-1]}, expected {self.dim}"
             )
         if kv_tokens.shape[-2] < 1:
             raise ValueError("attention needs at least one key/value token")
-        attn, fc1, fc2 = self.attn, self.ff.fc1, self.ff.fc2
-        params = (self.ln_q.gain, self.ln_q.bias, self.ln_kv.gain, self.ln_kv.bias,
-                  attn.wq.weight, attn.wq.bias, attn.wk.weight, attn.wk.bias,
-                  attn.wv.weight, attn.wv.bias, attn.wo.weight, attn.wo.bias,
-                  self.ln_ff.gain, self.ln_ff.bias, fc1.weight, fc1.bias, fc2.weight, fc2.bias)
-        out = ad.cross_attention_block(q_tokens, kv_tokens, kv_mask, params, attn.heads,
-                                       (self.ln_q.eps, self.ln_kv.eps, self.ln_ff.eps))
+        out = ad.cross_attention_block(q_tokens, kv_tokens, kv_mask, self.parameters(), self.heads)
         BLOCK_EVAL_COUNTER["count"] += math.prod(out.shape[:-2])
         return out
 
@@ -203,7 +160,6 @@ class Resampler(Module):
         self.queries = ad.parameter(rng.normal(0.0, scale, size=(n_queries, dim)).astype(dtype))
         self.pos = ad.parameter(rng.normal(0.0, scale, size=(max_len, dim)).astype(dtype))
         self.stack = CrossAttentionStack(dim, heads, depth, rng, dtype)
-        self.n_queries = n_queries
         self.max_len = max_len
 
     def __call__(self, tokens: Tensor, mask=None) -> Tensor:

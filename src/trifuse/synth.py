@@ -42,7 +42,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .data import GROUPS, Dataset, Manifest, check_ints, write_dataset
+from .data import GROUPS, Dataset, Manifest, check_ints, check_real, write_dataset
 from .evaluation import rank_of
 
 DEFAULT_GROUP_MIX = {"visual": 0.4, "sound": 0.25, "speech": 0.25, "sound_speech": 0.1}
@@ -78,6 +78,7 @@ class SynthConfig:
                    speech_pad=self.speech_pad, background_pool=self.background_pool)
         for name in ("noise_scale", "query_noise", "teacher_noise", "audio_drift", "query_visual_mix"):
             value = getattr(self, name)
+            check_real(name, value)
             if not (math.isfinite(value) and value >= 0):
                 raise ValueError(f"{name} must be a finite number >= 0, got {value!r}")
         if not set(self.group_mix) <= set(GROUPS):
@@ -90,6 +91,7 @@ class SynthConfig:
         for name, frac in (("correspondence_noise", self.correspondence_noise),
                            ("missing_audio", self.missing_audio),
                            ("missing_speech", self.missing_speech)):
+            check_real(name, frac)
             if not 0.0 <= frac <= 1.0:
                 raise ValueError(f"{name} must lie in [0, 1]")
         if abs(sum(self.splits.values()) - 1.0) > 1e-9:

@@ -6,9 +6,10 @@ of the student affinity) -> differentiable score matrix -> contrastive +
 alignment -> backward -> clipped Adam update at the cosine-scheduled rate.
 The graph is dropped when the step ends (`_step`), so one tape at most is
 alive at a time, and validation runs with none.
-Adam holds every parameter in one flat buffer and gathers each step's
-gradients once, so the finite check and clipping are each one operation over
-that vector, and the per-epoch snapshots and the restores one over the buffer.
+Adam holds only the parameters that the mode runs, in one flat buffer, and
+gathers each step's gradients once, so the finite check, clipping and the
+update are each one operation over that vector, and the per-epoch snapshots
+and the restores one over the buffer.
 Identical (seed, config, dataset) triples reproduce bit-identical logs,
 parameters and checkpoints; log records therefore carry no wall-clock fields.
 Besides the losses and the learning rate, each step's record holds the
@@ -29,7 +30,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .data import Dataset, ItemRecord, ValidationError, batch_iter, check_ints, resolve_missing
+from .data import Dataset, ItemRecord, ValidationError, batch_iter, check_ints, check_real, resolve_missing
 from .evaluation import summary_metrics
 from .fusion import (DEFAULT_SHARPNESS, FusedBatch, FusionMode, FusionParams, check_sharpness, forward_video,
                      precompute_index, pre_fusion_pooled)
@@ -77,11 +78,17 @@ class TrainConfig:
                    max_audio_len=self.max_audio_len)
         if self.batch_size < 2:
             raise ValueError("batch size must be >= 2 for contrastive training")
-        for name in ("lr", "tau_init", "grad_clip"):  # grad_clip None: no clipping
+        for name in ("lr", "tau_init", "grad_clip"):
             value = getattr(self, name)
-            if not (name == "grad_clip" and value is None) and not 0 < value < math.inf:
+            if name == "grad_clip" and value is None:  # no clipping
+                continue
+            check_real(name, value)
+            if not 0 < value < math.inf:
                 raise ValueError(f"{name} must be a finite number > 0, got {value!r}")
         check_sharpness(self.sharpness)
+
+
+BETA1, BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
 
 
 class Adam:
@@ -91,17 +98,17 @@ class Adam:
     array of the parameters' common dtype in the order given, and the two
     moments are flat arrays of the same layout. A step gathers the gradients
     once into a vector of its own, checks it, clips it in place
-    (`clip_global_norm`) and updates in place, one fused update per run of
-    adjacent parameters with a gradient; no `.grad` array is written, and a
-    parameter without a gradient (the branch a mode does not use) keeps its
-    data and moments. The update is elementwise, in the order of the
-    per-tensor formula, so identical gradients give bit-identical
-    parameters. Change parameters before building Adam (as `train` sets
-    `logit_scale`): a parameter given a new `.data` array afterwards is cut
-    off from the buffer.
+    (`clip_global_norm`) and updates the whole buffer in one pass; no `.grad`
+    array is written. Every parameter needs a gradient at every step, so Adam
+    gets only the parameters the loss reaches
+    (`FusionParams.trained_parameters`). The update is elementwise, in the
+    order of the per-tensor formula, so identical gradients give
+    bit-identical parameters. Change parameters before building Adam (as
+    `train` sets `logit_scale`): a parameter given a new `.data` array
+    afterwards is cut off from the buffer.
     """
 
-    def __init__(self, named_params: Iterable[tuple[str, Tensor]], beta1=0.9, beta2=0.999, eps=1e-8):
+    def __init__(self, named_params: Iterable[tuple[str, Tensor]]):
         self.named_params = list(named_params)
         self.tensors = [p for _, p in self.named_params]
         dtypes = {p.data.dtype for p in self.tensors}
@@ -112,61 +119,43 @@ class Adam:
         for p, lo, hi in zip(self.tensors, self.bounds, self.bounds[1:]):
             p.data = self.data[lo:hi].reshape(p.data.shape)
         self.m, self.v = np.zeros_like(self.data), np.zeros_like(self.data)
-        self.beta1, self.beta2, self.eps = beta1, beta2, eps
         self.step_count = 0
 
     def zero_grad(self) -> None:
         for p in self.tensors:
             p.grad = None
 
-    def _runs(self) -> list[slice]:
-        """The buffer slices of the runs of adjacent parameters that have a gradient."""
-        runs = []
-        for p, lo, hi in zip(self.tensors, self.bounds, self.bounds[1:]):
-            if p.grad is None:
-                continue
-            if runs and runs[-1].stop == lo:
-                lo = runs.pop().start
-            runs.append(slice(lo, hi))
-        return runs
-
     def step(self, lr: float, max_norm: float | None = None) -> float:
         """Update at rate `lr` with the gradients clipped to a global norm of
-        `max_norm`; return their norm before clipping (0.0 without gradients)."""
+        `max_norm`; return their norm before clipping. A parameter without a
+        gradient raises RuntimeError."""
         if lr <= 0:
             raise ValueError("lr must be positive")
+        for name, p in self.named_params:
+            if p.grad is None:
+                raise RuntimeError(f"no gradient for parameter {name}")
         self.step_count += 1
         t = self.step_count
-        runs = self._runs()
-        if not runs:
-            return 0.0
-        g = np.concatenate([p.grad.reshape(-1) for p in self.tensors if p.grad is not None])
+        g = np.concatenate([p.grad.reshape(-1) for p in self.tensors])
         if not np.isfinite(g).all():
-            raise NanGradientError(next(
-                name for name, p in self.named_params if p.grad is not None and not np.isfinite(p.grad).all()
-            ))
+            raise NanGradientError(next(name for name, p in self.named_params if not np.isfinite(p.grad).all()))
         norm = clip_global_norm(g, max_norm)
         # In place, in the order of m = b1 m + (1 - b1) g, v = b2 v + (1 - b2) g^2,
         # data -= lr m_hat / (sqrt(v_hat) + eps); `g` is this step's own copy.
         gg = g * g
-        gg *= 1.0 - self.beta2
-        g *= 1.0 - self.beta1
-        start = 0
-        for run in runs:
-            end = start + run.stop - run.start
-            m, v = self.m[run], self.v[run]
-            m *= self.beta1
-            m += g[start:end]
-            v *= self.beta2
-            v += gg[start:end]
-            update = m / (1.0 - self.beta1**t)
-            denom = v / (1.0 - self.beta2**t)
-            np.sqrt(denom, out=denom)
-            denom += self.eps
-            update *= lr
-            update /= denom
-            self.data[run] -= update
-            start = end
+        gg *= 1.0 - BETA2
+        g *= 1.0 - BETA1
+        self.m *= BETA1
+        self.m += g
+        self.v *= BETA2
+        self.v += gg
+        update = self.m / (1.0 - BETA1**t)
+        denom = self.v / (1.0 - BETA2**t)
+        np.sqrt(denom, out=denom)
+        denom += ADAM_EPS
+        update *= lr
+        update /= denom
+        self.data -= update
         return norm
 
 
@@ -297,7 +286,7 @@ def train(config: TrainConfig, dataset: Dataset, val_split: str | None = None) -
     validate = bool(val_split and man.splits.get(val_split, {}).get("queries"))
     if val_split and not validate:
         logger.warning("validation split %r has no queries: keeping the last epoch", val_split)
-    adam = Adam(params.named_parameters())
+    adam = Adam(params.trained_parameters(config.mode))
     log: list[dict] = []
     last_good = best = adam.data.copy()
     best_epoch, best_r1 = config.epochs - 1, -1.0

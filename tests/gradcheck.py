@@ -68,9 +68,9 @@ def _helper_node(out: np.ndarray, inputs: tuple, backward) -> Tensor:
     return ad._node(out, inputs, accumulate)
 
 
-def layer_norm_node(x: Tensor, gain: Tensor, bias: Tensor, eps: float) -> Tensor:
+def layer_norm_node(x: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
     """`autodiff.layer_norm` and `layer_norm_backward` as one tape node."""
-    out, inv_std = ad.layer_norm(x.data, gain.data, bias.data, eps)
+    out, inv_std = ad.layer_norm(x.data, gain.data, bias.data)
     return _helper_node(out, (x, gain, bias), lambda g: ad.layer_norm_backward(
         g, ad.normalized(x.data, inv_std), inv_std, gain.data, x.requires_grad))
 

@@ -289,8 +289,8 @@ SINGLE_NODE_OPS = {
     "gelu": (_identity_feed_forward, _composite_gelu, None),
     # the layer-norm helpers at unit gain and zero bias: the standardization they fold in
     "standardize": (
-        lambda x: layer_norm_node(x, Tensor(np.ones(x.shape[-1], x.dtype)), Tensor(np.zeros(x.shape[-1], x.dtype)), 1e-5),
-        lambda x: _composite_standardize(x, 1e-5),
+        lambda x: layer_norm_node(x, Tensor(np.ones(x.shape[-1], x.dtype)), Tensor(np.zeros(x.shape[-1], x.dtype))),
+        lambda x: _composite_standardize(x, ad.LAYER_NORM_EPS),
         None,
     ),
 }
@@ -451,7 +451,7 @@ def _composite_block(block, q, kv, mask):
     node replaces: per-sublayer nodes would record the same arithmetic."""
 
     def norm(x, ln):
-        return _composite_layer_norm(x, ln.eps) * ln.gain + ln.bias
+        return _composite_layer_norm(x, ad.LAYER_NORM_EPS) * ln.gain + ln.bias
 
     def linear(x, layer):
         return ad.matmul(x, layer.weight) + layer.bias
@@ -459,7 +459,7 @@ def _composite_block(block, q, kv, mask):
     attn = block.attn
     kv_hat = norm(kv, block.ln_kv)
     pooled = _composite_attention(
-        linear(norm(q, block.ln_q), attn.wq), linear(kv_hat, attn.wk), linear(kv_hat, attn.wv), attn.heads, mask)
+        linear(norm(q, block.ln_q), attn.wq), linear(kv_hat, attn.wk), linear(kv_hat, attn.wv), block.heads, mask)
     x = q + linear(pooled, attn.wo)
     h = linear(norm(x, block.ln_ff), block.ff.fc1)
     return x + linear(h * (ad.tanh((h + h * h * h * 0.044715) * _GELU_C) + 1.0) * 0.5, block.ff.fc2)

@@ -410,6 +410,75 @@ class TestParamsIO:
         arch = load_params(tmp_path / "p.ckpt").arch
         assert (arch["mode"], arch["sharpness"]) == ("save", 20.0)
 
+    def test_checkpoint_layout(self, tmp_path):
+        """The name and shape of every record of a fixed small model, in
+        order: the layout that existing checkpoints hold, which a change to
+        how the model declares its tensors must keep."""
+        save_params(FusionParams(dim=4, frames=2, heads=2, fusion_depth=1, resampler_depth=1, max_audio_len=3),
+                    tmp_path / "c.ckpt")
+        layout = [(name, array.shape) for name, (_, array) in read_container(tmp_path / "c.ckpt").items()]
+        assert layout == [
+            ("param/resampler.queries", (2, 4)),
+            ("param/resampler.pos", (3, 4)),
+            ("param/resampler.stack.blocks.0.ln_q.gain", (4,)),
+            ("param/resampler.stack.blocks.0.ln_q.bias", (4,)),
+            ("param/resampler.stack.blocks.0.ln_kv.gain", (4,)),
+            ("param/resampler.stack.blocks.0.ln_kv.bias", (4,)),
+            ("param/resampler.stack.blocks.0.attn.wq.weight", (4, 4)),
+            ("param/resampler.stack.blocks.0.attn.wq.bias", (4,)),
+            ("param/resampler.stack.blocks.0.attn.wk.weight", (4, 4)),
+            ("param/resampler.stack.blocks.0.attn.wk.bias", (4,)),
+            ("param/resampler.stack.blocks.0.attn.wv.weight", (4, 4)),
+            ("param/resampler.stack.blocks.0.attn.wv.bias", (4,)),
+            ("param/resampler.stack.blocks.0.attn.wo.weight", (4, 4)),
+            ("param/resampler.stack.blocks.0.attn.wo.bias", (4,)),
+            ("param/resampler.stack.blocks.0.ln_ff.gain", (4,)),
+            ("param/resampler.stack.blocks.0.ln_ff.bias", (4,)),
+            ("param/resampler.stack.blocks.0.ff.fc1.weight", (4, 16)),
+            ("param/resampler.stack.blocks.0.ff.fc1.bias", (16,)),
+            ("param/resampler.stack.blocks.0.ff.fc2.weight", (16, 4)),
+            ("param/resampler.stack.blocks.0.ff.fc2.bias", (4,)),
+            ("param/audio_fusion.stack.blocks.0.ln_q.gain", (4,)),
+            ("param/audio_fusion.stack.blocks.0.ln_q.bias", (4,)),
+            ("param/audio_fusion.stack.blocks.0.ln_kv.gain", (4,)),
+            ("param/audio_fusion.stack.blocks.0.ln_kv.bias", (4,)),
+            ("param/audio_fusion.stack.blocks.0.attn.wq.weight", (4, 4)),
+            ("param/audio_fusion.stack.blocks.0.attn.wq.bias", (4,)),
+            ("param/audio_fusion.stack.blocks.0.attn.wk.weight", (4, 4)),
+            ("param/audio_fusion.stack.blocks.0.attn.wk.bias", (4,)),
+            ("param/audio_fusion.stack.blocks.0.attn.wv.weight", (4, 4)),
+            ("param/audio_fusion.stack.blocks.0.attn.wv.bias", (4,)),
+            ("param/audio_fusion.stack.blocks.0.attn.wo.weight", (4, 4)),
+            ("param/audio_fusion.stack.blocks.0.attn.wo.bias", (4,)),
+            ("param/audio_fusion.stack.blocks.0.ln_ff.gain", (4,)),
+            ("param/audio_fusion.stack.blocks.0.ln_ff.bias", (4,)),
+            ("param/audio_fusion.stack.blocks.0.ff.fc1.weight", (4, 16)),
+            ("param/audio_fusion.stack.blocks.0.ff.fc1.bias", (16,)),
+            ("param/audio_fusion.stack.blocks.0.ff.fc2.weight", (16, 4)),
+            ("param/audio_fusion.stack.blocks.0.ff.fc2.bias", (4,)),
+            ("param/audio_fusion.gate", (1,)),
+            ("param/speech_fusion.stack.blocks.0.ln_q.gain", (4,)),
+            ("param/speech_fusion.stack.blocks.0.ln_q.bias", (4,)),
+            ("param/speech_fusion.stack.blocks.0.ln_kv.gain", (4,)),
+            ("param/speech_fusion.stack.blocks.0.ln_kv.bias", (4,)),
+            ("param/speech_fusion.stack.blocks.0.attn.wq.weight", (4, 4)),
+            ("param/speech_fusion.stack.blocks.0.attn.wq.bias", (4,)),
+            ("param/speech_fusion.stack.blocks.0.attn.wk.weight", (4, 4)),
+            ("param/speech_fusion.stack.blocks.0.attn.wk.bias", (4,)),
+            ("param/speech_fusion.stack.blocks.0.attn.wv.weight", (4, 4)),
+            ("param/speech_fusion.stack.blocks.0.attn.wv.bias", (4,)),
+            ("param/speech_fusion.stack.blocks.0.attn.wo.weight", (4, 4)),
+            ("param/speech_fusion.stack.blocks.0.attn.wo.bias", (4,)),
+            ("param/speech_fusion.stack.blocks.0.ln_ff.gain", (4,)),
+            ("param/speech_fusion.stack.blocks.0.ln_ff.bias", (4,)),
+            ("param/speech_fusion.stack.blocks.0.ff.fc1.weight", (4, 16)),
+            ("param/speech_fusion.stack.blocks.0.ff.fc1.bias", (16,)),
+            ("param/speech_fusion.stack.blocks.0.ff.fc2.weight", (16, 4)),
+            ("param/speech_fusion.stack.blocks.0.ff.fc2.bias", (4,)),
+            ("param/speech_fusion.gate", (1,)),
+            ("param/logit_scale", (1,)),
+        ]
+
     def test_sharpness_bound(self, tmp_path):
         """The local term takes exp(sharpness * cosine) unshifted, so a
         sharpness above fusion.MAX_SHARPNESS is refused; the bound itself loads."""

@@ -14,13 +14,13 @@ def make_rng(seed=0):
     return np.random.default_rng(seed)
 
 
-def _weights(attn, q, kv, mask=None):
-    """(..., heads, m, L) softmax weights of `attn`'s projections on these
-    inputs, from the helper the block node uses."""
+def _weights(block, q, kv, mask=None):
+    """(..., heads, m, L) softmax weights of `block`'s attention projections
+    on these inputs, from the helper the block node uses."""
     def project(x, layer):
         return ad.linear(x.data, layer.weight.data, layer.bias.data)
 
-    w = ad.attention_weights(project(q, attn.wq), project(kv, attn.wk), attn.heads, mask)
+    w = ad.attention_weights(project(q, block.attn.wq), project(kv, block.attn.wk), block.heads, mask)
     return np.moveaxis(w, 0, -1)
 
 
@@ -37,45 +37,39 @@ def _tape_nodes(out):
     return nodes
 
 
-def _layer_norm(ln, x):
-    """`ln` applied to x by the layer-norm helper the block node uses."""
-    return ad.layer_norm(np.asarray(x), ln.gain.data, ln.bias.data, ln.eps)[0]
-
-
 class TestLayerNorm:
+    """`autodiff.layer_norm`, the helper the block node uses, at the gain and
+    bias a block starts with."""
+
     def test_constant_input_maps_to_zero(self):
-        out = _layer_norm(nn.LayerNorm(3, dtype=np.float64), [5.0, 5.0, 5.0])
+        out, _ = ad.layer_norm(np.full(3, 5.0), np.ones(3), np.zeros(3))
         np.testing.assert_allclose(out, np.zeros(3), atol=1e-12)
 
     def test_already_normalized_is_fixed_point(self):
-        out = _layer_norm(nn.LayerNorm(2, eps=1e-12, dtype=np.float64), [1.0, -1.0])
-        np.testing.assert_allclose(out, [1.0, -1.0], atol=1e-6)
-
-    def test_nonpositive_eps_rejected(self):
-        with pytest.raises(ValueError, match="eps"):
-            nn.LayerNorm(2, eps=0.0)
+        """Zero mean and unit variance: only the variance guard
+        `LAYER_NORM_EPS` moves the row."""
+        out, _ = ad.layer_norm(np.array([1.0, -1.0]), np.ones(2), np.zeros(2))
+        np.testing.assert_allclose(out, np.array([1.0, -1.0]) / np.sqrt(1.0 + ad.LAYER_NORM_EPS), rtol=1e-12)
 
     def test_gradient_matches_finite_differences(self):
         rng = make_rng(5)
-        ln = nn.LayerNorm(4, dtype=np.float64)
-        ln.gain.data = rng.normal(size=4)
-        ln.bias.data = rng.normal(size=4)
+        gain, bias = parameter(rng.normal(size=4)), parameter(rng.normal(size=4))
         x = parameter(rng.normal(size=4))
         r = rng.normal(size=4)
 
         def f():
-            return (layer_norm_node(x, ln.gain, ln.bias, ln.eps) * r).sum()
+            return (layer_norm_node(x, gain, bias) * r).sum()
 
-        assert finite_difference_check(f, [x, ln.gain, ln.bias], eps=1e-5) < 1e-4
+        assert finite_difference_check(f, [x, gain, bias], eps=1e-5) < 1e-4
 
 
 class TestCrossAttention:
     def test_single_kv_token_attention_weight_is_one(self):
         rng = make_rng(1)
-        attn = nn.MultiHeadCrossAttention(8, 4, rng, dtype=np.float64)
+        block = nn.CrossAttentionBlock(8, 4, rng, dtype=np.float64)
         q = Tensor(rng.normal(size=(3, 8)))
         kv = Tensor(rng.normal(size=(1, 8)))
-        weights = _weights(attn, q, kv)
+        weights = _weights(block, q, kv)
         np.testing.assert_array_equal(weights, np.ones((4, 3, 1)))
 
     def test_kv_permutation_invariance(self):
@@ -96,7 +90,7 @@ class TestCrossAttention:
 
     def test_heads_must_divide_dim(self):
         with pytest.raises(ValueError, match="divisible"):
-            nn.MultiHeadCrossAttention(6, 4, make_rng())
+            nn.CrossAttentionBlock(6, 4, make_rng())
 
     def test_full_jacobian_matches_finite_differences(self):
         """Every output entry, every parameter; m=2, L=3, d=4, 64-bit."""
@@ -131,10 +125,10 @@ class TestCrossAttention:
 
     def test_padded_keys_get_zero_weight(self):
         rng = make_rng(18)
-        attn = nn.MultiHeadCrossAttention(8, 4, rng, dtype=np.float64)
+        block = nn.CrossAttentionBlock(8, 4, rng, dtype=np.float64)
         kv = Tensor(rng.normal(size=(2, 4, 8)))
         mask = np.array([[True, True, False, False], [True, True, True, True]])
-        weights = _weights(attn, Tensor(rng.normal(size=(2, 3, 8))), kv, mask)
+        weights = _weights(block, Tensor(rng.normal(size=(2, 3, 8))), kv, mask)
         assert weights.shape == (2, 4, 3, 4)
         assert np.all(weights[0, :, :, 2:] == 0.0) and np.all(weights[1] > 0.0)
 

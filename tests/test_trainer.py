@@ -80,11 +80,16 @@ class TestAdam:
         with pytest.raises(NanGradientError, match="bad_param"):
             Adam([("bad_param", p)]).step(lr=0.1)
 
-    def test_missing_gradient_skipped(self):
-        p = parameter(np.ones(2))
-        p.grad = None
-        Adam([("p", p)]).step(lr=0.1)
-        np.testing.assert_array_equal(p.data, np.ones(2))
+    def test_missing_gradient_names_parameter(self):
+        """Adam holds only parameters the loss reaches: one without a
+        gradient is a fault, refused before anything moves."""
+        p, q = parameter(np.ones(2)), parameter(np.ones(3))
+        p.grad = np.ones(2)
+        opt = Adam([("p", p), ("unreached", q)])
+        with pytest.raises(RuntimeError, match="no gradient for parameter unreached"):
+            opt.step(lr=0.1)
+        np.testing.assert_array_equal(opt.data, np.ones(5))
+        assert not opt.m.any() and not opt.v.any() and opt.step_count == 0
 
 
 class PerTensorAdam:
@@ -138,20 +143,15 @@ UNUSED_BRANCHES = {
 
 class TestFlatBuffer:
     def test_twenty_steps_bit_identical_to_per_tensor_adam(self):
-        """Seeded float32 gradients over the fusion parameters, some steps
-        without the speech branch's: every parameter and moment matches the
-        per-tensor reference bit for bit."""
+        """Seeded float32 gradients over every fusion parameter: every
+        parameter and moment matches the per-tensor reference bit for bit."""
         params = FusionParams(dim=8, frames=3, heads=2, seed=0)
         named = list(params.named_parameters())
         reference = PerTensorAdam({name: p.data for name, p in named})
         adam = Adam(named)
         rng = np.random.default_rng(0)
         for step in range(20):
-            grads = {
-                name: None if step % 3 == 1 and name.startswith("speech_fusion.")
-                else rng.normal(size=p.shape).astype(np.float32)
-                for name, p in named
-            }
+            grads = {name: rng.normal(size=p.shape).astype(np.float32) for name, p in named}
             for name, p in named:
                 p.grad = grads[name]
             lr = cosine_lr(step, 20, 1e-2)
@@ -174,16 +174,20 @@ class TestFlatBuffer:
 
     @pytest.mark.parametrize("mode", list(UNUSED_BRANCHES), ids=lambda m: m.value)
     def test_unused_branch_keeps_its_data_and_moments(self, monkeypatch, mode):
+        """Adam holds exactly the parameters the mode runs; a branch the mode
+        does not run is left out, so it has no moments, and keeps its initial
+        bytes."""
         adams = recorded_adams(monkeypatch)
         result = train(small_config(epochs=2, mode=mode), small_dataset(seed=15))
         (adam,) = adams
         fresh = dict(FusionParams(dim=8, frames=3, heads=2, fusion_depth=1, seed=0).named_parameters())
         unused = [name for name in fresh if name.startswith(UNUSED_BRANCHES[mode])]
         assert unused
+        assert [name for name, _ in adam.named_params] == [name for name in fresh if name not in unused]
         for name, p in result.params.named_parameters():
             if name in unused:
+                assert p.data.base is not adam.data, name
                 assert p.data.tobytes() == fresh[name].data.tobytes(), name
-                assert not flat_slice(adam, adam.m, name).any() and not flat_slice(adam, adam.v, name).any(), name
         assert result.params.logit_scale.data != fresh["logit_scale"].data  # the used part did train
 
     def test_checkpoint_round_trip_byte_equal(self, tmp_path):
