@@ -7,14 +7,17 @@ and `score` score with both, and `--mode` overrides the mode. Exit codes:
 0 success, 2 config parse error (including a config file that is a
 directory or not UTF-8 or a path under a regular file, an out-of-range
 value, such as a train sharpness outside (0, 80], heads, fusion_depth,
-resampler_depth or max_audio_len below 1, a count or size that is not an
+resampler_depth or max_audio_len below 1, a gen speech_pad or frames above
+MAX_PAD, a count or size that is not an
 integer, a seed that is not an integer >= 0, an lr or tau_init that is not
 a finite number > 0 or a grad_clip that is neither null nor one, where a
 JSON boolean is neither an integer nor a number, and a
 `score --k` below 1), 3 IO error (a missing file, a container, manifest or
 checkpoint sidecar that is malformed or a directory, a manifest or
 checkpoint sidecar that is not UTF-8, a manifest with a duplicate id or a
-wrongly typed field, a checkpoint sidecar sharpness outside (0, 80],
+wrongly typed field, a manifest size that is not an integer >= 1 (dim:
+>= 2) or a pad (n_s, l_a0) above MAX_PAD, a checkpoint sidecar that is not
+a JSON object, a checkpoint sidecar sharpness outside (0, 80],
 fusion mode not among `--mode`'s choices, size below 1 or a boolean, heads
 that do not divide dim or non-float dtype, checkpoint tensors that disagree
 with their sidecar (a parameter missing, of the wrong size, or a `param/`

@@ -25,15 +25,15 @@ arrays (its `columns`) and the manifest's item and query entries, with each
 item and query built the first time it is looked up, as views into the
 columns. `read_dataset` maps the container read-only (`read_container`);
 `synth.generate` hands over its generator arrays; `Dataset.from_records`
-stacks hand-built records once, checking each record's shapes. One
-function, `_check`, decides whether a manifest and its records form a valid
-dataset: `write_dataset` applies it to the dataset's own entries and columns
-before anything touches disk, and `read_dataset` applies it to every entry
-and record before it returns, so a lookup never fails. It tests each record
-for finiteness CHECK_BLOCK_ROWS rows at a time. The manifest and the
-checkpoint and index sidecars are compact JSON (`write_json`). A dataset in
-the older one-record-per-item layout is rejected for lacking `items/visual`;
-regenerate it with `trifuse gen`.
+stacks hand-built records once. One function, `_check`, decides whether a
+manifest and its records form a valid dataset, and it alone reads the
+manifest's sizes: `write_dataset` applies it to the dataset's own entries
+and columns before anything touches disk, and `read_dataset` applies it to
+every entry and record before it returns, so a lookup never fails. It
+tests each record for finiteness CHECK_BLOCK_ROWS rows at a time. The
+manifest and the checkpoint and index sidecars are compact JSON
+(`write_json`). A dataset in the older one-record-per-item layout is
+rejected for lacking `items/visual`; regenerate it with `trifuse gen`.
 """
 
 from __future__ import annotations
@@ -73,6 +73,19 @@ DATASET_RECORDS = {
 # masks peaked at 8.3 MB (5.1 MB for `items/speech`); a 5 M-float record took
 # 1.39 ms in blocks of 8,192 rows of 16 against 1.60 ms whole (2 vCPUs).
 CHECK_BLOCK_ROWS = 8192
+
+# The manifest's sizes: each JSON key and the `Manifest` field it fills.
+MANIFEST_SIZES = {"dim": "dim", "teacher_dim": "teacher_dim", "m": "frames", "n_s": "speech_pad",
+                  "l_a0": "audio_pad"}
+
+# The longest zero-fill, in tokens, that a manifest may ask for (`n_s`,
+# `l_a0`) and a synth config may write (`speech_pad`, `frames`). The records
+# bound every other size, but a pad only sizes the zeros that
+# `resolve_missing` allocates for an absent modality, so nothing else stops
+# `"n_s": 1000000000` from asking numpy for 59.6 GiB. A 128-item batch of
+# zero-filled speech at d = 16 costs 8 KiB per pad token: 32 MiB at this
+# ceiling, 128 times the 32 tokens that synth writes by default.
+MAX_PAD = 4096
 
 MANIFEST_NAME = "manifest.json"
 TENSORS_NAME = "tensors.sve"
@@ -292,25 +305,10 @@ class Dataset:
     def from_records(cls, manifest: Manifest, items: Mapping[str, ItemRecord],
                      queries: Mapping[str, QueryRecord]) -> Dataset:
         """Hand-built records as columns, stacked once in sorted id order.
-        Each array's shape is checked here, naming its item or query."""
+        Their shapes are checked where the dataset is written (`_check`)."""
         d, d_t = manifest.dim, manifest.teacher_dim
         items = [items[i] for i in sorted(items)]
         queries = [queries[q] for q in sorted(queries)]
-        for item in items:
-            if item.visual_tokens.shape != (manifest.frames, d):
-                raise ValidationError(
-                    f"item {item.item_id}: visual tokens shape {item.visual_tokens.shape}, "
-                    f"expected ({manifest.frames}, {d})"
-                )
-            for name, tok in (("audio", item.audio_tokens), ("speech", item.speech_tokens)):
-                if tok is not None and (tok.ndim != 2 or tok.shape[1] != d):
-                    raise ValidationError(f"item {item.item_id}: {name} tokens must be Lx{d}, got {tok.shape}")
-            for name, vec in (("teacher_video", item.teacher_video), ("teacher_audio", item.teacher_audio)):
-                if vec is not None and vec.shape != (d_t,):
-                    raise ValidationError(f"item {item.item_id}: {name} must have dim {d_t}, got {vec.shape}")
-        for query in queries:
-            if query.embedding.shape != (d,):
-                raise ValidationError(f"query {query.query_id}: embedding dim {query.embedding.shape}, expected {d}")
         teachers = [item for item in items if item.has_teacher()]
 
         def stacked(arrays: list[np.ndarray], cols: int, join=np.concatenate) -> np.ndarray:
@@ -415,19 +413,26 @@ def _built_on_lookup(frames: int, columns: dict, item_entries: list[dict], query
             LazyRecords([entry["id"] for entry in query_entries], query))
 
 
-def _check(doc: dict, records: dict) -> None:
+def _check(doc: dict, records: dict) -> Manifest:
     """The one rule for a valid dataset, as a manifest document and its six
     container records state it; `write_dataset` and `read_dataset` both apply
-    it. It checks m >= 1 and d >= 2; that item and query ids are unique
-    strings listed in sorted order; each item's row counts and each group and
-    ground-truth item; each record's shape (its `_row_starts`) and
-    finiteness, naming the owner of the first bad row; and split members,
-    each split's queries having their ground-truth items in that split. A
-    field of the wrong JSON type surfaces as KeyError, TypeError or
-    ValueError."""
-    dim, teacher_dim, frames = int(doc["dim"]), int(doc["teacher_dim"]), int(doc["m"])
-    if frames < 1 or dim < 2:
-        raise ValidationError(f"manifest requires m >= 1 and d >= 2, got m={frames} d={dim}")
+    it, and it is the one reader of the manifest's sizes and splits, which it
+    returns as a `Manifest`. It checks that each size of MANIFEST_SIZES is an
+    integer >= 1 (`check_ints`), d >= 2 and each pad <= MAX_PAD; that item and
+    query ids are unique strings listed in sorted order; each item's row
+    counts and each group and ground-truth item; each record's shape (its
+    `_row_starts`) and finiteness, naming the owner of the first bad row; and
+    split members, each split's queries having their ground-truth items in
+    that split. A field of the wrong JSON type surfaces as KeyError,
+    TypeError or ValueError."""
+    check_ints(1, **{key: doc[key] for key in MANIFEST_SIZES})
+    check_ints(2, dim=doc["dim"])
+    for key in ("n_s", "l_a0"):
+        if doc[key] > MAX_PAD:
+            raise ValueError(f"{key} must be <= MAX_PAD ({MAX_PAD}), got {doc[key]}")
+    man = Manifest(**{name: doc[key] for key, name in MANIFEST_SIZES.items()},
+                   splits={k: {"items": list(v["items"]), "queries": list(v["queries"])}
+                           for k, v in doc["splits"].items()})
     items, queries = doc["items"], doc["queries"]
     item_ids, query_ids = [meta["id"] for meta in items], [meta["id"] for meta in queries]
     known_items, known_queries = _id_set(item_ids, "item"), _id_set(query_ids, "query")
@@ -446,10 +451,10 @@ def _check(doc: dict, records: dict) -> None:
         if meta["group"] is not None and meta["group"] not in GROUPS:
             raise ValidationError(f"query {meta['id']}: unknown group {meta['group']!r}")
 
-    for name, starts in _row_starts(items, len(queries), frames).items():
+    for name, starts in _row_starts(items, len(queries), man.frames).items():
         kind, label = DATASET_RECORDS[name]
         arr = records[name][1]
-        rows, cols = int(starts[-1]), teacher_dim if "teacher" in name else dim
+        rows, cols = int(starts[-1]), man.teacher_dim if "teacher" in name else man.dim
         if arr.shape != (rows, cols):
             raise ContainerError(f"record {name} has shape {arr.shape}, the manifest implies ({rows}, {cols})")
         for start in range(0, rows, CHECK_BLOCK_ROWS):
@@ -460,7 +465,7 @@ def _check(doc: dict, records: dict) -> None:
                 raise ValidationError(f"{kind} {owner}: non-finite {label}")
 
     gt_of = {meta["id"]: meta["gt"] for meta in queries}
-    for split, members in doc["splits"].items():
+    for split, members in man.splits.items():
         for kind, known, key in (("item", known_items, "items"), ("query", known_queries, "queries")):
             if not known.issuperset(members[key]):
                 unknown = next(i for i in members[key] if i not in known)
@@ -469,6 +474,7 @@ def _check(doc: dict, records: dict) -> None:
         if not split_items.issuperset(map(gt_of.get, members["queries"])):
             query = next(q for q in members["queries"] if gt_of[q] not in split_items)
             raise ValidationError(f"split {split}: query {query}'s ground-truth item {gt_of[query]} is outside it")
+    return man
 
 
 def _id_set(ids: list[str], kind: str) -> set[str]:
@@ -492,16 +498,8 @@ def write_dataset(dataset: Dataset, path) -> None:
     columns; byte-deterministic for equal input. Nothing is written unless the
     dataset passes `_check`."""
     man = dataset.manifest
-    manifest_doc = {
-        "dim": man.dim,
-        "teacher_dim": man.teacher_dim,
-        "m": man.frames,
-        "n_s": man.speech_pad,
-        "l_a0": man.audio_pad,
-        "items": dataset.item_entries,
-        "queries": dataset.query_entries,
-        "splits": man.splits,
-    }
+    manifest_doc = {key: getattr(man, name) for key, name in MANIFEST_SIZES.items()}
+    manifest_doc.update(items=dataset.item_entries, queries=dataset.query_entries, splits=man.splits)
     records = {name: (KIND_TOKENS, dataset.columns[name]) for name in DATASET_RECORDS}
     _check(manifest_doc, records)
     path = Path(path)
@@ -528,15 +526,7 @@ def read_dataset(path) -> Dataset:
     # missing or wrongly typed field surfaces as one of the errors below.
     # Every field the items are built from has been read by `_check`.
     try:
-        _check(doc, records)
-        man = Manifest(
-            dim=int(doc["dim"]),
-            teacher_dim=int(doc["teacher_dim"]),
-            frames=int(doc["m"]),
-            speech_pad=int(doc["n_s"]),
-            audio_pad=int(doc["l_a0"]),
-            splits={k: {"items": list(v["items"]), "queries": list(v["queries"])} for k, v in doc["splits"].items()},
-        )
+        man = _check(doc, records)
     except (ContainerError, ValidationError):
         raise
     except (KeyError, TypeError, ValueError, AttributeError) as err:

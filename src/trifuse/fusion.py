@@ -160,9 +160,19 @@ def _refuse_sizes(meta: dict, records: dict) -> None:
                                  f"{sizes[depth]})")
 
 
+def _read_sidecar(path) -> dict:
+    """The JSON object in the `.json` sidecar of `path`; ContainerError for
+    any other JSON document."""
+    sidecar = f"{path}.json"
+    meta = read_json(sidecar)
+    if not isinstance(meta, dict):
+        raise ContainerError(f"{sidecar} is not a JSON object")
+    return meta
+
+
 def load_params(path) -> FusionParams:
     path = Path(path)
-    meta = read_json(str(path) + ".json")
+    meta = _read_sidecar(path)
     unknown = sorted(set(meta) - set(inspect.signature(FusionParams).parameters))
     if unknown:
         raise ContainerError(f"checkpoint sidecar has unknown parameter {unknown[0]!r}")
@@ -302,7 +312,7 @@ def save_index(index: VideoIndex, path) -> None:
 
 def load_index(path) -> VideoIndex:
     path = Path(path)
-    meta = read_json(str(path) + ".json")
+    meta = _read_sidecar(path)
     records = read_container(path)
     try:
         mode, ids, m = FusionMode(meta["mode"]), meta["item_ids"], meta["m"]

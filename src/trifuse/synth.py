@@ -42,7 +42,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .data import GROUPS, Dataset, Manifest, check_ints, check_real, write_dataset
+from .data import GROUPS, MAX_PAD, Dataset, Manifest, check_ints, check_real, write_dataset
 from .evaluation import rank_of
 
 DEFAULT_GROUP_MIX = {"visual": 0.4, "sound": 0.25, "speech": 0.25, "sound_speech": 0.1}
@@ -76,11 +76,19 @@ class SynthConfig:
         check_ints(2, n_items=self.n_items, dim=self.dim)
         check_ints(1, teacher_dim=self.teacher_dim, frames=self.frames, audio_len=self.audio_len,
                    speech_pad=self.speech_pad, background_pool=self.background_pool)
+        for name in ("frames", "speech_pad"):  # the manifest's l_a0 and n_s
+            if getattr(self, name) > MAX_PAD:
+                raise ValueError(f"{name} must be <= MAX_PAD ({MAX_PAD}), got {getattr(self, name)}")
         for name in ("noise_scale", "query_noise", "teacher_noise", "audio_drift", "query_visual_mix"):
             value = getattr(self, name)
             check_real(name, value)
             if not (math.isfinite(value) and value >= 0):
                 raise ValueError(f"{name} must be a finite number >= 0, got {value!r}")
+        for name in ("group_mix", "splits"):
+            if not isinstance(getattr(self, name), dict):
+                raise TypeError(f"{name} must be an object, got {getattr(self, name)!r}")
+            for key, frac in getattr(self, name).items():
+                check_real(f"{name}[{key!r}]", frac)
         if not set(self.group_mix) <= set(GROUPS):
             raise ValueError(f"group mix keys must be among {GROUPS}")
         for name in ("group_mix", "splits"):

@@ -694,6 +694,20 @@ class TestUnreadableJson:
                 "eval": ["eval", "--checkpoint", str(ckpt), "--data", str(workspace["data"])]}[command]
         self.run(capsys, argv, 3, f"c.ckpt.json {match}")
 
+    @pytest.mark.parametrize("command", ["inspect", "eval", "score"])
+    @pytest.mark.parametrize("doc", ["5", "null", "[1]", '"x"'])
+    def test_checkpoint_sidecar_not_an_object_exit_3(self, workspace, tmp_path, capsys, doc, command):
+        ckpt = tmp_path / "c.ckpt"
+        ckpt.write_bytes((workspace["run"] / "best.ckpt").read_bytes())
+        (tmp_path / "c.ckpt.json").write_text(doc)
+        argv = {"inspect": ["inspect", str(ckpt)],
+                "eval": ["eval", "--checkpoint", str(ckpt), "--data", str(workspace["data"])],
+                "score": ["score", "--checkpoint", str(ckpt), "--data", str(workspace["data"]),
+                          "--query", "q00000"]}[command]
+        assert main(argv) == 3
+        err = capsys.readouterr().err
+        assert "c.ckpt.json is not a JSON object" in err and len(err.splitlines()) == 1
+
 
 def ground_truth_moved_to_train(split):
     """A manifest edit: the first query of `split` and its ground-truth item
@@ -706,6 +720,11 @@ def ground_truth_moved_to_train(split):
         doc["splits"]["train"]["items"].append(gt)
         doc["splits"]["train"]["queries"].append(query)
     return edit
+
+
+def manifest_size(key, value):
+    """A manifest edit: size `key` set to `value`."""
+    return lambda doc: doc.update({key: value})
 
 
 class TestRefusedInputs:
@@ -738,6 +757,30 @@ class TestRefusedInputs:
         "train_lr_bool": ("train", {"lr": True}, [], None, 2, "lr must be a number, got True"),
         "gen_seed_bool": ("gen", {"seed": True}, [], None, 2, "seed must be an integer, got True"),
         "gen_noise_scale_bool": ("gen", {"noise_scale": True}, [], None, 2, "noise_scale must be a number, got True"),
+        "gen_group_mix_bool": ("gen", {"group_mix": {"visual": True}}, [], None, 2,
+                               "group_mix['visual'] must be a number, got True"),
+        "gen_splits_bool": ("gen", {"splits": {"train": True}}, [], None, 2,
+                            "splits['train'] must be a number, got True"),
+        "gen_splits_list": ("gen", {"splits": []}, [], None, 2, "splits must be an object, got []"),
+        # the zero-fill lengths are bounded before anything is generated or allocated
+        "gen_speech_pad_huge": ("gen", {"speech_pad": 10**9}, [], None, 2,
+                                f"speech_pad must be <= MAX_PAD ({data.MAX_PAD}), got 1000000000"),
+        "gen_frames_huge": ("gen", {"frames": 10**9}, [], None, 2,
+                            f"frames must be <= MAX_PAD ({data.MAX_PAD}), got 1000000000"),
+        # manifest sizes: each an integer >= 1, dim >= 2, each pad at most MAX_PAD
+        **{f"eval_manifest_{key}_{label}": ("eval", {}, [], manifest_size(key, value), 3, message)
+           for key, label, value, message in [
+               ("n_s", "zero", 0, "n_s must be an integer >= 1, got 0"),
+               ("n_s", "negative", -1, "n_s must be an integer >= 1, got -1"),
+               ("n_s", "bool", True, "n_s must be an integer, got True"),
+               ("n_s", "huge", 10**9, f"n_s must be <= MAX_PAD ({data.MAX_PAD}), got 1000000000"),
+               ("l_a0", "negative", -3, "l_a0 must be an integer >= 1, got -3"),
+               ("l_a0", "huge", 10**9, f"l_a0 must be <= MAX_PAD ({data.MAX_PAD}), got 1000000000"),
+               ("dim", "float", 16.5, "dim must be an integer, got 16.5"),
+               ("m", "float", 12.9, "m must be an integer, got 12.9"),
+               ("teacher_dim", "float", 8.2, "teacher_dim must be an integer, got 8.2"),
+               ("dim", "one", 1, "dim must be an integer >= 2, got 1"),
+           ]},
         **{f"gen_{name}_inf": ("gen", {name: float("inf")}, [], None, 2, f"{name} must be a finite number >= 0")
            for name in ("noise_scale", "query_noise", "teacher_noise", "audio_drift", "query_visual_mix")},
     }

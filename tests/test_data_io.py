@@ -207,23 +207,22 @@ class TestDatasetIO:
         assert (tmp_path / "a" / "tensors.sve").read_bytes() == (tmp_path / "b" / "tensors.sve").read_bytes()
         assert (tmp_path / "a" / "manifest.json").read_bytes() == (tmp_path / "b" / "manifest.json").read_bytes()
 
-    def test_dim_violation_names_item(self):
-        """Hand-built records are checked, item by item, where they become columns."""
-        manifest, items, queries = tiny_records()
-        items["it001"].visual_tokens = np.zeros((2, 6), dtype=np.float32)  # wrong row count
-        with pytest.raises(ValidationError, match="it001"):
-            Dataset.from_records(manifest, items, queries)
-        # each hand-built field whose shape is checked before stacking
-        for owner, field, value, match in [
-            ("it000", "audio_tokens", np.zeros((4, 5)), r"item it000: audio tokens must be Lx6, got \(4, 5\)"),
-            ("it003", "speech_tokens", np.zeros(6), r"item it003: speech tokens must be Lx6, got \(6,\)"),
-            ("it002", "teacher_audio", np.zeros(4), r"item it002: teacher_audio must have dim 5, got \(4,\)"),
-            ("q001", "embedding", np.zeros(7), r"query q001: embedding dim \(7,\), expected 6"),
+    def test_shape_violation_raises_before_writing(self, tmp_path):
+        """A hand-built record of the wrong shape raises ValueError before
+        anything is written: from numpy where the records cannot be stacked,
+        else from `_check` at `write_dataset`."""
+        for owner, field, value in [
+            ("it001", "visual_tokens", np.zeros((2, 6))),  # wrong row count
+            ("it000", "audio_tokens", np.zeros((4, 5))),
+            ("it003", "speech_tokens", np.zeros(6)),
+            ("it002", "teacher_audio", np.zeros(4)),
+            ("q001", "embedding", np.zeros(7)),
         ]:
             manifest, items, queries = tiny_records()
             setattr(queries[owner] if owner.startswith("q") else items[owner], field, value.astype(np.float32))
-            with pytest.raises(ValidationError, match=match):
-                Dataset.from_records(manifest, items, queries)
+            with pytest.raises(ValueError):
+                write_dataset(Dataset.from_records(manifest, items, queries), tmp_path / "ds")
+            assert not (tmp_path / "ds").exists()
 
     def test_unknown_gt_rejected(self, tmp_path):
         manifest, items, queries = tiny_records()
@@ -328,7 +327,7 @@ class TestDatasetIO:
         "edit, error, match",
         [
             (lambda doc: doc["items"][1].pop("audio_len"), ContainerError, "KeyError: 'audio_len'"),
-            (lambda doc: doc.update(m="three"), ContainerError, "ValueError: invalid literal"),
+            (lambda doc: doc.update(m="three"), ContainerError, "TypeError: m must be an integer, got 'three'"),
             (lambda doc: doc["queries"][0].update(gt=["it000"]), ContainerError, "unhashable type: 'list'"),
             (lambda doc: doc["splits"]["test"]["items"].append(["it000"]), ContainerError, "unhashable type: 'list'"),
             (lambda doc: doc["items"][2].update(id="it001"), ValidationError, "duplicate item id it001"),
@@ -344,7 +343,7 @@ class TestDatasetIO:
              "query q002: unknown group 'music'"),
             (lambda doc: doc["splits"]["train"]["queries"].append("q999"), ValidationError,
              "split train: unknown query q999"),
-            (lambda doc: doc.update(m=0), ValidationError, "manifest requires m >= 1 and d >= 2, got m=0 d=6"),
+            (lambda doc: doc.update(m=0), ContainerError, "ValueError: m must be an integer >= 1, got 0"),
         ],
         ids=["missing_key", "wrong_type", "gt_list", "split_member_list", "duplicate_item", "duplicate_query",
              "query_id_int", "unsorted_items", "unsorted_queries", "has_teacher_int", "unknown_group", "unknown_split_member", "zero_frames"],

@@ -354,6 +354,13 @@ class TestIndex:
         with pytest.raises(ContainerError, match=match):
             load_index(tmp_path / "g.idx")
 
+    @pytest.mark.parametrize("doc", ["5", "null", "[1]", '"x"'])
+    def test_sidecar_that_is_not_an_object_raises(self, tmp_path, doc):
+        save_index(precompute_index(self.items(3), make_params(), FusionMode.SAVE, MAN), tmp_path / "g.idx")
+        (tmp_path / "g.idx.json").write_text(doc)
+        with pytest.raises(ContainerError, match=r"g\.idx\.json is not a JSON object"):
+            load_index(tmp_path / "g.idx")
+
     @pytest.mark.parametrize("mode", list(FusionMode), ids=lambda m: m.value)
     def test_score_matrix_matches_batch_scores(self, tmp_path, mode):
         """Each mode's index survives save/load bit for bit. Serving it gives
