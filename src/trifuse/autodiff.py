@@ -19,7 +19,8 @@ between the forward and that backward. Adam, which writes the parameters in
 place, steps only after backward.
 
 Only the ops needed by the fusion stacks, the scorer and the training losses
-are provided. The nonlinearities and the whole pre-norm cross-attention block
+are provided; `matmul` takes 2-D right operands only, the one kind they
+multiply by. The nonlinearities and the whole pre-norm cross-attention block
 are single tape nodes with closed-form backward passes. Each keeps only what
 its backward cannot recompute from the inputs it holds anyway:
 - `cross_attention_block` (layer norms, query/key/value projections,
@@ -99,9 +100,6 @@ class Tensor:
     @property
     def dtype(self):
         return self.data.dtype
-
-    def detach(self) -> "Tensor":
-        return Tensor(self.data)
 
     def backward(self) -> None:
         """Backpropagate from a scalar loss.
@@ -276,12 +274,10 @@ def div(a: Tensor, b) -> Tensor:
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
-    """Matrix product: (..., k) @ (k, n), or batched (..., m, k) @ (..., k, n)
-    with equal batch dims. The right operand has at least 2 dims."""
-    if b.data.ndim < 2:
-        raise ValueError(f"matmul needs a right operand with at least 2 dims, got {b.shape}")
-    if b.data.ndim > 2 and a.data.shape[:-2] != b.data.shape[:-2]:
-        raise ValueError(f"matmul batch mismatch: {a.shape} @ {b.shape}")
+    """Matrix product (..., k) @ (k, n) of any left operand and a 2-D right
+    operand; the backward folds a's leading dims into its rows."""
+    if b.data.ndim != 2:
+        raise ValueError(f"matmul needs a 2-D right operand, got {b.shape}")
     out_data = a.data @ b.data
 
     def backward(g):
@@ -289,11 +285,8 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
             ga = g @ b.data.swapaxes(-1, -2)
             _accumulate(a, ga)
         if b.requires_grad:
-            if b.data.ndim > 2:
-                gb = a.data.swapaxes(-1, -2) @ g
-            else:  # fold a's leading dims into its rows
-                a2 = a.data.reshape(-1, a.data.shape[-1])
-                gb = a2.T @ g.reshape(a2.shape[0], *b.data.shape[1:])
+            a2 = a.data.reshape(-1, a.data.shape[-1])
+            gb = a2.T @ g.reshape(a2.shape[0], *b.data.shape[1:])
             _accumulate(b, gb)
 
     return _node(out_data, (a, b), backward)
@@ -310,23 +303,13 @@ def transpose(a: Tensor) -> Tensor:
     return swapaxes(a, -1, -2)
 
 
-def reshape(a: Tensor, shape) -> Tensor:
-    def backward(g):
-        _accumulate(a, g.reshape(a.shape))
-
-    return _node(a.data.reshape(shape), (a,), backward)
-
-
 def reduce_sum(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
     out_data = a.data.sum(axis=axis, keepdims=keepdims)
 
     def backward(g):
-        if axis is None:
-            _accumulate(a, np.broadcast_to(g, a.shape).copy())
-        else:
-            if not keepdims:
-                g = np.expand_dims(g, axis)
-            _accumulate(a, np.broadcast_to(g, a.shape).copy())
+        if axis is not None and not keepdims:
+            g = np.expand_dims(g, axis)
+        _accumulate(a, np.broadcast_to(g, a.shape).copy())
 
     return _node(out_data, (a,), backward)
 

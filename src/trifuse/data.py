@@ -7,10 +7,11 @@ split assignments) and `tensors.sve`, a flat binary container:
     per record: u16 name length | name (UTF-8) | u8 kind (0=tokens, 1=vector)
                 | u32 rows | u32 cols | rows*cols little-endian float32
 
-All integers are little-endian. Writes are deterministic: identical datasets
-produce identical bytes, and every artifact is written to a temporary file
-that replaces the old one only once complete. The same container carries
-datasets, checkpoints and indexes.
+All integers are little-endian. A record is a plain array, its kind byte
+decided by its rank (`write_container`). Writes are deterministic: identical
+datasets produce identical bytes, and every artifact is written to a
+temporary file that replaces the old one only once complete. The same
+container carries datasets, checkpoints and indexes.
 
 A dataset's container holds one record per field, whatever its item count,
 with rows in the manifest's (sorted) item or query order: `items/visual`
@@ -24,16 +25,16 @@ A `Dataset` in memory is the same thing whatever its source: those six
 arrays (its `columns`) and the manifest's item and query entries, with each
 item and query built the first time it is looked up, as views into the
 columns. `read_dataset` maps the container read-only (`read_container`);
-`synth.generate` hands over its generator arrays; `Dataset.from_records`
-stacks hand-built records once. One function, `_check`, decides whether a
-manifest and its records form a valid dataset, and it alone reads the
-manifest's sizes: `write_dataset` applies it to the dataset's own entries
-and columns before anything touches disk, and `read_dataset` applies it to
-every entry and record before it returns, so a lookup never fails. It
-tests each record for finiteness CHECK_BLOCK_ROWS rows at a time. The
-manifest and the checkpoint and index sidecars are compact JSON
-(`write_json`). A dataset in the older one-record-per-item layout is
-rejected for lacking `items/visual`; regenerate it with `trifuse gen`.
+`synth.generate` hands over its generator arrays. One function, `_check`,
+decides whether a manifest and its records form a valid dataset, and it
+alone reads the manifest's sizes: `write_dataset` applies it to the
+dataset's own entries and columns before anything touches disk, and
+`read_dataset` applies it to every entry and record before it returns, so a
+lookup never fails. It tests each record for finiteness CHECK_BLOCK_ROWS
+rows at a time. The manifest and the checkpoint and index sidecars are
+compact JSON (`write_json`). A dataset in the older one-record-per-item
+layout is rejected for lacking `items/visual`; regenerate it with
+`trifuse gen`.
 """
 
 from __future__ import annotations
@@ -136,28 +137,26 @@ def write_json(path, doc) -> None:
     atomic_write(path, (json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n").encode())
 
 
-def write_container(path, records: dict[str, tuple[int, np.ndarray]]) -> None:
-    """Write named float32 arrays. `records` maps name -> (kind, 2D or 1D array).
-    The arrays are written from their own memory, not copied into one payload."""
+def write_container(path, records: dict[str, np.ndarray]) -> None:
+    """Write named float32 arrays, each of rank 0, 1 or 2. A record's kind
+    byte follows from its rank: a vector up to rank 1, tokens at rank 2. The
+    arrays are written from their own memory, not copied into one payload."""
     chunks = [MAGIC, struct.pack("<II", VERSION, len(records))]
-    for name, (kind, arr) in records.items():
+    for name, arr in records.items():
         arr = np.ascontiguousarray(arr, dtype="<f4")
-        if arr.ndim == 0:
-            arr = arr.reshape(1)
-        if arr.ndim == 1:
-            rows, cols = 1, arr.shape[0]
-        elif arr.ndim == 2:
-            rows, cols = arr.shape
-        else:
-            raise ContainerError(f"record {name}: only 1D/2D arrays supported")
+        if arr.ndim > 2:
+            raise ContainerError(f"record {name}: only 0D/1D/2D arrays supported")
+        kind, (rows, cols) = (KIND_TOKENS, arr.shape) if arr.ndim == 2 else (KIND_VECTOR, (1, arr.size))
         name_bytes = name.encode("utf-8")
         chunks.append(struct.pack("<H", len(name_bytes)) + name_bytes + struct.pack("<BII", kind, rows, cols))
         chunks.append(memoryview(arr))
     atomic_write(path, *chunks)
 
 
-def read_container(path) -> dict[str, tuple[int, np.ndarray]]:
+def read_container(path) -> dict[str, np.ndarray]:
     """Named float32 arrays: read-only views into `path`, mapped read-only.
+    A vector record of one row reads back as a 1-D array, any other record
+    as a 2-D one.
 
     The file stays mapped, and its descriptor open, while any view lives
     (dataset items, a loaded index): a process that keeps views of many
@@ -184,7 +183,7 @@ def read_container(path) -> dict[str, tuple[int, np.ndarray]]:
     version, count = struct.unpack_from("<II", blob, 4)
     if version != VERSION:
         raise ContainerError(f"unsupported container version {version}")
-    records: dict[str, tuple[int, np.ndarray]] = {}
+    records: dict[str, np.ndarray] = {}
     offset = 12
     for _ in range(count):
         if offset + 2 > len(blob):
@@ -210,7 +209,7 @@ def read_container(path) -> dict[str, tuple[int, np.ndarray]]:
         arr = np.frombuffer(blob, dtype="<f4", count=rows * cols, offset=offset)
         offset += nbytes
         shape = (cols,) if kind == KIND_VECTOR and rows == 1 else (rows, cols)
-        records[name] = (kind, arr.reshape(shape))
+        records[name] = arr.reshape(shape)
     if offset != len(blob):
         raise ContainerError(f"{len(blob) - offset} trailing bytes after the last record")
     return records
@@ -300,40 +299,6 @@ class Dataset:
     def __post_init__(self):
         self.items, self.queries = _built_on_lookup(self.manifest.frames, self.columns, self.item_entries,
                                                     self.query_entries)
-
-    @classmethod
-    def from_records(cls, manifest: Manifest, items: Mapping[str, ItemRecord],
-                     queries: Mapping[str, QueryRecord]) -> Dataset:
-        """Hand-built records as columns, stacked once in sorted id order.
-        Their shapes are checked where the dataset is written (`_check`)."""
-        d, d_t = manifest.dim, manifest.teacher_dim
-        items = [items[i] for i in sorted(items)]
-        queries = [queries[q] for q in sorted(queries)]
-        teachers = [item for item in items if item.has_teacher()]
-
-        def stacked(arrays: list[np.ndarray], cols: int, join=np.concatenate) -> np.ndarray:
-            return np.asarray(join(arrays), dtype=np.float32) if arrays else np.zeros((0, cols), dtype=np.float32)
-
-        columns = {
-            "items/visual": stacked([item.visual_tokens for item in items], d),
-            "items/audio": stacked([item.audio_tokens for item in items if item.audio_tokens is not None], d),
-            "items/speech": stacked([item.speech_tokens for item in items if item.speech_tokens is not None], d),
-            "items/teacher_video": stacked([item.teacher_video for item in teachers], d_t, np.stack),
-            "items/teacher_audio": stacked([item.teacher_audio for item in teachers], d_t, np.stack),
-            "queries/embedding": stacked([query.embedding for query in queries], d, np.stack),
-        }
-        item_entries = [
-            {
-                "id": item.item_id,
-                "group": item.group,
-                "audio_len": 0 if item.audio_tokens is None else len(item.audio_tokens),
-                "speech_len": 0 if item.speech_tokens is None else len(item.speech_tokens),
-                "has_teacher": item.has_teacher(),
-            }
-            for item in items
-        ]
-        query_entries = [{"id": q.query_id, "gt": q.ground_truth_item, "group": q.group} for q in queries]
-        return cls(manifest, columns, item_entries, query_entries)
 
     def longest_audio(self) -> int:
         """The longest item audio in tokens, absent audio counting as the
@@ -453,7 +418,7 @@ def _check(doc: dict, records: dict) -> Manifest:
 
     for name, starts in _row_starts(items, len(queries), man.frames).items():
         kind, label = DATASET_RECORDS[name]
-        arr = records[name][1]
+        arr = records[name]
         rows, cols = int(starts[-1]), man.teacher_dim if "teacher" in name else man.dim
         if arr.shape != (rows, cols):
             raise ContainerError(f"record {name} has shape {arr.shape}, the manifest implies ({rows}, {cols})")
@@ -500,7 +465,7 @@ def write_dataset(dataset: Dataset, path) -> None:
     man = dataset.manifest
     manifest_doc = {key: getattr(man, name) for key, name in MANIFEST_SIZES.items()}
     manifest_doc.update(items=dataset.item_entries, queries=dataset.query_entries, splits=man.splits)
-    records = {name: (KIND_TOKENS, dataset.columns[name]) for name in DATASET_RECORDS}
+    records = {name: dataset.columns[name] for name in DATASET_RECORDS}
     _check(manifest_doc, records)
     path = Path(path)
     path.mkdir(parents=True, exist_ok=True)
@@ -532,7 +497,7 @@ def read_dataset(path) -> Dataset:
     except (KeyError, TypeError, ValueError, AttributeError) as err:
         raise ContainerError(f"malformed {manifest_file} ({type(err).__name__}: {err})") from err
 
-    columns = {name: records[name][1] for name in DATASET_RECORDS}
+    columns = {name: records[name] for name in DATASET_RECORDS}
     for name in ("items/teacher_video", "items/teacher_audio"):
         columns[name] = _unit_rows(columns[name])
     # Copied: queries often outlive the items (an index is built from the

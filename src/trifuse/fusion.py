@@ -22,8 +22,8 @@ import numpy as np
 from . import autodiff as ad
 from . import nn
 from .autodiff import Tensor
-from .data import (KIND_TOKENS, KIND_VECTOR, ContainerError, ItemRecord, Manifest, check_ints, check_real,
-                   read_container, read_json, resolve_missing, write_container, write_json)
+from .data import (ContainerError, ItemRecord, Manifest, check_ints, check_real, read_container, read_json,
+                   resolve_missing, write_container, write_json)
 
 
 class FusionMode(str, Enum):
@@ -128,11 +128,7 @@ def save_params(params: FusionParams, path) -> None:
     """Checkpoint: tensors in the standard container + architecture sidecar."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    records = {}
-    for name, p in params.named_parameters():
-        kind = KIND_TOKENS if p.data.ndim == 2 else KIND_VECTOR
-        records[f"param/{name}"] = (kind, p.data)
-    write_container(path, records)
+    write_container(path, {f"param/{name}": p.data for name, p in params.named_parameters()})
     meta = dict(params.arch)
     meta["dtype"] = params.dtype.name
     write_json(Path(str(path) + ".json"), meta)
@@ -147,7 +143,7 @@ def _refuse_sizes(meta: dict, records: dict) -> None:
     for name, rows in (("resampler.queries", "frames"), ("resampler.pos", "max_audio_len")):
         if f"param/{name}" not in records:
             raise ContainerError(f"checkpoint missing parameter {name}")
-        held = records[f"param/{name}"][1].size
+        held = records[f"param/{name}"].size
         if rows in sizes and "dim" in sizes and held != sizes[rows] * sizes["dim"]:
             raise ContainerError(f"checkpoint parameter {name} has {held} values, not {sizes[rows] * sizes['dim']}")
     for depth, prefix in (("resampler_depth", "resampler.stack.blocks."),
@@ -192,9 +188,9 @@ def load_params(path) -> FusionParams:
         key = f"param/{name}"
         if key not in records:
             raise ContainerError(f"checkpoint missing parameter {name}")
-        if records[key][1].size != p.data.size:
-            raise ContainerError(f"checkpoint parameter {name} has {records[key][1].size} values, not {p.data.size}")
-        p.data = records[key][1].reshape(p.data.shape).astype(dtype)
+        if records[key].size != p.data.size:
+            raise ContainerError(f"checkpoint parameter {name} has {records[key].size} values, not {p.data.size}")
+        p.data = records[key].reshape(p.data.shape).astype(dtype)
     return params
 
 
@@ -304,8 +300,7 @@ def save_index(index: VideoIndex, path) -> None:
     `index/pooled`; a `.json` sidecar with the mode, the item ids and m."""
     path = Path(path)
     n, m, d = index.tokens.shape
-    write_container(path, {"index/tokens": (KIND_TOKENS, index.tokens.reshape(n * m, d)),
-                           "index/pooled": (KIND_TOKENS, index.pooled)})
+    write_container(path, {"index/tokens": index.tokens.reshape(n * m, d), "index/pooled": index.pooled})
     meta = {"mode": index.mode.value, "item_ids": index.item_ids, "m": m}
     write_json(Path(str(path) + ".json"), meta)
 
@@ -316,15 +311,19 @@ def load_index(path) -> VideoIndex:
     records = read_container(path)
     try:
         mode, ids, m = FusionMode(meta["mode"]), meta["item_ids"], meta["m"]
-    except (KeyError, ValueError) as err:
+    except (KeyError, TypeError, ValueError) as err:
         raise ContainerError(f"index sidecar does not describe an index ({type(err).__name__}: {err})") from err
     if type(m) is not int or m < 1:
         raise ContainerError(f"index sidecar field m is {m!r}, not an integer >= 1")
+    if type(ids) is not list or not all(type(i) is str for i in ids):
+        raise ContainerError("index sidecar field item_ids is not a list of strings")
     arrays = {}
     for name in ("tokens", "pooled"):
         if f"index/{name}" not in records:
             raise ContainerError(f"{mode.value} index {path} lacks its {name} record")
-        arr = records[f"index/{name}"][1]
+        arr = records[f"index/{name}"]
+        if arr.ndim != 2:
+            raise ContainerError(f"index record {name} has shape {arr.shape}, not (rows, d)")
         rows = len(ids) * m if name == "tokens" else len(ids)
         if len(arr) != rows:
             raise ContainerError(f"index record {name} has {len(arr)} rows, expected {rows} for {len(ids)} items")

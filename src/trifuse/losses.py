@@ -5,7 +5,8 @@ matched pairs. `soft_albef` (the default) distills a constant teacher
 affinity matrix: the Pearson distance between softmaxed rows and columns of
 teacher and student. `hard_albef` is ALBEF's identity-target cross-entropy,
 the baseline it replaces; `none` trains on the contrastive loss alone. The
-teacher matrix never receives gradient: it enters as a constant.
+teacher matrix is a numpy array and never receives gradient: it enters the
+graph as a constant. The student matrices and the scores are Tensors.
 """
 
 from __future__ import annotations
@@ -40,16 +41,6 @@ def student_affinity(v_mean: Tensor, a_mean: Tensor) -> Tensor:
     return ad.matmul(v_mean, ad.transpose(a_mean))
 
 
-def _as_constant(x) -> Tensor:
-    if isinstance(x, Tensor):
-        return x.detach()
-    return Tensor(np.asarray(x, dtype=np.float64))
-
-
-def _as_tensor(x) -> Tensor:
-    return x if isinstance(x, Tensor) else Tensor(np.asarray(x, dtype=np.float64))
-
-
 def _pearson_distances(p: Tensor, q: Tensor, axis: int) -> Tensor:
     """1 - corr(p, q) of every slice along `axis`, in [0, 2], as one expression.
 
@@ -70,21 +61,24 @@ def _pearson_distances(p: Tensor, q: Tensor, axis: int) -> Tensor:
     return (1.0 - corr) * live
 
 
-def _check_square_pair(m0: Tensor, m1: Tensor) -> int:
-    if m0.shape != m1.shape or m0.data.ndim != 2 or m0.shape[0] != m0.shape[1]:
-        raise ValueError(f"affinity matrices must be equal square shapes, got {m0.shape} and {m1.shape}")
-    return m0.shape[0]
+def _square_size(*matrices) -> int:
+    """The size b of `matrices`, each (b, b); ValueError unless they are
+    square and of one shape."""
+    shape = matrices[0].shape
+    if len(shape) != 2 or shape[0] != shape[1] or any(m.shape != shape for m in matrices):
+        raise ValueError(f"needs equal square matrices, got shapes {', '.join(str(m.shape) for m in matrices)}")
+    return shape[0]
 
 
-def soft_albef_loss(m0, m1) -> Tensor:
-    """Pearson distance between softmaxed rows and columns of teacher/student.
+def soft_albef_loss(m0: np.ndarray, m1: Tensor) -> Tensor:
+    """Pearson distance between softmaxed rows and columns of the teacher
+    affinity `m0`, a constant, and the student's `m1`:
 
     (1/b) sum_i d_p(softmax(M0[i,:]), softmax(M1[i,:]))
       + (1/b) sum_j d_p(softmax(M0[:,j]), softmax(M1[:,j]))
     """
-    m0 = _as_constant(m0)
-    m1 = _as_tensor(m1)
-    b = _check_square_pair(m0, m1)
+    b = _square_size(m0, m1)
+    m0 = Tensor(m0)
     rows = _pearson_distances(ad.softmax(m0, axis=1), ad.softmax(m1, axis=1), axis=1)
     cols = _pearson_distances(ad.softmax(m0, axis=0), ad.softmax(m1, axis=0), axis=0)
     return (rows.sum() + cols.sum()) * (1.0 / b)
@@ -92,30 +86,24 @@ def soft_albef_loss(m0, m1) -> Tensor:
 
 def _symmetric_ce(logits: Tensor) -> Tensor:
     """Mean cross-entropy against identity targets, averaged over rows and columns."""
-    b = logits.shape[0]
+    b = _square_size(logits)
     eye = Tensor(np.eye(b, dtype=logits.dtype))
     row_ce = -(ad.log_softmax(logits, axis=1) * eye).sum() * (1.0 / b)
     col_ce = -(ad.log_softmax(logits, axis=0) * eye).sum() * (1.0 / b)
     return (row_ce + col_ce) * 0.5
 
 
-def hard_albef_loss(m1) -> Tensor:
+def hard_albef_loss(m1: Tensor) -> Tensor:
     """Identity-target symmetric cross-entropy: item i's audio is its positive."""
-    m1 = _as_tensor(m1)
-    if m1.data.ndim != 2 or m1.shape[0] != m1.shape[1]:
-        raise ValueError(f"hard alignment needs a square matrix, got {m1.shape}")
     return _symmetric_ce(m1)
 
 
-def contrastive_loss(scores, scale=1.0) -> Tensor:
+def contrastive_loss(scores: Tensor, scale=1.0) -> Tensor:
     """Symmetric InfoNCE over a square score matrix with diagonal positives.
 
     `scale` is the positive logit multiplier (exp of the learnable logit
     scale, i.e. 1/temperature).
     """
-    scores = _as_tensor(scores)
-    if scores.data.ndim != 2 or scores.shape[0] != scores.shape[1]:
-        raise ValueError(f"contrastive loss needs a square batch matrix, got {scores.shape}")
     return _symmetric_ce(scores * scale)
 
 

@@ -256,7 +256,9 @@ def train(config: TrainConfig, dataset: Dataset, val_split: str | None = None) -
     there; a dataset without that split, or with a train item that has no
     train query, raises ValidationError. With a `val_split` that has queries,
     validate R@1 after every epoch and return the best epoch's parameters
-    (ties go to the earliest), otherwise the last epoch's."""
+    (ties go to the earliest), otherwise the last epoch's. A non-finite loss
+    or gradient aborts the run with the last-good parameters restored; the
+    result's `abort_reason` carries it to the caller, and nothing is logged."""
     man = dataset.manifest
     if "train" not in man.splits:
         raise ValidationError("dataset has no train split")
@@ -309,7 +311,6 @@ def train(config: TrainConfig, dataset: Dataset, val_split: str | None = None) -
                     best_epoch, best_r1, best = epoch, r1, last_good
     except (FloatingPointError, NanGradientError) as err:
         adam.data[...] = last_good
-        logger.error("%s; restored last-good parameters", err)
         return TrainResult(params, log, aborted=True, abort_reason=str(err))
 
     if validate:

@@ -1,6 +1,8 @@
-"""Gradient checking for the tests: central differences, and tape nodes over
-the cross-attention block's numpy helpers so that each helper's backward can
-be checked on its own.
+"""Gradient checking for the tests: central differences; tape nodes over
+the cross-attention block's numpy helpers, so that each helper's backward can
+be checked on its own; and the two tape ops that only the tests' composite
+references build graphs with, `reshape` and `batched_matmul`
+(`autodiff.matmul` takes 2-D right operands only).
 
 Training runs in float32; gradient checking builds the same graphs in float64
 (`finite_difference_check` refuses nothing else, 1e-4 tolerances are not
@@ -80,3 +82,16 @@ def feed_forward_node(x: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor)
     out = ad.feed_forward(x.data, w1.data, b1.data, w2.data, b2.data)
     return _helper_node(out, (x, w1, b1, w2, b2),
                         lambda g: ad.feed_forward_backward(g, x.data, w1.data, b1.data, w2.data))
+
+
+def reshape(a: Tensor, shape) -> Tensor:
+    """`a` reshaped, as a tape node."""
+    return _helper_node(a.data.reshape(shape), (a,), lambda g: (g.reshape(a.shape),))
+
+
+def batched_matmul(a: Tensor, b: Tensor) -> Tensor:
+    """(..., m, k) @ (..., k, n) with equal batch dims, as a tape node."""
+    if a.shape[:-2] != b.shape[:-2]:
+        raise ValueError(f"batched_matmul batch mismatch: {a.shape} @ {b.shape}")
+    return _helper_node(a.data @ b.data, (a, b),
+                        lambda g: (g @ b.data.swapaxes(-1, -2), a.data.swapaxes(-1, -2) @ g))

@@ -183,7 +183,7 @@ class TestCriterion2ZeroGateIdentity:
 
 class TestCriterion3SoftAlbefOracle:
     def test_eq3_oracle(self):
-        anti = float(soft_albef_loss(np.eye(2), np.array([[0.0, 1.0], [1.0, 0.0]])).data)
+        anti = float(soft_albef_loss(np.eye(2), Tensor(np.array([[0.0, 1.0], [1.0, 0.0]]))).data)
         ok_anti = abs(anti - 4.0) < 1e-6
 
         rng = np.random.default_rng(3)
@@ -192,12 +192,12 @@ class TestCriterion3SoftAlbefOracle:
         for _ in range(100):
             b = int(rng.integers(2, 7))
             m = rng.normal(size=(b, b))
-            if float(soft_albef_loss(m, m.copy()).data) > 1e-9:
+            if float(soft_albef_loss(m, Tensor(m.copy())).data) > 1e-9:
                 ok_self = False
             m1 = rng.normal(size=(b, b))
             c = float(rng.uniform(-3, 3))
-            base = float(soft_albef_loss(m, m1).data)
-            shifted = float(soft_albef_loss(m, m1 + c).data)
+            base = float(soft_albef_loss(m, Tensor(m1)).data)
+            shifted = float(soft_albef_loss(m, Tensor(m1 + c)).data)
             if abs(base - shifted) > 1e-9:
                 ok_shift = False
         report(

@@ -10,7 +10,7 @@ from trifuse import nn
 from trifuse.autodiff import _GELU_C, Tensor, parameter
 from trifuse.fusion import MAX_SHARPNESS
 
-from gradcheck import feed_forward_node, finite_difference_check, layer_norm_node
+from gradcheck import batched_matmul, feed_forward_node, finite_difference_check, layer_norm_node, reshape
 
 
 class TestBackward:
@@ -178,7 +178,7 @@ class TestOpGradients:
         x = parameter(rng.normal(size=(2, 6)))
 
         def f():
-            y = ad.reshape(x, (3, 4))
+            y = reshape(x, (3, 4))
             z = ad.take(y * 2.0, [2, 0, 2, 3], axis=1)
             return ad.logsumexp(z, axis=0).sum() + ad.tanh(x).sum()
 
@@ -215,21 +215,25 @@ class TestOpGradients:
 
     def test_matmul_rejects_a_vector_right_operand(self):
         """Refused in the forward pass, not later inside backward."""
-        with pytest.raises(ValueError, match=r"right operand with at least 2 dims, got \(4,\)"):
+        with pytest.raises(ValueError, match=r"2-D right operand, got \(4,\)"):
             ad.matmul(parameter(np.ones((3, 4))), parameter(np.ones(4)))
 
-    def test_matmul_batch_mismatch_raises(self):
-        with pytest.raises(ValueError, match="batch mismatch"):
-            ad.matmul(Tensor(np.ones((3, 4))), Tensor(np.ones((2, 4, 5))))
+    def test_matmul_rejects_a_batched_right_operand(self):
+        """src multiplies by 2-D right operands only; the batched product of
+        the composite references is `gradcheck.batched_matmul`."""
+        with pytest.raises(ValueError, match=r"2-D right operand, got \(2, 4, 5\)"):
+            ad.matmul(Tensor(np.ones((2, 3, 4))), Tensor(np.ones((2, 4, 5))))
 
     def test_batched_matmul_gradient(self):
         rng = np.random.default_rng(11)
         a = parameter(rng.normal(size=(2, 3, 4)))
         b = parameter(rng.normal(size=(2, 4, 5)))
         r = rng.normal(size=(2, 3, 5))
+        with pytest.raises(ValueError, match="batch mismatch"):
+            batched_matmul(a, Tensor(np.ones((3, 4, 5))))
 
         def f():
-            return (ad.matmul(a, b) * r).sum()
+            return (batched_matmul(a, b) * r).sum()
 
         assert finite_difference_check(f, [a, b], eps=1e-5) < 1e-4
 
@@ -376,7 +380,7 @@ def _unit(x):
 def _composite_token_logmeanexp(q, tokens, s):
     """The matmul + logsumexp graph `token_logmeanexp` replaced in the scorer."""
     m, b, d = tokens.shape
-    scaled = ad.reshape(ad.matmul(q * s, ad.transpose(ad.reshape(tokens, (m * b, d)))), (q.shape[0], m, b))
+    scaled = reshape(ad.matmul(q * s, ad.transpose(reshape(tokens, (m * b, d)))), (q.shape[0], m, b))
     return (ad.logsumexp(scaled, axis=1) - np.log(m)) * (1.0 / s)
 
 
@@ -431,13 +435,13 @@ def _composite_attention(q, k, v, heads, mask):
     d = q.shape[-1]
 
     def split(x):
-        return ad.swapaxes(ad.reshape(x, x.shape[:-1] + (heads, d // heads)), -2, -3)
+        return ad.swapaxes(reshape(x, x.shape[:-1] + (heads, d // heads)), -2, -3)
 
-    scores = ad.matmul(split(q), ad.transpose(split(k))) * (1.0 / np.sqrt(d // heads))
+    scores = batched_matmul(split(q), ad.transpose(split(k))) * (1.0 / np.sqrt(d // heads))
     if mask is not None:
         scores = scores + Tensor(np.where(mask, 0.0, -np.inf)[..., None, None, :])
-    pooled = ad.swapaxes(ad.matmul(ad.softmax(scores, axis=-1), split(v)), -2, -3)
-    return ad.reshape(pooled, pooled.shape[:-2] + (d,))
+    pooled = ad.swapaxes(batched_matmul(ad.softmax(scores, axis=-1), split(v)), -2, -3)
+    return reshape(pooled, pooled.shape[:-2] + (d,))
 
 
 def _composite_layer_norm(x, eps):

@@ -1,10 +1,15 @@
 """Command surface: exit codes, artifacts, determinism."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import trifuse
 from trifuse import cli, data, trainer
 from trifuse.cli import main
 from trifuse.data import read_container, write_container
@@ -169,6 +174,21 @@ class TestTrain:
         assert "training aborted: non-finite loss at step 3" in err and "Traceback" not in err
         assert sorted(path.name for path in out.iterdir()) == ["last_good.ckpt", "last_good.ckpt.json",
                                                                "train_log.jsonl"]
+
+    def test_aborted_run_prints_one_stderr_line(self, workspace, tmp_path):
+        """The real trainer aborting on a NaN loss, in a child process so that
+        its stderr is the one a user sees: exit 4 and the abort reason on one
+        line, which `TrainResult.abort_reason` carries, with no log line."""
+        script = ("import sys; from trifuse import cli, trainer; loss = trainer.contrastive_loss; "
+                  "trainer.contrastive_loss = lambda *a, **k: loss(*a, **k) * float('nan'); "
+                  "sys.exit(cli.main(sys.argv[1:]))")
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(Path(trifuse.__file__).parents[1]),
+                                                            os.environ.get("PYTHONPATH", "")])}
+        proc = subprocess.run([sys.executable, "-c", script, "train", "--config", str(workspace["config"]),
+                               "--data", str(workspace["data"]), "--out", str(tmp_path / "o")],
+                              capture_output=True, text=True, env=env, timeout=120)
+        assert proc.returncode == 4, proc.stderr
+        assert proc.stderr.splitlines() == ["training aborted: non-finite loss at step 0"]
 
     @pytest.mark.parametrize("config, match", [
         ([{"train": {}}], "config root must be an object"),
@@ -429,10 +449,8 @@ class TestEval:
         records = read_container(data / "tensors.sve")
         doc = json.loads((data / "manifest.json").read_text())
         qid = doc["splits"]["test"]["queries"][0]
-        kind, embeddings = records["queries/embedding"]
-        embeddings = embeddings.copy()
+        embeddings = records["queries/embedding"] = records["queries/embedding"].copy()
         embeddings[[q["id"] for q in doc["queries"]].index(qid)] = np.nan
-        records["queries/embedding"] = (kind, embeddings)
         write_container(data / "tensors.sve", records)
         code = main(["eval", "--checkpoint", str(workspace["run"] / "best.ckpt"), "--data", str(data)])
         assert code == 3
@@ -454,7 +472,7 @@ class TestEval:
         """A container in the older one-record-per-item layout is refused."""
         data = copied_data(workspace, tmp_path)
         ids = [item["id"] for item in json.loads((data / "manifest.json").read_text())["items"]]
-        write_container(data / "tensors.sve", {f"item/{i}/visual": (0, np.zeros((3, 8), np.float32)) for i in ids})
+        write_container(data / "tensors.sve", {f"item/{i}/visual": np.zeros((3, 8), np.float32) for i in ids})
         code = main(["eval", "--checkpoint", str(workspace["run"] / "best.ckpt"), "--data", str(data)])
         assert code == 3
         err = capsys.readouterr().err

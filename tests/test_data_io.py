@@ -33,6 +33,8 @@ from trifuse.fusion import (FusionMode, FusionParams, VideoIndex, forward_video,
                             save_params)
 from trifuse.synth import SynthConfig, generate, write_synthetic
 
+from records import dataset_from_records
+
 
 def tiny_records(n_items=4, d=6, d_t=5, m=3, seed=0) -> tuple[Manifest, dict, dict]:
     """A manifest and hand-built item and query records, before they become a dataset."""
@@ -67,43 +69,41 @@ def tiny_records(n_items=4, d=6, d_t=5, m=3, seed=0) -> tuple[Manifest, dict, di
 
 
 def tiny_dataset(**kwargs) -> Dataset:
-    return Dataset.from_records(*tiny_records(**kwargs))
+    return dataset_from_records(*tiny_records(**kwargs))
 
 
 class TestContainer:
     def test_round_trip_bit_exact(self, tmp_path):
         rng = np.random.default_rng(1)
         records = {
-            "a/tokens": (data.KIND_TOKENS, rng.normal(size=(3, 4)).astype(np.float32)),
-            "b/vec": (data.KIND_VECTOR, rng.normal(size=7).astype(np.float32)),
+            "a/tokens": rng.normal(size=(3, 4)).astype(np.float32),
+            "b/vec": rng.normal(size=7).astype(np.float32),
         }
         write_container(tmp_path / "t.sve", records)
         out = read_container(tmp_path / "t.sve")
         assert set(out) == set(records)
-        for name in records:
-            kind, arr = records[name]
-            okind, oarr = out[name]
-            assert okind == kind
-            assert oarr.tobytes() == arr.astype("<f4").tobytes()
+        for name, arr in records.items():
+            assert out[name].shape == arr.shape
+            assert out[name].tobytes() == arr.astype("<f4").tobytes()
 
     def test_bytes_equal_one_joined_payload(self, tmp_path):
         """Streamed from the arrays' own memory, a container is byte-identical
         to the joined payload of header chunks and `tobytes()` copies."""
         rng = np.random.default_rng(9)
         records = {
-            "a/tokens": (data.KIND_TOKENS, rng.normal(size=(5, 3)).astype(np.float32)),
-            "b/transposed": (data.KIND_TOKENS, rng.normal(size=(3, 4)).astype(np.float32).T),
-            "c/float64": (data.KIND_TOKENS, rng.normal(size=(2, 2))),
-            "d/big_endian": (data.KIND_TOKENS, rng.normal(size=(2, 3)).astype(">f4")),
-            "e/vec": (data.KIND_VECTOR, rng.normal(size=6).astype(np.float32)),
-            "f/scalar": (data.KIND_VECTOR, np.float32(0.25)),
-            "g/empty": (data.KIND_TOKENS, np.zeros((0, 4), dtype=np.float32)),
-            "h/n\u00e4me": (data.KIND_TOKENS, rng.normal(size=(1, 2)).astype(np.float32)),
+            "a/tokens": rng.normal(size=(5, 3)).astype(np.float32),
+            "b/transposed": rng.normal(size=(3, 4)).astype(np.float32).T,
+            "c/float64": rng.normal(size=(2, 2)),
+            "d/big_endian": rng.normal(size=(2, 3)).astype(">f4"),
+            "e/vec": rng.normal(size=6).astype(np.float32),
+            "f/scalar": np.float32(0.25),
+            "g/empty": np.zeros((0, 4), dtype=np.float32),
+            "h/n\u00e4me": rng.normal(size=(1, 2)).astype(np.float32),
         }
         chunks = [data.MAGIC, struct.pack("<II", data.VERSION, len(records))]
-        for name, (kind, arr) in records.items():
+        for name, arr in records.items():
             arr = np.asarray(arr, dtype="<f4")
-            rows, cols = (1, arr.size) if arr.ndim < 2 else arr.shape
+            kind, (rows, cols) = (1, (1, arr.size)) if arr.ndim < 2 else (0, arr.shape)
             name_bytes = name.encode("utf-8")
             chunks += [struct.pack("<H", len(name_bytes)), name_bytes, struct.pack("<BII", kind, rows, cols),
                        arr.tobytes(order="C")]
@@ -128,7 +128,7 @@ class TestContainer:
 
     def test_truncated_payload_names_record(self, tmp_path):
         p = tmp_path / "t.sve"
-        write_container(p, {"item/x/visual": (0, np.ones((4, 4), dtype=np.float32))})
+        write_container(p, {"item/x/visual": np.ones((4, 4), dtype=np.float32)})
         blob = p.read_bytes()
         p.write_bytes(blob[:-8])  # chop the declared payload short
         with pytest.raises(ContainerError, match="corrupt record item/x/visual"):
@@ -136,8 +136,8 @@ class TestContainer:
 
     def test_scalar_record_round_trips_as_length_one_vector(self, tmp_path):
         p = tmp_path / "s.sve"
-        write_container(p, {"gate": (data.KIND_VECTOR, np.float32(0.25))})
-        _, arr = read_container(p)["gate"]
+        write_container(p, {"gate": np.float32(0.25)})
+        arr = read_container(p)["gate"]
         np.testing.assert_array_equal(arr, np.array([0.25], dtype=np.float32))
 
     @staticmethod
@@ -165,8 +165,8 @@ class TestContainer:
     def test_single_byte_flips_load_or_raise_container_error(self, tmp_path):
         p = tmp_path / "f.sve"
         write_container(p, {
-            "a/tokens": (data.KIND_TOKENS, np.arange(6, dtype=np.float32).reshape(2, 3)),
-            "b/vec": (data.KIND_VECTOR, np.ones(4, dtype=np.float32)),
+            "a/tokens": np.arange(6, dtype=np.float32).reshape(2, 3),
+            "b/vec": np.ones(4, dtype=np.float32),
         })
         blob = p.read_bytes()
         rng = np.random.default_rng(0)
@@ -221,20 +221,20 @@ class TestDatasetIO:
             manifest, items, queries = tiny_records()
             setattr(queries[owner] if owner.startswith("q") else items[owner], field, value.astype(np.float32))
             with pytest.raises(ValueError):
-                write_dataset(Dataset.from_records(manifest, items, queries), tmp_path / "ds")
+                write_dataset(dataset_from_records(manifest, items, queries), tmp_path / "ds")
             assert not (tmp_path / "ds").exists()
 
     def test_unknown_gt_rejected(self, tmp_path):
         manifest, items, queries = tiny_records()
         queries["q000"].ground_truth_item = "missing"
         with pytest.raises(ValidationError, match="q000"):
-            write_dataset(Dataset.from_records(manifest, items, queries), tmp_path / "ds")
+            write_dataset(dataset_from_records(manifest, items, queries), tmp_path / "ds")
         assert not (tmp_path / "ds").exists()
 
     def test_teacher_vectors_unit_norm_after_load(self, tmp_path):
         manifest, items, queries = tiny_records()
         items["it000"].teacher_video = np.full(5, 2.0, dtype=np.float32)  # norm != 1 on disk
-        write_dataset(Dataset.from_records(manifest, items, queries), tmp_path / "ds")
+        write_dataset(dataset_from_records(manifest, items, queries), tmp_path / "ds")
         back = read_dataset(tmp_path / "ds")
         assert abs(np.linalg.norm(back.items["it000"].teacher_video) - 1.0) < 1e-6
 
@@ -265,10 +265,8 @@ class TestDatasetIO:
     def test_non_finite_value_names_record(self, tmp_path, record, row, value, match):
         write_dataset(tiny_dataset(), tmp_path / "ds")
         records = read_container(tmp_path / "ds" / "tensors.sve")
-        kind, arr = records[record]
-        arr = arr.copy()
-        arr[row, 1] = value
-        records[record] = (kind, arr)
+        records[record] = records[record].copy()
+        records[record][row, 1] = value
         write_container(tmp_path / "ds" / "tensors.sve", records)
         with pytest.raises(ValidationError, match=match):
             read_dataset(tmp_path / "ds")
@@ -280,10 +278,8 @@ class TestDatasetIO:
         monkeypatch.setattr(data, "CHECK_BLOCK_ROWS", block_rows)
         write_dataset(tiny_dataset(), tmp_path / "ds")
         records = read_container(tmp_path / "ds" / "tensors.sve")
-        kind, arr = records["items/visual"]
-        arr = arr.copy()
+        arr = records["items/visual"] = records["items/visual"].copy()
         arr[7, 0], arr[10, 1] = np.nan, np.inf  # rows of it002 (6-8) and it003 (9-11)
-        records["items/visual"] = (kind, arr)
         write_container(tmp_path / "ds" / "tensors.sve", records)
         with pytest.raises(ValidationError, match="item it002: non-finite visual tokens"):
             read_dataset(tmp_path / "ds")
@@ -300,7 +296,7 @@ class TestDatasetIO:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        largest = max(arr.size for _, arr in records.values())
+        largest = max(arr.size for arr in records.values())
         assert peak < largest / 2, (peak, largest)
 
     @pytest.mark.parametrize(
@@ -358,7 +354,7 @@ class TestDatasetIO:
             read_dataset(tmp_path / "ds")
 
     def test_empty_dataset(self, tmp_path):
-        ds = Dataset.from_records(Manifest(dim=4, teacher_dim=2, frames=1, speech_pad=2, audio_pad=1), {}, {})
+        ds = dataset_from_records(Manifest(dim=4, teacher_dim=2, frames=1, speech_pad=2, audio_pad=1), {}, {})
         write_dataset(ds, tmp_path / "ds")
         back = read_dataset(tmp_path / "ds")
         assert back.items == {} and back.queries == {}
@@ -392,7 +388,7 @@ def mixed_dataset(d=4, d_t=3, m=2) -> Dataset:
     }
     manifest = Manifest(dim=d, teacher_dim=d_t, frames=m, speech_pad=2, audio_pad=3,
                         splits={"test": {"items": sorted(items), "queries": sorted(queries)}})
-    return Dataset.from_records(manifest, items, queries)
+    return dataset_from_records(manifest, items, queries)
 
 
 ITEM_FIELDS = ("visual_tokens", "audio_tokens", "speech_tokens", "teacher_video", "teacher_audio")
@@ -402,7 +398,7 @@ class TestPerFieldLayout:
     @pytest.mark.parametrize(
         "ds",
         [mixed_dataset(),
-         Dataset.from_records(Manifest(dim=4, teacher_dim=2, frames=1, speech_pad=2, audio_pad=1), {}, {})],
+         dataset_from_records(Manifest(dim=4, teacher_dim=2, frames=1, speech_pad=2, audio_pad=1), {}, {})],
         ids=["mixed", "empty"],
     )
     def test_round_trip_bit_exact(self, tmp_path, ds):
@@ -430,7 +426,7 @@ class TestPerFieldLayout:
     def test_one_record_per_field(self, tmp_path):
         write_dataset(mixed_dataset(), tmp_path / "ds")
         records = read_container(tmp_path / "ds" / "tensors.sve")
-        assert {name: arr.shape for name, (_, arr) in records.items()} == {
+        assert {name: arr.shape for name, arr in records.items()} == {
             "items/visual": (10, 4),
             "items/audio": (10, 4),
             "items/speech": (8, 4),
@@ -489,7 +485,7 @@ class TestPerFieldLayout:
         ds = tiny_dataset()
         write_dataset(ds, tmp_path / "ds")
         write_container(tmp_path / "ds" / "tensors.sve",
-                        {f"item/{iid}/visual": (data.KIND_TOKENS, it.visual_tokens) for iid, it in ds.items.items()})
+                        {f"item/{iid}/visual": it.visual_tokens for iid, it in ds.items.items()})
         with pytest.raises(ContainerError, match="container lacks record items/visual"):
             read_dataset(tmp_path / "ds")
 
@@ -610,8 +606,8 @@ class TestBuiltOnLookup:
         write_dataset(ds, tmp_path / "ds")
         assert ds.longest_audio() == read_dataset(tmp_path / "ds").longest_audio() == 9
         with_audio = {k: v for k, v in ds.items.items() if v.audio_tokens is not None}
-        assert Dataset.from_records(ds.manifest, with_audio, {}).longest_audio() == 6
-        assert Dataset.from_records(ds.manifest, {}, {}).longest_audio() == 0
+        assert dataset_from_records(ds.manifest, with_audio, {}).longest_audio() == 6
+        assert dataset_from_records(ds.manifest, {}, {}).longest_audio() == 0
 
     def test_bad_group_on_the_last_item_fails_the_read(self, tmp_path):
         write_dataset(mixed_dataset(), tmp_path / "ds")
@@ -649,7 +645,7 @@ class TestWrittenFromColumns:
 
     def test_same_bytes_as_written_from_item_records(self, tmp_path):
         ds, _ = write_synthetic(SynthConfig(**self.CONFIG), tmp_path / "columns")
-        rebuilt = Dataset.from_records(ds.manifest, dict(ds.items), dict(ds.queries))
+        rebuilt = dataset_from_records(ds.manifest, dict(ds.items), dict(ds.queries))
         write_dataset(rebuilt, tmp_path / "records")
         assert ds.columns["items/audio"].shape[0] < 300 * 12 and ds.columns["items/speech"].shape[0] < 300 * 32
         blobs = [(tmp_path / side / "tensors.sve").read_bytes() for side in ("columns", "records")]
@@ -735,7 +731,7 @@ class TestAtomicWrite:
     @pytest.mark.parametrize(
         "target, write",
         [
-            ("t.sve", lambda d, k: write_container(d / "t.sve", {"a": (data.KIND_TOKENS, np.full((2, 2), k))})),
+            ("t.sve", lambda d, k: write_container(d / "t.sve", {"a": np.full((2, 2), k)})),
             ("manifest.json", lambda d, k: write_dataset(tiny_dataset(seed=k), d)),
             ("c.ckpt.json", lambda d, k: save_params(FusionParams(dim=4, frames=2, heads=2, fusion_depth=k), d / "c.ckpt")),
             ("g.idx.json", lambda d, k: save_index(_index(n=k), d / "g.idx")),
@@ -796,7 +792,7 @@ class TestResolveMissing:
         items = dict(ds.items)
         first = sorted(items)[0]
         items[first] = dataclasses.replace(items[first], **{field: np.zeros((0, 8), dtype=np.float32)})
-        write_dataset(Dataset.from_records(ds.manifest, items, dict(ds.queries)), tmp_path / "d")
+        write_dataset(dataset_from_records(ds.manifest, items, dict(ds.queries)), tmp_path / "d")
         back = read_dataset(tmp_path / "d")
         assert getattr(back.items[first], field) is None
         params = FusionParams(dim=8, frames=3, heads=2, seed=0)

@@ -8,8 +8,8 @@ import pytest
 from trifuse import autodiff as ad
 from trifuse import fusion
 from trifuse.autodiff import Tensor
-from trifuse.data import (KIND_TOKENS, KIND_VECTOR, ContainerError, ItemRecord, Manifest, QueryRecord, read_container,
-                          resolve_missing, write_container)
+from trifuse.data import (ContainerError, ItemRecord, Manifest, QueryRecord, read_container, resolve_missing,
+                          write_container)
 from trifuse.fusion import (
     AV_AUDIO_WEIGHT,
     AV_VISUAL_WEIGHT,
@@ -314,7 +314,7 @@ class TestIndex:
         fail inside the scorer's matmul."""
         save_index(precompute_index(self.items(3), make_params(), FusionMode.SAVE, MAN), tmp_path / "g.idx")
         records = read_container(tmp_path / "g.idx")
-        records["index/pooled"] = (KIND_TOKENS, records["index/pooled"][1][:, :6])
+        records["index/pooled"] = records["index/pooled"][:, :6]
         write_container(tmp_path / "g.idx", records)
         with pytest.raises(ContainerError, match="index record tokens is 8 wide, record pooled 6"):
             load_index(tmp_path / "g.idx")
@@ -325,7 +325,7 @@ class TestIndex:
         math domain error when scored."""
         save_index(precompute_index(self.items(3), make_params(), FusionMode.SAVE, MAN), tmp_path / "g.idx")
         records = read_container(tmp_path / "g.idx")
-        records["index/tokens"] = (KIND_TOKENS, np.zeros((0, D), np.float32))
+        records["index/tokens"] = np.zeros((0, D), np.float32)
         write_container(tmp_path / "g.idx", records)
         sidecar = tmp_path / "g.idx.json"
         sidecar.write_text(json.dumps({**json.loads(sidecar.read_text()), "m": m}))
@@ -359,6 +359,17 @@ class TestIndex:
         save_index(precompute_index(self.items(3), make_params(), FusionMode.SAVE, MAN), tmp_path / "g.idx")
         (tmp_path / "g.idx.json").write_text(doc)
         with pytest.raises(ContainerError, match=r"g\.idx\.json is not a JSON object"):
+            load_index(tmp_path / "g.idx")
+
+    @pytest.mark.parametrize("item_ids", [5, "v0", [1], [None], {"v0": 1}, True],
+                             ids=["int", "string", "list_of_int", "list_of_null", "object", "bool"])
+    def test_item_ids_that_are_not_a_list_of_strings_raise(self, tmp_path, item_ids):
+        """Not a bare TypeError (`len` of an int) or a row-count complaint:
+        the field is named."""
+        save_index(precompute_index([], make_params(), FusionMode.SAVE, MAN), tmp_path / "g.idx")
+        sidecar = tmp_path / "g.idx.json"
+        sidecar.write_text(json.dumps({**json.loads(sidecar.read_text()), "item_ids": item_ids}))
+        with pytest.raises(ContainerError, match="index sidecar field item_ids is not a list of strings"):
             load_index(tmp_path / "g.idx")
 
     @pytest.mark.parametrize("mode", list(FusionMode), ids=lambda m: m.value)
@@ -423,7 +434,7 @@ class TestParamsIO:
         how the model declares its tensors must keep."""
         save_params(FusionParams(dim=4, frames=2, heads=2, fusion_depth=1, resampler_depth=1, max_audio_len=3),
                     tmp_path / "c.ckpt")
-        layout = [(name, array.shape) for name, (_, array) in read_container(tmp_path / "c.ckpt").items()]
+        layout = [(name, array.shape) for name, array in read_container(tmp_path / "c.ckpt").items()]
         assert layout == [
             ("param/resampler.queries", (2, 4)),
             ("param/resampler.pos", (3, 4)),
@@ -542,10 +553,10 @@ class TestParamsIO:
         old = {}
         for name, record in read_container(tmp_path / "new.ckpt").items():  # in the old writer's record order
             if name == "param/logit_scale":
-                old["param/holistic.weight"] = (KIND_TOKENS, rng.normal(size=(D, D)))
-                old["param/holistic.query"] = (KIND_VECTOR, rng.normal(size=D))
+                old["param/holistic.weight"] = rng.normal(size=(D, D))
+                old["param/holistic.query"] = rng.normal(size=D)
             old[name] = record
-        old |= {"param/alpha": (KIND_VECTOR, np.ones(1)), "param/beta": (KIND_VECTOR, np.zeros(1))}
+        old |= {"param/alpha": np.ones(1), "param/beta": np.zeros(1)}
         assert {name.removeprefix("param/") for name in old.keys() - set(read_container(tmp_path / "new.ckpt"))} \
             == fusion.RETIRED_PARAMS
         write_container(tmp_path / "old.ckpt", old)

@@ -17,7 +17,7 @@ from trifuse.losses import (
     total_loss,
 )
 
-from gradcheck import finite_difference_check
+from gradcheck import finite_difference_check, reshape
 
 
 def unit_rows(x):
@@ -147,41 +147,49 @@ class TestSoftAlbef:
     def test_equal_matrices_zero(self):
         rng = np.random.default_rng(5)
         m = rng.normal(size=(4, 4))
-        assert float(soft_albef_loss(m, m.copy()).data) == pytest.approx(0.0, abs=1e-12)
+        assert float(soft_albef_loss(m, Tensor(m.copy())).data) == pytest.approx(0.0, abs=1e-12)
 
     def test_identity_vs_antidiagonal_is_four(self):
         m0 = np.array([[1.0, 0.0], [0.0, 1.0]])
-        m1 = np.array([[0.0, 1.0], [1.0, 0.0]])
+        m1 = Tensor(np.array([[0.0, 1.0], [1.0, 0.0]]))
         assert float(soft_albef_loss(m0, m1).data) == pytest.approx(4.0, abs=1e-6)
 
     def test_shift_invariance_exact(self):
         rng = np.random.default_rng(6)
         m0 = rng.normal(size=(3, 3))
         m1 = rng.normal(size=(3, 3))
-        base = float(soft_albef_loss(m0, m1).data)
+        base = float(soft_albef_loss(m0, Tensor(m1)).data)
         for c in (-2.5, 0.7, 3.0):
-            shifted = float(soft_albef_loss(m0, m1 + c * np.ones((3, 3))).data)
+            shifted = float(soft_albef_loss(m0, Tensor(m1 + c * np.ones((3, 3)))).data)
             assert shifted == pytest.approx(base, abs=1e-9)
 
     def test_affine_rescale_is_not_generally_zero(self):
         rng = np.random.default_rng(7)
         m0 = rng.normal(size=(3, 3))
-        assert float(soft_albef_loss(m0, 3.0 * m0 + 7.0).data) > 1e-4
+        assert float(soft_albef_loss(m0, Tensor(3.0 * m0 + 7.0)).data) > 1e-4
 
     def test_nonnegative(self):
         rng = np.random.default_rng(8)
         for _ in range(50):
             m0 = rng.normal(size=(3, 3))
-            m1 = rng.normal(size=(3, 3))
+            m1 = Tensor(rng.normal(size=(3, 3)))
             assert float(soft_albef_loss(m0, m1).data) >= -1e-12
 
     def test_no_gradient_into_teacher(self):
-        """Graph inspection: the teacher side stays constant."""
-        m0 = parameter(np.random.default_rng(9).normal(size=(3, 3)))
+        """Graph inspection: the teacher side stays constant. Every tape node
+        requires a gradient, and the only leaf among them is the student."""
+        m0 = np.random.default_rng(9).normal(size=(3, 3))
         m1 = parameter(np.random.default_rng(10).normal(size=(3, 3)))
         loss = soft_albef_loss(m0, m1)
+        leaves, stack, seen = [], [loss], set()
+        while stack:
+            node = stack.pop()
+            if id(node) not in seen:
+                seen.add(id(node))
+                stack.extend(node._parents)
+                leaves += [] if node._parents else [node]
+        assert leaves == [m1]
         loss.backward()
-        assert m0.grad is None
         assert m1.grad is not None
 
     def test_gradient_matches_finite_differences(self):
@@ -196,7 +204,7 @@ class TestSoftAlbef:
 
     def test_shape_mismatch_rejected(self):
         with pytest.raises(ValueError):
-            soft_albef_loss(np.ones((2, 2)), np.ones((3, 3)))
+            soft_albef_loss(np.ones((2, 2)), Tensor(np.ones((3, 3))))
 
     @staticmethod
     def reference(m0, m1):
@@ -206,7 +214,7 @@ class TestSoftAlbef:
         for axis in (0, 1):
             for i in range(b):
                 p = ad.softmax(Tensor(np.take(m0, i, axis=axis)))
-                q = ad.softmax(ad.reshape(ad.take(m1, [i], axis=axis), (b,)))
+                q = ad.softmax(reshape(ad.take(m1, [i], axis=axis), (b,)))
                 total = pearson_row_distance(p, q) + total
         return total * (1.0 / b)
 
@@ -244,30 +252,30 @@ class TestSoftAlbef:
 
 class TestHardAlbef:
     def test_saturated_diagonal_approaches_zero(self):
-        m1 = 50.0 * np.eye(3)
+        m1 = Tensor(50.0 * np.eye(3))
         assert float(hard_albef_loss(m1).data) < 1e-6
 
     def test_all_equal_b2_is_ln2(self):
-        m1 = np.full((2, 2), 0.37)
+        m1 = Tensor(np.full((2, 2), 0.37))
         assert float(hard_albef_loss(m1).data) == pytest.approx(np.log(2.0), abs=1e-12)
 
     def test_antidiagonal_worse_than_uniform(self):
-        m1 = np.array([[0.0, 5.0], [5.0, 0.0]])
+        m1 = Tensor(np.array([[0.0, 5.0], [5.0, 0.0]]))
         assert float(hard_albef_loss(m1).data) > np.log(2.0)
 
 
 class TestContrastive:
     def test_saturated_diagonal_approaches_zero(self):
-        scores = np.eye(3)
+        scores = Tensor(np.eye(3))
         assert float(contrastive_loss(scores, scale=50.0).data) < 1e-6
 
     def test_uniform_scores_b2_is_ln2(self):
-        scores = np.full((2, 2), 0.4)
+        scores = Tensor(np.full((2, 2), 0.4))
         assert float(contrastive_loss(scores, scale=1.0).data) == pytest.approx(np.log(2.0), abs=1e-12)
 
     def test_non_square_rejected(self):
         with pytest.raises(ValueError, match="square"):
-            contrastive_loss(np.ones((2, 3)))
+            contrastive_loss(Tensor(np.ones((2, 3))))
 
     def test_gradient_matches_finite_differences(self):
         rng = np.random.default_rng(19)
@@ -287,7 +295,7 @@ class TestContrastive:
         for d in values:
             for o in values:
                 s = np.full((3, 3), o) + (d - o) * np.eye(3)
-                loss = float(contrastive_loss(s, scale=2.0).data)
+                loss = float(contrastive_loss(Tensor(s), scale=2.0).data)
                 if loss < best_loss:
                     best_loss, best = loss, (d, o)
         d, o = best
@@ -307,7 +315,7 @@ class TestTotalLoss:
     def test_swapping_kind_changes_only_alignment(self):
         rng = np.random.default_rng(20)
         m0 = rng.normal(size=(3, 3))
-        m1 = rng.normal(size=(3, 3))
+        m1 = Tensor(rng.normal(size=(3, 3)))
         c = Tensor(np.asarray(0.5))
         soft = float(total_loss(c, soft_albef_loss(m0, m1)).data)
         hard = float(total_loss(c, hard_albef_loss(m1)).data)

@@ -15,6 +15,13 @@ checkpoint. Trial k mutates one of `manifest.json`, `tensors.sve`,
 It then runs `inspect`, `eval`, `score` or `train` on the copy in a child
 process with an address-space limit, so an allocation sized by a mutated
 field fails as a MemoryError traceback instead of exhausting the host.
+
+An index (`fusion.save_index`: a container and its `.json` sidecar) is
+mutated the same way, INDEX_TRIALS times, and loaded in-process: `load_index`
+reads every size from the sidecar and the record headers and compares them
+before it touches a value, and its arrays are views of the mapped file, so
+no mutated size can allocate. Each trial must load a consistent index or
+raise ContainerError.
 """
 
 import json
@@ -30,11 +37,14 @@ import pytest
 
 import trifuse
 from trifuse.cli import main
+from trifuse.data import ContainerError
+from trifuse.fusion import FusionMode, VideoIndex, load_index, save_index
 
 SEED = 0
 TRIALS = 32
 AS_LIMIT = 1 << 30  # bytes of address space per child; a trial peaks near 160 MB
 TIMEOUT_S = 60  # a trial takes ~0.3 s
+INDEX_TRIALS = 1000  # ~0.5 ms each
 DOCUMENTED_EXITS = {0, 2, 3, 4, 5, 6}
 
 JSON_VALUES = [None, True, 0, -1, 1.5, 10**9, "x", [], {}]
@@ -129,3 +139,30 @@ def test_mutated_artifact_exits_with_a_documented_code(base, tmp_path, trial):
     assert proc.returncode in DOCUMENTED_EXITS, what
     assert "Traceback" not in proc.stderr, what
     assert proc.returncode == 0 or len(proc.stderr.splitlines()) == 1, what
+
+
+def test_mutated_index_loads_or_raises_container_error(tmp_path):
+    """Four items of two 4-wide tokens: the whole container (250 bytes) lies
+    within the bytes that `mutate_container` changes."""
+    rng = np.random.default_rng(SEED)
+    base = VideoIndex(mode=FusionMode.SAVE, item_ids=[f"v{k}" for k in range(4)],
+                      tokens=rng.normal(size=(4, 2, 4)).astype(np.float32),
+                      pooled=rng.normal(size=(4, 4)).astype(np.float32))
+    save_index(base, tmp_path / "base.idx")
+    outcomes = {"loaded": 0, "refused": 0}
+    for trial in range(INDEX_TRIALS):
+        rng = np.random.default_rng([SEED, 1, trial])
+        path = tmp_path / f"{trial}.idx"  # a fresh file: no trial rewrites a file a loaded index maps
+        for suffix in ("", ".json"):
+            shutil.copyfile(f"{tmp_path / 'base.idx'}{suffix}", f"{path}{suffix}")
+        target = Path(f"{path}.json") if trial % 2 else path
+        change = (mutate_json if trial % 2 else mutate_container)(target, rng)
+        try:
+            index = load_index(path)
+        except ContainerError:
+            outcomes["refused"] += 1
+            continue
+        n, (m, d) = len(index.item_ids), index.tokens.shape[1:]
+        assert index.tokens.shape == (n, m, d) and index.pooled.shape == (n, d), f"{target.name} {change}"
+        outcomes["loaded"] += 1
+    assert outcomes["loaded"] and outcomes["refused"]

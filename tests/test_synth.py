@@ -23,6 +23,8 @@ from trifuse.synth import (
     write_synthetic,
 )
 
+from records import dataset_from_records
+
 
 def reference_generate(config: SynthConfig) -> tuple[Dataset, LatentStore]:
     """The per-item generator that `generate` replaced, kept verbatim as the
@@ -118,7 +120,7 @@ def reference_generate(config: SynthConfig) -> tuple[Dataset, LatentStore]:
         audio_pad=config.frames,
         splits=splits,
     )
-    dataset = Dataset.from_records(manifest, items, queries)
+    dataset = dataset_from_records(manifest, items, queries)
     store = LatentStore(
         item_ids=ids,
         z_vis=np.stack(z_vis_all).astype(np.float32),
