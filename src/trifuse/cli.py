@@ -132,14 +132,14 @@ def _mode(args, params) -> FusionMode:
     return FusionMode(args.mode or params.arch["mode"])
 
 
-def _group_counts(item_entries: list[dict]) -> dict[str, int]:
-    """Items per group, from the manifest entries; untagged items under "untagged"."""
-    return dict(sorted(collections.Counter(entry["group"] or "untagged" for entry in item_entries).items()))
+def _group_counts(dataset) -> dict[str, int]:
+    """Items per group, from the dataset's lists; untagged items under "untagged"."""
+    return dict(sorted(collections.Counter(group or "untagged" for group in dataset.item_groups).items()))
 
 
-def _fraction(item_entries: list[dict], holds) -> float:
-    """The fraction of entries for which `holds` is true, to 6 places; 0.0 without entries."""
-    return round(sum(map(holds, item_entries)) / len(item_entries), 6) if item_entries else 0.0
+def _share(count: int, total: int) -> float:
+    """count / total to 6 places; 0.0 when the total is 0."""
+    return round(count / total, 6) if total else 0.0
 
 
 def cmd_gen(args) -> None:
@@ -148,13 +148,13 @@ def cmd_gen(args) -> None:
     if out.exists() and any(out.iterdir()) and not args.force:
         raise Refusal(EXIT_IO, f"refusing to overwrite non-empty {out} (use --force)")
     dataset, _ = write_synthetic(cfg, out)
-    entries = dataset.item_entries
+    n = len(dataset.item_ids)
     summary = {
-        "items": len(entries),
-        "queries": len(dataset.query_entries),
-        "groups": _group_counts(entries),
-        "missing_audio_fraction": _fraction(entries, lambda entry: not entry["audio_len"]),
-        "missing_speech_fraction": _fraction(entries, lambda entry: not entry["speech_len"]),
+        "items": n,
+        "queries": len(dataset.query_ids),
+        "groups": _group_counts(dataset),
+        "missing_audio_fraction": _share(dataset.audio_lens.count(0), n),
+        "missing_speech_fraction": _share(dataset.speech_lens.count(0), n),
         "splits": {k: len(v["items"]) for k, v in dataset.manifest.splits.items()},
         "out": str(out),
     }
@@ -281,7 +281,7 @@ def cmd_inspect(args) -> None:
     path = Path(args.path)
     if path.is_dir():
         dataset = read_dataset(path)
-        man, entries = dataset.manifest, dataset.item_entries
+        man, n = dataset.manifest, len(dataset.item_ids)
         print(json.dumps(
             {
                 "kind": "dataset",
@@ -290,11 +290,11 @@ def cmd_inspect(args) -> None:
                 "frames": man.frames,
                 "speech_pad": man.speech_pad,
                 "audio_pad": man.audio_pad,
-                "items": len(entries),
-                "queries": len(dataset.query_entries),
-                "groups": _group_counts(entries),
-                "audio_fraction": _fraction(entries, lambda entry: entry["audio_len"] > 0),
-                "speech_fraction": _fraction(entries, lambda entry: entry["speech_len"] > 0),
+                "items": n,
+                "queries": len(dataset.query_ids),
+                "groups": _group_counts(dataset),
+                "audio_fraction": _share(n - dataset.audio_lens.count(0), n),
+                "speech_fraction": _share(n - dataset.speech_lens.count(0), n),
                 "splits": {k: {"items": len(v["items"]), "queries": len(v["queries"])} for k, v in man.splits.items()},
             },
             indent=2,

@@ -18,23 +18,27 @@ with rows in the manifest's (sorted) item or query order: `items/visual`
 (n*m, d), `items/audio` and `items/speech` (the item token sets one after
 another), `items/teacher_video` and `items/teacher_audio` (one row per item
 with teacher embeddings) and `queries/embedding` (n_q, d). Each manifest item
-entry gives its `audio_len` and `speech_len` (0: the modality is absent) and
-`has_teacher`.
+entry gives its `id`, `group`, `audio_len` and `speech_len` (0: the modality
+is absent) and `has_teacher`; each query entry its `id`, `gt` (ground-truth
+item) and `group`.
 
 A `Dataset` in memory is the same thing whatever its source: those six
-arrays (its `columns`) and the manifest's item and query entries, with each
-item and query built the first time it is looked up, as views into the
-columns. `read_dataset` maps the container read-only (`read_container`);
-`synth.generate` hands over its generator arrays. One function, `_check`,
-decides whether a manifest and its records form a valid dataset, and it
-alone reads the manifest's sizes: `write_dataset` applies it to the
-dataset's own entries and columns before anything touches disk, and
-`read_dataset` applies it to every entry and record before it returns, so a
-lookup never fails. It tests each record for finiteness CHECK_BLOCK_ROWS
-rows at a time. The manifest and the checkpoint and index sidecars are
-compact JSON (`write_json`). A dataset in the older one-record-per-item
-layout is rejected for lacking `items/visual`; regenerate it with
-`trifuse gen`.
+arrays (its `columns`) and one list per manifest entry key, in entry order
+(ITEM_FIELDS, QUERY_FIELDS), so that each fact is held once. Each item and
+query is built the first time it is looked up, as a slotted record of views
+into the columns. `read_dataset` maps the container read-only
+(`read_container`) and turns the manifest's entries into the lists, keeping
+no parsed entry; `write_dataset` builds the entries back from the lists;
+`synth.generate` hands over its generator arrays and lists. No other module
+sees an entry. One function, `_check`, decides whether a manifest's sizes and
+splits, the field lists and the records form a valid dataset:
+`write_dataset` applies it to the dataset's own lists and columns before
+anything touches disk, and `read_dataset` applies it to every entry and
+record before it returns, so a lookup never fails. It tests each record for
+finiteness CHECK_BLOCK_ROWS rows at a time. The manifest and the checkpoint
+and index sidecars are compact JSON (`write_json`). A dataset in the older
+one-record-per-item layout is rejected for lacking `items/visual`; regenerate
+it with `trifuse gen`.
 """
 
 from __future__ import annotations
@@ -46,7 +50,7 @@ import numbers
 import os
 import struct
 from collections.abc import Mapping
-from dataclasses import dataclass, field, replace
+from dataclasses import InitVar, dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -87,6 +91,15 @@ MANIFEST_SIZES = {"dim": "dim", "teacher_dim": "teacher_dim", "m": "frames", "n_
 # zero-filled speech at d = 16 costs 8 KiB per pad token: 32 MiB at this
 # ceiling, 128 times the 32 tokens that synth writes by default.
 MAX_PAD = 4096
+
+# Each key of a manifest item or query entry, and the `Dataset` field that
+# lists its values in entry order.
+ITEM_FIELDS = {"id": "item_ids", "group": "item_groups", "audio_len": "audio_lens", "speech_len": "speech_lens",
+               "has_teacher": "has_teacher"}
+QUERY_FIELDS = {"id": "query_ids", "gt": "ground_truth_items", "group": "query_groups"}
+
+# List elements that `write_json` encodes in one call.
+JSON_CHUNK = 256
 
 MANIFEST_NAME = "manifest.json"
 TENSORS_NAME = "tensors.sve"
@@ -129,12 +142,24 @@ def read_json(path):
         raise ContainerError(f"{path} is not UTF-8 JSON: {err}") from err
 
 
-def write_json(path, doc) -> None:
-    """Write `doc` to `path` atomically as compact JSON, keys sorted, with a
-    final newline: equal documents give equal bytes. With no indent,
-    `json.dumps` runs CPython's C encoder. `read_json` reads it back, as it
-    reads the indented files of older versions."""
-    atomic_write(path, (json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n").encode())
+def write_json(path, doc: dict) -> None:
+    """Write `doc`, a dict with string keys, to `path` atomically as compact
+    JSON, keys sorted, with a final newline: equal documents give equal bytes,
+    those of `json.dumps(doc, sort_keys=True, separators=(",", ":"))`. A list
+    that is a value of `doc` is encoded JSON_CHUNK elements at a time, by
+    CPython's C encoder, which keeps every fragment it makes alive until its
+    call ends: about ten times the text in one call over a whole manifest
+    (2.9 MB for the 0.3 MB manifest of 2,000 items). `read_json` reads it
+    back, as it reads the indented files of older versions."""
+    encode = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
+
+    def value(v) -> str:
+        if type(v) is not list:
+            return encode(v)
+        return "[" + ",".join(encode(v[i : i + JSON_CHUNK])[1:-1] for i in range(0, len(v), JSON_CHUNK)) + "]"
+
+    text = "{" + ",".join(encode(key) + ":" + value(doc[key]) for key in sorted(doc)) + "}\n"
+    atomic_write(path, text.encode())
 
 
 def write_container(path, records: dict[str, np.ndarray]) -> None:
@@ -218,9 +243,10 @@ def read_container(path) -> dict[str, np.ndarray]:
 # -- dataset model ----------------------------------------------------------
 
 
-@dataclass
+@dataclass(slots=True)
 class ItemRecord:
-    """One video's precomputed per-modality token sets."""
+    """One video's precomputed per-modality token sets. Slotted, as is
+    QueryRecord: a record has no instance dict."""
 
     item_id: str
     visual_tokens: np.ndarray  # (m, d), required
@@ -234,7 +260,7 @@ class ItemRecord:
         return self.teacher_video is not None and self.teacher_audio is not None
 
 
-@dataclass
+@dataclass(slots=True)
 class QueryRecord:
     query_id: str
     embedding: np.ndarray  # (d,)
@@ -283,27 +309,36 @@ class Dataset:
     """A dataset as its container and manifest hold it, whatever its source.
 
     `columns` maps each name of DATASET_RECORDS to its 2-D float32 array, rows
-    in entry order: exactly the container's records. `item_entries` and
-    `query_entries` are the manifest's entries, in its order, which is sorted
-    by id: an item's id, group, `audio_len`, `speech_len` and `has_teacher`;
-    a query's id, gt and group. `items` and `queries` build each record the
-    first time it is looked up, as views into the columns."""
+    in entry order: exactly the container's records. The lists of
+    ITEM_FIELDS and QUERY_FIELDS hold the manifest's entries, one list per
+    key, in its order, which is sorted by id; they are read, never changed.
+    `items` and `queries` build each record the first time it is looked up,
+    as views into the columns. `row_starts` is the records' row layout where
+    `_check` has already computed it."""
 
     manifest: Manifest
     columns: dict[str, np.ndarray]
-    item_entries: list[dict]
-    query_entries: list[dict]
+    item_ids: list[str]
+    item_groups: list[str | None]
+    audio_lens: list[int]
+    speech_lens: list[int]
+    has_teacher: list[bool]
+    query_ids: list[str]
+    ground_truth_items: list[str]
+    query_groups: list[str | None]
+    row_starts: InitVar[dict[str, np.ndarray] | None] = None
     items: Mapping[str, ItemRecord] = field(init=False, repr=False)
     queries: Mapping[str, QueryRecord] = field(init=False, repr=False)
 
-    def __post_init__(self):
-        self.items, self.queries = _built_on_lookup(self.manifest.frames, self.columns, self.item_entries,
-                                                    self.query_entries)
+    def __post_init__(self, row_starts):
+        fields = _fields(self)
+        self.items, self.queries = _built_on_lookup(
+            self.columns, row_starts or _row_starts(self.manifest.frames, fields), fields)
 
     def longest_audio(self) -> int:
         """The longest item audio in tokens, absent audio counting as the
         zero-fill (`audio_pad`) that stands in for it; 0 without items."""
-        return max((entry["audio_len"] or self.manifest.audio_pad for entry in self.item_entries), default=0)
+        return max((length or self.manifest.audio_pad for length in self.audio_lens), default=0)
 
     def split_items(self, split: str) -> list[ItemRecord]:
         return [self.items[i] for i in self.manifest.splits[split]["items"]]
@@ -321,34 +356,40 @@ class Dataset:
         return first
 
 
-def _row_starts(item_entries: list[dict], n_queries: int, frames: int) -> dict[str, np.ndarray]:
+def _fields(dataset: Dataset) -> dict[str, list]:
+    """The dataset's field lists, by `Dataset` field name."""
+    return {name: getattr(dataset, name) for keys in (ITEM_FIELDS, QUERY_FIELDS) for name in keys.values()}
+
+
+def _row_starts(frames: int, fields: dict[str, list]) -> dict[str, np.ndarray]:
     """The row layout of each container record, in entry order: the k-th
     item's or query's rows are `starts[k]:starts[k + 1]`, and the last start
     is the record's row count."""
-    def starts(key: str) -> np.ndarray:
-        return np.cumsum([0] + [entry[key] for entry in item_entries], dtype=np.int64)
+    def starts(values: list) -> np.ndarray:
+        return np.cumsum([0, *values], dtype=np.int64)
 
-    teachers = starts("has_teacher")
+    teachers = starts(fields["has_teacher"])
     return {
-        "items/visual": np.arange(len(item_entries) + 1) * frames,
-        "items/audio": starts("audio_len"),
-        "items/speech": starts("speech_len"),
+        "items/visual": np.arange(len(fields["item_ids"]) + 1) * frames,
+        "items/audio": starts(fields["audio_lens"]),
+        "items/speech": starts(fields["speech_lens"]),
         "items/teacher_video": teachers,
         "items/teacher_audio": teachers,
-        "queries/embedding": np.arange(n_queries + 1),
+        "queries/embedding": np.arange(len(fields["query_ids"]) + 1),
     }
 
 
-def _built_on_lookup(frames: int, columns: dict, item_entries: list[dict], query_entries: list[dict]):
-    """The one record builder: the items and queries of a dataset's columns
-    and entries, each built on its first lookup, as views into the columns.
-    The builders close over the columns and entries, not over the dataset: a
-    reference cycle would keep a mapped container alive until the garbage
-    collector runs."""
+def _built_on_lookup(columns: dict, layouts: dict[str, np.ndarray], fields: dict[str, list]):
+    """The one record builder: the items and queries of a dataset's columns,
+    their row `layouts` and field lists, each built on its first lookup, as
+    views into the columns. The builders close over the columns and lists,
+    not over the dataset: a reference cycle would keep a mapped container
+    alive until the garbage collector runs."""
     # memoryviews of the arrays: they index to Python ints several times
     # faster than the arrays do, and copy nothing
-    layouts = _row_starts(item_entries, len(query_entries), frames)
     starts = {name: memoryview(layout) for name, layout in layouts.items()}
+    item_ids, item_groups, has_teacher = fields["item_ids"], fields["item_groups"], fields["has_teacher"]
+    query_ids, gts, query_groups = fields["query_ids"], fields["ground_truth_items"], fields["query_groups"]
 
     def rows(name: str, k: int) -> np.ndarray | None:
         """Item k's rows of a token record; None where it has none."""
@@ -356,67 +397,66 @@ def _built_on_lookup(frames: int, columns: dict, item_entries: list[dict], query
         return columns[name][start:end] if end > start else None
 
     def teacher(name: str, k: int) -> np.ndarray | None:
-        return columns[name][starts[name][k]] if item_entries[k]["has_teacher"] else None
+        return columns[name][starts[name][k]] if has_teacher[k] else None
 
     def item(k: int) -> ItemRecord:
         return ItemRecord(
-            item_id=item_entries[k]["id"],
+            item_id=item_ids[k],
             visual_tokens=rows("items/visual", k),
             audio_tokens=rows("items/audio", k),
             speech_tokens=rows("items/speech", k),
             teacher_video=teacher("items/teacher_video", k),
             teacher_audio=teacher("items/teacher_audio", k),
-            group=item_entries[k]["group"],
+            group=item_groups[k],
         )
 
     def query(k: int) -> QueryRecord:
-        entry = query_entries[k]
-        return QueryRecord(query_id=entry["id"], embedding=columns["queries/embedding"][k],
-                           ground_truth_item=entry["gt"], group=entry["group"])
+        return QueryRecord(query_id=query_ids[k], embedding=columns["queries/embedding"][k],
+                           ground_truth_item=gts[k], group=query_groups[k])
 
-    return (LazyRecords([entry["id"] for entry in item_entries], item),
-            LazyRecords([entry["id"] for entry in query_entries], query))
+    return LazyRecords(item_ids, item), LazyRecords(query_ids, query)
 
 
-def _check(doc: dict, records: dict) -> Manifest:
-    """The one rule for a valid dataset, as a manifest document and its six
-    container records state it; `write_dataset` and `read_dataset` both apply
-    it, and it is the one reader of the manifest's sizes and splits, which it
-    returns as a `Manifest`. It checks that each size of MANIFEST_SIZES is an
-    integer >= 1 (`check_ints`), d >= 2 and each pad <= MAX_PAD; that item and
-    query ids are unique strings listed in sorted order; each item's row
-    counts and each group and ground-truth item; each record's shape (its
-    `_row_starts`) and finiteness, naming the owner of the first bad row; and
-    split members, each split's queries having their ground-truth items in
-    that split. A field of the wrong JSON type surfaces as KeyError,
-    TypeError or ValueError."""
-    check_ints(1, **{key: doc[key] for key in MANIFEST_SIZES})
-    check_ints(2, dim=doc["dim"])
-    for key in ("n_s", "l_a0"):
-        if doc[key] > MAX_PAD:
-            raise ValueError(f"{key} must be <= MAX_PAD ({MAX_PAD}), got {doc[key]}")
-    man = Manifest(**{name: doc[key] for key, name in MANIFEST_SIZES.items()},
-                   splits={k: {"items": list(v["items"]), "queries": list(v["queries"])}
-                           for k, v in doc["splits"].items()})
-    items, queries = doc["items"], doc["queries"]
-    item_ids, query_ids = [meta["id"] for meta in items], [meta["id"] for meta in queries]
+def _check(man: Manifest, fields: dict[str, list], records: dict) -> dict[str, np.ndarray]:
+    """The one rule for a valid dataset, as a manifest's sizes and splits, its
+    field lists (by `Dataset` field name) and its six container records state
+    it; `write_dataset` and `read_dataset` both apply it. It checks that each
+    size of MANIFEST_SIZES is an integer >= 1 (`check_ints`), d >= 2 and each
+    pad <= MAX_PAD; that each kind's lists are of one length; that item and
+    query ids are unique strings listed in sorted order; each item's
+    teacher flag and row counts and each group and ground-truth item; each
+    record's shape (its `_row_starts`, which it returns) and finiteness,
+    naming the owner of the first bad row; and split members, each split's
+    queries having their ground-truth items in that split. A field of the
+    wrong JSON type surfaces as KeyError, TypeError or ValueError."""
+    check_ints(1, **{key: getattr(man, name) for key, name in MANIFEST_SIZES.items()})
+    check_ints(2, dim=man.dim)
+    for key, pad in (("n_s", man.speech_pad), ("l_a0", man.audio_pad)):
+        if pad > MAX_PAD:
+            raise ValueError(f"{key} must be <= MAX_PAD ({MAX_PAD}), got {pad}")
+    for kind, keys in (("item", ITEM_FIELDS), ("query", QUERY_FIELDS)):
+        lengths = {name: len(fields[name]) for name in keys.values()}
+        if len(set(lengths.values())) > 1:
+            raise ValidationError(f"{kind} field lists differ in length: {lengths}")
+    item_ids, query_ids, gts = fields["item_ids"], fields["query_ids"], fields["ground_truth_items"]
     known_items, known_queries = _id_set(item_ids, "item"), _id_set(query_ids, "query")
-    for meta in items:
-        if type(meta["has_teacher"]) is not bool:
-            raise ContainerError(f"item {meta['id']}: has_teacher is {meta['has_teacher']!r}, not a boolean")
-        for key, name in (("audio_len", "items/audio"), ("speech_len", "items/speech")):
-            if type(meta[key]) is not int or meta[key] < 0:
-                raise ContainerError(f"record {name}: item {meta['id']} has length {meta[key]!r}, not an integer >= 0")
-        if meta["group"] is not None and meta["group"] not in GROUPS:
-            raise ValidationError(f"item {meta['id']}: unknown group {meta['group']!r}")
-    gts_known = known_items.issuperset(meta["gt"] for meta in queries)
-    for meta in queries:
-        if not gts_known and meta["gt"] not in known_items:
-            raise ValidationError(f"query {meta['id']}: unknown ground-truth item {meta['gt']}")
-        if meta["group"] is not None and meta["group"] not in GROUPS:
-            raise ValidationError(f"query {meta['id']}: unknown group {meta['group']!r}")
+    for owner, flag in zip(item_ids, fields["has_teacher"]):
+        if type(flag) is not bool:
+            raise ContainerError(f"item {owner}: has_teacher is {flag!r}, not a boolean")
+    for name, record in (("audio_lens", "items/audio"), ("speech_lens", "items/speech")):
+        for owner, length in zip(item_ids, fields[name]):
+            if type(length) is not int or length < 0:
+                raise ContainerError(f"record {record}: item {owner} has length {length!r}, not an integer >= 0")
+    for kind, ids, groups in (("item", item_ids, fields["item_groups"]), ("query", query_ids, fields["query_groups"])):
+        for owner, group in zip(ids, groups):
+            if group is not None and group not in GROUPS:
+                raise ValidationError(f"{kind} {owner}: unknown group {group!r}")
+    if not known_items.issuperset(gts):
+        owner, gt = next((owner, gt) for owner, gt in zip(query_ids, gts) if gt not in known_items)
+        raise ValidationError(f"query {owner}: unknown ground-truth item {gt}")
 
-    for name, starts in _row_starts(items, len(queries), man.frames).items():
+    layouts = _row_starts(man.frames, fields)
+    for name, starts in layouts.items():
         kind, label = DATASET_RECORDS[name]
         arr = records[name]
         rows, cols = int(starts[-1]), man.teacher_dim if "teacher" in name else man.dim
@@ -429,7 +469,7 @@ def _check(doc: dict, records: dict) -> Manifest:
                 owner = (item_ids if kind == "item" else query_ids)[np.searchsorted(starts, row, side="right") - 1]
                 raise ValidationError(f"{kind} {owner}: non-finite {label}")
 
-    gt_of = {meta["id"]: meta["gt"] for meta in queries}
+    gt_of = dict(zip(query_ids, gts))
     for split, members in man.splits.items():
         for kind, known, key in (("item", known_items, "items"), ("query", known_queries, "queries")):
             if not known.issuperset(members[key]):
@@ -439,7 +479,7 @@ def _check(doc: dict, records: dict) -> Manifest:
         if not split_items.issuperset(map(gt_of.get, members["queries"])):
             query = next(q for q in members["queries"] if gt_of[q] not in split_items)
             raise ValidationError(f"split {split}: query {query}'s ground-truth item {gt_of[query]} is outside it")
-    return man
+    return layouts
 
 
 def _id_set(ids: list[str], kind: str) -> set[str]:
@@ -458,15 +498,23 @@ def _id_set(ids: list[str], kind: str) -> set[str]:
     return unique
 
 
+def _entries(fields: dict[str, list], keys: dict[str, str]) -> list[dict]:
+    """The manifest's entries of one kind, `keys` being ITEM_FIELDS or
+    QUERY_FIELDS, built from the field lists."""
+    return [dict(zip(keys, values)) for values in zip(*(fields[name] for name in keys.values()))]
+
+
 def write_dataset(dataset: Dataset, path) -> None:
-    """Emit manifest + tensor container from the dataset's own entries and
+    """Emit manifest + tensor container from the dataset's own lists and
     columns; byte-deterministic for equal input. Nothing is written unless the
-    dataset passes `_check`."""
-    man = dataset.manifest
-    manifest_doc = {key: getattr(man, name) for key, name in MANIFEST_SIZES.items()}
-    manifest_doc.update(items=dataset.item_entries, queries=dataset.query_entries, splits=man.splits)
+    dataset passes `_check`, and the manifest's entries are built only once
+    it has."""
+    man, fields = dataset.manifest, _fields(dataset)
     records = {name: dataset.columns[name] for name in DATASET_RECORDS}
-    _check(manifest_doc, records)
+    _check(man, fields, records)
+    manifest_doc = {key: getattr(man, name) for key, name in MANIFEST_SIZES.items()}
+    manifest_doc.update(items=_entries(fields, ITEM_FIELDS), queries=_entries(fields, QUERY_FIELDS),
+                        splits=man.splits)
     path = Path(path)
     path.mkdir(parents=True, exist_ok=True)
     write_json(path / MANIFEST_NAME, manifest_doc)
@@ -474,9 +522,10 @@ def write_dataset(dataset: Dataset, path) -> None:
 
 
 def read_dataset(path) -> Dataset:
-    """Load and check; teacher vectors are L2-normalized here. Each item and
-    query is built the first time it is looked up; items hold read-only
-    views into the container's per-field records."""
+    """Load and check; teacher vectors are L2-normalized here. The manifest's
+    entries become the dataset's field lists; no parsed entry is kept. Each
+    item and query is built the first time it is looked up; items hold
+    read-only views into the container's per-field records."""
     path = Path(path)
     manifest_file = path / MANIFEST_NAME
     if not manifest_file.exists():
@@ -491,7 +540,13 @@ def read_dataset(path) -> Dataset:
     # missing or wrongly typed field surfaces as one of the errors below.
     # Every field the items are built from has been read by `_check`.
     try:
-        man = _check(doc, records)
+        man = Manifest(**{name: doc[key] for key, name in MANIFEST_SIZES.items()},
+                       splits={k: {"items": list(v["items"]), "queries": list(v["queries"])}
+                               for k, v in doc["splits"].items()})
+        fields = {name: [entry[key] for entry in doc[kind]]
+                  for kind, keys in (("items", ITEM_FIELDS), ("queries", QUERY_FIELDS)) for key, name in keys.items()}
+        del doc
+        layouts = _check(man, fields, records)
     except (ContainerError, ValidationError):
         raise
     except (KeyError, TypeError, ValueError, AttributeError) as err:
@@ -504,7 +559,7 @@ def read_dataset(path) -> Dataset:
     # items, then the queries are scored), and views would keep the whole
     # container mapped for them.
     columns["queries/embedding"] = columns["queries/embedding"].copy()
-    return Dataset(man, columns, doc["items"], doc["queries"])
+    return Dataset(man, columns, **fields, row_starts=layouts)
 
 
 def _unit_rows(v: np.ndarray) -> np.ndarray:

@@ -11,6 +11,7 @@ the raw visual tokens.
 
 from __future__ import annotations
 
+import collections
 import inspect
 import math
 from dataclasses import dataclass
@@ -317,6 +318,10 @@ def load_index(path) -> VideoIndex:
         raise ContainerError(f"index sidecar field m is {m!r}, not an integer >= 1")
     if type(ids) is not list or not all(type(i) is str for i in ids):
         raise ContainerError("index sidecar field item_ids is not a list of strings")
+    if len(set(ids)) < len(ids):
+        counts = collections.Counter(ids)
+        repeated = next(i for i in ids if counts[i] > 1)
+        raise ContainerError(f"index sidecar field item_ids lists {repeated} more than once")
     arrays = {}
     for name in ("tokens", "pooled"):
         if f"index/{name}" not in records:

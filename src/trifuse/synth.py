@@ -29,8 +29,8 @@ Items are drawn CHUNK_ITEMS at a time as array operations into one float32
 array per field: (n, m, d) visual, (items with audio, audio_len, d) audio,
 (items with speech, speech_pad, d) speech, (n, d_t) for each teacher, (n, d)
 queries and latents. Those arrays are the dataset's columns as they are, and
-the manifest entries come from the group, audio and speech draws, so no
-per-item record is built. The draws follow the per-item order, so the bytes
+its field lists come from the group, audio and speech draws, so no per-item
+record is built. The draws follow the per-item order, so the bytes
 do not depend on the chunk size and equal those of an item-by-item loop
 (tests/test_synth.py keeps that loop as the oracle).
 """
@@ -237,12 +237,6 @@ def generate(config: SynthConfig) -> tuple[Dataset, LatentStore]:
     # zero-padded to one width, so that the ids sort in item order, as a manifest lists them
     width = max(5, len(str(n - 1)))
     ids, query_ids = [f"v{i:0{width}d}" for i in range(n)], [f"q{i:0{width}d}" for i in range(n)]
-    lens = zip((has_audio * l_a).tolist(), (has_speech * n_s).tolist())
-    item_entries = [
-        {"id": item_id, "group": group, "audio_len": audio_len, "speech_len": speech_len, "has_teacher": True}
-        for item_id, group, (audio_len, speech_len) in zip(ids, groups, lens)
-    ]
-    query_entries = [{"id": qid, "gt": item_id, "group": group} for qid, item_id, group in zip(query_ids, ids, groups)]
     columns = {
         "items/visual": visual.reshape(n * m, d),
         "items/audio": audio.reshape(-1, d),
@@ -273,7 +267,10 @@ def generate(config: SynthConfig) -> tuple[Dataset, LatentStore]:
         audio_pad=config.frames,
         splits=splits,
     )
-    dataset = Dataset(manifest, columns, item_entries, query_entries)
+    # a query's ground-truth item and group are its item's: the same lists
+    dataset = Dataset(manifest, columns, item_ids=ids, item_groups=groups, audio_lens=(has_audio * l_a).tolist(),
+                      speech_lens=(has_speech * n_s).tolist(), has_teacher=[True] * n, query_ids=query_ids,
+                      ground_truth_items=ids, query_groups=groups)
     store = LatentStore(
         item_ids=ids,
         z_vis=z_vis_all,

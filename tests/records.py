@@ -36,15 +36,14 @@ def dataset_from_records(manifest: Manifest, items: Mapping[str, ItemRecord],
         "items/teacher_audio": stacked([item.teacher_audio for item in teachers], d_t, np.stack),
         "queries/embedding": stacked([query.embedding for query in queries], d, np.stack),
     }
-    item_entries = [
-        {
-            "id": item.item_id,
-            "group": item.group,
-            "audio_len": 0 if item.audio_tokens is None else len(item.audio_tokens),
-            "speech_len": 0 if item.speech_tokens is None else len(item.speech_tokens),
-            "has_teacher": item.has_teacher(),
-        }
-        for item in items
-    ]
-    query_entries = [{"id": q.query_id, "gt": q.ground_truth_item, "group": q.group} for q in queries]
-    return Dataset(manifest, columns, item_entries, query_entries)
+    return Dataset(
+        manifest, columns,
+        item_ids=[item.item_id for item in items],
+        item_groups=[item.group for item in items],
+        audio_lens=[0 if item.audio_tokens is None else len(item.audio_tokens) for item in items],
+        speech_lens=[0 if item.speech_tokens is None else len(item.speech_tokens) for item in items],
+        has_teacher=[item.has_teacher() for item in items],
+        query_ids=[query.query_id for query in queries],
+        ground_truth_items=[query.ground_truth_item for query in queries],
+        query_groups=[query.group for query in queries],
+    )

@@ -13,7 +13,7 @@ import hashlib
 import numpy as np
 import pytest
 
-from trifuse.data import Dataset, Manifest, read_dataset, write_dataset
+from trifuse.data import ITEM_FIELDS, QUERY_FIELDS, Dataset, Manifest, read_dataset, write_dataset
 from trifuse.fusion import FusionMode, FusionParams, VideoIndex, load_index, load_params, save_index, save_params
 
 DIGESTS = {
@@ -55,13 +55,10 @@ def fixed_dataset() -> Dataset:
         "items/teacher_audio": ramp((2, 3), -0.75, 0.375),
         "queries/embedding": ramp((3, 4), 1.0, -0.1875),
     }
-    item_entries = [
-        {"id": "it0", "group": "sound", "audio_len": 3, "speech_len": 1, "has_teacher": False},
-        {"id": "it1", "group": "speech", "audio_len": 0, "speech_len": 3, "has_teacher": True},
-        {"id": "it2", "group": None, "audio_len": 2, "speech_len": 0, "has_teacher": True},
-    ]
-    query_entries = [{"id": f"q{k}", "gt": f"it{k}", "group": "visual"} for k in range(3)]
-    return Dataset(manifest, columns, item_entries, query_entries)
+    return Dataset(manifest, columns, item_ids=["it0", "it1", "it2"], item_groups=["sound", "speech", None],
+                   audio_lens=[3, 0, 2], speech_lens=[1, 3, 0], has_teacher=[False, True, True],
+                   query_ids=["q0", "q1", "q2"], ground_truth_items=["it0", "it1", "it2"],
+                   query_groups=["visual"] * 3)
 
 
 def fixed_params() -> FusionParams:
@@ -101,7 +98,8 @@ def test_artifact_bytes_are_pinned(tmp_path, kind):
 def test_pinned_artifacts_read_back(tmp_path):
     write("dataset", tmp_path / "d")
     back, want = read_dataset(tmp_path / "d"), fixed_dataset()
-    assert back.item_entries == want.item_entries and back.query_entries == want.query_entries
+    for name in (*ITEM_FIELDS.values(), *QUERY_FIELDS.values()):
+        assert getattr(back, name) == getattr(want, name), name
     assert back.manifest == want.manifest
     for name, column in want.columns.items():
         if "teacher" not in name:  # teacher rows are scaled to unit norm on read

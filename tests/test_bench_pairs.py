@@ -15,16 +15,17 @@ _spec.loader.exec_module(bench_pairs)
 BASE = [100.0, 101.0, 102.0, 103.0, 104.0, 105.0, 106.0, 107.0, 108.0, 109.0]  # median 104.5, IQR 4.5
 
 
-def records(base: list[float], change: list[float]) -> list[dict]:
-    """The run records of alternating pairs, as perfbench writes them, with
-    one end-to-end metric `m`."""
+def records(base: list[float], change: list[float], faults=(1000, 1000)) -> list[dict]:
+    """The run records of alternating pairs, as `run_once` returns them, with
+    one end-to-end metric `m` and the minor page faults `faults` gives per
+    side, the pair number added."""
     runs = []
     for pair, values in enumerate(zip(base, change), 1):
         order = bench_pairs.SIDES if pair % 2 else bench_pairs.SIDES[::-1]
         for side in order:
-            value = values[bench_pairs.SIDES.index(side)]
+            k = bench_pairs.SIDES.index(side)
             runs.append({"pair": pair, "side": side, "first": order[0], "failed": 0,
-                         "end_to_end": {"m": [value, "ms"]}})
+                         "minor_faults": faults[k] + pair, "end_to_end": {"m": [values[k], "ms"]}})
     return runs
 
 
@@ -112,7 +113,8 @@ def test_a_failing_run_keeps_the_finished_rows(tmp_path, monkeypatch):
         calls.append(workload)
         if workload == "eval":
             raise subprocess.CalledProcessError(1, ["perfbench/run.py"])
-        return {"machine": {"cpus": 2}, "failed": 0, "end_to_end": {"m": [100.0 + len(calls), "ms"]}}
+        return {"machine": {"cpus": 2}, "failed": 0, "minor_faults": 1000,
+                "end_to_end": {"m": [100.0 + len(calls), "ms"]}}
 
     monkeypatch.setattr(bench_pairs, "run_once", run_once)
     out = tmp_path / "bench.json"
@@ -137,7 +139,7 @@ def test_a_finished_row_prints_each_verdict(tmp_path, monkeypatch, capsys):
     values = {"base": iter(BASE), "change": iter(b - 10 for b in BASE)}
 
     def run_once(root, workload, seed, seconds):
-        return {"machine": {}, "failed": 0,
+        return {"machine": {}, "failed": 0, "minor_faults": 1000,
                 "end_to_end": {"m": [next(values[root.name]), "ms"], "z": [0.0, "ms"], "x": [1.0, "items/s"]}}
 
     monkeypatch.setattr(bench_pairs, "run_once", run_once)
@@ -147,3 +149,30 @@ def test_a_finished_row_prints_each_verdict(tmp_path, monkeypatch, capsys):
     # change medians 94.5 against 104.5: -9.57%
     assert lines == ["train seed 3 m: lower, change_vs_base -9.57%, inside bound yes",
                      "train seed 3 z: unchanged, change_vs_base n/a, inside bound n/a"]
+
+
+def test_minor_faults_median_per_side_without_verdict():
+    """Each row gives each side's median of its runs' minor page faults, and
+    each run keeps its own count; the faults get no verdict."""
+    row = bench_pairs.summarise("train", 1, records(BASE, BASE, faults=(2000, 50)), specs(0.25))
+    # pairs 1-10 add 1-10 faults: medians 2005.5 and 55.5
+    assert row["minor_faults"] == {"base": 2005.5, "change": 55.5}
+    assert sorted(run["minor_faults"] for run in row["runs"] if run["side"] == "change") == list(range(51, 61))
+    assert list(row["metrics"]) == ["m"] and row["metrics"]["m"]["verdict"] == "unchanged"
+
+
+def test_run_once_counts_the_child_minor_faults(tmp_path):
+    """A real child process in a stand-in checkout: its record comes back
+    with the page faults it took, which a Python process never starts
+    without."""
+    bench = tmp_path / "perfbench"
+    bench.mkdir()
+    (bench / "run.py").write_text(
+        "import json, pathlib, sys\n"
+        "out = pathlib.Path(__file__).parent / 'out'\n"
+        "out.mkdir(exist_ok=True)\n"
+        "workload, seed = sys.argv[sys.argv.index('--workload') + 1], sys.argv[sys.argv.index('--seed') + 1]\n"
+        "(out / f'{workload}-seed{seed}-trace0.json').write_text(json.dumps({'failed': 0}))\n")
+    record = bench_pairs.run_once(tmp_path, "train", 3, 1)
+    assert record["failed"] == 0
+    assert type(record["minor_faults"]) is int and record["minor_faults"] > 0

@@ -287,12 +287,12 @@ class TestDatasetIO:
     def test_finiteness_mask_is_a_block_not_the_record(self, tmp_path):
         """`_check` allocates under half the bytes of a whole-record mask of
         its largest record (speech, 819,200 values here)."""
-        write_dataset(generate(SynthConfig(n_items=200, speech_pad=256, seed=1))[0], tmp_path / "ds")
-        doc = json.loads((tmp_path / "ds" / "manifest.json").read_text())
+        ds = generate(SynthConfig(n_items=200, speech_pad=256, seed=1))[0]
+        write_dataset(ds, tmp_path / "ds")
         records = read_container(tmp_path / "ds" / "tensors.sve")
         tracemalloc.start()
         try:
-            data._check(doc, records)
+            data._check(ds.manifest, data._fields(ds), records)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -670,10 +670,10 @@ class TestWrittenFromColumns:
 
     def test_write_refuses_entries_out_of_id_order(self, tmp_path):
         """The manifest lists ids in sorted order, the order of the rows: a
-        dataset whose entries are not in that order writes nothing."""
+        dataset whose item lists are not in that order writes nothing."""
         ds = generate(SynthConfig(n_items=20, seed=1))[0]
-        entries = ds.item_entries[::-1]
-        shuffled = Dataset(ds.manifest, ds.columns, entries, ds.query_entries)
+        reversed_items = {name: getattr(ds, name)[::-1] for name in data.ITEM_FIELDS.values()}
+        shuffled = dataclasses.replace(ds, **reversed_items)
         with pytest.raises(ValidationError, match="item ids out of order: v00019 is listed before v00018"):
             write_dataset(shuffled, tmp_path / "ds")
         assert not (tmp_path / "ds").exists() or not any((tmp_path / "ds").iterdir())

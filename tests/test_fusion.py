@@ -372,6 +372,14 @@ class TestIndex:
         with pytest.raises(ContainerError, match="index sidecar field item_ids is not a list of strings"):
             load_index(tmp_path / "g.idx")
 
+    def test_repeated_item_id_raises(self, tmp_path):
+        """Two rows under one id would both be scored and ranked as that item."""
+        save_index(precompute_index(self.items(3), make_params(), FusionMode.SAVE, MAN), tmp_path / "g.idx")
+        sidecar = tmp_path / "g.idx.json"
+        sidecar.write_text(json.dumps({**json.loads(sidecar.read_text()), "item_ids": ["v0", "v0", "v2"]}))
+        with pytest.raises(ContainerError, match="index sidecar field item_ids lists v0 more than once"):
+            load_index(tmp_path / "g.idx")
+
     @pytest.mark.parametrize("mode", list(FusionMode), ids=lambda m: m.value)
     def test_score_matrix_matches_batch_scores(self, tmp_path, mode):
         """Each mode's index survives save/load bit for bit. Serving it gives

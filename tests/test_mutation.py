@@ -164,5 +164,6 @@ def test_mutated_index_loads_or_raises_container_error(tmp_path):
             continue
         n, (m, d) = len(index.item_ids), index.tokens.shape[1:]
         assert index.tokens.shape == (n, m, d) and index.pooled.shape == (n, d), f"{target.name} {change}"
+        assert len(set(index.item_ids)) == n, f"{target.name} {change}"
         outcomes["loaded"] += 1
     assert outcomes["loaded"] and outcomes["refused"]

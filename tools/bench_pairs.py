@@ -14,7 +14,10 @@ run that fails keeps the rows finished before it. When a row finishes, one
 line per end-to-end metric of BENCHMARK.json gives its verdict and
 `change_vs_base`.
 
-The output holds, per row (workload and seed), each end-to-end metric's
+The output holds, per row (workload and seed), each side's median count of
+minor page faults per benchmark process (`minor_faults`: the growth of
+`ru_minflt` of `getrusage(RUSAGE_CHILDREN)` over the run, which shows heap
+effects run by run; it gets no verdict), each end-to-end metric's
 median and quartiles on each side, the parent's interquartile range, how many
 pairs the change read lower and higher (ties count for neither side), the
 change median over the base median minus 1 (`change_vs_base`; null for a
@@ -36,6 +39,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import resource
 import statistics
 import subprocess
 import sys
@@ -55,11 +59,15 @@ def parse_args(argv):
 
 
 def run_once(root: Path, workload: str, seed: int, seconds: float) -> dict:
-    """One benchmark process in `root`; the record perfbench wrote for it."""
+    """One benchmark process in `root`: the record perfbench wrote for it,
+    with the minor page faults the process took (`minor_faults`)."""
     argv = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
             "--seconds", str(seconds), "--trace", "0"]
+    before = resource.getrusage(resource.RUSAGE_CHILDREN).ru_minflt
     subprocess.run(argv, cwd=root, check=True, stdout=subprocess.DEVNULL)
-    return json.loads((root / "perfbench" / "out" / f"{workload}-seed{seed}-trace0.json").read_text())
+    faults = resource.getrusage(resource.RUSAGE_CHILDREN).ru_minflt - before
+    record = json.loads((root / "perfbench" / "out" / f"{workload}-seed{seed}-trace0.json").read_text())
+    return {**record, "minor_faults": faults}
 
 
 def spread(values: list[float]) -> dict:
@@ -110,7 +118,8 @@ def summarise(workload: str, seed: int, runs: list[dict], specs: dict[str, dict]
         "workload": workload, "seed": seed, "pairs": len(pairs),
         "all_correct": {side: all(by[p, side]["failed"] == 0 for p in pairs) for side in SIDES},
         "metrics": metrics,
-        "runs": [{"pair": run["pair"], "side": run["side"], "first": run["first"],
+        "minor_faults": {side: statistics.median(by[p, side]["minor_faults"] for p in pairs) for side in SIDES},
+        "runs": [{"pair": run["pair"], "side": run["side"], "first": run["first"], "minor_faults": run["minor_faults"],
                   "end_to_end": {k: v[0] for k, v in run["end_to_end"].items()}} for run in runs],
     }
 
