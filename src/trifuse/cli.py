@@ -3,33 +3,10 @@
 One JSON config file drives generation ("synth" section) and training
 ("train" section); command-line flags override individual keys. A
 checkpoint records the fusion mode and sharpness it was trained with; `eval`
-and `score` score with both, and `--mode` overrides the mode. Exit codes:
-0 success, 2 config parse error (including a config file that is a
-directory or not UTF-8 or a path under a regular file, an out-of-range
-value, such as a train sharpness outside (0, 80], heads, fusion_depth,
-resampler_depth or max_audio_len below 1, a gen speech_pad or frames above
-MAX_PAD, a count or size that is not an
-integer, a seed that is not an integer >= 0, an lr or tau_init that is not
-a finite number > 0 or a grad_clip that is neither null nor one, where a
-JSON boolean is neither an integer nor a number, and a
-`score --k` below 1), 3 IO error (a missing file, a container, manifest or
-checkpoint sidecar that is malformed or a directory, a manifest or
-checkpoint sidecar that is not UTF-8, a manifest with a duplicate id or a
-wrongly typed field, a manifest size that is not an integer >= 1 (dim:
->= 2) or a pad (n_s, l_a0) above MAX_PAD, a checkpoint sidecar that is not
-a JSON object, a checkpoint sidecar sharpness outside (0, 80],
-fusion mode not among `--mode`'s choices, size below 1 or a boolean, heads
-that do not divide dim or non-float dtype, checkpoint tensors that disagree
-with their sidecar (a parameter missing, of the wrong size, or a `param/`
-record the model lacks; sizes are checked before the model is built), a
-non-finite embedding, a split query whose ground-truth item is outside
-that split, an eval split that the manifest does not list or
-that has no queries, or for train a manifest without a train split or a
-train item without a train query), 4 training aborted on non-finite loss,
-5 checkpoint, config or dataset dimension mismatch (including audio longer
-than max_audio_len, a dataset dim that the train config's heads do not
-divide, and a batch size larger than the train split), 6 unknown query id.
-A command refuses by raising `Refusal`; only `main` writes to stderr.
+and `score` score with both, and `--mode` overrides the mode. The exit codes
+(EXIT_*) and the bounds of every config and artifact field are listed once,
+in the README's "Exit codes". A command refuses by raising `Refusal`; only
+`main` writes to stderr.
 """
 
 from __future__ import annotations

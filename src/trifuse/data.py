@@ -30,8 +30,8 @@ into the columns. `read_dataset` maps the container read-only
 (`read_container`) and turns the manifest's entries into the lists, keeping
 no parsed entry; `write_dataset` builds the entries back from the lists;
 `synth.generate` hands over its generator arrays and lists. No other module
-sees an entry. One function, `_check`, decides whether a manifest's sizes and
-splits, the field lists and the records form a valid dataset:
+sees an entry. One function, `_check`, decides whether a manifest's splits,
+the field lists and the records form a valid dataset:
 `write_dataset` applies it to the dataset's own lists and columns before
 anything touches disk, and `read_dataset` applies it to every entry and
 record before it returns, so a lookup never fails. It tests each record for
@@ -39,18 +39,27 @@ finiteness CHECK_BLOCK_ROWS rows at a time. The manifest and the checkpoint
 and index sidecars are compact JSON (`write_json`). A dataset in the older
 one-record-per-item layout is rejected for lacking `items/visual`; regenerate
 it with `trifuse gen`.
+
+Every scalar input field, of a config, a manifest or a sidecar, is declared
+once with its type and bounds (`Spec`), in one field table per input kind:
+a dataclass's `bounded` fields (`table`; `Manifest` holds the manifest's
+sizes) or a dict of specs. One function, `check`, applies them and raises
+FieldError, naming the field; each caller maps it to its exit code.
 """
 
 from __future__ import annotations
 
 import collections
+import dataclasses
 import json
+import math
 import mmap
 import numbers
 import os
 import struct
 from collections.abc import Mapping
-from dataclasses import InitVar, dataclass, field, replace
+from dataclasses import MISSING, InitVar, dataclass, field, replace
+from enum import Enum
 from pathlib import Path
 
 import numpy as np
@@ -79,18 +88,26 @@ DATASET_RECORDS = {
 # 1.39 ms in blocks of 8,192 rows of 16 against 1.60 ms whole (2 vCPUs).
 CHECK_BLOCK_ROWS = 8192
 
-# The manifest's sizes: each JSON key and the `Manifest` field it fills.
-MANIFEST_SIZES = {"dim": "dim", "teacher_dim": "teacher_dim", "m": "frames", "n_s": "speech_pad",
-                  "l_a0": "audio_pad"}
-
-# The longest zero-fill, in tokens, that a manifest may ask for (`n_s`,
-# `l_a0`) and a synth config may write (`speech_pad`, `frames`). The records
-# bound every other size, but a pad only sizes the zeros that
-# `resolve_missing` allocates for an absent modality, so nothing else stops
+# The longest token count an input may give (TOKENS): a manifest's `m` and
+# pads (`n_s`, `l_a0`), a synth config's `frames`, `audio_len` and
+# `speech_pad`, a train config's `max_audio_len`. A pad only sizes the zeros
+# that `resolve_missing` allocates for an absent modality, so no record stops
 # `"n_s": 1000000000` from asking numpy for 59.6 GiB. A 128-item batch of
 # zero-filled speech at d = 16 costs 8 KiB per pad token: 32 MiB at this
 # ceiling, 128 times the 32 tokens that synth writes by default.
 MAX_PAD = 4096
+# The widest embedding an input may give (`dim`, `teacher_dim`), and the most
+# attention heads. One cross-attention block holds about 12 d^2 parameters:
+# 50 MB of float32 at this width.
+MAX_DIM = 1024
+# The most items a synth config may ask for. Generating and writing 100,001
+# items of the smallest sizes took 1.3 s and peaked at 180 MB RSS (2 vCPUs):
+# its Python lists and manifest grow with the count, whatever the sizes.
+MAX_ITEMS = 1_000_000
+# The most float32 bytes a synth config may ask of its dataset's arrays
+# (`SynthConfig.array_bytes`): each size is bounded, but not their product,
+# and `"frames": 4096, "dim": 1024` alone would take 16 MiB per item.
+MAX_SYNTH_BYTES = 1 << 29
 
 # Each key of a manifest item or query entry, and the `Dataset` field that
 # lists its values in entry order.
@@ -111,6 +128,97 @@ class ContainerError(ValueError):
 
 class ValidationError(ValueError):
     """Raised when a dataset violates its declared invariants."""
+
+
+class FieldError(TypeError, ValueError):
+    """An input field of the wrong type or outside its bounds (`check`); the
+    message names the field. It is both a TypeError and a ValueError, as were
+    the checks it replaces, so each caller keeps the exit code it maps them to."""
+
+
+# -- input fields ------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class Spec:
+    """One input field's type and bounds, as a JSON Schema property states
+    them. `kind` is int (a JSON integer), float (a finite JSON number), str,
+    list or dict (a JSON array or object whose elements or values are each of
+    spec `item`), or an Enum class (one of its values). A number lies in
+    [`least`, `most`], or in (`least`, `most`] when `above`; `most_name` names
+    the constant that `most` is. `null` admits JSON null. A JSON boolean is of
+    no kind but its own, although Python counts `true` as the integer 1."""
+
+    kind: type
+    least: float = -math.inf
+    most: float = math.inf
+    most_name: str = ""
+    above: bool = False
+    null: bool = False
+    item: Spec | None = None
+
+
+_JSON_TYPES = {int: numbers.Integral, float: numbers.Real, str: str, list: list, dict: dict}
+_NOUNS = {int: "an integer", float: "a number", str: "a string", list: "a list", dict: "an object"}
+
+
+def check(spec: Spec, name: str, value):
+    """`value` parsed as `spec` states: an Enum kind's member, a number as
+    `kind`, any other value as it is. FieldError, naming the field `name`,
+    for a value of the wrong type or out of bounds: the one check of every
+    input field."""
+    kind = spec.kind
+    if value is None and spec.null:
+        return None
+    if issubclass(kind, Enum):
+        try:
+            return kind(value)
+        except ValueError as err:
+            raise FieldError(f"{name}: {err}") from None
+    if isinstance(value, bool) or not isinstance(value, _JSON_TYPES[kind]):
+        raise FieldError(f"{name} must be {_NOUNS[kind]}, got {value!r}")
+    if kind in (list, dict):
+        for key, each in value.items() if kind is dict else enumerate(value):
+            check(spec.item, f"{name}[{key!r}]", each)
+    if kind not in (int, float):
+        return value
+    if (kind is float and not math.isfinite(value)) or not (value > spec.least if spec.above else value >= spec.least):
+        noun = "a finite number" if kind is float else "an integer"
+        raise FieldError(f"{name} must be {noun} {'>' if spec.above else '>='} {spec.least}, got {value!r}")
+    if value > spec.most:
+        most = f"{spec.most_name} ({spec.most})" if spec.most_name else spec.most
+        raise FieldError(f"{name} must be <= {most}, got {value!r}")
+    return kind(value)
+
+
+def bounded(spec: Spec, default=MISSING, *, default_factory=MISSING, key: str | None = None):
+    """A dataclass field declared with `spec`; `key` is its name in JSON and
+    in messages where that differs from the attribute's."""
+    return field(default=default, default_factory=default_factory, metadata={"spec": spec, "key": key})
+
+
+def _declared(cls) -> list[tuple[str, str, Spec]]:
+    """(JSON key, attribute, spec) of each `bounded` field of a dataclass."""
+    return [(f.metadata["key"] or f.name, f.name, f.metadata["spec"])
+            for f in dataclasses.fields(cls) if "spec" in f.metadata]
+
+
+def table(cls) -> dict[str, Spec]:
+    """The field table of a dataclass: each `bounded` field's spec, by JSON key."""
+    return {key: spec for key, _, spec in _declared(cls)}
+
+
+def check_fields(obj) -> None:
+    """Replace each `bounded` field of dataclass instance `obj` by its value
+    parsed by `check`."""
+    for key, name, spec in _declared(obj):
+        setattr(obj, name, check(spec, key, getattr(obj, name)))
+
+
+SEED = Spec(int, 0)
+TOKENS = Spec(int, 1, MAX_PAD, "MAX_PAD")
+DIM = Spec(int, 2, MAX_DIM, "MAX_DIM")
+WIDTH = Spec(int, 1, MAX_DIM, "MAX_DIM")
 
 
 # -- low-level container ---------------------------------------------------
@@ -270,12 +378,22 @@ class QueryRecord:
 
 @dataclass
 class Manifest:
-    dim: int
-    teacher_dim: int
-    frames: int  # m, visual token count per item
-    speech_pad: int  # N_s, zero-fill length for missing speech
-    audio_pad: int  # L_a0, zero-fill length for missing audio
+    """A dataset's sizes, each checked against its spec on construction, and
+    its splits, which `_check` checks against the entries."""
+
+    dim: int = bounded(DIM)
+    teacher_dim: int = bounded(WIDTH)
+    frames: int = bounded(TOKENS, key="m")  # visual token count per item
+    speech_pad: int = bounded(TOKENS, key="n_s")  # zero-fill length for missing speech
+    audio_pad: int = bounded(TOKENS, key="l_a0")  # zero-fill length for missing audio
     splits: dict[str, dict[str, list[str]]] = field(default_factory=dict)
+
+    def __post_init__(self):
+        check_fields(self)
+
+
+# The manifest's sizes: each JSON key and the `Manifest` field it fills.
+MANIFEST_SIZES = {key: name for key, name, _ in _declared(Manifest)}
 
 
 class LazyRecords(Mapping):
@@ -420,20 +538,15 @@ def _built_on_lookup(columns: dict, layouts: dict[str, np.ndarray], fields: dict
 def _check(man: Manifest, fields: dict[str, list], records: dict) -> dict[str, np.ndarray]:
     """The one rule for a valid dataset, as a manifest's sizes and splits, its
     field lists (by `Dataset` field name) and its six container records state
-    it; `write_dataset` and `read_dataset` both apply it. It checks that each
-    size of MANIFEST_SIZES is an integer >= 1 (`check_ints`), d >= 2 and each
-    pad <= MAX_PAD; that each kind's lists are of one length; that item and
+    it; `write_dataset` and `read_dataset` both apply it. The sizes were
+    checked when the `Manifest` was built. It checks that each kind's lists
+    are of one length; that item and
     query ids are unique strings listed in sorted order; each item's
     teacher flag and row counts and each group and ground-truth item; each
     record's shape (its `_row_starts`, which it returns) and finiteness,
     naming the owner of the first bad row; and split members, each split's
     queries having their ground-truth items in that split. A field of the
     wrong JSON type surfaces as KeyError, TypeError or ValueError."""
-    check_ints(1, **{key: getattr(man, name) for key, name in MANIFEST_SIZES.items()})
-    check_ints(2, dim=man.dim)
-    for key, pad in (("n_s", man.speech_pad), ("l_a0", man.audio_pad)):
-        if pad > MAX_PAD:
-            raise ValueError(f"{key} must be <= MAX_PAD ({MAX_PAD}), got {pad}")
     for kind, keys in (("item", ITEM_FIELDS), ("query", QUERY_FIELDS)):
         lengths = {name: len(fields[name]) for name in keys.values()}
         if len(set(lengths.values())) > 1:
@@ -593,25 +706,6 @@ def resolve_missing(item: ItemRecord, manifest: Manifest) -> ItemRecord:
 
 
 # -- batching ----------------------------------------------------------------
-
-
-def check_ints(least: int, **values) -> None:
-    """TypeError unless every value is an integer other than a bool,
-    ValueError unless it is >= `least`: the one check of a config's counts,
-    sizes and seeds."""
-    for name, value in values.items():
-        if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-            raise TypeError(f"{name} must be an integer, got {value!r}")
-        if value < least:
-            raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
-
-
-def check_real(name: str, value) -> None:
-    """TypeError unless `value` is a real number other than a bool (JSON
-    `true` would otherwise count as 1): the type check of a config's scalar
-    floats, before their range checks."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Real):
-        raise TypeError(f"{name} must be a number, got {value!r}")
 
 
 def batch_iter(ids: list[str], batch_size: int, seed: int):

@@ -12,7 +12,6 @@ the raw visual tokens.
 from __future__ import annotations
 
 import collections
-import inspect
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -23,8 +22,8 @@ import numpy as np
 from . import autodiff as ad
 from . import nn
 from .autodiff import Tensor
-from .data import (ContainerError, ItemRecord, Manifest, check_ints, check_real, read_container, read_json,
-                   resolve_missing, write_container, write_json)
+from .data import (DIM, TOKENS, WIDTH, ContainerError, FieldError, ItemRecord, Manifest, Spec, bounded, check,
+                   check_fields, read_container, read_json, resolve_missing, table, write_container, write_json)
 
 
 class FusionMode(str, Enum):
@@ -51,22 +50,37 @@ DEFAULT_SHARPNESS = 20.0
 MAX_SHARPNESS = 80.0
 
 
-def check_sharpness(sharpness: float) -> float:
-    """`sharpness` as a float; TypeError unless it is a number other than a
-    bool, ValueError outside (0, MAX_SHARPNESS]."""
-    check_real("sharpness", sharpness)
-    if not float(sharpness) > 0:
-        raise ValueError(f"sharpness must be > 0, got {sharpness}")
-    if not float(sharpness) <= MAX_SHARPNESS:
-        raise ValueError(f"sharpness must be <= MAX_SHARPNESS ({MAX_SHARPNESS}), got {sharpness}")
-    return float(sharpness)
+@dataclass
+class FusionArch:
+    """The architecture fields that a train config sets (`TrainConfig`
+    inherits them) and a checkpoint sidecar records, beside the manifest's
+    `dim` and `frames` (ARCH_FIELDS), each declared with its spec. Every
+    `bounded` field, a subclass's too, is parsed on construction."""
+
+    heads: int = bounded(WIDTH, 4)  # heads divide dim, so MAX_DIM bounds them too
+    fusion_depth: int = bounded(Spec(int, 1, 8), 2)
+    resampler_depth: int = bounded(Spec(int, 1, 8), 1)
+    max_audio_len: int = bounded(TOKENS, 64)
+    mode: FusionMode = bounded(Spec(FusionMode), FusionMode.SAVE)
+    sharpness: float = bounded(Spec(float, 0, MAX_SHARPNESS, "MAX_SHARPNESS", above=True), DEFAULT_SHARPNESS)
+
+    def __post_init__(self):
+        check_fields(self)
+
+
+# The checkpoint sidecar's field table: every `FusionParams` argument it
+# records but the dtype, `dim` and `frames` with the specs of the manifest's
+# `dim` and `m`.
+ARCH_FIELDS = {"dim": DIM, "frames": TOKENS, **table(FusionArch)}
+# The index sidecar's field table.
+INDEX_FIELDS = {"mode": ARCH_FIELDS["mode"], "item_ids": Spec(list, item=Spec(str)), "m": ARCH_FIELDS["frames"]}
 
 
 class FusionParams(nn.Module):
     """Every trainable tensor of the fusion network, in a fixed order. `arch`
     also records the mode and sharpness the parameters were trained to score
-    with, so a checkpoint is scored the way it was trained. A size that is not
-    an integer >= 1 (`check_ints`), a `dim` that `heads` does not divide and
+    with, so a checkpoint is scored the way it was trained. An argument
+    outside its spec (ARCH_FIELDS), a `dim` that `heads` does not divide and
     a non-float dtype are refused."""
 
     def __init__(
@@ -82,9 +96,10 @@ class FusionParams(nn.Module):
         seed: int = 0,
         dtype=np.float32,
     ):
-        sharpness = check_sharpness(sharpness)
-        check_ints(1, dim=dim, frames=frames, heads=heads, fusion_depth=fusion_depth,
-                   resampler_depth=resampler_depth, max_audio_len=max_audio_len)
+        arch = dict(dim=dim, frames=frames, heads=heads, fusion_depth=fusion_depth, resampler_depth=resampler_depth,
+                    max_audio_len=max_audio_len, mode=mode, sharpness=sharpness)
+        self.arch = {name: check(spec, name, arch[name]) for name, spec in ARCH_FIELDS.items()}
+        self.arch["mode"] = self.arch["mode"].value
         if not np.issubdtype(dtype, np.floating):
             raise ValueError(f"parameters need a float dtype, got {np.dtype(dtype).name}")
         rng = np.random.default_rng(seed)
@@ -94,16 +109,6 @@ class FusionParams(nn.Module):
         self.audio_fusion = nn.GatedFusion(dim, heads, fusion_depth, rng, dtype=dtype)
         self.speech_fusion = nn.GatedFusion(dim, heads, fusion_depth, rng, dtype=dtype)
         self.logit_scale = ad.parameter(np.asarray(LOGIT_SCALE_INIT, dtype=dtype))
-        self.arch = {
-            "dim": dim,
-            "frames": frames,
-            "heads": heads,
-            "fusion_depth": fusion_depth,
-            "resampler_depth": resampler_depth,
-            "max_audio_len": max_audio_len,
-            "mode": FusionMode(mode).value,
-            "sharpness": sharpness,
-        }
         self.dtype = np.dtype(dtype)
 
     def trained_parameters(self, mode: FusionMode) -> list[tuple[str, Tensor]]:
@@ -170,7 +175,7 @@ def _read_sidecar(path) -> dict:
 def load_params(path) -> FusionParams:
     path = Path(path)
     meta = _read_sidecar(path)
-    unknown = sorted(set(meta) - set(inspect.signature(FusionParams).parameters))
+    unknown = sorted(set(meta) - ARCH_FIELDS.keys() - {"dtype"})
     if unknown:
         raise ContainerError(f"checkpoint sidecar has unknown parameter {unknown[0]!r}")
     records = read_container(path)
@@ -311,13 +316,9 @@ def load_index(path) -> VideoIndex:
     meta = _read_sidecar(path)
     records = read_container(path)
     try:
-        mode, ids, m = FusionMode(meta["mode"]), meta["item_ids"], meta["m"]
-    except (KeyError, TypeError, ValueError) as err:
+        mode, ids, m = (check(spec, key, meta[key]) for key, spec in INDEX_FIELDS.items())
+    except (KeyError, FieldError) as err:
         raise ContainerError(f"index sidecar does not describe an index ({type(err).__name__}: {err})") from err
-    if type(m) is not int or m < 1:
-        raise ContainerError(f"index sidecar field m is {m!r}, not an integer >= 1")
-    if type(ids) is not list or not all(type(i) is str for i in ids):
-        raise ContainerError("index sidecar field item_ids is not a list of strings")
     if len(set(ids)) < len(ids):
         counts = collections.Counter(ids)
         repeated = next(i for i in ids if counts[i] > 1)

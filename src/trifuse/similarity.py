@@ -34,7 +34,8 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .fusion import DEFAULT_SHARPNESS, FusedBatch, FusionMode, VideoIndex, check_sharpness
+from .data import check
+from .fusion import ARCH_FIELDS, DEFAULT_SHARPNESS, FusedBatch, FusionMode, VideoIndex
 
 logger = logging.getLogger(__name__)
 
@@ -119,7 +120,7 @@ class QueryScorer:
     def __init__(self, index: VideoIndex, mode: FusionMode, sharpness: float = DEFAULT_SHARPNESS):
         if FusionMode(mode) != index.mode:
             raise ValueError(f"cannot score a {index.mode.value} index in mode {FusionMode(mode).value}")
-        self.sharpness = check_sharpness(sharpness)
+        self.sharpness = check(ARCH_FIELDS["sharpness"], "sharpness", sharpness)
         self.size = len(index.item_ids)
         # (m, n, d): token-major, contiguous, filled one token slot at a time
         # so the normalisation's temporaries stay at about one slot

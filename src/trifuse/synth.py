@@ -37,12 +37,12 @@ do not depend on the chunk size and equal those of an item-by-item loop
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .data import GROUPS, MAX_PAD, Dataset, Manifest, check_ints, check_real, write_dataset
+from .data import (DIM, GROUPS, MAX_ITEMS, MAX_SYNTH_BYTES, SEED, TOKENS, WIDTH, Dataset, Manifest, Spec, bounded,
+                   check_fields, write_dataset)
 from .evaluation import rank_of
 
 DEFAULT_GROUP_MIX = {"visual": 0.4, "sound": 0.25, "speech": 0.25, "sound_speech": 0.1}
@@ -50,60 +50,57 @@ DEFAULT_SPLITS = {"train": 0.7, "val": 0.1, "test": 0.2}
 CHUNK_ITEMS = 256  # items drawn per chunk: bounds the float64 temporaries, never changes the output
 
 
+NON_NEGATIVE = Spec(float, 0)
+FRACTION = Spec(float, 0, 1)
+FRACTIONS = Spec(dict, item=FRACTION)
+
+
 @dataclass
 class SynthConfig:
-    n_items: int
-    dim: int = 16
-    teacher_dim: int = 8
-    frames: int = 12
-    audio_len: int = 12
-    speech_pad: int = 32
-    group_mix: dict[str, float] = field(default_factory=lambda: dict(DEFAULT_GROUP_MIX))
-    correspondence_noise: float = 0.0  # rho
-    background_pool: int = 4  # distinct soundtrack latents shared by mismatched items
-    missing_audio: float = 0.0
-    missing_speech: float = 0.0
-    noise_scale: float = 0.15
-    query_noise: float = 0.1
-    teacher_noise: float = 0.05
-    audio_drift: float = 0.0  # kappa: z_aud = unit(z_aud + kappa * u), u unit rows of a child generator
-    query_visual_mix: float = 0.0  # lambda: a non-visual query's latent is unit(source + lambda * z_vis)
-    splits: dict[str, float] = field(default_factory=lambda: dict(DEFAULT_SPLITS))
-    seed: int = 0
+    """Each field is parsed by its spec on construction. Beside them, the
+    `group_mix` keys must be among GROUPS, each mix must sum to 1, and the
+    dataset's arrays may take at most MAX_SYNTH_BYTES (`array_bytes`)."""
+
+    n_items: int = bounded(Spec(int, 2, MAX_ITEMS, "MAX_ITEMS"))
+    dim: int = bounded(DIM, 16)
+    teacher_dim: int = bounded(WIDTH, 8)
+    frames: int = bounded(TOKENS, 12)
+    audio_len: int = bounded(TOKENS, 12)
+    speech_pad: int = bounded(TOKENS, 32)
+    group_mix: dict[str, float] = bounded(FRACTIONS, default_factory=lambda: dict(DEFAULT_GROUP_MIX))
+    correspondence_noise: float = bounded(FRACTION, 0.0)  # rho
+    # distinct soundtrack latents shared by mismatched items
+    background_pool: int = bounded(Spec(int, 1, 4096), 4)
+    missing_audio: float = bounded(FRACTION, 0.0)
+    missing_speech: float = bounded(FRACTION, 0.0)
+    noise_scale: float = bounded(NON_NEGATIVE, 0.15)
+    query_noise: float = bounded(NON_NEGATIVE, 0.1)
+    teacher_noise: float = bounded(NON_NEGATIVE, 0.05)
+    # kappa: z_aud = unit(z_aud + kappa * u), u unit rows of a child generator
+    audio_drift: float = bounded(NON_NEGATIVE, 0.0)
+    # lambda: a non-visual query's latent is unit(source + lambda * z_vis)
+    query_visual_mix: float = bounded(NON_NEGATIVE, 0.0)
+    splits: dict[str, float] = bounded(FRACTIONS, default_factory=lambda: dict(DEFAULT_SPLITS))
+    seed: int = bounded(SEED, 0)
 
     def __post_init__(self):
-        check_ints(0, seed=self.seed)
-        check_ints(2, n_items=self.n_items, dim=self.dim)
-        check_ints(1, teacher_dim=self.teacher_dim, frames=self.frames, audio_len=self.audio_len,
-                   speech_pad=self.speech_pad, background_pool=self.background_pool)
-        for name in ("frames", "speech_pad"):  # the manifest's l_a0 and n_s
-            if getattr(self, name) > MAX_PAD:
-                raise ValueError(f"{name} must be <= MAX_PAD ({MAX_PAD}), got {getattr(self, name)}")
-        for name in ("noise_scale", "query_noise", "teacher_noise", "audio_drift", "query_visual_mix"):
-            value = getattr(self, name)
-            check_real(name, value)
-            if not (math.isfinite(value) and value >= 0):
-                raise ValueError(f"{name} must be a finite number >= 0, got {value!r}")
-        for name in ("group_mix", "splits"):
-            if not isinstance(getattr(self, name), dict):
-                raise TypeError(f"{name} must be an object, got {getattr(self, name)!r}")
-            for key, frac in getattr(self, name).items():
-                check_real(f"{name}[{key!r}]", frac)
+        check_fields(self)
         if not set(self.group_mix) <= set(GROUPS):
             raise ValueError(f"group mix keys must be among {GROUPS}")
-        for name in ("group_mix", "splits"):
-            if not all(0.0 <= frac <= 1.0 for frac in getattr(self, name).values()):
-                raise ValueError(f"{name} fractions must lie in [0, 1]")
         if abs(sum(self.group_mix.values()) - 1.0) > 1e-9:
             raise ValueError("group mix proportions must sum to 1")
-        for name, frac in (("correspondence_noise", self.correspondence_noise),
-                           ("missing_audio", self.missing_audio),
-                           ("missing_speech", self.missing_speech)):
-            check_real(name, frac)
-            if not 0.0 <= frac <= 1.0:
-                raise ValueError(f"{name} must lie in [0, 1]")
         if abs(sum(self.splits.values()) - 1.0) > 1e-9:
             raise ValueError("split fractions must sum to 1")
+        if (size := self.array_bytes()) > MAX_SYNTH_BYTES:
+            raise ValueError(f"the dataset's arrays would take {size} bytes, more than MAX_SYNTH_BYTES "
+                             f"({MAX_SYNTH_BYTES}): lower n_items, dim, frames, audio_len or speech_pad")
+
+    def array_bytes(self) -> int:
+        """The float32 bytes of the arrays `generate` fills, every item having
+        audio and speech: its tokens, teachers, query and four latents. Its
+        float64 draws take at most twice as much."""
+        tokens = self.frames + self.audio_len + self.speech_pad
+        return 4 * self.n_items * ((tokens + 5) * self.dim + 2 * self.teacher_dim)
 
 
 @dataclass

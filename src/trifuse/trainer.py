@@ -30,10 +30,9 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .data import Dataset, ItemRecord, ValidationError, batch_iter, check_ints, check_real, resolve_missing
+from .data import SEED, Dataset, ItemRecord, Spec, ValidationError, batch_iter, bounded, resolve_missing
 from .evaluation import summary_metrics
-from .fusion import (DEFAULT_SHARPNESS, FusedBatch, FusionMode, FusionParams, check_sharpness, forward_video,
-                     precompute_index, pre_fusion_pooled)
+from .fusion import FusedBatch, FusionArch, FusionParams, forward_video, precompute_index, pre_fusion_pooled
 from .losses import (
     AlignKind,
     affinity_from_teacher,
@@ -53,39 +52,21 @@ class NanGradientError(RuntimeError):
         self.parameter = name
 
 
-@dataclass
-class TrainConfig:
-    epochs: int = 5
-    batch_size: int = 128
-    lr: float = 1e-4
-    sharpness: float = DEFAULT_SHARPNESS
-    tau_init: float = 0.07
-    align_kind: AlignKind = AlignKind.SOFT_ALBEF
-    mode: FusionMode = FusionMode.SAVE
-    seed: int = 0
-    grad_clip: float | None = 1.0
-    heads: int = 4
-    fusion_depth: int = 2
-    resampler_depth: int = 1
-    max_audio_len: int = 64
+POSITIVE = Spec(float, 0, above=True)
 
-    def __post_init__(self):
-        self.align_kind = AlignKind(self.align_kind)
-        self.mode = FusionMode(self.mode)
-        check_ints(0, seed=self.seed)
-        check_ints(1, epochs=self.epochs, batch_size=self.batch_size, heads=self.heads,
-                   fusion_depth=self.fusion_depth, resampler_depth=self.resampler_depth,
-                   max_audio_len=self.max_audio_len)
-        if self.batch_size < 2:
-            raise ValueError("batch size must be >= 2 for contrastive training")
-        for name in ("lr", "tau_init", "grad_clip"):
-            value = getattr(self, name)
-            if name == "grad_clip" and value is None:  # no clipping
-                continue
-            check_real(name, value)
-            if not 0 < value < math.inf:
-                raise ValueError(f"{name} must be a finite number > 0, got {value!r}")
-        check_sharpness(self.sharpness)
+
+@dataclass
+class TrainConfig(FusionArch):
+    """Training settings, beside the architecture fields of `FusionArch`;
+    each field is parsed by its spec on construction."""
+
+    epochs: int = bounded(Spec(int, 1), 5)
+    batch_size: int = bounded(Spec(int, 2), 128)  # contrastive training needs a negative
+    lr: float = bounded(POSITIVE, 1e-4)
+    tau_init: float = bounded(POSITIVE, 0.07)
+    align_kind: AlignKind = bounded(Spec(AlignKind), AlignKind.SOFT_ALBEF)
+    seed: int = bounded(SEED, 0)
+    grad_clip: float | None = bounded(Spec(float, 0, above=True, null=True), 1.0)  # None: no clipping
 
 
 BETA1, BETA2, ADAM_EPS = 0.9, 0.999, 1e-8

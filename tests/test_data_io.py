@@ -323,7 +323,7 @@ class TestDatasetIO:
         "edit, error, match",
         [
             (lambda doc: doc["items"][1].pop("audio_len"), ContainerError, "KeyError: 'audio_len'"),
-            (lambda doc: doc.update(m="three"), ContainerError, "TypeError: m must be an integer, got 'three'"),
+            (lambda doc: doc.update(m="three"), ContainerError, "FieldError: m must be an integer, got 'three'"),
             (lambda doc: doc["queries"][0].update(gt=["it000"]), ContainerError, "unhashable type: 'list'"),
             (lambda doc: doc["splits"]["test"]["items"].append(["it000"]), ContainerError, "unhashable type: 'list'"),
             (lambda doc: doc["items"][2].update(id="it001"), ValidationError, "duplicate item id it001"),
@@ -339,7 +339,7 @@ class TestDatasetIO:
              "query q002: unknown group 'music'"),
             (lambda doc: doc["splits"]["train"]["queries"].append("q999"), ValidationError,
              "split train: unknown query q999"),
-            (lambda doc: doc.update(m=0), ContainerError, "ValueError: m must be an integer >= 1, got 0"),
+            (lambda doc: doc.update(m=0), ContainerError, "FieldError: m must be an integer >= 1, got 0"),
         ],
         ids=["missing_key", "wrong_type", "gt_list", "split_member_list", "duplicate_item", "duplicate_query",
              "query_id_int", "unsorted_items", "unsorted_queries", "has_teacher_int", "unknown_group", "unknown_split_member", "zero_frames"],

@@ -256,7 +256,7 @@ class TestClip:
 
 class TestConfig:
     def test_rejects_tiny_batch(self):
-        with pytest.raises(ValueError, match="batch size"):
+        with pytest.raises(ValueError, match="batch_size must be an integer >= 2, got 1"):
             TrainConfig(batch_size=1)
 
     def test_rejects_zero_epochs(self):
