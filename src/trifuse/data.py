@@ -59,7 +59,6 @@ import os
 import struct
 from collections.abc import Mapping
 from dataclasses import MISSING, InitVar, dataclass, field, replace
-from enum import Enum
 from pathlib import Path
 
 import numpy as np
@@ -170,7 +169,7 @@ def check(spec: Spec, name: str, value):
     kind = spec.kind
     if value is None and spec.null:
         return None
-    if issubclass(kind, Enum):
+    if kind not in _JSON_TYPES:  # an Enum
         try:
             return kind(value)
         except ValueError as err:
@@ -179,7 +178,10 @@ def check(spec: Spec, name: str, value):
         raise FieldError(f"{name} must be {_NOUNS[kind]}, got {value!r}")
     if kind in (list, dict):
         for key, each in value.items() if kind is dict else enumerate(value):
-            check(spec.item, f"{name}[{key!r}]", each)
+            try:
+                check(spec.item, name, each)
+            except FieldError:  # the element's name is formatted only once it fails
+                check(spec.item, f"{name}[{key!r}]", each)
     if kind not in (int, float):
         return value
     if (kind is float and not math.isfinite(value)) or not (value > spec.least if spec.above else value >= spec.least):

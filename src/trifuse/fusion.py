@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import collections
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from enum import Enum
 from pathlib import Path
 
@@ -40,6 +40,7 @@ class FusionMode(str, Enum):
 AV_VISUAL_WEIGHT = 0.95
 AV_AUDIO_WEIGHT = 0.05
 
+# The contrastive temperature starts at CLIP's 0.07 (Radford et al. 2021).
 LOGIT_SCALE_INIT = math.log(1.0 / 0.07)
 
 # Log-sum-exp sharpness of the local similarity term. The scorer's local term
@@ -53,9 +54,10 @@ MAX_SHARPNESS = 80.0
 @dataclass
 class FusionArch:
     """The architecture fields that a train config sets (`TrainConfig`
-    inherits them) and a checkpoint sidecar records, beside the manifest's
-    `dim` and `frames` (ARCH_FIELDS), each declared with its spec. Every
-    `bounded` field, a subclass's too, is parsed on construction."""
+    inherits them), `FusionParams` takes as keywords and a checkpoint sidecar
+    records, beside the manifest's `dim` and `frames` (ARCH_FIELDS), each
+    declared with its spec. Every `bounded` field, a subclass's too, is
+    parsed on construction."""
 
     heads: int = bounded(WIDTH, 4)  # heads divide dim, so MAX_DIM bounds them too
     fusion_depth: int = bounded(Spec(int, 1, 8), 2)
@@ -68,46 +70,31 @@ class FusionArch:
         check_fields(self)
 
 
-# The checkpoint sidecar's field table: every `FusionParams` argument it
-# records but the dtype, `dim` and `frames` with the specs of the manifest's
-# `dim` and `m`.
+# The checkpoint sidecar's field table: `FusionParams`'s `dim` and `frames`,
+# with the specs of the manifest's `dim` and `m`, and the `FusionArch` fields.
 ARCH_FIELDS = {"dim": DIM, "frames": TOKENS, **table(FusionArch)}
 # The index sidecar's field table.
 INDEX_FIELDS = {"mode": ARCH_FIELDS["mode"], "item_ids": Spec(list, item=Spec(str)), "m": ARCH_FIELDS["frames"]}
 
 
 class FusionParams(nn.Module):
-    """Every trainable tensor of the fusion network, in a fixed order. `arch`
-    also records the mode and sharpness the parameters were trained to score
-    with, so a checkpoint is scored the way it was trained. An argument
-    outside its spec (ARCH_FIELDS), a `dim` that `heads` does not divide and
-    a non-float dtype are refused."""
+    """Every trainable tensor of the fusion network, in a fixed order. The
+    keywords `arch` are `FusionArch`'s fields, parsed by building one; `arch`
+    also records `dim`, `frames` and the mode and sharpness the parameters
+    were trained to score with, so a checkpoint is scored the way it was
+    trained. An argument outside its spec (ARCH_FIELDS), a `dim` that `heads`
+    does not divide and a non-float dtype are refused."""
 
-    def __init__(
-        self,
-        dim: int,
-        frames: int,
-        heads: int = 4,
-        fusion_depth: int = 2,
-        resampler_depth: int = 1,
-        max_audio_len: int = 64,
-        mode: FusionMode = FusionMode.SAVE,
-        sharpness: float = DEFAULT_SHARPNESS,
-        seed: int = 0,
-        dtype=np.float32,
-    ):
-        arch = dict(dim=dim, frames=frames, heads=heads, fusion_depth=fusion_depth, resampler_depth=resampler_depth,
-                    max_audio_len=max_audio_len, mode=mode, sharpness=sharpness)
-        self.arch = {name: check(spec, name, arch[name]) for name, spec in ARCH_FIELDS.items()}
-        self.arch["mode"] = self.arch["mode"].value
+    def __init__(self, dim: int, frames: int, seed: int = 0, dtype=np.float32, **arch):
+        dim, frames = check(DIM, "dim", dim), check(TOKENS, "frames", frames)
+        arch = FusionArch(**arch)
+        self.arch = {"dim": dim, "frames": frames, **asdict(arch), "mode": arch.mode.value}
         if not np.issubdtype(dtype, np.floating):
             raise ValueError(f"parameters need a float dtype, got {np.dtype(dtype).name}")
         rng = np.random.default_rng(seed)
-        self.resampler = nn.Resampler(
-            dim, heads, frames, rng, depth=resampler_depth, max_len=max_audio_len, dtype=dtype
-        )
-        self.audio_fusion = nn.GatedFusion(dim, heads, fusion_depth, rng, dtype=dtype)
-        self.speech_fusion = nn.GatedFusion(dim, heads, fusion_depth, rng, dtype=dtype)
+        self.resampler = nn.Resampler(dim, arch.heads, frames, rng, arch.resampler_depth, arch.max_audio_len, dtype)
+        self.audio_fusion = nn.GatedFusion(dim, arch.heads, arch.fusion_depth, rng, dtype=dtype)
+        self.speech_fusion = nn.GatedFusion(dim, arch.heads, arch.fusion_depth, rng, dtype=dtype)
         self.logit_scale = ad.parameter(np.asarray(LOGIT_SCALE_INIT, dtype=dtype))
         self.dtype = np.dtype(dtype)
 
@@ -123,11 +110,6 @@ class FusionParams(nn.Module):
     def temperature_scale(self) -> Tensor:
         """Positive contrastive score multiplier exp(logit_scale)."""
         return ad.exp(self.logit_scale)
-
-
-# Tensors of the deleted holistic and learnable_weights modes. Older save
-# checkpoints still hold them; `load_params` ignores them.
-RETIRED_PARAMS = frozenset({"holistic.weight", "holistic.query", "alpha", "beta"})
 
 
 def save_params(params: FusionParams, path) -> None:
@@ -186,8 +168,7 @@ def load_params(path) -> FusionParams:
     except (KeyError, TypeError, ValueError) as err:
         raise ContainerError(f"checkpoint sidecar does not describe a model ({type(err).__name__}: {err})") from err
     named = dict(params.named_parameters())
-    known = named.keys() | RETIRED_PARAMS
-    extra = sorted(key for key in records if key.startswith("param/") and key.removeprefix("param/") not in known)
+    extra = sorted(key for key in records if key.startswith("param/") and key.removeprefix("param/") not in named)
     if extra:
         raise ContainerError(f"checkpoint record {extra[0]} is not a parameter of the model its sidecar describes")
     for name, p in named.items():

@@ -152,8 +152,8 @@ class Resampler(Module):
         heads: int,
         n_queries: int,
         rng: np.random.Generator,
-        depth: int = 1,
-        max_len: int = 64,
+        depth: int,
+        max_len: int,
         dtype=np.float32,
     ):
         scale = 1.0 / math.sqrt(dim)

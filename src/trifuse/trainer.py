@@ -24,7 +24,7 @@ from __future__ import annotations
 import logging
 import math
 from collections.abc import Iterable
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -52,9 +52,6 @@ class NanGradientError(RuntimeError):
         self.parameter = name
 
 
-POSITIVE = Spec(float, 0, above=True)
-
-
 @dataclass
 class TrainConfig(FusionArch):
     """Training settings, beside the architecture fields of `FusionArch`;
@@ -62,8 +59,7 @@ class TrainConfig(FusionArch):
 
     epochs: int = bounded(Spec(int, 1), 5)
     batch_size: int = bounded(Spec(int, 2), 128)  # contrastive training needs a negative
-    lr: float = bounded(POSITIVE, 1e-4)
-    tau_init: float = bounded(POSITIVE, 0.07)
+    lr: float = bounded(Spec(float, 0, above=True), 1e-4)
     align_kind: AlignKind = bounded(Spec(AlignKind), AlignKind.SOFT_ALBEF)
     seed: int = bounded(SEED, 0)
     grad_clip: float | None = bounded(Spec(float, 0, above=True, null=True), 1.0)  # None: no clipping
@@ -84,9 +80,9 @@ class Adam:
     gets only the parameters the loss reaches
     (`FusionParams.trained_parameters`). The update is elementwise, in the
     order of the per-tensor formula, so identical gradients give
-    bit-identical parameters. Change parameters before building Adam (as
-    `train` sets `logit_scale`): a parameter given a new `.data` array
-    afterwards is cut off from the buffer.
+    bit-identical parameters. Change parameters before building Adam: a
+    parameter given a new `.data` array afterwards is cut off from the
+    buffer.
     """
 
     def __init__(self, named_params: Iterable[tuple[str, Tensor]]):
@@ -248,18 +244,8 @@ def train(config: TrainConfig, dataset: Dataset, val_split: str | None = None) -
     missing = [i for i in item_ids if i not in query_of]
     if missing:
         raise ValidationError(f"train items without any query: {missing[:5]}")
-    params = FusionParams(
-        dim=man.dim,
-        frames=man.frames,
-        heads=config.heads,
-        fusion_depth=config.fusion_depth,
-        resampler_depth=config.resampler_depth,
-        max_audio_len=config.max_audio_len,
-        mode=config.mode,
-        sharpness=config.sharpness,
-        seed=config.seed,
-    )
-    params.logit_scale.data = np.asarray(math.log(1.0 / config.tau_init), dtype=params.dtype)
+    params = FusionParams(man.dim, man.frames, seed=config.seed,
+                          **{f.name: getattr(config, f.name) for f in fields(FusionArch)})
 
     steps_per_epoch = len(item_ids) // config.batch_size
     total_steps = steps_per_epoch * config.epochs

@@ -117,7 +117,7 @@ class TestCriterion1GradientIntegrity:
             track("gated_fusion",
                   finite_difference_check(lambda: (fusion(q, kv) * r).sum(), fusion.parameters()))
 
-            resampler = nn.Resampler(4, 2, 3, rng, max_len=8, dtype=np.float64)
+            resampler = nn.Resampler(4, 2, 3, rng, depth=1, max_len=8, dtype=np.float64)
             tokens = Tensor(rng.normal(size=(5, 4)))
             rr = rng.normal(size=(3, 4))
             track("resample",

@@ -425,6 +425,17 @@ class TestEval:
         assert exit_info.value.code == 2
         assert "invalid choice: 'holistic'" in capsys.readouterr().err
 
+    def test_checkpoint_with_tensors_of_deleted_modes_exit_3(self, workspace, tmp_path, capsys):
+        """A checkpoint that also holds a tensor of the deleted holistic mode is
+        refused like any record that its sidecar's model lacks."""
+        ckpt = tmp_path / "c.ckpt"
+        records = read_container(workspace["run"] / "best.ckpt")
+        write_container(ckpt, {**records, "param/holistic.weight": np.ones((8, 8), dtype=np.float32)})
+        (tmp_path / "c.ckpt.json").write_bytes((workspace["run"] / "best.ckpt.json").read_bytes())
+        assert main(["eval", "--checkpoint", str(ckpt), "--data", str(workspace["data"])]) == 3
+        assert capsys.readouterr().err == ("io error: checkpoint record param/holistic.weight is not a parameter of "
+                                           "the model its sidecar describes\n")
+
     def test_dim_mismatch_exit_5(self, workspace, tmp_path, capsys):
         cfg = tmp_path / "c.json"
         cfg.write_text(json.dumps({"synth": {"n_items": 16, "dim": 4, "frames": 2, "audio_len": 2, "speech_pad": 2}}))
@@ -766,7 +777,9 @@ class TestRefusedInputs:
         "train_batch_size_float": ("train", {"batch_size": 8.0}, [], None, 2, "batch_size must be an integer"),
         "train_lr_nan_flag": ("train", {}, ["--lr", "nan"], None, 2, "lr must be a finite number > 0"),
         "train_lr_inf": ("train", {"lr": float("inf")}, [], None, 2, "lr must be a finite number > 0"),
-        "train_tau_init_nan": ("train", {"tau_init": float("nan")}, [], None, 2, "tau_init must be a finite number"),
+        # the initial temperature is fusion.LOGIT_SCALE_INIT, not a config key
+        "train_tau_init_unknown": ("train", {"tau_init": 0.07}, [], None, 2,
+                                   "config error: unknown key 'tau_init' in config section 'train'"),
         "train_grad_clip_negative": ("train", {"grad_clip": -1}, [], None, 2, "grad_clip must be a finite number"),
         "gen_n_items_float": ("gen", {"n_items": 50.5}, [], None, 2, "n_items must be an integer"),
         "gen_frames_float": ("gen", {"frames": 2.5}, [], None, 2, "frames must be an integer"),

@@ -549,33 +549,3 @@ class TestParamsIO:
         sidecar.write_text(json.dumps({key: value for key, value in meta.items() if value is not None}))
         with pytest.raises(ContainerError, match=match):
             load_params(tmp_path / "c.ckpt")
-
-    def test_checkpoint_with_tensors_of_deleted_modes_scores_the_same(self, tmp_path):
-        """A save checkpoint written while the holistic and learnable-weights
-        modes existed also holds their tensors, `fusion.RETIRED_PARAMS`; they
-        are ignored, so it loads and scores bit-identically to the same
-        checkpoint without them."""
-        params = make_params(6)
-        params.audio_fusion.gate.data = np.asarray(0.3, dtype=np.float32)
-        params.speech_fusion.gate.data = np.asarray(-0.2, dtype=np.float32)
-        save_params(params, tmp_path / "new.ckpt")
-        rng = np.random.default_rng(0)
-        old = {}
-        for name, record in read_container(tmp_path / "new.ckpt").items():  # in the old writer's record order
-            if name == "param/logit_scale":
-                old["param/holistic.weight"] = rng.normal(size=(D, D))
-                old["param/holistic.query"] = rng.normal(size=D)
-            old[name] = record
-        old |= {"param/alpha": np.ones(1), "param/beta": np.zeros(1)}
-        assert {name.removeprefix("param/") for name in old.keys() - set(read_container(tmp_path / "new.ckpt"))} \
-            == fusion.RETIRED_PARAMS
-        write_container(tmp_path / "old.ckpt", old)
-        (tmp_path / "old.ckpt.json").write_bytes((tmp_path / "new.ckpt.json").read_bytes())
-
-        items = [make_item(200 + i, with_audio=i % 2 == 0, with_speech=i % 3 == 0) for i in range(5)]
-        queries = [QueryRecord(f"q{i}", make_item(300 + i).visual_tokens[0], "item200") for i in range(3)]
-        scores = []
-        for name in ("new.ckpt", "old.ckpt"):
-            loaded = load_params(tmp_path / name)
-            scores.append(score_matrix(precompute_index(items, loaded, FusionMode.SAVE, MAN), queries).values)
-        assert scores[0].tobytes() == scores[1].tobytes()

@@ -207,40 +207,40 @@ class TestGatedFusion:
 class TestResampler:
     def test_batch_output_shape(self):
         rng = make_rng(19)
-        rs = nn.Resampler(8, 4, 12, rng)
+        rs = nn.Resampler(8, 4, 12, rng, depth=1, max_len=64)
         tokens = Tensor(rng.normal(size=(3, 40, 8)).astype(np.float32))
         assert rs(tokens).shape == (3, 12, 8)
 
     def test_output_length_is_query_count(self):
         rng = make_rng(11)
-        rs = nn.Resampler(8, 4, 12, rng)
+        rs = nn.Resampler(8, 4, 12, rng, depth=1, max_len=64)
         tokens = Tensor(rng.normal(size=(40, 8)).astype(np.float32))
         assert rs(tokens).shape == (12, 8)
 
     @pytest.mark.parametrize("length", [1, 5, 64])
     def test_any_input_length(self, length):
         rng = make_rng(12)
-        rs = nn.Resampler(8, 2, 4, rng)
+        rs = nn.Resampler(8, 2, 4, rng, depth=1, max_len=64)
         out = rs(Tensor(rng.normal(size=(length, 8)).astype(np.float32)))
         assert out.shape == (4, 8)
 
     def test_too_long_input_rejected(self):
         rng = make_rng(13)
-        rs = nn.Resampler(8, 2, 4, rng, max_len=16)
+        rs = nn.Resampler(8, 2, 4, rng, depth=1, max_len=16)
         with pytest.raises(ValueError, match="max_len"):
             rs(Tensor(np.zeros((17, 8), dtype=np.float32)))
 
     def test_zero_inputs_give_parameter_only_output(self):
         """All-zero inputs: output depends only on parameters, bit-equal across items."""
         rng = make_rng(14)
-        rs = nn.Resampler(8, 2, 4, rng)
+        rs = nn.Resampler(8, 2, 4, rng, depth=1, max_len=64)
         first = rs(Tensor(np.zeros((6, 8), dtype=np.float32)))
         second = rs(Tensor(np.zeros((6, 8), dtype=np.float32)))
         np.testing.assert_array_equal(first.data, second.data)
 
     def test_gradient_check(self):
         rng = make_rng(15)
-        rs = nn.Resampler(4, 2, 3, rng, max_len=8, dtype=np.float64)
+        rs = nn.Resampler(4, 2, 3, rng, depth=1, max_len=8, dtype=np.float64)
         tokens = Tensor(rng.normal(size=(3, 4)))
         r = rng.normal(size=(3, 4))
 

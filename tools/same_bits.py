@@ -7,8 +7,9 @@ process per command, each in a work directory of its own:
 - `gen`: 300 items, correspondence noise 0.3, 10% of items without audio and
   10% without speech, seed 0;
 - for every mode and every alignment kind: `train` (2 epochs, batch 32, lr
-  1e-3, seed 0), then `eval --groups` on the test split and `score` of the
-  test split's first query.
+  1e-3, seed 0), then `inspect` of the checkpoint it wrote (the architecture
+  and readings that `load_params` reads back), `eval --groups` on the test
+  split and `score` of the test split's first query.
 
 Every file each command writes is an artifact, and so is its stdout, its
 stderr and its exit code. For each artifact one line says `identical`, or
@@ -82,6 +83,7 @@ def run_recipe(root: Path, work: Path) -> None:
             run = f"{mode}-{align}"
             cli(f"{run}.train", "train", "--config", "config.json", "--data", "data", "--out", run, "--mode", mode,
                 "--align-kind", align)
+            cli(f"{run}.inspect", "inspect", f"{run}/best.ckpt")
             cli(f"{run}.eval", "eval", "--checkpoint", f"{run}/best.ckpt", "--data", "data", "--groups")
             cli(f"{run}.score", "score", "--checkpoint", f"{run}/best.ckpt", "--data", "data", "--query", query)
 
