@@ -20,20 +20,28 @@ place, steps only after backward.
 
 Only the ops needed by the fusion stacks, the scorer and the training losses
 are provided; `matmul` takes 2-D right operands only, the one kind they
-multiply by. The nonlinearities and the whole pre-norm cross-attention block
-are single tape nodes with closed-form backward passes. Each keeps only what
-its backward cannot recompute from the inputs it holds anyway:
+multiply by. The nonlinearities, `l2_normalize` and the whole pre-norm
+cross-attention block are single tape nodes with closed-form backward passes
+(so is `losses.soft_albef_loss`, which keeps its (b, b) gradient). Each keeps
+only what its backward cannot recompute from the inputs it holds anyway:
 - `cross_attention_block` (layer norms, query/key/value projections,
   multi-head attention, output projection, residual, layer norm, the
-  feed-forward layer and residual) keeps the three layer norms' 1/sigma, the
-  mid-block residual, the softmax weights and the attention output, and
-  recomputes the normalized inputs, the projections and the (..., 4d)
-  hidden layer. Its sublayers `linear`, `layer_norm` (whose variance guard
-  is the one constant `LAYER_NORM_EPS`), `attention_weights` with
+  feed-forward layer and residual) folds each layer norm's gain and bias
+  into the projection it feeds (`_fold`: diag(gain) W and bias W + b), so it
+  only standardizes its inputs (`standardize`, whose variance guard is the
+  one constant `LAYER_NORM_EPS`) and projects them with the folded weights.
+  It keeps the three layer norms' 1/sigma, the mid-block residual, the
+  softmax weights and the attention output, and recomputes the standardized
+  inputs, the folded weights, the projections and the (..., 4d) hidden
+  layer. Its backward takes the gain, bias, weight and bias gradients from
+  the folded weights' gradients (`_unfold`, d x d products), and skips the
+  input-gradient products of a query or key/value input that needs no
+  gradient. Its sublayers `linear`, `standardize`, `attention_weights` with
   `attention`, and `feed_forward` (linear, the smooth GELU in tanh form,
   linear) are numpy functions, each with a `*_backward`, not nodes;
 - `softmax` keeps its output, and `logsumexp` its exponentials and their sum
   (`log_softmax` is x minus it);
+- `l2_normalize` keeps the norms;
 - `token_logmeanexp` (the scorer's local term: cosines, log-mean-exp over
   the token axis and the 1/sharpness scale) keeps the sum of its
   exponentials and recomputes them.
@@ -52,7 +60,7 @@ products straight into a fresh (..., n, d) array. `token_logmeanexp` needs no
 copy either: its matmul writes the token axis in the middle of a fresh
 (T, m, B) buffer, and its inputs are unit-norm, so it skips the max shift too.
 
-Operands are shaped for BLAS: `linear` and `layer_norm` fold the leading
+Operands are shaped for BLAS: `linear` and `standardize` fold the leading
 dims of a (B, n, k) input into one row axis, so each product is one 2-D
 matrix product or mat-vec instead of B small ones, and `attention_weights`
 takes the scores of all heads of an item in one product (`_head_scores`).
@@ -473,11 +481,12 @@ def linear(x: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
     return out
 
 
-def linear_backward(g: np.ndarray, x: np.ndarray, w: np.ndarray) -> tuple:
-    """The gradients of `linear(x, w, b)` with respect to x, w and b, given
-    the gradient `g` of its output."""
+def linear_backward(g: np.ndarray, x: np.ndarray, w: np.ndarray, input_grad: bool = True) -> tuple:
+    """The gradients of `linear(x, w, b)` with respect to x (None unless
+    `input_grad`), w and b, given the gradient `g` of its output."""
     g2 = g.reshape(-1, g.shape[-1])
-    return (g2 @ w.T).reshape(x.shape), x.reshape(-1, x.shape[-1]).T @ g2, _sum_to_shape(g, (w.shape[-1],))
+    gx = (g2 @ w.T).reshape(x.shape) if input_grad else None
+    return gx, x.reshape(-1, x.shape[-1]).T @ g2, _sum_to_shape(g, (w.shape[-1],))
 
 
 _GELU_C = math.sqrt(2.0 / math.pi)
@@ -556,47 +565,49 @@ def normalized(x: np.ndarray, inv_std: np.ndarray) -> np.ndarray:
     return xhat
 
 
-def _affine(xhat: np.ndarray, gain: np.ndarray, bias: np.ndarray) -> np.ndarray:
-    out = xhat * gain
-    out += bias
-    return out
-
-
 # The variance guard of every layer norm: a constant row maps to zero.
 LAYER_NORM_EPS = 1e-5
 
 
-def layer_norm(x: np.ndarray, gain: np.ndarray, bias: np.ndarray) -> tuple:
-    """(x - mean) / sqrt(var + LAYER_NORM_EPS) * gain + bias over the last
-    axis, and the (..., 1) 1/sqrt(var + LAYER_NORM_EPS) that `normalized`
-    rebuilds x-hat from. The means are matrix-vector products, which run
-    several times faster than numpy's reduction over a short last axis."""
+def standardize(x: np.ndarray) -> tuple:
+    """A layer norm without its gain and bias: x-hat = (x - mean) /
+    sqrt(var + LAYER_NORM_EPS) over the last axis, and the (..., 1)
+    1/sqrt(var + LAYER_NORM_EPS) that `normalized` rebuilds x-hat from. The
+    means are matrix-vector products, which run several times faster than
+    numpy's reduction over a short last axis."""
     xhat = x - _row_dot(x, _mean_weights(x))
     inv_std = _row_dot(xhat * xhat, _mean_weights(x))
     inv_std += LAYER_NORM_EPS
     np.sqrt(inv_std, out=inv_std)
     np.divide(1.0, inv_std, out=inv_std)
     xhat *= inv_std
-    return _affine(xhat, gain, bias), inv_std
+    return xhat, inv_std
 
 
-def layer_norm_backward(g: np.ndarray, xhat: np.ndarray, inv_std: np.ndarray, gain: np.ndarray,
-                        input_grad: bool = True) -> tuple:
-    """The gradients of `layer_norm(x, gain, bias)` with respect to x
-    (None unless `input_grad`), gain and bias, given the gradient `g` of its
-    output and x's `normalized` x-hat."""
-    ggain, gbias = _sum_to_shape(g * xhat, gain.shape), _sum_to_shape(g, gain.shape)
-    if not input_grad:
-        return None, ggain, gbias
+def standardize_backward(g: np.ndarray, xhat: np.ndarray, inv_std: np.ndarray) -> np.ndarray:
+    """The gradient of `standardize(x)` with respect to x, given the gradient
+    `g` of its x-hat output, which it overwrites, and x's `normalized` x-hat."""
     # In place, in the order of ((g - mean(g)) - xhat mean(g xhat)) / sigma
     mean = _mean_weights(xhat)
-    gx = g * gain
-    gxhat = gx * xhat
-    centre, slope = _row_dot(gx, mean), _row_dot(gxhat, mean)
-    gx -= centre
-    gx -= np.multiply(xhat, slope, out=gxhat)
-    gx *= inv_std
-    return gx, ggain, gbias
+    gxhat = g * xhat
+    centre, slope = _row_dot(g, mean), _row_dot(gxhat, mean)
+    g -= centre
+    g -= np.multiply(xhat, slope, out=gxhat)
+    g *= inv_std
+    return g
+
+
+def _fold(gain: np.ndarray, bias: np.ndarray, w: np.ndarray, b: np.ndarray) -> tuple:
+    """The weight diag(gain) w and bias bias @ w + b of `linear(x-hat * gain
+    + bias, w, b)` as a linear map of x-hat: a layer norm's affine folded into
+    the projection it feeds."""
+    return gain[:, None] * w, bias @ w + b
+
+
+def _unfold(gw: np.ndarray, gb: np.ndarray, gain: np.ndarray, bias: np.ndarray, w: np.ndarray) -> tuple:
+    """The gradients of gain, bias, w and b, given the gradients `gw` and
+    `gb` of the `_fold`ed weight and bias: d x d products, no row pass."""
+    return (gw * w).sum(axis=1), w @ gb, gain[:, None] * gw + np.outer(bias, gb), gb
 
 
 def _heads(x: np.ndarray, heads: int) -> np.ndarray:
@@ -688,54 +699,68 @@ def cross_attention_block(q: Tensor, kv: Tensor, mask, params, heads: int) -> Te
     Wq, Wk, Wv and Wo, gain and bias of ln_ff, weight and bias of the
     feed-forward layer's two linear maps.
 
-    The node keeps its inputs, the three 1/sigma, the mid-block residual x,
-    the softmax weights and the attention output: each product of many small
-    per-head matrices, slow to recompute. The backward recomputes the
-    layer-norm outputs and the projections from them.
+    Each layer norm's gain and bias are folded into the projection it feeds
+    (`_fold` into Wq, Wk and Wv, and fc1), so the forward standardizes each
+    input and projects it with the folded weights; the backward refolds
+    them, never kept, and takes the parameter gradients from the folded
+    ones' (`_unfold`). The node keeps its inputs, the three 1/sigma, the
+    mid-block residual x, the softmax weights and the attention output: each
+    product of many small per-head matrices, slow to recompute. The backward
+    recomputes the standardized inputs and the projections from them, and
+    skips the input-gradient products of `q` or `kv` when it needs none.
     """
     if q.shape[:-2] != kv.shape[:-2]:
         raise ValueError(f"block shape mismatch: queries {q.shape}, keys and values {kv.shape}")
     (gain_q, bias_q, gain_kv, bias_kv, wq, bq, wk, bk, wv, bv, wo, bo,
      gain_ff, bias_ff, w1, b1, w2, b2) = (p.data for p in params)
 
-    lq, inv_q = layer_norm(q.data, gain_q, bias_q)
-    lkv, inv_kv = layer_norm(kv.data, gain_kv, bias_kv)
-    qp, kp, vp = linear(lq, wq, bq), linear(lkv, wk, bk), linear(lkv, wv, bv)
+    def project(xhat_q, xhat_kv):
+        """The folded (weight, bias) of Wq, Wk and Wv, and the standardized
+        inputs' projections by them."""
+        folded = _fold(gain_q, bias_q, wq, bq), _fold(gain_kv, bias_kv, wk, bk), _fold(gain_kv, bias_kv, wv, bv)
+        return folded, [linear(xhat, *f) for xhat, f in zip((xhat_q, xhat_kv, xhat_kv), folded)]
+
+    xhat_q, inv_q = standardize(q.data)
+    xhat_kv, inv_kv = standardize(kv.data)
+    _, (qp, kp, vp) = project(xhat_q, xhat_kv)
     w = attention_weights(qp, kp, heads, mask)
     pooled = attention(w, vp, heads)
     x = q.data + linear(pooled, wo, bo)
-    del lq, lkv, qp, kp, vp
-    h, inv_ff = layer_norm(x, gain_ff, bias_ff)
-    out_data = x + feed_forward(h, w1, b1, w2, b2)
+    del xhat_q, xhat_kv, qp, kp, vp
+    xhat, inv_ff = standardize(x)
+    out_data = x + feed_forward(xhat, *_fold(gain_ff, bias_ff, w1, b1), w2, b2)
 
     def backward(g):
         xhat = normalized(x, inv_ff)
-        g_h, gw1, gb1, gw2, gb2 = feed_forward_backward(g, _affine(xhat, gain_ff, bias_ff), w1, b1, w2)
-        g_x, ggain_ff, gbias_ff = layer_norm_backward(g_h, xhat, inv_ff, gain_ff)
+        fw1, fb1 = _fold(gain_ff, bias_ff, w1, b1)
+        g_xhat, gfw1, gfb1, gw2, gb2 = feed_forward_backward(g, xhat, fw1, fb1, w2)
+        g_x = standardize_backward(g_xhat, xhat, inv_ff)
         g_x += g  # out = x + feed_forward(...)
-        del xhat, g_h
+        del xhat, g_xhat
         xhat_q, xhat_kv = normalized(q.data, inv_q), normalized(kv.data, inv_kv)
-        lq, lkv = _affine(xhat_q, gain_q, bias_q), _affine(xhat_kv, gain_kv, bias_kv)
-        qp, kp, vp = linear(lq, wq, bq), linear(lkv, wk, bk), linear(lkv, wv, bv)
+        ((fq, _), (fk, _), (fv, _)), (qp, kp, vp) = project(xhat_q, xhat_kv)
         g_att, gwo, gbo = linear_backward(g_x, pooled, wo)
         g_qp, g_kp, g_vp = attention_backward(g_att, qp, kp, vp, w, heads)
-        del g_att
-        g_lq, gwq, gbq = linear_backward(g_qp, lq, wq)
-        g_lkv, gwk, gbk = linear_backward(g_kp, lkv, wk)
-        g_lv, gwv, gbv = linear_backward(g_vp, lkv, wv)
-        g_lkv += g_lv  # the key and value projections read the same lkv
-        g_q, ggain_q, gbias_q = layer_norm_backward(g_lq, xhat_q, inv_q, gain_q, q.requires_grad)
-        g_kv, ggain_kv, gbias_kv = layer_norm_backward(g_lkv, xhat_kv, inv_kv, gain_kv, kv.requires_grad)
-        grads = (ggain_q, gbias_q, ggain_kv, gbias_kv, gwq, gbq, gwk, gbk, gwv, gbv, gwo, gbo,
+        del g_att, qp, kp, vp
+        g_q, gfq, gfbq = linear_backward(g_qp, xhat_q, fq, q.requires_grad)
+        g_kv, gfk, gfbk = linear_backward(g_kp, xhat_kv, fk, kv.requires_grad)
+        g_v, gfv, gfbv = linear_backward(g_vp, xhat_kv, fv, kv.requires_grad)
+        ggain_q, gbias_q, gwq, gbq = _unfold(gfq, gfbq, gain_q, bias_q, wq)
+        ggain_k, gbias_k, gwk, gbk = _unfold(gfk, gfbk, gain_kv, bias_kv, wk)
+        ggain_v, gbias_v, gwv, gbv = _unfold(gfv, gfbv, gain_kv, bias_kv, wv)
+        ggain_ff, gbias_ff, gw1, gb1 = _unfold(gfw1, gfb1, gain_ff, bias_ff, w1)
+        # the key and value projections read the same standardized kv
+        grads = (ggain_q, gbias_q, ggain_k + ggain_v, gbias_k + gbias_v, gwq, gbq, gwk, gbk, gwv, gbv, gwo, gbo,
                  ggain_ff, gbias_ff, gw1, gb1, gw2, gb2)
         for p, gp in zip(params, grads):
             if p.requires_grad:
                 _accumulate(p, gp)
         if q.requires_grad:  # the residual's gradient, then ln_q's
             _accumulate(q, g_x)
-            _accumulate(q, g_q)
+            _accumulate(q, standardize_backward(g_q, xhat_q, inv_q))
         if kv.requires_grad:
-            _accumulate(kv, g_kv)
+            g_kv += g_v
+            _accumulate(kv, standardize_backward(g_kv, xhat_kv, inv_kv))
 
     return _node(out_data, (q, kv, *params), backward)
 
@@ -745,6 +770,21 @@ def cross_attention_block(q: Tensor, kv: Tensor, mask, params, heads: int) -> Te
 NORM_EPS_SQ = 1e-24
 
 
-def l2_normalize(x: Tensor, axis: int = -1) -> Tensor:
-    norm = sqrt(add(reduce_sum(mul(x, x), axis=axis, keepdims=True), NORM_EPS_SQ))
-    return div(x, norm)
+def unit_rows(x: np.ndarray) -> tuple:
+    """x / |x| over the last axis, and the (..., 1) norms sqrt(|x|^2 +
+    NORM_EPS_SQ) it was divided by."""
+    norm = np.sqrt(np.sum(x * x, axis=-1, keepdims=True) + NORM_EPS_SQ)
+    return x / norm, norm
+
+
+def l2_normalize(x: Tensor) -> Tensor:
+    """`unit_rows` as one node. The gradient of y = x / n, with n the norm,
+    is (g - y (y . g)) / n; the node keeps n."""
+    y, norm = unit_rows(x.data)
+
+    def backward(g):
+        gx = g - y * _row_dot(g * y, np.ones(y.shape[-1], y.dtype))
+        gx /= norm
+        _accumulate(x, gx)
+
+    return _node(y, (x,), backward)

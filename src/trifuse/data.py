@@ -177,11 +177,15 @@ def check(spec: Spec, name: str, value):
     if isinstance(value, bool) or not isinstance(value, _JSON_TYPES[kind]):
         raise FieldError(f"{name} must be {_NOUNS[kind]}, got {value!r}")
     if kind in (list, dict):
-        for key, each in value.items() if kind is dict else enumerate(value):
-            try:
-                check(spec.item, name, each)
-            except FieldError:  # the element's name is formatted only once it fails
-                check(spec.item, f"{name}[{key!r}]", each)
+        # A string element passes by its type alone, so strings are checked
+        # in one pass, and one by one only once one fails, to name it.
+        elements = value.values() if kind is dict else value
+        if spec.item != Spec(str) or not all(type(each) is str for each in elements):
+            for key, each in value.items() if kind is dict else enumerate(value):
+                try:
+                    check(spec.item, name, each)
+                except FieldError:  # the element's name is formatted only once it fails
+                    check(spec.item, f"{name}[{key!r}]", each)
     if kind not in (int, float):
         return value
     if (kind is float and not math.isfinite(value)) or not (value > spec.least if spec.above else value >= spec.least):
@@ -666,6 +670,7 @@ def read_dataset(path) -> Dataset:
         raise
     except (KeyError, TypeError, ValueError, AttributeError) as err:
         raise ContainerError(f"malformed {manifest_file} ({type(err).__name__}: {err})") from err
+    _share_strings(man, fields)
 
     columns = {name: records[name] for name in DATASET_RECORDS}
     for name in ("items/teacher_video", "items/teacher_audio"):
@@ -675,6 +680,21 @@ def read_dataset(path) -> Dataset:
     # container mapped for them.
     columns["queries/embedding"] = columns["queries/embedding"].copy()
     return Dataset(man, columns, **fields, row_starts=layouts)
+
+
+def _share_strings(man: Manifest, fields: dict[str, list]) -> None:
+    """Point each group at its GROUPS constant, and each ground-truth item
+    and split member at the id object it equals: JSON parsing makes a new
+    string for every one of them. Only after `_check`, which proves that
+    every one is there."""
+    groups = {group: group for group in (*GROUPS, None)}
+    items, queries = ({owner: owner for owner in fields[name]} for name in ("item_ids", "query_ids"))
+    for name in ("item_groups", "query_groups"):
+        fields[name] = [groups[group] for group in fields[name]]
+    fields["ground_truth_items"] = [items[gt] for gt in fields["ground_truth_items"]]
+    man.splits = {split: {"items": [items[i] for i in members["items"]],
+                          "queries": [queries[q] for q in members["queries"]]}
+                  for split, members in man.splits.items()}
 
 
 def _unit_rows(v: np.ndarray) -> np.ndarray:

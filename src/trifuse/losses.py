@@ -41,24 +41,29 @@ def student_affinity(v_mean: Tensor, a_mean: Tensor) -> Tensor:
     return ad.matmul(v_mean, ad.transpose(a_mean))
 
 
-def _pearson_distances(p: Tensor, q: Tensor, axis: int) -> Tensor:
-    """1 - corr(p, q) of every slice along `axis`, in [0, 2], as one expression.
+def _pearson_distances(p: np.ndarray, q: np.ndarray, axis: int) -> tuple:
+    """1 - corr(p, q) of every slice along `axis`, in [0, 2], and the
+    gradient of their sum with respect to q.
 
     A slice whose standard deviation is at or below PEARSON_EPS is treated as
     degenerate and contributes distance 0 (and no gradient): a constant
     softmax row only arises from all-equal scores, and penalizing it would
-    be arbitrary.
+    be arbitrary. The gradient is minus d corr / d q = (p_c / sigma_p -
+    corr q_c / sigma_q) / (n sigma_q), for centred slices p_c and q_c of
+    length n and standard deviations sigma_p and sigma_q.
     """
     pc = p - p.mean(axis=axis, keepdims=True)
     qc = q - q.mean(axis=axis, keepdims=True)
-    var_p = (pc * pc).mean(axis=axis)
-    var_q = (qc * qc).mean(axis=axis)
-    live = (np.sqrt(var_p.data) > PEARSON_EPS) & (np.sqrt(var_q.data) > PEARSON_EPS)
-    # Degenerate slices divide by 1 instead of ~0, then are masked to 0 with
-    # no gradient.
-    dead = ~live
-    corr = (pc * qc).mean(axis=axis) / (ad.sqrt(var_p + dead) * ad.sqrt(var_q + dead))
-    return (1.0 - corr) * live
+    sd_p = np.sqrt((pc * pc).mean(axis=axis, keepdims=True))
+    sd_q = np.sqrt((qc * qc).mean(axis=axis, keepdims=True))
+    live = (sd_p > PEARSON_EPS) & (sd_q > PEARSON_EPS)
+    # Degenerate slices divide by 1 instead of ~0, then are masked to 0.
+    sd_p, sd_q = np.where(live, sd_p, 1.0), np.where(live, sd_q, 1.0)
+    corr = (pc * qc).mean(axis=axis, keepdims=True) / (sd_p * sd_q)
+    scale = live / (q.shape[axis] * sd_q)  # per slice, so each full-size pass is one product
+    grad = qc * (corr * scale / sd_q)
+    grad -= pc * (scale / sd_p)
+    return np.where(live, 1.0 - corr, 0.0), grad
 
 
 def _square_size(*matrices) -> int:
@@ -70,18 +75,37 @@ def _square_size(*matrices) -> int:
     return shape[0]
 
 
+def _soft_albef_terms(m0: np.ndarray, m1: np.ndarray) -> tuple:
+    """The summed row and column distances of `soft_albef_loss`, and their
+    gradient with respect to m1."""
+    loss, grad = 0.0, 0.0
+    for axis in (1, 0):
+        q = ad.softmax(Tensor(m1), axis=axis).data
+        dist, g_q = _pearson_distances(ad.softmax(Tensor(m0), axis=axis).data, q, axis)
+        loss = loss + dist.sum()
+        grad = grad + q * (g_q - (g_q * q).sum(axis=axis, keepdims=True))  # through the softmax
+    return loss, grad
+
+
 def soft_albef_loss(m0: np.ndarray, m1: Tensor) -> Tensor:
     """Pearson distance between softmaxed rows and columns of the teacher
     affinity `m0`, a constant, and the student's `m1`:
 
     (1/b) sum_i d_p(softmax(M0[i,:]), softmax(M1[i,:]))
       + (1/b) sum_j d_p(softmax(M0[:,j]), softmax(M1[:,j]))
+
+    as one tape node, which keeps its (b, b) gradient: the forward computes
+    it from the softmaxes and distances it builds anyway, where recomputing
+    them in backward would double the node's cost.
     """
     b = _square_size(m0, m1)
-    m0 = Tensor(m0)
-    rows = _pearson_distances(ad.softmax(m0, axis=1), ad.softmax(m1, axis=1), axis=1)
-    cols = _pearson_distances(ad.softmax(m0, axis=0), ad.softmax(m1, axis=0), axis=0)
-    return (rows.sum() + cols.sum()) * (1.0 / b)
+    m0 = np.asarray(m0)
+    loss, grad = _soft_albef_terms(m0, m1.data)
+
+    def backward(g):
+        ad._accumulate(m1, grad * (g / b))
+
+    return ad._node(np.asarray(loss * (1.0 / b), dtype=np.result_type(m0, m1.data)), (m1,), backward)
 
 
 def _symmetric_ce(logits: Tensor) -> Tensor:

@@ -47,8 +47,7 @@ SCORE_CHUNK_BYTES = 4 << 20
 
 
 def _unit_rows(x: np.ndarray) -> np.ndarray:
-    norm = np.sqrt(np.sum(x * x, axis=-1, keepdims=True) + ad.NORM_EPS_SQ)
-    return x / norm
+    return ad.unit_rows(x)[0]
 
 
 def global_similarity(pooled: np.ndarray, query: np.ndarray) -> float:

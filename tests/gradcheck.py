@@ -1,6 +1,7 @@
 """Gradient checking for the tests: central differences; tape nodes over
 the cross-attention block's numpy helpers, so that each helper's backward can
-be checked on its own; and the two tape ops that only the tests' composite
+be checked on its own, and over a whole layer norm, whose affine the block
+folds into its projections; and the two tape ops that only the tests' composite
 references build graphs with, `reshape` and `batched_matmul`
 (`autodiff.matmul` takes 2-D right operands only).
 
@@ -70,11 +71,27 @@ def _helper_node(out: np.ndarray, inputs: tuple, backward) -> Tensor:
     return ad._node(out, inputs, accumulate)
 
 
+def layer_norm(x: np.ndarray, gain: np.ndarray, bias: np.ndarray) -> tuple:
+    """A whole layer norm: `autodiff.standardize` and the affine that the
+    block node folds into the projection after it; and the 1/sigma."""
+    xhat, inv_std = ad.standardize(x)
+    out = xhat * gain
+    out += bias
+    return out, inv_std
+
+
 def layer_norm_node(x: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
-    """`autodiff.layer_norm` and `layer_norm_backward` as one tape node."""
-    out, inv_std = ad.layer_norm(x.data, gain.data, bias.data)
-    return _helper_node(out, (x, gain, bias), lambda g: ad.layer_norm_backward(
-        g, ad.normalized(x.data, inv_std), inv_std, gain.data, x.requires_grad))
+    """`layer_norm` as one tape node, its backward from
+    `autodiff.standardize_backward`."""
+    out, inv_std = layer_norm(x.data, gain.data, bias.data)
+
+    def backward(g):
+        xhat = ad.normalized(x.data, inv_std)
+        shape = gain.shape
+        gx = ad.standardize_backward(g * gain.data, xhat, inv_std) if x.requires_grad else None
+        return gx, ad._sum_to_shape(g * xhat, shape), ad._sum_to_shape(g, shape)
+
+    return _helper_node(out, (x, gain, bias), backward)
 
 
 def feed_forward_node(x: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor) -> Tensor:

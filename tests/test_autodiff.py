@@ -291,7 +291,7 @@ SINGLE_NODE_OPS = {
         lambda x: ad.log_softmax(x, axis=1), lambda x: x - _composite_logsumexp(x, 1, True), None
     ),
     "gelu": (_identity_feed_forward, _composite_gelu, None),
-    # the layer-norm helpers at unit gain and zero bias: the standardization they fold in
+    # a layer norm at unit gain and zero bias: the block's `standardize` and its backward
     "standardize": (
         lambda x: layer_norm_node(x, Tensor(np.ones(x.shape[-1], x.dtype)), Tensor(np.zeros(x.shape[-1], x.dtype))),
         lambda x: _composite_standardize(x, ad.LAYER_NORM_EPS),
@@ -500,12 +500,13 @@ def _block_case(name, dtype=np.float64):
     return block, q, kv, mask
 
 
-def _block_grads(fn, block, q, kv, mask):
+def _block_grads(fn, block, q, kv, mask, constant=None):
     """The output and the gradients of every block parameter, q and kv of
-    `_weighted_sum(fn(block, q, kv, mask))`."""
+    `_weighted_sum(fn(block, q, kv, mask))`; the input named `constant`
+    ("q" or "kv") enters as a constant, whose gradient is None."""
     for p in block.parameters():
         p.grad = None
-    q, kv = parameter(q), parameter(kv)
+    q, kv = (Tensor(x) if key == constant else parameter(x) for key, x in (("q", q), ("kv", kv)))
     out = fn(block, q, kv, mask)
     _weighted_sum(out).backward()
     return out.data, [p.grad for p in block.parameters()] + [q.grad, kv.grad]
@@ -543,6 +544,22 @@ class TestSublayerOps:
         for g, w in zip(got, want):
             assert g.shape == w.shape
             assert np.max(np.abs(g - w)) <= 1e-11 * max(1.0, np.max(np.abs(w)))
+
+    @pytest.mark.parametrize("constant", ["q", "kv"])
+    def test_constant_input_keeps_parameter_gradients(self, name, constant):
+        """Training feeds the block constant keys and values (the speech
+        stack's raw speech tokens) and constant queries: the node then skips
+        that input's gradient products, and nothing else changes."""
+        block, q, kv, mask = _block_case(name)
+        want_out, want = _block_grads(_block_node, block, q, kv, mask)
+        got_out, got = _block_grads(_block_node, block, q, kv, mask, constant)
+        assert np.max(np.abs(got_out - want_out)) <= 1e-12 * np.max(np.abs(want_out))
+        for g, w in zip(got[:18], want[:18]):
+            assert g.shape == w.shape
+            assert np.max(np.abs(g - w)) <= 1e-12 * max(1.0, np.max(np.abs(w)))
+        grads = dict(zip(("q", "kv"), got[18:]))
+        assert grads.pop(constant) is None
+        assert next(iter(grads.values())) is not None
 
     def test_input_bits_unchanged(self, name):
         block, q, kv, mask = _block_case(name)

@@ -200,6 +200,22 @@ class TestDatasetIO:
             assert got.embedding.tobytes() == query.embedding.tobytes()
             assert got.ground_truth_item == query.ground_truth_item
 
+    def test_read_shares_one_string_per_id_and_group(self, tmp_path):
+        """JSON parsing makes a new string for every group, ground-truth item
+        and split member; the dataset read keeps the GROUPS constants and one
+        object per id."""
+        write_dataset(generate(SynthConfig(n_items=40, seed=0))[0], tmp_path / "ds")
+        back = read_dataset(tmp_path / "ds")
+        items, queries = {i: i for i in back.item_ids}, {q: q for q in back.query_ids}
+        groups = [g for g in back.item_groups + back.query_groups if g is not None]
+        assert groups and all(g is GROUPS[GROUPS.index(g)] for g in groups)
+        assert all(gt is items[gt] for gt in back.ground_truth_items)
+        for members in back.manifest.splits.values():
+            assert all(i is items[i] for i in members["items"])
+            assert all(q is queries[q] for q in members["queries"])
+        query = back.queries[back.query_ids[0]]
+        assert query.ground_truth_item is items[query.ground_truth_item]
+
     def test_two_writes_identical_bytes(self, tmp_path):
         ds = tiny_dataset()
         write_dataset(ds, tmp_path / "a")

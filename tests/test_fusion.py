@@ -9,12 +9,13 @@ import pytest
 from trifuse import autodiff as ad
 from trifuse import fusion
 from trifuse.autodiff import Tensor
-from trifuse.data import (ContainerError, ItemRecord, Manifest, QueryRecord, read_container, resolve_missing,
-                          write_container)
+from trifuse.data import (ContainerError, FieldError, ItemRecord, Manifest, QueryRecord, check, read_container,
+                          resolve_missing, write_container)
 from trifuse.fusion import (
     AV_AUDIO_WEIGHT,
     AV_VISUAL_WEIGHT,
     AUDIO_MODES,
+    INDEX_FIELDS,
     FusionMode,
     FusionParams,
     forward_video,
@@ -372,6 +373,18 @@ class TestIndex:
         sidecar.write_text(json.dumps({**json.loads(sidecar.read_text()), "item_ids": item_ids}))
         with pytest.raises(ContainerError, match=r"\(FieldError: item_ids(\[0\])? must be a (list|string), got "):
             load_index(tmp_path / "g.idx")
+
+    @pytest.mark.parametrize("last", [5, None, "v9999"], ids=["int", "null", "string"])
+    def test_item_ids_are_checked_in_one_pass_and_the_bad_one_is_named(self, last):
+        """A list of strings passes on one type pass; once an element fails,
+        the per-element check names the first that does, here the last of
+        10,000."""
+        ids = [f"v{k}" for k in range(9999)] + [last]
+        if isinstance(last, str):
+            assert check(INDEX_FIELDS["item_ids"], "item_ids", ids) is ids
+            return
+        with pytest.raises(FieldError, match=rf"^item_ids\[9999\] must be a string, got {last!r}$"):
+            check(INDEX_FIELDS["item_ids"], "item_ids", ids)
 
     def test_repeated_item_id_raises(self, tmp_path):
         """Two rows under one id would both be scored and ranked as that item."""

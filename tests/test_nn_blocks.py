@@ -7,7 +7,7 @@ from trifuse import autodiff as ad
 from trifuse import nn
 from trifuse.autodiff import Tensor, parameter
 
-from gradcheck import finite_difference_check, layer_norm_node
+from gradcheck import finite_difference_check, layer_norm, layer_norm_node
 
 
 def make_rng(seed=0):
@@ -38,17 +38,17 @@ def _tape_nodes(out):
 
 
 class TestLayerNorm:
-    """`autodiff.layer_norm`, the helper the block node uses, at the gain and
-    bias a block starts with."""
+    """A whole layer norm (`gradcheck.layer_norm`, on the block's helper
+    `autodiff.standardize`), at the gain and bias a block starts with."""
 
     def test_constant_input_maps_to_zero(self):
-        out, _ = ad.layer_norm(np.full(3, 5.0), np.ones(3), np.zeros(3))
+        out, _ = layer_norm(np.full(3, 5.0), np.ones(3), np.zeros(3))
         np.testing.assert_allclose(out, np.zeros(3), atol=1e-12)
 
     def test_already_normalized_is_fixed_point(self):
         """Zero mean and unit variance: only the variance guard
         `LAYER_NORM_EPS` moves the row."""
-        out, _ = ad.layer_norm(np.array([1.0, -1.0]), np.ones(2), np.zeros(2))
+        out, _ = layer_norm(np.array([1.0, -1.0]), np.ones(2), np.zeros(2))
         np.testing.assert_allclose(out, np.array([1.0, -1.0]) / np.sqrt(1.0 + ad.LAYER_NORM_EPS), rtol=1e-12)
 
     def test_gradient_matches_finite_differences(self):

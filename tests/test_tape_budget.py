@@ -16,11 +16,13 @@ from trifuse.trainer import TrainConfig, train
 # missing modalities and correspondence noise, so every branch records.
 SYNTH = dict(n_items=100, correspondence_noise=0.3, missing_audio=0.1, missing_speech=0.1, seed=0)
 TRAIN = dict(epochs=1, batch_size=32, lr=1e-3, mode="save", align_kind="soft_albef")
-# What that step's tape reached with one node per cross-attention block; with
-# one node per linear map, layer norm, attention core and feed-forward layer
-# it was 247 nodes and 2,823,968 bytes. Lower them when the tape shrinks.
-MAX_NODES = 197
-MAX_RETAINED_BYTES = 1_594_208
+# What that step's tape reached with one node per cross-attention block,
+# `l2_normalize` and `soft_albef_loss`. With those two as composites of
+# primitive ops it was 197 nodes and 1,594,208 bytes; with one node per linear
+# map, layer norm, attention core and feed-forward layer as well, 247 nodes
+# and 2,823,968 bytes. Lower them when the tape shrinks.
+MAX_NODES = 146
+MAX_RETAINED_BYTES = 1_506_052
 
 
 def _held_arrays(obj, depth=0):
