@@ -609,12 +609,17 @@ def _id_set(ids: list[str], kind: str) -> set[str]:
             raise ContainerError(f"{kind} id {owner!r} is not a string")
     unique = set(ids)
     if len(unique) < len(ids):
-        counts = collections.Counter(ids)
-        raise ValidationError(f"duplicate {kind} id {next(i for i in ids if counts[i] > 1)}")
+        raise ValidationError(f"duplicate {kind} id {first_repeat(ids)}")
     for before, after in zip(ids, ids[1:]):
         if before > after:
             raise ValidationError(f"{kind} ids out of order: {before} is listed before {after}")
     return unique
+
+
+def first_repeat(ids: list[str]) -> str:
+    """The first id in `ids` that is listed more than once; `ids` must hold one."""
+    counts = collections.Counter(ids)
+    return next(i for i in ids if counts[i] > 1)
 
 
 def _entries(fields: dict[str, list], keys: dict[str, str]) -> list[dict]:

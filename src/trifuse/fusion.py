@@ -2,16 +2,15 @@
 
 The trainable bundle (`FusionParams`) holds one audio resampler, two
 independently parameterized gated-fusion stacks (audio, speech) and the
-contrastive logit scale. The four modes are `save` (both branches),
-`avigate` (audio only), `no_audio` (speech only) and `vision_only`. Every
-mode is scored from the same two arrays: the fused tokens and their mean. At
-default initialization the gates are zero, so every mode reduces exactly to
-the raw visual tokens.
+contrastive logit scale. A mode is the set of branches it adds to the visual
+tokens, one row of `MODES`: `save` (both), `avigate` (audio), `no_audio`
+(speech) and `vision_only` (none). Every mode is scored from the same two
+arrays: the fused tokens and their mean. At default initialization the gates
+are zero, so every mode reduces exactly to the raw visual tokens.
 """
 
 from __future__ import annotations
 
-import collections
 import math
 from dataclasses import asdict, dataclass
 from enum import Enum
@@ -23,7 +22,8 @@ from . import autodiff as ad
 from . import nn
 from .autodiff import Tensor
 from .data import (DIM, TOKENS, WIDTH, ContainerError, FieldError, ItemRecord, Manifest, Spec, bounded, check,
-                   check_fields, read_container, read_json, resolve_missing, table, write_container, write_json)
+                   check_fields, first_repeat, read_container, read_json, resolve_missing, table, write_container,
+                   write_json)
 
 
 class FusionMode(str, Enum):
@@ -33,12 +33,17 @@ class FusionMode(str, Enum):
     NO_AUDIO = "no_audio"
 
 
-# Audio-visual weighted-sum coefficients. The fused tokens are stored
-# rescaled by 1/AV_VISUAL_WEIGHT (v + 0.05/0.95 * a_hat): a positive scalar
-# multiple scores identically under every cosine-based similarity and keeps
-# the zero-gate reduction to v bit-exact.
-AV_VISUAL_WEIGHT = 0.95
-AV_AUDIO_WEIGHT = 0.05
+# Each mode's branches and the weight of their summed output: the fused
+# tokens are v + (sum of branch outputs) * weight, or v with no branch.
+# avigate's is AVIGATE's 0.95 v + 0.05 a_hat divided by 0.95: a positive
+# multiple scores the same under every cosine, and zero gates give v exactly.
+MODES = {FusionMode.SAVE: (("audio", "speech"), 0.5),
+         FusionMode.AVIGATE: (("audio",), 0.05 / 0.95),
+         FusionMode.VISION_ONLY: ((), 1.0),
+         FusionMode.NO_AUDIO: (("speech",), 1.0)}
+# The modules each branch runs, in order, on the item's `<branch>_tokens`:
+# each reads the output of the one before, and the last fuses it into v.
+BRANCH_MODULES = {"audio": ("resampler", "audio_fusion"), "speech": ("speech_fusion",)}
 
 # The contrastive temperature starts at CLIP's 0.07 (Radford et al. 2021).
 LOGIT_SCALE_INIT = math.log(1.0 / 0.07)
@@ -100,12 +105,11 @@ class FusionParams(nn.Module):
 
     def trained_parameters(self, mode: FusionMode) -> list[tuple[str, Tensor]]:
         """The named parameters that `forward_video` and the losses run in
-        `mode`, in `named_parameters` order: the resampler and audio stack in
-        AUDIO_MODES, the speech stack in SPEECH_MODES, and `logit_scale`."""
-        mode = FusionMode(mode)
-        unused = ("resampler.", "audio_fusion.") if mode not in AUDIO_MODES else ()
-        unused += ("speech_fusion.",) if mode not in SPEECH_MODES else ()
-        return [(name, p) for name, p in self.named_parameters() if not name.startswith(unused)]
+        `mode`, in `named_parameters` order: the modules of the mode's
+        branches and `logit_scale`."""
+        branches = MODES[FusionMode(mode)][0]
+        unused = {module for branch, modules in BRANCH_MODULES.items() if branch not in branches for module in modules}
+        return [(name, p) for name, p in self.named_parameters() if name.split(".")[0] not in unused]
 
     def temperature_scale(self) -> Tensor:
         """Positive contrastive score multiplier exp(logit_scale)."""
@@ -205,9 +209,6 @@ class FusedBatch:
     audio: Tensor | None = None  # (B, m, d) resampled audio, in the modes that use audio
 
 
-AUDIO_MODES = frozenset({FusionMode.AVIGATE, FusionMode.SAVE})
-SPEECH_MODES = frozenset({FusionMode.NO_AUDIO, FusionMode.SAVE})
-
 # Items per forward pass when building an index.
 INDEX_CHUNK = 128
 
@@ -235,24 +236,18 @@ def forward_video(items: list[ItemRecord], params: FusionParams, mode: FusionMod
     The items must come through `resolve_missing` first in the modes that
     touch audio or speech; a batch may mix token lengths.
     """
-    mode = FusionMode(mode)
     v, _ = _stack(items, "visual_tokens", params.dtype)
-    audio = a_hat = s_hat = None
-    if mode in AUDIO_MODES:
-        audio = params.resampler(*_stack(items, "audio_tokens", params.dtype))
-        a_hat = params.audio_fusion(v, audio)
-    if mode in SPEECH_MODES:
-        s_hat = params.speech_fusion(v, *_stack(items, "speech_tokens", params.dtype))
-
-    if mode == FusionMode.VISION_ONLY:
-        fused = v
-    elif mode == FusionMode.AVIGATE:
-        fused = v + a_hat * (AV_AUDIO_WEIGHT / AV_VISUAL_WEIGHT)
-    elif mode == FusionMode.NO_AUDIO:
-        fused = v + s_hat
-    else:  # save
-        fused = v + (a_hat + s_hat) * 0.5
-    return FusedBatch(fused, fused.mean(axis=-2), visual=v, audio=audio)
+    branches, weight = MODES[FusionMode(mode)]
+    inputs, outs = {}, []  # each branch's stack: the tokens it attends to, its output
+    for branch in branches:
+        *encoders, stack = (getattr(params, name) for name in BRANCH_MODULES[branch])
+        kv = _stack(items, f"{branch}_tokens", params.dtype)
+        for encoder in encoders:  # the resampler: a fixed token count, so no mask
+            kv = (encoder(*kv),)
+        inputs[branch] = kv[0]
+        outs.append(stack(v, *kv))
+    fused = v + sum(outs[1:], outs[0]) * weight if outs else v
+    return FusedBatch(fused, fused.mean(axis=-2), visual=v, audio=inputs.get("audio"))
 
 
 def pre_fusion_pooled(fused: FusedBatch) -> tuple[Tensor, Tensor]:
@@ -301,9 +296,7 @@ def load_index(path) -> VideoIndex:
     except (KeyError, FieldError) as err:
         raise ContainerError(f"index sidecar does not describe an index ({type(err).__name__}: {err})") from err
     if len(set(ids)) < len(ids):
-        counts = collections.Counter(ids)
-        repeated = next(i for i in ids if counts[i] > 1)
-        raise ContainerError(f"index sidecar field item_ids lists {repeated} more than once")
+        raise ContainerError(f"index sidecar field item_ids lists {first_repeat(ids)} more than once")
     arrays = {}
     for name in ("tokens", "pooled"):
         if f"index/{name}" not in records:

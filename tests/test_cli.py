@@ -1,7 +1,9 @@
 """Command surface: exit codes, artifacts, determinism."""
 
+import dataclasses
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -14,7 +16,8 @@ from trifuse import cli, data, trainer
 from trifuse.cli import main
 from trifuse.data import read_container, write_container
 from trifuse.similarity import ScoreMatrix
-from trifuse.trainer import TrainResult
+from trifuse.synth import SynthConfig
+from trifuse.trainer import TrainConfig, TrainResult
 
 
 @pytest.fixture(scope="module")
@@ -42,6 +45,23 @@ def workspace(tmp_path_factory):
     assert main(["gen", "--config", str(cfg_path), "--out", str(data_dir)]) == 0
     assert main(["train", "--config", str(cfg_path), "--data", str(data_dir), "--out", str(run_dir)]) == 0
     return {"root": root, "config": cfg_path, "data": data_dir, "run": run_dir}
+
+
+def test_readme_config_example_builds_the_defaults():
+    """The README's config example builds a SynthConfig and a TrainConfig
+    through the CLI's parser, names every field of each, and gives each field
+    that has a default that default."""
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    example = json.loads(re.search(r"## Config file\n.*?```json\n(.*?)```", readme, re.S).group(1))
+    assert example.keys() == {"synth", "train"}
+    for cls, section in ((SynthConfig, "synth"), (TrainConfig, "train")):
+        built = cli._build(cls, example[section], {}, section)
+        assert example[section].keys() == {f.name for f in dataclasses.fields(cls)}, section
+        for f in dataclasses.fields(cls):
+            if f.default is not dataclasses.MISSING:
+                assert getattr(built, f.name) == f.default, (section, f.name)
+            elif f.default_factory is not dataclasses.MISSING:
+                assert getattr(built, f.name) == f.default_factory(), (section, f.name)
 
 
 class TestGen:
@@ -776,7 +796,6 @@ class TestRefusedInputs:
         "train_epochs_float": ("train", {"epochs": 1.5}, [], None, 2, "epochs must be an integer"),
         "train_batch_size_float": ("train", {"batch_size": 8.0}, [], None, 2, "batch_size must be an integer"),
         "train_lr_nan_flag": ("train", {}, ["--lr", "nan"], None, 2, "lr must be a finite number > 0"),
-        "train_lr_inf": ("train", {"lr": float("inf")}, [], None, 2, "lr must be a finite number > 0"),
         # the initial temperature is fusion.LOGIT_SCALE_INIT, not a config key
         "train_tau_init_unknown": ("train", {"tau_init": 0.07}, [], None, 2,
                                    "config error: unknown key 'tau_init' in config section 'train'"),
@@ -789,11 +808,6 @@ class TestRefusedInputs:
                                "group_mix['visual'] must be a number, got True"),
         "gen_splits_bool": ("gen", {"splits": {"train": True}}, [], None, 2,
                             "splits['train'] must be a number, got True"),
-        # the zero-fill lengths are bounded before anything is generated or allocated
-        "gen_speech_pad_huge": ("gen", {"speech_pad": 10**9}, [], None, 2,
-                                f"speech_pad must be <= MAX_PAD ({data.MAX_PAD}), got 1000000000"),
-        "gen_frames_huge": ("gen", {"frames": 10**9}, [], None, 2,
-                            f"frames must be <= MAX_PAD ({data.MAX_PAD}), got 1000000000"),
         # manifest sizes: each an integer >= 1, dim >= 2, each pad at most MAX_PAD
         **{f"eval_manifest_{key}_{label}": ("eval", {}, [], manifest_size(key, value), 3, message)
            for key, label, value, message in [
@@ -808,8 +822,6 @@ class TestRefusedInputs:
                ("teacher_dim", "float", 8.2, "teacher_dim must be an integer, got 8.2"),
                ("dim", "one", 1, "dim must be an integer >= 2, got 1"),
            ]},
-        **{f"gen_{name}_inf": ("gen", {name: float("inf")}, [], None, 2, f"{name} must be a finite number >= 0")
-           for name in ("noise_scale", "query_noise", "teacher_noise", "audio_drift", "query_visual_mix")},
     }
 
     @pytest.mark.parametrize("case", CASES)

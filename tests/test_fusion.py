@@ -12,10 +12,8 @@ from trifuse.autodiff import Tensor
 from trifuse.data import (ContainerError, FieldError, ItemRecord, Manifest, QueryRecord, check, read_container,
                           resolve_missing, write_container)
 from trifuse.fusion import (
-    AV_AUDIO_WEIGHT,
-    AV_VISUAL_WEIGHT,
-    AUDIO_MODES,
     INDEX_FIELDS,
+    MODES,
     FusionMode,
     FusionParams,
     forward_video,
@@ -68,7 +66,8 @@ class TestForwardVideo:
         np.testing.assert_array_equal(out.tokens.data[0], item.visual_tokens)
 
     def test_avigate_weighted_sum_coefficients(self):
-        """With the audio branch stubbed to echo v, Eq-style weights give back v.
+        """With the audio branch stubbed to echo v, AVIGATE's 0.95 v + 0.05 a_hat
+        gives back v.
 
         Fused tokens are stored rescaled by 1/0.95 (cosine-equivalent), so the
         check multiplies back.
@@ -77,8 +76,8 @@ class TestForwardVideo:
         params = make_params()
         params.audio_fusion = lambda v, a: v  # identity stub
         out = forward_video([item], params, FusionMode.AVIGATE)
-        np.testing.assert_allclose(AV_VISUAL_WEIGHT * out.tokens.data[0], item.visual_tokens, rtol=1e-6)
-        assert AV_VISUAL_WEIGHT + AV_AUDIO_WEIGHT == 1.0
+        np.testing.assert_allclose(0.95 * out.tokens.data[0], item.visual_tokens, rtol=1e-6)
+        assert MODES[FusionMode.AVIGATE] == (("audio",), 0.05 / 0.95)
 
     def test_no_audio_uses_speech_branch_only(self):
         item = make_item(4)
@@ -185,7 +184,7 @@ class TestBatchInvariance:
     def test_each_item_matches_its_solo_run(self, mode):
         items, params = self.batch(), self.params()
         batched = self.arrays(forward_video(items, params, mode))
-        assert ("a_mean" in batched) == (mode in AUDIO_MODES)
+        assert ("a_mean" in batched) == ("audio" in MODES[mode][0])
         for b, item in enumerate(items):
             alone = self.arrays(forward_video([item], params, mode))
             assert alone.keys() == batched.keys()

@@ -9,6 +9,7 @@ import pytest
 from trifuse import autodiff as ad
 from trifuse import trainer
 from trifuse.autodiff import parameter
+from trifuse.data import resolve_missing
 from trifuse.fusion import FusionMode, FusionParams, load_params, save_params
 from trifuse.losses import AlignKind
 from trifuse.synth import SynthConfig, generate
@@ -201,6 +202,40 @@ class TestFlatBuffer:
         save_params(owned, tmp_path / "owned.ckpt")
         for suffix in ("ckpt", "ckpt.json"):
             assert (tmp_path / f"views.{suffix}").read_bytes() == (tmp_path / f"owned.{suffix}").read_bytes()
+
+
+class GradientRecorder:
+    """Stands in for Adam in `trainer._step`: the step's loss backpropagates
+    into every `.grad` it reaches, and nothing is cleared or updated."""
+
+    def zero_grad(self):
+        pass
+
+    def step(self, lr, max_norm=None):
+        return 0.0
+
+
+class TestTrainedParameters:
+    @pytest.mark.parametrize("align_kind", list(AlignKind), ids=lambda k: k.value)
+    @pytest.mark.parametrize("mode", list(FusionMode), ids=lambda m: m.value)
+    def test_listed_parameters_are_those_the_step_loss_reaches(self, mode, align_kind):
+        """`trained_parameters(mode)` names exactly the parameters that get a
+        gradient from one training step's loss, in both directions: Adam
+        refuses a listed parameter without a gradient, but a parameter that
+        gets one and is not listed would silently never train."""
+        dataset = small_dataset(seed=17)
+        man = dataset.manifest
+        ids = man.splits["train"]["items"][:8]
+        items = [resolve_missing(dataset.items[i], man) for i in ids]
+        query_of = dataset.first_queries("train")
+        queries = np.stack([dataset.queries[query_of[i]].embedding for i in ids])
+        params = FusionParams(man.dim, man.frames, seed=0, heads=2, fusion_depth=1)
+        config = small_config(mode=mode, align_kind=align_kind)
+        record = trainer._step(config, params, GradientRecorder(), items, queries, 0, 0, 1)
+        aligned = align_kind != AlignKind.NONE and mode in (FusionMode.SAVE, FusionMode.AVIGATE)
+        assert (record["alignment"] != 0.0) == aligned  # the batch reaches the alignment term
+        reached = [name for name, p in params.named_parameters() if p.grad is not None]
+        assert [name for name, _ in params.trained_parameters(mode)] == reached
 
 
 class TestCosineLr:
